@@ -115,80 +115,37 @@ type txStats struct {
 // runTxSerial applies the transactions one at a time — the ground-truth
 // final state and the speedup baseline.
 func runTxSerial(db *core.Database, txs []string) *core.Workspace {
-	for _, src := range txs {
-		head, err := db.Workspace("main")
-		if err != nil {
-			panic(err)
-		}
-		res, err := head.Exec(src)
-		if err != nil {
-			panic(err)
-		}
-		if err := db.CommitIf("main", head, res.Workspace); err != nil {
-			panic(err)
-		}
-	}
-	head, _ := db.Workspace("main")
+	head, _ := runTxConcurrent(db, txs, 1, false)
 	return head
 }
 
-// runTxConcurrent races the transactions over `workers` goroutines with
-// optimistic commits. With repair enabled, a lost CAS first tries
-// fine-grained repair from the recorded execution; otherwise (and on
-// repair fallback) the whole transaction re-executes against the new
-// head.
+// runTxConcurrent races the transactions over `workers` goroutines
+// through the database's own optimistic-commit loop (core.Database.Apply,
+// the path lb-serve commits through). With repair enabled, a lost CAS
+// first tries fine-grained repair from the recorded execution; otherwise
+// (and on repair fallback) the whole transaction re-executes against the
+// new head.
 func runTxConcurrent(db *core.Database, txs []string, workers int, repair bool) (*core.Workspace, txStats) {
-	ctx := context.Background()
 	var stats txStats
 	work := make(chan string, len(txs))
 	for _, src := range txs {
 		work <- src
 	}
 	close(work)
+	opt := core.TxOptions{Repair: repair, MaxRetries: math.MaxInt}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for src := range work {
-				head, err := db.Workspace("main")
+				out, err := db.Apply(context.Background(), core.CommitRecord{Kind: "exec", Branch: "main", Src: src}, opt)
 				if err != nil {
 					panic(err)
 				}
-				var res *core.ExecResult
-				var rec *core.ExecRecord
-				if repair {
-					res, rec, err = head.ExecRecordedCtx(ctx, src)
-				} else {
-					res, err = head.ExecCtx(ctx, src)
-				}
-				if err != nil {
-					panic(err)
-				}
-				for db.CommitIf("main", head, res.Workspace) != nil {
-					atomic.AddInt64(&stats.conflicts, 1)
-					newHead, err := db.Workspace("main")
-					if err != nil {
-						panic(err)
-					}
-					if rec != nil {
-						if res2, _, rerr := rec.Repair(ctx, newHead); rerr == nil {
-							atomic.AddInt64(&stats.repairs, 1)
-							head, res = newHead, res2
-							continue
-						}
-					}
-					atomic.AddInt64(&stats.fullReexecs, 1)
-					head = newHead
-					if repair {
-						res, rec, err = head.ExecRecordedCtx(ctx, src)
-					} else {
-						res, err = head.ExecCtx(ctx, src)
-					}
-					if err != nil {
-						panic(err)
-					}
-				}
+				atomic.AddInt64(&stats.conflicts, int64(out.Retries))
+				atomic.AddInt64(&stats.repairs, int64(out.Repairs))
+				atomic.AddInt64(&stats.fullReexecs, int64(out.FullReexecs))
 			}
 		}()
 	}

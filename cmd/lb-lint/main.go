@@ -3,9 +3,8 @@
 // Modes:
 //
 //	lb-lint [flags] [packages...]
-//	    Run the Go analyzers (immutable, errwrap, ctxloop, obssafe,
-//	    cursorclose, and the CFG dataflow trio locksafe, leakcheck,
-//	    snapshotescape) over the given package patterns (default ./...).
+//	    Run the Go analyzers (immutable, errwrap, ctxloop, obssafe, and
+//	    the CFG dataflow trio locksafe, leakcheck, snapshotescape) over the given package patterns (default ./...).
 //	    Any finding is an error: the suite has no suppression mechanism,
 //	    so the exit status is 1 unless the tree is clean.
 //

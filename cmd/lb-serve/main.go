@@ -50,7 +50,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -146,9 +145,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("lb-serve: %v", err)
 		}
-		// The background checkpointer must snapshot whatever database the
-		// follower currently serves — a resync swaps the pointer.
-		store.Start(func(w io.Writer) (uint64, error) { return follower.DB().SaveSnapshot(w) })
 		follower.Start(context.Background())
 		log.Printf("lb-serve: following %s (staleness bound %s)", *follow, *stalenessBound)
 	}
@@ -166,6 +162,12 @@ func main() {
 		SlowQuery:     *slowQuery,
 		Follower:      follower,
 	})
+	if store != nil {
+		// The background checkpointer must snapshot whatever database the
+		// server currently serves — POST /load and a follower resync both
+		// swap the pointer.
+		store.Start(s.SaveSnapshot)
+	}
 
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
@@ -253,12 +255,11 @@ func serveDebug(addr string) {
 }
 
 // openDurable opens the data directory, recovers the database it
-// describes (newest valid snapshot generation + journal replay), hooks
-// the journal into the commit path and starts the background
-// checkpointer.
-// In follower mode (primary=false) the commit hook and checkpointer are
-// left to the caller: the replica subsystem journals replayed records
-// itself and owns the database pointer.
+// describes (newest valid snapshot generation + journal replay) and, on
+// a primary, hooks the journal into the commit path. In follower mode
+// (primary=false) the replica subsystem journals replayed records itself
+// and installs the hook on promotion. The caller starts the background
+// checkpointer once the server exists.
 func openDurable(dir string, opts durable.Options, adaptive, primary bool) (*durable.Store, *core.Database, error) {
 	store, err := durable.Open(dir, opts)
 	if err != nil {
@@ -276,7 +277,6 @@ func openDurable(dir string, opts durable.Options, adaptive, primary bool) (*dur
 		dir, st.RecoveredSnapshotSeq, st.JournalReplayed, st.CorruptSkipped)
 	if primary {
 		db.SetCommitHook(store.LogCommit)
-		store.Start(db.SaveSnapshot)
 	}
 	return store, db, nil
 }

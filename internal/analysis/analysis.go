@@ -79,7 +79,7 @@ type Analyzer struct {
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		ImmutableAnalyzer, ErrwrapAnalyzer, CtxloopAnalyzer, ObssafeAnalyzer, CursorcloseAnalyzer,
+		ImmutableAnalyzer, ErrwrapAnalyzer, CtxloopAnalyzer, ObssafeAnalyzer,
 		LocksafeAnalyzer, LeakcheckAnalyzer, SnapshotEscapeAnalyzer,
 	}
 }

@@ -111,16 +111,12 @@ func TestObssafeAnalyzer(t *testing.T) {
 	checkFixture(t, ObssafeAnalyzer, "obs", "obsuser")
 }
 
-func TestCursorcloseAnalyzer(t *testing.T) {
-	checkFixture(t, CursorcloseAnalyzer, "cursor")
-}
-
 func TestLocksafeAnalyzer(t *testing.T) {
 	checkFixture(t, LocksafeAnalyzer, "locks", "lockorder")
 }
 
 func TestLeakcheckAnalyzer(t *testing.T) {
-	checkFixture(t, LeakcheckAnalyzer, "leakres", "leaksrv")
+	checkFixture(t, LeakcheckAnalyzer, "leakres", "leaksrv", "cursor")
 }
 
 func TestSnapshotEscapeAnalyzer(t *testing.T) {

@@ -1,14 +1,16 @@
 package analysis
 
-// leakcheck generalizes cursorclose from one hard-coded type to a
-// declarative resource table, and adds a goroutine-lifecycle rule for the
-// concurrency-dense packages (server, durable, replica, bench):
+// leakcheck tracks the resources of a declarative table, and adds a
+// goroutine-lifecycle rule for the concurrency-dense packages (server,
+// durable, replica, bench):
 //
 //  1. Resources (time.Ticker/Timer, http.Response.Body, durable's
-//     TailReader) must be released on every path to every function exit,
-//     released by a pending defer, or handed off (any bare use of the
-//     variable — returned, stored, passed — transfers ownership, the
-//     same convention cursorclose uses). Constructors of the form
+//     TailReader, core's query cursors and the engine's rule cursor — a
+//     leaked cursor keeps its snapshot version and its commit/abort
+//     accounting alive until GC) must be released on every path to every
+//     function exit, released by a pending defer, or handed off (any bare
+//     use of the variable — returned, stored, passed — transfers
+//     ownership). Constructors of the form
 //     `v, err := ctor(...)` are err-gated: along the `err != nil` branch
 //     the resource was never produced, so early error returns stay quiet.
 //  2. Goroutines started with `go func(){...}` whose body runs an
@@ -47,6 +49,9 @@ var resourceTable = []resourceSpec{
 	{pkgPath: "net/http", ctor: "Head", kind: "response body", release: "Body.Close", errGated: true},
 	{pkgPath: "net/http", ctor: "Do", kind: "response body", release: "Body.Close", errGated: true},
 	{pkgPath: "logicblox/internal/durable", ctor: "NewTailReader", kind: "tail reader", release: "Close"},
+	{pkgPath: "logicblox/internal/core", ctor: "QueryStream", kind: "query cursor", release: "Close", errGated: true},
+	{pkgPath: "logicblox/internal/core", ctor: "QueryCursor", kind: "query cursor", release: "Close", errGated: true},
+	{pkgPath: "logicblox/internal/engine", ctor: "StreamRule", kind: "rule cursor", release: "Close", errGated: true},
 }
 
 // leakGoroutinePackages gates the goroutine-lifecycle rule to the
@@ -62,7 +67,7 @@ var leakGoroutinePackages = map[string]bool{
 // LeakcheckAnalyzer is the CFG-based resource- and goroutine-leak check.
 var LeakcheckAnalyzer = &Analyzer{
 	Name: "leakcheck",
-	Doc:  "flag tickers/timers/response bodies/tail readers not released on all paths, and uncancellable goroutines",
+	Doc:  "flag tickers/timers/response bodies/tail readers/streaming cursors not released on all paths, and uncancellable goroutines",
 	Run:  runLeakcheck,
 }
 

@@ -1,96 +1,105 @@
-// Package cursor is a cursorclose-analyzer fixture: streaming cursors
-// opened here must be closed in-function or escape to a caller.
+// Package cursor is a leakcheck-analyzer fixture for the streaming-cursor
+// rows of the resource table: query and rule cursors opened here must be
+// closed on every path or escape to a caller.
 package cursor
 
-import "context"
+import (
+	"context"
 
-type Cursor struct{}
+	"logicblox/internal/core"
+	"logicblox/internal/engine"
+)
 
-func (c *Cursor) Next() bool   { return false }
-func (c *Cursor) Err() error   { return nil }
-func (c *Cursor) Close() error { return nil }
-
-type Workspace struct{}
-
-func (w *Workspace) QueryStream(ctx context.Context, src string) (*Cursor, error) {
-	return &Cursor{}, nil
-}
-
-type Engine struct{}
-
-func (e *Engine) StreamRule(i int) *Cursor { return &Cursor{} }
-
-func badLeak(ws *Workspace) error {
-	cur, err := ws.QueryStream(context.Background(), "q") // want: never closed
+func badLeak(ws *core.Workspace) error {
+	cur, err := ws.QueryStream(context.Background(), "q") // want: query cursor cur may not be released
 	if err != nil {
 		return err
 	}
-	for cur.Next() {
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 	}
 	return cur.Err()
 }
 
-func badDiscard(ws *Workspace) {
+func badDiscard(ws *core.Workspace) {
 	ws.QueryStream(context.Background(), "q") // want: discarded
 }
 
-func badBlank(ws *Workspace) error {
+func badBlank(ws *core.Workspace) error {
 	_, err := ws.QueryStream(context.Background(), "q") // want: discarded
 	return err
 }
 
-func badStream(e *Engine) {
-	cur := e.StreamRule(0) // want: never closed
-	for cur.Next() {
+func badStream(e *engine.Context) {
+	cur, err := e.StreamRule(nil) // want: rule cursor cur may not be released
+	if err != nil {
+		return
+	}
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 	}
 }
 
-func okDefer(ws *Workspace) error {
+// badOnePath closes only when b holds — the flow-insensitive check this
+// fixture was written for could not see that.
+func badOnePath(ws *core.Workspace, b bool) error {
+	cur, err := ws.QueryCursor(context.Background(), "q") // want: query cursor cur may not be released
+	if err != nil {
+		return err
+	}
+	if b {
+		cur.Close()
+	}
+	return nil
+}
+
+func okDefer(ws *core.Workspace) error {
 	cur, err := ws.QueryStream(context.Background(), "q")
 	if err != nil {
 		return err
 	}
 	defer cur.Close()
-	for cur.Next() {
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 	}
 	return cur.Err()
 }
 
-func okExplicit(e *Engine) {
-	cur := e.StreamRule(1)
-	for cur.Next() {
+func okExplicit(e *engine.Context) {
+	cur, err := e.StreamRule(nil)
+	if err != nil {
+		return
+	}
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 	}
 	cur.Close()
 }
 
-func okEscapeReturn(ws *Workspace) (*Cursor, error) {
+func okEscapeReturn(ws *core.Workspace) (*core.Cursor, error) {
 	return ws.QueryStream(context.Background(), "q")
 }
 
-func okEscapeVarReturn(e *Engine) *Cursor {
-	cur := e.StreamRule(2)
+func okEscapeVarReturn(e *engine.Context) *engine.RuleCursor {
+	cur, _ := e.StreamRule(nil)
 	return cur
 }
 
-func okEscapePass(e *Engine, drain func(*Cursor)) {
-	cur := e.StreamRule(3)
+func okEscapePass(e *engine.Context, drain func(*engine.RuleCursor)) {
+	cur, _ := e.StreamRule(nil)
 	drain(cur)
 }
 
-type holder struct{ cur *Cursor }
+type holder struct{ cur *engine.RuleCursor }
 
-func okEscapeStore(e *Engine) *holder {
+func okEscapeStore(e *engine.Context) *holder {
 	h := &holder{}
-	h.cur = e.StreamRule(4)
+	h.cur, _ = e.StreamRule(nil)
 	return h
 }
 
-func okEscapeComposite(e *Engine) *holder {
-	cur := e.StreamRule(5)
+func okEscapeComposite(e *engine.Context) *holder {
+	cur, _ := e.StreamRule(nil)
 	return &holder{cur: cur}
 }
 
-func okClosureClose(ws *Workspace) error {
+func okClosureClose(ws *core.Workspace) error {
 	cur, err := ws.QueryStream(context.Background(), "q")
 	if err != nil {
 		return err

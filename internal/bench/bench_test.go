@@ -80,8 +80,8 @@ func TestPercentile(t *testing.T) {
 }
 
 // TestBenchSmoke runs a small seeded closed-loop benchmark against an
-// in-process server (this test backs `make bench-smoke`): the report
-// must be well-formed, with zero 5xx answers, non-zero latency
+// in-process server (part of `make ci`): the report must be
+// well-formed, with zero 5xx answers, non-zero latency
 // percentiles for both endpoints, and contention evidence (server-side
 // optimistic retries and/or client-visible 409 conflicts) from the
 // hot-key write skew.

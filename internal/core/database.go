@@ -177,21 +177,46 @@ func (db *Database) DeleteBranch(name string) error {
 	return nil
 }
 
+// moveHead is the one commit primitive: under the write lock it looks the
+// branch up, optionally requires its head to still be parent (the
+// optimistic compare-and-swap), optionally journals rec through the
+// commit hook (which assigns rec.Seq and may veto the commit), and only
+// then swaps the head pointer and appends the version history. A nil ws
+// means "the head of branch rec.From", read under the same lock (promote).
+// Every way of moving a branch head is a thin caller of this.
+func (db *Database) moveHead(branch string, compare bool, parent, ws *Workspace, rec *CommitRecord) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if ws == nil {
+		var ok bool
+		if ws, ok = db.branches[rec.From]; !ok {
+			return fmt.Errorf("unknown branch %s: %w", rec.From, ErrNoSuchBranch)
+		}
+	}
+	head, ok := db.branches[branch]
+	if !ok {
+		return fmt.Errorf("unknown branch %s: %w", branch, ErrNoSuchBranch)
+	}
+	if compare && head != parent {
+		return fmt.Errorf("branch %s moved since snapshot: %w", branch, ErrConflict)
+	}
+	if rec == nil {
+		db.seq++
+	} else if err := db.logLocked(rec); err != nil {
+		return err
+	}
+	db.branches[branch] = ws
+	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
+	return nil
+}
+
 // Commit makes ws the new head of branch and records it in the history.
 // Conceptually just a pointer swap (paper T4). Commit bypasses the
 // commit hook — a workspace value carries no replayable request — so
 // embedders running with a durability journal must use
 // CommitIfRecorded (or Promote for pointer-swap merges) instead.
 func (db *Database) Commit(branch string, ws *Workspace) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.branches[branch]; !ok {
-		return fmt.Errorf("unknown branch %s: %w", branch, ErrNoSuchBranch)
-	}
-	db.seq++
-	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
-	return nil
+	return db.moveHead(branch, false, nil, ws, nil)
 }
 
 // Promote makes branch from's head the new head of branch to (a
@@ -199,21 +224,7 @@ func (db *Database) Commit(branch string, ws *Workspace) error {
 // paper §2.2.2). Unlike Commit it is fully described by its branch
 // names, so it goes through the commit hook and is replayable.
 func (db *Database) Promote(from, to string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	src, ok := db.branches[from]
-	if !ok {
-		return fmt.Errorf("unknown branch %s: %w", from, ErrNoSuchBranch)
-	}
-	if _, ok := db.branches[to]; !ok {
-		return fmt.Errorf("unknown branch %s: %w", to, ErrNoSuchBranch)
-	}
-	if err := db.logLocked(&CommitRecord{Kind: "promote", From: from, To: to}); err != nil {
-		return err
-	}
-	db.branches[to] = src
-	db.history = append(db.history, VersionEntry{Branch: to, Workspace: src})
-	return nil
+	return db.moveHead(to, false, nil, nil, &CommitRecord{Kind: "promote", From: from, To: to})
 }
 
 // CommitIf is the optimistic-concurrency commit (paper §3.4's snapshot
@@ -222,21 +233,10 @@ func (db *Database) Promote(from, to string) error {
 // executed against. If another transaction committed in between, it
 // returns ErrConflict and the caller re-executes against the new head
 // (coarse-grained repair) or surfaces the conflict. The compare-and-swap
-// and the history append are atomic under the database lock.
+// and the history append are atomic under the database lock. Like Commit
+// it bypasses the commit hook.
 func (db *Database) CommitIf(branch string, parent, ws *Workspace) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	head, ok := db.branches[branch]
-	if !ok {
-		return fmt.Errorf("unknown branch %s: %w", branch, ErrNoSuchBranch)
-	}
-	if head != parent {
-		return fmt.Errorf("branch %s moved since snapshot: %w", branch, ErrConflict)
-	}
-	db.seq++
-	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
-	return nil
+	return db.moveHead(branch, true, parent, ws, nil)
 }
 
 // CommitIfRecorded is CommitIf for callers running under a durability
@@ -245,71 +245,11 @@ func (db *Database) CommitIf(branch string, parent, ws *Workspace) error {
 // passed to the commit hook before the head moves. A hook failure
 // rejects the commit with ErrDurability and leaves the branch untouched:
 // the journal is strictly write-ahead of the in-memory state, so an
-// acknowledged commit is always recoverable. rec.Branch and rec.Seq are
-// filled in here.
+// acknowledged commit is always recoverable. With no hook installed it
+// is exactly CommitIf. rec.Branch and rec.Seq are filled in here.
 func (db *Database) CommitIfRecorded(branch string, parent, ws *Workspace, rec CommitRecord) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	head, ok := db.branches[branch]
-	if !ok {
-		return fmt.Errorf("unknown branch %s: %w", branch, ErrNoSuchBranch)
-	}
-	if head != parent {
-		return fmt.Errorf("branch %s moved since snapshot: %w", branch, ErrConflict)
-	}
 	rec.Branch = branch
-	if err := db.logLocked(&rec); err != nil {
-		return err
-	}
-	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
-	return nil
-}
-
-// ApplyRecord re-executes one journaled operation through the normal
-// transaction path (recovery, paper T4 #5: derived state is re-computed,
-// not restored). It must run before SetCommitHook installs a hook —
-// replay must not re-journal itself — and records must be applied in
-// ascending Seq order. After each record the database's sequence counter
-// is pinned to rec.Seq so post-recovery commits continue the journal's
-// numbering.
-func (db *Database) ApplyRecord(rec CommitRecord) error {
-	var err error
-	switch rec.Kind {
-	case "exec":
-		var ws *Workspace
-		if ws, err = db.Workspace(rec.Branch); err == nil {
-			var res *ExecResult
-			if res, err = ws.Exec(rec.Src); err == nil {
-				err = db.Commit(rec.Branch, res.Workspace)
-			}
-		}
-	case "addblock":
-		var ws *Workspace
-		if ws, err = db.Workspace(rec.Branch); err == nil {
-			var next *Workspace
-			if next, err = ws.AddBlock(rec.Name, rec.Src); err == nil {
-				err = db.Commit(rec.Branch, next)
-			}
-		}
-	case "branch":
-		err = db.Branch(rec.From, rec.To)
-	case "branchat":
-		err = db.BranchAt(rec.Version, rec.To)
-	case "delete":
-		err = db.DeleteBranch(rec.To)
-	case "promote":
-		err = db.Promote(rec.From, rec.To)
-	default:
-		err = fmt.Errorf("unknown record kind %q", rec.Kind)
-	}
-	if err != nil {
-		return fmt.Errorf("replay seq %d (%s): %w", rec.Seq, rec.Kind, err)
-	}
-	db.mu.Lock()
-	db.seq = rec.Seq
-	db.mu.Unlock()
-	return nil
+	return db.moveHead(branch, true, parent, ws, &rec)
 }
 
 // Branches lists branch names.

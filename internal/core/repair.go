@@ -31,7 +31,7 @@ type recordedStratum struct {
 }
 
 // ExecRecord is the replayable record of an exec transaction produced by
-// ExecRecorded: the snapshot it ran against, its compiled program, and
+// ExecRecordedCtx: the snapshot it ran against, its compiled program, and
 // the per-stratum read intervals and derivations. A record stays valid
 // against any later head of the same logic — the write-set diff is always
 // taken against the original snapshot — so repeated conflicts can
@@ -72,29 +72,12 @@ type RepairStats struct {
 	ChangedTuples, Intervals int
 }
 
-// ExecRecorded runs an exec transaction like Exec, additionally
+// ExecRecordedCtx runs an exec transaction like ExecCtx, additionally
 // returning the repair record for use on commit conflict. Recording
 // disables parallel rule evaluation for the transaction and costs the
 // sensitivity-interval bookkeeping, which is why it is opt-in.
-func (ws *Workspace) ExecRecorded(src string) (*ExecResult, *ExecRecord, error) {
-	return ws.ExecRecordedCtx(context.Background(), src)
-}
-
-// ExecRecordedCtx is ExecRecorded bounded by a context (see ExecCtx).
 func (ws *Workspace) ExecRecordedCtx(rctx context.Context, src string) (*ExecResult, *ExecRecord, error) {
-	sp, done := ws.txSpan(rctx, "exec")
-	rec := &ExecRecord{snapshot: ws, src: src}
-	run, err := ws.execReactive(rctx, src, sp, rec)
-	if err != nil {
-		done(err)
-		return nil, nil, err
-	}
-	res, err := ws.applyReactive(rctx, run, sp)
-	done(err)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, rec, nil
+	return ws.execCtx(rctx, src, true)
 }
 
 // Repair re-commits a conflicted transaction against newHead by

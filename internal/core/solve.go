@@ -36,9 +36,6 @@ func (ws *Workspace) Solve() (*Workspace, *solver.Solution, error) {
 		out.base = out.base.Set(pred, rel)
 		dirty[pred] = true
 	}
-	res, err := out.rederive(context.Background(), dirty, nil)
-	if err != nil {
-		return nil, sol, err
-	}
-	return res, sol, nil
+	res, err := out.settle(context.Background(), dirty, nil, false)
+	return res, sol, err
 }

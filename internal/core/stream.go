@@ -124,7 +124,18 @@ func (c *Cursor) Close() {
 // tx.query.stream, and its commit/abort is recorded when the cursor is
 // Closed — not when this call returns.
 func (ws *Workspace) QueryStream(rctx context.Context, src string) (*Cursor, error) {
-	sp, done := ws.txSpan(rctx, "query.stream")
+	return ws.queryCursor(rctx, src, "query.stream")
+}
+
+// QueryCursor is QueryStream under the classic tx.query span kind: the
+// cursor QueryCtx drains, handed to callers that want only a window of
+// the answers (the HTTP envelope's row cap) and so stop pulling early.
+func (ws *Workspace) QueryCursor(rctx context.Context, src string) (*Cursor, error) {
+	return ws.queryCursor(rctx, src, "query")
+}
+
+func (ws *Workspace) queryCursor(rctx context.Context, src, kind string) (*Cursor, error) {
+	sp, done := ws.txSpan(rctx, kind)
 	cur, err := ws.openCursor(rctx, src, sp)
 	if err != nil {
 		done(err)

@@ -114,17 +114,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	// an affected predicate, so the adaptive optimizer re-samples against
 	// the new logic instead of trusting stale orders.
 	out.plans.InvalidatePreds(dirty)
-	out, err = out.rederive(rctx, dirty, sp)
-	if err != nil {
-		return nil, err
-	}
-	ksp := sp.Child("constraints")
-	err = out.checkConstraints()
-	ksp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out.settle(rctx, dirty, sp, true)
 }
 
 // ExecResult reports what an exec transaction changed.
@@ -160,18 +150,28 @@ func (ws *Workspace) Exec(src string) (*ExecResult, error) {
 // or fixpoint-round boundary, and the transaction aborts with ctx.Err()
 // wrapped (the receiver workspace is untouched, as for any abort).
 func (ws *Workspace) ExecCtx(rctx context.Context, src string) (*ExecResult, error) {
-	sp, done := ws.txSpan(rctx, "exec")
-	res, err := ws.exec(rctx, src, sp)
-	done(err)
+	res, _, err := ws.execCtx(rctx, src, false)
 	return res, err
 }
 
-func (ws *Workspace) exec(rctx context.Context, src string, sp *obs.Span) (*ExecResult, error) {
-	run, err := ws.execReactive(rctx, src, sp, nil)
-	if err != nil {
-		return nil, err
+// execCtx is the one exec pipeline; record additionally keeps the
+// transaction's repair record (see ExecRecordedCtx).
+func (ws *Workspace) execCtx(rctx context.Context, src string, record bool) (*ExecResult, *ExecRecord, error) {
+	sp, done := ws.txSpan(rctx, "exec")
+	var rec *ExecRecord
+	if record {
+		rec = &ExecRecord{snapshot: ws, src: src}
 	}
-	return ws.applyReactive(rctx, run, sp)
+	var res *ExecResult
+	run, err := ws.execReactive(rctx, src, sp, rec)
+	if err == nil {
+		res, err = ws.applyReactive(rctx, run, sp)
+	}
+	done(err)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rec, nil
 }
 
 // reactiveRun is the outcome of an exec transaction's reactive phase
@@ -263,53 +263,87 @@ func mergeDerived(dst, src map[string]relation.Relation) {
 	}
 }
 
+// baseDelta is one predicate's requested change in the form the system
+// frame rules consume: the +R, -R and ^R relations of an exec
+// transaction. Direct writes (Insert, Delete, Load) build the same value
+// from their tuple lists, so every base change is an exec by construction.
+type baseDelta struct {
+	plus, minus, hat relation.Relation
+}
+
 // applyReactive finishes an exec transaction against the receiver: it
-// expands ^R upserts, applies the frame rules R := (R@start − (-R)) ∪ (+R),
-// merges plain-headed reactive derivations into their head predicates,
-// re-derives affected views and checks integrity constraints. run's
-// context must have been seeded from the receiver (its @start relations
-// are the receiver's contents) — either by execReactive on this
-// workspace, or by ExecRecord replay onto a new head.
+// collects the transaction's +R / -R / ^R relations, folds plain-headed
+// reactive derivations into their heads' +R, and hands the lot to
+// applyBase. run's context must have been seeded from the receiver (its
+// @start relations are the receiver's contents) — either by execReactive
+// on this workspace, or by ExecRecord replay onto a new head.
 func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *obs.Span) (*ExecResult, error) {
 	combined, ctx := run.combined, run.ctx
-	fsp := sp.Child("frame")
-	// Expand ^R upserts: replace the functional value for the key, i.e.
-	// delete the old binding (if different) and insert the new one.
-	for p, info := range combined.Preds {
-		hat := ctx.Relation(compiler.DecorHat + p)
-		if hat.IsEmpty() {
+	delta := func(p string) baseDelta {
+		return baseDelta{
+			plus:  ctx.Relation(compiler.DecorPlus + p),
+			minus: ctx.Relation(compiler.DecorMinus + p),
+			hat:   ctx.Relation(compiler.DecorHat + p),
+		}
+	}
+	changes := map[string]baseDelta{}
+	for p := range combined.Preds {
+		if d := delta(p); !d.plus.IsEmpty() || !d.minus.IsEmpty() || !d.hat.IsEmpty() {
+			changes[p] = d
+		}
+	}
+	// Plain-headed reactive rules (e.g. audit logs fed by +R) insert their
+	// pure derivations into their extensional head predicates. Using the
+	// captured derivations (rather than the context's head content, which
+	// also holds the head's seed) keeps the merge independent of what the
+	// receiver already stored — a frame deletion of a head tuple survives
+	// unless the transaction actually re-derived it.
+	for head, derived := range run.derived {
+		if compiler.BaseName(head) != head || derived.IsEmpty() {
 			continue
 		}
-		plus := ctx.Relation(compiler.DecorPlus + p)
-		minus := ctx.Relation(compiler.DecorMinus + p)
-		start := ctx.Relation(p + compiler.DecorAtStart)
-		hat.ForEach(func(t tuple.Tuple) bool {
-			if info.Functional && info.Arity >= 2 {
-				if old, ok := start.FuncGet(t[:info.Arity-1]); ok && !tuple.Equal(old, t[info.Arity-1]) {
-					minus = minus.Insert(append(t[:info.Arity-1].Clone(), old))
+		d := delta(head)
+		d.plus = d.plus.Union(derived)
+		changes[head] = d
+	}
+	return ws.applyBase(rctx, combined.Preds, changes, sp, true)
+}
+
+// applyBase is the one base-delta step every write goes through: expand
+// ^R upserts, apply the frame rules R := (R@start − (-R)) ∪ (+R) to the
+// receiver's base predicates, compute the exact per-predicate deltas, and
+// settle the result. preds is the symbol table the change was compiled
+// against (it may know predicates the receiver does not yet). A change
+// that leaves every predicate as it was returns the receiver itself.
+func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.PredInfo, changes map[string]baseDelta, sp *obs.Span, check bool) (*ExecResult, error) {
+	fsp := sp.Child("frame")
+	out := ws.clone()
+	deltas := map[string]ExecDelta{}
+	dirty := map[string]bool{}
+	var ins, del int64
+	for p, c := range changes {
+		info := preds[p]
+		arity := c.plus.Arity()
+		if info != nil {
+			if !info.EDB {
+				fsp.End()
+				return nil, fmt.Errorf("%w: cannot modify derived predicate %s", ErrTypecheck, p)
+			}
+			arity = info.Arity
+		}
+		start := ws.relationOr(p, arity)
+		plus, minus := c.plus, c.minus
+		// ^R replaces the functional value for the key: delete the old
+		// binding (if different) and insert the new one.
+		c.hat.ForEach(func(t tuple.Tuple) bool {
+			if info != nil && info.Functional && arity >= 2 {
+				if old, ok := start.FuncGet(t[:arity-1]); ok && !tuple.Equal(old, t[arity-1]) {
+					minus = minus.Insert(append(t[:arity-1].Clone(), old))
 				}
 			}
 			plus = plus.Insert(t)
 			return true
 		})
-		ctx.Set(compiler.DecorPlus+p, plus)
-		ctx.Set(compiler.DecorMinus+p, minus)
-	}
-
-	// Apply frame rules to every predicate with a non-empty delta.
-	out := ws.clone()
-	deltas := map[string]ExecDelta{}
-	dirty := map[string]bool{}
-	for p, info := range combined.Preds {
-		plus := ctx.Relation(compiler.DecorPlus + p)
-		minus := ctx.Relation(compiler.DecorMinus + p)
-		if plus.IsEmpty() && minus.IsEmpty() {
-			continue
-		}
-		if !info.EDB {
-			return nil, fmt.Errorf("exec: %w: cannot modify derived predicate %s", ErrTypecheck, p)
-		}
-		start := ctx.Relation(p + compiler.DecorAtStart)
 		next := start.Difference(minus).Union(plus)
 		if next.Equal(start) {
 			continue
@@ -319,118 +353,88 @@ func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *o
 			func(t tuple.Tuple) { d.Del = append(d.Del, t) },
 			func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
 		deltas[p] = d
+		ins += int64(len(d.Ins))
+		del += int64(len(d.Del))
 		out.base = out.base.Set(p, next)
 		dirty[p] = true
 	}
-
-	// Plain-headed reactive rules (e.g. audit logs fed by +R) insert their
-	// pure derivations into their extensional head predicates. Using the
-	// captured derivations (rather than the context's head content, which
-	// also holds the head's seed) keeps the merge independent of what the
-	// receiver already stored — a frame deletion of a head tuple survives
-	// unless the transaction actually re-derived it.
-	seen := map[string]bool{}
-	for _, stratum := range combined.ReactiveStrata {
-		for _, r := range stratum {
-			head := r.HeadName
-			if compiler.BaseName(head) != head || seen[head] {
-				continue
-			}
-			seen[head] = true
-			derivedRel, ok := run.derived[head]
-			if !ok || derivedRel.IsEmpty() {
-				continue
-			}
-			cur := out.relationOr(head, derivedRel.Arity())
-			merged := cur.Union(derivedRel)
-			if !merged.Equal(cur) {
-				var d ExecDelta
-				cur.Diff(merged, func(tuple.Tuple) {}, func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
-				prev := deltas[head]
-				prev.Ins = append(prev.Ins, d.Ins...)
-				deltas[head] = prev
-				out.base = out.base.Set(head, merged)
-				dirty[head] = true
-			}
-		}
-	}
-
 	fsp.End()
-	var ins, del int64
-	for _, d := range deltas {
-		ins += int64(len(d.Ins))
-		del += int64(len(d.Del))
-	}
 	sp.SetAttr("base_ins", ins)
 	sp.SetAttr("base_del", del)
-
 	if len(dirty) == 0 {
 		return &ExecResult{Workspace: ws, BaseDeltas: deltas}, nil
 	}
-	res, err := out.rederive(rctx, dirty, sp)
-	if err != nil {
-		return nil, err
-	}
-	ksp := sp.Child("constraints")
-	err = res.checkConstraints()
-	ksp.End()
+	res, err := out.settle(rctx, dirty, sp, check)
 	if err != nil {
 		return nil, err
 	}
 	return &ExecResult{Workspace: res, BaseDeltas: deltas}, nil
 }
 
-// Insert is a convenience exec: it inserts tuples into a base predicate
-// directly, bypassing parsing (heavy transactional workloads use this
-// path; it is equivalent to an exec of +pred facts).
-func (ws *Workspace) Insert(pred string, tuples ...tuple.Tuple) (*Workspace, error) {
-	return ws.applyDirect(pred, tuples, nil)
-}
-
-// Delete is the deletion counterpart of Insert.
-func (ws *Workspace) Delete(pred string, tuples ...tuple.Tuple) (*Workspace, error) {
-	return ws.applyDirect(pred, nil, tuples)
-}
-
-func (ws *Workspace) applyDirect(pred string, ins, del []tuple.Tuple) (*Workspace, error) {
-	sp, done := ws.txSpan(context.Background(), "exec")
-	sp.SetAttr("base_ins", int64(len(ins)))
-	sp.SetAttr("base_del", int64(len(del)))
-	out, err := ws.applyDirectTraced(pred, ins, del, sp)
-	done(err)
-	return out, err
-}
-
-func (ws *Workspace) applyDirectTraced(pred string, ins, del []tuple.Tuple, sp *obs.Span) (*Workspace, error) {
-	info, ok := ws.prog.Preds[pred]
-	if ok && !info.EDB {
-		return nil, fmt.Errorf("cannot modify derived predicate %s", pred)
-	}
-	cur := ws.Relation(pred)
-	if !ok && len(ins) > 0 {
-		cur = relation.New(len(ins[0]))
-	}
-	next := cur
-	for _, t := range del {
-		next = next.Delete(t)
-	}
-	for _, t := range ins {
-		next = next.Insert(t)
-	}
-	if next.Equal(cur) {
-		return ws, nil
-	}
-	out := ws.clone()
-	out.base = out.base.Set(pred, next)
-	res, err := out.rederive(context.Background(), map[string]bool{pred: true}, sp)
-	if err != nil {
-		return nil, err
+// settle is the single transaction tail: whatever moved the base
+// relations or the logic, the cloned workspace ends here — affected views
+// are re-derived from the dirty set and, unless check is off, integrity
+// constraints are verified over the result. Only Load (bulk seeding
+// across predicates with referential constraints) and Solve (feasible by
+// construction) run unchecked.
+func (ws *Workspace) settle(rctx context.Context, dirty map[string]bool, sp *obs.Span, check bool) (*Workspace, error) {
+	out, err := ws.rederive(rctx, dirty, sp)
+	if err != nil || !check {
+		return out, err
 	}
 	ksp := sp.Child("constraints")
-	err = res.checkConstraints()
+	err = out.checkConstraints()
 	ksp.End()
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return out, nil
+}
+
+// Insert is a convenience exec: it inserts tuples into a base predicate
+// directly, bypassing parsing (heavy transactional workloads use this
+// path; it is equivalent to an exec of +pred facts).
+func (ws *Workspace) Insert(pred string, tuples ...tuple.Tuple) (*Workspace, error) {
+	res, err := ws.applyDirect(pred, tuples, nil, true)
+	if err != nil {
+		return nil, err
+	}
+	return res.Workspace, nil
+}
+
+// Delete is the deletion counterpart of Insert.
+func (ws *Workspace) Delete(pred string, tuples ...tuple.Tuple) (*Workspace, error) {
+	res, err := ws.applyDirect(pred, nil, tuples, true)
+	if err != nil {
+		return nil, err
+	}
+	return res.Workspace, nil
+}
+
+// applyDirect runs the exec transaction "+pred(ins…). -pred(del…)."
+// without parsing or compiling anything: the tuple lists become the
+// predicate's +R / -R and go through applyBase like any other exec.
+func (ws *Workspace) applyDirect(pred string, ins, del []tuple.Tuple, check bool) (*ExecResult, error) {
+	sp, done := ws.txSpan(context.Background(), "exec")
+	arity := 0
+	if info, ok := ws.prog.Preds[pred]; ok {
+		arity = info.Arity
+	} else if len(ins) > 0 {
+		arity = len(ins[0])
+	} else if len(del) > 0 {
+		arity = len(del[0])
+	}
+	for _, ts := range [][]tuple.Tuple{ins, del} {
+		for _, t := range ts {
+			if len(t) != arity {
+				err := fmt.Errorf("%w: %s has arity %d, got a tuple of %d values", ErrTypecheck, pred, arity, len(t))
+				done(err)
+				return nil, err
+			}
+		}
+	}
+	change := baseDelta{plus: relation.FromTuples(arity, ins), minus: relation.FromTuples(arity, del), hat: relation.New(arity)}
+	res, err := ws.applyBase(context.Background(), ws.prog.Preds, map[string]baseDelta{pred: change}, sp, check)
+	done(err)
+	return res, err
 }

@@ -366,53 +366,33 @@ func (ws *Workspace) Query(src string) ([]tuple.Tuple, error) {
 // QueryCtx is Query bounded by a context: cancellation or deadline
 // expiry stops the evaluation at the next rule or fixpoint-round
 // boundary and the transaction returns ctx.Err() wrapped. It is a thin
-// wrapper that drains a QueryStream cursor (under the classic tx.query
-// span kind), so both paths evaluate identically.
+// wrapper that drains a QueryCursor, so every read path evaluates
+// identically.
 func (ws *Workspace) QueryCtx(rctx context.Context, src string) ([]tuple.Tuple, error) {
-	sp, done := ws.txSpan(rctx, "query")
-	cur, err := ws.openCursor(rctx, src, sp)
+	cur, err := ws.QueryCursor(rctx, src)
 	if err != nil {
-		done(err)
 		return nil, err
 	}
-	cur.sp, cur.done = sp, done
+	defer cur.Close()
 	out := make([]tuple.Tuple, 0, cur.hint)
 	for t, ok := cur.Next(); ok; t, ok = cur.Next() {
 		out = append(out, t)
 	}
-	err = cur.Err()
-	cur.Close()
-	if err != nil {
+	if err := cur.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Load is a convenience for seeding base predicates in bulk (outside the
-// reactive-rule machinery). It validates constraints after loading.
+// Load seeds a base predicate in bulk: an exec of +name facts that skips
+// the integrity-constraint check, so predicates tied together by
+// referential constraints can be loaded one after the other in any order.
+// A violation left behind by Load is reported by the next checked
+// transaction (Exec, Insert, AddBlock, …) on the workspace.
 func (ws *Workspace) Load(name string, tuples []tuple.Tuple) (*Workspace, error) {
-	info, ok := ws.prog.Preds[name]
-	if ok && !info.EDB {
-		return nil, fmt.Errorf("cannot load derived predicate %s", name)
-	}
-	arity := 0
-	if ok {
-		arity = info.Arity
-	} else if len(tuples) > 0 {
-		arity = len(tuples[0])
-	}
-	rel, has := ws.base.Get(name)
-	if !has {
-		rel = relation.New(arity)
-	}
-	for _, t := range tuples {
-		rel = rel.Insert(t)
-	}
-	out := ws.clone()
-	out.base = out.base.Set(name, rel)
-	res, err := out.rederive(context.Background(), map[string]bool{name: true}, nil)
+	res, err := ws.applyDirect(name, tuples, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return res.Workspace, nil
 }

@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"sort"
 	"testing"
+	"time"
 
 	"logicblox/internal/core"
 	"logicblox/internal/durable"
+	"logicblox/internal/tuple"
 )
 
 // newDurableServer boots a server over a durable store on dir —
@@ -143,6 +145,71 @@ func TestDurableServerLoadThenKill(t *testing.T) {
 	_, _, ts2 := newDurableServer(t, dir)
 	if got := queryInts(t, ts2, "main", `_(x) <- p(x).`); !intsEqual(got, []int{42, 43}) {
 		t.Fatalf("recovered p = %v, want [42 43] (loaded snapshot + post-load commit)", got)
+	}
+}
+
+// Count-triggered checkpoints must keep firing after /load: the
+// background checkpointer snapshots the database the server currently
+// serves (Server.SaveSnapshot), not the one it was started with —
+// otherwise every later checkpoint re-snapshots the stale pre-load
+// database and the journal tail recovery replays grows without bound.
+func TestDurableServerCheckpointsAfterLoad(t *testing.T) {
+	donor := core.NewDatabase()
+	ws, err := donor.Workspace(core.DefaultBranch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws, err = ws.Insert("p", tuple.Ints(42)); err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.Commit(core.DefaultBranch, ws); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := donor.SaveSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	const checkpointEvery = 4 // newDurableServer's CheckpointEvery
+	dir := t.TempDir()
+	store, s, ts := newDurableServer(t, dir)
+	store.Start(s.SaveSnapshot)
+	resp, err := http.Post(ts.URL+"/load", "application/octet-stream", &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/load status %d", resp.StatusCode)
+	}
+	loaded := store.Stats().LastCheckpointSeq
+
+	want := []int{42}
+	for v := 0; v < checkpointEvery+2; v++ {
+		mustOK(t, ts, http.MethodPost, "/exec", Request{Src: fmt.Sprintf("+p(%d).", v)}, nil)
+		want = append(want, v)
+	}
+	sort.Ints(want)
+	deadline := time.Now().Add(10 * time.Second)
+	for store.Stats().LastCheckpointSeq <= loaded {
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot generation past the loaded one (seq %d) after %d commits: %+v",
+				loaded, checkpointEvery+2, store.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ts.Close()
+	if err := store.Close(); err != nil { // stops the checkpointer; takes no snapshot
+		t.Fatal(err)
+	}
+
+	store2, _, ts2 := newDurableServer(t, dir)
+	if got := queryInts(t, ts2, "main", `_(x) <- p(x).`); !intsEqual(got, want) {
+		t.Fatalf("recovered p = %v, want %v", got, want)
+	}
+	if st := store2.Stats(); st.JournalReplayed >= checkpointEvery {
+		t.Fatalf("recovery replayed %d journal records, want fewer than checkpoint-every=%d: %+v",
+			st.JournalReplayed, checkpointEvery, st)
 	}
 }
 

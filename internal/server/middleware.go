@@ -67,24 +67,6 @@ func writeErrorCode(w http.ResponseWriter, status int, code, msg, requestID stri
 	writeJSON(w, status, ErrorResponse{Error: msg, Code: code, RequestID: requestID})
 }
 
-// backoffConflict sleeps before optimistic re-execution attempt n
-// (1-based): exponential from 2ms capped at 50ms, with full jitter so
-// colliding writers desynchronize instead of re-colliding. It returns
-// early if the request's context ends first.
-func backoffConflict(ctx context.Context, attempt int) {
-	d := 2 * time.Millisecond << min(attempt-1, 5)
-	if d > 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	d = time.Duration(rand.Int64N(int64(d))) + time.Millisecond
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
 // writeError maps err onto the wire error envelope, stamping the
 // request's ID so a failure is correlatable with its access-log line and
 // retained trace.

@@ -1,12 +1,17 @@
 // Package server exposes a logicblox database over HTTP (stdlib-only):
-// the lb-serve network layer. Requests run as concurrent transactions
-// against immutable branch-head snapshots and commit through the
-// optimistic compare-and-swap path (core.Database.CommitIf): on a
-// conflict the transaction is re-executed against the new head (a
-// coarse-grained form of the paper's §3.4 transaction repair) up to
-// MaxRetries times before surfacing 409. Every request carries a
-// context deadline honored inside the engine's fixpoint loops, so a
-// runaway recursive rule is stopped rather than pinning a worker.
+// the lb-serve network layer. Every write request becomes a
+// core.CommitRecord handed to core.Database.Apply — the call journal
+// recovery and followers replay the same records with — so the server
+// holds no write path of its own. Transactions run concurrently against
+// immutable branch-head snapshots and commit through Apply's single
+// optimistic loop and the database's single commit primitive
+// (compare-and-swap, write-ahead journal, pointer swap under one lock):
+// a transaction that loses the race is repaired against the new head
+// when it kept a repair record (exec; paper §3.4) and otherwise backs
+// off and re-runs, up to MaxRetries times before surfacing 409. Every
+// request carries a context deadline honored inside the engine's
+// fixpoint loops, so a runaway recursive rule is stopped rather than
+// pinning a worker.
 //
 // Endpoints:
 //
@@ -32,8 +37,9 @@
 // Every endpoint is also served under the versioned /v1/ prefix with
 // identical behavior; the bare paths are permanent aliases.
 //
-// With Config.Durable set, every committed transaction is journaled
-// write-ahead through internal/durable before the client sees its ack,
+// With a commit hook on the database (Config.Durable set, as lb-serve
+// wires it), every committed transaction is journaled write-ahead
+// through internal/durable before the client sees its ack,
 // and /healthz reports the store's recovery and checkpoint state; see
 // docs/durability.md.
 //
@@ -43,7 +49,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -96,10 +101,12 @@ type Config struct {
 	// Obs receives all server and engine metrics (default: a fresh
 	// registry).
 	Obs *obs.Registry
-	// Durable, when set, is the durability subsystem the served database
-	// commits through: every transaction is journaled write-ahead
-	// (Database.CommitIfRecorded) and /load re-anchors the store on the
-	// uploaded snapshot. nil serves purely in memory.
+	// Durable, when set, is the durability subsystem behind the served
+	// database's commit hook: /load re-anchors the store on the uploaded
+	// snapshot and /healthz reports its state. Commits are journaled
+	// write-ahead whenever the database has a hook, which is the caller's
+	// wiring (db.SetCommitHook(store.LogCommit)). nil serves purely in
+	// memory.
 	Durable *durable.Store
 	// AccessLog receives one structured line per request (and slow-query
 	// entries above SlowQuery). nil disables request logging.
@@ -191,6 +198,15 @@ func (s *Server) Database() *core.Database {
 	return s.db.Load()
 }
 
+// SaveSnapshot snapshots the currently served database. It is the
+// durable.SaveFunc to start the store's background checkpointer with: a
+// checkpointer bound to one *core.Database keeps snapshotting it after
+// POST /load (or a follower resync) has swapped in another, and the
+// journal then grows without bound.
+func (s *Server) SaveSnapshot(w io.Writer) (uint64, error) {
+	return s.Database().SaveSnapshot(w)
+}
+
 // BeginDrain puts the server into drain mode: new requests are rejected
 // with 503 + Retry-After while in-flight transactions finish (the
 // http.Server.Shutdown call in cmd/lb-serve does the actual waiting),
@@ -269,23 +285,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *Request) (*
 	return r, func() {}, true
 }
 
-// commitTxn commits ws over parent: journaled write-ahead
-// (CommitIfRecorded) when the server runs durable, plain CommitIf
-// otherwise. rec carries the request needed to replay the transaction.
-func (s *Server) commitTxn(branch string, parent, ws *core.Workspace, rec core.CommitRecord) error {
-	if s.cfg.Durable != nil {
-		return s.Database().CommitIfRecorded(branch, parent, ws, rec)
-	}
-	return s.Database().CommitIf(branch, parent, ws)
-}
-
-// handleExec runs an exec transaction through the optimistic-commit
-// loop: execute on the branch-head snapshot (recording read intervals
-// unless repair is disabled), CommitIf, and on a lost race first try to
-// repair the recorded transaction against the new head — re-deriving
-// only the strata whose reads intersect the winner's writes (paper
-// §3.4) — falling back to full re-execution when the record does not
-// apply.
+// handleExec runs an exec transaction and commits it.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	r, cancel, ok := s.decode(w, r, &req)
@@ -293,69 +293,39 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	execute := func() (*core.Workspace, *core.ExecResult, *core.ExecRecord, error) {
-		head, err := s.Database().Workspace(req.Branch)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if s.cfg.DisableRepair {
-			res, err := head.WithObserver(s.reg).ExecCtx(r.Context(), req.Src)
-			return head, res, nil, err
-		}
-		res, rec, err := head.WithObserver(s.reg).ExecRecordedCtx(r.Context(), req.Src)
-		return head, res, rec, err
+	s.transact(w, r, core.CommitRecord{Kind: "exec", Branch: req.Branch, Src: req.Src})
+}
+
+// transact answers a transaction request (exec, addblock) by handing its
+// record to core.Database.Apply — the same call journal recovery and
+// followers replay it with — under the server's policy: record into the
+// server's registry, repair on conflict unless disabled, survive up to
+// MaxRetries lost commit races. The record is journaled write-ahead
+// whenever the database has a commit hook.
+func (s *Server) transact(w http.ResponseWriter, r *http.Request, rec core.CommitRecord) {
+	out, err := s.Database().Apply(r.Context(), rec, core.TxOptions{
+		Obs: s.reg, Repair: !s.cfg.DisableRepair, MaxRetries: s.cfg.MaxRetries,
+	})
+	if out.Retries > 0 {
+		s.reg.Counter("server.commit.retries").Add(int64(out.Retries))
+		s.reg.Counter("server.commit.repairs").Add(int64(out.Repairs))
+		s.reg.Counter("server.commit.full_reexecs").Add(int64(out.FullReexecs))
 	}
-	retries, repairs := 0, 0
-	head, res, rec, err := execute()
 	if err != nil {
+		if out.CommitFailed {
+			s.reg.Counter("server.commit.conflicts").Inc()
+		}
 		s.writeError(w, r, err)
 		return
 	}
-	for {
-		version := res.Workspace.Version()
-		if res.Workspace == head || len(res.BaseDeltas) == 0 {
-			// No-op transaction: nothing to commit.
-			writeJSON(w, http.StatusOK, ExecResponse{OK: true, Branch: req.Branch, Version: version, Retries: retries, Repairs: repairs, Trace: s.inlineTrace(r)})
-			return
-		}
-		err = s.commitTxn(req.Branch, head, res.Workspace, core.CommitRecord{Kind: "exec", Src: req.Src})
-		if err == nil {
-			s.reg.Counter("server.commits").Inc()
-			writeJSON(w, http.StatusOK, ExecResponse{
-				OK: true, Branch: req.Branch, Version: version,
-				Retries: retries, Repairs: repairs, Deltas: deltasJSON(res.BaseDeltas),
-				Trace: s.inlineTrace(r),
-			})
-			return
-		}
-		if errors.Is(err, core.ErrConflict) && retries < s.cfg.MaxRetries && r.Context().Err() == nil {
-			retries++
-			s.reg.Counter("server.commit.retries").Inc()
-			if rec != nil {
-				newHead, werr := s.Database().Workspace(req.Branch)
-				if werr == nil && newHead != head {
-					if res2, _, rerr := rec.Repair(r.Context(), newHead.WithObserver(s.reg)); rerr == nil {
-						repairs++
-						s.reg.Counter("server.commit.repairs").Inc()
-						head, res = newHead, res2
-						continue
-					}
-				}
-			}
-			// Coarse fallback: full re-execution against the new head.
-			s.reg.Counter("server.commit.full_reexecs").Inc()
-			backoffConflict(r.Context(), retries)
-			head, res, rec, err = execute()
-			if err != nil {
-				s.writeError(w, r, err)
-				return
-			}
-			continue
-		}
-		s.reg.Counter("server.commit.conflicts").Inc()
-		s.writeError(w, r, err)
-		return
+	if out.Committed {
+		s.reg.Counter("server.commits").Inc()
 	}
+	writeJSON(w, http.StatusOK, ExecResponse{
+		OK: true, Branch: rec.Branch, Version: out.Workspace.Version(),
+		Retries: out.Retries, Repairs: out.Repairs, Deltas: deltasJSON(out.BaseDeltas),
+		Trace: s.inlineTrace(r),
+	})
 }
 
 // handleQuery runs a read-only query on a branch snapshot; no commit is
@@ -384,11 +354,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.streamQuery(w, r, &req, ws, tok)
 		return
 	}
-	s.materializedQuery(w, r, &req, ws, tok)
+	s.envelopeQuery(w, r, &req, ws, tok)
 }
 
-// handleAddBlock installs a block through the same optimistic-commit
-// loop as exec.
+// handleAddBlock installs a block of logic and commits it.
 func (s *Server) handleAddBlock(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	r, cancel, ok := s.decode(w, r, &req)
@@ -400,34 +369,7 @@ func (s *Server) handleAddBlock(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request", "addblock requires a block name", requestIDFrom(r.Context()))
 		return
 	}
-	retries := 0
-	for {
-		head, err := s.Database().Workspace(req.Branch)
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		next, err := head.WithObserver(s.reg).AddBlockCtx(r.Context(), req.Name, req.Src)
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		err = s.commitTxn(req.Branch, head, next, core.CommitRecord{Kind: "addblock", Name: req.Name, Src: req.Src})
-		if err == nil {
-			s.reg.Counter("server.commits").Inc()
-			writeJSON(w, http.StatusOK, ExecResponse{OK: true, Branch: req.Branch, Version: next.Version(), Retries: retries, Trace: s.inlineTrace(r)})
-			return
-		}
-		if errors.Is(err, core.ErrConflict) && retries < s.cfg.MaxRetries && r.Context().Err() == nil {
-			retries++
-			s.reg.Counter("server.commit.retries").Inc()
-			backoffConflict(r.Context(), retries)
-			continue
-		}
-		s.reg.Counter("server.commit.conflicts").Inc()
-		s.writeError(w, r, err)
-		return
-	}
+	s.transact(w, r, core.CommitRecord{Kind: "addblock", Branch: req.Branch, Name: req.Name, Src: req.Src})
 }
 
 // handleCheck runs the warning-tier LogiQL checker over the branch
@@ -464,44 +406,20 @@ func (s *Server) handleBranchesGet(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, BranchesResponse{OK: true, Branches: s.Database().Branches()})
 }
 
+// branchOps maps the mutating ops of POST /branches onto the journal
+// record kinds core.Database.Apply performs. "commit" promotes branch
+// From's head onto branch To (a pointer-swap commit, e.g. merging an
+// accepted what-if scenario back); like the others it is described
+// entirely by its record, so it is journaled and replayable.
+var branchOps = map[string]string{"create": "branch", "branchat": "branchat", "delete": "delete", "commit": "promote"}
+
 func (s *Server) handleBranchesPost(w http.ResponseWriter, r *http.Request) {
 	var req BranchRequest
 	if err := jsonBody(r, &req); err != nil {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request", err.Error(), requestIDFrom(r.Context()))
 		return
 	}
-	// Branch mutations are writes; only diff is a read a follower can
-	// serve locally.
-	if req.Op != "diff" && s.rejectReadOnly(w, r) {
-		return
-	}
-	db := s.Database()
-	switch req.Op {
-	case "create":
-		if err := db.Branch(req.From, req.To); err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-	case "branchat":
-		if err := db.BranchAt(req.Version, req.To); err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-	case "delete":
-		if err := db.DeleteBranch(req.To); err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-	case "commit":
-		// Promote branch From's head onto branch To (a pointer-swap
-		// commit, e.g. merging an accepted what-if scenario back).
-		// Promote is described entirely by the branch names, so it is
-		// journaled and replayable under durability.
-		if err := db.Promote(req.From, req.To); err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-	case "diff":
+	if req.Op == "diff" { // the one read; a follower serves it locally
 		diff, err := s.diffBranches(req.From, req.To)
 		if err != nil {
 			s.writeError(w, r, err)
@@ -509,9 +427,20 @@ func (s *Server) handleBranchesPost(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, BranchesResponse{OK: true, Diff: diff})
 		return
-	default:
+	}
+	if s.rejectReadOnly(w, r) {
+		return
+	}
+	kind, ok := branchOps[req.Op]
+	if !ok {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("unknown op %q (want create|branchat|delete|commit|diff)", req.Op), requestIDFrom(r.Context()))
+		return
+	}
+	db := s.Database()
+	rec := core.CommitRecord{Kind: kind, From: req.From, To: req.To, Version: req.Version}
+	if _, err := db.Apply(r.Context(), rec, core.TxOptions{}); err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, BranchesResponse{OK: true, Branches: db.Branches()})

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"strings"
 
 	"logicblox/internal/core"
+	"logicblox/internal/tuple"
 )
 
 // Streamed /query responses: NDJSON rows pipelined straight out of the
@@ -133,54 +135,86 @@ func wantStream(r *http.Request, req *Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 }
 
-// materializedQuery is the classic JSON-envelope /query path: evaluate
-// fully (QueryCtx, span kind tx.query — unchanged wire behavior), then
-// window the rows by the cursor offset and row/byte caps. Rows are
-// encoded by the direct appendRowJSON encoder into one buffer.
-func (s *Server) materializedQuery(w http.ResponseWriter, r *http.Request, req *Request, ws *core.Workspace, tok pageToken) {
-	rows, err := ws.WithObserver(s.reg).QueryCtx(r.Context(), req.Src)
+// pullPage is the one result window of /query, shared by both encodings:
+// it skips the offset rows earlier pages delivered (on the pipelined path
+// they are discarded as they are produced), then hands rows to emit —
+// which encodes one and reports the encoded size so far — until the
+// cursor is exhausted, the row limit is reached, or the size reaches
+// maxBytes (at least one row is always emitted). more reports that a row
+// was pulled past the cap, i.e. a next page exists.
+func pullPage(ctx context.Context, cur *core.Cursor, offset int64, limit int, maxBytes int64, emit func(tuple.Tuple) (int64, error)) (rows int64, more bool, err error) {
+	var size int64
+	for pulled := int64(0); ; pulled++ {
+		if err := ctx.Err(); err != nil {
+			return rows, false, err
+		}
+		t, ok := cur.Next()
+		if !ok {
+			return rows, false, cur.Err()
+		}
+		if pulled < offset {
+			continue
+		}
+		if (limit > 0 && rows >= int64(limit)) || (maxBytes > 0 && rows > 0 && size >= maxBytes) {
+			return rows, true, nil
+		}
+		if size, err = emit(t); err != nil {
+			return rows, false, err
+		}
+		rows++
+	}
+}
+
+// nextCursor is the token resuming a truncated page after rows more rows.
+func nextCursor(ws *core.Workspace, tok pageToken, rows int64) string {
+	return encodePageToken(pageToken{Branch: tok.Branch, Version: ws.Version(), Offset: tok.Offset + rows})
+}
+
+// envelopeQuery is the classic JSON-envelope encoding: the page is pulled
+// from a QueryCursor (span kind tx.query), so evaluation stops at the row
+// cap, and rows are encoded by the direct appendRowJSON encoder into one
+// buffer.
+func (s *Server) envelopeQuery(w http.ResponseWriter, r *http.Request, req *Request, ws *core.Workspace, tok pageToken) {
+	cur, err := ws.WithObserver(s.reg).QueryCursor(r.Context(), req.Src)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
+	defer cur.Close()
 	limit := s.effectiveLimit(req, false)
-	total := int64(len(rows))
-	start := min(tok.Offset, total)
-	end := total
-	if limit > 0 && start+int64(limit) < end {
-		end = start + int64(limit)
-	}
 	var buf bytes.Buffer
 	buf.WriteByte('[')
-	emitted := int64(0)
-	for _, t := range rows[start:end] {
-		if req.MaxResultBytes > 0 && emitted > 0 && int64(buf.Len()) >= req.MaxResultBytes {
-			break
-		}
-		if emitted > 0 {
+	rows, more, err := pullPage(r.Context(), cur, tok.Offset, limit, req.MaxResultBytes, func(t tuple.Tuple) (int64, error) {
+		if buf.Len() > 1 {
 			buf.WriteByte(',')
 		}
 		buf.Write(appendRowJSON(buf.AvailableBuffer(), t))
-		emitted++
+		return int64(buf.Len()), nil
+	})
+	cur.Close() // ends the tx.query span before the trace is inlined
+	if err != nil {
+		s.writeError(w, r, err)
+		return
 	}
 	buf.WriteByte(']')
 	resp := queryWire{
 		OK: true, Rows: json.RawMessage(buf.Bytes()),
-		RowCount: int(emitted), Limit: limit, Trace: s.inlineTrace(r),
+		RowCount: int(rows), Limit: limit, Trace: s.inlineTrace(r),
 	}
-	if start+emitted < total {
+	if more {
 		resp.Truncated = true
-		resp.NextCursor = encodePageToken(pageToken{Branch: tok.Branch, Version: ws.Version(), Offset: start + emitted})
+		resp.NextCursor = nextCursor(ws, tok, rows)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// streamQuery is the NDJSON path: a pull cursor from QueryStream (span
-// kind tx.query.stream), rows encoded and flushed incrementally, result
-// memory O(1) in the answer count. The HTTP status is committed before
-// the first row, so failures after that point are reported in the
-// trailing summary record; client disconnects cancel the request
-// context, which closes the cursor and records a tx.query.stream.abort.
+// streamQuery is the NDJSON encoding: the page is pulled from a
+// QueryStream cursor (span kind tx.query.stream), rows encoded and
+// flushed incrementally, result memory O(1) in the answer count. The
+// HTTP status is committed before the first row, so failures after that
+// point are reported in the trailing summary record; client disconnects
+// cancel the request context, which closes the cursor and records a
+// tx.query.stream.abort.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, req *Request, ws *core.Workspace, tok pageToken) {
 	cur, err := ws.WithObserver(s.reg).QueryStream(r.Context(), req.Src)
 	if err != nil {
@@ -195,82 +229,38 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, req *Reques
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, streamFlushBytes)
-	fail := func(err error) {
-		_, code := statusFor(err)
-		s.reg.Counter("server.errors." + code).Inc()
-		sum.OK, sum.Error, sum.Code = false, err.Error(), code
-		s.finishStream(w, bw, r, &sum)
-	}
-
-	// A resumed page skips the rows previous pages delivered. On the
-	// pipelined fast path this discards them as they are produced; the
-	// materialized fallback skips within the already-built relation.
-	for skipped := int64(0); skipped < tok.Offset; skipped++ {
-		if err := r.Context().Err(); err != nil {
-			fail(err)
-			return
-		}
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-	}
-	if err := cur.Err(); err != nil {
-		fail(err)
-		return
-	}
-
 	scratch := make([]byte, 0, 256)
 	unflushed := 0
-	truncated := false
-	for {
-		if err := r.Context().Err(); err != nil {
-			fail(err)
-			return
-		}
-		if limit > 0 && sum.Rows >= int64(limit) {
-			// Peek one row past the cap to decide whether a next page
-			// exists at all.
-			if _, ok := cur.Next(); ok {
-				truncated = true
-			}
-			break
-		}
-		t, ok := cur.Next()
-		if !ok {
-			break
-		}
+	var more bool
+	sum.Rows, more, err = pullPage(r.Context(), cur, tok.Offset, limit, req.MaxResultBytes, func(t tuple.Tuple) (int64, error) {
 		scratch = append(scratch[:0], `{"row":`...)
 		scratch = appendRowJSON(scratch, t)
 		scratch = append(scratch, '}', '\n')
 		if _, err := bw.Write(scratch); err != nil {
-			fail(err)
-			return
+			return 0, err
 		}
-		sum.Rows++
 		sum.Bytes += int64(len(scratch))
-		unflushed += len(scratch)
-		if req.MaxResultBytes > 0 && sum.Bytes >= req.MaxResultBytes {
-			truncated = true
-			break
-		}
-		if unflushed >= streamFlushBytes {
+		if unflushed += len(scratch); unflushed >= streamFlushBytes {
 			unflushed = 0
 			bw.Flush()
 			if f, ok := w.(http.Flusher); ok {
 				f.Flush()
 			}
 		}
+		return sum.Bytes, nil
+	})
+	if err != nil {
+		_, code := statusFor(err)
+		s.reg.Counter("server.errors." + code).Inc()
+		sum.OK, sum.Error, sum.Code = false, err.Error(), code
+	} else {
+		if more {
+			sum.Truncated = true
+			sum.NextCursor = nextCursor(ws, tok, sum.Rows)
+		}
+		s.reg.Counter("server.stream.rows").Add(sum.Rows)
+		s.reg.Counter("server.stream.bytes").Add(sum.Bytes)
 	}
-	if err := cur.Err(); err != nil {
-		fail(err)
-		return
-	}
-	if truncated {
-		sum.Truncated = true
-		sum.NextCursor = encodePageToken(pageToken{Branch: tok.Branch, Version: ws.Version(), Offset: tok.Offset + sum.Rows})
-	}
-	s.reg.Counter("server.stream.rows").Add(sum.Rows)
-	s.reg.Counter("server.stream.bytes").Add(sum.Bytes)
 	s.finishStream(w, bw, r, &sum)
 }
 
