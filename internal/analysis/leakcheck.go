@@ -52,6 +52,7 @@ var resourceTable = []resourceSpec{
 	{pkgPath: "logicblox/internal/core", ctor: "QueryStream", kind: "query cursor", release: "Close", errGated: true},
 	{pkgPath: "logicblox/internal/core", ctor: "QueryCursor", kind: "query cursor", release: "Close", errGated: true},
 	{pkgPath: "logicblox/internal/engine", ctor: "StreamRule", kind: "rule cursor", release: "Close", errGated: true},
+	{pkgPath: "logicblox/internal/engine", ctor: "Bindings", kind: "bindings cursor", release: "Close", errGated: true},
 }
 
 // leakGoroutinePackages gates the goroutine-lifecycle rule to the

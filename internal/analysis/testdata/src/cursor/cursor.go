@@ -1,6 +1,6 @@
 // Package cursor is a leakcheck-analyzer fixture for the streaming-cursor
-// rows of the resource table: query and rule cursors opened here must be
-// closed on every path or escape to a caller.
+// rows of the resource table: query, rule and bindings cursors opened
+// here must be closed on every path or escape to a caller.
 package cursor
 
 import (
@@ -38,6 +38,16 @@ func badStream(e *engine.Context) {
 	}
 }
 
+func badBindings(e *engine.Context) error {
+	b, err := e.Bindings(nil, nil) // want: bindings cursor b may not be released
+	if err != nil {
+		return err
+	}
+	for _, ok := b.Next(); ok; _, ok = b.Next() {
+	}
+	return b.Err()
+}
+
 // badOnePath closes only when b holds — the flow-insensitive check this
 // fixture was written for could not see that.
 func badOnePath(ws *core.Workspace, b bool) error {
@@ -60,6 +70,17 @@ func okDefer(ws *core.Workspace) error {
 	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 	}
 	return cur.Err()
+}
+
+func okBindings(e *engine.Context) error {
+	b, err := e.Bindings(nil, nil)
+	if err != nil {
+		return err
+	}
+	defer b.Close()
+	for _, ok := b.Next(); ok; _, ok = b.Next() {
+	}
+	return b.Err()
 }
 
 func okExplicit(e *engine.Context) {

@@ -26,6 +26,40 @@ func stratify(p *Program) error {
 	return nil
 }
 
+// StratumRecursive reports whether a stratum's rules feed each other:
+// some rule reads, positively, a predicate the stratum derives. Such a
+// stratum is evaluated to a fixpoint, any other in a single pass.
+func StratumRecursive(stratum []*RulePlan) bool {
+	heads := map[string]bool{}
+	for _, r := range stratum {
+		heads[r.HeadName] = true
+	}
+	for _, r := range stratum {
+		for _, b := range r.BodyNames {
+			if heads[b] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// ReadsAny reports whether the rule's body mentions, positively or
+// negated, a predicate name for which changed holds.
+func (p *RulePlan) ReadsAny(changed func(name string) bool) bool {
+	for _, b := range p.BodyNames {
+		if changed(b) {
+			return true
+		}
+	}
+	for _, b := range p.NegNames {
+		if changed(b) {
+			return true
+		}
+	}
+	return false
+}
+
 // computeStrata stratifies one rule set and returns the strata together
 // with the derived predicate names in stratum order.
 func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan, []string, error) {

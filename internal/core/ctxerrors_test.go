@@ -6,6 +6,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"logicblox/internal/tuple"
 )
 
 // TestExecCtxDeadlineStopsFixpoint gives a transaction whose fixpoint
@@ -24,6 +26,93 @@ func TestExecCtxDeadlineStopsFixpoint(t *testing.T) {
 	}
 	if elapsed := time.Since(t0); elapsed > 10*time.Second {
 		t.Fatalf("fixpoint ignored the deadline: %v", elapsed)
+	}
+}
+
+// TestDeadlineBindsInsideJoins gives four transaction shapes whose only
+// slow part is one cross-product join (200³ bindings, seconds of work) a
+// 20ms deadline: a reactive exec rule, an aggregating query on the
+// materialized path, a constraint body rechecked by a one-fact exec, and
+// a view installed by addblock. Each must stop inside the join with the
+// deadline as its error, leave the receiver as it was, and — through
+// Database.Apply — commit and journal nothing.
+func TestDeadlineBindsInsideJoins(t *testing.T) {
+	facts := make([]tuple.Tuple, 200)
+	for i := range facts {
+		facts[i] = tuple.Ints(int64(i))
+	}
+	seed := func(t *testing.T, logic string) *Workspace {
+		ws := NewWorkspace()
+		if logic != "" {
+			ws = mustAddBlock(t, ws, "logic", logic)
+		}
+		ws, err := ws.Load("e", facts) // unchecked: the slow constraint is not run here
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws
+	}
+	cases := []struct {
+		name  string
+		logic string
+		rec   CommitRecord // Kind "" = a query, run on the workspace alone
+	}{
+		{name: "reactive exec rule", rec: CommitRecord{Kind: "exec", Src: `+big(a, b, c) <- e(a), e(b), e(c). +e(1000).`}},
+		{name: "aggregating query", rec: CommitRecord{Src: `n[] = c <- agg<<c = count()>> e(a), e(b), e(c). _(c) <- n[] = c.`}},
+		{name: "constraint body", logic: `e(a), e(b), e(c) -> a >= 0.`, rec: CommitRecord{Kind: "exec", Src: `+e(1000).`}},
+		{name: "addblock view", rec: CommitRecord{Kind: "addblock", Name: "view", Src: `big(a, b, c) <- e(a), e(b), e(c).`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := seed(t, tc.logic)
+			before := ws.relations()
+			run := func(via string, do func(ctx context.Context) error) {
+				t.Helper()
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				defer cancel()
+				t0 := time.Now()
+				err := do(ctx)
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s: err = %v after %v, want DeadlineExceeded", via, err, time.Since(t0))
+				}
+				if elapsed := time.Since(t0); elapsed > time.Second {
+					t.Fatalf("%s: the join ignored the 20ms deadline for %v", via, elapsed)
+				}
+			}
+			run("workspace", func(ctx context.Context) (err error) {
+				switch tc.rec.Kind {
+				case "exec":
+					_, err = ws.ExecCtx(ctx, tc.rec.Src)
+				case "addblock":
+					_, err = ws.AddBlockCtx(ctx, tc.rec.Name, tc.rec.Src)
+				default:
+					_, err = ws.QueryCtx(ctx, tc.rec.Src)
+				}
+				return err
+			})
+			for name, rel := range ws.relations() {
+				if !rel.Equal(before[name]) {
+					t.Fatalf("receiver's %s changed", name)
+				}
+			}
+			if tc.rec.Kind == "" {
+				return
+			}
+			db := NewDatabaseWith(ws)
+			journaled := 0
+			db.SetCommitHook(func(CommitRecord) error { journaled++; return nil })
+			tc.rec.Branch = DefaultBranch
+			run("Database.Apply", func(ctx context.Context) error {
+				res, err := db.Apply(ctx, tc.rec, TxOptions{})
+				if res.Committed {
+					t.Fatal("Apply reports a commit")
+				}
+				return err
+			})
+			if head, _ := db.Workspace(DefaultBranch); head != ws || journaled != 0 {
+				t.Fatalf("aborted transaction moved the head (%v) or was journaled (%d records)", head != ws, journaled)
+			}
+		})
 	}
 }
 

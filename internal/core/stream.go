@@ -52,10 +52,6 @@ func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
 		return t, true
 	}
 	for {
-		if err := c.rctx.Err(); err != nil {
-			c.err = err
-			return nil, false
-		}
 		t, ok := c.rc.Next()
 		if !ok {
 			c.err = c.rc.Err()

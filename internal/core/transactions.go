@@ -24,8 +24,8 @@ func (ws *Workspace) AddBlock(name, src string) (*Workspace, error) {
 }
 
 // AddBlockCtx is AddBlock bounded by a context: cancellation or deadline
-// expiry stops the re-materialization at the next rule or fixpoint-round
-// boundary.
+// expiry stops the re-materialization and the constraint check within
+// one join binding, wherever they are, and nothing is installed.
 func (ws *Workspace) AddBlockCtx(rctx context.Context, name, src string) (*Workspace, error) {
 	if ws.blocks.Contains(name) {
 		return nil, fmt.Errorf("block %s already installed: %w", name, ErrConflict)
@@ -114,7 +114,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	// an affected predicate, so the adaptive optimizer re-samples against
 	// the new logic instead of trusting stale orders.
 	out.plans.InvalidatePreds(dirty)
-	return out.settle(rctx, dirty, sp, true)
+	return out.settle(rctx, ws, compiled.Preds, dirty, sp, true)
 }
 
 // ExecResult reports what an exec transaction changed.
@@ -146,9 +146,10 @@ func (ws *Workspace) Exec(src string) (*ExecResult, error) {
 }
 
 // ExecCtx is Exec bounded by a context: cancellation or deadline expiry
-// stops the reactive evaluation and view re-derivation at the next rule
-// or fixpoint-round boundary, and the transaction aborts with ctx.Err()
-// wrapped (the receiver workspace is untouched, as for any abort).
+// stops the reactive evaluation, the view re-derivation and the
+// constraint check within one join binding, wherever they are, and the
+// transaction aborts with ctx.Err() wrapped (the receiver workspace is
+// untouched, as for any abort).
 func (ws *Workspace) ExecCtx(rctx context.Context, src string) (*ExecResult, error) {
 	res, _, err := ws.execCtx(rctx, src, false)
 	return res, err
@@ -364,7 +365,7 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 	if len(dirty) == 0 {
 		return &ExecResult{Workspace: ws, BaseDeltas: deltas}, nil
 	}
-	res, err := out.settle(rctx, dirty, sp, check)
+	res, err := out.settle(rctx, ws, preds, dirty, sp, check)
 	if err != nil {
 		return nil, err
 	}
@@ -372,18 +373,25 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 }
 
 // settle is the single transaction tail: whatever moved the base
-// relations or the logic, the cloned workspace ends here — affected views
-// are re-derived from the dirty set and, unless check is off, integrity
-// constraints are verified over the result. Only Load (bulk seeding
-// across predicates with referential constraints) and Solve (feasible by
-// construction) run unchecked.
-func (ws *Workspace) settle(rctx context.Context, dirty map[string]bool, sp *obs.Span, check bool) (*Workspace, error) {
-	out, err := ws.rederive(rctx, dirty, sp)
+// relations or the logic of prev, the cloned workspace ends here — in one
+// evaluation context bounded by rctx, affected views are re-derived from
+// the dirty set and, unless check is off, functional dependencies (of
+// the predicates that changed, as declared in preds — the symbol table
+// the change was compiled against) and integrity constraints are
+// verified over the result. Only Load (bulk seeding across predicates with
+// referential constraints) and Solve (feasible by construction) run
+// unchecked.
+func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, sp *obs.Span, check bool) (*Workspace, error) {
+	ctx := engine.NewContext(ws.prog, ws.relations(), engine.Options{Models: ws.models, Optimize: ws.optimize, Plans: ws.plans, Obs: ws.Observer(), Ctx: rctx})
+	out, err := ws.rederive(ctx, dirty, sp)
 	if err != nil || !check {
 		return out, err
 	}
 	ksp := sp.Child("constraints")
-	err = out.checkConstraints()
+	err = out.checkFunctional(prev, preds, dirty)
+	if err == nil {
+		err = out.checkConstraints(ctx)
+	}
 	ksp.End()
 	if err != nil {
 		return nil, err

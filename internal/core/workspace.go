@@ -181,17 +181,18 @@ func ruleKey(r *compiler.RulePlan) string { return r.HeadName + "\x00" + r.Sourc
 func stratumKey(head string) string { return "rec\x00" + head }
 
 // rederive re-materializes derived predicates after base-data or logic
-// changes. dirty seeds the set of changed names (base predicates with new
-// contents and/or derived predicates marked dirty by the meta-engine);
-// the change propagates through the execution graph, and rules none of
-// whose dependencies changed reuse their stored results — the engine-side
-// half of live programming (paper Figure 6).
-func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, error) {
+// changes, in ctx — the transaction tail's evaluation context, which
+// holds ws's relations. dirty seeds the set of changed names (base
+// predicates with new contents and/or derived predicates marked dirty by
+// the meta-engine) and grows by every derived predicate whose content
+// moved; the change propagates through the execution graph, and rules
+// none of whose dependencies changed reuse their stored results — the
+// engine-side half of live programming (paper Figure 6).
+func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, error) {
 	out := ws.clone()
 	reg := ws.Observer()
 	sp := parent.Child("rederive")
 	sp.SetAttr("dirty", int64(len(dirty)))
-	ctx := engine.NewContext(out.prog, out.relations(), engine.Options{Models: out.models, Optimize: out.optimize, Plans: out.plans, Obs: reg, Ctx: rctx})
 	ctx.SetSpan(sp)
 	var evals, reused int64
 	defer func() {
@@ -203,39 +204,11 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 			reg.Counter("core.rederive.rules_reused").Add(reused)
 		}
 	}()
-	changed := dirty
+	changed := func(name string) bool { return dirty[name] }
+	touched := func(r *compiler.RulePlan) bool { return dirty[r.HeadName] || r.ReadsAny(changed) }
 
 	for _, stratum := range out.prog.Strata {
-		heads := map[string]bool{}
-		for _, r := range stratum {
-			heads[r.HeadName] = true
-		}
-		recursive := false
-		for _, r := range stratum {
-			for _, b := range r.BodyNames {
-				if heads[b] {
-					recursive = true
-				}
-			}
-		}
-		touched := func(r *compiler.RulePlan) bool {
-			if changed[r.HeadName] {
-				return true
-			}
-			for _, b := range r.BodyNames {
-				if changed[b] {
-					return true
-				}
-			}
-			for _, b := range r.NegNames {
-				if changed[b] {
-					return true
-				}
-			}
-			return false
-		}
-
-		if recursive {
+		if compiler.StratumRecursive(stratum) {
 			any := false
 			for _, r := range stratum {
 				if touched(r) {
@@ -249,19 +222,21 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 			}
 			evals += int64(len(stratum))
 			origin := map[string]relation.Relation{}
-			for h := range heads {
-				origin[h] = out.Relation(h)
-				ctx.Set(h, relation.New(origin[h].Arity()))
+			for _, r := range stratum {
+				if _, seen := origin[r.HeadName]; !seen {
+					origin[r.HeadName] = out.Relation(r.HeadName)
+					ctx.Set(r.HeadName, relation.New(origin[r.HeadName].Arity()))
+				}
 			}
 			if err := ctx.EvalStratum(stratum); err != nil {
 				return nil, err
 			}
-			for h := range heads {
+			for h, was := range origin {
 				cur := ctx.Relation(h)
 				out.ruleRes = out.ruleRes.Set(stratumKey(h), cur)
 				out.derived = out.derived.Set(h, cur)
-				if !cur.Equal(origin[h]) {
-					changed[h] = true
+				if !cur.Equal(was) {
+					dirty[h] = true
 				}
 			}
 			continue
@@ -298,7 +273,7 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 			out.derived = out.derived.Set(h, rel)
 			ctx.Set(h, rel)
 			if !rel.Equal(prev) {
-				changed[h] = true
+				dirty[h] = true
 			}
 		}
 		// Unchanged heads of this stratum still need their contexts seeded
@@ -307,14 +282,49 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 	return out, nil
 }
 
-// checkConstraints validates the workspace state, returning an error
-// listing all violations if the state is illegal. Constraints that
-// reference free solver predicates (lang:solve:variable) define the
-// optimization problem rather than the set of legal states before a
-// solve, so they are enforced only once the free predicate has been
-// populated.
-func (ws *Workspace) checkConstraints() error {
-	ctx := engine.NewContext(ws.prog, ws.relations(), engine.Options{Models: ws.models, Obs: ws.Observer()})
+// checkFunctional enforces the functional dependency of every predicate
+// named in changed that preds declares functional — at most one value
+// per key — at a cost proportional to the change: only the tuples the
+// sharing-aware Diff against prev (the transaction's receiver) reports
+// inserted are probed. A predicate prev holds nothing of (restore, the
+// first write) is swept in one ordered pass instead of one probe per
+// tuple.
+func (ws *Workspace) checkFunctional(prev *Workspace, preds map[string]*compiler.PredInfo, changed map[string]bool) error {
+	for name := range changed {
+		info := preds[name]
+		if info == nil || !info.Functional || info.Arity < 2 {
+			continue
+		}
+		rel, nkey := ws.relationOr(name, info.Arity), info.Arity-1
+		var clash []tuple.Tuple // two tuples of rel sharing a key
+		if was := prev.relationOr(name, info.Arity); was.IsEmpty() {
+			if a, b, ok := rel.KeyConflict(); ok {
+				clash = []tuple.Tuple{a, b}
+			}
+		} else {
+			was.Diff(rel, func(tuple.Tuple) {}, func(t tuple.Tuple) {
+				if clash == nil {
+					if same := rel.Lookup(t[:nkey]); len(same) > 1 {
+						clash = same
+					}
+				}
+			})
+		}
+		if clash != nil {
+			return fmt.Errorf("transaction aborted: %w: functional dependency of %s: key %s has values %s and %s",
+				ErrConstraint, name, clash[0][:nkey], clash[0][nkey], clash[1][nkey])
+		}
+	}
+	return nil
+}
+
+// checkConstraints validates the workspace state (whose relations ctx
+// holds), returning an error listing all violations if the state is
+// illegal. Constraints that reference free solver predicates
+// (lang:solve:variable) define the optimization problem rather than the
+// set of legal states before a solve, so they are enforced only once the
+// free predicate has been populated.
+func (ws *Workspace) checkConstraints(ctx *engine.Context) error {
 	deferred := map[string]bool{}
 	if ws.prog.Solve != nil {
 		for _, v := range ws.prog.Solve.Variables {
@@ -364,8 +374,8 @@ func (ws *Workspace) Query(src string) ([]tuple.Tuple, error) {
 }
 
 // QueryCtx is Query bounded by a context: cancellation or deadline
-// expiry stops the evaluation at the next rule or fixpoint-round
-// boundary and the transaction returns ctx.Err() wrapped. It is a thin
+// expiry stops the evaluation within one join binding, materialized or
+// streamed, and the transaction returns ctx.Err() wrapped. It is a thin
 // wrapper that drains a QueryCursor, so every read path evaluates
 // identically.
 func (ws *Workspace) QueryCtx(rctx context.Context, src string) ([]tuple.Tuple, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"logicblox/internal/tuple"
@@ -14,13 +15,15 @@ const writePathSchema = `
 	q(x) -> int(x).
 	r(x) -> int(x).
 	f[k] = v -> int(k), int(v).
+	pair(x, y) -> int(x), int(y).
+	fd[x] = y <- pair(x, y).
 	big(x) <- p(x), x > 1.
 	r(x) -> q(x).`
 
 func writePathSeed(t *testing.T) *Workspace {
 	t.Helper()
 	ws := mustAddBlock(t, NewWorkspace(), "schema", writePathSchema)
-	return mustExec(t, ws, `+p(1). +p(2). +q(5). +r(5). +f[1] = 10.`)
+	return mustExec(t, ws, `+p(1). +p(2). +q(5). +r(5). +f[1] = 10. +pair(1, 2).`)
 }
 
 // relationsDiffer names the first predicate whose contents differ
@@ -52,6 +55,7 @@ func TestWritePathEquivalence(t *testing.T) {
 		ins, del []tuple.Tuple
 		src      string
 		wantErr  error
+		wantMsg  string // substring of every path's error
 		noop     bool
 	}{
 		{name: "insert", pred: "p", ins: []tuple.Tuple{tuple.Ints(3)}, src: `+p(3).`},
@@ -59,6 +63,11 @@ func TestWritePathEquivalence(t *testing.T) {
 		{name: "functional upsert", pred: "f", ins: []tuple.Tuple{tuple.Ints(1, 20)}, del: []tuple.Tuple{tuple.Ints(1, 10)}, src: `^f[1] = 20.`},
 		{name: "no-op", pred: "p", ins: []tuple.Tuple{tuple.Ints(1)}, del: []tuple.Tuple{tuple.Ints(9)}, src: `+p(1). -p(9).`, noop: true},
 		{name: "constraint violation", pred: "r", ins: []tuple.Tuple{tuple.Ints(99)}, src: `+r(99).`, wantErr: ErrConstraint},
+		{name: "functional delete then insert", pred: "f", ins: []tuple.Tuple{tuple.Ints(1, 30)}, del: []tuple.Tuple{tuple.Ints(1, 10)}, src: `-f[1] = 10. +f[1] = 30.`},
+		{name: "functional re-insert", pred: "f", ins: []tuple.Tuple{tuple.Ints(1, 10)}, src: `+f[1] = 10.`, noop: true},
+		{name: "functional second value", pred: "f", ins: []tuple.Tuple{tuple.Ints(1, 11)}, src: `+f[1] = 11.`, wantErr: ErrConstraint, wantMsg: "f: key (1) has values 10 and 11"},
+		{name: "functional double insert", pred: "f", ins: []tuple.Tuple{tuple.Ints(2, 1), tuple.Ints(2, 2)}, src: `+f[2] = 1. +f[2] = 2.`, wantErr: ErrConstraint, wantMsg: "f: key (2)"},
+		{name: "derived functional second derivation", pred: "pair", ins: []tuple.Tuple{tuple.Ints(1, 3)}, src: `+pair(1, 3).`, wantErr: ErrConstraint, wantMsg: "fd: key (1) has values 2 and 3"},
 		{name: "derived target", pred: "big", ins: []tuple.Tuple{tuple.Ints(7)}, src: `+big(7).`, wantErr: ErrTypecheck},
 	}
 	for _, tc := range cases {
@@ -89,6 +98,9 @@ func TestWritePathEquivalence(t *testing.T) {
 			for _, o := range outs {
 				if !errors.Is(o.err, tc.wantErr) || (tc.wantErr == nil && o.err != nil) {
 					t.Fatalf("%s: err = %v, want %v", o.path, o.err, tc.wantErr)
+				}
+				if tc.wantMsg != "" && !strings.Contains(o.err.Error(), tc.wantMsg) {
+					t.Fatalf("%s: err = %v, want it to mention %q", o.path, o.err, tc.wantMsg)
 				}
 			}
 			if tc.wantErr != nil {
@@ -140,6 +152,22 @@ func TestWritePathEquivalence(t *testing.T) {
 				t.Errorf("Insert/Delete: relation %s differs from the direct write", name)
 			}
 		})
+	}
+}
+
+// TestFunctionalDependencyFirstWrite: a functional predicate the receiver
+// holds nothing of is swept whole, so the very first write — and a
+// restore, which starts from the empty workspace — cannot smuggle in two
+// values for one key.
+func TestFunctionalDependencyFirstWrite(t *testing.T) {
+	_, err := NewWorkspace().Exec(`+g[1] = 2. +g[1] = 3.`)
+	if !errors.Is(err, ErrConstraint) || !strings.Contains(err.Error(), "g: key (1) has values 2 and 3") {
+		t.Fatalf("first write of two values for g[1]: err = %v, want ErrConstraint naming g and key (1)", err)
+	}
+	_, err = RestoreWorkspace(map[string]string{"s": `g[k] = v -> int(k), int(v).`},
+		map[string][]tuple.Tuple{"g": {tuple.Ints(1, 2), tuple.Ints(1, 3)}}, map[string]int{"g": 2})
+	if !errors.Is(err, ErrConstraint) {
+		t.Fatalf("restore of two values for g[1]: err = %v, want ErrConstraint", err)
 	}
 }
 

@@ -38,25 +38,23 @@ func (c *Context) CheckConstraints() ([]Violation, error) {
 // CheckConstraint enumerates the body F and validates the head G for each
 // binding (F -> G, paper §2.2.1).
 func (c *Context) CheckConstraint(k *compiler.ConstraintPlan) ([]Violation, error) {
+	b, err := c.Bindings(k.Body, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Close()
 	var out []Violation
-	resolver := ctxResolver{c}
-	var innerErr error
-	err := c.enumerate(k.Body, nil, func(binding tuple.Tuple) bool {
-		reason, err := c.headHolds(k, binding, resolver)
+	for binding, ok := b.Next(); ok; binding, ok = b.Next() {
+		reason, err := c.headHolds(k, binding, b.resolver)
 		if err != nil {
-			innerErr = err
-			return false
+			return out, err
 		}
 		if reason != "" {
 			witness := bindingString(k.Body.VarNames, binding, k.Body.NumJoinVars)
 			out = append(out, Violation{Constraint: k.Source, Binding: witness, Reason: reason})
 		}
-		return true
-	})
-	if err == nil {
-		err = innerErr
 	}
-	return out, err
+	return out, b.Err()
 }
 
 // headHolds returns "" when every head check passes, or the failure

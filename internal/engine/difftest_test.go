@@ -521,9 +521,81 @@ func TestDifferentialLFTJ(t *testing.T) {
 	}
 }
 
+// drainBindings evaluates plan the way every consumer of the rule-body
+// operator does: drain the Bindings cursor, project each binding onto the
+// head, deduplicate.
+func drainBindings(ctx *engine.Context, plan *compiler.RulePlan) (relation.Relation, error) {
+	out := relation.New(plan.HeadArity)
+	b, err := ctx.Bindings(plan, nil)
+	if err != nil {
+		return out, err
+	}
+	defer b.Close()
+	for binding, ok := b.Next(); ok; binding, ok = b.Next() {
+		head := make(tuple.Tuple, len(plan.HeadExprs))
+		for i, e := range plan.HeadExprs {
+			if head[i], err = e.Eval(binding, nil); err != nil {
+				return out, err
+			}
+		}
+		out = out.Insert(head)
+	}
+	return out, b.Err()
+}
+
+// streamHeadFirst evaluates rule the way a streamed query answers: the
+// join variables reordered head-variables-first, heads pulled one at a
+// time out of StreamRule. When every head column is a join variable the
+// heads must arrive sorted (sorted reports whether they did), which is
+// what lets the transaction layer dedup adjacent rows instead of
+// materializing.
+func streamHeadFirst(ctx *engine.Context, rule *compiler.RulePlan) (out relation.Relation, sorted bool, err error) {
+	out = relation.New(rule.HeadArity)
+	order := make([]int, 0, rule.NumJoinVars)
+	seen := make([]bool, rule.NumJoinVars)
+	mustSort := true // every head column is a join variable
+	for _, e := range rule.HeadExprs {
+		if v, ok := e.(compiler.VarExpr); ok && v.Idx < rule.NumJoinVars {
+			if !seen[v.Idx] {
+				seen[v.Idx] = true
+				order = append(order, v.Idx)
+			}
+		} else {
+			mustSort = false
+		}
+	}
+	for v := range seen {
+		if !seen[v] {
+			order = append(order, v)
+		}
+	}
+	plan, err := compiler.ReorderRule(rule, order)
+	if err != nil {
+		return out, false, err
+	}
+	cur, err := ctx.StreamRule(plan)
+	if err != nil {
+		return out, false, err
+	}
+	defer cur.Close()
+	var prev tuple.Tuple
+	sorted = true
+	for head, ok := cur.Next(); ok; head, ok = cur.Next() {
+		if mustSort && prev != nil && head.Compare(prev) < 0 {
+			sorted = false
+		}
+		prev = head
+		out = out.Insert(head)
+	}
+	return out, sorted, cur.Err()
+}
+
 // TestDifferentialAllOrders re-evaluates every generated rule under
 // every candidate variable order: one rule application over the fixpoint
-// relations must produce identical results regardless of order.
+// relations must produce identical results regardless of order — and
+// regardless of who drives the rule-body cursor: the materializing
+// EvalRule, a plain drain of Bindings, or StreamRule on the
+// head-variables-first plan.
 func TestDifferentialAllOrders(t *testing.T) {
 	for seed := int64(0); seed < diffPrograms; seed++ {
 		p := generate(seed)
@@ -547,6 +619,14 @@ func TestDifferentialAllOrders(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: identity eval: %v\n%s", seed, err, p.source())
 			}
+			streamed, sorted, err := streamHeadFirst(seeded(), rule)
+			if err != nil {
+				t.Fatalf("seed %d: stream %s: %v\n%s", seed, rule.HeadName, err, p.source())
+			}
+			if !streamed.Equal(ref) || !sorted {
+				t.Fatalf("seed %d: rule %s streamed head-first: %d tuples vs %d, sorted=%v\n%s",
+					seed, rule.HeadName, streamed.Len(), ref.Len(), sorted, p.source())
+			}
 			for _, order := range optimizer.CandidateOrders(rule.NumJoinVars, 0) {
 				plan, err := compiler.ReorderRule(rule, order)
 				if err != nil {
@@ -559,6 +639,14 @@ func TestDifferentialAllOrders(t *testing.T) {
 				if !got.Equal(ref) {
 					t.Fatalf("seed %d: rule %s order %v: %d tuples vs %d\n%s",
 						seed, rule.HeadName, order, got.Len(), ref.Len(), p.source())
+				}
+				drained, err := drainBindings(seeded(), plan)
+				if err != nil {
+					t.Fatalf("seed %d: drain order %v: %v", seed, order, err)
+				}
+				if !drained.Equal(ref) {
+					t.Fatalf("seed %d: rule %s order %v drained: %d tuples vs %d\n%s",
+						seed, rule.HeadName, order, drained.Len(), ref.Len(), p.source())
 				}
 			}
 		}

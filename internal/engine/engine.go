@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/lftj"
@@ -18,7 +17,6 @@ import (
 	"logicblox/internal/obs"
 	"logicblox/internal/optimizer"
 	"logicblox/internal/relation"
-	"logicblox/internal/trie"
 	"logicblox/internal/tuple"
 )
 
@@ -53,10 +51,12 @@ type Options struct {
 	// pointer test per rule evaluation.
 	Obs *obs.Registry
 	// Ctx, if non-nil, bounds the evaluation: cancellation and deadline
-	// expiry are honored at iteration boundaries — before each rule
-	// evaluation and at the top of every semi-naive fixpoint round — so a
-	// server request deadline stops a runaway recursive rule instead of
-	// letting the transaction spin (the evaluation returns ctx.Err()).
+	// expiry are honored inside every rule-body join — the Bindings
+	// cursor polls it once per join binding, whoever drains it (rule,
+	// constraint, delta rule, streamed answer) — and at the top of every
+	// semi-naive fixpoint round, so a server request deadline stops a
+	// cross-product or a runaway recursive rule instead of letting the
+	// transaction spin (the evaluation returns ctx.Err()).
 	Ctx context.Context
 }
 
@@ -73,6 +73,7 @@ type Context struct {
 	parallel  int
 	obs       *obs.Registry                // nil = instrumentation off
 	ctx       context.Context              // nil = unbounded evaluation
+	done      <-chan struct{}              // ctx.Done(), nil when unbounded
 	span      *obs.Span                    // parent for stratum spans (may be nil)
 	mu        sync.Mutex                   // guards perms, plans and ruleStats during parallel evaluation
 	plans     map[int]*compiler.RulePlan   // optimizer decisions, by rule ID
@@ -100,6 +101,9 @@ func NewContext(prog *compiler.Program, base map[string]relation.Relation, opts 
 		ctx:       opts.Ctx,
 		plans:     map[int]*compiler.RulePlan{},
 		ruleStats: map[int]*obs.RuleStats{},
+	}
+	if opts.Ctx != nil {
+		c.done = opts.Ctx.Done()
 	}
 	for name, r := range base {
 		c.rels[name] = r
@@ -135,13 +139,18 @@ func (c *Context) Relations() map[string]relation.Relation {
 }
 
 // ctxErr reports the evaluation context's cancellation state; nil when
-// no context bounds the evaluation. The per-rule/per-round cost is one
-// pointer test plus (when bounded) one Err() load.
+// no context bounds the evaluation. It is polled once per join binding,
+// so it reads the context's Done channel (a lock-free test while the
+// channel is open; nil, hence never ready, when unbounded) and asks for
+// Err — a mutex acquisition on the standard contexts — only once that
+// channel is closed.
 func (c *Context) ctxErr() error {
-	if c.ctx == nil {
+	select {
+	case <-c.done:
+		return c.ctx.Err()
+	default:
 		return nil
 	}
-	return c.ctx.Err()
 }
 
 func (c *Context) arityOf(name string) int {
@@ -177,19 +186,7 @@ func (c *Context) EvalAll() error {
 // full pass, each subsequent round restricts one recursive atom occurrence
 // per rule to the previous round's delta.
 func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
-	headSet := map[string]bool{}
-	for _, r := range rules {
-		headSet[r.HeadName] = true
-	}
-	recursive := false
-	for _, r := range rules {
-		for _, b := range r.BodyNames {
-			if headSet[b] {
-				recursive = true
-			}
-		}
-	}
-
+	recursive := compiler.StratumRecursive(rules)
 	sp := c.span.Child("stratum")
 	sp.SetAttr("rules", int64(len(rules)))
 	if recursive {
@@ -199,68 +196,37 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 
 	// First pass: full evaluation — in parallel across the stratum's
 	// rules when enabled (they are independent: all read lower strata).
-	deltas := map[string]relation.Relation{}
 	results := make([]relation.Relation, len(rules))
+	errs := make([]error, len(rules))
+	first := func(i int) { results[i], errs[i] = c.evalRuleUnder(sp, rules[i], nil) }
 	if c.parallel > 1 && !recursive && c.sens == nil && len(rules) > 1 {
-		errs := make([]error, len(rules))
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, c.parallel)
-		for i, r := range rules {
+		for i := range rules {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i int, r *compiler.RulePlan) {
+			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				var rsp *obs.Span
-				if sp != nil {
-					rsp = sp.Child("rule:" + r.HeadName)
-				}
-				results[i], errs[i] = c.evalRule(r, nil)
-				if rsp != nil {
-					rsp.SetAttr("tuples", int64(results[i].Len()))
-					rsp.End()
-				}
-			}(i, r)
+				first(i)
+			}(i)
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
 	} else {
-		for i, r := range rules {
-			if err := c.ctxErr(); err != nil {
-				return err
+		for i := range rules {
+			if first(i); errs[i] != nil {
+				break
 			}
-			var rsp *obs.Span
-			if sp != nil {
-				rsp = sp.Child("rule:" + r.HeadName)
-			}
-			derived, err := c.evalRule(r, nil)
-			if err != nil {
-				return err
-			}
-			if rsp != nil {
-				rsp.SetAttr("tuples", int64(derived.Len()))
-				rsp.End()
-			}
-			results[i] = derived
 		}
 	}
-	for i, r := range rules {
-		derived := results[i]
-		c.captureDerived(r.HeadName, derived)
-		cur := c.Relation(r.HeadName)
-		fresh := derived.Difference(cur)
-		if !fresh.IsEmpty() {
-			c.Set(r.HeadName, cur.Union(fresh))
-			d := deltas[r.HeadName]
-			if d.Arity() == 0 {
-				d = relation.New(fresh.Arity())
-			}
-			deltas[r.HeadName] = d.Union(fresh)
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
+	}
+	deltas := map[string]relation.Relation{}
+	for i, r := range rules {
+		c.absorb(r.HeadName, results[i], deltas)
 	}
 	if !recursive {
 		return nil
@@ -293,18 +259,7 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 				if err != nil {
 					return err
 				}
-				c.captureDerived(r.HeadName, derived)
-				cur := c.Relation(r.HeadName)
-				fresh := derived.Difference(cur)
-				if fresh.IsEmpty() {
-					continue
-				}
-				c.Set(r.HeadName, cur.Union(fresh))
-				nd := next[r.HeadName]
-				if nd.Arity() == 0 {
-					nd = relation.New(fresh.Arity())
-				}
-				next[r.HeadName] = nd.Union(fresh)
+				c.absorb(r.HeadName, derived, next)
 			}
 		}
 		deltas = next
@@ -312,227 +267,85 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 	return nil
 }
 
+// absorb unions one rule evaluation's output into its head predicate and
+// adds the tuples that were new to the head to deltas. Serial sections
+// only.
+func (c *Context) absorb(head string, derived relation.Relation, deltas map[string]relation.Relation) {
+	c.captureDerived(head, derived)
+	cur := c.Relation(head)
+	fresh := derived.Difference(cur)
+	if fresh.IsEmpty() {
+		return
+	}
+	c.Set(head, cur.Union(fresh))
+	if d, ok := deltas[head]; ok {
+		fresh = d.Union(fresh)
+	}
+	deltas[head] = fresh
+}
+
+// evalRuleUnder is evalRule traced as a "rule:<head>" child span of
+// parent (nil = untraced).
+func (c *Context) evalRuleUnder(parent *obs.Span, r *compiler.RulePlan, overrides map[int]relation.Relation) (relation.Relation, error) {
+	var sp *obs.Span
+	if parent != nil {
+		sp = parent.Child("rule:" + r.HeadName)
+	}
+	out, err := c.evalRule(r, overrides)
+	if err == nil {
+		sp.SetAttr("tuples", int64(out.Len()))
+	}
+	sp.End()
+	return out, err
+}
+
 // evalRule evaluates one rule body and returns the derived head tuples.
-// atomOverride, when non-nil, substitutes the relation scanned by specific
+// overrides, when non-nil, substitutes the relation scanned by specific
 // atom indices (used for semi-naive deltas and for IVM delta rules).
-func (c *Context) evalRule(r *compiler.RulePlan, atomOverride map[int]relation.Relation) (relation.Relation, error) {
+func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Relation) (relation.Relation, error) {
 	// The optimizer rewrites the whole plan (join order, atom indices,
 	// and every slot-referencing expression together), so the swap must
-	// happen before the head/aggregate accumulators are built.
-	if c.optimize && atomOverride == nil && r.NumJoinVars > 1 {
+	// happen before the cursor and the accumulators are built.
+	if c.optimize && overrides == nil && r.NumJoinVars > 1 {
 		r = c.optimizedPlan(r)
 	}
+	b, err := c.Bindings(r, overrides)
+	if err != nil {
+		return relation.New(r.HeadArity), err
+	}
+	defer b.Close() // after the accumulators finish: their time is the rule's
 	out := relation.New(r.HeadArity)
-	if rs := c.ruleStatsFor(r); rs != nil {
-		t0 := time.Now()
-		defer func() {
-			if atomOverride == nil {
-				rs.AddEval(time.Since(t0), int64(out.Len()))
-			} else {
-				rs.AddDeltaEval(time.Since(t0), int64(out.Len()))
+	switch {
+	case r.Agg != nil:
+		agg := newAggAccum(r.Agg)
+		for key, ok := b.NextHead(); ok; key, ok = b.NextHead() {
+			agg.add(key, b.full)
+		}
+		if b.Err() == nil {
+			out, err = agg.finish(r.HeadArity)
+		}
+	case r.Predict != nil:
+		pred := newPredictAccum(r.Predict)
+		for key, ok := b.NextHead(); ok; key, ok = b.NextHead() {
+			if err = pred.add(key, b.full); err != nil {
+				break
 			}
-		}()
-	}
-	resolver := ctxResolver{c}
-	var agg *aggAccum
-	if r.Agg != nil {
-		agg = newAggAccum(r.Agg)
-	}
-	var pred *predictAccum
-	if r.Predict != nil {
-		pred = newPredictAccum(r.Predict)
-	}
-
-	var evalErr error
-	emit := func(binding tuple.Tuple) bool {
-		switch {
-		case agg != nil:
-			key, err := evalExprs(r.HeadExprs, binding, resolver)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			agg.add(key, binding)
-		case pred != nil:
-			key, err := evalExprs(r.HeadExprs, binding, resolver)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if err := pred.add(key, binding); err != nil {
-				evalErr = err
-				return false
-			}
-		default:
-			head, err := evalExprs(r.HeadExprs, binding, resolver)
-			if err != nil {
-				evalErr = err
-				return false
-			}
+		}
+		if b.Err() == nil && err == nil {
+			out, err = pred.finish(r.HeadArity, c.models)
+		}
+	default:
+		for head, ok := b.NextHead(); ok; head, ok = b.NextHead() {
 			out = out.Insert(head)
 		}
-		return true
 	}
-
-	if err := c.enumerate(r, atomOverride, emit); err != nil {
-		return out, err
+	if b.Err() != nil {
+		return out, b.Err()
 	}
-	if evalErr != nil {
-		return out, fmt.Errorf("in rule %q: %w", r.Source, evalErr)
-	}
-	if agg != nil {
-		var err error
-		out, err = agg.finish(r.HeadArity)
-		if err != nil {
-			return out, fmt.Errorf("in rule %q: %w", r.Source, err)
-		}
-	}
-	if pred != nil {
-		var err error
-		out, err = pred.finish(r.HeadArity, c.models)
-		if err != nil {
-			return out, fmt.Errorf("in rule %q: %w", r.Source, err)
-		}
+	if err != nil {
+		return out, fmt.Errorf("in rule %q: %w", r.Source, err)
 	}
 	return out, nil
-}
-
-// ruleBinder extends raw join bindings into a rule's full slot tuple:
-// assignments computed, filters and negated atoms applied. It owns a
-// reusable r.Slots-wide buffer, shared by the callback path (enumerate)
-// and the pull path (StreamRule).
-type ruleBinder struct {
-	c        *Context
-	r        *compiler.RulePlan
-	resolver ctxResolver
-	full     tuple.Tuple
-}
-
-func newRuleBinder(c *Context, r *compiler.RulePlan) *ruleBinder {
-	return &ruleBinder{c: c, r: r, resolver: ctxResolver{c}, full: make(tuple.Tuple, r.Slots)}
-}
-
-// complete runs assignments, filters, and negated atoms over one join
-// binding. pass=false means the binding was filtered out (not an error).
-// The returned tuple is the binder's buffer, reused across calls.
-func (b *ruleBinder) complete(joinBinding tuple.Tuple) (full tuple.Tuple, pass bool, err error) {
-	copy(b.full, joinBinding)
-	for _, a := range b.r.Assigns {
-		v, err := a.E.Eval(b.full, b.resolver)
-		if err != nil {
-			return nil, false, err
-		}
-		b.full[a.Slot] = v
-	}
-	for _, f := range b.r.Filters {
-		l, err := f.L.Eval(b.full, b.resolver)
-		if err != nil {
-			return nil, false, err
-		}
-		rv, err := f.R.Eval(b.full, b.resolver)
-		if err != nil {
-			return nil, false, err
-		}
-		ok, err := compiler.CompareValues(f.Op, l, rv)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-	}
-	for _, na := range b.r.NegAtoms {
-		exists, err := b.c.checkGroundAtom(na, b.full, b.resolver)
-		if err != nil {
-			return nil, false, err
-		}
-		if exists {
-			return nil, false, nil
-		}
-	}
-	return b.full, true, nil
-}
-
-// buildJoin constructs the LFTJ join over a rule's body atoms and
-// constant bindings (secondary indexes materialized as needed). The rule
-// must have at least one atom or constant.
-func (c *Context) buildJoin(r *compiler.RulePlan, atomOverride map[int]relation.Relation) (*lftj.Join, error) {
-	atoms := make([]lftj.Atom, 0, len(r.Atoms)+len(r.Consts))
-	for ai, ap := range r.Atoms {
-		rel, ok := atomOverride[ai]
-		if !ok {
-			rel = c.Relation(ap.Name)
-		}
-		if ap.Perm != nil {
-			rel = c.permuted(ap.Name, rel, ap.Perm)
-		}
-		atoms = append(atoms, lftj.Atom{Pred: ap.Name, Iter: rel.Iterator(), Vars: ap.Vars, Cols: ap.Perm})
-	}
-	for _, cb := range r.Consts {
-		atoms = append(atoms, lftj.Atom{
-			Pred: "$const", Iter: trie.NewConstIterator(cb.Val), Vars: []int{cb.Var},
-		})
-	}
-	j, err := lftj.NewJoin(r.NumJoinVars, atoms, c.sens)
-	if err != nil {
-		return nil, fmt.Errorf("in rule %q: %w", r.Source, err)
-	}
-	return j, nil
-}
-
-// enumerate runs the rule body join and calls emit for every binding that
-// survives assignments, filters, and negated atoms. The binding has
-// r.Slots values and is reused across calls.
-func (c *Context) enumerate(r *compiler.RulePlan, atomOverride map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
-	binder := newRuleBinder(c, r)
-
-	finish := func(joinBinding tuple.Tuple) (bool, error) {
-		full, pass, err := binder.complete(joinBinding)
-		if err != nil {
-			return false, err
-		}
-		if !pass {
-			return true, nil // filtered out; continue enumeration
-		}
-		return emit(full), nil
-	}
-
-	if len(r.Atoms) == 0 && len(r.Consts) == 0 {
-		// Fact or fully computed rule: a single empty binding.
-		_, err := finish(nil)
-		return err
-	}
-
-	j, err := c.buildJoin(r, atomOverride)
-	if err != nil {
-		return err
-	}
-	rs := c.ruleStatsFor(r)
-	// Full (non-delta) evaluations of optimized plans feed their real
-	// iterator-operation counts back into the plan store, which is what
-	// arms its drift detection — so metrics are collected whenever the
-	// store needs them, even with observability off.
-	observe := c.planStore != nil && c.optimize && atomOverride == nil && r.NumJoinVars > 1
-	if rs != nil || observe {
-		m := &lftj.Metrics{}
-		j.SetMetrics(m)
-		defer func() {
-			rs.AddJoin(m.Seeks, m.Nexts, m.SensRecords)
-			if observe {
-				c.planStore.Observe(r, m.Seeks+m.Nexts)
-			}
-		}()
-	}
-	var innerErr error
-	j.Run(func(b tuple.Tuple) bool {
-		cont, err := finish(b)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return cont
-	})
-	return innerErr
 }
 
 // checkGroundAtom evaluates a ground (negated) atom's pattern and probes
@@ -593,18 +406,6 @@ func (c *Context) permuted(name string, rel relation.Relation, perm []int) relat
 	return r
 }
 
-func evalExprs(exprs []compiler.Expr, binding tuple.Tuple, r compiler.Resolver) (tuple.Tuple, error) {
-	out := make(tuple.Tuple, len(exprs))
-	for i, e := range exprs {
-		v, err := e.Eval(binding, r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // checkFunctional verifies functional dependencies of derived functional
 // predicates: at most one value per key.
 func (c *Context) checkFunctional() error {
@@ -614,20 +415,9 @@ func (c *Context) checkFunctional() error {
 		if !ok || !p.Functional || p.Arity < 2 {
 			continue
 		}
-		rel := c.Relation(name)
-		var prev tuple.Tuple
-		var violation error
-		rel.ForEach(func(t tuple.Tuple) bool {
-			if prev != nil && prev[:p.Arity-1].Equal(t[:p.Arity-1]) {
-				violation = fmt.Errorf("functional dependency violation in %s: key %s has values %s and %s",
-					name, t[:p.Arity-1], prev[p.Arity-1], t[p.Arity-1])
-				return false
-			}
-			prev = t
-			return true
-		})
-		if violation != nil {
-			return violation
+		if a, b, ok := c.Relation(name).KeyConflict(); ok {
+			return fmt.Errorf("functional dependency violation in %s: key %s has values %s and %s",
+				name, a[:p.Arity-1], a[p.Arity-1], b[p.Arity-1])
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package engine
 import (
 	"logicblox/internal/compiler"
 	"logicblox/internal/lftj"
-	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -13,18 +12,7 @@ import (
 // the entry point used by the incremental-maintenance layer for delta
 // rules.
 func (c *Context) EvalRule(r *compiler.RulePlan, overrides map[int]relation.Relation) (relation.Relation, error) {
-	var sp *obs.Span
-	if c.span != nil {
-		sp = c.span.Child("rule:" + r.HeadName)
-	}
-	out, err := c.evalRule(r, overrides)
-	if sp != nil {
-		if err == nil {
-			sp.SetAttr("tuples", int64(out.Len()))
-		}
-		sp.End()
-	}
-	return out, err
+	return c.evalRuleUnder(c.span, r, overrides)
 }
 
 // EnumerateRuleHeads runs the rule body (with optional per-atom overrides)
@@ -34,20 +22,30 @@ func (c *Context) EvalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 // allocated per call. Aggregation and predict rules are not supported
 // here (they have no per-derivation head).
 func (c *Context) EnumerateRuleHeads(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
-	resolver := ctxResolver{c}
-	var innerErr error
-	err := c.enumerate(r, overrides, func(binding tuple.Tuple) bool {
-		head, err := evalExprs(r.HeadExprs, binding, resolver)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return emit(head)
-	})
-	if err == nil {
-		err = innerErr
+	b, err := c.Bindings(r, overrides)
+	if err != nil {
+		return err
 	}
-	return err
+	defer b.Close()
+	for head, ok := b.NextHead(); ok && emit(head); head, ok = b.NextHead() {
+	}
+	return b.Err()
+}
+
+// EnumerateBindings runs the rule body (with optional per-atom overrides)
+// and calls emit once per satisfying assignment with the full binding
+// (join variables then assigned variables). The binding slice is reused
+// across calls. The solver's grounding machinery uses this to linearize
+// constraint and objective bodies.
+func (c *Context) EnumerateBindings(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
+	b, err := c.Bindings(r, overrides)
+	if err != nil {
+		return err
+	}
+	defer b.Close()
+	for binding, ok := b.Next(); ok && emit(binding); binding, ok = b.Next() {
+	}
+	return b.Err()
 }
 
 // PinnedDerivable reports whether head tuple t of rule r has at least one
@@ -62,15 +60,17 @@ func (c *Context) PinnedDerivable(r *compiler.RulePlan, t tuple.Tuple) (bool, er
 			pinned.Consts = append(pinned.Consts, compiler.ConstBind{Var: ve.Idx, Val: t[i]})
 		}
 	}
-	found := false
-	err := c.EnumerateRuleHeads(&pinned, nil, func(head tuple.Tuple) bool {
+	b, err := c.Bindings(&pinned, nil)
+	if err != nil {
+		return false, err
+	}
+	defer b.Close()
+	for head, ok := b.NextHead(); ok; head, ok = b.NextHead() {
 		if head.Equal(t) {
-			found = true
-			return false
+			return true, nil
 		}
-		return true
-	})
-	return found, err
+	}
+	return false, b.Err()
 }
 
 // SetSensitivityIndex redirects sensitivity recording of subsequent
@@ -110,13 +110,4 @@ func (c *Context) captureDerived(head string, r relation.Relation) {
 	} else {
 		c.capture[head] = r
 	}
-}
-
-// EnumerateBindings runs the rule body (with optional per-atom overrides)
-// and calls emit once per satisfying assignment with the full binding
-// (join variables then assigned variables). The binding slice is reused
-// across calls. The solver's grounding machinery uses this to linearize
-// constraint and objective bodies.
-func (c *Context) EnumerateBindings(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
-	return c.enumerate(r, overrides, emit)
 }

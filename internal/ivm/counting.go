@@ -17,7 +17,7 @@ func countable(r *compiler.RulePlan) bool {
 // derivation counts for countable rules.
 func (m *Maintainer) initialCountingEval() error {
 	for _, stratum := range m.prog.Strata {
-		if stratumRecursive(stratum) {
+		if compiler.StratumRecursive(stratum) {
 			// Recursive strata are maintained without counts.
 			if err := m.ctx.EvalStratum(stratum); err != nil {
 				return err
@@ -93,7 +93,7 @@ func (m *Maintainer) rebuildFromSupport(pred string) {
 // counting.
 func (m *Maintainer) applyCounting(acc map[string]Delta, old map[string]relation.Relation) error {
 	for _, stratum := range m.prog.Strata {
-		if stratumRecursive(stratum) {
+		if compiler.StratumRecursive(stratum) {
 			if err := m.maintainRecursiveStratum(stratum, acc, old); err != nil {
 				return err
 			}
@@ -102,7 +102,7 @@ func (m *Maintainer) applyCounting(acc map[string]Delta, old map[string]relation
 		// pending presence transitions per head pred of this stratum.
 		pending := map[string]map[string]presence{}
 		for _, r := range stratum {
-			if !ruleTouched(r, acc) {
+			if !r.ReadsAny(changedIn(acc)) {
 				m.Stats.RulesSkipped++
 				continue
 			}

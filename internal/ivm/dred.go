@@ -29,7 +29,7 @@ func (m *Maintainer) applyDRed(acc map[string]Delta, old map[string]relation.Rel
 				plain = append(plain, r)
 				continue
 			}
-			if ruleTouched(r, acc) {
+			if r.ReadsAny(changedIn(acc)) {
 				if err := m.recomputeUncounted(r, acc, old); err != nil {
 					return err
 				}
@@ -63,7 +63,7 @@ func (m *Maintainer) applyDRed(acc map[string]Delta, old map[string]relation.Rel
 
 func stratumTouched(stratum []*compiler.RulePlan, acc map[string]Delta) bool {
 	for _, r := range stratum {
-		if ruleTouched(r, acc) {
+		if r.ReadsAny(changedIn(acc)) {
 			return true
 		}
 	}

@@ -213,34 +213,8 @@ func recordDiff(acc map[string]Delta, name string, before, after relation.Relati
 	}
 }
 
-// stratumRecursive reports whether the stratum's rules feed each other.
-func stratumRecursive(stratum []*compiler.RulePlan) bool {
-	heads := map[string]bool{}
-	for _, r := range stratum {
-		heads[r.HeadName] = true
-	}
-	for _, r := range stratum {
-		for _, b := range r.BodyNames {
-			if heads[b] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ruleTouched reports whether any body predicate (positive or negated) of
-// r has a pending delta.
-func ruleTouched(r *compiler.RulePlan, acc map[string]Delta) bool {
-	for _, b := range r.BodyNames {
-		if !acc[b].Empty() {
-			return true
-		}
-	}
-	for _, b := range r.NegNames {
-		if !acc[b].Empty() {
-			return true
-		}
-	}
-	return false
+// changedIn adapts a delta batch to compiler.RulePlan.ReadsAny: the
+// predicate names that have a non-empty pending delta.
+func changedIn(acc map[string]Delta) func(name string) bool {
+	return func(name string) bool { return !acc[name].Empty() }
 }

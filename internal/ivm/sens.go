@@ -22,7 +22,7 @@ func (m *Maintainer) initialSensitivityEval() error {
 		m.ruleRel = map[int]relation.Relation{}
 	}
 	for si, stratum := range m.prog.Strata {
-		if stratumRecursive(stratum) {
+		if compiler.StratumRecursive(stratum) {
 			idx := lftj.NewSensitivityIndex()
 			m.stratumSens[si] = idx
 			m.ctx.SetSensitivityIndex(idx)
@@ -88,7 +88,7 @@ func deltaHits(idx *lftj.SensitivityIndex, acc map[string]Delta) bool {
 // trace the change batch cannot intersect.
 func (m *Maintainer) applySensitivity(acc map[string]Delta, old map[string]relation.Relation) error {
 	for si, stratum := range m.prog.Strata {
-		if stratumRecursive(stratum) {
+		if compiler.StratumRecursive(stratum) {
 			idx := m.stratumSens[si]
 			if idx == nil || !deltaHits(idx, acc) {
 				m.Stats.RulesSkipped += len(stratum)

@@ -200,9 +200,9 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	rules    map[int]*RuleStats
-	traces   traceRing
-	sampleN  int   // keep 1 in sampleN root spans (≤1: keep all)
-	spanSeq  int64 // root spans ended so far (sampling phase)
+	traces   *TraceRing // replaced by Reset
+	sampleN  int        // keep 1 in sampleN root spans (≤1: keep all)
+	spanSeq  int64      // root spans ended so far (sampling phase)
 }
 
 // SetTraceSampling keeps only 1 in n finished root spans in the trace
@@ -241,6 +241,7 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		rules:    map[int]*RuleStats{},
+		traces:   NewTraceRing(traceRingSize),
 	}
 }
 
@@ -306,7 +307,7 @@ func (r *Registry) Reset() {
 	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
 	r.rules = map[int]*RuleStats{}
-	r.traces = traceRing{}
+	r.traces = NewTraceRing(traceRingSize)
 }
 
 // defaultReg is the process-wide fallback registry used by layers that
@@ -361,6 +362,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	s.Rules = r.ruleSnapshotsLocked()
-	s.Traces = r.traces.snapshots()
+	s.Traces = r.traces.Snapshots()
 	return s
 }

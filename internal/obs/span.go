@@ -102,10 +102,11 @@ func (s *Span) End() {
 		// retained. N ≤ 1 keeps all (the default).
 		keep := s.reg.sampleN <= 1 || s.reg.spanSeq%int64(s.reg.sampleN) == 0
 		s.reg.spanSeq++
-		if keep {
-			s.reg.traces.push(s)
-		}
+		ring := s.reg.traces
 		s.reg.mu.Unlock()
+		if keep {
+			ring.Put("", s)
+		}
 	}
 }
 
@@ -160,34 +161,87 @@ func (s *Span) snapshot() SpanSnapshot {
 	return out
 }
 
-// traceRingSize bounds the retained finished root spans.
+// traceRingSize is the capacity of a registry's own trace ring.
 const traceRingSize = 32
 
-// traceRing keeps the last traceRingSize finished root spans in arrival
-// order. Guarded by the owning registry's mutex.
-type traceRing struct {
-	spans [traceRingSize]*Span
-	next  int
-	n     int
+// TraceRing is a bounded store of finished root spans: the newest cap
+// traces in arrival order, the oldest evicted first. A trace may be put
+// under a lookup key (a request ID); putting under a key already held
+// overwrites that trace in place, keeping its position. Every registry
+// owns one (unkeyed, fed by Span.End subject to trace sampling); the HTTP
+// server owns another, keyed by request ID, that retains every request.
+// Safe for concurrent use.
+type TraceRing struct {
+	mu    sync.Mutex
+	cap   int
+	slots []*traceSlot // oldest first
+	byKey map[string]*traceSlot
 }
 
-func (t *traceRing) push(s *Span) {
-	t.spans[t.next] = s
-	t.next = (t.next + 1) % traceRingSize
-	if t.n < traceRingSize {
-		t.n++
+type traceSlot struct {
+	key  string
+	span *Span
+}
+
+// NewTraceRing returns a ring retaining the last cap traces.
+func NewTraceRing(cap int) *TraceRing {
+	return &TraceRing{cap: cap, byKey: map[string]*traceSlot{}}
+}
+
+// Put retains s, under key when key is not empty.
+func (t *TraceRing) Put(key string, s *Span) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if old, ok := t.byKey[key]; ok { // unkeyed traces are never in byKey
+		old.span = s
+		return
+	}
+	if len(t.slots) == t.cap {
+		delete(t.byKey, t.slots[0].key)
+		copy(t.slots, t.slots[1:]) // shift down: the evicted trace is dropped now
+		t.slots = t.slots[:t.cap-1]
+	}
+	slot := &traceSlot{key: key, span: s}
+	t.slots = append(t.slots, slot)
+	if key != "" {
+		t.byKey[key] = slot
 	}
 }
 
-// snapshots returns the retained traces oldest-first.
-func (t *traceRing) snapshots() []SpanSnapshot {
-	if t.n == 0 {
+// Get returns the trace retained under key.
+func (t *TraceRing) Get(key string) (*Span, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slot, ok := t.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	return slot.span, true
+}
+
+// Keys returns the lookup keys of the retained traces, oldest first.
+func (t *TraceRing) Keys() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	keys := make([]string, 0, len(t.slots))
+	for _, slot := range t.slots {
+		if slot.key != "" {
+			keys = append(keys, slot.key)
+		}
+	}
+	return keys
+}
+
+// Snapshots returns the retained traces ordered by start time.
+func (t *TraceRing) Snapshots() []SpanSnapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.slots) == 0 {
 		return nil
 	}
-	out := make([]SpanSnapshot, 0, t.n)
-	start := (t.next - t.n + traceRingSize) % traceRingSize
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.spans[(start+i)%traceRingSize].snapshot())
+	out := make([]SpanSnapshot, 0, len(t.slots))
+	for _, slot := range t.slots {
+		out = append(out, slot.span.snapshot())
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
@@ -199,10 +253,12 @@ func (r *Registry) LastTrace() (SpanSnapshot, bool) {
 		return SpanSnapshot{}, false
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.traces.n == 0 {
+	ring := r.traces
+	r.mu.Unlock()
+	ring.mu.Lock()
+	defer ring.mu.Unlock()
+	if len(ring.slots) == 0 {
 		return SpanSnapshot{}, false
 	}
-	last := (r.traces.next - 1 + traceRingSize) % traceRingSize
-	return r.traces.spans[last].snapshot(), true
+	return ring.slots[len(ring.slots)-1].span.snapshot(), true
 }

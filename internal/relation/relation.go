@@ -197,6 +197,23 @@ func (r Relation) FuncGet(key tuple.Tuple) (tuple.Value, bool) {
 	return ts[0][r.arity-1], true
 }
 
+// KeyConflict treats r as a functional predicate R[k1..kn]=v and reports
+// the first two tuples that share a key but differ in value — a
+// functional-dependency violation — in one ordered pass: tuples of one
+// key are adjacent.
+func (r Relation) KeyConflict() (a, b tuple.Tuple, found bool) {
+	var prev tuple.Tuple
+	r.ForEach(func(t tuple.Tuple) bool {
+		if prev != nil && prev[:r.arity-1].Equal(t[:r.arity-1]) {
+			a, b, found = prev, t, true
+			return false
+		}
+		prev = t
+		return true
+	})
+	return a, b, found
+}
+
 // MatchExists reports whether any tuple matches the pattern: column i must
 // equal pattern[i] unless wild[i]. It narrows the scan with the longest
 // ground prefix (negated-atom and constraint existence checks).

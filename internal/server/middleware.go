@@ -177,7 +177,7 @@ func (s *Server) endpoint(name, method string, pooled bool, h http.HandlerFunc) 
 			dur := time.Since(t0)
 			sp.SetAttr("status", int64(rec.status))
 			sp.End()
-			s.traces.put(&traceEntry{id: info.id, endpoint: name, status: rec.status, span: sp})
+			s.traces.Put(info.id, sp)
 			s.reg.Histogram("http." + name + ".duration").Observe(dur)
 			s.reg.Counter("http." + name + ".status." + strconv.Itoa(rec.status)).Inc()
 			s.logAccess(r, name, rec.status, dur, info)

@@ -147,7 +147,7 @@ type Server struct {
 	drainCh  chan struct{} // closed by BeginDrain; ends open tail streams
 	drainO   sync.Once
 	tails    atomic.Int64 // open /journal/tail streams
-	traces   *traceStore
+	traces   requestTraces
 }
 
 // New returns a server over db. Zero Config fields take defaults.
@@ -179,7 +179,7 @@ func New(db *core.Database, cfg Config) *Server {
 	s := &Server{
 		cfg: cfg, reg: cfg.Obs, sem: make(chan struct{}, cfg.Workers),
 		drainCh: make(chan struct{}),
-		traces:  newTraceStore(cfg.TraceRing),
+		traces:  requestTraces{obs.NewTraceRing(cfg.TraceRing)},
 	}
 	s.db.Store(db)
 	return s

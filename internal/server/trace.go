@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"logicblox/internal/obs"
@@ -16,7 +15,8 @@ import (
 // an ID — taken from the client's X-Request-ID header when present, else
 // generated — echoed back in the X-Request-ID response header, attached
 // to error payloads, and used to key the finished request's span tree in
-// a bounded in-memory ring served by GET /debug/trace/{id}. A slow
+// a bounded in-memory ring (an obs.TraceRing) served by GET
+// /debug/trace/{id}. A slow
 // request is thus fully explainable post hoc: the access-log line, the
 // slow-query log entry, and the trace all carry the same ID.
 
@@ -80,58 +80,15 @@ func requestIDFrom(ctx context.Context) string {
 	return ""
 }
 
-// traceEntry is one retained request trace.
-type traceEntry struct {
-	id       string
-	endpoint string
-	status   int
-	span     *obs.Span
-}
+// requestTraces is the server's trace ring: the last Config.TraceRing
+// finished request span trees keyed by request ID. Unlike the obs
+// registry's sampled ring, every request is retained here (bounded by the
+// capacity), so /debug/trace/{id} answers for any recent request
+// regardless of the sampling rate; a reused client ID overwrites in
+// place (latest wins).
+type requestTraces struct{ *obs.TraceRing }
 
-// traceStore keeps the last cap finished request span trees keyed by
-// request ID. Unlike the obs registry's sampled trace ring, every request
-// is retained here (bounded by cap), so /debug/trace/{id} answers for any
-// recent request regardless of the sampling rate.
-type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	byID  map[string]*traceEntry
-	order []string // arrival order, oldest first
-}
-
-func newTraceStore(cap int) *traceStore {
-	return &traceStore{cap: cap, byID: make(map[string]*traceEntry, cap)}
-}
-
-func (t *traceStore) put(e *traceEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.byID[e.id]; ok {
-		// A reused client ID overwrites in place (latest wins).
-		*old = *e
-		return
-	}
-	for len(t.order) >= t.cap {
-		delete(t.byID, t.order[0])
-		t.order = t.order[1:]
-	}
-	t.byID[e.id] = e
-	t.order = append(t.order, e.id)
-}
-
-func (t *traceStore) get(id string) (*traceEntry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.byID[id]
-	return e, ok
-}
-
-// ids returns the retained request IDs, oldest first.
-func (t *traceStore) ids() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
-}
+func (t requestTraces) get(id string) (*obs.Span, bool) { return t.Get(id) }
 
 // inlineTrace returns the request's span tree so far when the request
 // asked for it with ?trace=1 (nil otherwise). The handler is still
@@ -159,16 +116,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	id := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/trace"), "/")
 	if id == "" {
-		writeJSON(w, http.StatusOK, TraceResponse{OK: true, IDs: s.traces.ids()})
+		writeJSON(w, http.StatusOK, TraceResponse{OK: true, IDs: s.traces.Keys()})
 		return
 	}
-	e, ok := s.traces.get(id)
+	sp, ok := s.traces.get(id)
 	if !ok {
 		writeErrorCode(w, http.StatusNotFound, "no_such_trace", "no retained trace for request id "+id, id)
 		return
 	}
-	snap := e.span.Snapshot()
-	writeJSON(w, http.StatusOK, TraceResponse{
-		OK: true, RequestID: e.id, Endpoint: e.endpoint, Status: e.status, Trace: &snap,
-	})
+	// The request's root span is named http.<endpoint> and carries the
+	// response status as an attribute (see Server.endpoint).
+	snap := sp.Snapshot()
+	resp := TraceResponse{OK: true, RequestID: id, Endpoint: strings.TrimPrefix(snap.Name, "http."), Trace: &snap}
+	for _, a := range snap.Attrs {
+		if a.Key == "status" {
+			resp.Status = int(a.Val)
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

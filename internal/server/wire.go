@@ -27,9 +27,8 @@ type Request struct {
 	// Name is the block name (/addblock only).
 	Name string `json:"name,omitempty"`
 	// TimeoutMs, when > 0, tightens this request's context deadline
-	// below the server default; on expiry the transaction's fixpoint
-	// loop stops at the next iteration boundary and the request fails
-	// with 504.
+	// below the server default; on expiry the transaction stops within
+	// one join binding and the request fails with 504.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Limit caps the answer rows of /query. Absent: the server's
 	// default cap applies to materialized responses (streams are

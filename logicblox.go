@@ -19,8 +19,9 @@
 //	db.Commit(logicblox.DefaultBranch, res.Workspace)
 //
 // Every transaction method has a context-aware form (ExecCtx, QueryCtx,
-// AddBlockCtx) whose deadline or cancellation is honored inside the
-// engine's fixpoint loops at iteration boundaries. QueryStream runs a
+// AddBlockCtx) whose deadline or cancellation is honored inside every
+// join the engine runs — rules, constraints and streamed answers alike —
+// within one binding. QueryStream runs a
 // read-only query as a pull cursor (Next/Err/Close) that pipelines
 // rows straight from the join iterators without materializing the
 // result; Query/QueryCtx drain the same cursor into a slice. Failures
