@@ -6,13 +6,15 @@ import (
 )
 
 // ctxloopPackages names the packages whose unbounded loops must poll a
-// context: the engine's fixpoint machinery, the transaction layer, and
-// the HTTP server's retry loops. A loop that spins without polling
+// context: the engine's fixpoint machinery, the maintainers the
+// transaction layer runs on it, the transaction layer itself, and the
+// HTTP server's retry loops. A loop that spins without polling
 // ignores request deadlines, so a runaway recursive rule or a contended
 // commit pins a worker forever (engine.Options.Ctx exists precisely so
 // these loops can stop at iteration boundaries).
 var ctxloopPackages = map[string]bool{
 	"engine":  true,
+	"ivm":     true,
 	"core":    true,
 	"server":  true,
 	"replica": true,
@@ -20,12 +22,11 @@ var ctxloopPackages = map[string]bool{
 
 // ctxPollNames are callee names that count as polling a context at an
 // iteration boundary: ctx.Err(), Context.Done(), context.Cause(ctx), and
-// the engine's internal ctxErr helper.
+// the engine context's Err, which wraps the first two.
 var ctxPollNames = map[string]bool{
-	"Err":    true,
-	"ctxErr": true,
-	"Done":   true,
-	"Cause":  true,
+	"Err":   true,
+	"Done":  true,
+	"Cause": true,
 }
 
 // CtxloopAnalyzer reports unbounded loops — `for {}` retry loops and

@@ -89,11 +89,6 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	for _, r := range compiled.Rules {
 		valid[ruleKey(r)] = true
 	}
-	for _, stratum := range compiled.Strata {
-		for _, r := range stratum {
-			valid[stratumKey(r.HeadName)] = true
-		}
-	}
 	for _, key := range out.ruleRes.Keys() {
 		if !valid[key] {
 			out.ruleRes = out.ruleRes.Delete(key)

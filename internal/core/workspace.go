@@ -15,6 +15,7 @@ import (
 	"logicblox/internal/ast"
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
+	"logicblox/internal/ivm"
 	"logicblox/internal/ml"
 	"logicblox/internal/obs"
 	"logicblox/internal/optimizer"
@@ -30,7 +31,7 @@ type Workspace struct {
 	parsed   pmap.Map[*ast.Program]      // block name → parsed program
 	prog     *compiler.Program           // compiled program (shared, immutable)
 	base     pmap.Map[relation.Relation] // base predicate contents
-	ruleRes  pmap.Map[relation.Relation] // materialized result per rule (or per recursive head)
+	ruleRes  pmap.Map[relation.Relation] // materialized result per rule of the non-recursive strata
 	derived  pmap.Map[relation.Relation] // derived predicate contents
 	models   *ml.Registry                // model store (append-only, shared across versions)
 	version  uint64
@@ -177,8 +178,17 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 // ruleKey identifies a rule's materialized result across recompilations.
 func ruleKey(r *compiler.RulePlan) string { return r.HeadName + "\x00" + r.Source }
 
-// stratumKey identifies a recursive stratum head's materialized result.
-func stratumKey(head string) string { return "rec\x00" + head }
+// ruleStore is the workspace's ivm.Store: the persistent ruleRes map of a
+// version under construction.
+type ruleStore struct{ ws *Workspace }
+
+func (s ruleStore) Get(r *compiler.RulePlan) (relation.Relation, bool) {
+	return s.ws.ruleRes.Get(ruleKey(r))
+}
+
+func (s ruleStore) Set(r *compiler.RulePlan, res relation.Relation) {
+	s.ws.ruleRes = s.ws.ruleRes.Set(ruleKey(r), res)
+}
 
 // rederive re-materializes derived predicates after base-data or logic
 // changes, in ctx — the transaction tail's evaluation context, which
@@ -187,7 +197,9 @@ func stratumKey(head string) string { return "rec\x00" + head }
 // the meta-engine) and grows by every derived predicate whose content
 // moved; the change propagates through the execution graph, and rules
 // none of whose dependencies changed reuse their stored results — the
-// engine-side half of live programming (paper Figure 6).
+// engine-side half of live programming (paper Figure 6). The maintenance
+// itself is ivm's rule-granular strategy under a name-level staleness
+// test; swapping in a finer one is a change to this call site.
 func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, error) {
 	out := ws.clone()
 	reg := ws.Observer()
@@ -205,79 +217,28 @@ func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent
 		}
 	}()
 	changed := func(name string) bool { return dirty[name] }
-	touched := func(r *compiler.RulePlan) bool { return dirty[r.HeadName] || r.ReadsAny(changed) }
-
+	stale := func(unit []*compiler.RulePlan) bool {
+		for _, r := range unit {
+			if dirty[r.HeadName] || r.ReadsAny(changed) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, stratum := range out.prog.Strata {
-		if compiler.StratumRecursive(stratum) {
-			any := false
-			for _, r := range stratum {
-				if touched(r) {
-					any = true
-					break
-				}
-			}
-			if !any {
-				reused += int64(len(stratum))
-				continue
-			}
-			evals += int64(len(stratum))
-			origin := map[string]relation.Relation{}
-			for _, r := range stratum {
-				if _, seen := origin[r.HeadName]; !seen {
-					origin[r.HeadName] = out.Relation(r.HeadName)
-					ctx.Set(r.HeadName, relation.New(origin[r.HeadName].Arity()))
-				}
-			}
-			if err := ctx.EvalStratum(stratum); err != nil {
-				return nil, err
-			}
-			for h, was := range origin {
-				cur := ctx.Relation(h)
-				out.ruleRes = out.ruleRes.Set(stratumKey(h), cur)
-				out.derived = out.derived.Set(h, cur)
-				if !cur.Equal(was) {
-					dirty[h] = true
-				}
-			}
-			continue
+		before, n, err := ivm.RederiveStratum(ctx, stratum, stale, ruleStore{out})
+		evals += int64(n)
+		if err != nil {
+			return nil, err
 		}
-
-		headTouched := map[string]bool{}
-		for _, r := range stratum {
-			key := ruleKey(r)
-			if _, have := out.ruleRes.Get(key); have && !touched(r) {
-				reused++
-				continue
-			}
-			evals++
-			res, err := ctx.EvalRule(r, nil)
-			if err != nil {
-				return nil, err
-			}
-			if prev, ok := out.ruleRes.Get(key); !ok || !prev.Equal(res) {
-				headTouched[r.HeadName] = true
-			}
-			out.ruleRes = out.ruleRes.Set(key, res)
-		}
-		for h := range headTouched {
-			rel := relation.New(out.prog.Preds[h].Arity)
-			for _, r := range stratum {
-				if r.HeadName != h {
-					continue
-				}
-				if rr, ok := out.ruleRes.Get(ruleKey(r)); ok {
-					rel = rel.Union(rr)
-				}
-			}
-			prev := out.Relation(h)
-			out.derived = out.derived.Set(h, rel)
-			ctx.Set(h, rel)
-			if !rel.Equal(prev) {
+		reused += int64(len(stratum) - n)
+		for h, was := range before {
+			cur := ctx.Relation(h)
+			out.derived = out.derived.Set(h, cur)
+			if !cur.Equal(was) {
 				dirty[h] = true
 			}
 		}
-		// Unchanged heads of this stratum still need their contexts seeded
-		// for later strata; ctx already holds them from relations().
 	}
 	return out, nil
 }

@@ -90,7 +90,7 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 // check Err after the loop.
 func (b *Bindings) Next() (tuple.Tuple, bool) {
 	for !b.done {
-		if err := b.c.ctxErr(); err != nil {
+		if err := b.c.Err(); err != nil {
 			return b.fail(err)
 		}
 		var joined tuple.Tuple

@@ -655,10 +655,21 @@ func TestDifferentialAllOrders(t *testing.T) {
 
 // ---- IVM equivalence -----------------------------------------------------
 
+// batchKind restricts a random batch to one direction of change. The
+// maintainers special-case monotone batches (semi-naive insertion with no
+// deletion to undo), and a mixed batch almost never takes those paths.
+type batchKind int
+
+const (
+	mixedBatch batchKind = iota
+	insertOnly
+	deleteOnly
+)
+
 // randomDeltas builds one random batch of base-relation changes:
 // deletions sampled from current contents, insertions drawn fresh from
 // the domain.
-func randomDeltas(rng *rand.Rand, p *genProgram, cur map[string]relation.Relation) map[string]ivm.Delta {
+func randomDeltas(rng *rand.Rand, p *genProgram, cur map[string]relation.Relation, kind batchKind) map[string]ivm.Delta {
 	out := map[string]ivm.Delta{}
 	// Iterate predicates in sorted order: ranging over the map directly
 	// would consume the seeded PRNG in Go's randomized map order, making
@@ -675,14 +686,14 @@ func randomDeltas(rng *rand.Rand, p *genProgram, cur map[string]relation.Relatio
 		}
 		var d ivm.Delta
 		existing := rel.Slice()
-		for i := 0; i < rng.Intn(3); i++ {
+		for i := 0; kind != insertOnly && i < rng.Intn(3); i++ {
 			if len(existing) == 0 {
 				break
 			}
 			d.Del = append(d.Del, existing[rng.Intn(len(existing))])
 		}
 		arity := p.arities[name]
-		for i := 0; i < 1+rng.Intn(3); i++ {
+		for i := 0; kind != deleteOnly && i < 1+rng.Intn(3); i++ {
 			t := make(tuple.Tuple, arity)
 			for k := range t {
 				t[k] = tuple.Int(int64(rng.Intn(genDomain)))
@@ -713,13 +724,62 @@ func applyToBase(cur map[string]relation.Relation, deltas map[string]ivm.Delta) 
 
 var ivmModes = []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed, ivm.Sensitivity}
 
+// ivmBatches is the batch sequence every program goes through in every
+// mode: mixed batches, then the monotone ones.
+var ivmBatches = []batchKind{mixedBatch, mixedBatch, mixedBatch, insertOnly, insertOnly, deleteOnly, deleteOnly}
+
+// recNegPrograms is how many extra programs TestDifferentialIVM extends
+// with withRecursiveNegation.
+const recNegPrograms = 10
+
+// withRecursiveNegation appends to p a reachability view over a fresh
+// random edge predicate whose two rules negate a random predicate of a
+// lower stratum, so inserting into that predicate retracts reach tuples.
+// generate's own draw (recursion on a third of the later rules, negation
+// on a third of those, over mostly vacuous bodies) does not produce a
+// live instance of that shape among the first diffPrograms seeds.
+func withRecursiveNegation(p *genProgram) *genProgram {
+	rng := rand.New(rand.NewSource(p.seed))
+	var lower []string
+	for name := range p.arities {
+		lower = append(lower, name)
+	}
+	sort.Strings(lower)
+	neg := lower[rng.Intn(len(lower))]
+	negated := func(vars ...string) []genAtom {
+		return []genAtom{{pred: neg, vars: vars[:p.arities[neg]]}}
+	}
+	edges := relation.New(2)
+	for i, n := 0, 8+rng.Intn(6); i < n; i++ {
+		edges = edges.Insert(tuple.Ints(int64(rng.Intn(genDomain)), int64(rng.Intn(genDomain))))
+	}
+	p.arities["edge"], p.base["edge"] = 2, edges
+	p.arities["reach"] = 2
+	p.derived = append(p.derived, "reach")
+	p.rules = append(p.rules,
+		genRule{
+			head: genAtom{pred: "reach", vars: []string{"a", "b"}},
+			body: []genAtom{{pred: "edge", vars: []string{"a", "b"}}},
+			negs: negated("b", "a"),
+		},
+		genRule{
+			head: genAtom{pred: "reach", vars: []string{"a", "c"}},
+			body: []genAtom{{pred: "reach", vars: []string{"a", "b"}}, {pred: "edge", vars: []string{"b", "c"}}},
+			negs: negated("c", "b"),
+		})
+	return p
+}
+
 // TestDifferentialIVM maintains each generated program incrementally
 // through random delta batches in every maintenance mode; after each
 // batch the maintained views must equal both a full re-evaluation and
 // the nested-loop reference over the updated base.
 func TestDifferentialIVM(t *testing.T) {
-	for seed := int64(0); seed < diffPrograms; seed++ {
+	for seed := int64(0); seed < diffPrograms+recNegPrograms; seed++ {
 		p := generate(seed)
+		if seed >= diffPrograms {
+			p = withRecursiveNegation(p)
+		}
 		prog := compileGen(t, p)
 		for _, mode := range ivmModes {
 			m, err := ivm.NewMaintainer(prog, p.base, mode)
@@ -732,8 +792,8 @@ func TestDifferentialIVM(t *testing.T) {
 				cur[name] = rel
 			}
 			var deltaLog []string
-			for batch := 0; batch < 3; batch++ {
-				deltas := randomDeltas(rng, p, cur)
+			for batch, kind := range ivmBatches {
+				deltas := randomDeltas(rng, p, cur, kind)
 				if len(deltas) == 0 {
 					continue
 				}

@@ -22,10 +22,6 @@ import (
 
 // Options configure an evaluation context.
 type Options struct {
-	// Sens, if non-nil, accumulates sensitivity intervals for every join
-	// run and membership probe, enabling incremental maintenance and
-	// transaction repair on top of the evaluation.
-	Sens *lftj.SensitivityIndex
 	// Models stores trained models for predict rules. Required if the
 	// program contains predict rules.
 	Models *ml.Registry
@@ -93,7 +89,6 @@ func NewContext(prog *compiler.Program, base map[string]relation.Relation, opts 
 		rels:      make(map[string]relation.Relation, len(base)+8),
 		perms:     map[string]relation.Relation{},
 		models:    opts.Models,
-		sens:      opts.Sens,
 		optimize:  opts.Optimize,
 		planStore: opts.Plans,
 		parallel:  opts.Parallel,
@@ -138,13 +133,15 @@ func (c *Context) Relations() map[string]relation.Relation {
 	return out
 }
 
-// ctxErr reports the evaluation context's cancellation state; nil when
-// no context bounds the evaluation. It is polled once per join binding,
-// so it reads the context's Done channel (a lock-free test while the
-// channel is open; nil, hence never ready, when unbounded) and asks for
-// Err — a mutex acquisition on the standard contexts — only once that
-// channel is closed.
-func (c *Context) ctxErr() error {
+// Err reports the evaluation context's cancellation state; nil when no
+// context bounds the evaluation. Every unbounded loop over this context —
+// the engine's own and a maintainer's fixpoints — polls it at the
+// iteration boundary, and the Bindings cursor once per join binding, so it
+// reads the context's Done channel (a lock-free test while the channel is
+// open; nil, hence never ready, when unbounded) and asks for Err — a
+// mutex acquisition on the standard contexts — only once that channel is
+// closed.
+func (c *Context) Err() error {
 	select {
 	case <-c.done:
 		return c.ctx.Err()
@@ -181,10 +178,9 @@ func (c *Context) EvalAll() error {
 	return c.checkFunctional()
 }
 
-// EvalStratum evaluates one stratum. Non-recursive strata get a single
-// pass; recursive strata run the semi-naive fixpoint: after the first
-// full pass, each subsequent round restricts one recursive atom occurrence
-// per rule to the previous round's delta.
+// EvalStratum evaluates one stratum: a full first pass over every rule,
+// then, for a recursive stratum, the semi-naive fixpoint seeded with what
+// the first pass derived.
 func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 	recursive := compiler.StratumRecursive(rules)
 	sp := c.span.Child("stratum")
@@ -231,9 +227,43 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 	if !recursive {
 		return nil
 	}
+	_, err := c.propagate(sp, rules, deltas)
+	return err
+}
 
-	// Fixpoint rounds.
-	rounds := int64(0)
+// ReevalStratum empties the stratum's head predicates, evaluates it from
+// scratch and returns every head's before-image — what a maintainer that
+// gives up on a stratum diffs the fresh result against.
+func (c *Context) ReevalStratum(rules []*compiler.RulePlan) (map[string]relation.Relation, error) {
+	before := map[string]relation.Relation{}
+	for _, r := range rules {
+		if _, seen := before[r.HeadName]; !seen {
+			before[r.HeadName] = c.Relation(r.HeadName)
+			c.Set(r.HeadName, relation.New(before[r.HeadName].Arity()))
+		}
+	}
+	return before, c.EvalStratum(rules)
+}
+
+// PropagateStratum brings an already evaluated stratum up to date with
+// insertions into the predicates it reads: seeds maps a body predicate
+// (whose relation already contains them) to its new tuples, and the
+// semi-naive rounds of EvalStratum derive what follows. Valid only for
+// monotone changes — no deletion, and no change to a predicate the
+// stratum negates. It returns the number of delta-rule evaluations run.
+func (c *Context) PropagateStratum(rules []*compiler.RulePlan, seeds map[string]relation.Relation) (int, error) {
+	sp := c.span.Child("stratum")
+	sp.SetAttr("rules", int64(len(rules)))
+	sp.SetAttr("seeded", int64(len(seeds)))
+	defer sp.End()
+	return c.propagate(sp, rules, seeds)
+}
+
+// propagate runs semi-naive rounds until no head gains a tuple: each round
+// evaluates every rule once per occurrence of a predicate that changed in
+// the previous round, with that occurrence restricted to the delta.
+func (c *Context) propagate(sp *obs.Span, rules []*compiler.RulePlan, deltas map[string]relation.Relation) (int, error) {
+	evals, rounds := 0, int64(0)
 	defer func() {
 		if rounds > 0 {
 			sp.SetAttr("fixpoint_rounds", rounds)
@@ -241,30 +271,28 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 		}
 	}()
 	for len(deltas) > 0 {
-		if err := c.ctxErr(); err != nil {
-			return err
+		if err := c.Err(); err != nil {
+			return evals, err
 		}
 		rounds++
 		next := map[string]relation.Relation{}
 		for _, r := range rules {
-			// For each occurrence of a predicate that changed last round,
-			// evaluate the rule with that occurrence restricted to the
-			// delta (semi-naive evaluation).
 			for ai, atom := range r.Atoms {
 				d, changed := deltas[atom.Name]
 				if !changed {
 					continue
 				}
+				evals++
 				derived, err := c.evalRule(r, map[int]relation.Relation{ai: d})
 				if err != nil {
-					return err
+					return evals, err
 				}
 				c.absorb(r.HeadName, derived, next)
 			}
 		}
 		deltas = next
 	}
-	return nil
+	return evals, nil
 }
 
 // absorb unions one rule evaluation's output into its head predicate and

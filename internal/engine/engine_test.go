@@ -390,7 +390,8 @@ func TestSensitivityRecordingDuringEval(t *testing.T) {
 	idx := lftj.NewSensitivityIndex()
 	ctx := NewContext(prog, map[string]relation.Relation{
 		"e": relOf(2, tuple.Ints(1, 2), tuple.Ints(2, 3), tuple.Ints(1, 3)),
-	}, Options{Sens: idx})
+	}, Options{})
+	ctx.SetSensitivityIndex(idx)
 	if err := ctx.EvalAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (m *Maintainer) applyCounting(acc map[string]Delta, old map[string]relation
 				continue
 			}
 			var err error
-			if countable(r) && !negTouched(r, acc) {
+			if countable(r) && !negTouched(acc, r) {
 				err = m.deltaCountRule(r, acc, old, pending)
 			} else if countable(r) {
 				err = m.recountRule(r, pending)
@@ -129,10 +129,16 @@ type presence struct {
 	before bool
 }
 
-func negTouched(r *compiler.RulePlan, acc map[string]Delta) bool {
-	for _, n := range r.NegNames {
-		if !acc[n].Empty() {
-			return true
+// negTouched reports whether a predicate one of the rules negates has a
+// pending change. Delta rules, over-deletion and semi-naive insertion are
+// all monotone arguments: none of them applies then, in either direction
+// (an insertion into a negated predicate retracts derivations).
+func negTouched(acc map[string]Delta, rules ...*compiler.RulePlan) bool {
+	for _, r := range rules {
+		for _, n := range r.NegNames {
+			if !acc[n].Empty() {
+				return true
+			}
 		}
 	}
 	return false
@@ -267,15 +273,9 @@ func (m *Maintainer) recomputeUncounted(r *compiler.RulePlan, acc map[string]Del
 	if err != nil {
 		return err
 	}
-	cur := m.ctx.Relation(r.HeadName)
-	if cur.Equal(derived) {
-		return nil
-	}
-	if _, ok := old[r.HeadName]; !ok {
-		old[r.HeadName] = cur
-	}
+	before := map[string]relation.Relation{r.HeadName: m.ctx.Relation(r.HeadName)}
 	m.ctx.Set(r.HeadName, derived)
-	recordDiff(acc, r.HeadName, cur, derived)
+	m.recordHeads(acc, old, before)
 	return nil
 }
 
@@ -313,93 +313,62 @@ func (m *Maintainer) flushPending(pending map[string]map[string]presence, acc ma
 	}
 }
 
-// maintainRecursiveStratum handles a recursive stratum: insert-only deltas
-// propagate with semi-naive rounds; any deletion forces a stratum
-// recomputation (precise DRed for recursive strata is provided by the
-// DRed mode).
+// maintainRecursiveStratum handles a recursive stratum without counts:
+// insert-only changes propagate with semi-naive rounds; a deletion, or any
+// change to a negated predicate, forces a stratum recomputation (precise
+// DRed for recursive strata is provided by the DRed mode).
 func (m *Maintainer) maintainRecursiveStratum(stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	touched := false
-	hasDel := false
-	for _, r := range stratum {
-		for _, b := range append(append([]string{}, r.BodyNames...), r.NegNames...) {
-			if d := acc[b]; !d.Empty() {
-				touched = true
-				if len(d.Del) > 0 {
-					hasDel = true
-				}
-			}
-		}
-	}
-	if !touched {
+	if !stratumTouched(stratum, acc) {
 		m.Stats.RulesSkipped += len(stratum)
 		return nil
 	}
-	heads := map[string]bool{}
+	monotone := !negTouched(acc, stratum...)
 	for _, r := range stratum {
-		heads[r.HeadName] = true
-	}
-	origin := map[string]relation.Relation{}
-	for h := range heads {
-		origin[h] = m.ctx.Relation(h)
-	}
-
-	if hasDel {
-		// Recompute the stratum from scratch.
-		for h := range heads {
-			m.ctx.Set(h, relation.New(origin[h].Arity()))
-		}
-		m.Stats.RulesEvaluated += len(stratum)
-		if err := m.ctx.EvalStratum(stratum); err != nil {
-			return err
-		}
-	} else {
-		// Insert-only: semi-naive propagation seeded with the incoming
-		// insertions.
-		deltas := map[string]relation.Relation{}
-		for _, r := range stratum {
-			for _, a := range r.Atoms {
-				if d := acc[a.Name]; len(d.Ins) > 0 {
-					deltas[a.Name] = relation.FromTuples(m.ctx.Relation(a.Name).Arity(), d.Ins)
-				}
+		for _, b := range r.BodyNames {
+			if len(acc[b].Del) > 0 {
+				monotone = false
 			}
 		}
-		for len(deltas) > 0 {
-			next := map[string]relation.Relation{}
-			for _, r := range stratum {
-				for ai, a := range r.Atoms {
-					dRel, ok := deltas[a.Name]
-					if !ok {
-						continue
-					}
-					m.Stats.RulesEvaluated++
-					derived, err := m.ctx.EvalRule(r, map[int]relation.Relation{ai: dRel})
-					if err != nil {
-						return err
-					}
-					cur := m.ctx.Relation(r.HeadName)
-					fresh := derived.Difference(cur)
-					if fresh.IsEmpty() {
-						continue
-					}
-					m.ctx.Set(r.HeadName, cur.Union(fresh))
-					nd, ok := next[r.HeadName]
-					if !ok {
-						nd = relation.New(fresh.Arity())
-					}
-					next[r.HeadName] = nd.Union(fresh)
-				}
-			}
-			deltas = next
-		}
 	}
-	for h := range heads {
-		cur := m.ctx.Relation(h)
-		if !cur.Equal(origin[h]) {
-			if _, ok := old[h]; !ok {
-				old[h] = origin[h]
-			}
-			recordDiff(acc, h, origin[h], cur)
-		}
+	if !monotone {
+		return m.recomputeStratum(stratum, acc, old)
 	}
+	before := map[string]relation.Relation{}
+	for _, r := range stratum {
+		before[r.HeadName] = m.ctx.Relation(r.HeadName)
+	}
+	if err := m.propagateInserts(stratum, acc, before); err != nil {
+		return err
+	}
+	m.recordHeads(acc, old, before)
 	return nil
+}
+
+// recomputeStratum clears the stratum's head predicates and re-evaluates.
+func (m *Maintainer) recomputeStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
+	m.Stats.RulesEvaluated += len(rules)
+	before, err := m.ctx.ReevalStratum(rules)
+	if err != nil {
+		return err
+	}
+	m.recordHeads(acc, old, before)
+	return nil
+}
+
+// propagateInserts derives what follows from the pending insertions into
+// predicates the rules read from outside (heads names the rules' own head
+// predicates). The caller has established that the change is monotone for
+// these rules (see negTouched) and has already dealt with deletions.
+func (m *Maintainer) propagateInserts(rules []*compiler.RulePlan, acc map[string]Delta, heads map[string]relation.Relation) error {
+	seeds := map[string]relation.Relation{}
+	for _, r := range rules {
+		for _, a := range r.Atoms {
+			if _, own := heads[a.Name]; !own && len(acc[a.Name].Ins) > 0 {
+				seeds[a.Name] = relation.FromTuples(m.ctx.Relation(a.Name).Arity(), acc[a.Name].Ins)
+			}
+		}
+	}
+	evals, err := m.ctx.PropagateStratum(rules, seeds)
+	m.Stats.RulesEvaluated += evals
+	return err
 }

@@ -42,19 +42,11 @@ func (m *Maintainer) applyDRed(acc map[string]Delta, old map[string]relation.Rel
 		}
 		// Negation changes invalidate the over-deletion logic below; fall
 		// back to recomputing the stratum.
-		negChanged := false
-		for _, r := range plain {
-			if negTouched(r, acc) {
-				negChanged = true
-			}
+		maintain := m.dredStratum
+		if negTouched(acc, plain...) {
+			maintain = m.recomputeStratum
 		}
-		if negChanged {
-			if err := m.recomputeStratum(plain, acc, old); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := m.dredStratum(plain, acc, old); err != nil {
+		if err := maintain(plain, acc, old); err != nil {
 			return err
 		}
 	}
@@ -70,43 +62,12 @@ func stratumTouched(stratum []*compiler.RulePlan, acc map[string]Delta) bool {
 	return false
 }
 
-// recomputeStratum clears the stratum's head predicates and re-evaluates.
-func (m *Maintainer) recomputeStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	heads := map[string]bool{}
-	for _, r := range rules {
-		heads[r.HeadName] = true
-	}
-	origin := map[string]relation.Relation{}
-	for h := range heads {
-		origin[h] = m.ctx.Relation(h)
-		m.ctx.Set(h, relation.New(origin[h].Arity()))
-	}
-	m.Stats.RulesEvaluated += len(rules)
-	if err := m.ctx.EvalStratum(rules); err != nil {
-		return err
-	}
-	for h := range heads {
-		cur := m.ctx.Relation(h)
-		if !cur.Equal(origin[h]) {
-			if _, ok := old[h]; !ok {
-				old[h] = origin[h]
-			}
-			recordDiff(acc, h, origin[h], cur)
-		}
-	}
-	return nil
-}
-
 func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	heads := map[string]bool{}
 	rulesByHead := map[string][]*compiler.RulePlan{}
-	for _, r := range rules {
-		heads[r.HeadName] = true
-		rulesByHead[r.HeadName] = append(rulesByHead[r.HeadName], r)
-	}
 	origin := map[string]relation.Relation{}
-	for h := range heads {
-		origin[h] = m.ctx.Relation(h)
+	for _, r := range rules {
+		rulesByHead[r.HeadName] = append(rulesByHead[r.HeadName], r)
+		origin[r.HeadName] = m.ctx.Relation(r.HeadName)
 	}
 	oldRelOf := func(name string) (relation.Relation, bool) {
 		if o, ok := old[name]; ok {
@@ -123,13 +84,16 @@ func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delt
 	delSeeds := map[string][]tuple.Tuple{}
 	for _, r := range rules {
 		for _, a := range r.Atoms {
-			if d := acc[a.Name]; len(d.Del) > 0 && !heads[a.Name] {
-				delSeeds[a.Name] = d.Del
+			if _, own := origin[a.Name]; !own && len(acc[a.Name].Del) > 0 {
+				delSeeds[a.Name] = acc[a.Name].Del
 			}
 		}
 	}
 	overdeleted := map[string]map[string]tuple.Tuple{}
 	for len(delSeeds) > 0 {
+		if err := m.ctx.Err(); err != nil {
+			return err
+		}
 		next := map[string][]tuple.Tuple{}
 		for _, r := range rules {
 			for ai, a := range r.Atoms {
@@ -184,9 +148,11 @@ func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delt
 	// 3. Re-derive: over-deleted tuples with an alternative derivation in
 	// the reduced (but insertion-updated) state come back; rederived
 	// tuples can support further rederivations, so iterate.
-	rederived := map[string][]tuple.Tuple{}
 	changedSomething := true
 	for changedSomething {
+		if err := m.ctx.Err(); err != nil {
+			return err
+		}
 		changedSomething = false
 		for h, od := range overdeleted {
 			for k, t := range od {
@@ -204,62 +170,19 @@ func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delt
 				}
 				if still {
 					m.ctx.Set(h, m.ctx.Relation(h).Insert(t))
-					rederived[h] = append(rederived[h], t)
 					delete(od, k)
 					changedSomething = true
 				}
 			}
 		}
 	}
-	_ = rederived
 
 	// 4. Insert: semi-naive propagation of external insertions.
-	insSeeds := map[string]relation.Relation{}
-	for _, r := range rules {
-		for _, a := range r.Atoms {
-			if d := acc[a.Name]; len(d.Ins) > 0 && !heads[a.Name] {
-				insSeeds[a.Name] = relation.FromTuples(m.ctx.Relation(a.Name).Arity(), d.Ins)
-			}
-		}
-	}
-	for len(insSeeds) > 0 {
-		next := map[string]relation.Relation{}
-		for _, r := range rules {
-			for ai, a := range r.Atoms {
-				dRel, ok := insSeeds[a.Name]
-				if !ok {
-					continue
-				}
-				m.Stats.RulesEvaluated++
-				derived, err := m.ctx.EvalRule(r, map[int]relation.Relation{ai: dRel})
-				if err != nil {
-					return err
-				}
-				cur := m.ctx.Relation(r.HeadName)
-				fresh := derived.Difference(cur)
-				if fresh.IsEmpty() {
-					continue
-				}
-				m.ctx.Set(r.HeadName, cur.Union(fresh))
-				nd, ok := next[r.HeadName]
-				if !ok {
-					nd = relation.New(fresh.Arity())
-				}
-				next[r.HeadName] = nd.Union(fresh)
-			}
-		}
-		insSeeds = next
+	if err := m.propagateInserts(rules, acc, origin); err != nil {
+		return err
 	}
 
 	// 5. Record final per-head deltas.
-	for h := range heads {
-		cur := m.ctx.Relation(h)
-		if !cur.Equal(origin[h]) {
-			if _, ok := old[h]; !ok {
-				old[h] = origin[h]
-			}
-			recordDiff(acc, h, origin[h], cur)
-		}
-	}
+	m.recordHeads(acc, old, origin)
 	return nil
 }

@@ -1,16 +1,23 @@
-// Package ivm implements incremental view maintenance (paper T3, §3.2).
+// Package ivm implements incremental view maintenance (paper T3, §3.2):
+// keeping the derived predicates of an evaluation context up to date under
+// changes to what they read, stratum by stratum, on the engine's stratum
+// operators (engine.Context.ReevalStratum and PropagateStratum).
 //
-// Four strategies are provided, benchmarked against each other in the E4
+// RederiveStratum is the rule-granular strategy — re-evaluate the rules a
+// staleness test selects, reuse the stored results of the others, re-union
+// the heads that moved. The transaction path (core's rederive) runs it
+// with a name-level test, and two of the Maintainer's four modes are
+// further tests. The modes are benchmarked against each other in the E4
 // experiment:
 //
-//   - Recompute: re-evaluate every derived predicate from scratch (the
-//     "HANA approach" the paper argues against).
+//   - Recompute: every rule is stale (the "HANA approach" the paper
+//     argues against).
 //   - Counting: classical delta rules with support counting (Gupta,
 //     Mumick & Subrahmanian, SIGMOD'93) for non-recursive strata.
 //   - DRed: delete-and-rederive with pinned rederivability checks.
-//   - Sensitivity: the LogicBlox approach — per-rule sensitivity indices
-//     recorded by leapfrog runs decide which rules a change can affect at
-//     all; unaffected rules are skipped without touching their joins, so
+//   - Sensitivity: the LogicBlox approach — sensitivity indices recorded
+//     by leapfrog runs decide which rules a change can affect at all;
+//     unaffected rules are skipped without touching their joins, so
 //     maintenance work tracks the trace edit distance of the evaluation.
 package ivm
 
@@ -71,11 +78,10 @@ type Maintainer struct {
 	ruleCounts map[int]map[string]*crec
 	support    map[string]map[string]*crec
 
-	// sensitivity state: one index per rule (per stratum for recursive
-	// strata) and per-rule result relations.
-	ruleSens    map[int]*lftj.SensitivityIndex
-	stratumSens map[int]*lftj.SensitivityIndex
-	ruleRel     map[int]relation.Relation
+	// sensitivity state: one recorded trace per maintenance unit (keyed by
+	// the ID of the unit's first rule) and per-rule result relations.
+	sens    map[int]*lftj.SensitivityIndex
+	ruleRel ruleRels
 
 	// Stats accumulate work counters for benchmarking.
 	Stats Stats
@@ -97,13 +103,12 @@ type crec struct {
 // the given mode.
 func NewMaintainer(prog *compiler.Program, base map[string]relation.Relation, mode Mode) (*Maintainer, error) {
 	m := &Maintainer{
-		prog:        prog,
-		mode:        mode,
-		ruleCounts:  map[int]map[string]*crec{},
-		support:     map[string]map[string]*crec{},
-		ruleSens:    map[int]*lftj.SensitivityIndex{},
-		stratumSens: map[int]*lftj.SensitivityIndex{},
-		ruleRel:     map[int]relation.Relation{},
+		prog:       prog,
+		mode:       mode,
+		ruleCounts: map[int]map[string]*crec{},
+		support:    map[string]map[string]*crec{},
+		sens:       map[int]*lftj.SensitivityIndex{},
+		ruleRel:    ruleRels{},
 	}
 	m.ctx = engine.NewContext(prog, base, engine.Options{})
 	switch mode {
@@ -112,7 +117,8 @@ func NewMaintainer(prog *compiler.Program, base map[string]relation.Relation, mo
 			return nil, err
 		}
 	case Sensitivity:
-		if err := m.initialSensitivityEval(); err != nil {
+		// Nothing has a trace yet, so every unit is stale.
+		if err := m.rederive(m.traceStale(nil), m.ruleRel, map[string]Delta{}, map[string]relation.Relation{}); err != nil {
 			return nil, err
 		}
 	default:
@@ -172,44 +178,38 @@ func (m *Maintainer) Apply(deltas map[string]Delta) (map[string]Delta, error) {
 	var err error
 	switch m.mode {
 	case Recompute:
-		err = m.applyRecompute(acc)
+		// Throw away all derived state: every rule is stale and no stored
+		// result survives the pass.
+		err = m.rederive(func([]*compiler.RulePlan) bool { return true }, ruleRels{}, acc, old)
 	case Counting:
 		err = m.applyCounting(acc, old)
 	case DRed:
 		err = m.applyDRed(acc, old)
 	case Sensitivity:
-		err = m.applySensitivity(acc, old)
+		err = m.rederive(m.traceStale(acc), m.ruleRel, acc, old)
 	}
 	return acc, err
 }
 
-// applyRecompute throws away all derived state and re-evaluates.
-func (m *Maintainer) applyRecompute(acc map[string]Delta) error {
-	oldDerived := map[string]relation.Relation{}
-	for _, name := range m.prog.IDBPreds {
-		oldDerived[name] = m.ctx.Relation(name)
-		m.ctx.Set(name, relation.New(oldDerived[name].Arity()))
-	}
-	for _, stratum := range m.prog.Strata {
-		m.Stats.RulesEvaluated += len(stratum)
-	}
-	if err := m.ctx.EvalAll(); err != nil {
-		return err
-	}
-	for _, name := range m.prog.IDBPreds {
-		recordDiff(acc, name, oldDerived[name], m.ctx.Relation(name))
-	}
-	return nil
-}
-
-// recordDiff appends the difference between two versions of name to acc.
-func recordDiff(acc map[string]Delta, name string, before, after relation.Relation) {
-	d := acc[name]
-	before.Diff(after,
-		func(t tuple.Tuple) { d.Del = append(d.Del, t) },
-		func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
-	if !d.Empty() {
-		acc[name] = d
+// recordHeads is the one place a maintenance step reports what it did to
+// derived predicates: every head whose content differs from its
+// before-image gets that image remembered in old (the first one wins —
+// delta rules of later strata read the pre-batch state) and the difference
+// appended to acc.
+func (m *Maintainer) recordHeads(acc map[string]Delta, old, before map[string]relation.Relation) {
+	for head, was := range before {
+		cur := m.ctx.Relation(head)
+		if cur.Equal(was) {
+			continue
+		}
+		if _, ok := old[head]; !ok {
+			old[head] = was
+		}
+		d := acc[head]
+		was.Diff(cur,
+			func(t tuple.Tuple) { d.Del = append(d.Del, t) },
+			func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
+		acc[head] = d
 	}
 }
 

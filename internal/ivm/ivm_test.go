@@ -211,6 +211,45 @@ func TestMaintainNegation(t *testing.T) {
 	}
 }
 
+// TestMaintainRecursiveNegation: a batch that only inserts, but into a
+// predicate the recursive stratum negates, retracts derivations — the
+// semi-naive insert path (Counting's and DRed's) must not take it.
+func TestMaintainRecursiveNegation(t *testing.T) {
+	src := `
+		reach(x, y) <- edge(x, y), !blocked(x, y).
+		reach(x, z) <- reach(x, y), edge(y, z), !blocked(y, z).`
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			prog := mustProgram(t, src)
+			base := map[string]relation.Relation{
+				"edge":    relation.FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(2, 3), tuple.Ints(3, 4)}),
+				"blocked": relation.New(2),
+			}
+			m, err := NewMaintainer(prog, cloneBase(base), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Relation("reach").Len() != 6 {
+				t.Fatalf("initial reach = %v", m.Relation("reach").Slice())
+			}
+			for step, d := range []map[string]Delta{
+				{"blocked": {Ins: []tuple.Tuple{tuple.Ints(2, 3)}}},
+				{"blocked": {Del: []tuple.Tuple{tuple.Ints(2, 3)}}},
+				{"blocked": {Ins: []tuple.Tuple{tuple.Ints(1, 2)}}, "edge": {Ins: []tuple.Tuple{tuple.Ints(4, 5)}}},
+			} {
+				if _, err := m.Apply(d); err != nil {
+					t.Fatal(err)
+				}
+				applyToBase(base, d, map[string]int{"edge": 2, "blocked": 2})
+				checkAgainstOracle(t, m, prog, base, fmt.Sprintf("step %d", step))
+			}
+			if got := m.Relation("reach"); got.Contains(tuple.Ints(1, 2)) || !got.Contains(tuple.Ints(2, 5)) {
+				t.Fatalf("reach = %v", got.Slice())
+			}
+		})
+	}
+}
+
 func TestMaintainMultiRuleHead(t *testing.T) {
 	src := `
 		reachable(x) <- source(x).

@@ -78,3 +78,33 @@ func TestSensitivitySkipsCounted(t *testing.T) {
 		t.Fatalf("no skips counted: %v", s.Counters)
 	}
 }
+
+// TestInsertPropagationRunsEngineRounds: Counting and DRed propagate an
+// insertion into a recursive view with the engine's semi-naive loop, so
+// its round counter moves across the Apply.
+func TestInsertPropagationRunsEngineRounds(t *testing.T) {
+	prog := mustProgram(t, `
+		path(x, y) <- edge(x, y).
+		path(x, z) <- path(x, y), edge(y, z).`)
+	for _, mode := range []Mode{Counting, DRed} {
+		base := map[string]relation.Relation{
+			"edge": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(2, 3)}),
+		}
+		m, err := NewMaintainer(prog, base, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		m.SetObserver(reg)
+		before := reg.Snapshot().Counters["engine.fixpoint.rounds"]
+		if _, err := m.Apply(map[string]Delta{"edge": {Ins: []tuple.Tuple{tuple.Ints(3, 4)}}}); err != nil {
+			t.Fatal(err)
+		}
+		if after := reg.Snapshot().Counters["engine.fixpoint.rounds"]; after <= before {
+			t.Fatalf("%v: engine.fixpoint.rounds %d -> %d across an insert into a recursive view", mode, before, after)
+		}
+		if !m.Relation("path").Contains(tuple.Ints(1, 4)) {
+			t.Fatalf("%v: path = %v", mode, m.Relation("path").Slice())
+		}
+	}
+}

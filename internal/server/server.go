@@ -147,7 +147,12 @@ type Server struct {
 	drainCh  chan struct{} // closed by BeginDrain; ends open tail streams
 	drainO   sync.Once
 	tails    atomic.Int64 // open /journal/tail streams
-	traces   requestTraces
+	// traces holds the last Config.TraceRing finished request span trees
+	// keyed by request ID. Unlike the obs registry's sampled ring, every
+	// request is retained here (bounded by the capacity), so
+	// /debug/trace/{id} answers for any recent request regardless of the
+	// sampling rate; a reused client ID overwrites in place (latest wins).
+	traces *obs.TraceRing
 }
 
 // New returns a server over db. Zero Config fields take defaults.
@@ -179,7 +184,7 @@ func New(db *core.Database, cfg Config) *Server {
 	s := &Server{
 		cfg: cfg, reg: cfg.Obs, sem: make(chan struct{}, cfg.Workers),
 		drainCh: make(chan struct{}),
-		traces:  requestTraces{obs.NewTraceRing(cfg.TraceRing)},
+		traces:  obs.NewTraceRing(cfg.TraceRing),
 	}
 	s.db.Store(db)
 	return s

@@ -80,16 +80,6 @@ func requestIDFrom(ctx context.Context) string {
 	return ""
 }
 
-// requestTraces is the server's trace ring: the last Config.TraceRing
-// finished request span trees keyed by request ID. Unlike the obs
-// registry's sampled ring, every request is retained here (bounded by the
-// capacity), so /debug/trace/{id} answers for any recent request
-// regardless of the sampling rate; a reused client ID overwrites in
-// place (latest wins).
-type requestTraces struct{ *obs.TraceRing }
-
-func (t requestTraces) get(id string) (*obs.Span, bool) { return t.Get(id) }
-
 // inlineTrace returns the request's span tree so far when the request
 // asked for it with ?trace=1 (nil otherwise). The handler is still
 // inside the root span, so its duration is elapsed-so-far, but the
@@ -119,7 +109,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, TraceResponse{OK: true, IDs: s.traces.Keys()})
 		return
 	}
-	sp, ok := s.traces.get(id)
+	sp, ok := s.traces.Get(id)
 	if !ok {
 		writeErrorCode(w, http.StatusNotFound, "no_such_trace", "no retained trace for request id "+id, id)
 		return

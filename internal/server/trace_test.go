@@ -268,7 +268,7 @@ func TestPanicEnvelope(t *testing.T) {
 		t.Fatalf("server.panics = %d", got)
 	}
 	// The panicking request's trace is retained and marked.
-	if _, ok := s.traces.get("panic-0001"); !ok {
+	if _, ok := s.traces.Get("panic-0001"); !ok {
 		t.Fatal("panic trace not retained")
 	}
 }
