@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: ci build vet test race fmt-check bench lint bench-build
+.PHONY: ci build vet test race fmt-check bench lint bench-build fuzz-smoke
 
 # Each test runs once: one uncached race run over the whole module, the
-# static-analysis gate, and a build + short test of the benchmark module
-# (its own go.mod, so ./... does not reach it).
-ci: fmt-check lint build race bench-build
+# static-analysis gate, a few seconds of each native fuzz target, and a
+# build + short test of the benchmark module (its own go.mod, so ./...
+# does not reach it).
+ci: fmt-check lint build race fuzz-smoke bench-build
 
 # The static-analysis gate: go vet plus the repository's own analyzer
 # suite (immutable, errwrap, ctxloop, obssafe, and the CFG dataflow trio
@@ -38,6 +39,14 @@ test:
 # load-harness smoke.
 race:
 	$(GO) test -race -count=1 ./...
+
+# The race run above already replays every fuzz target's seed corpus; this
+# mutates each for 5 s on top (-fuzz takes one target in one package per
+# invocation). A crasher is written to the package's testdata/fuzz/ —
+# commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/parser
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePageToken$$' -fuzztime=5s ./internal/server
 
 # benchmark/ compiles against internal packages; a refactor that breaks
 # its imports must fail here rather than in the benchmark run.

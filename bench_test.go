@@ -199,7 +199,7 @@ func BenchmarkOptimizer(b *testing.B) {
 	b.Run("sampled-order", func(b *testing.B) {
 		// Steady state: the optimizer's choice is cached after the first
 		// evaluation; the benchmark measures the chosen plan.
-		ctx := engine.NewContext(prog, base, engine.Options{Optimize: true})
+		ctx := engine.NewContext(prog, base, engine.Options{Plans: optimizer.NewPlanStore()})
 		if _, err := ctx.EvalRule(rule, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -223,8 +223,8 @@ func BenchmarkOptimizer(b *testing.B) {
 // E11: the adaptive optimizer loop. Each iteration models a transaction
 // re-entering fixpoint evaluation: a fresh engine context (per-context
 // plan memos are cold, as after a recompile) evaluates the same rule.
-// Without a plan store every re-entry re-runs sample-based ChooseOrder;
-// with one, the cached order is reused after the first decision.
+// Without a plan store every re-entry runs the compiler's order; with one,
+// the sampled order is chosen once and reused from the cache.
 func BenchmarkAdaptiveOptimizer(b *testing.B) {
 	prog := mustCompileB(b, `q(a, b, c) <- r(a, b), s(b, c), t(c).`)
 	r := relation.New(2)
@@ -237,24 +237,24 @@ func BenchmarkAdaptiveOptimizer(b *testing.B) {
 	tt = tt.Insert(tuple.Ints(17))
 	base := map[string]relation.Relation{"r": r, "s": s, "t": tt}
 	rule := prog.Rules[0]
-	b.Run("resample-per-tx", func(b *testing.B) {
+	b.Run("static", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ctx := engine.NewContext(prog, base, engine.Options{Optimize: true})
+			ctx := engine.NewContext(prog, base, engine.Options{})
 			if _, err := ctx.EvalRule(rule, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("plan-cache", func(b *testing.B) {
-		store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+		store := optimizer.NewPlanStore()
 		// Warm the store: first decision samples, the rest reuse it.
-		ctx := engine.NewContext(prog, base, engine.Options{Optimize: true, Plans: store})
+		ctx := engine.NewContext(prog, base, engine.Options{Plans: store})
 		if _, err := ctx.EvalRule(rule, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ctx := engine.NewContext(prog, base, engine.Options{Optimize: true, Plans: store})
+			ctx := engine.NewContext(prog, base, engine.Options{Plans: store})
 			if _, err := ctx.EvalRule(rule, nil); err != nil {
 				b.Fatal(err)
 			}

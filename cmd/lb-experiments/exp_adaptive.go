@@ -10,12 +10,11 @@ import (
 )
 
 // runAdaptive measures the feedback-driven optimizer loop: repeated exec
-// transactions over the same logic re-run sample-based join-order
-// selection from scratch with the plain optimizer, while the adaptive
-// plan store samples once and reuses the cached order until observed
-// costs or input cardinalities drift. The table reports, per variant,
-// the number of ChooseOrder sampling runs and the total transaction
-// time for the same workload.
+// transactions over the same logic run the compiler's static join order
+// without a plan store, while the adaptive plan store samples once and
+// reuses the cached order until observed costs or input cardinalities
+// drift. The table reports, per variant, the number of ChooseOrder
+// sampling runs and the total transaction time for the same workload.
 func runAdaptive(quick bool) {
 	txCount := 200
 	if quick {
@@ -26,7 +25,7 @@ func runAdaptive(quick bool) {
 		setup func(ws *core.Workspace) *core.Workspace
 	}
 	variants := []variant{
-		{"resample-per-tx", func(ws *core.Workspace) *core.Workspace { return ws.WithOptimizer(true) }},
+		{"static", func(ws *core.Workspace) *core.Workspace { return ws }},
 		{"plan-cache", func(ws *core.Workspace) *core.Workspace { return ws.WithAdaptiveOptimizer(true) }},
 	}
 	fmt.Printf("%-18s %-10s %-14s %-14s %-12s\n", "variant", "txs", "sampling runs", "cache hits", "total time")
@@ -46,8 +45,9 @@ func runAdaptive(quick bool) {
 		fmt.Printf("%-18s %-10d %-14d %-14d %-12s\n", v.name, txCount,
 			snap.Counters["optimizer.choose_order.calls"], snap.Counters["optimizer.plan.hits"], d.Round(time.Microsecond))
 	}
-	fmt.Println("claim check: the plan cache collapses per-transaction sampling to a handful of cold misses;")
-	fmt.Println("the adaptive variant's sampling runs stay constant as transactions grow.")
+	fmt.Println("claim check: the plan cache pays a handful of cold sampling runs, then every transaction reuses")
+	fmt.Println("the sampled order; its sampling runs stay constant as transactions grow. Total time also")
+	fmt.Println("counts the permuted indices a non-stored order rebuilds in every transaction.")
 }
 
 // adaptiveWorkload installs a three-atom join whose best order differs

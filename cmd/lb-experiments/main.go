@@ -56,7 +56,7 @@ var experiments = []experiment{
 	{"repair", "E3: fine-grained transaction repair vs coarse optimistic retry across α (paper §3.4)", runRepair},
 	{"solve", "E9: LP/MIP grounding, solving, and incremental re-grounding", runSolve},
 	{"predict", "E10: predict rules — learn and eval throughput and accuracy", runPredict},
-	{"adaptive", "E11: feedback-driven join-order optimization — plan cache vs per-tx re-sampling", runAdaptive},
+	{"adaptive", "E11: feedback-driven join-order optimization — compiler order vs plan cache", runAdaptive},
 }
 
 func main() {

@@ -292,7 +292,7 @@ func TestWorkspaceWithOptimizer(t *testing.T) {
 	build := func(opt bool) *Workspace {
 		ws := NewWorkspace()
 		if opt {
-			ws = ws.WithOptimizer(true)
+			ws = ws.WithAdaptiveOptimizer(true)
 		}
 		ws = mustAddBlock(t, ws, "g", `
 			edge(x, y) -> int(x), int(y).
@@ -305,7 +305,7 @@ func TestWorkspaceWithOptimizer(t *testing.T) {
 		t.Fatalf("optimizer changed results: %v vs %v",
 			plain.Relation("tri").Slice(), optimized.Relation("tri").Slice())
 	}
-	// The flag survives transactions.
+	// The plan store survives transactions.
 	next := mustExec(t, optimized, `+edge(2, 4).`)
 	if !next.Relation("tri").Contains(tuple.Ints(2, 3, 4)) {
 		t.Fatalf("tri after insert = %v", next.Relation("tri").Slice())

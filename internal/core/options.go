@@ -7,11 +7,6 @@ import "logicblox/internal/obs"
 // whole lineage inherits it.
 type Option func(*Workspace) *Workspace
 
-// OptOptimizer enables the sampling-based join-order optimizer.
-func OptOptimizer() Option {
-	return func(ws *Workspace) *Workspace { return ws.WithOptimizer(true) }
-}
-
 // OptAdaptiveOptimizer enables the adaptive optimizer with a fresh plan
 // store.
 func OptAdaptiveOptimizer() Option {

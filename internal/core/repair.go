@@ -49,18 +49,6 @@ func (rec *ExecRecord) Src() string { return rec.src }
 // Snapshot returns the workspace version the transaction executed on.
 func (rec *ExecRecord) Snapshot() *Workspace { return rec.snapshot }
 
-// ReadSet returns the number of recorded read intervals per predicate,
-// summed over the transaction's strata.
-func (rec *ExecRecord) ReadSet() map[string]int {
-	out := map[string]int{}
-	for _, st := range rec.strata {
-		for p, n := range st.sens.Counts() {
-			out[p] += n
-		}
-	}
-	return out
-}
-
 // RepairStats reports what a repair attempt did.
 type RepairStats struct {
 	// StrataTotal and StrataReused count the transaction's reactive
@@ -73,9 +61,8 @@ type RepairStats struct {
 }
 
 // ExecRecordedCtx runs an exec transaction like ExecCtx, additionally
-// returning the repair record for use on commit conflict. Recording
-// disables parallel rule evaluation for the transaction and costs the
-// sensitivity-interval bookkeeping, which is why it is opt-in.
+// returning the repair record for use on commit conflict. Recording costs
+// the sensitivity-interval bookkeeping, which is why it is opt-in.
 func (ws *Workspace) ExecRecordedCtx(rctx context.Context, src string) (*ExecResult, *ExecRecord, error) {
 	return ws.execCtx(rctx, src, true)
 }

@@ -157,7 +157,7 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	if err != nil {
 		return nil, fmt.Errorf("query %w: %w", ErrTypecheck, err)
 	}
-	ctx := engine.NewContext(combined, ws.relations(), engine.Options{Models: ws.models, Optimize: ws.optimize, Plans: ws.plans, Obs: ws.Observer(), Ctx: rctx})
+	ctx := ws.newContext(rctx, combined)
 	esp := sp.Child("eval")
 	ctx.SetSpan(esp)
 	answer := ws.streamableAnswer(combined)

@@ -184,7 +184,7 @@ type reactiveRun struct {
 // seedExecCtx builds the engine context for an exec transaction's
 // reactive phase over ws: current contents plus @start versions.
 func (ws *Workspace) seedExecCtx(rctx context.Context, combined *compiler.Program) *engine.Context {
-	ctx := engine.NewContext(combined, ws.relations(), engine.Options{Models: ws.models, Optimize: ws.optimize, Plans: ws.plans, Obs: ws.Observer(), Ctx: rctx})
+	ctx := ws.newContext(rctx, combined)
 	for p, info := range combined.Preds {
 		// relationOr, not Relation: a predicate first introduced by this
 		// transaction is unknown to ws.prog, and defaulting its @start
@@ -377,7 +377,7 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 // referential constraints) and Solve (feasible by construction) run
 // unchecked.
 func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, sp *obs.Span, check bool) (*Workspace, error) {
-	ctx := engine.NewContext(ws.prog, ws.relations(), engine.Options{Models: ws.models, Optimize: ws.optimize, Plans: ws.plans, Obs: ws.Observer(), Ctx: rctx})
+	ctx := ws.newContext(rctx, ws.prog)
 	out, err := ws.rederive(ctx, dirty, sp)
 	if err != nil || !check {
 		return out, err

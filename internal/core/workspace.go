@@ -27,17 +27,16 @@ import (
 // Workspace is one immutable version of the database: logic + data.
 // All mutating methods return a new Workspace.
 type Workspace struct {
-	blocks   pmap.Map[string]            // block name → LogiQL source
-	parsed   pmap.Map[*ast.Program]      // block name → parsed program
-	prog     *compiler.Program           // compiled program (shared, immutable)
-	base     pmap.Map[relation.Relation] // base predicate contents
-	ruleRes  pmap.Map[relation.Relation] // materialized result per rule of the non-recursive strata
-	derived  pmap.Map[relation.Relation] // derived predicate contents
-	models   *ml.Registry                // model store (append-only, shared across versions)
-	version  uint64
-	optimize bool                 // sampling-based join-order optimization (paper §3.2)
-	plans    *optimizer.PlanStore // adaptive plan cache (shared across versions; nil = re-sample every transaction)
-	obs      *obs.Registry        // transaction profiling target (nil → obs.Default)
+	blocks  pmap.Map[string]            // block name → LogiQL source
+	parsed  pmap.Map[*ast.Program]      // block name → parsed program
+	prog    *compiler.Program           // compiled program (shared, immutable)
+	base    pmap.Map[relation.Relation] // base predicate contents
+	ruleRes pmap.Map[relation.Relation] // materialized result per rule of the non-recursive strata
+	derived pmap.Map[relation.Relation] // derived predicate contents
+	models  *ml.Registry                // model store (append-only, shared across versions)
+	version uint64
+	plans   *optimizer.PlanStore // sampled join orders (paper §3.2), shared across versions; nil = the compiler's orders
+	obs     *obs.Registry        // transaction profiling target (nil → obs.Default)
 }
 
 // NewWorkspace returns an empty workspace with no logic and no data.
@@ -61,33 +60,31 @@ func NewWorkspace() *Workspace {
 // branch's history).
 func (ws *Workspace) Version() uint64 { return ws.version }
 
-// WithOptimizer returns a workspace whose evaluations use the
-// sampling-based variable-order optimizer (paper §3.2). The flag is
-// inherited by branches and subsequent versions.
-func (ws *Workspace) WithOptimizer(on bool) *Workspace {
+// WithAdaptiveOptimizer returns a workspace whose evaluations use the
+// feedback-driven adaptive optimizer: each rule's variable order is chosen
+// by the sampling optimizer (paper §3.2), and chosen orders persist in a
+// plan store shared by every version and branch derived from this
+// workspace (like the model registry). Subsequent transactions reuse
+// cached orders and re-run sampling only when the engine's observed
+// evaluation costs drift past the store's threshold, when input
+// cardinalities change materially, or when a schema change invalidates
+// the plan. Passing false detaches the store: rules run in the compiler's
+// order.
+func (ws *Workspace) WithAdaptiveOptimizer(on bool) *Workspace {
 	cp := *ws
-	cp.optimize = on
+	cp.plans = nil
+	if on {
+		cp.plans = optimizer.NewPlanStore()
+	}
 	return &cp
 }
 
-// WithAdaptiveOptimizer returns a workspace whose evaluations use the
-// feedback-driven adaptive optimizer: the sampling optimizer is on, and
-// chosen variable orders persist in a plan store shared by every version
-// and branch derived from this workspace (like the model registry).
-// Subsequent transactions reuse cached orders and re-run sampling only
-// when the engine's observed evaluation costs drift past the store's
-// threshold, when input cardinalities change materially, or when a
-// schema change invalidates the plan. Passing false detaches the store
-// and reverts to per-transaction sampling.
-func (ws *Workspace) WithAdaptiveOptimizer(on bool) *Workspace {
-	cp := *ws
-	cp.optimize = on
-	if on {
-		cp.plans = optimizer.NewPlanStore(optimizer.StoreOptions{})
-	} else {
-		cp.plans = nil
-	}
-	return &cp
+// newContext is the one place a workspace builds an engine evaluation
+// context: prog (the installed program, or it combined with a
+// transaction's or query's own rules) over this version's relations, with
+// the lineage's models, plan store and observer, bounded by rctx.
+func (ws *Workspace) newContext(rctx context.Context, prog *compiler.Program) *engine.Context {
+	return engine.NewContext(prog, ws.relations(), engine.Options{Models: ws.models, Plans: ws.plans, Obs: ws.Observer(), Ctx: rctx})
 }
 
 // PlanStore returns the adaptive optimizer's plan cache, or nil when the

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"logicblox/internal/obs"
@@ -30,7 +32,7 @@ func TestPlanStoreWarmCacheSkipsChooseOrder(t *testing.T) {
 	prog := mustCompile(t, `q(a, b, c) <- r(a, b), s(b, c), t(c).`)
 	base := adaptiveBase()
 	rule := prog.Rules[0]
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	reg := obs.NewRegistry()
 
 	want, err := NewContext(prog, base, Options{}).EvalRule(rule, nil)
@@ -39,7 +41,7 @@ func TestPlanStoreWarmCacheSkipsChooseOrder(t *testing.T) {
 	}
 
 	// Cold: the first context pays one sampling run.
-	cold := NewContext(prog, base, Options{Optimize: true, Plans: store, Obs: reg})
+	cold := NewContext(prog, base, Options{Plans: store, Obs: reg})
 	got, err := cold.EvalRule(rule, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func TestPlanStoreWarmCacheSkipsChooseOrder(t *testing.T) {
 
 	// Warm: three new contexts over the same data skip sampling entirely.
 	for i := 0; i < 3; i++ {
-		warm := NewContext(prog, base, Options{Optimize: true, Plans: store, Obs: reg})
+		warm := NewContext(prog, base, Options{Plans: store, Obs: reg})
 		got, err := warm.EvalRule(rule, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -104,10 +106,10 @@ func TestPlanStoreFeedsObservations(t *testing.T) {
 	prog := mustCompile(t, `q(a, b, c) <- r(a, b), s(b, c), t(c).`)
 	base := adaptiveBase()
 	rule := prog.Rules[0]
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 
 	// No obs registry attached: observations must still flow.
-	ctx := NewContext(prog, base, Options{Optimize: true, Plans: store})
+	ctx := NewContext(prog, base, Options{Plans: store})
 	if _, err := ctx.EvalRule(rule, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +125,52 @@ func TestPlanStoreFeedsObservations(t *testing.T) {
 	}
 }
 
-// TestPlanStoreIgnoredWhenOptimizeOff: attaching a store without
-// Optimize must leave it untouched (heuristic order only).
-func TestPlanStoreIgnoredWhenOptimizeOff(t *testing.T) {
-	prog := mustCompile(t, `q(a, b, c) <- r(a, b), s(b, c), t(c).`)
+// TestPlanStoreIgnoresPartialEvaluations: an evaluation that did not run to
+// exhaustion (here: cancelled mid-join) has counted only part of the plan's
+// cost. Fed to the store as the first observation it would become the
+// baseline, and every later complete evaluation would exceed the drift
+// threshold, mark the plan stale and re-sample — plan-cache thrash caused by
+// one timed-out request.
+func TestPlanStoreIgnoresPartialEvaluations(t *testing.T) {
+	prog := mustCompile(t, `q(a, b, c) <- r(a, b), s(b, c).`) // thousands of iterator operations, far above the drift floor
 	base := adaptiveBase()
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
-	ctx := NewContext(prog, base, Options{Plans: store})
-	if _, err := ctx.EvalRule(prog.Rules[0], nil); err != nil {
+	rule := prog.Rules[0]
+	store := optimizer.NewPlanStore()
+
+	rctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := NewContext(prog, base, Options{Plans: store, Ctx: rctx})
+	chosen, _, err := store.Choose(rule, ctx.Relation)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 0 {
-		t.Fatalf("store populated with Optimize off: %d entries", store.Len())
+	b, err := ctx.Bindings(chosen.Plan, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := store.Stats(); st != (optimizer.StoreStats{}) {
-		t.Fatalf("store counters moved with Optimize off: %+v", st)
+	if _, ok := b.Next(); !ok {
+		t.Fatalf("no first binding: %v", b.Err())
+	}
+	cancel()
+	if _, ok := b.Next(); ok || !errors.Is(b.Err(), context.Canceled) {
+		t.Fatalf("cancelled cursor: ok=%v err=%v, want context.Canceled", ok, b.Err())
+	}
+	b.Close()
+	if snap := store.Snapshot()[0]; snap.ObsEvals != 0 || snap.BaselineOps != 0 {
+		t.Fatalf("partial evaluation was observed: %+v", snap)
+	}
+
+	// Two complete evaluations: the first sets the baseline, the second
+	// matches it, so the plan stays trusted and is reused.
+	for i := 0; i < 2; i++ {
+		if _, err := NewContext(prog, base, Options{Plans: store}).EvalRule(rule, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap := store.Snapshot()[0]; snap.Stale || snap.ObsEvals != 2 || snap.BaselineOps != snap.LastOps {
+		t.Fatalf("complete evaluations after a partial one: %+v", snap)
+	}
+	if st := store.Stats(); st.Redecisions != 0 {
+		t.Fatalf("plan re-sampled after a cancelled evaluation: %+v", st)
 	}
 }

@@ -31,7 +31,7 @@ type Bindings struct {
 	it       *lftj.Iter     // nil for a body-free rule: one empty binding
 	m        *lftj.Metrics  // nil when nobody reads the join's counters
 	rs       *obs.RuleStats // nil when observability is off
-	observe  bool           // feed m back into the plan store on Close
+	observe  bool           // feed m back into the plan store on a complete Close
 	delta    bool           // evaluated with per-atom overrides
 	t0       time.Time      // for the rule profile's evaluation time
 	n        int64          // bindings yielded so far
@@ -75,7 +75,7 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 	// iterator-operation counts back into the plan store, which is what
 	// arms its drift detection — so metrics are collected whenever the
 	// store needs them, even with observability off.
-	b.observe = c.planStore != nil && c.optimize && overrides == nil && r.NumJoinVars > 1
+	b.observe = c.planStore != nil && overrides == nil && r.NumJoinVars > 1
 	if b.rs != nil || b.observe {
 		b.m = &lftj.Metrics{}
 		j.SetMetrics(b.m)
@@ -183,13 +183,17 @@ func (b *Bindings) Err() error { return b.err }
 
 // Close releases the join's trie iterators and records the evaluation:
 // duration, bindings yielded and seek/next counts into the rule's
-// profile, and — for full evaluations of multi-variable plans — the
-// iterator-operation count into the plan store. Idempotent.
+// profile, and — for full evaluations of multi-variable plans that ran to
+// exhaustion without error — the iterator-operation count into the plan
+// store. A cursor abandoned early (deadline, error, a consumer that stopped
+// pulling) has counted only part of the plan's cost; as a baseline it would
+// make every later complete evaluation look like drift. Idempotent.
 func (b *Bindings) Close() {
 	if b.closed {
 		return
 	}
 	b.closed = true
+	exhausted := b.done && b.err == nil
 	b.done = true
 	if b.it != nil {
 		b.it.Close()
@@ -201,7 +205,7 @@ func (b *Bindings) Close() {
 	}
 	if b.m != nil {
 		b.rs.AddJoin(b.m.Seeks, b.m.Nexts, b.m.SensRecords)
-		if b.observe {
+		if b.observe && exhausted {
 			b.c.planStore.Observe(b.r, b.m.Seeks+b.m.Nexts)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/lftj"
@@ -25,21 +24,13 @@ type Options struct {
 	// Models stores trained models for predict rules. Required if the
 	// program contains predict rules.
 	Models *ml.Registry
-	// Optimize enables the sampling-based variable-order optimizer
-	// (paper §3.2): each rule's join order is chosen by comparing
-	// candidate orders on predicate samples, cached per rule.
-	Optimize bool
-	// Plans, if non-nil (and Optimize is on), is a cross-transaction plan
-	// cache: chosen orders are reused by rule fingerprint and re-sampled
-	// only when observed evaluation cost or input cardinalities drift
-	// (the adaptive optimizer loop). Observed seek/next counts are fed
-	// back into the store after every full rule evaluation.
+	// Plans is the one join-order switch. Non-nil: each rule's variable
+	// order is chosen by the sampling optimizer (paper §3.2) through this
+	// cross-transaction plan cache — reused by rule fingerprint, re-sampled
+	// only when observed evaluation cost or input cardinalities drift, and
+	// fed the seek/next counts of every complete rule evaluation. Nil:
+	// every rule runs in the compiler's order.
 	Plans *optimizer.PlanStore
-	// Parallel, when > 1, evaluates independent rules of a non-recursive
-	// stratum concurrently with up to Parallel workers (the automatic
-	// parallelization of queries and views, paper T1). Ignored while a
-	// sensitivity index is recording.
-	Parallel int
 	// Obs, if non-nil, receives per-rule profiles (eval time, tuples
 	// produced, LFTJ seek/next counts), per-stratum spans, and fixpoint
 	// counters. When nil, the process-wide obs.Default() registry is used
@@ -64,14 +55,11 @@ type Context struct {
 	perms     map[string]relation.Relation // secondary-index cache
 	models    *ml.Registry
 	sens      *lftj.SensitivityIndex
-	optimize  bool
-	planStore *optimizer.PlanStore
-	parallel  int
+	planStore *optimizer.PlanStore         // nil = the compiler's join orders
 	obs       *obs.Registry                // nil = instrumentation off
 	ctx       context.Context              // nil = unbounded evaluation
 	done      <-chan struct{}              // ctx.Done(), nil when unbounded
 	span      *obs.Span                    // parent for stratum spans (may be nil)
-	mu        sync.Mutex                   // guards perms, plans and ruleStats during parallel evaluation
 	plans     map[int]*compiler.RulePlan   // optimizer decisions, by rule ID
 	ruleStats map[int]*obs.RuleStats       // cached per-rule profile handles
 	capture   map[string]relation.Relation // per-head union of rule outputs (nil = off)
@@ -89,9 +77,7 @@ func NewContext(prog *compiler.Program, base map[string]relation.Relation, opts 
 		rels:      make(map[string]relation.Relation, len(base)+8),
 		perms:     map[string]relation.Relation{},
 		models:    opts.Models,
-		optimize:  opts.Optimize,
 		planStore: opts.Plans,
-		parallel:  opts.Parallel,
 		obs:       reg,
 		ctx:       opts.Ctx,
 		plans:     map[int]*compiler.RulePlan{},
@@ -190,35 +176,15 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 	}
 	defer sp.End()
 
-	// First pass: full evaluation — in parallel across the stratum's
-	// rules when enabled (they are independent: all read lower strata).
+	// First pass: full evaluation of every rule against the state before
+	// the stratum (the rules are independent: all read lower strata).
 	results := make([]relation.Relation, len(rules))
-	errs := make([]error, len(rules))
-	first := func(i int) { results[i], errs[i] = c.evalRuleUnder(sp, rules[i], nil) }
-	if c.parallel > 1 && !recursive && c.sens == nil && len(rules) > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, c.parallel)
-		for i := range rules {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				first(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range rules {
-			if first(i); errs[i] != nil {
-				break
-			}
-		}
-	}
-	for _, err := range errs {
+	for i, r := range rules {
+		out, err := c.evalRuleUnder(sp, r, nil)
 		if err != nil {
 			return err
 		}
+		results[i] = out
 	}
 	deltas := map[string]relation.Relation{}
 	for i, r := range rules {
@@ -296,8 +262,7 @@ func (c *Context) propagate(sp *obs.Span, rules []*compiler.RulePlan, deltas map
 }
 
 // absorb unions one rule evaluation's output into its head predicate and
-// adds the tuples that were new to the head to deltas. Serial sections
-// only.
+// adds the tuples that were new to the head to deltas.
 func (c *Context) absorb(head string, derived relation.Relation, deltas map[string]relation.Relation) {
 	c.captureDerived(head, derived)
 	cur := c.Relation(head)
@@ -334,7 +299,7 @@ func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 	// The optimizer rewrites the whole plan (join order, atom indices,
 	// and every slot-referencing expression together), so the swap must
 	// happen before the cursor and the accumulators are built.
-	if c.optimize && overrides == nil && r.NumJoinVars > 1 {
+	if c.planStore != nil && overrides == nil && r.NumJoinVars > 1 {
 		r = c.optimizedPlan(r)
 	}
 	b, err := c.Bindings(r, overrides)
@@ -421,16 +386,11 @@ func (c *Context) permuted(name string, rel relation.Relation, perm []int) relat
 	}
 	fmt.Fprintf(&sb, "#%x", rel.StructuralHash())
 	key := sb.String()
-	c.mu.Lock()
 	if r, ok := c.perms[key]; ok {
-		c.mu.Unlock()
 		return r
 	}
-	c.mu.Unlock()
 	r := rel.Permuted(perm)
-	c.mu.Lock()
 	c.perms[key] = r
-	c.mu.Unlock()
 	return r
 }
 
@@ -475,44 +435,26 @@ func (r ctxResolver) Exists(name string, pattern []tuple.Value, wild []bool) boo
 	return r.c.Relation(name).MatchExists(pattern, wild)
 }
 
-// optimizedPlan returns (and caches per context) the optimized variant
-// of a rule plan. With a plan store attached, the cross-transaction
-// cached order is reused when fresh and sampling runs only on a miss or
-// after drift; without one, every new context re-runs sampling.
+// optimizedPlan returns (and caches per context) the plan store's variant
+// of a rule plan: the cross-transaction cached order when it is still
+// trusted, a freshly sampled one on a miss or after drift. Only called with
+// a plan store attached.
 func (c *Context) optimizedPlan(r *compiler.RulePlan) *compiler.RulePlan {
-	c.mu.Lock()
 	if p, ok := c.plans[r.ID]; ok {
-		c.mu.Unlock()
 		return p
 	}
-	c.mu.Unlock()
 	plan := r
-	var order []int
-	cached := false
-	if c.planStore != nil {
-		res, hit, err := c.planStore.Choose(r, c.Relation)
-		if err == nil && res.Plan != nil {
-			plan, order, cached = res.Plan, res.Order, hit
-			if hit {
-				c.obs.Counter("optimizer.plan.hits").Inc()
-			} else {
-				c.obs.Counter("optimizer.plan.misses").Inc()
-				c.obs.Counter("optimizer.choose_order.calls").Inc()
-			}
-		}
-	} else {
-		res, err := optimizer.ChooseOrder(r, c.Relation, optimizer.Options{})
-		if err == nil && res.Plan != nil {
-			plan, order = res.Plan, res.Order
+	if res, hit, err := c.planStore.Choose(r, c.Relation); err == nil && res.Plan != nil {
+		plan = res.Plan
+		if hit {
+			c.obs.Counter("optimizer.plan.hits").Inc()
+		} else {
+			c.obs.Counter("optimizer.plan.misses").Inc()
 			c.obs.Counter("optimizer.choose_order.calls").Inc()
 		}
+		c.ruleStatsFor(r).SetPlan(orderString(res.Order), hit)
 	}
-	if order != nil {
-		c.ruleStatsFor(r).SetPlan(orderString(order), cached)
-	}
-	c.mu.Lock()
 	c.plans[r.ID] = plan
-	c.mu.Unlock()
 	return plan
 }
 

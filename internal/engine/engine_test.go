@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -409,65 +408,34 @@ func TestSensitivityRecordingDuringEval(t *testing.T) {
 	}
 }
 
-func TestParallelEvaluationEquivalence(t *testing.T) {
-	// Many independent rules in one schema: parallel evaluation must match
-	// serial results exactly.
-	src := ""
-	base := map[string]relation.Relation{}
-	for i := 0; i < 12; i++ {
-		src += fmt.Sprintf("v%02d(a, c) <- r%02d(a, b), s%02d(b, c).\n", i, i, i)
-		r := relation.New(2)
-		s := relation.New(2)
-		for j := int64(0); j < 200; j++ {
-			r = r.Insert(tuple.Ints(j%20, (j+int64(i))%15))
-			s = s.Insert(tuple.Ints(j%15, (j*3+int64(i))%25))
-		}
-		base[fmt.Sprintf("r%02d", i)] = r
-		base[fmt.Sprintf("s%02d", i)] = s
-	}
-	prog := mustCompile(t, src)
-
-	serial := NewContext(prog, base, Options{})
-	if err := serial.EvalAll(); err != nil {
-		t.Fatal(err)
-	}
-	parallel := NewContext(prog, base, Options{Parallel: 4})
-	if err := parallel.EvalAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		name := fmt.Sprintf("v%02d", i)
-		if !serial.Relation(name).Equal(parallel.Relation(name)) {
-			t.Fatalf("%s differs between serial and parallel evaluation", name)
-		}
-	}
-}
-
-func TestParallelWithSecondaryIndexes(t *testing.T) {
-	// Rules needing permuted indices share the perm cache under the mutex.
+func TestRulesShareSecondaryIndex(t *testing.T) {
+	// Several rules needing the same permuted index of the same relation
+	// version build it once: they share one entry of the context's cache.
 	src := `
 		a1(x, y) <- e(y, x), f(x).
 		a2(x, y) <- e(y, x), g(x).
 		a3(x, y) <- e(y, x), h(x).`
 	e := relation.New(2)
 	uf := relation.New(1)
+	want := relation.New(2)
 	for i := int64(0); i < 300; i++ {
 		e = e.Insert(tuple.Ints(i%30, i%17))
 		uf = uf.Insert(tuple.Ints(i % 13))
+		if i%17 < 13 {
+			want = want.Insert(tuple.Ints(i%17, i%30))
+		}
 	}
 	base := map[string]relation.Relation{"e": e, "f": uf, "g": uf, "h": uf}
-	prog := mustCompile(t, src)
-	serial := NewContext(prog, base, Options{})
-	if err := serial.EvalAll(); err != nil {
-		t.Fatal(err)
-	}
-	par := NewContext(prog, base, Options{Parallel: 3})
-	if err := par.EvalAll(); err != nil {
+	ctx := NewContext(mustCompile(t, src), base, Options{})
+	if err := ctx.EvalAll(); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []string{"a1", "a2", "a3"} {
-		if !serial.Relation(n).Equal(par.Relation(n)) {
-			t.Fatalf("%s differs", n)
+		if !ctx.Relation(n).Equal(want) {
+			t.Fatalf("%s = %d tuples, want %d", n, ctx.Relation(n).Len(), want.Len())
 		}
+	}
+	if len(ctx.perms) != 1 {
+		t.Fatalf("context built %d permuted indices, want 1 shared by the three rules", len(ctx.perms))
 	}
 }

@@ -98,9 +98,7 @@ func (c *Context) TakeDerivedCapture() map[string]relation.Relation {
 }
 
 // captureDerived folds one rule-evaluation output into the running
-// capture. Only called from serial sections of EvalStratum (the
-// post-parallel results loop and the fixpoint rounds), so no locking is
-// needed.
+// capture.
 func (c *Context) captureDerived(head string, r relation.Relation) {
 	if c.capture == nil || r.IsEmpty() {
 		return

@@ -9,10 +9,8 @@ import (
 // instrumentation). The incremental-maintenance and transaction layers
 // use this to share one registry across many contexts.
 func (c *Context) SetObserver(reg *obs.Registry) {
-	c.mu.Lock()
 	c.obs = reg
 	c.ruleStats = map[int]*obs.RuleStats{}
-	c.mu.Unlock()
 }
 
 // Observer returns the registry evaluations record into, or nil.
@@ -30,12 +28,10 @@ func (c *Context) ruleStatsFor(r *compiler.RulePlan) *obs.RuleStats {
 	if c.obs == nil {
 		return nil
 	}
-	c.mu.Lock()
 	rs, ok := c.ruleStats[r.ID]
 	if !ok {
 		rs = c.obs.Rule(r.ID, r.HeadName, r.Source)
 		c.ruleStats[r.ID] = rs
 	}
-	c.mu.Unlock()
 	return rs
 }

@@ -44,13 +44,3 @@ func deltaHits(idx *lftj.SensitivityIndex, acc map[string]Delta) bool {
 	}
 	return false
 }
-
-// SensitivityProbes reports how many intervals are currently recorded
-// (for diagnostics and benchmarks).
-func (m *Maintainer) SensitivityProbes() int {
-	n := 0
-	for _, idx := range m.sens {
-		n += idx.Len()
-	}
-	return n
-}

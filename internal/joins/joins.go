@@ -44,27 +44,6 @@ func HashJoin(l, r relation.Relation, lCols, rCols []int) []tuple.Tuple {
 	return out
 }
 
-// HashJoinTuples is HashJoin over a materialized intermediate result
-// (slices of tuples), joining interm[iCols] with r[rCols].
-func HashJoinTuples(interm []tuple.Tuple, r relation.Relation, iCols, rCols []int) []tuple.Tuple {
-	build := make(map[string][]tuple.Tuple, len(interm))
-	for _, t := range interm {
-		k := hashKey(t, iCols)
-		build[k] = append(build[k], t)
-	}
-	var out []tuple.Tuple
-	r.ForEach(func(t tuple.Tuple) bool {
-		for _, lt := range build[hashKey(t, rCols)] {
-			joined := make(tuple.Tuple, 0, len(lt)+len(t))
-			joined = append(joined, lt...)
-			joined = append(joined, t...)
-			out = append(out, joined)
-		}
-		return true
-	})
-	return out
-}
-
 // SemiJoin filters interm, keeping tuples whose projection onto cols is
 // present in r.
 func SemiJoin(interm []tuple.Tuple, r relation.Relation, cols []int) []tuple.Tuple {

@@ -2,6 +2,7 @@ package lftj
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -471,8 +472,15 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 		t.Fatalf("partitioned count %d != serial %d (cuts %v)", got, want, cuts)
 	}
 
-	// Collect variant: same multiset of bindings.
-	rows, err := PartitionedCollect(3, mkAtoms, cuts, 3)
+	// The bindings themselves: same multiset, each found by one partition.
+	var mu sync.Mutex
+	var rows []tuple.Tuple
+	err = PartitionedRun(3, mkAtoms, cuts, 3, func(b tuple.Tuple) bool {
+		mu.Lock()
+		rows = append(rows, b.Clone())
+		mu.Unlock()
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

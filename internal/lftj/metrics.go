@@ -6,21 +6,14 @@ package lftj
 // 2014) bounds, so they are what a profile of a slow join should show.
 //
 // A Metrics value uses plain (non-atomic) counters and must be owned by a
-// single join run at a time; concurrent runs each use their own Metrics
-// and fold them together with Merge. Attach with Join.SetMetrics. A nil
+// single join run at a time; concurrent runs each use their own Metrics.
+// Attach with Join.SetMetrics. A nil
 // *Metrics disables counting at the cost of one pointer test per
 // operation.
 type Metrics struct {
 	Seeks       int64 // Seek calls issued to trie iterators
 	Nexts       int64 // Next calls issued to trie iterators
 	SensRecords int64 // sensitivity intervals recorded
-}
-
-// Merge folds o into m.
-func (m *Metrics) Merge(o Metrics) {
-	m.Seeks += o.Seeks
-	m.Nexts += o.Nexts
-	m.SensRecords += o.SensRecords
 }
 
 // SetMetrics attaches a work counter to subsequent runs of the join (nil

@@ -121,18 +121,9 @@ func Quantiles(sample relation.Relation, parts int) []tuple.Value {
 // len(cuts)+1 ranges; mkAtoms must build a fresh, independent atom list
 // per partition (iterators are stateful). emit is called concurrently
 // from partition workers and must be safe for concurrent use — or use
-// PartitionedCount / PartitionedCollect.
+// PartitionedCount.
 func PartitionedRun(numVars int, mkAtoms func() []Atom, cuts []tuple.Value,
 	workers int, emit func(binding tuple.Tuple) bool) error {
-	return PartitionedRunMetrics(numVars, mkAtoms, cuts, workers, nil, emit)
-}
-
-// PartitionedRunMetrics is PartitionedRun with work counting: each
-// partition counts into its own local Metrics, and the totals are folded
-// into m (when non-nil) after all partitions finish, so the per-partition
-// hot loops stay free of shared atomic counters.
-func PartitionedRunMetrics(numVars int, mkAtoms func() []Atom, cuts []tuple.Value,
-	workers int, m *Metrics, emit func(binding tuple.Tuple) bool) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -140,7 +131,6 @@ func PartitionedRunMetrics(numVars int, mkAtoms func() []Atom, cuts []tuple.Valu
 	errs := make([]error, len(bounds))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	parts := make([]Metrics, len(bounds))
 	for i, b := range bounds {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -156,18 +146,10 @@ func PartitionedRunMetrics(numVars int, mkAtoms func() []Atom, cuts []tuple.Valu
 				errs[i] = err
 				return
 			}
-			if m != nil {
-				j.SetMetrics(&parts[i])
-			}
 			j.Run(emit)
 		}(i, b[0], b[1])
 	}
 	wg.Wait()
-	if m != nil {
-		for i := range parts {
-			m.Merge(parts[i])
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -198,21 +180,6 @@ func PartitionedCount(numVars int, mkAtoms func() []Atom, cuts []tuple.Value, wo
 		return true
 	})
 	return n, err
-}
-
-// PartitionedCollect gathers all bindings across a domain decomposition
-// (order is per-partition ascending but partitions may interleave).
-func PartitionedCollect(numVars int, mkAtoms func() []Atom, cuts []tuple.Value, workers int) ([]tuple.Tuple, error) {
-	var mu sync.Mutex
-	var out []tuple.Tuple
-	err := PartitionedRun(numVars, mkAtoms, cuts, workers, func(b tuple.Tuple) bool {
-		c := b.Clone()
-		mu.Lock()
-		out = append(out, c)
-		mu.Unlock()
-		return true
-	})
-	return out, err
 }
 
 var _ trie.Iterator = (*RangeIterator)(nil)

@@ -254,16 +254,6 @@ func newBucket(group []Interval) *bucket {
 	return b
 }
 
-// AffectedAny reports whether any of the changes intersects the index.
-func (x *SensitivityIndex) AffectedAny(pred string, ts []tuple.Tuple) bool {
-	for _, t := range ts {
-		if x.Affected(pred, t) {
-			return true
-		}
-	}
-	return false
-}
-
 // Merge folds the intervals of o into x.
 func (x *SensitivityIndex) Merge(o *SensitivityIndex) {
 	for pred, ivs := range o.byPred {
@@ -299,17 +289,6 @@ func (x *SensitivityIndex) Intervals(pred string) []Interval {
 		return tuple.Less(ivs[i].Lo, ivs[j].Lo)
 	})
 	return ivs
-}
-
-// Counts returns the number of recorded intervals per predicate — the
-// per-evaluation read-set summary that transaction repair (paper §3.4)
-// reports alongside its intersection outcome.
-func (x *SensitivityIndex) Counts() map[string]int {
-	out := make(map[string]int, len(x.byPred))
-	for p, ivs := range x.byPred {
-		out[p] = len(ivs)
-	}
-	return out
 }
 
 // Preds returns the predicates with recorded intervals, sorted.

@@ -32,7 +32,11 @@ func compileRule(t *testing.T, src string) (*compiler.Program, *compiler.RulePla
 // relation of the first rule.
 func evalWith(t *testing.T, prog *compiler.Program, base map[string]relation.Relation, optimize bool) relation.Relation {
 	t.Helper()
-	ctx := engine.NewContext(prog, base, engine.Options{Optimize: optimize})
+	var opts engine.Options
+	if optimize {
+		opts.Plans = optimizer.NewPlanStore()
+	}
+	ctx := engine.NewContext(prog, base, opts)
 	if err := ctx.EvalAll(); err != nil {
 		t.Fatal(err)
 	}

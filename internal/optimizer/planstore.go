@@ -17,14 +17,13 @@ import (
 // costs the engine actually observed executing the plan. On the next
 // compile or fixpoint re-entry the cached order is reused outright;
 // sample-based ChooseOrder re-runs only when the observed per-evaluation
-// cost drifts past DriftFactor times the cost recorded when the plan was
+// cost drifts past driftFactor times the cost recorded when the plan was
 // chosen, or when an input relation's cardinality changes by more than
-// CardRatio. This closes the measure→decide→re-measure loop the paper's
+// cardRatio. This closes the measure→decide→re-measure loop the paper's
 // §3.2 sampling optimizer leaves open: real profiles replace sample
 // replay as the keep-or-replan signal once they exist.
 type PlanStore struct {
 	mu      sync.Mutex
-	opts    StoreOptions
 	entries map[string]*planEntry
 
 	hits        int64 // cached order reused
@@ -33,24 +32,20 @@ type PlanStore struct {
 	invalidated int64 // entries dropped by schema-change invalidation
 }
 
-// StoreOptions tune the plan cache's staleness tests.
-type StoreOptions struct {
-	// DriftFactor re-triggers sampling when a rule evaluation's observed
-	// iterator operations exceed DriftFactor × the baseline recorded when
-	// the plan was chosen (default 2.0).
-	DriftFactor float64
-	// CardRatio re-triggers sampling when any input relation's
-	// cardinality grows or shrinks by more than this ratio relative to
-	// plan-choice time (default 2.0).
-	CardRatio float64
-	// Optimizer configures the sampling runs the store falls back to.
-	Optimizer Options
-}
-
-// driftFloor is the minimum baseline (in iterator operations) the drift
-// test applies to: below it, absolute costs are noise and a 2× blowup is
-// meaningless.
-const driftFloor = 64
+// The plan cache's staleness tests.
+const (
+	// driftFactor re-triggers sampling when a rule evaluation's observed
+	// iterator operations exceed driftFactor × the baseline recorded when
+	// the plan was chosen.
+	driftFactor = 2.0
+	// cardRatio re-triggers sampling when any input relation's cardinality
+	// grows or shrinks by more than this ratio relative to plan-choice time.
+	cardRatio = 2.0
+	// driftFloor is the minimum baseline (in iterator operations) the drift
+	// test applies to: below it, absolute costs are noise and a 2× blowup
+	// is meaningless.
+	driftFloor = 64
+)
 
 type planEntry struct {
 	fingerprint string
@@ -65,7 +60,7 @@ type planEntry struct {
 	// Observed (obs-fed) cost model: per-evaluation iterator operations
 	// measured by the engine executing this plan for real. The first
 	// observation after plan choice becomes the baseline; later
-	// evaluations exceeding DriftFactor × baseline mark the entry stale.
+	// evaluations exceeding driftFactor × baseline mark the entry stale.
 	// history keeps the most recent observations (up to historyCap) so
 	// drift is visible as a trajectory, not just its endpoints.
 	baselineOps int64
@@ -78,7 +73,7 @@ type planEntry struct {
 }
 
 // historyCap bounds the per-plan drift history: enough to see a trend
-// build toward the DriftFactor threshold, small enough to cost nothing.
+// build toward the driftFactor threshold, small enough to cost nothing.
 const historyCap = 16
 
 // pushHistory appends ops to the bounded observation history.
@@ -91,14 +86,8 @@ func (e *planEntry) pushHistory(ops int64) {
 }
 
 // NewPlanStore returns an empty plan cache.
-func NewPlanStore(opts StoreOptions) *PlanStore {
-	if opts.DriftFactor <= 1 {
-		opts.DriftFactor = 2.0
-	}
-	if opts.CardRatio <= 1 {
-		opts.CardRatio = 2.0
-	}
-	return &PlanStore{opts: opts, entries: map[string]*planEntry{}}
+func NewPlanStore() *PlanStore {
+	return &PlanStore{entries: map[string]*planEntry{}}
 }
 
 // Fingerprint identifies a rule across recompilations: head, source
@@ -131,7 +120,7 @@ func (s *PlanStore) Choose(r *compiler.RulePlan, rels func(name string) relation
 
 	s.mu.Lock()
 	e, ok := s.entries[fp]
-	if ok && !e.stale && cardsFresh(e.cards, cards, s.opts.CardRatio) {
+	if ok && !e.stale && cardsFresh(e.cards, cards) {
 		order := append([]int(nil), e.order...)
 		cost := e.sampleCost
 		e.hits++
@@ -148,10 +137,9 @@ func (s *PlanStore) Choose(r *compiler.RulePlan, rels func(name string) relation
 	} else {
 		s.misses++
 	}
-	opts := s.opts.Optimizer
 	s.mu.Unlock()
 
-	res, err = ChooseOrder(r, rels, opts)
+	res, err = ChooseOrder(r, rels, Options{})
 	if err != nil {
 		return nil, false, err
 	}
@@ -182,7 +170,7 @@ func (s *PlanStore) Choose(r *compiler.RulePlan, rels func(name string) relation
 // Observe feeds one real rule evaluation's iterator-operation count back
 // into the cache. The first observation after plan choice fixes the
 // baseline of the obs-fed cost model; a later evaluation exceeding
-// DriftFactor × baseline marks the entry stale, so the next Choose
+// driftFactor × baseline marks the entry stale, so the next Choose
 // re-runs sampling instead of trusting the cached order.
 func (s *PlanStore) Observe(r *compiler.RulePlan, ops int64) {
 	if s == nil {
@@ -206,7 +194,7 @@ func (s *PlanStore) Observe(r *compiler.RulePlan, ops int64) {
 		}
 		return
 	}
-	if float64(ops) > s.opts.DriftFactor*float64(e.baselineOps) {
+	if float64(ops) > driftFactor*float64(e.baselineOps) {
 		e.stale = true
 	}
 }
@@ -387,8 +375,8 @@ func (s *PlanStore) Export() []SavedPlan {
 // Seed installs previously exported plans into the cache (skipping
 // fingerprints already present). Restored entries behave exactly like
 // freshly chosen ones: they are reused while input cardinalities stay
-// within CardRatio of the saved values and observed costs stay under
-// DriftFactor × the saved baseline.
+// within cardRatio of the saved values and observed costs stay under
+// driftFactor × the saved baseline.
 func (s *PlanStore) Seed(plans []SavedPlan) {
 	if s == nil || len(plans) == 0 {
 		return
@@ -482,17 +470,17 @@ func inputCards(r *compiler.RulePlan, rels func(name string) relation.Relation) 
 }
 
 // cardsFresh reports whether current input cardinalities are within
-// ratio of the ones recorded at plan-choice time. The +1 smoothing keeps
+// cardRatio of the ones recorded at plan-choice time. The +1 smoothing keeps
 // empty-relation transitions from dividing by zero while still flagging
 // 0→many growth.
-func cardsFresh(old, cur map[string]int, ratio float64) bool {
+func cardsFresh(old, cur map[string]int) bool {
 	for name, c := range cur {
 		o, ok := old[name]
 		if !ok {
 			return false
 		}
 		grow := float64(c+1) / float64(o+1)
-		if grow > ratio || grow < 1/ratio {
+		if grow > cardRatio || grow < 1/cardRatio {
 			return false
 		}
 	}

@@ -28,7 +28,7 @@ func relsOf(base map[string]relation.Relation) func(string) relation.Relation {
 func TestPlanStoreHitSkipsSampling(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(500)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 
 	res1, cached, err := store.Choose(rule, relsOf(base))
 	if err != nil {
@@ -71,7 +71,7 @@ func TestPlanStoreHitSkipsSampling(t *testing.T) {
 func TestPlanStoreDriftTriggersResample(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(500)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestPlanStoreDriftTriggersResample(t *testing.T) {
 func TestPlanStoreDriftFloor(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(200)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPlanStoreDriftFloor(t *testing.T) {
 func TestPlanStoreCardinalityTriggersResample(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(300)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPlanStoreCardinalityTriggersResample(t *testing.T) {
 func TestPlanStoreInvalidatePreds(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(200)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPlanStoreInvalidatePreds(t *testing.T) {
 func TestPlanStoreInvalidateAll(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(200)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPlanStoreInvalidateAll(t *testing.T) {
 
 func TestPlanStoreTrivialRulePassesThrough(t *testing.T) {
 	_, rule := compileRule(t, `out(x) <- r(x).`)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	res, cached, err := store.Choose(rule, func(string) relation.Relation { return relation.New(1) })
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestFingerprintInvariantUnderReorder(t *testing.T) {
 func TestPlanStoreSnapshotAndFormat(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(300)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPlanStoreSnapshotAndFormat(t *testing.T) {
 func TestPlanStoreDriftHistory(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(300)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestPlanStoreDriftHistory(t *testing.T) {
 func TestPlanStoreHistorySurvivesExportSeed(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(300)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestPlanStoreHistorySurvivesExportSeed(t *testing.T) {
 		t.Fatalf("exported history = %v, want [100 130]", h)
 	}
 
-	restored := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	restored := optimizer.NewPlanStore()
 	restored.Seed(saved)
 	snaps := restored.Snapshot()
 	if len(snaps) != 1 {
@@ -355,7 +355,7 @@ func TestPlanStoreHistorySurvivesExportSeed(t *testing.T) {
 func TestFormatPlanTableDriftColumn(t *testing.T) {
 	_, rule := compileRule(t, `out(a, c) <- r(a, b), s(b, c).`)
 	base := planBase(300)
-	store := optimizer.NewPlanStore(optimizer.StoreOptions{})
+	store := optimizer.NewPlanStore()
 	if _, _, err := store.Choose(rule, relsOf(base)); err != nil {
 		t.Fatal(err)
 	}

@@ -71,58 +71,8 @@ func (m Map[V]) Range(fn func(key string, val V) bool) { m.t.Ascend(fn) }
 // Keys returns the keys in ascending order.
 func (m Map[V]) Keys() []string { return m.t.Keys() }
 
-// EqualKeys reports whether m and o bind exactly the same keys, pruning on
-// shared structure.
-func (m Map[V]) EqualKeys(o Map[V]) bool { return m.t.Equal(o.t) }
-
 // Diff reports the bindings that differ between m (old) and o (new).
 func (m Map[V]) Diff(o Map[V], valEq func(a, b V) bool,
 	onDel func(string, V), onIns func(string, V), onUpd func(string, V, V)) {
 	m.t.DiffWith(o.t, valEq, onDel, onIns, onUpd)
-}
-
-// Set is a persistent set of strings.
-type Set struct {
-	t treap.Tree[string, struct{}]
-}
-
-// NewSet returns an empty persistent set, optionally seeded with elems.
-func NewSet(elems ...string) Set {
-	t := treap.New[string, struct{}](stringOps())
-	for _, e := range elems {
-		t = t.Insert(e, struct{}{})
-	}
-	return Set{t: t}
-}
-
-// Contains reports membership.
-func (s Set) Contains(key string) bool { return s.t.Contains(key) }
-
-// Add returns a set including key.
-func (s Set) Add(key string) Set { return Set{t: s.t.Insert(key, struct{}{})} }
-
-// Remove returns a set excluding key.
-func (s Set) Remove(key string) Set { return Set{t: s.t.Delete(key)} }
-
-// Len returns the cardinality.
-func (s Set) Len() int { return s.t.Len() }
-
-// Union returns the set union.
-func (s Set) Union(o Set) Set { return Set{t: s.t.Union(o.t)} }
-
-// Intersect returns the set intersection.
-func (s Set) Intersect(o Set) Set { return Set{t: s.t.Intersect(o.t)} }
-
-// Difference returns s minus o.
-func (s Set) Difference(o Set) Set { return Set{t: s.t.Difference(o.t)} }
-
-// Equal reports set equality (O(1) for shared structure).
-func (s Set) Equal(o Set) bool { return s.t.Equal(o.t) }
-
-// Elems returns the elements in ascending order.
-func (s Set) Elems() []string { return s.t.Keys() }
-
-// Range calls fn for each element in ascending order until fn returns false.
-func (s Set) Range(fn func(string) bool) {
-	s.t.Ascend(func(k string, _ struct{}) bool { return fn(k) })
 }

@@ -55,53 +55,6 @@ func TestMapDiff(t *testing.T) {
 	}
 }
 
-func TestSetAlgebra(t *testing.T) {
-	a := NewSet("p", "q", "r")
-	b := NewSet("q", "r", "s")
-	if got := a.Union(b).Elems(); len(got) != 4 {
-		t.Fatalf("union = %v", got)
-	}
-	if got := a.Intersect(b).Elems(); len(got) != 2 || got[0] != "q" || got[1] != "r" {
-		t.Fatalf("intersect = %v", got)
-	}
-	if got := a.Difference(b).Elems(); len(got) != 1 || got[0] != "p" {
-		t.Fatalf("difference = %v", got)
-	}
-	if !a.Equal(NewSet("r", "q", "p")) {
-		t.Fatalf("set equality should ignore construction order")
-	}
-	if a.Equal(b) {
-		t.Fatalf("different sets compared equal")
-	}
-}
-
-func TestSetAddRemovePersistence(t *testing.T) {
-	a := NewSet("x")
-	b := a.Add("y")
-	c := b.Remove("x")
-	if !a.Contains("x") || a.Contains("y") {
-		t.Fatalf("a mutated")
-	}
-	if !b.Contains("x") || !b.Contains("y") {
-		t.Fatalf("b wrong")
-	}
-	if c.Contains("x") || !c.Contains("y") {
-		t.Fatalf("c wrong")
-	}
-}
-
-func TestSetRange(t *testing.T) {
-	s := NewSet("b", "a", "c")
-	var got []string
-	s.Range(func(e string) bool { got = append(got, e); return true })
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range order %v", got)
-		}
-	}
-}
-
 func TestMapModelProperty(t *testing.T) {
 	// Persistent map behaves like Go's built-in map under random workloads.
 	f := func(ops []struct {

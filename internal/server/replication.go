@@ -213,14 +213,5 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ReplicaStatus returns the follower's replication status, or ok=false
-// on a primary (a convenience for tests and cmd/lb-serve).
-func (s *Server) ReplicaStatus() (replica.Status, bool) {
-	if f := s.cfg.Follower; f != nil {
-		return f.Status(), true
-	}
-	return replica.Status{}, false
-}
-
 // TailStreams reports the number of open /journal/tail streams.
 func (s *Server) TailStreams() int64 { return s.tails.Load() }

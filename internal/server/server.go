@@ -222,9 +222,6 @@ func (s *Server) BeginDrain() {
 	s.drainO.Do(func() { close(s.drainCh) })
 }
 
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Inflight returns the number of requests currently inside handlers.
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
 

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
@@ -897,13 +896,6 @@ func (g *Grounding) Reground(rels map[string]relation.Relation) (int, error) {
 		}
 	}
 	return reground, nil
-}
-
-// Describe renders the grounded problem for diagnostics.
-func (g *Grounding) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d variables, %d constraints", len(g.vars), len(g.Problem().Constraints))
-	return b.String()
 }
 
 // computeDerivedLinear finds derived sum-aggregation predicates whose

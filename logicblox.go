@@ -138,14 +138,11 @@ var (
 // from it.
 type Option = core.Option
 
-// WithOptimizer enables the sampling-based join-order optimizer
-// (paper §3.2) for every transaction.
-func WithOptimizer() Option { return core.OptOptimizer() }
-
-// WithAdaptiveOptimizer enables the feedback-driven adaptive optimizer:
-// sampled join orders persist in a plan store shared across versions and
+// WithAdaptiveOptimizer enables the sampling-based join-order optimizer
+// (paper §3.2) in its one form, the feedback-driven adaptive one: sampled
+// join orders persist in a plan store shared across versions and
 // branches, and re-sampling happens only when observed costs or input
-// cardinalities drift.
+// cardinalities drift. Without it rules run in the compiler's order.
 func WithAdaptiveOptimizer() Option { return core.OptAdaptiveOptimizer() }
 
 // WithObs attaches a metrics registry to the workspace lineage: every
