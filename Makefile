@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race fmt-check bench lint bench-build fuzz-smoke
+.PHONY: ci build vet test race fmt-check bench lint bench-build fuzz-smoke loc
 
 # Each test runs once: one uncached race run over the whole module, the
 # static-analysis gate, a few seconds of each native fuzz target, and a
@@ -47,6 +47,8 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePageToken$$' -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzReadJournal$$' -fuzztime=5s ./internal/durable
+	$(GO) test -run='^$$' -fuzz='^FuzzTailReader$$' -fuzztime=5s ./internal/durable
 
 # benchmark/ compiles against internal packages; a refactor that breaks
 # its imports must fail here rather than in the benchmark run.
@@ -62,3 +64,8 @@ fmt-check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The number a simplicity PR's acceptance quotes: non-test Go lines outside
+# benchmark/ and testdata/.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs cat | wc -l

@@ -274,3 +274,39 @@ func TestArithExprEval(t *testing.T) {
 		t.Fatalf("string arithmetic should error")
 	}
 }
+
+// A stratum is one SCC of the predicate graph, so one that is not
+// recursive has a single head predicate — and holds every rule of it.
+func TestNonRecursiveStratumHasOneHead(t *testing.T) {
+	for _, src := range []string{
+		// union views, chained
+		`v(x) <- a(x). v(x) <- b(x). w(x) <- v(x), c(x). w(x) <- a(x), !v(x).`,
+		// an aggregate sharing its head with a plain rule
+		`h[k] = u <- agg<<u = sum(n)>> s[k, j] = n. h[k] = v <- extra[k] = v. top(k) <- h[k] = v, v > 3.`,
+		// mutual recursion next to independent views
+		`even(x) <- zero(x). even(y) <- odd(x), succ(x, y). odd(y) <- even(x), succ(x, y).
+		 small(x) <- even(x), x < 4. small(x) <- odd(x), x < 3.`,
+		// self-recursion with a second, non-recursive rule
+		`path(x, y) <- edge(x, y). path(x, z) <- path(x, y), edge(y, z). far(x) <- path(x, y), !edge(x, y).`,
+	} {
+		p := compile(t, src)
+		rulesOf := map[string]int{}
+		for _, r := range p.Rules {
+			rulesOf[r.HeadName]++
+		}
+		for _, stratum := range p.Strata {
+			heads := map[string]int{}
+			for _, r := range stratum {
+				heads[r.HeadName]++
+			}
+			if len(heads) > 1 && !StratumRecursive(stratum) {
+				t.Errorf("non-recursive stratum with heads %v in\n%s", heads, src)
+			}
+			for h, n := range heads {
+				if n != rulesOf[h] {
+					t.Errorf("stratum holds %d of %s's %d rules in\n%s", n, h, rulesOf[h], src)
+				}
+			}
+		}
+	}
+}

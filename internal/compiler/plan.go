@@ -174,11 +174,16 @@ type SolveSpec struct {
 // Program is the compiled form of a block set: catalog, plans, and
 // stratification.
 type Program struct {
-	Preds          map[string]*PredInfo
-	Rules          []*RulePlan // static derivation rules (no deltas)
-	Reactive       []*RulePlan // rules mentioning delta/@start predicates
-	Constraints    []*ConstraintPlan
-	Strata         [][]*RulePlan // static rules grouped into evaluation strata
+	Preds       map[string]*PredInfo
+	Rules       []*RulePlan // static derivation rules (no deltas)
+	Reactive    []*RulePlan // rules mentioning delta/@start predicates
+	Constraints []*ConstraintPlan
+	// Strata groups the static rules into evaluation strata, in evaluation
+	// order. Each stratum is one SCC of the predicate graph: a single
+	// predicate with all its rules, or a recursive clique — so a stratum
+	// that is not StratumRecursive has exactly one head predicate, which
+	// the maintenance layer (internal/ivm, core's rederive) relies on.
+	Strata         [][]*RulePlan
 	ReactiveStrata [][]*RulePlan // reactive rules in evaluation order (exec pipeline)
 	Solve          *SolveSpec
 	// IDBPreds lists derived predicate names in stratum order.

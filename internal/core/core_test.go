@@ -151,6 +151,56 @@ func TestAddBlockLiveProgramming(t *testing.T) {
 	}
 }
 
+// A predicate derived by two blocks is one maintenance unit: removing
+// either block re-evaluates the whole predicate, so the removed rule's
+// tuples leave it even though the surviving rule reproduces its own result.
+func TestRemoveBlockOfSharedHead(t *testing.T) {
+	base := NewWorkspace()
+	base = mustAddBlock(t, base, "data", `a(x) -> int(x). b(x) -> int(x).`)
+	base = mustExec(t, base, `+a(1). +a(2). +b(2). +b(3).`)
+	base = mustAddBlock(t, base, "r1", `v(x) <- a(x).`)
+	base = mustAddBlock(t, base, "r2", `v(x) <- b(x).`)
+	if got := base.Relation("v").Slice(); len(got) != 3 {
+		t.Fatalf("v with both blocks = %v", got)
+	}
+	mustRemove := func(ws *Workspace, name string) *Workspace {
+		t.Helper()
+		out, err := ws.RemoveBlock(name)
+		if err != nil {
+			t.Fatalf("RemoveBlock(%s): %v", name, err)
+		}
+		return out
+	}
+	wantV := func(ws *Workspace, step string, want ...int64) {
+		t.Helper()
+		got := ws.Relation("v").Slice()
+		if len(got) != len(want) {
+			t.Fatalf("%s: v = %v, want %v", step, got, want)
+		}
+		for i, w := range want {
+			if !got[i].Equal(tuple.Ints(w)) {
+				t.Fatalf("%s: v = %v, want %v", step, got, want)
+			}
+		}
+	}
+
+	ws := mustRemove(base, "r2")
+	wantV(ws, "r2 removed", 1, 2)
+	ws = mustExec(t, ws, `+a(7). -a(1).`)
+	wantV(ws, "exec on a after removing r2", 2, 7)
+	ws = mustExec(t, ws, `+b(9).`)
+	wantV(ws, "exec on b after removing r2", 2, 7)
+
+	wantV(mustRemove(base, "r1"), "r1 removed", 2, 3)
+
+	ws = mustRemove(mustRemove(base, "r1"), "r2")
+	wantV(ws, "both removed")
+	if _, have := ws.derived.Get("v"); have {
+		t.Fatal("v lost all its rules but is still materialized")
+	}
+	wantV(mustAddBlock(t, ws, "r2", `v(x) <- b(x).`), "r2 re-added", 2, 3)
+}
+
 func TestAddBlockRejectsDuplicatesAndBadSyntax(t *testing.T) {
 	ws := NewWorkspace()
 	ws = mustAddBlock(t, ws, "b", `v(x) <- r(x).`)

@@ -161,23 +161,15 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	esp := sp.Child("eval")
 	ctx.SetSpan(esp)
 	answer := ws.streamableAnswer(combined)
-	// Evaluate only predicates that are not already materialized in the
-	// workspace (i.e. the query's own derivations), leaving a streamable
-	// answer rule to the cursor.
+	// Evaluate only the strata that are not already materialized in the
+	// workspace (i.e. the query's own derivations; installed rules compile
+	// first, so an installed stratum leads with one), leaving a streamable
+	// answer rule — alone in its stratum — to the cursor.
 	for _, stratum := range combined.Strata {
-		var fresh []*compiler.RulePlan
-		for _, r := range stratum {
-			if r == answer {
-				continue
-			}
-			if _, have := ws.derived.Get(r.HeadName); !have {
-				fresh = append(fresh, r)
-			}
-		}
-		if len(fresh) == 0 {
+		if stratum[0] == answer || ws.derived.Contains(stratum[0].HeadName) {
 			continue
 		}
-		if err := ctx.EvalStratum(fresh); err != nil {
+		if err := ctx.EvalStratum(stratum); err != nil {
 			esp.End()
 			return nil, err
 		}

@@ -83,17 +83,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	}
 	out.prog = compiled
 
-	// Drop predicates that lost all their rules, and prune stored results
-	// of removed rules.
-	valid := map[string]bool{}
-	for _, r := range compiled.Rules {
-		valid[ruleKey(r)] = true
-	}
-	for _, key := range out.ruleRes.Keys() {
-		if !valid[key] {
-			out.ruleRes = out.ruleRes.Delete(key)
-		}
-	}
+	// Drop predicates that lost all their rules.
 	for _, p := range analysis.DropPreds {
 		out.derived = out.derived.Delete(p)
 	}

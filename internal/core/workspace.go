@@ -31,7 +31,6 @@ type Workspace struct {
 	parsed  pmap.Map[*ast.Program]      // block name → parsed program
 	prog    *compiler.Program           // compiled program (shared, immutable)
 	base    pmap.Map[relation.Relation] // base predicate contents
-	ruleRes pmap.Map[relation.Relation] // materialized result per rule of the non-recursive strata
 	derived pmap.Map[relation.Relation] // derived predicate contents
 	models  *ml.Registry                // model store (append-only, shared across versions)
 	version uint64
@@ -50,7 +49,6 @@ func NewWorkspace() *Workspace {
 		parsed:  pmap.NewMap[*ast.Program](),
 		prog:    empty,
 		base:    pmap.NewMap[relation.Relation](),
-		ruleRes: pmap.NewMap[relation.Relation](),
 		derived: pmap.NewMap[relation.Relation](),
 		models:  ml.NewRegistry(),
 	}
@@ -172,31 +170,16 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 	return compiler.Compile(progs...)
 }
 
-// ruleKey identifies a rule's materialized result across recompilations.
-func ruleKey(r *compiler.RulePlan) string { return r.HeadName + "\x00" + r.Source }
-
-// ruleStore is the workspace's ivm.Store: the persistent ruleRes map of a
-// version under construction.
-type ruleStore struct{ ws *Workspace }
-
-func (s ruleStore) Get(r *compiler.RulePlan) (relation.Relation, bool) {
-	return s.ws.ruleRes.Get(ruleKey(r))
-}
-
-func (s ruleStore) Set(r *compiler.RulePlan, res relation.Relation) {
-	s.ws.ruleRes = s.ws.ruleRes.Set(ruleKey(r), res)
-}
-
 // rederive re-materializes derived predicates after base-data or logic
 // changes, in ctx — the transaction tail's evaluation context, which
 // holds ws's relations. dirty seeds the set of changed names (base
 // predicates with new contents and/or derived predicates marked dirty by
 // the meta-engine) and grows by every derived predicate whose content
-// moved; the change propagates through the execution graph, and rules
-// none of whose dependencies changed reuse their stored results — the
-// engine-side half of live programming (paper Figure 6). The maintenance
-// itself is ivm's rule-granular strategy under a name-level staleness
-// test; swapping in a finer one is a change to this call site.
+// moved; the change propagates through the execution graph, and a
+// predicate none of whose dependencies changed keeps its stored contents —
+// the engine-side half of live programming (paper Figure 6). The
+// maintenance itself is ivm's stratum-granular strategy under a name-level
+// staleness test; swapping in a finer one is a change to this call site.
 func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, error) {
 	out := ws.clone()
 	reg := ws.Observer()
@@ -214,8 +197,8 @@ func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent
 		}
 	}()
 	changed := func(name string) bool { return dirty[name] }
-	stale := func(unit []*compiler.RulePlan) bool {
-		for _, r := range unit {
+	stale := func(stratum []*compiler.RulePlan) bool {
+		for _, r := range stratum {
 			if dirty[r.HeadName] || r.ReadsAny(changed) {
 				return true
 			}
@@ -223,18 +206,15 @@ func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent
 		return false
 	}
 	for _, stratum := range out.prog.Strata {
-		before, n, err := ivm.RederiveStratum(ctx, stratum, stale, ruleStore{out})
+		moved, n, err := ivm.RederiveStratum(ctx, stratum, stale)
 		evals += int64(n)
 		if err != nil {
 			return nil, err
 		}
 		reused += int64(len(stratum) - n)
-		for h, was := range before {
-			cur := ctx.Relation(h)
-			out.derived = out.derived.Set(h, cur)
-			if !cur.Equal(was) {
-				dirty[h] = true
-			}
+		for h := range moved {
+			out.derived = out.derived.Set(h, ctx.Relation(h))
+			dirty[h] = true
 		}
 	}
 	return out, nil

@@ -76,35 +76,42 @@ type genProgram struct {
 func (p *genProgram) source() string {
 	var b strings.Builder
 	for _, r := range p.rules {
-		if r.agg != nil {
-			fmt.Fprintf(&b, "%s[%s] = u <- agg<<u = %s(%s)>> ", r.head.pred, strings.Join(r.head.vars, ", "), r.agg.fn, r.agg.arg)
-		} else {
-			fmt.Fprintf(&b, "%s(%s) <- ", r.head.pred, strings.Join(r.head.vars, ", "))
-		}
-		var parts []string
-		for _, a := range r.body {
-			parts = append(parts, fmt.Sprintf("%s(%s)", a.pred, strings.Join(a.vars, ", ")))
-		}
-		for _, a := range r.assigns {
-			rhs := a.r
-			if rhs == "" {
-				rhs = fmt.Sprintf("%d", a.c)
-			}
-			parts = append(parts, fmt.Sprintf("%s = %s %s %s", a.v, a.l, a.op, rhs))
-		}
-		for _, c := range r.cmps {
-			rhs := c.r
-			if rhs == "" {
-				rhs = fmt.Sprintf("%d", c.c)
-			}
-			parts = append(parts, fmt.Sprintf("%s %s %s", c.l, c.op, rhs))
-		}
-		for _, n := range r.negs {
-			parts = append(parts, fmt.Sprintf("!%s(%s)", n.pred, strings.Join(n.vars, ", ")))
-		}
-		b.WriteString(strings.Join(parts, ", "))
-		b.WriteString(".\n")
+		b.WriteString(r.source())
 	}
+	return b.String()
+}
+
+// source renders one rule as a LogiQL clause on a line of its own.
+func (r genRule) source() string {
+	var b strings.Builder
+	if r.agg != nil {
+		fmt.Fprintf(&b, "%s[%s] = u <- agg<<u = %s(%s)>> ", r.head.pred, strings.Join(r.head.vars, ", "), r.agg.fn, r.agg.arg)
+	} else {
+		fmt.Fprintf(&b, "%s(%s) <- ", r.head.pred, strings.Join(r.head.vars, ", "))
+	}
+	var parts []string
+	for _, a := range r.body {
+		parts = append(parts, fmt.Sprintf("%s(%s)", a.pred, strings.Join(a.vars, ", ")))
+	}
+	for _, a := range r.assigns {
+		rhs := a.r
+		if rhs == "" {
+			rhs = fmt.Sprintf("%d", a.c)
+		}
+		parts = append(parts, fmt.Sprintf("%s = %s %s %s", a.v, a.l, a.op, rhs))
+	}
+	for _, c := range r.cmps {
+		rhs := c.r
+		if rhs == "" {
+			rhs = fmt.Sprintf("%d", c.c)
+		}
+		parts = append(parts, fmt.Sprintf("%s %s %s", c.l, c.op, rhs))
+	}
+	for _, n := range r.negs {
+		parts = append(parts, fmt.Sprintf("!%s(%s)", n.pred, strings.Join(n.vars, ", ")))
+	}
+	b.WriteString(strings.Join(parts, ", "))
+	b.WriteString(".\n")
 	return b.String()
 }
 
@@ -576,6 +583,14 @@ func compileGen(t *testing.T, p *genProgram) *compiler.Program {
 	prog, err := compiler.Compile(parsed)
 	if err != nil {
 		t.Fatalf("seed %d: compile: %v\n%s", p.seed, err, p.source())
+	}
+	// The invariant the maintenance layer relies on (see Program.Strata).
+	for _, stratum := range prog.Strata {
+		for _, r := range stratum {
+			if r.HeadName != stratum[0].HeadName && !compiler.StratumRecursive(stratum) {
+				t.Fatalf("seed %d: non-recursive stratum derives both %s and %s\n%s", p.seed, stratum[0].HeadName, r.HeadName, p.source())
+			}
+		}
 	}
 	return prog
 }

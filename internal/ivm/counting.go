@@ -6,120 +6,100 @@ import (
 	"logicblox/internal/tuple"
 )
 
-// countable reports whether a rule's derivations can be maintained by
-// support counting: plain rules outside recursive strata. Aggregation and
-// predict rules are maintained by per-rule recomputation.
-func countable(r *compiler.RulePlan) bool {
-	return r.Agg == nil && r.Predict == nil
+// countable reports whether a stratum can be maintained through the delta
+// forms of its rules — support counts, over-deletion, semi-naive insertion.
+// An aggregation or predict rule has none, so a stratum containing one is
+// recomputed (recomputeStratum).
+func countable(stratum []*compiler.RulePlan) bool {
+	for _, r := range stratum {
+		if r.Agg != nil || r.Predict != nil {
+			return false
+		}
+	}
+	return true
 }
 
-// initialCountingEval evaluates the program stratum by stratum, recording
-// derivation counts for countable rules.
+// initialCountingEval evaluates the program stratum by stratum. The strata
+// maintained by counting — countable and not recursive, hence one head
+// predicate with all its rules — are recounted from nothing, which records
+// their derivation counts.
 func (m *Maintainer) initialCountingEval() error {
 	for _, stratum := range m.prog.Strata {
-		if compiler.StratumRecursive(stratum) {
-			// Recursive strata are maintained without counts.
+		if !countable(stratum) || compiler.StratumRecursive(stratum) {
 			if err := m.ctx.EvalStratum(stratum); err != nil {
 				return err
 			}
 			continue
 		}
-		touchedHeads := map[string]bool{}
+		pending := map[string]presence{}
 		for _, r := range stratum {
-			if !countable(r) {
-				derived, err := m.ctx.EvalRule(r, nil)
-				if err != nil {
-					return err
-				}
-				m.ctx.Set(r.HeadName, m.ctx.Relation(r.HeadName).Union(derived))
-				continue
-			}
-			counts := map[string]*crec{}
-			err := m.ctx.EnumerateRuleHeads(r, nil, func(head tuple.Tuple) bool {
-				k := head.String()
-				rec, ok := counts[k]
-				if !ok {
-					rec = &crec{t: head.Clone()}
-					counts[k] = rec
-				}
-				rec.n++
-				return true
-			})
-			if err != nil {
+			if err := m.recountRule(r, pending); err != nil {
 				return err
 			}
-			m.ruleCounts[r.ID] = counts
-			for k, rec := range counts {
-				m.bumpSupport(r.HeadName, k, rec.t, rec.n)
-			}
-			touchedHeads[r.HeadName] = true
 		}
-		for head := range touchedHeads {
-			m.rebuildFromSupport(head)
-		}
+		m.flushPending(stratum[0].HeadName, pending, map[string]Delta{}, map[string]relation.Relation{})
 	}
 	return nil
 }
 
-func (m *Maintainer) bumpSupport(pred, key string, t tuple.Tuple, delta int) {
-	sup, ok := m.support[pred]
-	if !ok {
-		sup = map[string]*crec{}
-		m.support[pred] = sup
-	}
-	rec, ok := sup[key]
-	if !ok {
-		rec = &crec{t: t.Clone()}
-		sup[key] = rec
-	}
-	rec.n += delta
-}
-
-// rebuildFromSupport sets pred's relation to the tuples with positive
-// support (initial build only).
-func (m *Maintainer) rebuildFromSupport(pred string) {
-	rel := m.ctx.Relation(pred)
-	for key, rec := range m.support[pred] {
-		if rec.n > 0 {
-			rel = rel.Insert(rec.t)
-		} else {
-			delete(m.support[pred], key)
+// countInto returns an EnumerateRuleHeads callback that counts each head
+// tuple's derivations in counts.
+func countInto(counts map[string]*crec) func(tuple.Tuple) bool {
+	return func(head tuple.Tuple) bool {
+		k := head.String()
+		rec, ok := counts[k]
+		if !ok {
+			rec = &crec{t: head.Clone()}
+			counts[k] = rec
 		}
+		rec.n++
+		return true
 	}
-	m.ctx.Set(pred, rel)
 }
 
 // applyCounting maintains each stratum with delta rules and support
 // counting.
 func (m *Maintainer) applyCounting(acc map[string]Delta, old map[string]relation.Relation) error {
 	for _, stratum := range m.prog.Strata {
-		if compiler.StratumRecursive(stratum) {
-			if err := m.maintainRecursiveStratum(stratum, acc, old); err != nil {
-				return err
-			}
+		var err error
+		switch {
+		case !stratumTouched(stratum, acc):
+			m.Stats.RulesSkipped += len(stratum)
+		case !countable(stratum):
+			err = m.recomputeStratum(stratum, acc, old)
+		case compiler.StratumRecursive(stratum):
+			err = m.maintainRecursiveStratum(stratum, acc, old)
+		default:
+			err = m.countStratum(stratum, acc, old)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countStratum maintains a countable non-recursive stratum — one head
+// predicate — rule by rule, then turns the support transitions into the
+// head's delta.
+func (m *Maintainer) countStratum(stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
+	pending := map[string]presence{}
+	for _, r := range stratum {
+		if !r.ReadsAny(changedIn(acc)) {
+			m.Stats.RulesSkipped++
 			continue
 		}
-		// pending presence transitions per head pred of this stratum.
-		pending := map[string]map[string]presence{}
-		for _, r := range stratum {
-			if !r.ReadsAny(changedIn(acc)) {
-				m.Stats.RulesSkipped++
-				continue
-			}
-			var err error
-			if countable(r) && !negTouched(acc, r) {
-				err = m.deltaCountRule(r, acc, old, pending)
-			} else if countable(r) {
-				err = m.recountRule(r, pending)
-			} else {
-				err = m.recomputeUncounted(r, acc, old)
-			}
-			if err != nil {
-				return err
-			}
+		var err error
+		if negTouched(acc, r) {
+			err = m.recountRule(r, pending)
+		} else {
+			err = m.deltaCountRule(r, acc, old, pending)
 		}
-		m.flushPending(pending, acc, old)
+		if err != nil {
+			return err
+		}
 	}
+	m.flushPending(stratum[0].HeadName, pending, acc, old)
 	return nil
 }
 
@@ -148,7 +128,7 @@ func negTouched(acc map[string]Delta, rules ...*compiler.RulePlan) bool {
 // Δ(A1 ⋈ … ⋈ Ak) = Σ_i (A1ⁿᵉʷ … A_{i-1}ⁿᵉʷ ⋈ ΔA_i ⋈ A_{i+1}ᵒˡᵈ … A_kᵒˡᵈ),
 // adjusting derivation counts by +1 for insertions and −1 for deletions.
 func (m *Maintainer) deltaCountRule(r *compiler.RulePlan, acc map[string]Delta,
-	old map[string]relation.Relation, pending map[string]map[string]presence) error {
+	old map[string]relation.Relation, pending map[string]presence) error {
 	arityOf := func(name string) int { return m.ctx.Relation(name).Arity() }
 	oldRel := func(name string) (relation.Relation, bool) {
 		if o, ok := old[name]; ok {
@@ -189,8 +169,9 @@ func (m *Maintainer) deltaCountRule(r *compiler.RulePlan, acc map[string]Delta,
 	return nil
 }
 
-// adjust applies a count change for one derivation of a head tuple.
-func (m *Maintainer) adjust(r *compiler.RulePlan, head tuple.Tuple, sign int, pending map[string]map[string]presence) {
+// adjust changes the derivation count of one head tuple of r by n,
+// remembering in pending whether the tuple had support before the batch.
+func (m *Maintainer) adjust(r *compiler.RulePlan, head tuple.Tuple, n int, pending map[string]presence) {
 	key := head.String()
 	counts := m.ruleCounts[r.ID]
 	if counts == nil {
@@ -202,13 +183,8 @@ func (m *Maintainer) adjust(r *compiler.RulePlan, head tuple.Tuple, sign int, pe
 		rec = &crec{t: head.Clone()}
 		counts[key] = rec
 	}
-	rec.n += sign
+	rec.n += n
 
-	p := pending[r.HeadName]
-	if p == nil {
-		p = map[string]presence{}
-		pending[r.HeadName] = p
-	}
 	sup, ok := m.support[r.HeadName]
 	if !ok {
 		sup = map[string]*crec{}
@@ -219,97 +195,61 @@ func (m *Maintainer) adjust(r *compiler.RulePlan, head tuple.Tuple, sign int, pe
 		srec = &crec{t: head.Clone()}
 		sup[key] = srec
 	}
-	if _, seen := p[key]; !seen {
-		p[key] = presence{t: srec.t, before: srec.n > 0}
+	if _, seen := pending[key]; !seen {
+		pending[key] = presence{t: srec.t, before: srec.n > 0}
 	}
-	srec.n += sign
+	srec.n += n
 }
 
-// recountRule fully re-enumerates one countable rule (used when a negated
-// dependency changed, where delta rules do not apply) and reconciles its
-// counts.
-func (m *Maintainer) recountRule(r *compiler.RulePlan, pending map[string]map[string]presence) error {
+// recountRule fully re-enumerates one rule (used when a negated dependency
+// changed, where delta rules do not apply) and reconciles its counts:
+// the old ones retracted, the new ones added, via adjust to keep pending in
+// sync.
+func (m *Maintainer) recountRule(r *compiler.RulePlan, pending map[string]presence) error {
 	m.Stats.RulesEvaluated++
 	fresh := map[string]*crec{}
-	err := m.ctx.EnumerateRuleHeads(r, nil, func(head tuple.Tuple) bool {
-		k := head.String()
-		rec, ok := fresh[k]
-		if !ok {
-			rec = &crec{t: head.Clone()}
-			fresh[k] = rec
-		}
-		rec.n++
-		return true
-	})
-	if err != nil {
+	if err := m.ctx.EnumerateRuleHeads(r, nil, countInto(fresh)); err != nil {
 		return err
 	}
-	prev := m.ruleCounts[r.ID]
-	// Retract old counts, add new ones, via adjust to keep pending in
-	// sync. The retraction bound must be snapshotted: adjust decrements
-	// rec.n itself (prev is the live per-rule count map), so looping on
-	// rec.n directly would stop halfway and leave stale support behind.
-	for _, rec := range prev {
-		n := rec.n
-		for i := 0; i < n; i++ {
-			m.adjust(r, rec.t, -1, pending)
-		}
+	for _, rec := range m.ruleCounts[r.ID] {
+		m.adjust(r, rec.t, -rec.n, pending)
 	}
 	m.ruleCounts[r.ID] = map[string]*crec{}
 	for _, rec := range fresh {
-		for i := 0; i < rec.n; i++ {
-			m.adjust(r, rec.t, +1, pending)
-		}
+		m.adjust(r, rec.t, rec.n, pending)
 	}
 	return nil
 }
 
-// recomputeUncounted re-evaluates an aggregation/predict rule and diffs
-// its head predicate wholesale (such rules are assumed to be the only
-// writers of their head predicate).
-func (m *Maintainer) recomputeUncounted(r *compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	m.Stats.RulesEvaluated++
-	derived, err := m.ctx.EvalRule(r, nil)
-	if err != nil {
-		return err
+// flushPending converts the support transitions of pred into its relation
+// update and delta.
+func (m *Maintainer) flushPending(pred string, pending map[string]presence, acc map[string]Delta, old map[string]relation.Relation) {
+	rel := m.ctx.Relation(pred)
+	orig := rel
+	d := acc[pred]
+	sup := m.support[pred]
+	for key, p := range pending {
+		after := sup[key] != nil && sup[key].n > 0
+		switch {
+		case !p.before && after:
+			rel = rel.Insert(p.t)
+			d.Ins = append(d.Ins, p.t)
+		case p.before && !after:
+			rel = rel.Delete(p.t)
+			d.Del = append(d.Del, p.t)
+		}
+		if !after {
+			delete(sup, key)
+		}
 	}
-	before := map[string]relation.Relation{r.HeadName: m.ctx.Relation(r.HeadName)}
-	m.ctx.Set(r.HeadName, derived)
-	m.recordHeads(acc, old, before)
-	return nil
-}
-
-// flushPending converts support transitions into relation updates and
-// head-predicate deltas.
-func (m *Maintainer) flushPending(pending map[string]map[string]presence, acc map[string]Delta, old map[string]relation.Relation) {
-	for pred, keys := range pending {
-		rel := m.ctx.Relation(pred)
-		orig := rel
-		d := acc[pred]
-		sup := m.support[pred]
-		for key, p := range keys {
-			after := sup[key] != nil && sup[key].n > 0
-			switch {
-			case !p.before && after:
-				rel = rel.Insert(p.t)
-				d.Ins = append(d.Ins, p.t)
-			case p.before && !after:
-				rel = rel.Delete(p.t)
-				d.Del = append(d.Del, p.t)
-			}
-			if sup[key] != nil && sup[key].n <= 0 {
-				delete(sup, key)
-			}
+	if !rel.Equal(orig) {
+		if _, ok := old[pred]; !ok {
+			old[pred] = orig
 		}
-		if !rel.Equal(orig) {
-			if _, ok := old[pred]; !ok {
-				old[pred] = orig
-			}
-			m.ctx.Set(pred, rel)
-		}
-		if !d.Empty() {
-			acc[pred] = d
-		}
+		m.ctx.Set(pred, rel)
+	}
+	if !d.Empty() {
+		acc[pred] = d
 	}
 }
 
@@ -318,10 +258,6 @@ func (m *Maintainer) flushPending(pending map[string]map[string]presence, acc ma
 // change to a negated predicate, forces a stratum recomputation (precise
 // DRed for recursive strata is provided by the DRed mode).
 func (m *Maintainer) maintainRecursiveStratum(stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	if !stratumTouched(stratum, acc) {
-		m.Stats.RulesSkipped += len(stratum)
-		return nil
-	}
 	monotone := !negTouched(acc, stratum...)
 	for _, r := range stratum {
 		for _, b := range r.BodyNames {

@@ -22,31 +22,13 @@ func (m *Maintainer) applyDRed(acc map[string]Delta, old map[string]relation.Rel
 			m.Stats.RulesSkipped += len(stratum)
 			continue
 		}
-		// Aggregation/predict rules are maintained by recomputation.
-		var plain []*compiler.RulePlan
-		for _, r := range stratum {
-			if countable(r) {
-				plain = append(plain, r)
-				continue
-			}
-			if r.ReadsAny(changedIn(acc)) {
-				if err := m.recomputeUncounted(r, acc, old); err != nil {
-					return err
-				}
-			} else {
-				m.Stats.RulesSkipped++
-			}
-		}
-		if len(plain) == 0 {
-			continue
-		}
-		// Negation changes invalidate the over-deletion logic below; fall
-		// back to recomputing the stratum.
+		// Over-deletion needs delta rules, and a change to a negated
+		// predicate invalidates it; either way recompute the stratum.
 		maintain := m.dredStratum
-		if negTouched(acc, plain...) {
+		if !countable(stratum) || negTouched(acc, stratum...) {
 			maintain = m.recomputeStratum
 		}
-		if err := maintain(plain, acc, old); err != nil {
+		if err := maintain(stratum, acc, old); err != nil {
 			return err
 		}
 	}

@@ -3,22 +3,26 @@
 // changes to what they read, stratum by stratum, on the engine's stratum
 // operators (engine.Context.ReevalStratum and PropagateStratum).
 //
-// RederiveStratum is the rule-granular strategy — re-evaluate the rules a
-// staleness test selects, reuse the stored results of the others, re-union
-// the heads that moved. The transaction path (core's rederive) runs it
-// with a name-level test, and two of the Maintainer's four modes are
-// further tests. The modes are benchmarked against each other in the E4
-// experiment:
+// The stratum — one predicate with all its rules, or a recursive clique
+// (compiler.Program.Strata) — is the maintenance unit: a derived predicate
+// is re-evaluated whole or not at all. RederiveStratum re-evaluates the
+// strata a staleness test selects and leaves the others alone. The
+// transaction path (core's rederive) runs it with a name-level test, and
+// two of the Maintainer's four modes are further tests. The modes are
+// benchmarked against each other in the E4 experiment:
 //
-//   - Recompute: every rule is stale (the "HANA approach" the paper
+//   - Recompute: every stratum is stale (the "HANA approach" the paper
 //     argues against).
 //   - Counting: classical delta rules with support counting (Gupta,
 //     Mumick & Subrahmanian, SIGMOD'93) for non-recursive strata.
 //   - DRed: delete-and-rederive with pinned rederivability checks.
 //   - Sensitivity: the LogicBlox approach — sensitivity indices recorded
-//     by leapfrog runs decide which rules a change can affect at all;
-//     unaffected rules are skipped without touching their joins, so
+//     by leapfrog runs decide which strata a change can affect at all;
+//     unaffected ones are skipped without touching their joins, so
 //     maintenance work tracks the trace edit distance of the evaluation.
+//
+// Counting and DRed maintain a stratum through the delta forms of its
+// rules; one that has none — it aggregates or predicts — is recomputed.
 package ivm
 
 import (
@@ -78,10 +82,9 @@ type Maintainer struct {
 	ruleCounts map[int]map[string]*crec
 	support    map[string]map[string]*crec
 
-	// sensitivity state: one recorded trace per maintenance unit (keyed by
-	// the ID of the unit's first rule) and per-rule result relations.
-	sens    map[int]*lftj.SensitivityIndex
-	ruleRel ruleRels
+	// sensitivity state: one recorded trace per stratum, keyed by the ID
+	// of its first rule.
+	sens map[int]*lftj.SensitivityIndex
 
 	// Stats accumulate work counters for benchmarking.
 	Stats Stats
@@ -108,7 +111,6 @@ func NewMaintainer(prog *compiler.Program, base map[string]relation.Relation, mo
 		ruleCounts: map[int]map[string]*crec{},
 		support:    map[string]map[string]*crec{},
 		sens:       map[int]*lftj.SensitivityIndex{},
-		ruleRel:    ruleRels{},
 	}
 	m.ctx = engine.NewContext(prog, base, engine.Options{})
 	switch mode {
@@ -117,8 +119,8 @@ func NewMaintainer(prog *compiler.Program, base map[string]relation.Relation, mo
 			return nil, err
 		}
 	case Sensitivity:
-		// Nothing has a trace yet, so every unit is stale.
-		if err := m.rederive(m.traceStale(nil), m.ruleRel, map[string]Delta{}, map[string]relation.Relation{}); err != nil {
+		// Nothing has a trace yet, so every stratum is stale.
+		if err := m.rederive(m.traceStale(nil), map[string]Delta{}, map[string]relation.Relation{}); err != nil {
 			return nil, err
 		}
 	default:
@@ -178,15 +180,13 @@ func (m *Maintainer) Apply(deltas map[string]Delta) (map[string]Delta, error) {
 	var err error
 	switch m.mode {
 	case Recompute:
-		// Throw away all derived state: every rule is stale and no stored
-		// result survives the pass.
-		err = m.rederive(func([]*compiler.RulePlan) bool { return true }, ruleRels{}, acc, old)
+		err = m.rederive(func([]*compiler.RulePlan) bool { return true }, acc, old)
 	case Counting:
 		err = m.applyCounting(acc, old)
 	case DRed:
 		err = m.applyDRed(acc, old)
 	case Sensitivity:
-		err = m.rederive(m.traceStale(acc), m.ruleRel, acc, old)
+		err = m.rederive(m.traceStale(acc), acc, old)
 	}
 	return acc, err
 }

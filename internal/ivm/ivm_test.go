@@ -280,6 +280,53 @@ func TestMaintainMultiRuleHead(t *testing.T) {
 	}
 }
 
+// An aggregation rule and a plain rule deriving the same head are one
+// stratum: a mode that cannot maintain the aggregate incrementally must
+// recompute the whole predicate, not overwrite it with the aggregate's
+// result alone.
+func TestMaintainAggregateSharingHead(t *testing.T) {
+	src := `
+		h[k] = u <- agg<<u = sum(n)>> s[k, j] = n.
+		h[k] = v <- extra[k] = v.`
+	arities := map[string]int{"s": 3, "extra": 2}
+	batches := []struct {
+		label string
+		d     map[string]Delta
+	}{
+		{"insert into s", map[string]Delta{"s": {Ins: []tuple.Tuple{tuple.Ints(1, 3, 5), tuple.Ints(3, 1, 2)}}}},
+		{"delete from s", map[string]Delta{"s": {Del: []tuple.Tuple{tuple.Ints(1, 1, 10), tuple.Ints(2, 1, 7)}}}},
+		{"mixed on s", map[string]Delta{"s": {Ins: []tuple.Tuple{tuple.Ints(2, 2, 4)}, Del: []tuple.Tuple{tuple.Ints(1, 2, 20)}}}},
+		{"insert into extra", map[string]Delta{"extra": {Ins: []tuple.Tuple{tuple.Ints(12, 3)}}}},
+		{"delete from extra", map[string]Delta{"extra": {Del: []tuple.Tuple{tuple.Ints(10, 1)}}}},
+		{"mixed on extra", map[string]Delta{"extra": {Ins: []tuple.Tuple{tuple.Ints(13, 4)}, Del: []tuple.Tuple{tuple.Ints(11, 2)}}}},
+		{"both", map[string]Delta{
+			"s":     {Ins: []tuple.Tuple{tuple.Ints(4, 1, 1)}, Del: []tuple.Tuple{tuple.Ints(3, 1, 2)}},
+			"extra": {Ins: []tuple.Tuple{tuple.Ints(10, 9)}, Del: []tuple.Tuple{tuple.Ints(12, 3)}},
+		}},
+	}
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			prog := mustProgram(t, src)
+			base := map[string]relation.Relation{
+				"s":     relation.FromTuples(3, []tuple.Tuple{tuple.Ints(1, 1, 10), tuple.Ints(1, 2, 20), tuple.Ints(2, 1, 7)}),
+				"extra": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(10, 1), tuple.Ints(11, 2)}),
+			}
+			m, err := NewMaintainer(prog, cloneBase(base), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, m, prog, base, "initial")
+			for _, b := range batches {
+				if _, err := m.Apply(b.d); err != nil {
+					t.Fatalf("%s: %v", b.label, err)
+				}
+				applyToBase(base, b.d, arities)
+				checkAgainstOracle(t, m, prog, base, b.label)
+			}
+		})
+	}
+}
+
 func TestMaintainChainedViews(t *testing.T) {
 	src := `
 		b(x) <- a(x).

@@ -6,19 +6,19 @@ import (
 )
 
 // Sensitivity-guided maintenance (the LogicBlox strategy, paper §3.2):
-// every evaluation of a maintenance unit records the sensitivity intervals
-// of its leapfrog runs; a change batch first probes those intervals, and
-// units whose recorded trace the changes cannot intersect are skipped
-// without running any join. Affected units are re-derived by
-// RederiveStratum, recording a fresh trace.
+// every evaluation of a stratum records the sensitivity intervals of its
+// leapfrog runs; a change batch first probes those intervals, and strata
+// whose recorded trace the changes cannot intersect are skipped without
+// running any join. Affected strata are re-derived by RederiveStratum,
+// recording a fresh trace.
 
-// traceStale is Sensitivity's staleness test: a unit is stale when it has
-// no recorded trace yet (the initial evaluation) or a pending change falls
-// inside it. A stale unit is evaluated next, so the test installs the
-// fresh index that evaluation records into.
+// traceStale is Sensitivity's staleness test: a stratum is stale when it
+// has no recorded trace yet (the initial evaluation) or a pending change
+// falls inside it. A stale stratum is evaluated next, so the test installs
+// the fresh index that evaluation records into.
 func (m *Maintainer) traceStale(acc map[string]Delta) Stale {
-	return func(unit []*compiler.RulePlan) bool {
-		id := unit[0].ID
+	return func(stratum []*compiler.RulePlan) bool {
+		id := stratum[0].ID
 		if idx := m.sens[id]; idx != nil && !deltaHits(idx, acc) {
 			return false
 		}
