@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race fmt-check bench lint bench-build fuzz-smoke loc
+.PHONY: ci build vet test race fmt-check bench bench-ab lint bench-build fuzz-smoke loc
 
 # Each test runs once: one uncached race run over the whole module, the
 # static-analysis gate, a few seconds of each native fuzz target, and a
@@ -64,6 +64,35 @@ fmt-check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# A/B end-to-end benchmark of the working tree against revision BASE:
+# PAIRS pairs of `--seconds 12` runs of workload WL (seed SEED), the side
+# that runs first alternating pair by pair, each result line wrapped into
+# a report -compare reads. BASE is extracted under .bench_build/ab/ and
+# removed on exit; the reports stay in .bench_build/ab/{base,head}/.
+#   make bench-ab BASE=HEAD~1 WL=tx-write PAIRS=10
+BASE ?= HEAD
+WL ?= tx-write
+PAIRS ?= 10
+SEED ?= 1
+AB := $(CURDIR)/.bench_build/ab
+bench-ab:
+	@set -e; rm -rf $(AB); mkdir -p $(AB)/src $(AB)/base $(AB)/head; \
+	trap 'rm -rf $(AB)/src' EXIT; \
+	git archive $(BASE) | tar -x -C $(AB)/src; \
+	run() { \
+		echo "bench-ab: $(WL) seed $(SEED) on $$1 → $$2" >&2; \
+		$(GO) run -C $$1/benchmark . --workload $(WL) --seed $(SEED) --seconds 12 2>>$(AB)/log | tail -n 1 | \
+			jq -c --arg wl $(WL) '{workloads:[{workload:$$wl,end_to_end:.metrics}]}' > $$2; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then \
+			run $(AB)/src $(AB)/base/report-$$i.json; run $(CURDIR) $(AB)/head/report-$$i.json; \
+		else \
+			run $(CURDIR) $(AB)/head/report-$$i.json; run $(AB)/src $(AB)/base/report-$$i.json; \
+		fi; \
+	done; \
+	$(GO) run -C benchmark . -compare $(AB)/base $(AB)/head
 
 # The number a simplicity PR's acceptance quotes: non-test Go lines outside
 # benchmark/ and testdata/.

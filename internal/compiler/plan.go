@@ -209,9 +209,8 @@ func (k *ConstraintPlan) References() []string {
 	for _, ha := range k.HeadNegAtoms {
 		set[BaseName(ha.Name)] = true
 	}
-	for _, hc := range k.HeadChecks {
-		collectExprPreds(hc.L, set)
-		collectExprPreds(hc.R, set)
+	for _, n := range k.HeadLookups() {
+		set[BaseName(n)] = true
 	}
 	out := make([]string, 0, len(set))
 	for n := range set {
@@ -220,22 +219,38 @@ func (k *ConstraintPlan) References() []string {
 	return out
 }
 
-func collectExprPreds(e Expr, set map[string]bool) {
-	switch e := e.(type) {
-	case FuncGetExpr:
-		set[BaseName(e.Name)] = true
-		for _, a := range e.Args {
-			collectExprPreds(a, set)
-		}
-	case ArithExpr:
-		collectExprPreds(e.L, set)
-		collectExprPreds(e.R, set)
-	case existsExpr:
-		set[BaseName(e.name)] = true
-		for _, a := range e.args {
-			if a != nil {
-				collectExprPreds(a, set)
-			}
+// HeadLookups lists the predicates a constraint's head reads through
+// functional lookups — v[x] in a comparison or in a head atom's argument —
+// so a change to them can break a binding the body did not gain.
+func (k *ConstraintPlan) HeadLookups() []string {
+	var out []string
+	for _, hc := range k.HeadChecks {
+		out = collectLookups(hc.L, out)
+		out = collectLookups(hc.R, out)
+	}
+	for _, ha := range k.HeadAtoms {
+		for _, a := range ha.Args {
+			out = collectLookups(a, out)
 		}
 	}
+	return out
+}
+
+// collectLookups appends the names of the functional lookups in e.
+func collectLookups(e Expr, out []string) []string {
+	switch e := e.(type) {
+	case FuncGetExpr:
+		out = append(out, e.Name)
+		for _, a := range e.Args {
+			out = collectLookups(a, out)
+		}
+	case ArithExpr:
+		out = collectLookups(e.L, out)
+		out = collectLookups(e.R, out)
+	case existsExpr:
+		for _, a := range e.args {
+			out = collectLookups(a, out)
+		}
+	}
+	return out
 }

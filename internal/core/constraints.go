@@ -1,0 +1,231 @@
+package core
+
+import (
+	"fmt"
+
+	"logicblox/internal/compiler"
+	"logicblox/internal/engine"
+	"logicblox/internal/ivm"
+	"logicblox/internal/obs"
+	"logicblox/internal/relation"
+	"logicblox/internal/tuple"
+)
+
+// txDelta is the exact per-predicate change from a transaction's receiver
+// (prev) to its result (next), over the names the transaction dirtied:
+// derived heads as rederive reported them, anything else diffed on first
+// use. Every stored relation of next is a path copy or a patch of prev's,
+// so the sharing-aware diff prunes all but the changed paths: O(Δ log n).
+type txDelta struct {
+	prev, next *Workspace
+	dirty      map[string]bool
+	known      map[string]ivm.Delta
+}
+
+// of returns name's delta, empty when the transaction did not move it.
+func (d *txDelta) of(name string) ivm.Delta {
+	if !d.dirty[name] {
+		return ivm.Delta{}
+	}
+	m, ok := d.known[name]
+	if !ok {
+		now := d.next.relationOr(name, 0)
+		d.prev.relationOr(name, now.Arity()).Diff(now,
+			func(t tuple.Tuple) { m.Del = append(m.Del, t) },
+			func(t tuple.Tuple) { m.Ins = append(m.Ins, t) })
+		d.known[name] = m
+	}
+	return m
+}
+
+// checkFunctional enforces the functional dependency of every predicate
+// the transaction dirtied that preds declares functional — at most one
+// value per key — at a cost proportional to the change: only the tuples
+// the delta reports inserted are probed. A predicate the receiver held
+// nothing of (restore, the first write) is swept in one ordered pass
+// instead of one probe per tuple.
+func (ws *Workspace) checkFunctional(preds map[string]*compiler.PredInfo, delta *txDelta) error {
+	for name := range delta.dirty {
+		info := preds[name]
+		if info == nil || !info.Functional || info.Arity < 2 {
+			continue
+		}
+		rel, nkey := ws.relationOr(name, info.Arity), info.Arity-1
+		var clash []tuple.Tuple // two tuples of rel sharing a key
+		if delta.prev.relationOr(name, info.Arity).IsEmpty() {
+			if a, b, ok := rel.KeyConflict(); ok {
+				clash = []tuple.Tuple{a, b}
+			}
+		} else {
+			for _, t := range delta.of(name).Ins {
+				if same := rel.Lookup(t[:nkey]); len(same) > 1 {
+					clash = same
+					break
+				}
+			}
+		}
+		if clash != nil {
+			return fmt.Errorf("transaction aborted: %w: functional dependency of %s: key %s has values %s and %s",
+				ErrConstraint, name, clash[0][:nkey], clash[0][nkey], clash[1][nkey])
+		}
+	}
+	return nil
+}
+
+// checkConstraints validates the workspace state (whose relations ctx
+// holds), returning an error listing all violations if the state is
+// illegal. A constraint the transaction's receiver is known to satisfy is
+// checked against what the transaction moved (constraintScope):
+// skipped, or checked over the bindings it gained only; the others — new
+// to the program (addblock, restore), or left unchecked by Load or Solve —
+// are checked in full. Constraints that reference free solver predicates
+// (lang:solve:variable) define the optimization problem rather than the
+// set of legal states before a solve, so they are enforced only once the
+// free predicate has been populated. sp (the constraints span) and the
+// core.constraints.* counters get how many constraints went each way, a
+// check cut short by an error or the deadline included.
+func (ws *Workspace) checkConstraints(ctx *engine.Context, delta *txDelta, sp *obs.Span) error {
+	unsolved, held := ws.unsolved(), delta.prev.held()
+	var vs []engine.Violation
+	var skipped, deltaChecked, fullChecked int64
+	defer func() {
+		reg := ws.Observer()
+		for _, c := range []struct {
+			name string
+			n    int64
+		}{{"delta_checked", deltaChecked}, {"full_checked", fullChecked}, {"skipped", skipped}} {
+			sp.SetAttr(c.name, c.n)
+			if c.n > 0 {
+				reg.Counter("core.constraints." + c.name).Add(c.n)
+			}
+		}
+	}()
+	for _, k := range ws.prog.Constraints {
+		if refersTo(k, unsolved) {
+			skipped++
+			continue
+		}
+		var deltas map[int]relation.Relation
+		if held[k.Source] {
+			var full bool
+			if full, deltas = constraintScope(k, delta, ctx); !full && deltas == nil {
+				skipped++
+				continue
+			}
+		}
+		if deltas == nil {
+			fullChecked++
+		} else {
+			deltaChecked++
+		}
+		kvs, err := ctx.CheckConstraint(k, deltas)
+		if err != nil {
+			return err
+		}
+		vs = append(vs, kvs...)
+	}
+	if len(vs) == 0 {
+		return nil
+	}
+	msg := ""
+	for i, v := range vs {
+		if i == 5 {
+			msg += fmt.Sprintf("\n  … and %d more", len(vs)-5)
+			break
+		}
+		msg += "\n  " + v.String()
+	}
+	return fmt.Errorf("transaction aborted: %d %w(s):%s", len(vs), ErrConstraint, msg)
+}
+
+// constraintScope decides how much of constraint k a transaction must
+// re-check when its receiver satisfied k (paper T3: a constraint is a view
+// that must stay empty). A violation can appear only through a binding the
+// body gained — a tuple inserted into a positive body atom — or an old
+// binding whose head stopped holding. So k is checked in full (full) when
+// a head atom lost tuples, a negated body atom lost tuples, a negated head
+// atom gained tuples, a predicate read by a head lookup moved, or an atom
+// names a decorated predicate (+R, R@start), whose contents the delta does
+// not describe; otherwise it is checked over the bindings its gaining
+// atoms take part in (deltas: per positive body atom that gained tuples,
+// those tuples), and skipped when there are none.
+func constraintScope(k *compiler.ConstraintPlan, delta *txDelta, ctx *engine.Context) (full bool, deltas map[int]relation.Relation) {
+	decorated := func(name string) bool { return compiler.BaseName(name) != name }
+	for _, a := range k.HeadAtoms {
+		if decorated(a.Name) || len(delta.of(a.Name).Del) > 0 {
+			return true, nil
+		}
+	}
+	for _, a := range k.HeadNegAtoms {
+		if decorated(a.Name) || len(delta.of(a.Name).Ins) > 0 {
+			return true, nil
+		}
+	}
+	for _, a := range k.Body.NegAtoms {
+		if decorated(a.Name) || len(delta.of(a.Name).Del) > 0 {
+			return true, nil
+		}
+	}
+	for _, name := range k.HeadLookups() {
+		if decorated(name) || !delta.of(name).Empty() {
+			return true, nil
+		}
+	}
+	for ai, a := range k.Body.Atoms {
+		if decorated(a.Name) {
+			return true, nil
+		}
+		if ins := delta.of(a.Name).Ins; len(ins) > 0 {
+			if deltas == nil {
+				deltas = map[int]relation.Relation{}
+			}
+			deltas[ai] = relation.FromTuples(ctx.Relation(a.Name).Arity(), ins)
+		}
+	}
+	return false, deltas
+}
+
+// unsolved returns the free solver predicates ws holds nothing of: the
+// constraints over them wait for a solve.
+func (ws *Workspace) unsolved() map[string]bool {
+	if ws.prog.Solve == nil {
+		return nil
+	}
+	out := map[string]bool{}
+	for _, v := range ws.prog.Solve.Variables {
+		if ws.Relation(v).IsEmpty() {
+			out[v] = true
+		}
+	}
+	return out
+}
+
+// held returns the sources of the constraints ws's state is known to
+// satisfy: every constraint of its program that its last check enforced —
+// none when it was settled unchecked since.
+func (ws *Workspace) held() map[string]bool {
+	if ws.unchecked {
+		return nil
+	}
+	unsolved := ws.unsolved()
+	out := map[string]bool{}
+	for _, k := range ws.prog.Constraints {
+		if !refersTo(k, unsolved) {
+			out[k.Source] = true
+		}
+	}
+	return out
+}
+
+// refersTo reports whether k touches any of names.
+func refersTo(k *compiler.ConstraintPlan, names map[string]bool) bool {
+	if len(names) == 0 {
+		return false
+	}
+	for _, ref := range k.References() {
+		if names[ref] {
+			return true
+		}
+	}
+	return false
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"logicblox/internal/obs"
 	"logicblox/internal/tuple"
 )
 
@@ -29,24 +30,35 @@ func TestExecCtxDeadlineStopsFixpoint(t *testing.T) {
 	}
 }
 
-// TestDeadlineBindsInsideJoins gives four transaction shapes whose only
+// TestDeadlineBindsInsideJoins gives five transaction shapes whose only
 // slow part is one cross-product join (200³ bindings, seconds of work) a
 // 20ms deadline: a reactive exec rule, an aggregating query on the
-// materialized path, a constraint body rechecked by a one-fact exec, and
-// a view installed by addblock. Each must stop inside the join with the
-// deadline as its error, leave the receiver as it was, and — through
-// Database.Apply — commit and journal nothing.
+// materialized path, a constraint body rechecked in full by a one-fact
+// exec (the Load that seeded it was unchecked), the same constraint
+// shape delta-checked (its data committed through checked transactions,
+// the exec's one fact joined with the rest), and a view installed by
+// addblock. Each must stop inside the join with the deadline as its
+// error, leave the receiver as it was, and — through Database.Apply —
+// commit and journal nothing.
 func TestDeadlineBindsInsideJoins(t *testing.T) {
 	facts := make([]tuple.Tuple, 200)
 	for i := range facts {
 		facts[i] = tuple.Ints(int64(i))
 	}
-	seed := func(t *testing.T, logic string) *Workspace {
+	seed := func(t *testing.T, logic string, inserted []string) *Workspace {
 		ws := NewWorkspace()
 		if logic != "" {
 			ws = mustAddBlock(t, ws, "logic", logic)
 		}
-		ws, err := ws.Load("e", facts) // unchecked: the slow constraint is not run here
+		var err error
+		if inserted == nil {
+			ws, err = ws.Load("e", facts) // unchecked: the slow constraint is not run here
+		}
+		for _, p := range inserted {
+			if ws, err = ws.Insert(p, facts...); err != nil {
+				break
+			}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,16 +67,26 @@ func TestDeadlineBindsInsideJoins(t *testing.T) {
 	cases := []struct {
 		name  string
 		logic string
-		rec   CommitRecord // Kind "" = a query, run on the workspace alone
+		// inserted lists the predicates committed with the 200 facts
+		// through checked transactions; nil Loads them into e instead.
+		inserted []string
+		// checked is the core.constraints.* counter a constraint case moves
+		// once: how the aborted check ran.
+		checked string
+		rec     CommitRecord // Kind "" = a query, run on the workspace alone
 	}{
 		{name: "reactive exec rule", rec: CommitRecord{Kind: "exec", Src: `+big(a, b, c) <- e(a), e(b), e(c). +e(1000).`}},
 		{name: "aggregating query", rec: CommitRecord{Src: `n[] = c <- agg<<c = count()>> e(a), e(b), e(c). _(c) <- n[] = c.`}},
-		{name: "constraint body", logic: `e(a), e(b), e(c) -> a >= 0.`, rec: CommitRecord{Kind: "exec", Src: `+e(1000).`}},
+		{name: "constraint body", logic: `e(a), e(b), e(c) -> a >= 0.`, checked: "full_checked",
+			rec: CommitRecord{Kind: "exec", Src: `+e(1000).`}},
+		{name: "constraint delta", logic: `e(a), f(b), g(c), h(d) -> a >= 0.`, inserted: []string{"f", "g", "h"}, checked: "delta_checked",
+			rec: CommitRecord{Kind: "exec", Src: `+e(1000).`}},
 		{name: "addblock view", rec: CommitRecord{Kind: "addblock", Name: "view", Src: `big(a, b, c) <- e(a), e(b), e(c).`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ws := seed(t, tc.logic)
+			reg := obs.NewRegistry()
+			ws := seed(t, tc.logic, tc.inserted).WithObserver(reg)
 			before := ws.relations()
 			run := func(via string, do func(ctx context.Context) error) {
 				t.Helper()
@@ -90,6 +112,9 @@ func TestDeadlineBindsInsideJoins(t *testing.T) {
 				}
 				return err
 			})
+			if c := reg.Snapshot().Counters; tc.checked != "" && (c["core.constraints."+tc.checked] != 1 || c["core.constraints.skipped"] != 0) {
+				t.Fatalf("constraint counters %v, want %s = 1", c, tc.checked)
+			}
 			for name, rel := range ws.relations() {
 				if !rel.Equal(before[name]) {
 					t.Fatalf("receiver's %s changed", name)

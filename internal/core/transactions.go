@@ -363,19 +363,25 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 // the dirty set and, unless check is off, functional dependencies (of
 // the predicates that changed, as declared in preds — the symbol table
 // the change was compiled against) and integrity constraints are
-// verified over the result. Only Load (bulk seeding across predicates with
-// referential constraints) and Solve (feasible by construction) run
-// unchecked.
+// verified over the result, both against the delta from prev. Only Load
+// (bulk seeding across predicates with referential constraints) and Solve
+// (feasible by construction) run unchecked; the version they leave is
+// marked so that the next checked transaction checks in full.
 func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, sp *obs.Span, check bool) (*Workspace, error) {
 	ctx := ws.newContext(rctx, ws.prog)
-	out, err := ws.rederive(ctx, dirty, sp)
-	if err != nil || !check {
-		return out, err
+	out, moved, err := ws.rederive(ctx, dirty, sp)
+	if err != nil {
+		return nil, err
+	}
+	out.unchecked = !check
+	if !check {
+		return out, nil
 	}
 	ksp := sp.Child("constraints")
-	err = out.checkFunctional(prev, preds, dirty)
+	delta := &txDelta{prev: prev, next: out, dirty: dirty, known: moved}
+	err = out.checkFunctional(preds, delta)
 	if err == nil {
-		err = out.checkConstraints(ctx)
+		err = out.checkConstraints(ctx, delta, ksp)
 	}
 	ksp.End()
 	if err != nil {

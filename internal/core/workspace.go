@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"logicblox/internal/ast"
@@ -36,6 +35,10 @@ type Workspace struct {
 	version uint64
 	plans   *optimizer.PlanStore // sampled join orders (paper §3.2), shared across versions; nil = the compiler's orders
 	obs     *obs.Registry        // transaction profiling target (nil → obs.Default)
+	// unchecked marks a version settled without the integrity check (Load,
+	// Solve) and not since checked: its state may violate a constraint, so
+	// the next checked transaction checks every constraint in full.
+	unchecked bool
 }
 
 // NewWorkspace returns an empty workspace with no logic and no data.
@@ -180,7 +183,8 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 // the engine-side half of live programming (paper Figure 6). The
 // maintenance itself is ivm's stratum-granular strategy under a name-level
 // staleness test; swapping in a finer one is a change to this call site.
-func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, error) {
+// It also returns the delta of every derived predicate it moved.
+func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
 	out := ws.clone()
 	reg := ws.Observer()
 	sp := parent.Child("rederive")
@@ -205,102 +209,21 @@ func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent
 		}
 		return false
 	}
+	deltas := map[string]ivm.Delta{}
 	for _, stratum := range out.prog.Strata {
 		moved, n, err := ivm.RederiveStratum(ctx, stratum, stale)
 		evals += int64(n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		reused += int64(len(stratum) - n)
-		for h := range moved {
+		for h, mv := range moved {
 			out.derived = out.derived.Set(h, ctx.Relation(h))
 			dirty[h] = true
+			deltas[h] = mv.Delta
 		}
 	}
-	return out, nil
-}
-
-// checkFunctional enforces the functional dependency of every predicate
-// named in changed that preds declares functional — at most one value
-// per key — at a cost proportional to the change: only the tuples the
-// sharing-aware Diff against prev (the transaction's receiver) reports
-// inserted are probed. A predicate prev holds nothing of (restore, the
-// first write) is swept in one ordered pass instead of one probe per
-// tuple.
-func (ws *Workspace) checkFunctional(prev *Workspace, preds map[string]*compiler.PredInfo, changed map[string]bool) error {
-	for name := range changed {
-		info := preds[name]
-		if info == nil || !info.Functional || info.Arity < 2 {
-			continue
-		}
-		rel, nkey := ws.relationOr(name, info.Arity), info.Arity-1
-		var clash []tuple.Tuple // two tuples of rel sharing a key
-		if was := prev.relationOr(name, info.Arity); was.IsEmpty() {
-			if a, b, ok := rel.KeyConflict(); ok {
-				clash = []tuple.Tuple{a, b}
-			}
-		} else {
-			was.Diff(rel, func(tuple.Tuple) {}, func(t tuple.Tuple) {
-				if clash == nil {
-					if same := rel.Lookup(t[:nkey]); len(same) > 1 {
-						clash = same
-					}
-				}
-			})
-		}
-		if clash != nil {
-			return fmt.Errorf("transaction aborted: %w: functional dependency of %s: key %s has values %s and %s",
-				ErrConstraint, name, clash[0][:nkey], clash[0][nkey], clash[1][nkey])
-		}
-	}
-	return nil
-}
-
-// checkConstraints validates the workspace state (whose relations ctx
-// holds), returning an error listing all violations if the state is
-// illegal. Constraints that reference free solver predicates
-// (lang:solve:variable) define the optimization problem rather than the
-// set of legal states before a solve, so they are enforced only once the
-// free predicate has been populated.
-func (ws *Workspace) checkConstraints(ctx *engine.Context) error {
-	deferred := map[string]bool{}
-	if ws.prog.Solve != nil {
-		for _, v := range ws.prog.Solve.Variables {
-			if ws.Relation(v).IsEmpty() {
-				deferred[v] = true
-			}
-		}
-	}
-	var vs []engine.Violation
-	for _, k := range ws.prog.Constraints {
-		skip := false
-		for _, ref := range k.References() {
-			if deferred[ref] {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		kvs, err := ctx.CheckConstraint(k)
-		if err != nil {
-			return err
-		}
-		vs = append(vs, kvs...)
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	msg := ""
-	for i, v := range vs {
-		if i == 5 {
-			msg += fmt.Sprintf("\n  … and %d more", len(vs)-5)
-			break
-		}
-		msg += "\n  " + v.String()
-	}
-	return fmt.Errorf("transaction aborted: %d %w(s):%s", len(vs), ErrConstraint, msg)
+	return out, deltas, nil
 }
 
 // Query runs a query transaction: src is a program with a designated

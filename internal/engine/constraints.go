@@ -3,8 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"logicblox/internal/compiler"
+	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
 
@@ -26,7 +28,7 @@ func (v Violation) String() string {
 func (c *Context) CheckConstraints() ([]Violation, error) {
 	var all []Violation
 	for _, k := range c.Prog.Constraints {
-		vs, err := c.CheckConstraint(k)
+		vs, err := c.CheckConstraint(k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -36,25 +38,67 @@ func (c *Context) CheckConstraints() ([]Violation, error) {
 }
 
 // CheckConstraint enumerates the body F and validates the head G for each
-// binding (F -> G, paper §2.2.1).
-func (c *Context) CheckConstraint(k *compiler.ConstraintPlan) ([]Violation, error) {
-	b, err := c.Bindings(k.Body, nil)
+// binding (F -> G, paper §2.2.1). With deltas nil every binding is
+// checked. Otherwise deltas maps positive body atoms to tuples a
+// transaction inserted into them, and only the bindings those tuples take
+// part in are checked: the body runs once per entry, that atom scanning
+// its delta (the Bindings override semi-naive rounds use), and a binding
+// found through two atoms is reported once. Either way the violations
+// come out in the body's binding order.
+func (c *Context) CheckConstraint(k *compiler.ConstraintPlan, deltas map[int]relation.Relation) ([]Violation, error) {
+	if deltas == nil {
+		var out []Violation
+		err := c.checkBody(k, nil, func(_ tuple.Tuple, v Violation) { out = append(out, v) })
+		return out, err
+	}
+	atoms := make([]int, 0, len(deltas))
+	for ai := range deltas {
+		atoms = append(atoms, ai)
+	}
+	sort.Ints(atoms)
+	type witness struct {
+		at tuple.Tuple // the binding's join variables
+		v  Violation
+	}
+	var found []witness
+	for _, ai := range atoms {
+		err := c.checkBody(k, map[int]relation.Relation{ai: deltas[ai]}, func(at tuple.Tuple, v Violation) {
+			found = append(found, witness{at.Clone(), v})
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.SliceStable(found, func(i, j int) bool { return found[i].at.Compare(found[j].at) < 0 })
+	var out []Violation
+	for i, w := range found {
+		if i == 0 || !w.at.Equal(found[i-1].at) {
+			out = append(out, w.v)
+		}
+	}
+	return out, nil
+}
+
+// checkBody drains k's body under overrides and reports each binding whose
+// head fails, with the binding's join variables.
+func (c *Context) checkBody(k *compiler.ConstraintPlan, overrides map[int]relation.Relation, report func(tuple.Tuple, Violation)) error {
+	b, err := c.Bindings(k.Body, overrides)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer b.Close()
-	var out []Violation
+	n := min(k.Body.NumJoinVars, k.Body.Slots)
 	for binding, ok := b.Next(); ok; binding, ok = b.Next() {
 		reason, err := c.headHolds(k, binding, b.resolver)
 		if err != nil {
-			return out, err
+			return err
 		}
 		if reason != "" {
-			witness := bindingString(k.Body.VarNames, binding, k.Body.NumJoinVars)
-			out = append(out, Violation{Constraint: k.Source, Binding: witness, Reason: reason})
+			witness := bindingString(k.Body.VarNames, binding, n)
+			report(binding[:n], Violation{Constraint: k.Source, Binding: witness, Reason: reason})
 		}
 	}
-	return out, b.Err()
+	return b.Err()
 }
 
 // headHolds returns "" when every head check passes, or the failure
@@ -130,9 +174,6 @@ func (c *Context) headHolds(k *compiler.ConstraintPlan, binding tuple.Tuple, res
 }
 
 func bindingString(names []string, binding tuple.Tuple, n int) string {
-	if n > len(binding) {
-		n = len(binding)
-	}
 	s := "{"
 	for i := 0; i < n; i++ {
 		if i > 0 {

@@ -168,6 +168,13 @@ func (c *Context) EvalAll() error {
 // then, for a recursive stratum, the semi-naive fixpoint seeded with what
 // the first pass derived.
 func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
+	_, err := c.evalStratum(rules)
+	return err
+}
+
+// evalStratum is EvalStratum returning the stratum's span (nil when
+// untraced), already ended.
+func (c *Context) evalStratum(rules []*compiler.RulePlan) (*obs.Span, error) {
 	recursive := compiler.StratumRecursive(rules)
 	sp := c.span.Child("stratum")
 	sp.SetAttr("rules", int64(len(rules)))
@@ -182,7 +189,7 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 	for i, r := range rules {
 		out, err := c.evalRuleUnder(sp, r, nil)
 		if err != nil {
-			return err
+			return sp, err
 		}
 		results[i] = out
 	}
@@ -191,16 +198,18 @@ func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
 		c.absorb(r.HeadName, results[i], deltas)
 	}
 	if !recursive {
-		return nil
+		return sp, nil
 	}
 	_, err := c.propagate(sp, rules, deltas)
-	return err
+	return sp, err
 }
 
 // ReevalStratum empties the stratum's head predicates, evaluates it from
 // scratch and returns every head's before-image — what a maintainer that
-// gives up on a stratum diffs the fresh result against.
-func (c *Context) ReevalStratum(rules []*compiler.RulePlan) (map[string]relation.Relation, error) {
+// gives up on a stratum diffs the fresh result against — and the
+// evaluation's stratum span (nil when untraced), on which the maintainer
+// may record what the pass moved.
+func (c *Context) ReevalStratum(rules []*compiler.RulePlan) (map[string]relation.Relation, *obs.Span, error) {
 	before := map[string]relation.Relation{}
 	for _, r := range rules {
 		if _, seen := before[r.HeadName]; !seen {
@@ -208,7 +217,8 @@ func (c *Context) ReevalStratum(rules []*compiler.RulePlan) (map[string]relation
 			c.Set(r.HeadName, relation.New(before[r.HeadName].Arity()))
 		}
 	}
-	return before, c.EvalStratum(rules)
+	sp, err := c.evalStratum(rules)
+	return before, sp, err
 }
 
 // PropagateStratum brings an already evaluated stratum up to date with

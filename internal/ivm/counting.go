@@ -283,7 +283,7 @@ func (m *Maintainer) maintainRecursiveStratum(stratum []*compiler.RulePlan, acc 
 // recomputeStratum clears the stratum's head predicates and re-evaluates.
 func (m *Maintainer) recomputeStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
 	m.Stats.RulesEvaluated += len(rules)
-	before, err := m.ctx.ReevalStratum(rules)
+	before, _, err := m.ctx.ReevalStratum(rules)
 	if err != nil {
 		return err
 	}

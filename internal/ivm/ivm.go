@@ -191,26 +191,34 @@ func (m *Maintainer) Apply(deltas map[string]Delta) (map[string]Delta, error) {
 	return acc, err
 }
 
-// recordHeads is the one place a maintenance step reports what it did to
-// derived predicates: every head whose content differs from its
-// before-image gets that image remembered in old (the first one wins —
-// delta rules of later strata read the pre-batch state) and the difference
-// appended to acc.
+// recordHeads reports what a maintenance step did to derived predicates
+// given their before-images: the difference of every head to its current
+// content goes through recordMoved.
 func (m *Maintainer) recordHeads(acc map[string]Delta, old, before map[string]relation.Relation) {
 	for head, was := range before {
-		cur := m.ctx.Relation(head)
-		if cur.Equal(was) {
-			continue
-		}
-		if _, ok := old[head]; !ok {
-			old[head] = was
-		}
-		d := acc[head]
-		was.Diff(cur,
-			func(t tuple.Tuple) { d.Del = append(d.Del, t) },
-			func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
-		acc[head] = d
+		mv := Moved{Before: was}
+		was.Diff(m.ctx.Relation(head),
+			func(t tuple.Tuple) { mv.Del = append(mv.Del, t) },
+			func(t tuple.Tuple) { mv.Ins = append(mv.Ins, t) })
+		m.recordMoved(acc, old, head, mv)
 	}
+}
+
+// recordMoved is the one place a maintenance step reports a moved head: a
+// head whose content changed gets its before-image remembered in old (the
+// first one wins — delta rules of later strata read the pre-batch state)
+// and its delta appended to acc.
+func (m *Maintainer) recordMoved(acc map[string]Delta, old map[string]relation.Relation, head string, mv Moved) {
+	if mv.Empty() {
+		return
+	}
+	if _, ok := old[head]; !ok {
+		old[head] = mv.Before
+	}
+	d := acc[head]
+	d.Del = append(d.Del, mv.Del...)
+	d.Ins = append(d.Ins, mv.Ins...)
+	acc[head] = d
 }
 
 // changedIn adapts a delta batch to compiler.RulePlan.ReadsAny: the
