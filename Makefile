@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePageToken$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJournal$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzTailReader$$' -fuzztime=5s ./internal/durable
+	$(GO) test -run='^$$' -fuzz='^FuzzUnframeSnapshot$$' -fuzztime=5s ./internal/durable
 
 # benchmark/ compiles against internal packages; a refactor that breaks
 # its imports must fail here rather than in the benchmark run.
@@ -66,33 +67,40 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # A/B end-to-end benchmark of the working tree against revision BASE:
-# PAIRS pairs of `--seconds 12` runs of workload WL (seed SEED), the side
-# that runs first alternating pair by pair, each result line wrapped into
-# a report -compare reads. BASE is extracted under .bench_build/ab/ and
-# removed on exit; the reports stay in .bench_build/ab/{base,head}/.
-#   make bench-ab BASE=HEAD~1 WL=tx-write PAIRS=10
+# for each workload in WL (a space-separated list), PAIRS pairs of
+# `--seconds 12` runs (seed SEED), the side that runs first alternating
+# pair by pair, each result line wrapped into a report -compare reads, then
+# one -compare per workload. BASE is extracted under .bench_build/ab/ and
+# removed on exit; the reports stay in .bench_build/ab/<workload>/{base,head}/.
+#   make bench-ab BASE=HEAD~1 WL="tx-write workbook" PAIRS=10
 BASE ?= HEAD
 WL ?= tx-write
 PAIRS ?= 10
 SEED ?= 1
 AB := $(CURDIR)/.bench_build/ab
 bench-ab:
-	@set -e; rm -rf $(AB); mkdir -p $(AB)/src $(AB)/base $(AB)/head; \
+	@set -e; rm -rf $(AB); mkdir -p $(AB)/src; \
 	trap 'rm -rf $(AB)/src' EXIT; \
 	git archive $(BASE) | tar -x -C $(AB)/src; \
 	run() { \
-		echo "bench-ab: $(WL) seed $(SEED) on $$1 → $$2" >&2; \
-		$(GO) run -C $$1/benchmark . --workload $(WL) --seed $(SEED) --seconds 12 2>>$(AB)/log | tail -n 1 | \
-			jq -c --arg wl $(WL) '{workloads:[{workload:$$wl,end_to_end:.metrics}]}' > $$2; \
+		echo "bench-ab: $$wl seed $(SEED) on $$1 → $$2" >&2; \
+		$(GO) run -C $$1/benchmark . --workload $$wl --seed $(SEED) --seconds 12 2>>$(AB)/log | tail -n 1 | \
+			jq -c --arg wl $$wl '{workloads:[{workload:$$wl,end_to_end:.metrics}]}' > $$2; \
 	}; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) = 1 ]; then \
-			run $(AB)/src $(AB)/base/report-$$i.json; run $(CURDIR) $(AB)/head/report-$$i.json; \
-		else \
-			run $(CURDIR) $(AB)/head/report-$$i.json; run $(AB)/src $(AB)/base/report-$$i.json; \
-		fi; \
+	for wl in $(WL); do \
+		mkdir -p $(AB)/$$wl/base $(AB)/$$wl/head; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			if [ $$((i % 2)) = 1 ]; then \
+				run $(AB)/src $(AB)/$$wl/base/report-$$i.json; run $(CURDIR) $(AB)/$$wl/head/report-$$i.json; \
+			else \
+				run $(CURDIR) $(AB)/$$wl/head/report-$$i.json; run $(AB)/src $(AB)/$$wl/base/report-$$i.json; \
+			fi; \
+		done; \
 	done; \
-	$(GO) run -C benchmark . -compare $(AB)/base $(AB)/head
+	for wl in $(WL); do \
+		echo "bench-ab: $$wl"; \
+		$(GO) run -C benchmark . -compare $(AB)/$$wl/base $(AB)/$$wl/head; \
+	done
 
 # The number a simplicity PR's acceptance quotes: non-test Go lines outside
 # benchmark/ and testdata/.

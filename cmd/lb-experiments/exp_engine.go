@@ -121,8 +121,8 @@ func runIVM(quick bool) {
 		}
 		fmt.Println()
 	}
-	fmt.Println("shape check: incremental modes scale with Δ (not |e|) and skip the")
-	fmt.Println("untouched views (sk column); recompute re-derives everything every time.")
+	fmt.Println("shape check: incremental modes scale with Δ (not |e|); every mode skips")
+	fmt.Println("the untouched views (sk column), and recompute re-derives the touched one whole.")
 	fmt.Println("(the triangle view is globally sensitive — any edge can close a triangle —")
 	fmt.Println(" so the sensitivity mode pays trace re-recording there; its win is below)")
 

@@ -13,7 +13,8 @@ import (
 
 // txDelta is the exact per-predicate change from a transaction's receiver
 // (prev) to its result (next), over the names the transaction dirtied:
-// derived heads as rederive reported them, anything else diffed on first
+// base predicates as applyBase reported them, derived heads as rederive
+// did, anything else (restore, Solve, addblock's drops) diffed on first
 // use. Every stored relation of next is a path copy or a patch of prev's,
 // so the sharing-aware diff prunes all but the changed paths: O(Δ log n).
 type txDelta struct {

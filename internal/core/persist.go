@@ -157,7 +157,7 @@ func RestoreWorkspace(blocks map[string]string, base map[string][]tuple.Tuple, a
 	for _, name := range compiled.IDBPreds {
 		dirty[name] = true
 	}
-	return ws.settle(context.Background(), NewWorkspace(), compiled.Preds, dirty, nil, true)
+	return ws.settle(context.Background(), NewWorkspace(), compiled.Preds, dirty, nil, nil, true)
 }
 
 // Save writes a snapshot of every branch head.

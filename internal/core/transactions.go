@@ -7,6 +7,7 @@ import (
 	"logicblox/internal/ast"
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
+	"logicblox/internal/ivm"
 	"logicblox/internal/lftj"
 	"logicblox/internal/meta"
 	"logicblox/internal/obs"
@@ -99,7 +100,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	// an affected predicate, so the adaptive optimizer re-samples against
 	// the new logic instead of trusting stale orders.
 	out.plans.InvalidatePreds(dirty)
-	return out.settle(rctx, ws, compiled.Preds, dirty, sp, true)
+	return out.settle(rctx, ws, compiled.Preds, dirty, nil, sp, true)
 }
 
 // ExecResult reports what an exec transaction changed.
@@ -109,10 +110,9 @@ type ExecResult struct {
 	BaseDeltas map[string]ExecDelta
 }
 
-// ExecDelta is the per-predicate effect of an exec transaction.
-type ExecDelta struct {
-	Ins, Del []tuple.Tuple
-}
+// ExecDelta is the per-predicate effect of an exec transaction: the
+// tuples it inserted and deleted.
+type ExecDelta = ivm.Delta
 
 // Exec runs an exec transaction (paper §2.2.2): src contains reactive
 // logic — delta facts and reactive rules over +R, -R, ^R and R@start.
@@ -350,7 +350,7 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 	if len(dirty) == 0 {
 		return &ExecResult{Workspace: ws, BaseDeltas: deltas}, nil
 	}
-	res, err := out.settle(rctx, ws, preds, dirty, sp, check)
+	res, err := out.settle(rctx, ws, preds, dirty, deltas, sp, check)
 	if err != nil {
 		return nil, err
 	}
@@ -363,11 +363,13 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 // the dirty set and, unless check is off, functional dependencies (of
 // the predicates that changed, as declared in preds — the symbol table
 // the change was compiled against) and integrity constraints are
-// verified over the result, both against the delta from prev. Only Load
+// verified over the result, both against the delta from prev: base holds
+// the exact deltas of the base predicates the caller already knows
+// (applyBase's), and only the dirty names nobody reported are diffed. Only Load
 // (bulk seeding across predicates with referential constraints) and Solve
 // (feasible by construction) run unchecked; the version they leave is
 // marked so that the next checked transaction checks in full.
-func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, sp *obs.Span, check bool) (*Workspace, error) {
+func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, base map[string]ExecDelta, sp *obs.Span, check bool) (*Workspace, error) {
 	ctx := ws.newContext(rctx, ws.prog)
 	out, moved, err := ws.rederive(ctx, dirty, sp)
 	if err != nil {
@@ -376,6 +378,9 @@ func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[str
 	out.unchecked = !check
 	if !check {
 		return out, nil
+	}
+	for p, d := range base {
+		moved[p] = d
 	}
 	ksp := sp.Child("constraints")
 	delta := &txDelta{prev: prev, next: out, dirty: dirty, known: moved}

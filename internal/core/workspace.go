@@ -175,55 +175,37 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 
 // rederive re-materializes derived predicates after base-data or logic
 // changes, in ctx — the transaction tail's evaluation context, which
-// holds ws's relations. dirty seeds the set of changed names (base
-// predicates with new contents and/or derived predicates marked dirty by
-// the meta-engine) and grows by every derived predicate whose content
-// moved; the change propagates through the execution graph, and a
-// predicate none of whose dependencies changed keeps its stored contents —
-// the engine-side half of live programming (paper Figure 6). The
-// maintenance itself is ivm's stratum-granular strategy under a name-level
-// staleness test; swapping in a finer one is a change to this call site.
-// It also returns the delta of every derived predicate it moved.
+// holds ws's relations. dirty names what changed (base predicates with new
+// contents and/or derived predicates marked dirty by the meta-engine) and
+// grows by every derived predicate the pass moved; the change propagates
+// through the execution graph, and a predicate none of whose dependencies
+// changed keeps its stored contents — the engine-side half of live
+// programming (paper Figure 6). The maintenance itself is ivm's stratum
+// walk in Recompute mode. It also returns the delta of every derived
+// predicate it moved.
 func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
-	out := ws.clone()
-	reg := ws.Observer()
 	sp := parent.Child("rederive")
 	sp.SetAttr("dirty", int64(len(dirty)))
 	ctx.SetSpan(sp)
-	var evals, reused int64
-	defer func() {
-		sp.SetAttr("rules_evaluated", evals)
-		sp.SetAttr("rules_reused", reused)
-		sp.End()
-		if evals+reused > 0 {
-			reg.Counter("core.rederive.rules_evaluated").Add(evals)
-			reg.Counter("core.rederive.rules_reused").Add(reused)
-		}
-	}()
-	changed := func(name string) bool { return dirty[name] }
-	stale := func(stratum []*compiler.RulePlan) bool {
-		for _, r := range stratum {
-			if dirty[r.HeadName] || r.ReadsAny(changed) {
-				return true
-			}
-		}
-		return false
+	moved, st, err := ivm.Rederive(ctx, dirty)
+	evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped)
+	sp.SetAttr("rules_evaluated", evals)
+	sp.SetAttr("rules_reused", reused)
+	sp.End()
+	if evals+reused > 0 {
+		reg := ws.Observer()
+		reg.Counter("core.rederive.rules_evaluated").Add(evals)
+		reg.Counter("core.rederive.rules_reused").Add(reused)
 	}
-	deltas := map[string]ivm.Delta{}
-	for _, stratum := range out.prog.Strata {
-		moved, n, err := ivm.RederiveStratum(ctx, stratum, stale)
-		evals += int64(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		reused += int64(len(stratum) - n)
-		for h, mv := range moved {
-			out.derived = out.derived.Set(h, ctx.Relation(h))
-			dirty[h] = true
-			deltas[h] = mv.Delta
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, deltas, nil
+	out := ws.clone()
+	for h := range moved {
+		out.derived = out.derived.Set(h, ctx.Relation(h))
+		dirty[h] = true
+	}
+	return out, moved, nil
 }
 
 // Query runs a query transaction: src is a program with a designated

@@ -107,3 +107,34 @@ func FuzzTailReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnframeSnapshot: whatever the bytes, UnframeSnapshotBytes never
+// panics, every error it returns is ErrCorruptSnapshot, and an input it
+// accepts is exactly the framing of the payload it returns. Seeded with
+// the cuts of TestFrameTruncation and byte flips like
+// TestFrameDetectsEveryByteFlip's.
+func FuzzUnframeSnapshot(f *testing.F) {
+	framed := frameSnapshot([]byte("some payload bytes"))
+	f.Add(framed)
+	for _, n := range []int{len(framed) - 1, snapHeaderSize + 3, snapHeaderSize, 12, 0} {
+		f.Add(framed[:n])
+	}
+	for _, i := range []int{8, 11, 12, 16, snapHeaderSize, len(framed) - 1} {
+		flipped := append([]byte(nil), framed...)
+		flipped[i] ^= 0x40
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		payload, err := UnframeSnapshotBytes(raw)
+		if err != nil {
+			if !errors.Is(err, core.ErrCorruptSnapshot) {
+				t.Fatalf("UnframeSnapshotBytes: %v, want ErrCorruptSnapshot", err)
+			}
+			return
+		}
+		if again := FrameSnapshotBytes(payload); !bytes.Equal(again, raw) {
+			t.Fatalf("accepted %d bytes re-frame to %d different ones", len(raw), len(again))
+		}
+	})
+}

@@ -60,15 +60,14 @@ func unframeSnapshot(raw []byte) (payload []byte, isFramed bool, err error) {
 		return nil, true, fmt.Errorf("%w: truncated snapshot header (%d bytes)", core.ErrCorruptSnapshot, len(raw))
 	}
 	if v := binary.BigEndian.Uint32(raw[8:]); v != snapVersion {
-		return nil, true, fmt.Errorf("unsupported snapshot format version %d", v)
+		return nil, true, fmt.Errorf("%w: unsupported snapshot format version %d", core.ErrCorruptSnapshot, v)
 	}
 	want := binary.BigEndian.Uint32(raw[12:])
 	n := binary.BigEndian.Uint64(raw[16:])
 	body := raw[snapHeaderSize:]
-	if uint64(len(body)) < n {
-		return nil, true, fmt.Errorf("%w: truncated snapshot payload (%d of %d bytes)", core.ErrCorruptSnapshot, len(body), n)
+	if uint64(len(body)) != n {
+		return nil, true, fmt.Errorf("%w: snapshot payload of %d bytes, header says %d", core.ErrCorruptSnapshot, len(body), n)
 	}
-	body = body[:n]
 	if got := crc32.Checksum(body, castagnoli); got != want {
 		return nil, true, fmt.Errorf("%w: snapshot checksum mismatch (got %08x, want %08x)", core.ErrCorruptSnapshot, got, want)
 	}

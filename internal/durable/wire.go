@@ -144,10 +144,17 @@ func (t *TailReader) Next() (TailFrame, error) {
 	if n == 0 || n > maxRecordBytes {
 		return TailFrame{}, fmt.Errorf("%w: implausible frame length %d", ErrTornFrame, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(t.r, payload); err != nil {
-		return TailFrame{}, fmt.Errorf("%w: short frame body: %v", ErrTornFrame, err)
+	// The declared length is the peer's claim, not a promise: the body is
+	// read into a buffer that grows only as its bytes arrive.
+	var body bytes.Buffer
+	got, err := body.ReadFrom(io.LimitReader(t.r, int64(n)))
+	if err == nil && got < int64(n) {
+		err = io.ErrUnexpectedEOF
 	}
+	if err != nil {
+		return TailFrame{}, fmt.Errorf("%w: short frame body (%d of %d bytes): %v", ErrTornFrame, got, n, err)
+	}
+	payload := body.Bytes()
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return TailFrame{}, fmt.Errorf("%w: frame checksum mismatch (got %08x, want %08x)", ErrTornFrame, got, want)
 	}

@@ -3,8 +3,10 @@ package durable_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -97,6 +99,23 @@ func TestTailReaderTornFinalFrame(t *testing.T) {
 	}
 	if _, err := tr.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("boundary cut: %v, want io.EOF", err)
+	}
+}
+
+// A header declaring the largest allowed body, followed by nothing, is a
+// torn frame — and costs the reader what arrived, not what was declared.
+func TestTailReaderDeclaredLengthNotAllocated(t *testing.T) {
+	hdr := make([]byte, 8)
+	binary.BigEndian.PutUint32(hdr, 64<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := durable.NewTailReader(bytes.NewReader(hdr)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, durable.ErrTornFrame) {
+		t.Fatalf("header only: %v, want ErrTornFrame", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading an 8-byte stream allocated %d bytes", alloc)
 	}
 }
 

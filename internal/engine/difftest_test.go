@@ -902,13 +902,15 @@ func withRecursiveNegation(p *genProgram) *genProgram {
 }
 
 // TestDifferentialIVM maintains each generated program incrementally
-// through random delta batches in every maintenance mode; after each
-// batch the maintained views must equal both a full re-evaluation and
-// the nested-loop reference over the updated base.
+// through random delta batches in every maintenance mode, and through the
+// transaction path (workspace arm); after each batch the maintained views
+// must equal both a full re-evaluation and the nested-loop reference over
+// the updated base.
 func TestDifferentialIVM(t *testing.T) {
 	for seed := int64(0); seed < suitePrograms; seed++ {
 		p := suiteProgram(seed)
 		prog := compileGen(t, p)
+		workspaceArm(t, p)
 		for _, mode := range ivmModes {
 			m, err := ivm.NewMaintainer(prog, p.base, mode)
 			if err != nil {
@@ -941,4 +943,63 @@ func TestDifferentialIVM(t *testing.T) {
 			}
 		}
 	}
+}
+
+// workspaceArm runs TestDifferentialIVM's batch sequence through the
+// transaction path: the program installed one block per rule, each batch
+// an exec. After every batch each derived predicate must equal the
+// reference, and the exec's BaseDeltas must be the batch's effective
+// changes. The arm draws from its own random stream (the modes use
+// seed*1000+mode), so the modes' batches do not depend on it.
+func workspaceArm(t *testing.T, p *genProgram) {
+	t.Helper()
+	all := make([]int, len(p.rules))
+	for i := range all {
+		all[i] = i
+	}
+	ws := buildLiveWorkspace(t, p, p.base, all)
+	rng := rand.New(rand.NewSource(p.seed*1000 + int64(len(ivmModes))))
+	cur := p.base
+	var deltaLog []string
+	for batch, kind := range ivmBatches {
+		deltas := randomDeltas(rng, p, cur, kind)
+		if len(deltas) == 0 {
+			continue
+		}
+		src := execSource(deltas)
+		deltaLog = append(deltaLog, fmt.Sprintf("batch %d: %s", batch, strings.ReplaceAll(src, "\n", " ")))
+		res, err := ws.Exec(src)
+		if err != nil {
+			t.Fatalf("seed %d workspace batch %d: exec: %v\n%s", p.seed, batch, err, p.source())
+		}
+		next := applyToBase(cur, deltas)
+		for name, rel := range cur {
+			var want ivm.Delta
+			rel.Diff(next[name],
+				func(t tuple.Tuple) { want.Del = append(want.Del, t) },
+				func(t tuple.Tuple) { want.Ins = append(want.Ins, t) })
+			got, reported := res.BaseDeltas[name]
+			if reported == want.Empty() || !sameTuples(rel.Arity(), got.Ins, want.Ins) || !sameTuples(rel.Arity(), got.Del, want.Del) {
+				t.Fatalf("seed %d workspace batch %d: %s base delta %+v (reported %v), want %+v\n%s",
+					p.seed, batch, name, got, reported, want, strings.Join(deltaLog, "\n"))
+			}
+		}
+		if len(res.BaseDeltas) > len(cur) {
+			t.Fatalf("seed %d workspace batch %d: base deltas for unknown predicates: %+v", p.seed, batch, res.BaseDeltas)
+		}
+		ws, cur = res.Workspace, next
+		want := refEval(p, cur)
+		for _, d := range p.derived {
+			if got := ws.Relation(d); !got.Equal(want[d]) {
+				t.Fatalf("seed %d workspace batch %d: %s diverged: maintained %d tuples, reference %d\n%s\nmaintained: %v\nreference: %v\nbatches:\n%s",
+					p.seed, batch, d, got.Len(), want[d].Len(), p.source(), sortedSlice(got), sortedSlice(want[d]), strings.Join(deltaLog, "\n"))
+			}
+		}
+	}
+}
+
+// sameTuples reports whether a and b hold the same tuples of the given
+// arity, each once.
+func sameTuples(arity int, a, b []tuple.Tuple) bool {
+	return len(a) == len(b) && relation.FromTuples(arity, a).Equal(relation.FromTuples(arity, b))
 }

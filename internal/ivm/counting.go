@@ -9,7 +9,7 @@ import (
 // countable reports whether a stratum can be maintained through the delta
 // forms of its rules — support counts, over-deletion, semi-naive insertion.
 // An aggregation or predict rule has none, so a stratum containing one is
-// recomputed (recomputeStratum).
+// re-evaluated whole.
 func countable(stratum []*compiler.RulePlan) bool {
 	for _, r := range stratum {
 		if r.Agg != nil || r.Predict != nil {
@@ -17,29 +17,6 @@ func countable(stratum []*compiler.RulePlan) bool {
 		}
 	}
 	return true
-}
-
-// initialCountingEval evaluates the program stratum by stratum. The strata
-// maintained by counting — countable and not recursive, hence one head
-// predicate with all its rules — are recounted from nothing, which records
-// their derivation counts.
-func (m *Maintainer) initialCountingEval() error {
-	for _, stratum := range m.prog.Strata {
-		if !countable(stratum) || compiler.StratumRecursive(stratum) {
-			if err := m.ctx.EvalStratum(stratum); err != nil {
-				return err
-			}
-			continue
-		}
-		pending := map[string]presence{}
-		for _, r := range stratum {
-			if err := m.recountRule(r, pending); err != nil {
-				return err
-			}
-		}
-		m.flushPending(stratum[0].HeadName, pending, map[string]Delta{}, map[string]relation.Relation{})
-	}
-	return nil
 }
 
 // countInto returns an EnumerateRuleHeads callback that counts each head
@@ -57,49 +34,28 @@ func countInto(counts map[string]*crec) func(tuple.Tuple) bool {
 	}
 }
 
-// applyCounting maintains each stratum with delta rules and support
-// counting.
-func (m *Maintainer) applyCounting(acc map[string]Delta, old map[string]relation.Relation) error {
-	for _, stratum := range m.prog.Strata {
-		var err error
-		switch {
-		case !stratumTouched(stratum, acc):
-			m.Stats.RulesSkipped += len(stratum)
-		case !countable(stratum):
-			err = m.recomputeStratum(stratum, acc, old)
-		case compiler.StratumRecursive(stratum):
-			err = m.maintainRecursiveStratum(stratum, acc, old)
-		default:
-			err = m.countStratum(stratum, acc, old)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // countStratum maintains a countable non-recursive stratum — one head
 // predicate — rule by rule, then turns the support transitions into the
-// head's delta.
-func (m *Maintainer) countStratum(stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
+// head's new content. A rule is recounted in full when the stratum's
+// deltas are not known or a predicate it negates moved, maintained by its
+// delta rules when it reads a pending delta, and skipped otherwise.
+func (m *Maintainer) countStratum(stratum []*compiler.RulePlan, known bool, acc map[string]Delta, old map[string]relation.Relation) error {
 	pending := map[string]presence{}
 	for _, r := range stratum {
-		if !r.ReadsAny(changedIn(acc)) {
-			m.Stats.RulesSkipped++
-			continue
-		}
 		var err error
-		if negTouched(acc, r) {
+		switch {
+		case !known || negTouched(acc, r):
 			err = m.recountRule(r, pending)
-		} else {
+		case r.ReadsAny(func(name string) bool { return !acc[name].Empty() }):
 			err = m.deltaCountRule(r, acc, old, pending)
+		default:
+			m.Stats.RulesSkipped++
 		}
 		if err != nil {
 			return err
 		}
 	}
-	m.flushPending(stratum[0].HeadName, pending, acc, old)
+	m.flushPending(stratum[0].HeadName, pending)
 	return nil
 }
 
@@ -221,85 +177,55 @@ func (m *Maintainer) recountRule(r *compiler.RulePlan, pending map[string]presen
 	return nil
 }
 
-// flushPending converts the support transitions of pred into its relation
-// update and delta.
-func (m *Maintainer) flushPending(pred string, pending map[string]presence, acc map[string]Delta, old map[string]relation.Relation) {
+// flushPending turns the support transitions of pred into its new
+// content.
+func (m *Maintainer) flushPending(pred string, pending map[string]presence) {
 	rel := m.ctx.Relation(pred)
-	orig := rel
-	d := acc[pred]
 	sup := m.support[pred]
 	for key, p := range pending {
 		after := sup[key] != nil && sup[key].n > 0
 		switch {
 		case !p.before && after:
 			rel = rel.Insert(p.t)
-			d.Ins = append(d.Ins, p.t)
 		case p.before && !after:
 			rel = rel.Delete(p.t)
-			d.Del = append(d.Del, p.t)
 		}
 		if !after {
 			delete(sup, key)
 		}
 	}
-	if !rel.Equal(orig) {
-		if _, ok := old[pred]; !ok {
-			old[pred] = orig
-		}
-		m.ctx.Set(pred, rel)
-	}
-	if !d.Empty() {
-		acc[pred] = d
-	}
+	m.ctx.Set(pred, rel)
 }
 
-// maintainRecursiveStratum handles a recursive stratum without counts:
-// insert-only changes propagate with semi-naive rounds; a deletion, or any
-// change to a negated predicate, forces a stratum recomputation (precise
+// monotone reports whether a pending change can only add to a recursive
+// stratum: no body predicate lost tuples and no negated one moved. Counting
+// keeps no counts for recursive strata; it propagates such a change with
+// semi-naive rounds and re-evaluates the stratum on any other (precise
 // DRed for recursive strata is provided by the DRed mode).
-func (m *Maintainer) maintainRecursiveStratum(stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	monotone := !negTouched(acc, stratum...)
+func monotone(stratum []*compiler.RulePlan, acc map[string]Delta) bool {
 	for _, r := range stratum {
 		for _, b := range r.BodyNames {
 			if len(acc[b].Del) > 0 {
-				monotone = false
+				return false
 			}
 		}
 	}
-	if !monotone {
-		return m.recomputeStratum(stratum, acc, old)
-	}
-	before := map[string]relation.Relation{}
-	for _, r := range stratum {
-		before[r.HeadName] = m.ctx.Relation(r.HeadName)
-	}
-	if err := m.propagateInserts(stratum, acc, before); err != nil {
-		return err
-	}
-	m.recordHeads(acc, old, before)
-	return nil
-}
-
-// recomputeStratum clears the stratum's head predicates and re-evaluates.
-func (m *Maintainer) recomputeStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	m.Stats.RulesEvaluated += len(rules)
-	before, _, err := m.ctx.ReevalStratum(rules)
-	if err != nil {
-		return err
-	}
-	m.recordHeads(acc, old, before)
-	return nil
+	return !negTouched(acc, stratum...)
 }
 
 // propagateInserts derives what follows from the pending insertions into
-// predicates the rules read from outside (heads names the rules' own head
-// predicates). The caller has established that the change is monotone for
-// these rules (see negTouched) and has already dealt with deletions.
-func (m *Maintainer) propagateInserts(rules []*compiler.RulePlan, acc map[string]Delta, heads map[string]relation.Relation) error {
+// predicates the rules read from outside their own heads. The caller has
+// established that the change is monotone for these rules (see negTouched)
+// and has already dealt with deletions.
+func (m *Maintainer) propagateInserts(rules []*compiler.RulePlan, acc map[string]Delta) error {
+	own := map[string]bool{}
+	for _, r := range rules {
+		own[r.HeadName] = true
+	}
 	seeds := map[string]relation.Relation{}
 	for _, r := range rules {
 		for _, a := range r.Atoms {
-			if _, own := heads[a.Name]; !own && len(acc[a.Name].Ins) > 0 {
+			if !own[a.Name] && len(acc[a.Name].Ins) > 0 {
 				seeds[a.Name] = relation.FromTuples(m.ctx.Relation(a.Name).Arity(), acc[a.Name].Ins)
 			}
 		}

@@ -15,34 +15,9 @@ import (
 //     derivation in the reduced state are reinserted (using pinned
 //     derivability probes).
 //  3. Insert: propagate insertions semi-naively.
-
-func (m *Maintainer) applyDRed(acc map[string]Delta, old map[string]relation.Relation) error {
-	for _, stratum := range m.prog.Strata {
-		if !stratumTouched(stratum, acc) {
-			m.Stats.RulesSkipped += len(stratum)
-			continue
-		}
-		// Over-deletion needs delta rules, and a change to a negated
-		// predicate invalidates it; either way recompute the stratum.
-		maintain := m.dredStratum
-		if !countable(stratum) || negTouched(acc, stratum...) {
-			maintain = m.recomputeStratum
-		}
-		if err := maintain(stratum, acc, old); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func stratumTouched(stratum []*compiler.RulePlan, acc map[string]Delta) bool {
-	for _, r := range stratum {
-		if r.ReadsAny(changedIn(acc)) {
-			return true
-		}
-	}
-	return false
-}
+//
+// A stratum with no delta rules (an aggregate or predict), or one a
+// predicate of which it negates moved, is re-evaluated whole instead.
 
 func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
 	rulesByHead := map[string][]*compiler.RulePlan{}
@@ -160,11 +135,5 @@ func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delt
 	}
 
 	// 4. Insert: semi-naive propagation of external insertions.
-	if err := m.propagateInserts(rules, acc, origin); err != nil {
-		return err
-	}
-
-	// 5. Record final per-head deltas.
-	m.recordHeads(acc, old, origin)
-	return nil
+	return m.propagateInserts(rules, acc)
 }

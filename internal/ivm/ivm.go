@@ -5,24 +5,26 @@
 //
 // The stratum — one predicate with all its rules, or a recursive clique
 // (compiler.Program.Strata) — is the maintenance unit: a derived predicate
-// is re-evaluated whole or not at all. RederiveStratum re-evaluates the
-// strata a staleness test selects and leaves the others alone. The
-// transaction path (core's rederive) runs it with a name-level test, and
-// two of the Maintainer's four modes are further tests. The modes are
-// benchmarked against each other in the E4 experiment:
+// is re-evaluated whole or not at all. Every maintainer runs one walk over
+// the strata: it skips a stratum the change does not reach, brings a
+// touched one up to date by the operator its mode picks, and records every
+// head that moved the same way, storing it as a patch of its previous
+// version. The four modes are benchmarked against each other in the E4
+// experiment:
 //
-//   - Recompute: every stratum is stale (the "HANA approach" the paper
-//     argues against).
+//   - Recompute: every touched stratum is re-evaluated in full (the "HANA
+//     approach" the paper argues against). The transaction path (core's
+//     rederive) runs this mode through Rederive.
 //   - Counting: classical delta rules with support counting (Gupta,
 //     Mumick & Subrahmanian, SIGMOD'93) for non-recursive strata.
 //   - DRed: delete-and-rederive with pinned rederivability checks.
 //   - Sensitivity: the LogicBlox approach — sensitivity indices recorded
-//     by leapfrog runs decide which strata a change can affect at all;
-//     unaffected ones are skipped without touching their joins, so
+//     by leapfrog runs decide which touched strata a change can affect at
+//     all; unaffected ones are skipped without touching their joins, so
 //     maintenance work tracks the trace edit distance of the evaluation.
 //
 // Counting and DRed maintain a stratum through the delta forms of its
-// rules; one that has none — it aggregates or predicts — is recomputed.
+// rules; one that has none — it aggregates or predicts — is re-evaluated.
 package ivm
 
 import (
@@ -73,7 +75,6 @@ func (d Delta) Empty() bool { return len(d.Ins) == 0 && len(d.Del) == 0 }
 // Maintainer keeps the derived predicates of a program up to date under
 // batches of base-predicate changes.
 type Maintainer struct {
-	prog *compiler.Program
 	mode Mode
 	ctx  *engine.Context
 
@@ -93,7 +94,7 @@ type Maintainer struct {
 // Stats counts the work a maintenance pass performed.
 type Stats struct {
 	RulesEvaluated int // full or delta rule evaluations
-	RulesSkipped   int // rules skipped by the sensitivity filter
+	RulesSkipped   int // rules of untouched or trace-filtered strata, untouched rules of a counted one
 	RederiveChecks int // DRed rederivability probes
 }
 
@@ -102,31 +103,22 @@ type crec struct {
 	n int
 }
 
-// NewMaintainer evaluates the program once and returns a maintainer in
-// the given mode.
+// NewMaintainer evaluates the program once — the walk with every head
+// changed — and returns a maintainer in the given mode.
 func NewMaintainer(prog *compiler.Program, base map[string]relation.Relation, mode Mode) (*Maintainer, error) {
 	m := &Maintainer{
-		prog:       prog,
 		mode:       mode,
+		ctx:        engine.NewContext(prog, base, engine.Options{}),
 		ruleCounts: map[int]map[string]*crec{},
 		support:    map[string]map[string]*crec{},
 		sens:       map[int]*lftj.SensitivityIndex{},
 	}
-	m.ctx = engine.NewContext(prog, base, engine.Options{})
-	switch mode {
-	case Counting:
-		if err := m.initialCountingEval(); err != nil {
-			return nil, err
-		}
-	case Sensitivity:
-		// Nothing has a trace yet, so every stratum is stale.
-		if err := m.rederive(m.traceStale(nil), map[string]Delta{}, map[string]relation.Relation{}); err != nil {
-			return nil, err
-		}
-	default:
-		if err := m.ctx.EvalAll(); err != nil {
-			return nil, err
-		}
+	all := map[string]bool{}
+	for _, name := range prog.IDBPreds {
+		all[name] = true
+	}
+	if err := m.walk(all, map[string]Delta{}, map[string]relation.Relation{}); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -177,52 +169,5 @@ func (m *Maintainer) Apply(deltas map[string]Delta) (map[string]Delta, error) {
 	if len(acc) == 0 {
 		return acc, nil
 	}
-	var err error
-	switch m.mode {
-	case Recompute:
-		err = m.rederive(func([]*compiler.RulePlan) bool { return true }, acc, old)
-	case Counting:
-		err = m.applyCounting(acc, old)
-	case DRed:
-		err = m.applyDRed(acc, old)
-	case Sensitivity:
-		err = m.rederive(m.traceStale(acc), acc, old)
-	}
-	return acc, err
-}
-
-// recordHeads reports what a maintenance step did to derived predicates
-// given their before-images: the difference of every head to its current
-// content goes through recordMoved.
-func (m *Maintainer) recordHeads(acc map[string]Delta, old, before map[string]relation.Relation) {
-	for head, was := range before {
-		mv := Moved{Before: was}
-		was.Diff(m.ctx.Relation(head),
-			func(t tuple.Tuple) { mv.Del = append(mv.Del, t) },
-			func(t tuple.Tuple) { mv.Ins = append(mv.Ins, t) })
-		m.recordMoved(acc, old, head, mv)
-	}
-}
-
-// recordMoved is the one place a maintenance step reports a moved head: a
-// head whose content changed gets its before-image remembered in old (the
-// first one wins — delta rules of later strata read the pre-batch state)
-// and its delta appended to acc.
-func (m *Maintainer) recordMoved(acc map[string]Delta, old map[string]relation.Relation, head string, mv Moved) {
-	if mv.Empty() {
-		return
-	}
-	if _, ok := old[head]; !ok {
-		old[head] = mv.Before
-	}
-	d := acc[head]
-	d.Del = append(d.Del, mv.Del...)
-	d.Ins = append(d.Ins, mv.Ins...)
-	acc[head] = d
-}
-
-// changedIn adapts a delta batch to compiler.RulePlan.ReadsAny: the
-// predicate names that have a non-empty pending delta.
-func changedIn(acc map[string]Delta) func(name string) bool {
-	return func(name string) bool { return !acc[name].Empty() }
+	return acc, m.walk(nil, acc, old)
 }
