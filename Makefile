@@ -47,6 +47,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePageToken$$' -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzJSONBody$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJournal$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzTailReader$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzUnframeSnapshot$$' -fuzztime=5s ./internal/durable

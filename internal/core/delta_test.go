@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"logicblox/internal/engine"
 	"logicblox/internal/obs"
+	"logicblox/internal/relation"
 	"logicblox/internal/treap"
 	"logicblox/internal/tuple"
 )
@@ -66,8 +68,8 @@ func TestRederivedViewSharesStructure(t *testing.T) {
 		t.Fatalf("the diff pruned no shared subtree: the view was rebuilt, not patched (%+v)", st)
 	}
 
-	// Moving one unit between two products of store 1 re-evaluates
-	// salesByStore and reproduces it.
+	// Moving one unit between two products of store 1 re-folds
+	// salesByStore's group 1 and reproduces it.
 	swapped := mustExec(t, child, `^sales[3, 1, 2] = 8. ^sales[4, 1, 2] = 8.`) // were 9 and 7
 	treap.ResetStats()
 	if !child.Relation("salesByStore").Equal(swapped.Relation("salesByStore")) {
@@ -96,6 +98,59 @@ func spanAttr(s obs.SpanSnapshot, key string) int64 {
 		}
 	}
 	return -1
+}
+
+func spanLabel(s obs.SpanSnapshot, key string) string {
+	for _, l := range s.Labels {
+		if l.Key == key {
+			return l.Val
+		}
+	}
+	return ""
+}
+
+// TestOneFactExecRefoldsTouchedGroups pins what a one-fact write costs on
+// the retail schema: each aggregate view re-folds the one group the fact
+// falls in, revenue and hot follow by DRed, no stratum is re-evaluated
+// whole and no secondary index is built — and every view still equals a
+// from-scratch evaluation.
+func TestOneFactExecRefoldsTouchedGroups(t *testing.T) {
+	reg := obs.NewRegistry()
+	next := mustExec(t, retailSeed(t).WithObserver(reg), `^sales[3, 1, 2] = 9.`)
+	c := reg.Snapshot().Counters
+	if c["engine.index.permutes"] != 0 || c["core.rederive.strata_reevaluated"] != 0 || c["core.rederive.groups_refolded"] != 2 {
+		t.Errorf("permutes / strata re-evaluated / groups re-folded = %d / %d / %d, want 0 / 0 / 2",
+			c["engine.index.permutes"], c["core.rederive.strata_reevaluated"], c["core.rederive.groups_refolded"])
+	}
+	tr, ok := reg.LastTrace()
+	if !ok {
+		t.Fatal("no trace")
+	}
+	by := map[string]int{}
+	for _, rd := range findSpans(tr, "rederive", nil) {
+		for _, st := range findSpans(rd, "stratum", nil) {
+			by[spanLabel(st, "maintained_by")]++
+			if spanLabel(st, "maintained_by") == "refold" && spanAttr(st, "groups") != 1 {
+				t.Errorf("a re-fold span reads groups=%d, want 1", spanAttr(st, "groups"))
+			}
+		}
+	}
+	if len(by) != 2 || by["refold"] != 2 || by["dred"] != 2 {
+		t.Errorf("strata by maintained_by = %v, want 2 refold, 2 dred", by)
+	}
+
+	fresh := engine.NewContext(next.Program(), next.Relations(), engine.Options{})
+	for _, name := range next.Program().IDBPreds {
+		fresh.Set(name, relation.New(next.Relation(name).Arity()))
+	}
+	if err := fresh.EvalAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range next.Program().IDBPreds {
+		if !fresh.Relation(name).Equal(next.Relation(name)) {
+			t.Errorf("%s = %v, a full evaluation gives %v", name, next.Relation(name).Slice(), fresh.Relation(name).Slice())
+		}
+	}
 }
 
 // TestConstraintsSettledByDelta checks, on the retail schema, how each

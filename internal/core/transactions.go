@@ -371,7 +371,7 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 // marked so that the next checked transaction checks in full.
 func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, base map[string]ExecDelta, sp *obs.Span, check bool) (*Workspace, error) {
 	ctx := ws.newContext(rctx, ws.prog)
-	out, moved, err := ws.rederive(ctx, dirty, sp)
+	out, moved, err := ws.rederive(ctx, prev, dirty, base, sp)
 	if err != nil {
 		return nil, err
 	}

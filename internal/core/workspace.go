@@ -174,20 +174,31 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 }
 
 // rederive re-materializes derived predicates after base-data or logic
-// changes, in ctx — the transaction tail's evaluation context, which
-// holds ws's relations. dirty names what changed (base predicates with new
-// contents and/or derived predicates marked dirty by the meta-engine) and
-// grows by every derived predicate the pass moved; the change propagates
-// through the execution graph, and a predicate none of whose dependencies
-// changed keeps its stored contents — the engine-side half of live
-// programming (paper Figure 6). The maintenance itself is ivm's stratum
-// walk in Recompute mode. It also returns the delta of every derived
-// predicate it moved.
-func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
+// changes from prev, in ctx — the transaction tail's evaluation context,
+// which holds ws's relations. dirty names what changed (base predicates
+// with new contents and/or derived predicates marked dirty by the
+// meta-engine) and grows by every derived predicate the pass moved; base
+// holds the exact deltas of the dirty names that have one. The change
+// propagates through the execution graph, and a predicate none of whose
+// dependencies changed keeps its stored contents — the engine-side half of
+// live programming (paper Figure 6). The maintenance itself is ivm's
+// stratum walk in DRed mode: a stratum that reads only known deltas is
+// maintained by them (an aggregate by re-folding the groups they touch),
+// one that derives or reads a dirty name without a delta is re-evaluated
+// whole. It also returns the delta of every derived predicate it moved.
+func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[string]bool, base map[string]ivm.Delta, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
 	sp := parent.Child("rederive")
 	sp.SetAttr("dirty", int64(len(dirty)))
 	ctx.SetSpan(sp)
-	moved, st, err := ivm.Rederive(ctx, dirty)
+	changed, before := map[string]bool{}, map[string]relation.Relation{}
+	for name := range dirty {
+		if _, ok := base[name]; ok {
+			before[name] = prev.relationOr(name, ctx.Relation(name).Arity())
+		} else {
+			changed[name] = true
+		}
+	}
+	moved, st, err := ivm.Rederive(ctx, changed, base, before)
 	evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped)
 	sp.SetAttr("rules_evaluated", evals)
 	sp.SetAttr("rules_reused", reused)
@@ -196,6 +207,8 @@ func (ws *Workspace) rederive(ctx *engine.Context, dirty map[string]bool, parent
 		reg := ws.Observer()
 		reg.Counter("core.rederive.rules_evaluated").Add(evals)
 		reg.Counter("core.rederive.rules_reused").Add(reused)
+		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
+		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
 	}
 	if err != nil {
 		return nil, nil, err

@@ -22,6 +22,7 @@ import (
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
 	"logicblox/internal/ivm"
+	"logicblox/internal/obs"
 	"logicblox/internal/optimizer"
 	"logicblox/internal/parser"
 	"logicblox/internal/relation"
@@ -901,12 +902,64 @@ func withRecursiveNegation(p *genProgram) *genProgram {
 	return p
 }
 
+// refoldable counts the non-recursive aggregate strata a batch that moved
+// the given predicates reached with known deltas and no move in a
+// predicate they negate: the strata Counting and DRed must hand to
+// RefoldStratum instead of re-evaluating them whole.
+func refoldable(prog *compiler.Program, moved map[string]ivm.Delta) int {
+	n := 0
+	for _, stratum := range prog.Strata {
+		agg, reads, negMoved := false, false, false
+		for _, r := range stratum {
+			agg = agg || r.Agg != nil
+			reads = reads || r.ReadsAny(func(name string) bool { return !moved[name].Empty() })
+			for _, neg := range r.NegNames {
+				negMoved = negMoved || !moved[neg].Empty()
+			}
+		}
+		if agg && reads && !negMoved && !compiler.StratumRecursive(stratum) {
+			n++
+		}
+	}
+	return n
+}
+
+// refoldSpans counts, among the stratum spans of the last maintenance pass
+// traced into reg, those RefoldStratum maintained: re-folded
+// (maintained_by=refold) or re-evaluated whole by its fallback rule
+// (refold_fallback).
+func refoldSpans(reg *obs.Registry) (refolded, fallbacks int) {
+	tr, _ := reg.LastTrace()
+	for _, sp := range tr.Children {
+		for _, l := range sp.Labels {
+			if l.Key == "maintained_by" && l.Val == "refold" {
+				refolded++
+			}
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "refold_fallback" {
+				fallbacks++
+			}
+		}
+	}
+	return refolded, fallbacks
+}
+
 // TestDifferentialIVM maintains each generated program incrementally
 // through random delta batches in every maintenance mode, and through the
 // transaction path (workspace arm); after each batch the maintained views
 // must equal both a full re-evaluation and the nested-loop reference over
-// the updated base.
+// the updated base. Counting and DRed must also send every aggregate
+// stratum a batch reaches with known deltas to RefoldStratum, which
+// re-evaluates it whole only by its own fallback rule.
 func TestDifferentialIVM(t *testing.T) {
+	var refolded, fallbacks int
+	defer func() {
+		if !t.Failed() && refolded == 0 {
+			t.Error("no aggregate stratum was re-folded group by group")
+		}
+		t.Logf("aggregate strata re-folded: %d, re-evaluated by the fallback rule: %d", refolded, fallbacks)
+	}()
 	for seed := int64(0); seed < suitePrograms; seed++ {
 		p := suiteProgram(seed)
 		prog := compileGen(t, p)
@@ -916,6 +969,8 @@ func TestDifferentialIVM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: maintainer: %v\n%s", seed, mode, err, p.source())
 			}
+			reg := obs.NewRegistry()
+			m.SetObserver(reg)
 			rng := rand.New(rand.NewSource(seed*1000 + int64(mode)))
 			cur := map[string]relation.Relation{}
 			for name, rel := range p.base {
@@ -928,8 +983,18 @@ func TestDifferentialIVM(t *testing.T) {
 					continue
 				}
 				deltaLog = append(deltaLog, fmt.Sprintf("batch %d: %+v", batch, deltas))
-				if _, err := m.Apply(deltas); err != nil {
+				moved, err := m.Apply(deltas)
+				if err != nil {
 					t.Fatalf("seed %d %v batch %d: apply: %v\n%s", seed, mode, batch, err, p.source())
+				}
+				if mode == ivm.Counting || mode == ivm.DRed {
+					r, f := refoldSpans(reg)
+					if want := refoldable(prog, moved); r+f != want {
+						t.Fatalf("seed %d %v batch %d: %d aggregate strata re-folded and %d fell back, want %d handed to RefoldStratum\n%s",
+							seed, mode, batch, r, f, want, p.source())
+					}
+					refolded += r
+					fallbacks += f
 				}
 				cur = applyToBase(cur, deltas)
 				want := refEval(p, cur)

@@ -168,28 +168,33 @@ func (c *Context) EvalAll() error {
 // then, for a recursive stratum, the semi-naive fixpoint seeded with what
 // the first pass derived.
 func (c *Context) EvalStratum(rules []*compiler.RulePlan) error {
-	_, err := c.evalStratum(rules)
-	return err
+	sp := c.StratumSpan(rules)
+	defer sp.End()
+	return c.evalStratum(sp, rules)
 }
 
-// evalStratum is EvalStratum returning the stratum's span (nil when
-// untraced), already ended.
-func (c *Context) evalStratum(rules []*compiler.RulePlan) (*obs.Span, error) {
-	recursive := compiler.StratumRecursive(rules)
+// StratumSpan opens the "stratum" span one stratum's evaluation or
+// maintenance runs under, as a child of the context's span (nil when
+// untraced). The stratum operators below take it as their parent, so a
+// maintainer can record on it what it did; the caller ends it.
+func (c *Context) StratumSpan(rules []*compiler.RulePlan) *obs.Span {
 	sp := c.span.Child("stratum")
 	sp.SetAttr("rules", int64(len(rules)))
-	if recursive {
+	if compiler.StratumRecursive(rules) {
 		sp.SetAttr("recursive", 1)
 	}
-	defer sp.End()
+	return sp
+}
 
+// evalStratum is EvalStratum under the stratum span sp.
+func (c *Context) evalStratum(sp *obs.Span, rules []*compiler.RulePlan) error {
 	// First pass: full evaluation of every rule against the state before
 	// the stratum (the rules are independent: all read lower strata).
 	results := make([]relation.Relation, len(rules))
 	for i, r := range rules {
 		out, err := c.evalRuleUnder(sp, r, nil)
 		if err != nil {
-			return sp, err
+			return err
 		}
 		results[i] = out
 	}
@@ -197,48 +202,40 @@ func (c *Context) evalStratum(rules []*compiler.RulePlan) (*obs.Span, error) {
 	for i, r := range rules {
 		c.absorb(r.HeadName, results[i], deltas)
 	}
-	if !recursive {
-		return sp, nil
+	if !compiler.StratumRecursive(rules) {
+		return nil
 	}
-	_, err := c.propagate(sp, rules, deltas)
-	return sp, err
+	_, err := c.propagate(sp, nil, rules, deltas)
+	return err
 }
 
-// ReevalStratum empties the stratum's head predicates, evaluates it from
-// scratch and returns every head's before-image — what a maintainer that
-// gives up on a stratum diffs the fresh result against — and the
-// evaluation's stratum span (nil when untraced), on which the maintainer
-// may record what the pass moved.
-func (c *Context) ReevalStratum(rules []*compiler.RulePlan) (map[string]relation.Relation, *obs.Span, error) {
-	before := map[string]relation.Relation{}
+// ReevalStratum empties the stratum's head predicates and evaluates it
+// from scratch under the stratum span sp.
+func (c *Context) ReevalStratum(sp *obs.Span, rules []*compiler.RulePlan) error {
 	for _, r := range rules {
-		if _, seen := before[r.HeadName]; !seen {
-			before[r.HeadName] = c.Relation(r.HeadName)
-			c.Set(r.HeadName, relation.New(before[r.HeadName].Arity()))
-		}
+		c.Set(r.HeadName, relation.New(c.Relation(r.HeadName).Arity()))
 	}
-	sp, err := c.evalStratum(rules)
-	return before, sp, err
+	return c.evalStratum(sp, rules)
 }
 
 // PropagateStratum brings an already evaluated stratum up to date with
 // insertions into the predicates it reads: seeds maps a body predicate
 // (whose relation already contains them) to its new tuples, and the
-// semi-naive rounds of EvalStratum derive what follows. Valid only for
-// monotone changes — no deletion, and no change to a predicate the
-// stratum negates. It returns the number of delta-rule evaluations run.
-func (c *Context) PropagateStratum(rules []*compiler.RulePlan, seeds map[string]relation.Relation) (int, error) {
-	sp := c.span.Child("stratum")
-	sp.SetAttr("rules", int64(len(rules)))
+// semi-naive rounds of EvalStratum derive what follows, under the stratum
+// span sp. Valid only for monotone changes — no deletion, and no change to
+// a predicate the stratum negates. It returns the number of delta-rule
+// evaluations run.
+func (c *Context) PropagateStratum(sp *obs.Span, rules []*compiler.RulePlan, seeds map[string]relation.Relation) (int, error) {
 	sp.SetAttr("seeded", int64(len(seeds)))
-	defer sp.End()
-	return c.propagate(sp, rules, seeds)
+	return c.propagate(sp, sp, rules, seeds)
 }
 
 // propagate runs semi-naive rounds until no head gains a tuple: each round
 // evaluates every rule once per occurrence of a predicate that changed in
-// the previous round, with that occurrence restricted to the delta.
-func (c *Context) propagate(sp *obs.Span, rules []*compiler.RulePlan, deltas map[string]relation.Relation) (int, error) {
+// the previous round, with that occurrence restricted to the delta, under
+// the stratum span sp. The first round's rule runs are traced as rule
+// spans under first (nil: untraced), the rounds after it are not.
+func (c *Context) propagate(sp, first *obs.Span, rules []*compiler.RulePlan, deltas map[string]relation.Relation) (int, error) {
 	evals, rounds := 0, int64(0)
 	defer func() {
 		if rounds > 0 {
@@ -251,6 +248,8 @@ func (c *Context) propagate(sp *obs.Span, rules []*compiler.RulePlan, deltas map
 			return evals, err
 		}
 		rounds++
+		parent := first
+		first = nil
 		next := map[string]relation.Relation{}
 		for _, r := range rules {
 			for ai, atom := range r.Atoms {
@@ -259,7 +258,7 @@ func (c *Context) propagate(sp *obs.Span, rules []*compiler.RulePlan, deltas map
 					continue
 				}
 				evals++
-				derived, err := c.evalRule(r, map[int]relation.Relation{ai: d})
+				derived, err := c.evalRuleUnder(parent, r, map[int]relation.Relation{ai: d})
 				if err != nil {
 					return evals, err
 				}
@@ -387,7 +386,8 @@ func recordPattern(s *lftj.SensitivityIndex, name string, pattern []tuple.Value,
 	s.Add(name, tuple.Tuple(pattern[:ground]), tuple.MinValue(), tuple.MaxValue())
 }
 
-// permuted returns rel with columns permuted, cached per content version.
+// permuted returns rel with columns permuted, cached per content version;
+// every index it builds on a miss counts in engine.index.permutes.
 func (c *Context) permuted(name string, rel relation.Relation, perm []int) relation.Relation {
 	var sb strings.Builder
 	sb.WriteString(name)
@@ -399,6 +399,7 @@ func (c *Context) permuted(name string, rel relation.Relation, perm []int) relat
 	if r, ok := c.perms[key]; ok {
 		return r
 	}
+	c.obs.Counter("engine.index.permutes").Inc()
 	r := rel.Permuted(perm)
 	c.perms[key] = r
 	return r

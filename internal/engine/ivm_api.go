@@ -7,6 +7,17 @@ import (
 	"logicblox/internal/tuple"
 )
 
+// Delta is a batch of changes to one predicate: the tuples it gained and
+// the tuples it lost. The incremental-maintenance layer hands deltas to
+// the stratum operators in this shape.
+type Delta struct {
+	Ins []tuple.Tuple
+	Del []tuple.Tuple
+}
+
+// Empty reports whether the delta changes nothing.
+func (d Delta) Empty() bool { return len(d.Ins) == 0 && len(d.Del) == 0 }
+
 // EvalRule evaluates one rule against the current context (with optional
 // per-atom relation overrides) and returns the derived head tuples. It is
 // the entry point used by the incremental-maintenance layer for delta
@@ -19,8 +30,9 @@ func (c *Context) EvalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 // and calls emit once per satisfying assignment with the corresponding
 // head tuple — i.e. with derivation multiplicity, which is what
 // counting-based view maintenance needs. The head tuple is freshly
-// allocated per call. Aggregation and predict rules are not supported
-// here (they have no per-derivation head).
+// allocated per call. An aggregation or predict rule has no
+// per-derivation head: it emits the group key of each assignment, which
+// is what RefoldStratum's touched-key collection needs.
 func (c *Context) EnumerateRuleHeads(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
 	b, err := c.Bindings(r, overrides)
 	if err != nil {

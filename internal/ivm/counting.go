@@ -2,21 +2,33 @@ package ivm
 
 import (
 	"logicblox/internal/compiler"
+	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
 
 // countable reports whether a stratum can be maintained through the delta
-// forms of its rules — support counts, over-deletion, semi-naive insertion.
-// An aggregation or predict rule has none, so a stratum containing one is
-// re-evaluated whole.
+// forms of its rules — support counts, over-deletion, semi-naive insertion,
+// or, for a non-recursive aggregate stratum, re-folding the groups they
+// touch. A predict rule trains or scores a model over its whole body, so
+// a stratum containing one is re-evaluated whole.
 func countable(stratum []*compiler.RulePlan) bool {
 	for _, r := range stratum {
-		if r.Agg != nil || r.Predict != nil {
+		if r.Predict != nil {
 			return false
 		}
 	}
 	return true
+}
+
+// aggregates reports whether a rule of the stratum aggregates.
+func aggregates(stratum []*compiler.RulePlan) bool {
+	for _, r := range stratum {
+		if r.Agg != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // countInto returns an EnumerateRuleHeads callback that counts each head
@@ -217,7 +229,7 @@ func monotone(stratum []*compiler.RulePlan, acc map[string]Delta) bool {
 // predicates the rules read from outside their own heads. The caller has
 // established that the change is monotone for these rules (see negTouched)
 // and has already dealt with deletions.
-func (m *Maintainer) propagateInserts(rules []*compiler.RulePlan, acc map[string]Delta) error {
+func (m *Maintainer) propagateInserts(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta) error {
 	own := map[string]bool{}
 	for _, r := range rules {
 		own[r.HeadName] = true
@@ -230,7 +242,7 @@ func (m *Maintainer) propagateInserts(rules []*compiler.RulePlan, acc map[string
 			}
 		}
 	}
-	evals, err := m.ctx.PropagateStratum(rules, seeds)
+	evals, err := m.ctx.PropagateStratum(sp, rules, seeds)
 	m.Stats.RulesEvaluated += evals
 	return err
 }

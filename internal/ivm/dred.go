@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"logicblox/internal/compiler"
+	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -16,10 +17,11 @@ import (
 //     derivability probes).
 //  3. Insert: propagate insertions semi-naively.
 //
-// A stratum with no delta rules (an aggregate or predict), or one a
-// predicate of which it negates moved, is re-evaluated whole instead.
+// A non-recursive aggregate stratum is re-folded group by group instead;
+// a recursive one, one that predicts, or one a predicate of which it
+// negates moved, is re-evaluated whole.
 
-func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
+func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
 	rulesByHead := map[string][]*compiler.RulePlan{}
 	origin := map[string]relation.Relation{}
 	for _, r := range rules {
@@ -135,5 +137,5 @@ func (m *Maintainer) dredStratum(rules []*compiler.RulePlan, acc map[string]Delt
 	}
 
 	// 4. Insert: semi-naive propagation of external insertions.
-	return m.propagateInserts(rules, acc)
+	return m.propagateInserts(sp, rules, acc)
 }

@@ -1,30 +1,35 @@
 // Package ivm implements incremental view maintenance (paper T3, §3.2):
 // keeping the derived predicates of an evaluation context up to date under
 // changes to what they read, stratum by stratum, on the engine's stratum
-// operators (engine.Context.ReevalStratum and PropagateStratum).
+// operators (engine.Context.ReevalStratum, PropagateStratum and
+// RefoldStratum).
 //
 // The stratum — one predicate with all its rules, or a recursive clique
-// (compiler.Program.Strata) — is the maintenance unit: a derived predicate
-// is re-evaluated whole or not at all. Every maintainer runs one walk over
-// the strata: it skips a stratum the change does not reach, brings a
-// touched one up to date by the operator its mode picks, and records every
-// head that moved the same way, storing it as a patch of its previous
-// version. The four modes are benchmarked against each other in the E4
-// experiment:
+// (compiler.Program.Strata) — is the maintenance unit: nothing is stored
+// per rule. Every maintainer runs one walk over the strata: it skips a
+// stratum the change does not reach, brings a touched one up to date by
+// the operator its mode picks (the maintained_by label of the stratum's
+// span), and records every head that moved the same way, storing it as a
+// patch of its previous version. The four modes are benchmarked against
+// each other in the E4 experiment:
 //
 //   - Recompute: every touched stratum is re-evaluated in full (the "HANA
-//     approach" the paper argues against). The transaction path (core's
-//     rederive) runs this mode through Rederive.
+//     approach" the paper argues against).
 //   - Counting: classical delta rules with support counting (Gupta,
 //     Mumick & Subrahmanian, SIGMOD'93) for non-recursive strata.
-//   - DRed: delete-and-rederive with pinned rederivability checks.
+//   - DRed: delete-and-rederive with pinned rederivability checks. The
+//     transaction path (core's rederive) runs this mode through Rederive:
+//     it keeps no state between passes.
 //   - Sensitivity: the LogicBlox approach — sensitivity indices recorded
 //     by leapfrog runs decide which touched strata a change can affect at
 //     all; unaffected ones are skipped without touching their joins, so
 //     maintenance work tracks the trace edit distance of the evaluation.
 //
 // Counting and DRed maintain a stratum through the delta forms of its
-// rules; one that has none — it aggregates or predicts — is re-evaluated.
+// rules. A non-recursive aggregate stratum is re-folded: the delta forms
+// name the group keys the change touched, and only those groups are
+// folded again (RefoldStratum). A stratum that predicts, and a recursive
+// clique holding an aggregate, are re-evaluated whole.
 package ivm
 
 import (
@@ -64,13 +69,7 @@ func (m Mode) String() string {
 }
 
 // Delta is a batch of changes to one predicate.
-type Delta struct {
-	Ins []tuple.Tuple
-	Del []tuple.Tuple
-}
-
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool { return len(d.Ins) == 0 && len(d.Del) == 0 }
+type Delta = engine.Delta
 
 // Maintainer keeps the derived predicates of a program up to date under
 // batches of base-predicate changes.
@@ -93,9 +92,11 @@ type Maintainer struct {
 
 // Stats counts the work a maintenance pass performed.
 type Stats struct {
-	RulesEvaluated int // full or delta rule evaluations
-	RulesSkipped   int // rules of untouched or trace-filtered strata, untouched rules of a counted one
-	RederiveChecks int // DRed rederivability probes
+	RulesEvaluated    int // full or delta rule evaluations; a re-folded rule counts once
+	RulesSkipped      int // rules of untouched or trace-filtered strata, untouched rules of a counted one
+	RederiveChecks    int // DRed rederivability probes
+	StrataReevaluated int // strata re-evaluated whole, re-fold fallbacks included
+	GroupsRefolded    int // aggregate groups re-folded
 }
 
 type crec struct {

@@ -7,6 +7,7 @@ import (
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
+	"logicblox/internal/obs"
 	"logicblox/internal/parser"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
@@ -304,17 +305,25 @@ func TestMaintainAggregateSharingHead(t *testing.T) {
 			"extra": {Ins: []tuple.Tuple{tuple.Ints(10, 9)}, Del: []tuple.Tuple{tuple.Ints(12, 3)}},
 		}},
 	}
+	// Groups 20-29 of s and keys 30-39 of extra are never touched: with
+	// them h holds enough tuples for no batch to reach RefoldStratum's
+	// half-the-head fallback, so Counting and DRed re-fold every batch.
+	s := []tuple.Tuple{tuple.Ints(1, 1, 10), tuple.Ints(1, 2, 20), tuple.Ints(2, 1, 7)}
+	extra := []tuple.Tuple{tuple.Ints(10, 1), tuple.Ints(11, 2)}
+	for k := int64(0); k < 10; k++ {
+		s = append(s, tuple.Ints(20+k, 1, k))
+		extra = append(extra, tuple.Ints(30+k, k))
+	}
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			prog := mustProgram(t, src)
-			base := map[string]relation.Relation{
-				"s":     relation.FromTuples(3, []tuple.Tuple{tuple.Ints(1, 1, 10), tuple.Ints(1, 2, 20), tuple.Ints(2, 1, 7)}),
-				"extra": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(10, 1), tuple.Ints(11, 2)}),
-			}
+			base := map[string]relation.Relation{"s": relation.FromTuples(3, s), "extra": relation.FromTuples(2, extra)}
 			m, err := NewMaintainer(prog, cloneBase(base), mode)
 			if err != nil {
 				t.Fatal(err)
 			}
+			reg := obs.NewRegistry()
+			m.SetObserver(reg)
 			checkAgainstOracle(t, m, prog, base, "initial")
 			for _, b := range batches {
 				if _, err := m.Apply(b.d); err != nil {
@@ -322,9 +331,87 @@ func TestMaintainAggregateSharingHead(t *testing.T) {
 				}
 				applyToBase(base, b.d, arities)
 				checkAgainstOracle(t, m, prog, base, b.label)
+				want := "reeval"
+				if mode == Counting || mode == DRed {
+					want = "refold"
+				}
+				if by := maintainedBy(t, reg); len(by) != 1 || by[0] != want {
+					t.Fatalf("%s: strata maintained by %v, want [%s]", b.label, by, want)
+				}
 			}
 		})
 	}
+}
+
+// An aggregate rule in a recursive clique: h's aggregate groups feed h
+// itself through link, so a group the change re-folds must carry on to
+// the keys linked to it. The stratum is re-evaluated whole in every mode.
+func TestMaintainRecursiveAggregate(t *testing.T) {
+	src := `
+		h[k] = u <- agg<<u = sum(n)>> s(k, n).
+		h[k] = v <- link(k, j), h[j] = v.`
+	arities := map[string]int{"s": 2, "link": 2}
+	batches := []struct {
+		label string
+		d     map[string]Delta
+	}{
+		{"insert into a linked group", map[string]Delta{"s": {Ins: []tuple.Tuple{tuple.Ints(1, 5)}}}},
+		{"delete from a linked group", map[string]Delta{"s": {Del: []tuple.Tuple{tuple.Ints(1, 3)}}}},
+		{"empty a linked group", map[string]Delta{"s": {Del: []tuple.Tuple{tuple.Ints(1, 5)}}}},
+		{"refill it", map[string]Delta{"s": {Ins: []tuple.Tuple{tuple.Ints(1, 2)}}}},
+		{"insert a link", map[string]Delta{"link": {Ins: []tuple.Tuple{tuple.Ints(3, 2)}}}},
+	}
+	// Keys 10-19 are never touched: with them h holds enough tuples for no
+	// batch to reach RefoldStratum's half-the-head fallback.
+	s := []tuple.Tuple{tuple.Ints(1, 3)}
+	for k := int64(10); k < 20; k++ {
+		s = append(s, tuple.Ints(k, k))
+	}
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			prog := mustProgram(t, src)
+			base := map[string]relation.Relation{
+				"s":    relation.FromTuples(2, s),
+				"link": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(2, 1)}),
+			}
+			m, err := NewMaintainer(prog, cloneBase(base), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			m.SetObserver(reg)
+			checkAgainstOracle(t, m, prog, base, "initial")
+			for _, b := range batches {
+				if _, err := m.Apply(b.d); err != nil {
+					t.Fatalf("%s: %v", b.label, err)
+				}
+				applyToBase(base, b.d, arities)
+				checkAgainstOracle(t, m, prog, base, b.label)
+				if by := maintainedBy(t, reg); len(by) != 1 || by[0] != "reeval" {
+					t.Fatalf("%s: strata maintained by %v, want [reeval]", b.label, by)
+				}
+			}
+		})
+	}
+}
+
+// maintainedBy returns the maintained_by label of every stratum span of
+// the last maintenance pass traced into reg, in walk order.
+func maintainedBy(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	tr, ok := reg.LastTrace()
+	if !ok {
+		t.Fatal("no maintenance pass traced")
+	}
+	var by []string
+	for _, sp := range tr.Children {
+		for _, l := range sp.Labels {
+			if sp.Name == "stratum" && l.Key == "maintained_by" {
+				by = append(by, l.Val)
+			}
+		}
+	}
+	return by
 }
 
 func TestMaintainChainedViews(t *testing.T) {

@@ -9,17 +9,29 @@ import (
 	"logicblox/internal/tuple"
 )
 
-// Rederive is one walk in Recompute mode over ctx, whose derived
-// predicates were up to date before the names in changed moved: every
-// stratum the change reaches is re-evaluated whole, the others are left
-// alone. It is the transaction path's maintenance (core's rederive), for a
-// caller that keeps no maintenance state between passes. It returns the
-// delta of every head the walk moved — content changed, or stored for the
-// first time (even when empty) — and the work counters.
-func Rederive(ctx *engine.Context, changed map[string]bool) (map[string]Delta, Stats, error) {
-	m := &Maintainer{mode: Recompute, ctx: ctx}
-	acc := map[string]Delta{}
-	err := m.walk(changed, acc, map[string]relation.Relation{})
+// Rederive is one walk in DRed mode over ctx, whose derived predicates
+// were up to date before the change: pending holds the exact deltas of the
+// names that moved with one (a transaction's base predicates), before
+// their contents beforehand, and changed names what moved without a known
+// delta (heads an addblock dirtied, a restore's or a solve's predicates).
+// A stratum reading only known deltas is maintained by them — DRed, or a
+// re-fold of the touched groups for an aggregate — and one that derives or
+// reads a name in changed is re-evaluated whole. DRed and re-folding keep
+// no state between passes, so this is the transaction path's maintenance
+// (core's rederive). It returns the delta of every head the walk moved —
+// content changed, or stored for the first time (even when empty) — and
+// the work counters.
+func Rederive(ctx *engine.Context, changed map[string]bool, pending map[string]Delta, before map[string]relation.Relation) (map[string]Delta, Stats, error) {
+	m := &Maintainer{mode: DRed, ctx: ctx}
+	acc := make(map[string]Delta, len(pending))
+	old := make(map[string]relation.Relation, len(pending))
+	for name, d := range pending {
+		acc[name], old[name] = d, before[name]
+	}
+	err := m.walk(changed, acc, old)
+	for name := range pending {
+		delete(acc, name)
+	}
 	return acc, m.Stats, err
 }
 
@@ -60,13 +72,17 @@ func (m *Maintainer) walk(changed map[string]bool, acc map[string]Delta, old map
 			before[r.HeadName] = m.ctx.Relation(r.HeadName)
 			stored[r.HeadName] = m.ctx.Has(r.HeadName)
 		}
-		rebuilt, sp, err := m.maintain(stratum, known, acc, old)
+		sp := m.ctx.StratumSpan(stratum)
+		by, err := m.maintain(sp, stratum, known, acc, old)
+		sp.SetLabel("maintained_by", by)
 		if err != nil {
+			sp.End()
 			return err
 		}
 		for head, was := range before {
-			m.record(head, was, stored[head], rebuilt, sp, acc, old)
+			m.record(head, was, stored[head], by == byReeval, sp, acc, old)
 		}
+		sp.End()
 	}
 	return nil
 }
@@ -82,28 +98,58 @@ func touches(stratum []*compiler.RulePlan, in func(name string) bool) bool {
 	return false
 }
 
+// The operators a stratum can be maintained by, as the maintained_by
+// label of its stratum span reads.
+const (
+	byRefold    = "refold"
+	byDRed      = "dred"
+	byCount     = "count"
+	byPropagate = "propagate"
+	byReeval    = "reeval"
+)
+
 // maintain brings one touched stratum up to date by the operator the mode
-// picks for it; known says every change the stratum sees comes with its
-// delta. Counting counts a countable non-recursive stratum (recounting it
-// when its deltas are not known) and propagates a monotone change into a
-// countable recursive one; DRed runs over-deletion and rederivation on a
-// countable stratum no negated predicate of which moved. Everything else
-// is re-evaluated whole, which rebuilt reports, together with that
-// evaluation's stratum span (nil when untraced).
-func (m *Maintainer) maintain(stratum []*compiler.RulePlan, known bool, acc map[string]Delta, old map[string]relation.Relation) (rebuilt bool, sp *obs.Span, err error) {
-	countable := countable(stratum)
+// picks for it, under its stratum span sp, and names that operator; known
+// says every change the stratum sees comes with its delta. Counting and
+// DRed re-fold the touched groups of a non-recursive aggregate stratum
+// with known deltas no negated predicate of which moved (RefoldStratum,
+// which may itself fall back to a whole re-evaluation); any other
+// aggregate stratum — a recursive clique holding an aggregate among them
+// — is re-evaluated whole. Otherwise Counting counts a countable
+// non-recursive stratum (recounting it when its deltas are not known) and
+// propagates a monotone change into a countable recursive one; DRed runs
+// over-deletion and rederivation on a countable stratum no negated
+// predicate of which moved. Everything else is re-evaluated whole.
+func (m *Maintainer) maintain(sp *obs.Span, stratum []*compiler.RulePlan, known bool, acc map[string]Delta, old map[string]relation.Relation) (by string, err error) {
+	incremental := (m.mode == Counting || m.mode == DRed) && countable(stratum)
 	recursive := compiler.StratumRecursive(stratum)
 	switch {
-	case m.mode == Counting && countable && !recursive:
-		return false, nil, m.countStratum(stratum, known, acc, old)
-	case m.mode == Counting && countable && known && monotone(stratum, acc):
-		return false, nil, m.propagateInserts(stratum, acc)
-	case m.mode == DRed && countable && known && !negTouched(acc, stratum...):
-		return false, nil, m.dredStratum(stratum, acc, old)
+	case incremental && aggregates(stratum):
+		if known && !recursive && !negTouched(acc, stratum...) {
+			return m.refold(sp, stratum, acc, old)
+		}
+	case incremental && m.mode == Counting && !recursive:
+		return byCount, m.countStratum(stratum, known, acc, old)
+	case incremental && m.mode == Counting && known && monotone(stratum, acc):
+		return byPropagate, m.propagateInserts(sp, stratum, acc)
+	case incremental && m.mode == DRed && known && !negTouched(acc, stratum...):
+		return byDRed, m.dredStratum(sp, stratum, acc, old)
 	}
 	m.Stats.RulesEvaluated += len(stratum)
-	_, sp, err = m.ctx.ReevalStratum(stratum)
-	return true, sp, err
+	m.Stats.StrataReevaluated++
+	return byReeval, m.ctx.ReevalStratum(sp, stratum)
+}
+
+// refold hands an aggregate stratum to RefoldStratum.
+func (m *Maintainer) refold(sp *obs.Span, stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) (string, error) {
+	m.Stats.RulesEvaluated += len(stratum)
+	groups, whole, err := m.ctx.RefoldStratum(sp, stratum, acc, old)
+	if whole {
+		m.Stats.StrataReevaluated++
+		return byReeval, err
+	}
+	m.Stats.GroupsRefolded += groups
+	return byRefold, err
 }
 
 // record is the one place the walk reports what maintaining a stratum did

@@ -111,7 +111,7 @@ func FormatCounters(s Snapshot) string {
 }
 
 // FormatSpanTree renders one trace as an indented tree, one line per
-// span: duration, name, and attributes.
+// span: duration, name, labels and attributes.
 func FormatSpanTree(s SpanSnapshot) string {
 	var b strings.Builder
 	writeSpan(&b, s, 0)
@@ -124,6 +124,9 @@ func writeSpan(b *strings.Builder, s SpanSnapshot, depth int) {
 		width = 8
 	}
 	fmt.Fprintf(b, "%s%-*s %7s", strings.Repeat("  ", depth), width, truncate(s.Name, width), fmtDur(s.Duration))
+	for _, l := range s.Labels {
+		fmt.Fprintf(b, "  %s=%s", l.Key, l.Val)
+	}
 	for _, a := range s.Attrs {
 		fmt.Fprintf(b, "  %s=%d", a.Key, a.Val)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Span is one node of a hierarchical trace: a named, timed region of work
-// with integer attributes and child spans. Spans are created with
+// with integer attributes, string labels and child spans. Spans are created with
 // Registry.StartSpan (roots) and Span.Child, and closed with End; a root
 // span enters the registry's trace ring when it ends. The nil *Span is a
 // valid no-op, so call sites never branch on whether tracing is enabled.
@@ -19,6 +19,7 @@ type Span struct {
 
 	mu       sync.Mutex
 	attrs    []SpanAttr
+	labels   []SpanLabel
 	children []*Span
 	ended    bool
 }
@@ -27,6 +28,13 @@ type Span struct {
 type SpanAttr struct {
 	Key string `json:"key"`
 	Val int64  `json:"val"`
+}
+
+// SpanLabel is one string attribute of a span: a categorical fact about
+// the work, such as which operator maintained a stratum.
+type SpanLabel struct {
+	Key string `json:"key"`
+	Val string `json:"val"`
 }
 
 // StartSpan opens a root span. On a nil registry it returns nil (a no-op
@@ -64,6 +72,22 @@ func (s *Span) SetAttr(key string, val int64) {
 		}
 	}
 	s.attrs = append(s.attrs, SpanAttr{Key: key, Val: val})
+}
+
+// SetLabel records (or overwrites) a string label.
+func (s *Span) SetLabel(key, val string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.labels {
+		if s.labels[i].Key == key {
+			s.labels[i].Val = val
+			return
+		}
+	}
+	s.labels = append(s.labels, SpanLabel{Key: key, Val: val})
 }
 
 // AddAttr accumulates into an integer attribute (creating it at val).
@@ -130,6 +154,7 @@ type SpanSnapshot struct {
 	Start    time.Time      `json:"start"`
 	Duration time.Duration  `json:"duration_ns"`
 	Attrs    []SpanAttr     `json:"attrs,omitempty"`
+	Labels   []SpanLabel    `json:"labels,omitempty"`
 	Children []SpanSnapshot `json:"children,omitempty"`
 }
 
@@ -154,6 +179,9 @@ func (s *Span) snapshot() SpanSnapshot {
 	}
 	if len(s.attrs) > 0 {
 		out.Attrs = append([]SpanAttr(nil), s.attrs...)
+	}
+	if len(s.labels) > 0 {
+		out.Labels = append([]SpanLabel(nil), s.labels...)
 	}
 	for _, c := range s.children {
 		out.Children = append(out.Children, c.snapshot())

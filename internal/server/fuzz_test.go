@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -43,6 +48,43 @@ func FuzzDecodePageToken(f *testing.F) {
 			}
 		} else if err != nil || got != want {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", want, got, err)
+		}
+	})
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzJSONBody: a request body is client-supplied bytes. Decoded under a
+// bound the way jsonBody decodes it, whatever they are must never panic,
+// never read more than one byte past the bound — so nothing is buffered
+// past it — and never be accepted when longer than the bound.
+func FuzzJSONBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"src": "+p(1)."}`, " {\"src\": \"+p(1).\"}\n", `{"src": "+p(1)."} {}`, `{"src": "+p(1)."}xyz`,
+		`{"name": "` + strings.Repeat("a", 80) + `"}`, "", "[1, 2", `{"op": "diff"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	const limit = 64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &countingReader{r: bytes.NewReader(data)}
+		var req Request
+		err := decodeBody(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(src), limit), &req)
+		if src.n > limit+1 {
+			t.Fatalf("read %d bytes under a %d-byte bound", src.n, limit)
+		}
+		if len(data) > limit && err == nil {
+			t.Fatalf("accepted a %d-byte body under a %d-byte bound", len(data), limit)
 		}
 	})
 }

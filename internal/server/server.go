@@ -49,6 +49,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -270,8 +271,8 @@ func (s *Server) branchesRouter() http.Handler {
 // per-request deadline tightening. It records the branch on the request's
 // info for the access log. The returned cancel must be called.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *Request) (*http.Request, func(), bool) {
-	if err := jsonBody(r, req); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", err.Error(), requestIDFrom(r.Context()))
+	if err := jsonBody(w, r, req); err != nil {
+		writeBodyError(w, r, err)
 		return r, func() {}, false
 	}
 	if req.Branch == "" {
@@ -417,8 +418,8 @@ var branchOps = map[string]string{"create": "branch", "branchat": "branchat", "d
 
 func (s *Server) handleBranchesPost(w http.ResponseWriter, r *http.Request) {
 	var req BranchRequest
-	if err := jsonBody(r, &req); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", err.Error(), requestIDFrom(r.Context()))
+	if err := jsonBody(w, r, &req); err != nil {
+		writeBodyError(w, r, err)
 		return
 	}
 	if req.Op == "diff" { // the one read; a follower serves it locally
@@ -690,12 +691,41 @@ func (s *Server) latencySummary() map[string]map[string]any {
 	return out
 }
 
-// jsonBody decodes a JSON body, bounding it to keep a hostile client
-// from exhausting memory.
-func jsonBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
+// errBodyTooLarge is a request body past maxBodyBytes: 413
+// request_too_large.
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)
+
+// jsonBody decodes the request body — exactly one JSON value, optionally
+// surrounded by whitespace — into into, reading at most maxBodyBytes of it.
+func jsonBody(w http.ResponseWriter, r *http.Request, into any) error {
+	return decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), into)
+}
+
+// decodeBody decodes one JSON value from a body bounded by
+// http.MaxBytesReader: the bound tripping is errBodyTooLarge, anything
+// but whitespace after the value an invalid body.
+func decodeBody(body io.Reader, into any) error {
+	dec := json.NewDecoder(body)
+	err := dec.Decode(into)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return errBodyTooLarge
+	}
+	return fmt.Errorf("invalid request body: %w", err)
+}
+
+// writeBodyError answers a request whose body jsonBody rejected.
+func writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
+	status, code := http.StatusBadRequest, "bad_request"
+	if errors.Is(err, errBodyTooLarge) {
+		status, code = http.StatusRequestEntityTooLarge, "request_too_large"
+	}
+	writeErrorCode(w, status, code, err.Error(), requestIDFrom(r.Context()))
 }

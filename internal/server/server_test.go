@@ -125,6 +125,36 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBounds: a body past maxBodyBytes is a typed 413, bytes
+// after the JSON value are a 400, and trailing whitespace is fine.
+func TestRequestBodyBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cases := []struct {
+		name, body string
+		wantStatus int
+		wantCode   string
+	}{
+		{"oversized", `{"src": "` + strings.Repeat("a", maxBodyBytes) + `"}`, 413, "request_too_large"},
+		{"second value", `{"src": "+p(1)."} {"src": "+p(2)."}`, 400, "bad_request"},
+		{"trailing garbage", `{"src": "+p(1)."}xyz`, 400, "bad_request"},
+		{"trailing whitespace", "{\"src\": \"+p(1).\"}\n\t ", 200, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/exec", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e ErrorResponse
+			json.NewDecoder(resp.Body).Decode(&e)
+			if resp.StatusCode != tc.wantStatus || e.Code != tc.wantCode {
+				t.Fatalf("status=%d code=%q (err=%q), want %d %q", resp.StatusCode, e.Code, e.Error, tc.wantStatus, tc.wantCode)
+			}
+		})
+	}
+}
+
 // TestServerConcurrentWriters races N writers against one branch. Every
 // transaction executes on a head snapshot and commits via CommitIf, so
 // losers of the race re-execute; with retries to spare, all must land

@@ -201,7 +201,7 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 	// Code is a stable identifier: no_such_branch, conflict, parse,
 	// typecheck, constraint, timeout, busy, unavailable, bad_request,
-	// bad_cursor, stale_cursor, no_such_trace, read_only, stale_read,
+	// request_too_large, bad_cursor, stale_cursor, no_such_trace, read_only, stale_read,
 	// journal_truncated, not_follower, not_durable, internal.
 	Code string `json:"code"`
 	// RequestID correlates the failure with its access-log line and the
