@@ -35,8 +35,8 @@ test:
 # -count=1: the race detector only sees schedules it executes, so cached
 # passes are worthless. This one run covers every suite — the
 # differential and repair harnesses, crash-recovery and failover property
-# tests, the HTTP, streaming and replication end-to-end suites, and the
-# load-harness smoke.
+# tests, and the HTTP, streaming and replication end-to-end suites with
+# their mixed-load arms.
 race:
 	$(GO) test -race -count=1 ./...
 

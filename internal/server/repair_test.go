@@ -102,14 +102,23 @@ type contentionStats struct {
 	elapsed                         time.Duration
 }
 
-// runContention drives writers*rounds inventory-decrement transactions
-// (^inv[k] = z <- inv@start[k] = q, z = q - 1.) against one branch. Each
-// writer picks a hot key with probability hotFrac and a uniform key from
-// the keyspace otherwise, so hotFrac sweeps the workload from mostly
-// key-disjoint conflicts (repairable: the recorded read is a point
-// interval on the writer's own key) to fully overlapping ones (the
-// winner wrote the very key the loser read; repair must decline).
-func runContention(t *testing.T, disableRepair bool, hotFrac float64, writers, rounds, keys int) contentionStats {
+// The two writes runContention races. decrement reads the key it writes
+// (^inv[k] = z <- inv@start[k] = q, z = q - 1.); insertHit is a fact-only
+// write with an empty read set, and n makes every insert a real change.
+func decrement(k, _ int) string {
+	return fmt.Sprintf("^inv[%d] = z <- inv@start[%d] = q, z = q - 1.", k, k)
+}
+
+func insertHit(k, n int) string { return fmt.Sprintf("+hit(%d, %d).", k, n) }
+
+// runContention drives writers*rounds write transactions against one
+// branch. Each writer picks a hot key with probability hotFrac and a
+// uniform key from the keyspace otherwise, so for decrement hotFrac
+// sweeps the workload from mostly key-disjoint conflicts (repairable:
+// the recorded read is a point interval on the writer's own key) to
+// fully overlapping ones (the winner wrote the very key the loser read;
+// repair must decline).
+func runContention(t *testing.T, write func(k, n int) string, disableRepair bool, hotFrac float64, writers, rounds, keys int) contentionStats {
 	t.Helper()
 	reg := obs.NewRegistry()
 	_, ts := newTestServer(t, Config{MaxRetries: 200, DisableRepair: disableRepair, Obs: reg})
@@ -134,7 +143,7 @@ func runContention(t *testing.T, disableRepair bool, hotFrac float64, writers, r
 				if rng.Float64() >= hotFrac {
 					k = rng.Intn(keys)
 				}
-				postExec(ts, fmt.Sprintf("^inv[%d] = z <- inv@start[%d] = q, z = q - 1.", k, k), errs)
+				postExec(ts, write(k, r*writers+i), errs)
 			}(i, r)
 		}
 		wg.Wait()
@@ -153,41 +162,53 @@ func runContention(t *testing.T, disableRepair bool, hotFrac float64, writers, r
 }
 
 // TestContentionRepairVsCoarse is the contention benchmark: racing
-// inventory decrements at three hot-key fractions, with fine-grained
-// repair on and off. The table it logs is recorded in EXPERIMENTS.md.
-// Assertions stay deliberately weak against scheduling noise; the load-
-// bearing one is that on the key-disjoint workload the repair path
-// resolves conflicts without full re-execution, while the coarse
-// baseline by construction re-executes every retry in full.
+// inventory decrements and fact-only inserts at three hot-key fractions,
+// with fine-grained repair on and off. The table it logs is recorded in
+// EXPERIMENTS.md. Assertions on decrements stay deliberately weak against
+// scheduling noise; the load-bearing one is that on the key-disjoint
+// workload the repair path resolves conflicts without full re-execution,
+// while the coarse baseline by construction re-executes every retry in
+// full. A fact-only insert records no reads, so whatever the timing every
+// one of its retries is a repair when repair is on.
 func TestContentionRepairVsCoarse(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	const writers, rounds, keys = 8, 12, 64
-	for _, hot := range []float64{0.0, 0.5, 1.0} {
-		repair := runContention(t, false, hot, writers, rounds, keys)
-		coarse := runContention(t, true, hot, writers, rounds, keys)
-		t.Logf("hot=%.1f repair: commits=%d retries=%d repairs=%d full_reexecs=%d in %v",
-			hot, repair.commits, repair.retries, repair.repairs, repair.full, repair.elapsed.Round(time.Millisecond))
-		t.Logf("hot=%.1f coarse: commits=%d retries=%d repairs=%d full_reexecs=%d in %v",
-			hot, coarse.commits, coarse.retries, coarse.repairs, coarse.full, coarse.elapsed.Round(time.Millisecond))
+	for _, w := range []struct {
+		name      string
+		write     func(k, n int) string
+		readsNone bool
+	}{{"decrement", decrement, false}, {"fact-only", insertHit, true}} {
+		for _, hot := range []float64{0.0, 0.5, 1.0} {
+			repair := runContention(t, w.write, false, hot, writers, rounds, keys)
+			coarse := runContention(t, w.write, true, hot, writers, rounds, keys)
+			t.Logf("%s hot=%.1f repair: commits=%d retries=%d repairs=%d full_reexecs=%d in %v",
+				w.name, hot, repair.commits, repair.retries, repair.repairs, repair.full, repair.elapsed.Round(time.Millisecond))
+			t.Logf("%s hot=%.1f coarse: commits=%d retries=%d repairs=%d full_reexecs=%d in %v",
+				w.name, hot, coarse.commits, coarse.retries, coarse.repairs, coarse.full, coarse.elapsed.Round(time.Millisecond))
 
-		if coarse.repairs != 0 {
-			t.Fatalf("hot=%.1f: DisableRepair server reported %d repairs", hot, coarse.repairs)
-		}
-		if coarse.full != coarse.retries {
-			t.Fatalf("hot=%.1f: coarse baseline must fully re-execute every retry: full=%d retries=%d", hot, coarse.full, coarse.retries)
-		}
-		if repair.repairs+repair.full != repair.retries {
-			t.Fatalf("hot=%.1f: every retry is either repaired or re-executed: repairs=%d full=%d retries=%d",
-				hot, repair.repairs, repair.full, repair.retries)
-		}
-		// Key-disjoint conflicts must mostly resolve via repair: with 8
-		// writers spread over 64 keys, same-key collisions are rare, so
-		// full re-executions cannot dominate once conflicts happened.
-		if hot == 0.0 && repair.retries >= 5 && repair.full >= repair.retries {
-			t.Fatalf("hot=0.0: repair resolved nothing: repairs=%d full=%d retries=%d",
-				repair.repairs, repair.full, repair.retries)
+			if coarse.repairs != 0 {
+				t.Fatalf("%s hot=%.1f: DisableRepair server reported %d repairs", w.name, hot, coarse.repairs)
+			}
+			if coarse.full != coarse.retries {
+				t.Fatalf("%s hot=%.1f: coarse baseline must fully re-execute every retry: full=%d retries=%d", w.name, hot, coarse.full, coarse.retries)
+			}
+			if repair.repairs+repair.full != repair.retries {
+				t.Fatalf("%s hot=%.1f: every retry is either repaired or re-executed: repairs=%d full=%d retries=%d",
+					w.name, hot, repair.repairs, repair.full, repair.retries)
+			}
+			if w.readsNone && (repair.full != 0 || repair.repairs != repair.retries) {
+				t.Fatalf("%s hot=%.1f: an empty read set must always repair: repairs=%d full=%d retries=%d",
+					w.name, hot, repair.repairs, repair.full, repair.retries)
+			}
+			// Key-disjoint conflicts must mostly resolve via repair: with 8
+			// writers spread over 64 keys, same-key collisions are rare, so
+			// full re-executions cannot dominate once conflicts happened.
+			if hot == 0.0 && repair.retries >= 5 && repair.full >= repair.retries {
+				t.Fatalf("%s hot=0.0: repair resolved nothing: repairs=%d full=%d retries=%d",
+					w.name, repair.repairs, repair.full, repair.retries)
+			}
 		}
 	}
 }

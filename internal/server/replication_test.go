@@ -124,6 +124,23 @@ func rawPost(t *testing.T, ts *httptest.Server, path string, body any) (int, []b
 	return resp.StatusCode, raw
 }
 
+// healthzLag reads replica.lag_seq from a follower's /healthz. A stale
+// follower answers 503 with the same body, so the status is ignored.
+func healthzLag(ts *httptest.Server) (int64, bool) {
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		return 0, false
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Replica *replica.Status `json:"replica"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&doc) != nil || doc.Replica == nil {
+		return 0, false
+	}
+	return int64(doc.Replica.LagSeq), true
+}
+
 // The replication e2e: one primary, two followers, concurrent writers.
 // Every acked commit must appear on both followers exactly once — the
 // full-scan query responses are byte-identical to the primary's at equal
@@ -135,6 +152,12 @@ func TestReplicationE2E(t *testing.T) {
 
 	mustOK(t, pts, http.MethodPost, "/addblock",
 		Request{Name: "views", Src: `small(x) <- p(x), x < 8.`}, nil)
+	// Both followers replay the schema before reads land on them, so no
+	// read answers 503 as never caught up.
+	head := store.Stats().LastSeq
+	waitUntil(t, 10*time.Second, "schema replay", func() bool {
+		return fol1.Status().AppliedSeq >= head && fol2.Status().AppliedSeq >= head
+	})
 
 	// Concurrent writers: 4 goroutines, disjoint value ranges.
 	var wg sync.WaitGroup
@@ -148,9 +171,48 @@ func TestReplicationE2E(t *testing.T) {
 			}
 		}(w)
 	}
+	// Reads during the writes, alternating between the followers, and a
+	// /healthz sampler recording the largest lag either reported.
+	followers := []*httptest.Server{fts1, fts2}
+	const reads = 32
+	var (
+		readStatus [reads]int
+		readErr    [reads]error
+		readAns    [reads]QueryResponse
+		lagMax     int64   // written by the sampler only, read after lagDone
+		lagSampled [2]bool // each follower's /healthz carried a replica section
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range reads {
+			readStatus[i], readErr[i] = postJSON(followers[i%2], "/query", Request{Src: `_(x) <- p(x).`}, &readAns[i])
+		}
+	}()
+	stopLag := make(chan struct{})
+	lagDone := make(chan struct{})
+	go func() {
+		defer close(lagDone)
+		for {
+			for i, fts := range followers {
+				lag, ok := healthzLag(fts)
+				lagSampled[i] = lagSampled[i] || ok
+				if ok && lag > lagMax {
+					lagMax = lag
+				}
+			}
+			select {
+			case <-stopLag:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
 	wg.Wait()
+	close(stopLag)
+	<-lagDone
 
-	head := store.Stats().LastSeq
+	head = store.Stats().LastSeq
 	waitUntil(t, 10*time.Second, "follower 1 catch-up", func() bool { return fol1.Status().AppliedSeq >= head })
 	waitUntil(t, 10*time.Second, "follower 2 catch-up", func() bool { return fol2.Status().AppliedSeq >= head })
 
@@ -172,6 +234,34 @@ func TestReplicationE2E(t *testing.T) {
 			}
 		}
 	}
+
+	// Every read under load answered, both followers served reads, and no
+	// follower answer held a fact the primary does not finally hold.
+	var final QueryResponse
+	mustOK(t, pts, http.MethodPost, "/query", Request{Src: `_(x) <- p(x).`}, &final)
+	acked := make(map[float64]bool, len(final.Rows))
+	for _, row := range final.Rows {
+		acked[row[0].(float64)] = true
+	}
+	served := [2]int{}
+	for i := range reads {
+		if readStatus[i] != http.StatusOK || readErr[i] != nil {
+			t.Fatalf("read %d on follower %d under load: status %d, %v", i, i%2+1, readStatus[i], readErr[i])
+		}
+		served[i%2]++
+		for _, row := range readAns[i].Rows {
+			if !acked[row[0].(float64)] {
+				t.Fatalf("follower %d served p(%v), absent from the primary's final answer", i%2+1, row[0])
+			}
+		}
+	}
+	if served[0] == 0 || served[1] == 0 {
+		t.Fatalf("reads served per follower = %v, want both", served)
+	}
+	if !lagSampled[0] || !lagSampled[1] {
+		t.Fatalf("/healthz replica section sampled per follower = %v, want both", lagSampled)
+	}
+	t.Logf("reads under load: %v per follower, max replica.lag_seq %d", served, lagMax)
 
 	// Replay is exactly-once on disk too: the follower journaled each
 	// record once, so its local store head equals the primary's.

@@ -1,20 +1,25 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"logicblox/internal/core"
+	"logicblox/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -197,6 +202,150 @@ func TestServerConcurrentWriters(t *testing.T) {
 	if got, want := s.Database().Versions(), 1+writers; got != want {
 		t.Fatalf("versions = %d, want %d", got, want)
 	}
+
+	t.Run("mixed", testMixedLoad)
+}
+
+// mixedSchema: every write re-derives a key-pair join whose cost grows
+// with the data, so the optimistic-commit window is wide enough for
+// writers to race.
+const mixedSchema = `
+hit(k, v) -> int(k), int(v).
+seen(k) <- hit(k, v).
+link(j, k) <- hit(j, v), hit(k, w), v < w.
+`
+
+// testMixedLoad: seeded clients on two branches run hot-key writes,
+// plain point reads and NDJSON-streamed scans. No answer is 5xx, every
+// stream ends in an ok summary, server.query.streamed counts exactly the
+// streams that answered 200, and the hot-key skew leaves contention
+// evidence (server-side retries or a client-seen 409).
+func testMixedLoad(t *testing.T) {
+	// On a single-CPU box GOMAXPROCS(1) serializes the transactions so
+	// writers never race; give the scheduler parallel Ps.
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Workers: 4, MaxRetries: 1, Obs: reg})
+	mustOK(t, ts, "POST", "/addblock", Request{Name: "schema", Src: mixedSchema}, nil)
+	mustOK(t, ts, "POST", "/branches", BranchRequest{Op: "create", From: "main", To: "b1"}, nil)
+
+	const clients, opsPerClient, keys = 6, 50, 8
+	var (
+		wg                        sync.WaitGroup
+		conflicts, streamed, rows atomic.Int64
+		errs                      = make(chan error, clients*opsPerClient)
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(42 + c)))
+			for i := 0; i < opsPerClient; i++ {
+				branch := []string{"main", "b1"}[rng.Intn(2)]
+				key := 0 // the hot key, 90% of the time
+				if rng.Float64() >= 0.9 {
+					key = rng.Intn(keys)
+				}
+				var status int
+				var err error
+				switch r := rng.Float64(); {
+				case r < 0.2:
+					var n int64
+					status, n, err = postStream(ts, Request{Branch: branch, Src: `_(k, v) <- hit(k, v).`, Stream: true})
+					if status == http.StatusOK && err == nil {
+						streamed.Add(1)
+						rows.Add(n)
+					}
+				case r < 0.4:
+					status, err = postJSON(ts, "/query", Request{Branch: branch, Src: fmt.Sprintf("_(v) <- hit(%d, v).", key)}, nil)
+				default:
+					status, err = postJSON(ts, "/exec", Request{Branch: branch, Src: fmt.Sprintf("+hit(%d, %d).", key, c*opsPerClient+i+1)}, nil)
+				}
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("client %d op %d: %w", c, i, err)
+				case status >= 500:
+					errs <- fmt.Errorf("client %d op %d: status %d", c, i, status)
+				case status == http.StatusConflict:
+					conflicts.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if got := reg.Counter("server.query.streamed").Value(); got != streamed.Load() || got == 0 {
+		t.Fatalf("server.query.streamed = %d, clients saw %d streams answer 200", got, streamed.Load())
+	}
+	if rows.Load() == 0 {
+		t.Fatal("streamed scans carried no rows")
+	}
+	retries := reg.Counter("server.commit.retries").Value()
+	if retries+conflicts.Load() == 0 {
+		t.Fatal("no contention evidence: no commit retries and no 409")
+	}
+	// /debug/vars refreshes the gauges a load generator samples.
+	var vars struct {
+		Gauges map[string]int64 `json:"gauges"`
+	}
+	mustOK(t, ts, "GET", "/debug/vars", nil, &vars)
+	if _, ok := vars.Gauges["server.queue.depth"]; !ok || vars.Gauges["go.heap_inuse"] <= 0 {
+		t.Fatalf("/debug/vars gauges = %v, want server.queue.depth and go.heap_inuse", vars.Gauges)
+	}
+	t.Logf("mixed load: %d streams (%d rows), retries=%d, 409s=%d", streamed.Load(), rows.Load(), retries, conflicts.Load())
+}
+
+// postJSON POSTs req and returns the status, decoding the body into out
+// when non-nil and discarding it otherwise. Unlike do it is safe off the
+// test goroutine.
+func postJSON(ts *httptest.Server, path string, req Request, out any) (int, error) {
+	raw, _ := json.Marshal(req)
+	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
+// postStream runs one NDJSON-streamed /query and returns its status and
+// row count. A 200 stream whose last record is not an ok summary is an
+// error: the status was committed before the failure.
+func postStream(ts *httptest.Server, req Request) (int, int64, error) {
+	raw, _ := json.Marshal(req)
+	resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		_, err = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, 0, err
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	var last []byte
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+	}
+	if err := sc.Err(); err != nil {
+		return resp.StatusCode, 0, err
+	}
+	var tr StreamTrailer
+	if err := json.Unmarshal(last, &tr); err != nil || tr.Summary == nil || !tr.Summary.OK {
+		return resp.StatusCode, 0, fmt.Errorf("stream did not end in an ok summary: %q", last)
+	}
+	return resp.StatusCode, tr.Summary.Rows, nil
 }
 
 // TestServerDeadline504 checks a per-request deadline observably stops
