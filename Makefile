@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJournal$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzTailReader$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzUnframeSnapshot$$' -fuzztime=5s ./internal/durable
+	$(GO) test -run='^$$' -fuzz='^FuzzSignedRefold$$' -fuzztime=5s ./internal/engine
 
 # benchmark/ compiles against internal packages; a refactor that breaks
 # its imports must fail here rather than in the benchmark run.

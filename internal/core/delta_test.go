@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"logicblox/internal/engine"
@@ -110,18 +112,59 @@ func spanLabel(s obs.SpanSnapshot, key string) string {
 }
 
 // TestOneFactExecRefoldsTouchedGroups pins what a one-fact write costs on
-// the retail schema: each aggregate view re-folds the one group the fact
-// falls in, revenue and hot follow by DRed, no stratum is re-evaluated
-// whole and no secondary index is built — and every view still equals a
-// from-scratch evaluation.
+// the retail schema: each aggregate view updates the one group the fact
+// falls in by its signed delta — no group is re-folded —, revenue and hot
+// follow by DRed, no stratum is re-evaluated whole and no secondary index
+// is built — and every view still equals a from-scratch evaluation.
 func TestOneFactExecRefoldsTouchedGroups(t *testing.T) {
 	reg := obs.NewRegistry()
 	next := mustExec(t, retailSeed(t).WithObserver(reg), `^sales[3, 1, 2] = 9.`)
 	c := reg.Snapshot().Counters
-	if c["engine.index.permutes"] != 0 || c["core.rederive.strata_reevaluated"] != 0 || c["core.rederive.groups_refolded"] != 2 {
-		t.Errorf("permutes / strata re-evaluated / groups re-folded = %d / %d / %d, want 0 / 0 / 2",
-			c["engine.index.permutes"], c["core.rederive.strata_reevaluated"], c["core.rederive.groups_refolded"])
+	if c["engine.index.permutes"] != 0 || c["core.rederive.strata_reevaluated"] != 0 ||
+		c["core.rederive.groups_refolded"] != 0 || c["core.rederive.groups_signed"] != 2 {
+		t.Errorf("permutes / strata re-evaluated / groups re-folded / groups signed = %d / %d / %d / %d, want 0 / 0 / 0 / 2",
+			c["engine.index.permutes"], c["core.rederive.strata_reevaluated"], c["core.rederive.groups_refolded"], c["core.rederive.groups_signed"])
 	}
+	by := maintainedBy(t, reg)
+	if len(by) != 2 || by["signed"] != 2 || by["dred"] != 2 {
+		t.Errorf("strata by maintained_by = %v, want 2 signed, 2 dred", by)
+	}
+	checkFullEval(t, next)
+}
+
+// TestBatchExecSignsEveryGroup is the workbook's what-if batch on the
+// retail schema: 20 upserts reach every store, so salesByStore's touched
+// groups are its whole head, yet every group is updated by its signed
+// delta — no re-fold fallback, no stratum re-evaluated whole — and every
+// view equals a from-scratch evaluation.
+func TestBatchExecSignsEveryGroup(t *testing.T) {
+	reg := obs.NewRegistry()
+	var src strings.Builder
+	for i := int64(0); i < 20; i++ {
+		fmt.Fprintf(&src, "^sales[%d, %d, %d] = %d.\n", (7*i)%40, i%4, (3*i)%5, 10+i) // every seeded value is below 10
+	}
+	next := mustExec(t, retailSeed(t).WithObserver(reg), src.String())
+	by := maintainedBy(t, reg)
+	if by["reeval"] != 0 || by["refold"] != 0 || by["signed"] != 2 {
+		t.Errorf("strata by maintained_by = %v, want 2 signed and none re-folded or re-evaluated", by)
+	}
+	tr, _ := reg.LastTrace()
+	for _, st := range findSpans(tr, "stratum", nil) {
+		if spanAttr(st, "refold_fallback") != -1 {
+			t.Errorf("a stratum fell back to a whole re-evaluation: %+v", st)
+		}
+	}
+	if c := reg.Snapshot().Counters; c["core.rederive.groups_signed"] != 24 {
+		t.Errorf("groups signed = %d, want 24 (20 products, 4 stores)", c["core.rederive.groups_signed"])
+	}
+	checkFullEval(t, next)
+}
+
+// maintainedBy counts the stratum spans under rederive in the last trace
+// in reg by their maintained_by label; a span labelled signed or refold
+// must count one group or more.
+func maintainedBy(t *testing.T, reg *obs.Registry) map[string]int {
+	t.Helper()
 	tr, ok := reg.LastTrace()
 	if !ok {
 		t.Fatal("no trace")
@@ -129,26 +172,30 @@ func TestOneFactExecRefoldsTouchedGroups(t *testing.T) {
 	by := map[string]int{}
 	for _, rd := range findSpans(tr, "rederive", nil) {
 		for _, st := range findSpans(rd, "stratum", nil) {
-			by[spanLabel(st, "maintained_by")]++
-			if spanLabel(st, "maintained_by") == "refold" && spanAttr(st, "groups") != 1 {
-				t.Errorf("a re-fold span reads groups=%d, want 1", spanAttr(st, "groups"))
+			l := spanLabel(st, "maintained_by")
+			by[l]++
+			if (l == "signed" || l == "refold") && spanAttr(st, "groups") < 1 {
+				t.Errorf("a %s span reads groups=%d", l, spanAttr(st, "groups"))
 			}
 		}
 	}
-	if len(by) != 2 || by["refold"] != 2 || by["dred"] != 2 {
-		t.Errorf("strata by maintained_by = %v, want 2 refold, 2 dred", by)
-	}
+	return by
+}
 
-	fresh := engine.NewContext(next.Program(), next.Relations(), engine.Options{})
-	for _, name := range next.Program().IDBPreds {
-		fresh.Set(name, relation.New(next.Relation(name).Arity()))
+// checkFullEval checks every derived predicate of ws against a
+// from-scratch evaluation of its base predicates.
+func checkFullEval(t *testing.T, ws *Workspace) {
+	t.Helper()
+	fresh := engine.NewContext(ws.Program(), ws.Relations(), engine.Options{})
+	for _, name := range ws.Program().IDBPreds {
+		fresh.Set(name, relation.New(ws.Relation(name).Arity()))
 	}
 	if err := fresh.EvalAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range next.Program().IDBPreds {
-		if !fresh.Relation(name).Equal(next.Relation(name)) {
-			t.Errorf("%s = %v, a full evaluation gives %v", name, next.Relation(name).Slice(), fresh.Relation(name).Slice())
+	for _, name := range ws.Program().IDBPreds {
+		if !fresh.Relation(name).Equal(ws.Relation(name)) {
+			t.Errorf("%s = %v, a full evaluation gives %v", name, ws.Relation(name).Slice(), fresh.Relation(name).Slice())
 		}
 	}
 }

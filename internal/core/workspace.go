@@ -183,9 +183,9 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 // dependencies changed keeps its stored contents — the engine-side half of
 // live programming (paper Figure 6). The maintenance itself is ivm's
 // stratum walk in DRed mode: a stratum that reads only known deltas is
-// maintained by them (an aggregate by re-folding the groups they touch),
-// one that derives or reads a dirty name without a delta is re-evaluated
-// whole. It also returns the delta of every derived predicate it moved.
+// maintained by them (an aggregate's touched groups by their signed delta
+// or a re-fold), one that derives or reads a dirty name without a delta is
+// re-evaluated whole. It also returns the delta of every derived predicate it moved.
 func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[string]bool, base map[string]ivm.Delta, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
 	sp := parent.Child("rederive")
 	sp.SetAttr("dirty", int64(len(dirty)))
@@ -208,6 +208,7 @@ func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[st
 		reg.Counter("core.rederive.rules_evaluated").Add(evals)
 		reg.Counter("core.rederive.rules_reused").Add(reused)
 		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
+		reg.Counter("core.rederive.groups_signed").Add(int64(st.GroupsSigned))
 		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
 	}
 	if err != nil {

@@ -10,7 +10,10 @@ import (
 )
 
 // aggAccum accumulates grouped aggregation state for a P2P rule
-// (paper §2.2.1). Groups are keyed by the head key tuple.
+// (paper §2.2.1). Groups are keyed by the head key tuple. A sum over int
+// values is accumulated in an int64 and wraps on overflow: two's-complement
+// addition is associative, so the sum is the same in any folding order and
+// equals a stored sum plus the signed delta RefoldStratum adds to it.
 type aggAccum struct {
 	plan   *compiler.AggPlan
 	keys   map[string]tuple.Tuple
@@ -19,7 +22,8 @@ type aggAccum struct {
 
 type aggState struct {
 	count  int
-	sum    float64
+	sum    float64 // every numeric value, for avg and a sum over floats
+	isum   int64   // the int values, for a sum over ints only
 	allInt bool
 	min    tuple.Value
 	max    tuple.Value
@@ -44,7 +48,9 @@ func (a *aggAccum) add(key tuple.Tuple, binding tuple.Tuple) {
 	v := binding[a.plan.ArgSlot]
 	if f, ok := v.Numeric(); ok {
 		st.sum += f
-		if v.Kind() != tuple.KindInt {
+		if v.Kind() == tuple.KindInt {
+			st.isum += v.AsInt()
+		} else {
 			st.allInt = false
 		}
 	}
@@ -69,7 +75,7 @@ func (a *aggAccum) finish(headArity int) (relation.Relation, error) {
 			v = tuple.Int(int64(st.count))
 		case "sum", "total":
 			if st.allInt {
-				v = tuple.Int(int64(st.sum))
+				v = tuple.Int(st.isum)
 			} else {
 				v = tuple.Float(st.sum)
 			}

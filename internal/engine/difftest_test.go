@@ -925,14 +925,20 @@ func refoldable(prog *compiler.Program, moved map[string]ivm.Delta) int {
 }
 
 // refoldSpans counts, among the stratum spans of the last maintenance pass
-// traced into reg, those RefoldStratum maintained: re-folded
-// (maintained_by=refold) or re-evaluated whole by its fallback rule
-// (refold_fallback).
-func refoldSpans(reg *obs.Registry) (refolded, fallbacks int) {
+// traced into reg, those RefoldStratum maintained: by signed deltas
+// (maintained_by=signed), re-folded (maintained_by=refold) or re-evaluated
+// whole by its fallback rule (refold_fallback).
+func refoldSpans(reg *obs.Registry) (signed, refolded, fallbacks int) {
 	tr, _ := reg.LastTrace()
 	for _, sp := range tr.Children {
 		for _, l := range sp.Labels {
-			if l.Key == "maintained_by" && l.Val == "refold" {
+			if l.Key != "maintained_by" {
+				continue
+			}
+			switch l.Val {
+			case "signed":
+				signed++
+			case "refold":
 				refolded++
 			}
 		}
@@ -942,7 +948,7 @@ func refoldSpans(reg *obs.Registry) (refolded, fallbacks int) {
 			}
 		}
 	}
-	return refolded, fallbacks
+	return signed, refolded, fallbacks
 }
 
 // TestDifferentialIVM maintains each generated program incrementally
@@ -951,14 +957,15 @@ func refoldSpans(reg *obs.Registry) (refolded, fallbacks int) {
 // must equal both a full re-evaluation and the nested-loop reference over
 // the updated base. Counting and DRed must also send every aggregate
 // stratum a batch reaches with known deltas to RefoldStratum, which
-// re-evaluates it whole only by its own fallback rule.
+// re-evaluates it whole only by its own fallback rule; over the suite, both
+// the signed-delta update and the group re-fold must have run.
 func TestDifferentialIVM(t *testing.T) {
-	var refolded, fallbacks int
+	var signed, refolded, fallbacks int
 	defer func() {
-		if !t.Failed() && refolded == 0 {
-			t.Error("no aggregate stratum was re-folded group by group")
+		if !t.Failed() && (signed == 0 || refolded == 0) {
+			t.Errorf("aggregate strata maintained by signed deltas: %d, re-folded group by group: %d; want both > 0", signed, refolded)
 		}
-		t.Logf("aggregate strata re-folded: %d, re-evaluated by the fallback rule: %d", refolded, fallbacks)
+		t.Logf("aggregate strata maintained by signed deltas: %d, re-folded: %d, re-evaluated by the fallback rule: %d", signed, refolded, fallbacks)
 	}()
 	for seed := int64(0); seed < suitePrograms; seed++ {
 		p := suiteProgram(seed)
@@ -988,11 +995,12 @@ func TestDifferentialIVM(t *testing.T) {
 					t.Fatalf("seed %d %v batch %d: apply: %v\n%s", seed, mode, batch, err, p.source())
 				}
 				if mode == ivm.Counting || mode == ivm.DRed {
-					r, f := refoldSpans(reg)
-					if want := refoldable(prog, moved); r+f != want {
-						t.Fatalf("seed %d %v batch %d: %d aggregate strata re-folded and %d fell back, want %d handed to RefoldStratum\n%s",
-							seed, mode, batch, r, f, want, p.source())
+					sg, r, f := refoldSpans(reg)
+					if want := refoldable(prog, moved); sg+r+f != want {
+						t.Fatalf("seed %d %v batch %d: %d aggregate strata maintained by signed deltas, %d re-folded and %d fell back, want %d handed to RefoldStratum\n%s",
+							seed, mode, batch, sg, r, f, want, p.source())
 					}
+					signed += sg
 					refolded += r
 					fallbacks += f
 				}

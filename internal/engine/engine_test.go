@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"logicblox/internal/tuple"
 )
 
-func mustCompile(t *testing.T, src string) *compiler.Program {
+func mustCompile(t testing.TB, src string) *compiler.Program {
 	t.Helper()
 	p, err := parser.Parse(src)
 	if err != nil {
@@ -197,7 +198,12 @@ func TestEvalGroupedAggregates(t *testing.T) {
 		"sales": relOf(3,
 			tuple.Of(tuple.String("s1"), tuple.String("a"), tuple.Int(10)),
 			tuple.Of(tuple.String("s1"), tuple.String("b"), tuple.Int(20)),
-			tuple.Of(tuple.String("s2"), tuple.String("a"), tuple.Int(5))),
+			tuple.Of(tuple.String("s2"), tuple.String("a"), tuple.Int(5)),
+			// Int sums are exact past 2^53 and do not overflow at a single
+			// value; summed in a float64 they read 2^53 and MinInt64.
+			tuple.Of(tuple.String("s3"), tuple.String("a"), tuple.Int(1<<53+1)),
+			tuple.Of(tuple.String("s3"), tuple.String("b"), tuple.Int(1)),
+			tuple.Of(tuple.String("s4"), tuple.String("a"), tuple.Int(math.MaxInt64))),
 	}, Options{})
 	if err := ctx.EvalAll(); err != nil {
 		t.Fatal(err)
@@ -212,6 +218,8 @@ func TestEvalGroupedAggregates(t *testing.T) {
 	}
 	check("salesByStore", "s1", tuple.Int(30))
 	check("salesByStore", "s2", tuple.Int(5))
+	check("salesByStore", "s3", tuple.Int(1<<53+2))
+	check("salesByStore", "s4", tuple.Int(math.MaxInt64))
 	check("itemsByStore", "s1", tuple.Int(2))
 	check("maxSale", "s1", tuple.Int(20))
 	check("minSale", "s1", tuple.Int(10))

@@ -31,8 +31,7 @@ func (c *Context) EvalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 // head tuple — i.e. with derivation multiplicity, which is what
 // counting-based view maintenance needs. The head tuple is freshly
 // allocated per call. An aggregation or predict rule has no
-// per-derivation head: it emits the group key of each assignment, which
-// is what RefoldStratum's touched-key collection needs.
+// per-derivation head: it emits the group key of each assignment.
 func (c *Context) EnumerateRuleHeads(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
 	b, err := c.Bindings(r, overrides)
 	if err != nil {
@@ -42,6 +41,63 @@ func (c *Context) EnumerateRuleHeads(r *compiler.RulePlan, overrides map[int]rel
 	for head, ok := b.NextHead(); ok && emit(head); head, ok = b.NextHead() {
 	}
 	return b.Err()
+}
+
+// EnumerateDelta enumerates the exact change acc made to r's bindings,
+// by the delta-rule decomposition of Gupta, Mumick & Subrahmanian
+// (SIGMOD'93):
+//
+//	Δ(A1 ⋈ … ⋈ Ak) = Σᵢ A1ⁿᵉʷ … Aᵢ₋₁ⁿᵉʷ ⋈ ΔAᵢ ⋈ Aᵢ₊₁ᵒˡᵈ … Akᵒˡᵈ
+//
+// For each atom whose predicate moved, it runs the body with that atom
+// restricted to the insertions (sign +1) and then to the deletions (−1),
+// the atoms before it reading the current state and the moved atoms after
+// it their content in old. acc must hold exact deltas — Ins disjoint from
+// old, Del contained in it — and no predicate r negates may have moved;
+// then every binding gained is emitted once with +1, every binding lost
+// once with −1, and a binding in neither state cancels out. emit gets the
+// head tuple (for an aggregation rule, the group key), freshly allocated,
+// and the full binding, reused between calls; returning false stops the
+// enumeration. It returns the number of delta runs it made.
+func (c *Context) EnumerateDelta(r *compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation, emit func(head, binding tuple.Tuple, sign int) bool) (runs int, err error) {
+	overrides := map[int]relation.Relation{}
+	for j, a := range r.Atoms {
+		if !acc[a.Name].Empty() {
+			overrides[j] = old[a.Name]
+		}
+	}
+	for i, a := range r.Atoms {
+		d := acc[a.Name]
+		if d.Empty() {
+			continue
+		}
+		for _, part := range []struct {
+			ts   []tuple.Tuple
+			sign int
+		}{{d.Ins, +1}, {d.Del, -1}} {
+			if len(part.ts) == 0 {
+				continue
+			}
+			overrides[i] = relation.FromTuples(c.Relation(a.Name).Arity(), part.ts)
+			runs++
+			b, err := c.Bindings(r, overrides)
+			if err != nil {
+				return runs, err
+			}
+			more := true
+			for head, ok := b.NextHead(); ok; head, ok = b.NextHead() {
+				if more = emit(head, b.full, part.sign); !more {
+					break
+				}
+			}
+			b.Close()
+			if err := b.Err(); err != nil || !more {
+				return runs, err
+			}
+		}
+		delete(overrides, i) // later runs read atom i's current state
+	}
+	return runs, nil
 }
 
 // EnumerateBindings runs the rule body (with optional per-atom overrides)

@@ -11,49 +11,102 @@ import (
 // (paper §3.2: P2P aggregation rules are maintained like any other rule).
 // The stratum must be non-recursive — so it has one head, keyed by its
 // first HeadArity-1 columns, and no rule of it reads what it derives —
-// and no predicate it negates may have moved. acc holds the delta of every
-// predicate that moved and old each one's content before it did, as the
-// maintenance walk keeps them. Under the stratum span sp it
+// and no predicate it negates may have moved. acc holds the exact delta
+// of every predicate that moved and old each one's content before it did,
+// as the maintenance walk keeps them. Under the stratum span sp it
 //
-//  1. collects the touched group keys: each rule's delta forms, the
-//     Δ-restricted atom taking insertions against the new state and
-//     deletions against the old one (as DRed's over-delete does), yield
-//     the key of every binding the change created or destroyed;
-//  2. re-folds each touched group: every rule re-run with the key columns
-//     pinned as constants, in the compiler's variable order — a pinned key
-//     is a seek at its level, and the group's bindings come in the order a
+//  1. enumerates the exact binding delta of every rule (EnumerateDelta)
+//     and gathers it by group key;
+//  2. in a one-rule stratum aggregating by sum or count, updates each
+//     touched group by its signed delta — stored value plus Σ sign × value
+//     (or sign) — without re-running it; a count that reaches 0 drops the
+//     group, and a sum group that lost a binding and now sums to 0 asks
+//     one pinned binding whether any is left (a group with no binding sums
+//     to 0, and a binding in neither state shows up as both gained and
+//     lost, so nothing less tells). The int sums wrap exactly as a full
+//     fold's do, two's-complement addition being associative, so the
+//     result is the full fold's even on overflow;
+//  3. re-folds every other touched group — a float sum, an avg, a min or
+//     max, a stored value that is not an int, any group of a stratum with
+//     more rules: every rule re-run with the key columns pinned as
+//     constants, in the compiler's variable order — a pinned key is a
+//     seek at its level, and the group's bindings come in the order a
 //     full evaluation folds them, so even a float sum is bit-identical;
-//  3. patches the head: on its previous version each touched key's tuples
-//     are replaced by the re-folded ones (none when the group emptied).
+//  4. patches the head: on its previous version each touched key's tuple
+//     is replaced by the new one (none when the group emptied).
 //
-// It returns the number of groups re-folded. It re-evaluates the stratum
-// whole instead (whole=true, and a refold_fallback attribute on sp) when a
-// key column is not a plain join variable or a rule predicts, which
-// pinning cannot restrict, or when the touched keys reach half the head's
-// tuples. That threshold errs towards the full pass: on a 20k-fact
-// sum(sales) view keyed by product (200 groups) or by store (10), on a
-// 2-vCPU Xeon, re-folding half the groups cost about 0.6× a full pass,
-// three quarters 0.8–0.9×, and every group 1.1–1.75×.
-func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) (groups int, whole bool, err error) {
+// It returns the number of groups updated by their signed delta and the
+// number re-folded, and sets on sp how many groups the change touched
+// (groups) and, when any was, how many were re-folded (refolded). It
+// re-evaluates the stratum whole instead (whole=true, and a
+// refold_fallback attribute on sp) when a key column is not a plain join
+// variable or a rule predicts, which pinning cannot restrict, when the
+// head is empty (every group is new: nothing is gained by looking for
+// them), or when the groups to re-fold reach half the head's tuples — a
+// threshold that errs towards the full pass: on a 20k-fact sum(sales) view
+// keyed by product (200 groups) or by store (10), on a 2-vCPU Xeon,
+// re-folding half the groups cost about 0.6× a full pass, three quarters
+// 0.8–0.9×, and every group 1.1–1.75×. A group updated by its signed delta
+// costs O(|Δ|) and does not count towards it.
+func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) (signed, refolded int, whole bool, err error) {
 	head := rules[0].HeadName
 	prev := c.Relation(head)
 	keyVars, ok := groupKeyVars(rules)
-	var keys []tuple.Tuple
+	ok = ok && prev.Len() > 0
+	bySign := ok && len(rules) == 1 && signable(rules[0].Agg)
+	var groups []*groupDelta
 	if ok {
-		if keys, ok, err = c.touchedKeys(rules, acc, old, prev.Len()); err != nil {
-			return 0, false, err
+		limit := prev.Len()
+		if bySign {
+			limit = 0
 		}
-	}
-	if !ok {
-		sp.SetAttr("refold_fallback", 1)
-		return 0, true, c.ReevalStratum(sp, rules)
+		if groups, ok, err = c.deltaGroups(sp, rules, acc, old, limit); err != nil {
+			return 0, 0, false, err
+		}
 	}
 	next := prev
-	for _, k := range keys {
-		for _, t := range prev.Lookup(k) {
-			next = next.Delete(t)
+	var keys []tuple.Tuple // the groups to re-fold
+	for _, g := range groups {
+		stored := prev.Lookup(g.key)
+		for _, s := range stored {
+			next = next.Delete(s)
+		}
+		if bySign {
+			t, done, err := c.signedGroup(rules[0], keyVars[0], stored, g)
+			if err != nil {
+				return 0, 0, false, err
+			}
+			if done {
+				if t != nil {
+					next = next.Insert(t)
+				}
+				continue
+			}
+		}
+		keys = append(keys, g.key)
+	}
+	if !ok || 2*len(keys) >= prev.Len() {
+		sp.SetAttr("refold_fallback", 1)
+		return 0, 0, true, c.ReevalStratum(sp, rules)
+	}
+	if len(keys) > 0 {
+		if next, err = c.refoldGroups(sp, rules, keyVars, keys, next); err != nil {
+			return 0, 0, false, err
 		}
 	}
+	c.Set(head, next)
+	signed, refolded = len(groups)-len(keys), len(keys)
+	sp.SetAttr("groups", int64(len(groups)))
+	if refolded > 0 {
+		sp.SetAttr("refolded", int64(refolded))
+	}
+	return signed, refolded, false, nil
+}
+
+// refoldGroups re-runs every rule once per key with the key's join
+// variables pinned, under a rule span of sp, and inserts what they derive
+// into head.
+func (c *Context) refoldGroups(sp *obs.Span, rules []*compiler.RulePlan, keyVars [][]int, keys []tuple.Tuple, head relation.Relation) (relation.Relation, error) {
 	// An empty, non-nil override map marks each pinned run as a partial
 	// evaluation: a delta evaluation in the rule's profile, no plan-store
 	// order and no cost feedback to it.
@@ -65,10 +118,10 @@ func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc ma
 			out, err := c.evalRule(pinned(r, keyVars[i], k), partial)
 			if err != nil {
 				rsp.End()
-				return 0, false, err
+				return head, err
 			}
 			out.ForEach(func(t tuple.Tuple) bool {
-				next = next.Insert(t)
+				head = head.Insert(t)
 				n++
 				return true
 			})
@@ -76,9 +129,7 @@ func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc ma
 		rsp.SetAttr("tuples", int64(n))
 		rsp.End()
 	}
-	c.Set(head, next)
-	sp.SetAttr("groups", int64(len(keys)))
-	return len(keys), false, nil
+	return head, nil
 }
 
 // groupKeyVars returns, per rule, the join variables the head's key
@@ -101,49 +152,126 @@ func groupKeyVars(rules []*compiler.RulePlan) (vars [][]int, ok bool) {
 	return vars, true
 }
 
-// touchedKeys runs the delta forms of every rule of the stratum and
-// returns the distinct group keys of the bindings they yield, stopping
-// with ok=false as soon as the keys reach half of limit — at once when
-// limit is 0: every key of an empty head is new, so nothing is gained by
-// looking for them.
-func (c *Context) touchedKeys(rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation, limit int) (keys []tuple.Tuple, ok bool, err error) {
-	if limit == 0 {
-		return nil, false, nil
+// signable reports whether an aggregate's groups can be updated by their
+// signed delta: sum and count are linear in it.
+func signable(agg *compiler.AggPlan) bool {
+	if agg == nil {
+		return false
 	}
-	seen := map[string]bool{}
+	switch agg.Func {
+	case "sum", "total", "count":
+		return true
+	}
+	return false
+}
+
+// groupDelta is the signed change one batch made to an aggregate group's
+// bindings.
+type groupDelta struct {
+	key    tuple.Tuple
+	n      int64 // bindings gained minus bindings lost
+	sum    int64 // Σ sign × value over the int values, wrapping
+	nonInt bool  // a value that was not an int moved
+	lost   bool  // a binding was lost (not kept for count)
+}
+
+func (g *groupDelta) add(agg *compiler.AggPlan, binding tuple.Tuple, sign int) {
+	g.n += int64(sign)
+	if agg.ArgSlot < 0 { // count
+		return
+	}
+	v := binding[agg.ArgSlot]
+	switch {
+	case v.Kind() != tuple.KindInt:
+		g.nonInt = true
+	case sign > 0:
+		g.sum += v.AsInt()
+	default:
+		g.sum -= v.AsInt()
+		g.lost = true
+	}
+}
+
+// deltaGroups enumerates the exact binding delta of every rule of the
+// stratum, each under a rule span of sp counting the bindings it yielded,
+// and gathers it by group key, in the order the keys first appear. With
+// limit > 0 it stops with ok=false as soon as the keys reach half of
+// limit.
+func (c *Context) deltaGroups(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation, limit int) (groups []*groupDelta, ok bool, err error) {
+	byKey := map[string]*groupDelta{}
 	for _, r := range rules {
-		for ai, a := range r.Atoms {
-			d := acc[a.Name]
-			for sign, part := range [][]tuple.Tuple{d.Ins, d.Del} {
-				if len(part) == 0 {
-					continue
-				}
-				overrides := map[int]relation.Relation{ai: relation.FromTuples(c.Relation(a.Name).Arity(), part)}
-				if sign == 1 { // deletions: every other atom reads the old state
-					for j, b := range r.Atoms {
-						if j != ai && !acc[b.Name].Empty() {
-							overrides[j] = old[b.Name]
-						}
-					}
-				}
-				err := c.EnumerateRuleHeads(r, overrides, func(h tuple.Tuple) bool {
-					k := h[:r.HeadArity-1]
-					if ks := k.String(); !seen[ks] {
-						seen[ks] = true
-						keys = append(keys, k)
-					}
-					return 2*len(keys) < limit
-				})
-				if err != nil {
-					return nil, false, err
-				}
-				if 2*len(keys) >= limit {
-					return nil, false, nil
-				}
+		rsp := sp.Child("rule:" + r.HeadName)
+		n := int64(0)
+		_, err := c.EnumerateDelta(r, acc, old, func(h, binding tuple.Tuple, sign int) bool {
+			n++
+			key := h[:r.HeadArity-1]
+			ks := key.String()
+			g := byKey[ks]
+			if g == nil {
+				g = &groupDelta{key: key}
+				byKey[ks] = g
+				groups = append(groups, g)
 			}
+			if r.Agg != nil {
+				g.add(r.Agg, binding, sign)
+			}
+			return limit == 0 || 2*len(groups) < limit
+		})
+		rsp.SetAttr("bindings", n)
+		rsp.End()
+		if err != nil {
+			return nil, false, err
+		}
+		if limit > 0 && 2*len(groups) >= limit {
+			return nil, false, nil
 		}
 	}
-	return keys, true, nil
+	return groups, true, nil
+}
+
+// signedGroup brings one touched group of a one-rule sum or count stratum
+// up to date from its stored head tuple (none for a new group) and its
+// signed delta g, without re-running it. It returns the group's new head
+// tuple, nil when the group lost its last binding, or done=false when a
+// value or the stored sum is not an int and the group must be re-folded.
+func (c *Context) signedGroup(r *compiler.RulePlan, keyVars []int, stored []tuple.Tuple, g *groupDelta) (t tuple.Tuple, done bool, err error) {
+	var v tuple.Value
+	present := len(stored) > 0
+	if present {
+		v = stored[0][r.HeadArity-1]
+	}
+	if g.nonInt || present && v.Kind() != tuple.KindInt {
+		return nil, false, nil
+	}
+	count := r.Agg.Func == "count"
+	d := g.sum
+	if count {
+		d = g.n
+	}
+	if present {
+		d += v.AsInt()
+	}
+	switch {
+	case count && d == 0:
+		return nil, true, nil
+	case !count && g.lost && d == 0:
+		left, err := c.anyBinding(pinned(r, keyVars, g.key))
+		if err != nil || !left {
+			return nil, err == nil, err
+		}
+	}
+	return append(g.key.Clone(), tuple.Int(d)), true, nil
+}
+
+// anyBinding reports whether r's body has a binding in the current state.
+func (c *Context) anyBinding(r *compiler.RulePlan) (bool, error) {
+	b, err := c.Bindings(r, map[int]relation.Relation{})
+	if err != nil {
+		return false, err
+	}
+	defer b.Close()
+	_, ok := b.Next()
+	return ok, b.Err()
 }
 
 // pinned returns a copy of r whose key variables are bound to key by

@@ -92,49 +92,17 @@ func negTouched(acc map[string]Delta, rules ...*compiler.RulePlan) bool {
 	return false
 }
 
-// deltaCountRule applies the classical delta-rule decomposition:
-// Δ(A1 ⋈ … ⋈ Ak) = Σ_i (A1ⁿᵉʷ … A_{i-1}ⁿᵉʷ ⋈ ΔA_i ⋈ A_{i+1}ᵒˡᵈ … A_kᵒˡᵈ),
-// adjusting derivation counts by +1 for insertions and −1 for deletions.
+// deltaCountRule adjusts derivation counts by the signed derivations of
+// the classical delta-rule decomposition (engine.Context.EnumerateDelta):
+// +1 for each one the batch created, −1 for each one it destroyed.
 func (m *Maintainer) deltaCountRule(r *compiler.RulePlan, acc map[string]Delta,
 	old map[string]relation.Relation, pending map[string]presence) error {
-	arityOf := func(name string) int { return m.ctx.Relation(name).Arity() }
-	oldRel := func(name string) (relation.Relation, bool) {
-		if o, ok := old[name]; ok {
-			return o, true
-		}
-		return relation.Relation{}, false
-	}
-	for i := range r.Atoms {
-		d := acc[r.Atoms[i].Name]
-		if d.Empty() {
-			continue
-		}
-		overrides := map[int]relation.Relation{}
-		for j := i + 1; j < len(r.Atoms); j++ {
-			if o, ok := oldRel(r.Atoms[j].Name); ok {
-				overrides[j] = o
-			}
-		}
-		run := func(part []tuple.Tuple, sign int) error {
-			if len(part) == 0 {
-				return nil
-			}
-			overrides[i] = relation.FromTuples(arityOf(r.Atoms[i].Name), part)
-			m.Stats.RulesEvaluated++
-			return m.ctx.EnumerateRuleHeads(r, overrides, func(head tuple.Tuple) bool {
-				m.adjust(r, head, sign, pending)
-				return true
-			})
-		}
-		if err := run(d.Ins, +1); err != nil {
-			return err
-		}
-		if err := run(d.Del, -1); err != nil {
-			return err
-		}
-		delete(overrides, i)
-	}
-	return nil
+	runs, err := m.ctx.EnumerateDelta(r, acc, old, func(head, _ tuple.Tuple, sign int) bool {
+		m.adjust(r, head, sign, pending)
+		return true
+	})
+	m.Stats.RulesEvaluated += runs
+	return err
 }
 
 // adjust changes the derivation count of one head tuple of r by n,

@@ -26,9 +26,12 @@
 //     maintenance work tracks the trace edit distance of the evaluation.
 //
 // Counting and DRed maintain a stratum through the delta forms of its
-// rules. A non-recursive aggregate stratum is re-folded: the delta forms
-// name the group keys the change touched, and only those groups are
-// folded again (RefoldStratum). A stratum that predicts, and a recursive
+// rules, which engine.Context.EnumerateDelta enumerates exactly: every
+// binding the change created with +1, every one it destroyed with −1. A
+// non-recursive aggregate stratum is maintained group by group
+// (RefoldStratum): an int sum or count group is updated from its stored
+// value by those signed bindings at O(|Δ|) cost (maintained_by=signed);
+// any other touched group is folded again (refold). A stratum that predicts, and a recursive
 // clique holding an aggregate, are re-evaluated whole.
 package ivm
 
@@ -96,6 +99,7 @@ type Stats struct {
 	RulesSkipped      int // rules of untouched or trace-filtered strata, untouched rules of a counted one
 	RederiveChecks    int // DRed rederivability probes
 	StrataReevaluated int // strata re-evaluated whole, re-fold fallbacks included
+	GroupsSigned      int // aggregate groups updated by their signed delta
 	GroupsRefolded    int // aggregate groups re-folded
 }
 

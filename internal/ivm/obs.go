@@ -46,6 +46,7 @@ func (m *Maintainer) observeApply(deltas map[string]Delta) func() {
 		reg.Counter("ivm.rules.evaluated").Add(int64(m.Stats.RulesEvaluated))
 		reg.Counter("ivm.rules.skipped").Add(int64(m.Stats.RulesSkipped))
 		reg.Counter("ivm.rederive.checks").Add(int64(m.Stats.RederiveChecks))
+		reg.Counter("ivm.groups.signed").Add(int64(m.Stats.GroupsSigned))
 		reg.Counter("ivm.groups.refolded").Add(int64(m.Stats.GroupsRefolded))
 	}
 }

@@ -14,11 +14,12 @@ import (
 // names that moved with one (a transaction's base predicates), before
 // their contents beforehand, and changed names what moved without a known
 // delta (heads an addblock dirtied, a restore's or a solve's predicates).
-// A stratum reading only known deltas is maintained by them — DRed, or a
-// re-fold of the touched groups for an aggregate — and one that derives or
-// reads a name in changed is re-evaluated whole. DRed and re-folding keep
-// no state between passes, so this is the transaction path's maintenance
-// (core's rederive). It returns the delta of every head the walk moved —
+// A stratum reading only known deltas is maintained by them — DRed, or
+// for an aggregate its touched groups updated by their signed delta or
+// re-folded — and one that derives or reads a name in changed is
+// re-evaluated whole. DRed and RefoldStratum keep no state between
+// passes, so this is the transaction path's maintenance (core's
+// rederive). It returns the delta of every head the walk moved —
 // content changed, or stored for the first time (even when empty) — and
 // the work counters.
 func Rederive(ctx *engine.Context, changed map[string]bool, pending map[string]Delta, before map[string]relation.Relation) (map[string]Delta, Stats, error) {
@@ -101,6 +102,7 @@ func touches(stratum []*compiler.RulePlan, in func(name string) bool) bool {
 // The operators a stratum can be maintained by, as the maintained_by
 // label of its stratum span reads.
 const (
+	bySigned    = "signed"
 	byRefold    = "refold"
 	byDRed      = "dred"
 	byCount     = "count"
@@ -111,9 +113,10 @@ const (
 // maintain brings one touched stratum up to date by the operator the mode
 // picks for it, under its stratum span sp, and names that operator; known
 // says every change the stratum sees comes with its delta. Counting and
-// DRed re-fold the touched groups of a non-recursive aggregate stratum
-// with known deltas no negated predicate of which moved (RefoldStratum,
-// which may itself fall back to a whole re-evaluation); any other
+// DRed maintain the touched groups of a non-recursive aggregate stratum
+// with known deltas no negated predicate of which moved by their signed
+// delta or a re-fold (RefoldStratum, which may itself fall back to a
+// whole re-evaluation); any other
 // aggregate stratum — a recursive clique holding an aggregate among them
 // — is re-evaluated whole. Otherwise Counting counts a countable
 // non-recursive stratum (recounting it when its deltas are not known) and
@@ -140,15 +143,20 @@ func (m *Maintainer) maintain(sp *obs.Span, stratum []*compiler.RulePlan, known 
 	return byReeval, m.ctx.ReevalStratum(sp, stratum)
 }
 
-// refold hands an aggregate stratum to RefoldStratum.
+// refold hands an aggregate stratum to RefoldStratum: it was maintained
+// by signed deltas when it updated a group that way and re-folded none.
 func (m *Maintainer) refold(sp *obs.Span, stratum []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) (string, error) {
 	m.Stats.RulesEvaluated += len(stratum)
-	groups, whole, err := m.ctx.RefoldStratum(sp, stratum, acc, old)
+	signed, refolded, whole, err := m.ctx.RefoldStratum(sp, stratum, acc, old)
 	if whole {
 		m.Stats.StrataReevaluated++
 		return byReeval, err
 	}
-	m.Stats.GroupsRefolded += groups
+	m.Stats.GroupsSigned += signed
+	m.Stats.GroupsRefolded += refolded
+	if signed > 0 && refolded == 0 {
+		return bySigned, err
+	}
 	return byRefold, err
 }
 
