@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci build vet test race fmt-check bench bench-ab lint bench-build fuzz-smoke loc
+.PHONY: ci build vet test race fmt-check bench bench-ab lint bench-build fuzz-smoke experiments-smoke loc
 
 # Each test runs once: one uncached race run over the whole module, the
-# static-analysis gate, a few seconds of each native fuzz target, and a
-# build + short test of the benchmark module (its own go.mod, so ./...
-# does not reach it).
-ci: fmt-check lint build race fuzz-smoke bench-build
+# static-analysis gate, a few seconds of each native fuzz target, one
+# quick pass of the experiment harness, and a build + short test of the
+# benchmark module (its own go.mod, so ./... does not reach it).
+ci: fmt-check lint build race fuzz-smoke experiments-smoke bench-build
 
 # The static-analysis gate: go vet plus the repository's own analyzer
 # suite (immutable, errwrap, ctxloop, obssafe, and the CFG dataflow trio
@@ -52,6 +52,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTailReader$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzUnframeSnapshot$$' -fuzztime=5s ./internal/durable
 	$(GO) test -run='^$$' -fuzz='^FuzzSignedRefold$$' -fuzztime=5s ./internal/engine
+
+# Every experiment of cmd/lb-experiments (EXPERIMENTS.md) in its -quick
+# mode must run to completion; no test imports the harness.
+experiments-smoke:
+	$(GO) run ./cmd/lb-experiments -exp all -quick >/dev/null
 
 # benchmark/ compiles against internal packages; a refactor that breaks
 # its imports must fail here rather than in the benchmark run.

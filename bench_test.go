@@ -430,7 +430,7 @@ func BenchmarkIVM(b *testing.B) {
 	edges := graphgen.Canonical(graphgen.PreferentialAttachment(4000, 3, 7))
 	base := map[string]relation.Relation{"e": graphgen.ToRelation(edges)}
 	prog := mustCompileB(b, `tri(x, y, z) <- e(x, y), e(y, z), e(x, z).`)
-	for _, mode := range []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed, ivm.Sensitivity} {
+	for _, mode := range []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed} {
 		for _, ds := range []int{1, 100} {
 			b.Run(fmt.Sprintf("%s/delta=%d", mode, ds), func(b *testing.B) {
 				m, err := ivm.NewMaintainer(prog, cloneRelsB(base), mode)

@@ -62,7 +62,7 @@ func runBranch(quick bool) {
 
 // runIVM compares the maintenance strategies on a triangle view under
 // delta batches of growing size (paper T3/§3.2: maintenance work should
-// track the trace edit distance, not the database size).
+// track the size of the change, not the database size).
 func runIVM(quick bool) {
 	nEdges := 30000
 	if quick {
@@ -89,7 +89,7 @@ func runIVM(quick bool) {
 	}
 
 	deltaSizes := []int{1, 10, 100, 1000}
-	modes := []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed, ivm.Sensitivity}
+	modes := []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed}
 	fmt.Printf("%-8s", "Δ size")
 	for _, m := range modes {
 		fmt.Printf(" %-18s", m)
@@ -123,13 +123,10 @@ func runIVM(quick bool) {
 	}
 	fmt.Println("shape check: incremental modes scale with Δ (not |e|); every mode skips")
 	fmt.Println("the untouched views (sk column), and recompute re-derives the touched one whole.")
-	fmt.Println("(the triangle view is globally sensitive — any edge can close a triangle —")
-	fmt.Println(" so the sensitivity mode pays trace re-recording there; its win is below)")
 
 	// Part 2: a selective view. sel joins e against a tiny hot set, so
-	// its leapfrog trace touches only the hot region; changes outside it
-	// fall outside every sensitivity interval and the view is skipped
-	// without running any join (the paper's trace-edit-distance claim).
+	// changes outside the hot region derive nothing: the delta rules find
+	// no binding, while recompute still re-derives the whole view.
 	fmt.Println("\nselective view sel(x,y) <- hot(x), e(x,y); deltas outside the hot region:")
 	selProg := mustCompile(`sel(x, y) <- hot(x), e(x, y).`)
 	hot := relation.New(1)
@@ -162,8 +159,8 @@ func runIVM(quick bool) {
 		}
 		fmt.Println()
 	}
-	fmt.Println("shape check: the sensitivity mode skips the view entirely (sk=1, ~µs);")
-	fmt.Println("counting still runs delta joins; recompute re-derives the whole view.")
+	fmt.Println("shape check: counting and DRed run delta joins that scale with Δ;")
+	fmt.Println("recompute re-derives the whole view.")
 }
 
 // runLive measures live programming (paper §3.3): installing one view in

@@ -50,7 +50,7 @@ var experiments = []experiment{
 	{"fig5", "E1: 3-clique runtime vs edges — LFTJ vs pairwise joins (paper Figure 5)", runFig5},
 	{"wco", "E6: worst-case-optimality on Loomis–Whitney instances", runWCO},
 	{"branch", "E2: O(1) branching; branches per second vs database size", runBranch},
-	{"ivm", "E4: incremental maintenance vs recompute/counting/DRed/sensitivity", runIVM},
+	{"ivm", "E4: incremental maintenance: recompute vs counting vs DRed", runIVM},
 	{"live", "E7: live programming — addblock incremental vs full re-evaluation", runLive},
 	{"treap", "E8: treap set operations and sharing-aware equality", runTreap},
 	{"repair", "E3: fine-grained transaction repair vs coarse optimistic retry across α (paper §3.4)", runRepair},

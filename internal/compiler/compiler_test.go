@@ -33,6 +33,25 @@ func TestEDBIDBInference(t *testing.T) {
 	}
 }
 
+func TestLangEDBInference(t *testing.T) {
+	// The paper's lang_edb meta-rule: a predicate no plain rule derives is
+	// a base predicate. The head of a reactive rule is written by the
+	// transaction pipeline, so it stays extensional too.
+	p := compile(t, `
+		path(x, y) <- edge(x, y).
+		path(x, z) <- path(x, y), edge(y, z).
+		+audit(x) <- +edge(x, y).`)
+	for name, edb := range map[string]bool{"edge": true, "path": false, "audit": true} {
+		info := p.Preds[name]
+		if info == nil {
+			t.Fatalf("%s missing from the catalog", name)
+		}
+		if info.EDB != edb {
+			t.Errorf("%s: EDB = %v, want %v", name, info.EDB, edb)
+		}
+	}
+}
+
 func TestDecoratedNames(t *testing.T) {
 	if DecoratedName("R", 1, false) != "+R" || DecoratedName("R", 2, true) != "-R@start" {
 		t.Fatalf("decoration wrong")

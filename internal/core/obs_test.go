@@ -9,8 +9,8 @@ import (
 )
 
 // TestTransactionSpansAndCounters drives a workspace through addblock,
-// exec, and query transactions with an observer attached and checks the
-// outcome counters, duration histograms, and phase span trees.
+// exec, query and removeblock transactions with an observer attached and
+// checks the outcome counters, duration histograms, and phase span trees.
 func TestTransactionSpansAndCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	ws := NewWorkspace().WithObserver(reg)
@@ -39,14 +39,17 @@ func TestTransactionSpansAndCounters(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("closure = %v", rows)
 	}
+	if _, err := ws.RemoveBlock("b"); err != nil {
+		t.Fatal(err)
+	}
 
 	s := reg.Snapshot()
-	for _, c := range []string{"tx.addblock.commit", "tx.exec.commit", "tx.query.commit"} {
+	for _, c := range []string{"tx.addblock.commit", "tx.exec.commit", "tx.query.commit", "tx.removeblock.commit"} {
 		if s.Counters[c] != 1 {
 			t.Fatalf("counter %s = %d, want 1: %v", c, s.Counters[c], s.Counters)
 		}
 	}
-	for _, h := range []string{"tx.addblock.duration", "tx.exec.duration", "tx.query.duration"} {
+	for _, h := range []string{"tx.addblock.duration", "tx.exec.duration", "tx.query.duration", "tx.removeblock.duration"} {
 		if s.Histograms[h].Count != 1 {
 			t.Fatalf("histogram %s count = %d, want 1", h, s.Histograms[h].Count)
 		}

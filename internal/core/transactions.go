@@ -9,7 +9,6 @@ import (
 	"logicblox/internal/engine"
 	"logicblox/internal/ivm"
 	"logicblox/internal/lftj"
-	"logicblox/internal/meta"
 	"logicblox/internal/obs"
 	"logicblox/internal/parser"
 	"logicblox/internal/relation"
@@ -17,9 +16,8 @@ import (
 )
 
 // AddBlock installs a named block of logic (an addblock transaction,
-// paper §2.2.2). The meta-engine determines which derived predicates the
-// change dirties; only those are re-materialized (live programming,
-// §3.3).
+// paper §2.2.2). Only the strata the change reaches are maintained (live
+// programming, §3.3): see reinstall.
 func (ws *Workspace) AddBlock(name, src string) (*Workspace, error) {
 	return ws.AddBlockCtx(context.Background(), name, src)
 }
@@ -37,7 +35,7 @@ func (ws *Workspace) AddBlockCtx(rctx context.Context, name, src string) (*Works
 	}
 	newParsed := ws.parsedBlocks()
 	newParsed[name] = prog
-	return ws.reinstall(rctx, name, src, prog, newParsed)
+	return ws.reinstall(rctx, "addblock", name, src, prog, newParsed)
 }
 
 // RemoveBlock uninstalls a block, restoring the workspace logic to its
@@ -48,13 +46,15 @@ func (ws *Workspace) RemoveBlock(name string) (*Workspace, error) {
 	}
 	newParsed := ws.parsedBlocks()
 	delete(newParsed, name)
-	return ws.reinstall(context.Background(), name, "", nil, newParsed)
+	return ws.reinstall(context.Background(), "removeblock", name, "", nil, newParsed)
 }
 
-// reinstall recompiles the workspace logic after a block change and
-// re-materializes exactly the dirty predicates.
-func (ws *Workspace) reinstall(rctx context.Context, name, src string, parsed *ast.Program, newParsed map[string]*ast.Program) (*Workspace, error) {
-	sp, done := ws.txSpan(rctx, "addblock")
+// reinstall recompiles the workspace logic after a block change (kind is
+// the transaction: addblock or removeblock) and settles the result. The
+// change is the heads of the rules it added or removed; the stratum walk
+// re-evaluates those and maintains their readers by the heads' deltas.
+func (ws *Workspace) reinstall(rctx context.Context, kind, name, src string, parsed *ast.Program, newParsed map[string]*ast.Program) (*Workspace, error) {
+	sp, done := ws.txSpan(rctx, kind)
 	out, err := ws.reinstallTraced(rctx, name, src, parsed, newParsed, sp)
 	done(err)
 	return out, err
@@ -67,12 +67,6 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrTypecheck, err)
 	}
-	asp := sp.Child("analyze")
-	analysis, err := meta.Analyze(ws.parsedBlocks(), newParsed)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
 
 	out := ws.clone()
 	if parsed == nil {
@@ -84,23 +78,40 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	}
 	out.prog = compiled
 
-	// Drop predicates that lost all their rules.
-	for _, p := range analysis.DropPreds {
-		out.derived = out.derived.Delete(p)
-	}
-
-	dirty := map[string]bool{}
-	for _, p := range analysis.DirtyPreds {
-		dirty[p] = true
-	}
-	for _, p := range analysis.DropPreds {
-		dirty[p] = true // downstream readers of a dropped view must see it empty
+	// A head that lost its last rule is dropped: its readers see it empty.
+	dirty := changedHeads(ws.prog, compiled)
+	for p := range dirty {
+		if info := compiled.Preds[p]; info == nil || info.EDB {
+			out.derived = out.derived.Delete(p)
+		}
 	}
 	// A schema change invalidates every cached plan that reads or derives
-	// an affected predicate, so the adaptive optimizer re-samples against
-	// the new logic instead of trusting stale orders.
+	// a changed head, so the adaptive optimizer re-samples against the new
+	// logic instead of trusting stale orders.
 	out.plans.InvalidatePreds(dirty)
 	return out.settle(rctx, ws, compiled.Preds, dirty, nil, sp, true)
+}
+
+// changedHeads returns the head of every rule whose printed source occurs
+// a different number of times in the two programs: the heads an addblock
+// or removeblock changes the rules of.
+func changedHeads(from, to *compiler.Program) map[string]bool {
+	count := map[string]int{}
+	for _, r := range from.Rules {
+		count[r.Source]++
+	}
+	for _, r := range to.Rules {
+		count[r.Source]--
+	}
+	heads := map[string]bool{}
+	for _, rules := range [][]*compiler.RulePlan{from.Rules, to.Rules} {
+		for _, r := range rules {
+			if count[r.Source] != 0 {
+				heads[r.HeadName] = true
+			}
+		}
+	}
+	return heads
 }
 
 // ExecResult reports what an exec transaction changed.

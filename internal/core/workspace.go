@@ -176,16 +176,17 @@ func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*comp
 // rederive re-materializes derived predicates after base-data or logic
 // changes from prev, in ctx — the transaction tail's evaluation context,
 // which holds ws's relations. dirty names what changed (base predicates
-// with new contents and/or derived predicates marked dirty by the
-// meta-engine) and grows by every derived predicate the pass moved; base
+// with new contents and/or the heads whose rules a block change added or
+// removed) and grows by every derived predicate the pass moved; base
 // holds the exact deltas of the dirty names that have one. The change
 // propagates through the execution graph, and a predicate none of whose
-// dependencies changed keeps its stored contents — the engine-side half of
-// live programming (paper Figure 6). The maintenance itself is ivm's
-// stratum walk in DRed mode: a stratum that reads only known deltas is
-// maintained by them (an aggregate's touched groups by their signed delta
-// or a re-fold), one that derives or reads a dirty name without a delta is
-// re-evaluated whole. It also returns the delta of every derived predicate it moved.
+// dependencies changed keeps its stored contents (live programming, paper
+// Figure 6). The maintenance itself is ivm's stratum walk in DRed mode: a
+// stratum that derives or reads a dirty name without a delta is
+// re-evaluated whole, and one that reads only known deltas — those of
+// base, and those of the heads maintained before it — is maintained by
+// them (an aggregate's touched groups by their signed delta or a
+// re-fold). It also returns the delta of every derived predicate it moved.
 func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[string]bool, base map[string]ivm.Delta, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
 	sp := parent.Child("rederive")
 	sp.SetAttr("dirty", int64(len(dirty)))

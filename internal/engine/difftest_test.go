@@ -854,7 +854,7 @@ func applyToBase(cur map[string]relation.Relation, deltas map[string]ivm.Delta) 
 	return next
 }
 
-var ivmModes = []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed, ivm.Sensitivity}
+var ivmModes = []ivm.Mode{ivm.Recompute, ivm.Counting, ivm.DRed}
 
 // ivmBatches is the batch sequence every program goes through in every
 // mode: mixed batches, then the monotone ones.

@@ -3,9 +3,10 @@ package engine_test
 // Live-programming differential harness (paper §3.3): every generated
 // program is installed one block per rule, then blocks are removed and
 // re-added and small exec transactions run in a seeded order. After every
-// step the maintained workspace — which re-derives only what the
-// meta-engine and the rederive pass call stale — must hold, for every
-// derived predicate, exactly what a workspace built from scratch over the
+// step the maintained workspace — which re-evaluates the heads of the
+// rules a block change adds or removes, and maintains everything else the
+// change reaches from those heads' deltas — must hold, for every derived
+// predicate, exactly what a workspace built from scratch over the
 // surviving blocks and the current base data holds, and what the
 // nested-loop reference computes from the surviving rules.
 
@@ -18,6 +19,7 @@ import (
 
 	"logicblox/internal/core"
 	"logicblox/internal/ivm"
+	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 )
 
@@ -66,7 +68,33 @@ func execSource(deltas map[string]ivm.Delta) string {
 	return b.String()
 }
 
+// blockChangeLabels counts the maintained_by labels of the stratum spans
+// in the last trace in reg, which must be an addblock's or removeblock's.
+func blockChangeLabels(t *testing.T, reg *obs.Registry, by map[string]int) {
+	t.Helper()
+	tr, _ := reg.LastTrace()
+	if tr.Name != "tx.addblock" && tr.Name != "tx.removeblock" {
+		t.Fatalf("last trace %q is not a block change", tr.Name)
+	}
+	var walk func(sp obs.SpanSnapshot)
+	walk = func(sp obs.SpanSnapshot) {
+		for _, l := range sp.Labels {
+			if sp.Name == "stratum" && l.Key == "maintained_by" {
+				by[l.Val]++
+			}
+		}
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(tr)
+}
+
+// TestDifferentialLiveProgramming also checks, over the suite, that block
+// changes re-evaluate the changed heads (reeval) and maintain their
+// readers by delta (dred, signed or refold).
 func TestDifferentialLiveProgramming(t *testing.T) {
+	labels := map[string]int{}
 	for seed := int64(0); seed < suitePrograms; seed++ {
 		p := suiteProgram(seed)
 		rng := rand.New(rand.NewSource(seed ^ 0x11fe))
@@ -76,7 +104,8 @@ func TestDifferentialLiveProgramming(t *testing.T) {
 			installed[i], all[i] = true, i
 		}
 		cur := p.base
-		ws := buildLiveWorkspace(t, p, cur, all)
+		reg := obs.NewRegistry()
+		ws := buildLiveWorkspace(t, p, cur, all).WithObserver(reg)
 		var log []string
 		for step := 0; step < liveSteps; step++ {
 			var err error
@@ -94,11 +123,15 @@ func TestDifferentialLiveProgramming(t *testing.T) {
 				}
 			case installed[i]:
 				log = append(log, "removeblock "+blockName(i))
-				ws, err = ws.RemoveBlock(blockName(i))
+				if ws, err = ws.RemoveBlock(blockName(i)); err == nil {
+					blockChangeLabels(t, reg, labels)
+				}
 				installed[i] = false
 			default:
 				log = append(log, "addblock "+blockName(i))
-				ws, err = ws.AddBlock(blockName(i), p.rules[i].source())
+				if ws, err = ws.AddBlock(blockName(i), p.rules[i].source()); err == nil {
+					blockChangeLabels(t, reg, labels)
+				}
 				installed[i] = true
 			}
 			if err != nil {
@@ -123,5 +156,8 @@ func TestDifferentialLiveProgramming(t *testing.T) {
 				}
 			}
 		}
+	}
+	if labels["reeval"] == 0 || labels["dred"]+labels["signed"]+labels["refold"] == 0 {
+		t.Errorf("block changes maintained strata by %v; want both reeval and a delta label", labels)
 	}
 }

@@ -10,7 +10,7 @@
 // stratum the change does not reach, brings a touched one up to date by
 // the operator its mode picks (the maintained_by label of the stratum's
 // span), and records every head that moved the same way, storing it as a
-// patch of its previous version. The four modes are benchmarked against
+// patch of its previous version. The three modes are benchmarked against
 // each other in the E4 experiment:
 //
 //   - Recompute: every touched stratum is re-evaluated in full (the "HANA
@@ -20,10 +20,6 @@
 //   - DRed: delete-and-rederive with pinned rederivability checks. The
 //     transaction path (core's rederive) runs this mode through Rederive:
 //     it keeps no state between passes.
-//   - Sensitivity: the LogicBlox approach — sensitivity indices recorded
-//     by leapfrog runs decide which touched strata a change can affect at
-//     all; unaffected ones are skipped without touching their joins, so
-//     maintenance work tracks the trace edit distance of the evaluation.
 //
 // Counting and DRed maintain a stratum through the delta forms of its
 // rules, which engine.Context.EnumerateDelta enumerates exactly: every
@@ -40,7 +36,6 @@ import (
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
-	"logicblox/internal/lftj"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -53,7 +48,6 @@ const (
 	Recompute Mode = iota
 	Counting
 	DRed
-	Sensitivity
 )
 
 func (m Mode) String() string {
@@ -64,8 +58,6 @@ func (m Mode) String() string {
 		return "counting"
 	case DRed:
 		return "dred"
-	case Sensitivity:
-		return "sensitivity"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -85,10 +77,6 @@ type Maintainer struct {
 	ruleCounts map[int]map[string]*crec
 	support    map[string]map[string]*crec
 
-	// sensitivity state: one recorded trace per stratum, keyed by the ID
-	// of its first rule.
-	sens map[int]*lftj.SensitivityIndex
-
 	// Stats accumulate work counters for benchmarking.
 	Stats Stats
 }
@@ -96,7 +84,7 @@ type Maintainer struct {
 // Stats counts the work a maintenance pass performed.
 type Stats struct {
 	RulesEvaluated    int // full or delta rule evaluations; a re-folded rule counts once
-	RulesSkipped      int // rules of untouched or trace-filtered strata, untouched rules of a counted one
+	RulesSkipped      int // rules of untouched strata, untouched rules of a counted one
 	RederiveChecks    int // DRed rederivability probes
 	StrataReevaluated int // strata re-evaluated whole, re-fold fallbacks included
 	GroupsSigned      int // aggregate groups updated by their signed delta
@@ -116,7 +104,6 @@ func NewMaintainer(prog *compiler.Program, base map[string]relation.Relation, mo
 		ctx:        engine.NewContext(prog, base, engine.Options{}),
 		ruleCounts: map[int]map[string]*crec{},
 		support:    map[string]map[string]*crec{},
-		sens:       map[int]*lftj.SensitivityIndex{},
 	}
 	all := map[string]bool{}
 	for _, name := range prog.IDBPreds {

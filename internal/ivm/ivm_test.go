@@ -13,7 +13,7 @@ import (
 	"logicblox/internal/tuple"
 )
 
-var allModes = []Mode{Recompute, Counting, DRed, Sensitivity}
+var allModes = []Mode{Recompute, Counting, DRed}
 
 func mustProgram(t *testing.T, src string) *compiler.Program {
 	t.Helper()
@@ -444,91 +444,31 @@ func TestMaintainChainedViews(t *testing.T) {
 	}
 }
 
-func TestSensitivitySkipsUnaffectedRules(t *testing.T) {
-	// Two independent views; a change to one must not evaluate the other.
-	src := `
-		v1(x, y) <- r1(x, y), s1(y, x).
-		v2(x, y) <- r2(x, y), s2(y, x).`
-	prog := mustProgram(t, src)
-	mk := func(vals ...int64) relation.Relation {
-		r := relation.New(2)
-		for i := 0; i+1 < len(vals); i += 2 {
-			r = r.Insert(tuple.Ints(vals[i], vals[i+1]))
-		}
-		return r
-	}
-	base := map[string]relation.Relation{
-		"r1": mk(1, 2), "s1": mk(2, 1),
-		"r2": mk(7, 8), "s2": mk(8, 7),
-	}
-	m, err := NewMaintainer(prog, base, Sensitivity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := map[string]Delta{"r1": {Ins: []tuple.Tuple{tuple.Ints(3, 4)}}}
-	if _, err := m.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats.RulesSkipped != 1 {
-		t.Fatalf("expected v2's rule skipped, stats = %+v", m.Stats)
-	}
-	if m.Stats.RulesEvaluated != 1 {
-		t.Fatalf("expected only v1 re-evaluated, stats = %+v", m.Stats)
-	}
-}
-
-func TestSensitivitySkipsChangesOutsideTrace(t *testing.T) {
-	// Paper §3.2: inserting C(3) or deleting C(4) does not affect the
-	// Figure 3 run, so the view must not be re-evaluated.
-	src := `out(x) <- a(x), b(x), c(x).`
-	prog := mustProgram(t, src)
-	mk := func(vals ...int64) relation.Relation {
-		r := relation.New(1)
-		for _, v := range vals {
-			r = r.Insert(tuple.Ints(v))
-		}
-		return r
-	}
-	base := map[string]relation.Relation{
-		"a": mk(0, 1, 3, 4, 5, 6, 7, 8, 9, 11),
-		"b": mk(0, 2, 6, 7, 8, 9),
-		"c": mk(2, 4, 5, 8, 10),
-	}
-	m, err := NewMaintainer(prog, base, Sensitivity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := map[string]Delta{"c": {Ins: []tuple.Tuple{tuple.Ints(3)}, Del: []tuple.Tuple{tuple.Ints(4)}}}
-	if _, err := m.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats.RulesEvaluated != 0 || m.Stats.RulesSkipped != 1 {
-		t.Fatalf("change outside trace should skip the rule, stats = %+v", m.Stats)
-	}
-	if m.Relation("out").Len() != 1 {
-		t.Fatalf("out = %v", m.Relation("out").Slice())
-	}
-}
-
+// TestCountingSkipsUntouchedRules checks the walk's untouched-stratum
+// skip in every mode: a change to r1 evaluates v1's stratum only.
 func TestCountingSkipsUntouchedRules(t *testing.T) {
 	src := `
 		v1(x) <- r1(x).
 		v2(x) <- r2(x).`
 	prog := mustProgram(t, src)
-	base := map[string]relation.Relation{
-		"r1": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(1)}),
-		"r2": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(2)}),
-	}
-	m, err := NewMaintainer(prog, base, Counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := map[string]Delta{"r1": {Ins: []tuple.Tuple{tuple.Ints(5)}}}
-	if _, err := m.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats.RulesSkipped != 1 {
-		t.Fatalf("stats = %+v", m.Stats)
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			base := map[string]relation.Relation{
+				"r1": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(1)}),
+				"r2": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(2)}),
+			}
+			m, err := NewMaintainer(prog, base, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := map[string]Delta{"r1": {Ins: []tuple.Tuple{tuple.Ints(5)}}}
+			if _, err := m.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			if m.Stats.RulesSkipped != 1 || m.Stats.RulesEvaluated != 1 {
+				t.Fatalf("expected v2's rule skipped and only v1's evaluated, stats = %+v", m.Stats)
+			}
+		})
 	}
 }
 

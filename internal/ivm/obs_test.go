@@ -9,13 +9,17 @@ import (
 )
 
 // TestMaintainerObservability checks that maintenance passes publish
-// ivm.* counters, a per-pass span, and an apply-duration histogram.
+// ivm.* counters — the walk's skip of the untouched r stratum among them
+// — a per-pass span, and an apply-duration histogram.
 func TestMaintainerObservability(t *testing.T) {
-	prog := mustProgram(t, `q(x, z) <- e(x, y), e(y, z).`)
+	prog := mustProgram(t, `
+		q(x, z) <- e(x, y), e(y, z).
+		r(x) <- f(x).`)
 	base := map[string]relation.Relation{
 		"e": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(2, 3)}),
+		"f": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(7)}),
 	}
-	m, err := NewMaintainer(prog, base, Sensitivity)
+	m, err := NewMaintainer(prog, base, DRed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,39 +47,15 @@ func TestMaintainerObservability(t *testing.T) {
 	if s.Counters["ivm.rules.evaluated"] == 0 {
 		t.Fatalf("no maintenance evaluations counted: %v", s.Counters)
 	}
+	if s.Counters["ivm.rules.skipped"] == 0 {
+		t.Fatalf("no skips counted: %v", s.Counters)
+	}
 	if s.Histograms["ivm.apply.duration"].Count != 2 {
 		t.Fatalf("apply histogram = %+v", s.Histograms["ivm.apply.duration"])
 	}
 	tr, ok := reg.LastTrace()
-	if !ok || tr.Name != "ivm.apply.sensitivity" {
+	if !ok || tr.Name != "ivm.apply.dred" {
 		t.Fatalf("last trace = %+v ok=%v", tr, ok)
-	}
-}
-
-// TestSensitivitySkipsCounted checks that the sensitivity filter's skips
-// reach the registry.
-func TestSensitivitySkipsCounted(t *testing.T) {
-	prog := mustProgram(t, `
-		q(x, z) <- e(x, y), e(y, z).
-		r(x) <- f(x).`)
-	base := map[string]relation.Relation{
-		"e": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2)}),
-		"f": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(7)}),
-	}
-	m, err := NewMaintainer(prog, base, Sensitivity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	m.SetObserver(reg)
-	// A change far from any recorded interval of q's join, and nothing
-	// touching f: the f-rule must be skipped.
-	if _, err := m.Apply(map[string]Delta{"e": {Ins: []tuple.Tuple{tuple.Ints(100, 200)}}}); err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot()
-	if s.Counters["ivm.rules.skipped"] == 0 {
-		t.Fatalf("no skips counted: %v", s.Counters)
 	}
 }
 

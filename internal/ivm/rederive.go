@@ -3,7 +3,6 @@ package ivm
 import (
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
-	"logicblox/internal/lftj"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
@@ -13,15 +12,16 @@ import (
 // were up to date before the change: pending holds the exact deltas of the
 // names that moved with one (a transaction's base predicates), before
 // their contents beforehand, and changed names what moved without a known
-// delta (heads an addblock dirtied, a restore's or a solve's predicates).
-// A stratum reading only known deltas is maintained by them — DRed, or
-// for an aggregate its touched groups updated by their signed delta or
-// re-folded — and one that derives or reads a name in changed is
-// re-evaluated whole. DRed and RefoldStratum keep no state between
-// passes, so this is the transaction path's maintenance (core's
-// rederive). It returns the delta of every head the walk moved —
-// content changed, or stored for the first time (even when empty) — and
-// the work counters.
+// delta (the heads of an addblock's or removeblock's changed rules, a
+// restore's or a solve's predicates). A stratum that derives or reads a
+// name in changed is re-evaluated whole, and from then on the delta of
+// every head it derives is known. A stratum reading only known deltas is
+// maintained by them — DRed, or for an aggregate its touched groups
+// updated by their signed delta or re-folded. The walk consumes changed.
+// DRed and RefoldStratum keep no state between passes, so this is the
+// transaction path's maintenance (core's rederive). It returns the delta
+// of every head the walk moved — content changed, or stored for the first
+// time (even when empty) — and the work counters.
 func Rederive(ctx *engine.Context, changed map[string]bool, pending map[string]Delta, before map[string]relation.Relation) (map[string]Delta, Stats, error) {
 	m := &Maintainer{mode: DRed, ctx: ctx}
 	acc := make(map[string]Delta, len(pending))
@@ -43,10 +43,11 @@ func Rederive(ctx *engine.Context, changed map[string]bool, pending map[string]D
 // deltas and gains every moved head's, and old holds the before-images of
 // everything acc names. A stratum is touched when it derives a name in
 // changed, or reads one or a name with a pending delta; an untouched
-// stratum is skipped. Sensitivity additionally skips a traced stratum no
-// pending tuple falls in.
+// stratum is skipped. Once its stratum is maintained, a head's delta is
+// known, so the walk deletes it from changed: a reader of a changed head
+// is maintained by that delta like any other, and a changed head that did
+// not move reaches no reader.
 func (m *Maintainer) walk(changed map[string]bool, acc map[string]Delta, old map[string]relation.Relation) error {
-	defer m.ctx.SetSensitivityIndex(nil)
 	unknown := func(name string) bool { return changed[name] }
 	pending := func(name string) bool {
 		_, ok := acc[name]
@@ -58,15 +59,6 @@ func (m *Maintainer) walk(changed map[string]bool, acc map[string]Delta, old map
 			continue
 		}
 		known := !touches(stratum, unknown)
-		if m.mode == Sensitivity {
-			id := stratum[0].ID
-			if idx := m.sens[id]; idx != nil && known && !deltaHits(idx, acc) {
-				m.Stats.RulesSkipped += len(stratum)
-				continue
-			}
-			m.sens[id] = lftj.NewSensitivityIndex()
-			m.ctx.SetSensitivityIndex(m.sens[id])
-		}
 		before := map[string]relation.Relation{}
 		stored := map[string]bool{}
 		for _, r := range stratum {
@@ -82,6 +74,7 @@ func (m *Maintainer) walk(changed map[string]bool, acc map[string]Delta, old map
 		}
 		for head, was := range before {
 			m.record(head, was, stored[head], by == byReeval, sp, acc, old)
+			delete(changed, head)
 		}
 		sp.End()
 	}

@@ -200,8 +200,9 @@ func (s *PlanStore) Observe(r *compiler.RulePlan, ops int64) {
 }
 
 // InvalidatePreds drops every cached plan whose rule reads one of the
-// named predicates (base names). The meta-engine calls this on schema
-// changes so stale plans never outlive the logic they were chosen for.
+// named predicates (base names). An addblock or removeblock calls this
+// with the heads whose rules it changed, so stale plans never outlive the
+// logic they were chosen for.
 func (s *PlanStore) InvalidatePreds(names map[string]bool) {
 	if s == nil || len(names) == 0 {
 		return

@@ -3,7 +3,7 @@
 // SIGMOD 2015): a unified declarative database programming system built
 // around LogiQL (a Datalog dialect), purely functional data structures,
 // worst-case-optimal leapfrog triejoin query processing, incremental view
-// maintenance, live programming via a meta-engine, lock-free concurrency
+// maintenance, live programming, lock-free concurrency
 // through transaction repair, and built-in prescriptive (LP/MIP) and
 // predictive (ML) analytics.
 //
