@@ -10,17 +10,18 @@ import (
 )
 
 // aggAccum accumulates grouped aggregation state for a P2P rule
-// (paper §2.2.1). Groups are keyed by the head key tuple. A sum over int
+// (paper §2.2.1), keyed by the head key's AppendKey encoding. A sum over int
 // values is accumulated in an int64 and wraps on overflow: two's-complement
 // addition is associative, so the sum is the same in any folding order and
 // equals a stored sum plus the signed delta RefoldStratum adds to it.
 type aggAccum struct {
 	plan   *compiler.AggPlan
-	keys   map[string]tuple.Tuple
-	states map[string]*aggState
+	groups map[string]*aggState
+	buf    []byte
 }
 
 type aggState struct {
+	key    tuple.Tuple
 	count  int
 	sum    float64 // every numeric value, for avg and a sum over floats
 	isum   int64   // the int values, for a sum over ints only
@@ -30,16 +31,16 @@ type aggState struct {
 }
 
 func newAggAccum(plan *compiler.AggPlan) *aggAccum {
-	return &aggAccum{plan: plan, keys: map[string]tuple.Tuple{}, states: map[string]*aggState{}}
+	return &aggAccum{plan: plan, groups: map[string]*aggState{}}
 }
 
+// add folds binding into key's group. key may be a reused buffer.
 func (a *aggAccum) add(key tuple.Tuple, binding tuple.Tuple) {
-	ks := key.String()
-	st, ok := a.states[ks]
+	a.buf = key.AppendKey(a.buf[:0])
+	st, ok := a.groups[string(a.buf)]
 	if !ok {
-		st = &aggState{allInt: true}
-		a.states[ks] = st
-		a.keys[ks] = key.Clone()
+		st = &aggState{key: key.Clone(), allInt: true}
+		a.groups[string(a.buf)] = st
 	}
 	st.count++
 	if a.plan.ArgSlot < 0 {
@@ -68,7 +69,7 @@ func (a *aggAccum) add(key tuple.Tuple, binding tuple.Tuple) {
 
 func (a *aggAccum) finish(headArity int) (relation.Relation, error) {
 	out := relation.New(headArity)
-	for ks, st := range a.states {
+	for _, st := range a.groups {
 		var v tuple.Value
 		switch a.plan.Func {
 		case "count":
@@ -89,7 +90,7 @@ func (a *aggAccum) finish(headArity int) (relation.Relation, error) {
 			return out, fmt.Errorf("unknown aggregation %s", a.plan.Func)
 		}
 		head := make(tuple.Tuple, 0, headArity)
-		head = append(head, a.keys[ks]...)
+		head = append(head, st.key...)
 		head = append(head, v)
 		out = out.Insert(head)
 	}
@@ -97,14 +98,14 @@ func (a *aggAccum) finish(headArity int) (relation.Relation, error) {
 }
 
 // predictAccum accumulates grouped training examples or evaluation
-// feature vectors for predict P2P rules (paper §2.3.2).
+// feature vectors for predict P2P rules (paper §2.3.2), keyed like aggAccum.
 type predictAccum struct {
 	plan   *compiler.PredictPlan
-	keys   map[string]tuple.Tuple
 	groups map[string]*predictGroup
 }
 
 type predictGroup struct {
+	key      tuple.Tuple
 	examples map[string]*ml.Example // learning: keyed by example identity
 	features map[string]float64     // eval: one feature vector
 	model    int64                  // eval: model handle
@@ -112,24 +113,24 @@ type predictGroup struct {
 }
 
 func newPredictAccum(plan *compiler.PredictPlan) *predictAccum {
-	return &predictAccum{plan: plan, keys: map[string]tuple.Tuple{}, groups: map[string]*predictGroup{}}
+	return &predictAccum{plan: plan, groups: map[string]*predictGroup{}}
 }
 
+// slotsKey is the AppendKey encoding of binding's values at slots.
 func slotsKey(binding tuple.Tuple, slots []int) string {
-	k := make(tuple.Tuple, len(slots))
-	for i, s := range slots {
-		k[i] = binding[s]
+	var buf []byte
+	for _, s := range slots {
+		buf = binding[s : s+1].AppendKey(buf)
 	}
-	return k.String()
+	return string(buf)
 }
 
 func (p *predictAccum) add(key tuple.Tuple, binding tuple.Tuple) error {
-	ks := key.String()
+	ks := string(key.AppendKey(nil))
 	g, ok := p.groups[ks]
 	if !ok {
-		g = &predictGroup{examples: map[string]*ml.Example{}, features: map[string]float64{}}
+		g = &predictGroup{key: key.Clone(), examples: map[string]*ml.Example{}, features: map[string]float64{}}
 		p.groups[ks] = g
-		p.keys[ks] = key.Clone()
 	}
 	featName := slotsKey(binding, p.plan.FeatNameSlots)
 	featVal, ok := binding[p.plan.FeatureSlot].Numeric()
@@ -166,7 +167,7 @@ func (p *predictAccum) finish(headArity int, models *ml.Registry) (relation.Rela
 	if models == nil {
 		return out, fmt.Errorf("predict rule requires a model registry")
 	}
-	for ks, g := range p.groups {
+	for _, g := range p.groups {
 		var v tuple.Value
 		switch p.plan.Func {
 		case "eval":
@@ -202,7 +203,7 @@ func (p *predictAccum) finish(headArity int, models *ml.Registry) (relation.Rela
 			return out, fmt.Errorf("unknown predict function %s", p.plan.Func)
 		}
 		head := make(tuple.Tuple, 0, headArity)
-		head = append(head, p.keys[ks]...)
+		head = append(head, g.key...)
 		head = append(head, v)
 		out = out.Insert(head)
 	}

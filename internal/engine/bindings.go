@@ -120,19 +120,29 @@ func (b *Bindings) Next() (tuple.Tuple, bool) {
 // derivation multiplicity and no deduplication. The tuple is freshly
 // allocated and owned by the caller.
 func (b *Bindings) NextHead() (tuple.Tuple, bool) {
-	full, ok := b.Next()
-	if !ok {
+	head := make(tuple.Tuple, len(b.r.HeadExprs))
+	if !b.nextHeadInto(head) {
 		return nil, false
 	}
-	head := make(tuple.Tuple, len(b.r.HeadExprs))
+	return head, true
+}
+
+// nextHeadInto is NextHead projecting into head, len(r.HeadExprs) wide:
+// the accumulators reuse one group key buffer.
+func (b *Bindings) nextHeadInto(head tuple.Tuple) bool {
+	full, ok := b.Next()
+	if !ok {
+		return false
+	}
 	for i, e := range b.r.HeadExprs {
 		v, err := e.Eval(full, b.resolver)
 		if err != nil {
-			return b.fail(fmt.Errorf("in rule %q: %w", b.r.Source, err))
+			b.fail(fmt.Errorf("in rule %q: %w", b.r.Source, err))
+			return false
 		}
 		head[i] = v
 	}
-	return head, true
+	return true
 }
 
 // complete runs assignments, filters and negated atoms over one raw join

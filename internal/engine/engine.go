@@ -317,10 +317,11 @@ func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 	}
 	defer b.Close() // after the accumulators finish: their time is the rule's
 	out := relation.New(r.HeadArity)
+	key := make(tuple.Tuple, len(r.HeadExprs)) // the group key, reused
 	switch {
 	case r.Agg != nil:
 		agg := newAggAccum(r.Agg)
-		for key, ok := b.NextHead(); ok; key, ok = b.NextHead() {
+		for b.nextHeadInto(key) {
 			agg.add(key, b.full)
 		}
 		if b.Err() == nil {
@@ -328,7 +329,7 @@ func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 		}
 	case r.Predict != nil:
 		pred := newPredictAccum(r.Predict)
-		for key, ok := b.NextHead(); ok; key, ok = b.NextHead() {
+		for b.nextHeadInto(key) {
 			if err = pred.add(key, b.full); err != nil {
 				break
 			}

@@ -226,6 +226,33 @@ func TestEvalGroupedAggregates(t *testing.T) {
 	check("avgSale", "s1", tuple.Float(15))
 }
 
+// TestAggregateGroupsByValue: aggregate groups are told apart as
+// tuple.Compare tells keys apart — Int(1) and Float(1) are two groups,
+// although both render as "1", and -0.0 and 0.0 are one.
+func TestAggregateGroupsByValue(t *testing.T) {
+	prog := mustCompile(t, `
+		a(k, v) -> int(v).
+		g[k] = u <- agg<<u = sum(v)>> a(k, v).`)
+	negZero := tuple.Float(math.Copysign(0, -1))
+	ctx := NewContext(prog, map[string]relation.Relation{
+		"a": relOf(2,
+			tuple.Of(tuple.Int(1), tuple.Int(10)),
+			tuple.Of(tuple.Float(1), tuple.Int(20)),
+			tuple.Of(tuple.Float(0), tuple.Int(5)),
+			tuple.Of(negZero, tuple.Int(7))),
+	}, Options{})
+	if err := ctx.EvalAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := relOf(2,
+		tuple.Of(tuple.Int(1), tuple.Int(10)),
+		tuple.Of(tuple.Float(1), tuple.Int(20)),
+		tuple.Of(tuple.Float(0), tuple.Int(12)))
+	if got := ctx.Relation("g"); !got.Equal(want) {
+		t.Fatalf("g = %v, want %v", got.Slice(), want.Slice())
+	}
+}
+
 func TestFunctionalDependencyViolation(t *testing.T) {
 	prog := mustCompile(t, `out[x] = y <- in(x, y).`)
 	ctx := NewContext(prog, map[string]relation.Relation{

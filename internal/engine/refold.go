@@ -199,17 +199,18 @@ func (g *groupDelta) add(agg *compiler.AggPlan, binding tuple.Tuple, sign int) {
 // limit.
 func (c *Context) deltaGroups(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation, limit int) (groups []*groupDelta, ok bool, err error) {
 	byKey := map[string]*groupDelta{}
+	var buf []byte
 	for _, r := range rules {
 		rsp := sp.Child("rule:" + r.HeadName)
 		n := int64(0)
 		_, err := c.EnumerateDelta(r, acc, old, func(h, binding tuple.Tuple, sign int) bool {
 			n++
 			key := h[:r.HeadArity-1]
-			ks := key.String()
-			g := byKey[ks]
+			buf = key.AppendKey(buf[:0])
+			g := byKey[string(buf)]
 			if g == nil {
 				g = &groupDelta{key: key}
-				byKey[ks] = g
+				byKey[string(buf)] = g
 				groups = append(groups, g)
 			}
 			if r.Agg != nil {

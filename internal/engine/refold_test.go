@@ -40,6 +40,16 @@ func floatSales() relation.Relation {
 	return relation.FromTuples(3, ts)
 }
 
+// mixedKeySales is retailSales plus a store keyed Float(1) beside the
+// store keyed Int(1): two groups, although both keys render as "1".
+func mixedKeySales() relation.Relation {
+	r := retailSales()
+	for p := int64(0); p < 5; p++ {
+		r = r.Insert(tuple.Tuple{tuple.Int(p), tuple.Float(1), tuple.Int(100 + p)})
+	}
+	return r
+}
+
 // TestRefoldStratumMatchesReeval maintains an aggregate stratum through
 // a change and checks the head against a from-scratch evaluation of the
 // changed data, and how RefoldStratum maintained it: each touched group by
@@ -167,6 +177,14 @@ func TestRefoldStratumMatchesReeval(t *testing.T) {
 			// evaluation does.
 			name: "float sum", src: byStore, base: sales(floatSales()),
 			deltas: onSales(nil, []tuple.Tuple{{tuple.Int(4), tuple.Int(1), tuple.Float(0.5)}}), refolded: 1,
+		},
+		{
+			name: "float key beside an equal-looking int key", src: byStore, base: sales(mixedKeySales()),
+			deltas: onSales([]tuple.Tuple{{tuple.Int(9), tuple.Float(1), tuple.Int(50)}}, nil), signed: 1,
+		},
+		{
+			name: "int and float keys both move", src: byStore, base: sales(mixedKeySales()),
+			deltas: onSales([]tuple.Tuple{tuple.Ints(9, 1, 7), {tuple.Int(9), tuple.Float(1), tuple.Int(50)}}, nil), signed: 2,
 		},
 		{
 			// A two-rule stratum is re-folded.

@@ -34,6 +34,7 @@ type Join struct {
 	levels  [][]int           // levels[v] = indices of atoms participating at variable v
 	iters   [][]trie.Iterator // reusable iterator slices per variable
 	binding tuple.Tuple       // current prefix of variable bindings
+	scan    trie.Scanner      // the lone atom's scan, when the join is one
 	rec     *recording
 	m       *Metrics // optional work counters (may be nil)
 }
@@ -74,6 +75,10 @@ func NewJoin(numVars int, atoms []Atom, idx *SensitivityIndex) (*Join, error) {
 		}
 		j.iters[v] = make([]trie.Iterator, len(j.levels[v]))
 	}
+	// The validation above makes a lone atom of full arity's Vars the identity.
+	if len(atoms) == 1 && atoms[0].Iter.Arity() == numVars {
+		j.scan, _ = atoms[0].Iter.(trie.Scanner)
+	}
 	if idx != nil {
 		j.rec = newRecording(j, idx)
 	}
@@ -98,7 +103,8 @@ func (j *Join) Run(emit func(binding tuple.Tuple) bool) {
 // explicit-state form of the backtracking search Run performs, so a
 // consumer can draw one binding at a time (streaming query execution)
 // instead of receiving a callback per result. Bindings come out in the
-// same lexicographic order Run emits them.
+// same lexicographic order Run emits them. A one-atom join is a scan: see
+// scanNext.
 type Iter struct {
 	j *Join
 	// lfs[v] is the unary leapfrog currently open at variable v; entries
@@ -108,6 +114,7 @@ type Iter struct {
 	// the degenerate zero-variable join), -2 once exhausted or closed.
 	depth   int
 	started bool
+	pull    func() (tuple.Tuple, bool) // the scan, once started
 }
 
 // Iter returns a fresh cursor over the join. The join's atom iterators
@@ -157,6 +164,9 @@ func (it *Iter) Next() (binding tuple.Tuple, ok bool) {
 	if it.depth == -2 {
 		return nil, false
 	}
+	if j.scan != nil {
+		return it.scanNext()
+	}
 	if j.numVars == 0 {
 		// Degenerate boolean join: satisfied iff every atom is nonempty,
 		// which is vacuously true here because zero-arity atoms cannot
@@ -189,6 +199,28 @@ func (it *Iter) Next() (binding tuple.Tuple, ok bool) {
 		}
 		it.open(it.depth + 1)
 	}
+}
+
+// scanNext is Next for a join of one atom binding every variable, whose
+// iterator is a trie.Scanner: it pulls whole tuples from the scan (one
+// Metrics.Nexts each, no seek) and records one sensitivity interval over
+// the atom's whole key line, which is the union of what the trie walk
+// records, so Affected answers the same.
+func (it *Iter) scanNext() (tuple.Tuple, bool) {
+	j := it.j
+	if !it.started {
+		it.started, it.pull = true, j.scan.Scan()
+		j.rec.recordAll(&j.atoms[0])
+	}
+	t, ok := it.pull()
+	if !ok {
+		it.depth = -2
+		return nil, false
+	}
+	if j.m != nil {
+		j.m.Nexts++
+	}
+	return append(j.binding[:0], t...), true
 }
 
 // Close unwinds any still-open trie levels (restoring every atom iterator

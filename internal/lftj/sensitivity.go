@@ -346,14 +346,26 @@ func (r *recording) record(it trie.Iterator, lo, hi tuple.Value, openEnded bool)
 	if openEnded {
 		hi = tuple.MaxValue()
 	}
+	r.add(a, Interval{Prefix: prefix, Lo: lo, Hi: hi}, d)
+}
+
+// recordAll notes that a scan read the whole of atom a: one interval
+// covering every key at depth 0. The nil *recording is a no-op.
+func (r *recording) recordAll(a *Atom) {
+	if r != nil {
+		r.add(a, Interval{Lo: tuple.MinValue(), Hi: tuple.MaxValue()}, 0)
+	}
+}
+
+// add appends iv, recorded at trie depth d of atom a, to the index.
+func (r *recording) add(a *Atom, iv Interval, d int) {
 	// For an atom bound through a permuted secondary index, the prefix
 	// values above are in plan-column order; carry the stored-column
 	// mapping so probes (which see stored-order tuples) can still match.
-	var cols []int
 	if a.Cols != nil {
-		cols = append([]int(nil), a.Cols[:d+1]...)
+		iv.Cols = append([]int(nil), a.Cols[:d+1]...)
 	}
-	r.idx.byPred[a.Pred] = append(r.idx.byPred[a.Pred], Interval{Prefix: prefix, Lo: lo, Hi: hi, Cols: cols})
+	r.idx.byPred[a.Pred] = append(r.idx.byPred[a.Pred], iv)
 	r.idx.dirty = true
 	if r.j.m != nil {
 		r.j.m.SensRecords++

@@ -13,6 +13,7 @@ import (
 // triejoin) visits tuples in lexicographic order, so every Open/Next/Seek
 // translates to a forward Seek on the underlying treap iterator; each
 // operation is O(log N) as required by the iterator contract.
+// A one-atom join is a scan: trie.Scanner walks the treap in order.
 type TrieIter struct {
 	r      Relation
 	it     *treap.Iterator[tuple.Tuple, struct{}]
@@ -32,6 +33,9 @@ func (r Relation) Iterator() trie.Iterator {
 		probe:  make(tuple.Tuple, 0, r.arity+1),
 	}
 }
+
+// Scan implements trie.Scanner.
+func (ti *TrieIter) Scan() func() (tuple.Tuple, bool) { return ti.r.Cursor().Next }
 
 // Arity implements trie.Iterator.
 func (ti *TrieIter) Arity() int { return ti.r.arity }

@@ -27,7 +27,8 @@ import (
 // end) is legal.
 //
 // Complexity contract: Next and Seek are O(log N), and m ascending visits
-// at one level cost amortized O(1 + log(N/m)).
+// at one level cost amortized O(1 + log(N/m)); an iterator whose whole-trie
+// walk can do better offers Scanner.
 type Iterator interface {
 	// Key returns the key at the current position. It must only be called
 	// when positioned on a key (not at end, not at the root).
@@ -47,6 +48,14 @@ type Iterator interface {
 	Depth() int
 	// Arity returns the number of levels (the predicate's arity).
 	Arity() int
+}
+
+// Scanner is an optional capability of an Iterator: Scan returns a pull
+// function yielding every tuple, in order and at amortized O(1) each, for
+// the join driver to read a one-atom join's relation whole. The tuples are
+// stored values, not to be mutated. Counting does not forward Scan.
+type Scanner interface {
+	Scan() func() (tuple.Tuple, bool)
 }
 
 // SliceIterator is a reference Iterator over a sorted, deduplicated slice

@@ -1,6 +1,10 @@
 package tuple
 
-import "strings"
+import (
+	"encoding/binary"
+	"math"
+	"strings"
+)
 
 // Tuple is an ordered sequence of values: one fact of an n-ary predicate.
 // Tuples are treated as immutable once stored in a relation.
@@ -70,6 +74,30 @@ func (t Tuple) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
+}
+
+// AppendKey appends a binary encoding of t to buf: a map key for grouping
+// tuples by value. Two tuples encode alike exactly when Compare finds them
+// equal — unlike String, which renders Int(1) and Float(1) alike and -0.0
+// and 0.0 apart. Each value is its kind byte, then a length and the bytes
+// of a string, or eight payload bytes (a float's with -0 as 0, NaNs alike).
+func (t Tuple) AppendKey(buf []byte) []byte {
+	for _, v := range t {
+		buf = append(buf, byte(v.kind))
+		n := v.num
+		switch f := math.Float64frombits(n); {
+		case v.kind == KindString:
+			buf = binary.AppendUvarint(buf, uint64(len(v.str)))
+			buf = append(buf, v.str...)
+			continue
+		case v.kind == KindFloat && f == 0:
+			n = 0
+		case v.kind == KindFloat && f != f:
+			n = math.Float64bits(math.NaN())
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, n)
+	}
+	return buf
 }
 
 // Of builds a tuple from values; a small convenience for tests and examples.

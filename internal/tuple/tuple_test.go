@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,5 +113,32 @@ func TestTupleString(t *testing.T) {
 	got := Of(Int(1), String("a")).String()
 	if got != `(1, "a")` {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// TestTupleAppendKey: two tuples encode alike exactly when Compare finds
+// them equal, across kinds, signed zeros and strings whose bytes could
+// run into the next value.
+func TestTupleAppendKey(t *testing.T) {
+	vals := []Value{
+		Null, Bool(false), Bool(true), Int(0), Int(1), Int(-1), Float(0), Float(math.Copysign(0, -1)),
+		Float(1), Float(-1), String(""), String("1"), String("a"), String("a\x00"),
+		Entity(1, 0), Entity(0, 1), MaxValue(),
+	}
+	var ts []Tuple
+	for _, a := range vals {
+		ts = append(ts, Of(a))
+		for _, b := range vals {
+			ts = append(ts, Of(a, b))
+		}
+	}
+	ts = append(ts, Of(String("a"), String("b")), Of(String("ab")), Of(String("a"), String("")))
+	for _, x := range ts {
+		for _, y := range ts {
+			same := string(x.AppendKey(nil)) == string(y.AppendKey(nil))
+			if want := x.Compare(y) == 0; same != want {
+				t.Fatalf("AppendKey(%v) == AppendKey(%v) is %v; Compare says equal=%v", x, y, same, want)
+			}
+		}
 	}
 }
