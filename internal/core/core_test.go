@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -419,13 +420,20 @@ func TestLoadDatabaseRejectsGarbage(t *testing.T) {
 
 func TestSnapshotValueRoundTrip(t *testing.T) {
 	vals := []tuple.Value{
-		tuple.Bool(true), tuple.Bool(false), tuple.Int(-7), tuple.Float(2.5),
-		tuple.String("x"), tuple.Entity(3, 9), tuple.Null,
+		tuple.Bool(true), tuple.Bool(false), tuple.Int(-7), tuple.Int(math.MinInt64),
+		tuple.Float(2.5), tuple.Float(math.Copysign(0, -1)), tuple.Float(math.NaN()),
+		tuple.String("x"), tuple.String(""), tuple.Entity(3, 9), tuple.Entity(math.MaxUint32, 0), tuple.Null,
 	}
 	for _, v := range vals {
-		got := dtoToValue(valueToDTO(v))
-		if !tuple.Equal(got, v) {
-			t.Errorf("round trip %v → %v", v, got)
+		enc := appendValue(nil, v)
+		got, rest, ok := decodeValue(append(enc, 0xff))
+		if !ok || len(rest) != 1 || got != v {
+			t.Errorf("round trip %v → %v (%d bytes left, ok %v)", v, got, len(rest), ok)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, _, ok := decodeValue(enc[:cut]); ok {
+				t.Errorf("%v cut to %d of %d bytes decodes", v, cut, len(enc))
+			}
 		}
 	}
 }

@@ -35,6 +35,12 @@ var (
 	// re-derivation. Recovery (internal/durable) falls back to the
 	// previous snapshot generation on it; the HTTP layer maps it to 400.
 	ErrCorruptSnapshot = errors.New("corrupt snapshot")
+	// ErrSnapshotVersion marks a well-formed snapshot written in a payload
+	// version this build does not read (a downgrade, or a newer build's
+	// format). Unlike corruption it is not skipped: recovery stops with
+	// it rather than fall back past the generation; the HTTP layer maps
+	// it to 400.
+	ErrSnapshotVersion = errors.New("unsupported snapshot version")
 	// ErrDurability marks a commit rejected because its journal record
 	// could not be made durable (the commit hook failed). The in-memory
 	// state is unchanged: a commit that cannot be logged does not happen.

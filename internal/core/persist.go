@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 
 	"logicblox/internal/ast"
 	"logicblox/internal/optimizer"
@@ -17,10 +20,29 @@ import (
 // Snapshot persistence (paper §3.1: "our internal framework transparently
 // persists, restores, and garbage-collects these objects", and T4 #5:
 // recovery without a transaction log — a snapshot of the immutable state
-// is all there is). A snapshot records every branch head's logic and base
-// data; derived predicates are re-materialized on restore, which doubles
-// as recovery: there is no log to replay.
+// is all there is). Derived predicates are re-materialized on restore.
+//
+// Payload version 2 (layout in docs/durability.md) writes each distinct
+// branch head once, each distinct base relation once, and rows as a kind
+// byte and a compact payload per value. Version 1 (every branch in full,
+// one gob value per datum) still loads. Any other version whose Format
+// tag agrees with it is ErrSnapshotVersion; a version and a tag that
+// disagree are damage, ErrCorruptSnapshot.
 
+// snapshotVersion is the payload version Save writes.
+const snapshotVersion = 2
+
+// snapshotFormat is the tag a payload of version v carries beside its
+// Version (version 1 predates it): one damaged byte in either reads as
+// corruption, not as a version this build cannot read.
+func snapshotFormat(v int) string {
+	if v == 1 {
+		return ""
+	}
+	return "logicblox-snapshot-v" + strconv.Itoa(v)
+}
+
+// valueDTO is one datum of a version-1 payload.
 type valueDTO struct {
 	Kind uint8
 	I    int64
@@ -29,47 +51,43 @@ type valueDTO struct {
 	E    [2]uint32
 }
 
+// snapshotWorkspace is one branch of a version-1 payload.
 type snapshotWorkspace struct {
-	Blocks map[string]string
-	Base   map[string][][]valueDTO
-	Arity  map[string]int
-	// Adaptive records that the branch ran with the feedback-driven
-	// adaptive optimizer; Plans carries its plan store's learned orders
-	// (keyed by structural rule fingerprints, which survive restarts) so
-	// restored workspaces reuse them instead of re-sampling. Gob leaves
-	// both zero when restoring pre-plan-store snapshots.
+	Blocks   map[string]string
+	Base     map[string][][]valueDTO
+	Arity    map[string]int
 	Adaptive bool
 	Plans    []optimizer.SavedPlan
 }
 
-type snapshotDB struct {
-	Version  int
-	Branches map[string]snapshotWorkspace
-	// Seq is the database's operation sequence number at snapshot time;
-	// journal replay (internal/durable) resumes after it. Gob leaves it
-	// zero when restoring pre-journal snapshots.
-	Seq uint64
+// snapshotHead is one distinct branch head of a version-2 payload.
+// Adaptive records that it ran with the adaptive optimizer, and Plans
+// carries its plan store's learned orders (keyed by structural rule
+// fingerprints, which survive restarts).
+type snapshotHead struct {
+	Blocks   map[string]string
+	Base     map[string]int // predicate → index into snapshotDB.Rels
+	Adaptive bool
+	Plans    []optimizer.SavedPlan
 }
 
-func valueToDTO(v tuple.Value) valueDTO {
-	switch v.Kind() {
-	case tuple.KindBool:
-		i := int64(0)
-		if v.AsBool() {
-			i = 1
-		}
-		return valueDTO{Kind: 1, I: i}
-	case tuple.KindInt:
-		return valueDTO{Kind: 2, I: v.AsInt()}
-	case tuple.KindFloat:
-		return valueDTO{Kind: 3, F: v.AsFloat()}
-	case tuple.KindString:
-		return valueDTO{Kind: 4, S: v.AsString()}
-	case tuple.KindEntity:
-		return valueDTO{Kind: 5, E: [2]uint32{v.EntityType(), v.EntityOrdinal()}}
-	default:
-		return valueDTO{Kind: 0}
-	}
+// snapshotRel is one distinct base relation: appendRows' encoding.
+type snapshotRel struct {
+	Arity int
+	Rows  []byte
+}
+
+// snapshotDB is the gob envelope of both payload versions (gob matches
+// fields by name). Seq is the operation sequence number the snapshot
+// covers; journal replay (internal/durable) resumes after it.
+type snapshotDB struct {
+	Version     int
+	Format      string
+	Seq         uint64
+	Branches    map[string]snapshotWorkspace // version 1
+	Heads       []snapshotHead               // version 2
+	Rels        []snapshotRel                // version 2
+	BranchHeads map[string]int               // version 2: branch → index into Heads
 }
 
 func dtoToValue(d valueDTO) tuple.Value {
@@ -89,42 +107,121 @@ func dtoToValue(d valueDTO) tuple.Value {
 	}
 }
 
-// snapshot captures the workspace's durable state.
-func (ws *Workspace) snapshot() snapshotWorkspace {
-	out := snapshotWorkspace{
-		Blocks: map[string]string{},
-		Base:   map[string][][]valueDTO{},
-		Arity:  map[string]int{},
+// appendValue appends v's kind byte and payload: a zigzag varint for an
+// int, 8 exact bits for a float, a uvarint length and the bytes for a
+// string, 1 byte for a bool, two uvarints for an entity, none for null.
+func appendValue(buf []byte, v tuple.Value) []byte {
+	buf = append(buf, byte(v.Kind()))
+	switch v.Kind() {
+	case tuple.KindBool:
+		if v.AsBool() {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	case tuple.KindInt:
+		return binary.AppendVarint(buf, v.AsInt())
+	case tuple.KindFloat:
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
+	case tuple.KindString:
+		buf = binary.AppendUvarint(buf, uint64(len(v.AsString())))
+		return append(buf, v.AsString()...)
+	case tuple.KindEntity:
+		buf = binary.AppendUvarint(buf, uint64(v.EntityType()))
+		return binary.AppendUvarint(buf, uint64(v.EntityOrdinal()))
 	}
-	ws.blocks.Range(func(name, src string) bool {
-		out.Blocks[name] = src
-		return true
-	})
-	ws.base.Range(func(pred string, rel relation.Relation) bool {
-		rows := make([][]valueDTO, 0, rel.Len())
-		rel.ForEach(func(t tuple.Tuple) bool {
-			row := make([]valueDTO, len(t))
-			for i, v := range t {
-				row[i] = valueToDTO(v)
+	return buf
+}
+
+// decodeValue reads one value appendValue wrote off the front of b and
+// returns the rest; ok is false for a malformed value.
+func decodeValue(b []byte) (v tuple.Value, rest []byte, ok bool) {
+	if len(b) == 0 {
+		return v, nil, false
+	}
+	kind, b := tuple.Kind(b[0]), b[1:]
+	switch {
+	case kind == tuple.KindNull:
+		return v, b, true
+	case kind == tuple.KindBool && len(b) > 0 && b[0] <= 1:
+		return tuple.Bool(b[0] == 1), b[1:], true
+	case kind == tuple.KindInt:
+		if i, n := binary.Varint(b); n > 0 {
+			return tuple.Int(i), b[n:], true
+		}
+	case kind == tuple.KindFloat && len(b) >= 8:
+		return tuple.Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), b[8:], true
+	case kind == tuple.KindString:
+		if l, n := binary.Uvarint(b); n > 0 && l <= uint64(len(b)-n) {
+			return tuple.String(string(b[n : n+int(l)])), b[n+int(l):], true
+		}
+	case kind == tuple.KindEntity:
+		typ, n := binary.Uvarint(b)
+		if n > 0 && typ <= math.MaxUint32 {
+			if ord, m := binary.Uvarint(b[n:]); m > 0 && ord <= math.MaxUint32 {
+				return tuple.Entity(uint32(typ), uint32(ord)), b[n+m:], true
 			}
-			rows = append(rows, row)
-			return true
-		})
-		out.Base[pred] = rows
-		out.Arity[pred] = rel.Arity()
-		return true
-	})
-	if ws.plans != nil {
-		out.Adaptive = true
-		out.Plans = ws.plans.Export()
+		}
 	}
-	return out
+	return v, nil, false
+}
+
+// appendRows appends a uvarint row count and rel's tuples, streamed from
+// its cursor in stored order.
+func appendRows(buf []byte, rel relation.Relation) []byte {
+	buf = binary.AppendUvarint(buf, uint64(rel.Len()))
+	c := rel.Cursor()
+	for t, ok := c.Next(); ok; t, ok = c.Next() {
+		for _, v := range t {
+			buf = appendValue(buf, v)
+		}
+	}
+	return buf
+}
+
+// decodeRows rebuilds a relation from appendRows' encoding. Its tuples
+// share one backing array of values.
+func decodeRows(r snapshotRel) (relation.Relation, error) {
+	count, n := binary.Uvarint(r.Rows)
+	b := r.Rows[max(n, 0):]
+	// Every value takes at least one byte, and a nullary relation holds
+	// at most the empty tuple.
+	if n <= 0 || r.Arity < 0 || r.Arity == 0 && count > 1 || r.Arity > 0 && count > uint64(len(b)/r.Arity) {
+		return relation.Relation{}, fmt.Errorf("%d rows of arity %d in %d bytes", count, r.Arity, len(b))
+	}
+	vals := make([]tuple.Value, int(count)*r.Arity)
+	ts := make([]tuple.Tuple, count)
+	for i := range ts {
+		ts[i] = vals[i*r.Arity : (i+1)*r.Arity : (i+1)*r.Arity]
+		for j := range ts[i] {
+			var ok bool
+			if ts[i][j], b, ok = decodeValue(b); !ok {
+				return relation.Relation{}, fmt.Errorf("row %d: malformed value", i)
+			}
+		}
+	}
+	if len(b) != 0 {
+		return relation.Relation{}, fmt.Errorf("%d bytes after the last row", len(b))
+	}
+	return relation.FromTuples(r.Arity, ts), nil
 }
 
 // RestoreWorkspace rebuilds a workspace from block sources and base data:
 // all blocks are compiled together, base predicates set, derived
 // predicates re-materialized, and integrity constraints verified.
 func RestoreWorkspace(blocks map[string]string, base map[string][]tuple.Tuple, arity map[string]int) (*Workspace, error) {
+	rels := make(map[string]relation.Relation, len(base))
+	for pred, rows := range base {
+		a := arity[pred]
+		if a == 0 && len(rows) > 0 {
+			a = len(rows[0])
+		}
+		rels[pred] = relation.FromTuples(a, rows)
+	}
+	return restoreWorkspace(blocks, rels)
+}
+
+// restoreWorkspace is RestoreWorkspace over built relations.
+func restoreWorkspace(blocks map[string]string, base map[string]relation.Relation) (*Workspace, error) {
 	ws := NewWorkspace()
 	var names []string
 	for n := range blocks {
@@ -145,12 +242,10 @@ func RestoreWorkspace(blocks map[string]string, base map[string][]tuple.Tuple, a
 	}
 	ws.prog = compiled
 	dirty := map[string]bool{}
-	for pred, rows := range base {
-		a := arity[pred]
-		if a == 0 && len(rows) > 0 {
-			a = len(rows[0])
+	for pred, rel := range base {
+		if p, ok := compiled.Preds[pred]; ok && p.Arity != rel.Arity() {
+			return nil, fmt.Errorf("predicate %s has arity %d, its data %d", pred, p.Arity, rel.Arity())
 		}
-		rel := relation.FromTuples(a, rows)
 		ws.base = ws.base.Set(pred, rel)
 		dirty[pred] = true
 	}
@@ -167,82 +262,154 @@ func (db *Database) Save(w io.Writer) error {
 }
 
 // SaveSnapshot is Save returning the operation sequence number the
-// snapshot covers; both are captured under the same read lock, so the
-// snapshot contains exactly the commits numbered ≤ seq. The durability
-// layer names snapshot generations by this seq and replays only journal
-// records after it.
+// snapshot covers: it contains exactly the commits numbered ≤ seq. The
+// durability layer names snapshot generations by this seq and replays
+// only journal records after it. Only the seq and the head pointers are
+// read under the database lock; heads are immutable, so they are encoded
+// after releasing it, without blocking commits.
 func (db *Database) SaveSnapshot(w io.Writer) (seq uint64, err error) {
 	db.mu.RLock()
-	snap := snapshotDB{Version: 1, Branches: map[string]snapshotWorkspace{}, Seq: db.seq}
+	seq = db.seq
+	branches := make(map[string]*Workspace, len(db.branches))
 	for name, ws := range db.branches {
-		snap.Branches[name] = ws.snapshot()
+		branches[name] = ws
 	}
 	db.mu.RUnlock()
-	return snap.Seq, gob.NewEncoder(w).Encode(snap)
+
+	snap := snapshotDB{Version: snapshotVersion, Format: snapshotFormat(snapshotVersion), Seq: seq, BranchHeads: map[string]int{}}
+	heads := map[*Workspace]int{}
+	var written []relation.Relation
+	relIndex := func(rel relation.Relation) int {
+		for i, o := range written {
+			if o.Arity() == rel.Arity() && o.Equal(rel) {
+				return i
+			}
+		}
+		written = append(written, rel)
+		snap.Rels = append(snap.Rels, snapshotRel{Arity: rel.Arity(), Rows: appendRows(nil, rel)})
+		return len(written) - 1
+	}
+	for name, ws := range branches {
+		i, ok := heads[ws]
+		if !ok {
+			i, heads[ws] = len(snap.Heads), len(snap.Heads)
+			h := snapshotHead{Blocks: map[string]string{}, Base: map[string]int{}, Adaptive: ws.plans != nil, Plans: ws.plans.Export()}
+			ws.blocks.Range(func(name, src string) bool {
+				h.Blocks[name] = src
+				return true
+			})
+			ws.base.Range(func(pred string, rel relation.Relation) bool {
+				h.Base[pred] = relIndex(rel)
+				return true
+			})
+			snap.Heads = append(snap.Heads, h)
+		}
+		snap.BranchHeads[name] = i
+	}
+	return seq, gob.NewEncoder(w).Encode(snap)
 }
 
 // LoadDatabase restores a database from a snapshot written by Save.
-// Derived predicates are re-materialized from the restored logic and
-// data; the version history restarts at the restored heads. Truncated
-// or bit-flipped input — a gob stream that fails to decode, or one that
-// decodes into state that cannot be re-derived — is reported as
-// ErrCorruptSnapshot, so callers can fall back to an older generation
-// or surface a clean error instead of a raw decoder message.
+// Derived predicates are re-materialized once per distinct head, and
+// branches that shared a head share its restored workspace; the version
+// history restarts at the restored heads. Truncated or bit-flipped input
+// — a gob stream or rows that fail to decode, an index out of range, or
+// state that cannot be re-derived — is reported as ErrCorruptSnapshot, so
+// callers can fall back to an older generation or surface a clean error
+// instead of a raw decoder message. A payload of a version this build
+// does not read is ErrSnapshotVersion.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var snap snapshotDB
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: %w: decode: %v", ErrCorruptSnapshot, err)
 	}
-	if snap.Version != 1 {
-		// Unreadable for this build either way — typed so recovery can
-		// fall back to an older generation and CLIs report it cleanly.
-		return nil, fmt.Errorf("core: %w: unsupported snapshot version %d", ErrCorruptSnapshot, snap.Version)
-	}
-	db := &Database{branches: map[string]*Workspace{}, seq: snap.Seq}
-	var names []string
-	for n := range snap.Branches {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sw := snap.Branches[name]
-		base := map[string][]tuple.Tuple{}
-		for pred, rows := range sw.Base {
-			ts := make([]tuple.Tuple, len(rows))
-			for i, row := range rows {
-				t := make(tuple.Tuple, len(row))
-				for j, d := range row {
-					t[j] = dtoToValue(d)
-				}
-				ts[i] = t
+	var rels []relation.Relation
+	var err error
+	switch {
+	case snap.Version < 1 || snap.Format != snapshotFormat(snap.Version):
+		err = fmt.Errorf("version %d with format tag %q", snap.Version, snap.Format)
+	case snap.Version == 1:
+		rels, err = snap.fromV1()
+	case snap.Version == snapshotVersion:
+		rels = make([]relation.Relation, len(snap.Rels))
+		for i := 0; i < len(rels) && err == nil; i++ {
+			if rels[i], err = decodeRows(snap.Rels[i]); err != nil {
+				err = fmt.Errorf("relation %d: %v", i, err)
 			}
-			base[pred] = ts
 		}
-		ws, err := RestoreWorkspace(sw.Blocks, base, sw.Arity)
+	default:
+		return nil, fmt.Errorf("core: %w %d (this build reads 1 and %d)", ErrSnapshotVersion, snap.Version, snapshotVersion)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w: %v", ErrCorruptSnapshot, err)
+	}
+	heads := make([]*Workspace, len(snap.Heads))
+	for i, h := range snap.Heads {
+		base := make(map[string]relation.Relation, len(h.Base))
+		for pred, ri := range h.Base {
+			if ri < 0 || ri >= len(rels) {
+				return nil, fmt.Errorf("core: %w: head %d: %s names relation %d of %d", ErrCorruptSnapshot, i, pred, ri, len(rels))
+			}
+			base[pred] = rels[ri]
+		}
+		ws, err := restoreWorkspace(h.Blocks, base)
 		if err != nil {
 			// A snapshot whose recorded logic no longer parses, compiles
 			// or satisfies its constraints is corrupt: Save only writes
 			// states that passed all three.
-			return nil, fmt.Errorf("core: %w: restoring branch %s: %v", ErrCorruptSnapshot, name, err)
+			return nil, fmt.Errorf("core: %w: restoring head %d: %v", ErrCorruptSnapshot, i, err)
 		}
-		if sw.Adaptive {
-			// Re-arm the adaptive optimizer with the learned orders. One
-			// nuance versus the live process: a plan store is shared by
-			// every branch derived from the workspace it was attached to,
-			// but the snapshot records it per branch head, so after a
-			// restore each branch continues with its own copy.
+		if h.Adaptive {
 			ws = ws.WithAdaptiveOptimizer(true)
-			ws.plans.Seed(sw.Plans)
+			ws.plans.Seed(h.Plans)
 		}
-		db.branches[name] = ws
-		db.history = append(db.history, VersionEntry{Branch: name, Workspace: ws})
+		heads[i] = ws
 	}
-	if _, ok := db.branches[DefaultBranch]; !ok {
-		ws := NewWorkspace()
-		db.branches[DefaultBranch] = ws
-		db.history = append(db.history, VersionEntry{Branch: DefaultBranch, Workspace: ws})
+	db := &Database{branches: map[string]*Workspace{DefaultBranch: NewWorkspace()}, seq: snap.Seq}
+	for name, i := range snap.BranchHeads {
+		if i < 0 || i >= len(heads) {
+			return nil, fmt.Errorf("core: %w: branch %s names head %d of %d", ErrCorruptSnapshot, name, i, len(heads))
+		}
+		db.branches[name] = heads[i]
+	}
+	for _, name := range db.Branches() {
+		db.history = append(db.history, VersionEntry{Branch: name, Workspace: db.branches[name]})
 	}
 	return db, nil
+}
+
+// fromV1 recasts a version-1 payload as version 2, one head with
+// relations of its own per branch, and returns those relations.
+func (snap *snapshotDB) fromV1() ([]relation.Relation, error) {
+	var rels []relation.Relation
+	snap.BranchHeads = map[string]int{}
+	for name, sw := range snap.Branches {
+		h := snapshotHead{Blocks: sw.Blocks, Base: map[string]int{}, Adaptive: sw.Adaptive, Plans: sw.Plans}
+		for pred, rows := range sw.Base {
+			a := sw.Arity[pred]
+			if a == 0 && len(rows) > 0 {
+				a = len(rows[0])
+			}
+			ts := make([]tuple.Tuple, len(rows))
+			for i, row := range rows {
+				if len(row) != a {
+					return nil, fmt.Errorf("branch %s: %s has a row of %d values, arity %d", name, pred, len(row), a)
+				}
+				ts[i] = make(tuple.Tuple, a)
+				for j, d := range row {
+					ts[i][j] = dtoToValue(d)
+				}
+			}
+			if a < 0 { // with no rows to contradict it
+				return nil, fmt.Errorf("branch %s: %s has arity %d", name, pred, a)
+			}
+			h.Base[pred] = len(rels)
+			rels = append(rels, relation.FromTuples(a, ts))
+		}
+		snap.BranchHeads[name] = len(snap.Heads)
+		snap.Heads = append(snap.Heads, h)
+	}
+	return rels, nil
 }
 
 // parseBlock parses one block's source with context in errors.

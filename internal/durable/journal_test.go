@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,5 +129,71 @@ func TestJournalMissing(t *testing.T) {
 	recs, torn, err := j.load()
 	if err != nil || torn || len(recs) != 0 {
 		t.Fatalf("load on missing journal: recs=%d torn=%v err=%v", len(recs), torn, err)
+	}
+}
+
+// Checkpoint rewrites the journal from the in-memory tail: after
+// Open → Recover → commits → checkpoints, the file holds exactly the
+// records above the oldest retained generation, and they are the tail.
+// Before Recover there is no tail to truncate from, so Checkpoint fails
+// and leaves the journal alone.
+func TestCheckpointTruncatesFromTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Generations: 2, CheckpointEvery: -1, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	db := core.NewDatabase()
+	if err := s.Checkpoint(db.SaveSnapshot); err == nil {
+		t.Fatal("Checkpoint before Recover succeeded")
+	}
+	if db, err = s.Recover(func() (*core.Database, error) { return db, nil }); err != nil {
+		t.Fatal(err)
+	}
+	db.SetCommitHook(s.LogCommit)
+	commit := func(n int) {
+		for i := 0; i < n; i++ {
+			ws, err := db.Workspace(core.DefaultBranch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := fmt.Sprintf("+p(%d).", db.Seq())
+			res, err := ws.Exec(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CommitIfRecorded(core.DefaultBranch, ws, res.Workspace, core.CommitRecord{Kind: "exec", Src: src}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 4; round++ {
+		commit(5)
+		if err := s.Checkpoint(db.SaveSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		commit(3)
+		raw, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, torn := readJournal(raw)
+		floor := s.Floor()
+		if torn || len(recs) == 0 || recs[0].Seq != floor+1 || recs[len(recs)-1].Seq != db.Seq() {
+			t.Fatalf("round %d: journal holds %d records (torn %v), want seqs %d..%d", round, len(recs), torn, floor+1, db.Seq())
+		}
+		tail, _, _, err := s.TailSince(floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tail) != len(recs) {
+			t.Fatalf("round %d: journal holds %d records, tail %d", round, len(recs), len(tail))
+		}
+		for i := range recs {
+			if recs[i] != tail[i] || i > 0 && recs[i].Seq != recs[i-1].Seq+1 {
+				t.Fatalf("round %d: journal record %d = %+v, tail %+v", round, i, recs[i], tail[i])
+			}
+		}
 	}
 }

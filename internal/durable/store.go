@@ -118,10 +118,14 @@ type Store struct {
 	closed   bool
 
 	// tail mirrors the journal's records above the retained floor in
-	// memory — the cursor GET /journal/tail streams from, so serving a
-	// follower never rereads the journal file. Populated by Recover,
-	// appended by LogCommit, trimmed by Checkpoint's truncation.
+	// memory — the cursor GET /journal/tail streams from, and what
+	// Checkpoint rewrites the journal from, so neither rereads the
+	// journal file. Populated by Recover, appended by LogCommit, trimmed
+	// by Checkpoint's truncation.
 	tail []core.CommitRecord
+	// ready is set once Recover has seeded tail; Checkpoint refuses to
+	// run before.
+	ready bool
 	// notify is closed and replaced under mu whenever the tail grows (or
 	// the store closes): the broadcast WaitSeq long-polls on.
 	notify chan struct{}
@@ -170,7 +174,9 @@ func (s *Store) Dir() string { return s.dir }
 
 // Recover rebuilds the database this directory describes: the newest
 // snapshot generation that validates (corrupt generations are skipped,
-// counted in durable.corrupt_skipped) plus a replay of the journal tail
+// counted in durable.corrupt_skipped; one of a payload version this build
+// does not read stops recovery with core.ErrSnapshotVersion) plus a
+// replay of the journal tail
 // through the normal transaction path (derived predicates re-derive;
 // paper T4 #5). fresh supplies the database when the directory holds no
 // usable snapshot. The returned database has no commit hook installed
@@ -189,6 +195,12 @@ func (s *Store) Recover(fresh func() (*core.Database, error)) (*core.Database, e
 		payload, err := ReadSnapshotFile(s.fsys, path)
 		if err == nil {
 			db, err = core.LoadDatabase(bytes.NewReader(payload))
+		}
+		if errors.Is(err, core.ErrSnapshotVersion) {
+			// Not damage: a build that cannot read this generation must
+			// not fall back past it and replay a journal truncated to
+			// the oldest one.
+			return nil, fmt.Errorf("durable: %s: %w", path, err)
 		}
 		if err != nil {
 			// Fall back to the previous generation on any unusable
@@ -272,6 +284,7 @@ func (s *Store) Recover(fresh func() (*core.Database, error)) (*core.Database, e
 	// Seed the in-memory tail cursor with the records above the retained
 	// floor — what a tailing follower may still be served.
 	s.tail = append([]core.CommitRecord(nil), kept...)
+	s.ready = true
 	s.bumpLocked()
 	s.recovered = Stats{
 		RecoveredSnapshotSeq: snapSeq,
@@ -330,8 +343,14 @@ func (s *Store) Checkpoint(save SaveFunc) error {
 		return fmt.Errorf("durable: checkpoint save: %w", err)
 	}
 	s.mu.Lock()
+	ready := s.ready
 	already := len(s.genSeqs) > 0 && s.genSeqs[len(s.genSeqs)-1] >= seq
 	s.mu.Unlock()
+	if !ready {
+		// Before Recover the tail is empty: truncating from it would drop
+		// every journaled record.
+		return errors.New("durable: checkpoint before Recover")
+	}
 	if already {
 		return nil // nothing committed since the newest generation
 	}
@@ -353,15 +372,13 @@ func (s *Store) Checkpoint(save SaveFunc) error {
 
 	// Truncate the journal, keeping every record a retained generation
 	// might still need for fallback recovery (records newer than the
-	// oldest generation, not merely newer than this one).
-	recs, _, err := s.j.load()
-	if err != nil {
-		return fmt.Errorf("durable: checkpoint journal read: %w", err)
-	}
+	// oldest generation, not merely newer than this one). The tail
+	// already holds every journaled record above the old floor, so the
+	// file is rewritten from memory, not re-read under the lock.
 	keepAfter := s.genSeqs[0]
-	kept := recs[:0:0]
+	kept := make([]core.CommitRecord, 0, len(s.tail))
 	pending := 0
-	for _, rec := range recs {
+	for _, rec := range s.tail {
 		if rec.Seq > keepAfter {
 			kept = append(kept, rec)
 		}
@@ -372,7 +389,7 @@ func (s *Store) Checkpoint(save SaveFunc) error {
 	if err := s.j.rewrite(kept); err != nil {
 		return err
 	}
-	s.tail = append(s.tail[:0:0], kept...)
+	s.tail = kept
 	s.bumpLocked()
 	s.pending = pending
 	s.lastCkpt = time.Now()

@@ -1,8 +1,10 @@
 package durable_test
 
 import (
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -167,6 +169,68 @@ func TestRecoverSkipsCorruptNewestGeneration(t *testing.T) {
 	}
 	if got := reg.Counter("durable.corrupt_skipped").Value(); got != 1 {
 		t.Fatalf("durable.corrupt_skipped = %d", got)
+	}
+}
+
+// A generation in a payload version this build cannot read is not
+// corruption: Recover must stop with ErrSnapshotVersion instead of
+// skipping it, since falling back past every generation would start from
+// an empty database and replay a journal already truncated to the
+// oldest one.
+func TestRecoverStopsAtUnsupportedVersion(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.Open(dir, durable.Options{Generations: 1, CheckpointEvery: -1, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := store.Recover(freshDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetCommitHook(store.LogCommit)
+	for v := 0; v < 3; v++ {
+		if err := commitValue(db, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Checkpoint(db.SaveSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := commitValue(db, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A well-framed generation of a future payload version.
+	gens := snapshotFiles(t, dir)
+	if len(gens) != 1 {
+		t.Fatalf("generations = %v, want 1", gens)
+	}
+	future := struct {
+		Version int
+		Format  string
+	}{99, "logicblox-snapshot-v99"}
+	if err := durable.WriteSnapshotFile(nil, gens[0], func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(future)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := durable.Open(dir, durable.Options{CheckpointEvery: -1, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	db2, err := store2.Recover(freshDB)
+	if !errors.Is(err, core.ErrSnapshotVersion) {
+		t.Fatalf("Recover over a version-99 generation: db = %v, err = %v, want ErrSnapshotVersion", db2, err)
+	}
+	if errors.Is(err, core.ErrCorruptSnapshot) {
+		t.Fatalf("an unsupported version reads as corruption: %v", err)
+	}
+	if err := store2.Checkpoint(db.SaveSnapshot); err == nil {
+		t.Fatal("Checkpoint after a failed Recover truncated the journal")
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -230,6 +231,37 @@ func TestLoadCorruptSnapshotRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || errResp.Code != "corrupt_snapshot" {
 		t.Fatalf("corrupt /load: status %d code %q, want 400 corrupt_snapshot", resp.StatusCode, errResp.Code)
+	}
+	if got := queryInts(t, ts, "main", `_(x) <- p(x).`); !intsEqual(got, []int{7}) {
+		t.Fatalf("served database disturbed by rejected load: %v", got)
+	}
+}
+
+// A /load body of a payload version this build does not read is
+// rejected 400 snapshot_version, distinct from corruption, and leaves the
+// served database alone.
+func TestLoadUnsupportedVersionRejected(t *testing.T) {
+	dir := t.TempDir()
+	_, _, ts := newDurableServer(t, dir)
+	mustOK(t, ts, http.MethodPost, "/exec", Request{Src: "+p(7)."}, nil)
+
+	var body bytes.Buffer
+	future := struct {
+		Version int
+		Format  string
+	}{99, "logicblox-snapshot-v99"}
+	if err := gob.NewEncoder(&body).Encode(future); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/load", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errResp ErrorResponse
+	json.NewDecoder(resp.Body).Decode(&errResp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || errResp.Code != "snapshot_version" {
+		t.Fatalf("version-99 /load: status %d code %q, want 400 snapshot_version", resp.StatusCode, errResp.Code)
 	}
 	if got := queryInts(t, ts, "main", `_(x) <- p(x).`); !intsEqual(got, []int{7}) {
 		t.Fatalf("served database disturbed by rejected load: %v", got)

@@ -39,6 +39,8 @@ func statusFor(err error) (status int, code string) {
 		return http.StatusUnprocessableEntity, "typecheck"
 	case errors.Is(err, core.ErrCorruptSnapshot):
 		return http.StatusBadRequest, "corrupt_snapshot"
+	case errors.Is(err, core.ErrSnapshotVersion):
+		return http.StatusBadRequest, "snapshot_version"
 	case errors.Is(err, core.ErrDurability):
 		return http.StatusInternalServerError, "durability"
 	case errors.Is(err, errBusy):

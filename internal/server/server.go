@@ -508,7 +508,8 @@ func (s *Server) handleVersions(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSave streams a binary snapshot of every branch head (the
-// Database.Save gob format LoadDatabase and POST /load accept).
+// Database.Save payload, version 2, that LoadDatabase and POST /load
+// accept).
 func (s *Server) handleSave(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", "attachment; filename=logicblox.snapshot")
@@ -520,8 +521,9 @@ func (s *Server) handleSave(w http.ResponseWriter, _ *http.Request) {
 
 // handleLoad replaces the served database with the snapshot in the
 // request body (derived predicates re-materialize during restore). A
-// corrupt snapshot is rejected 400 (core.ErrCorruptSnapshot) without
-// touching the served database. Under durability the store is
+// corrupt snapshot (core.ErrCorruptSnapshot) or one of a payload version
+// this build does not read (core.ErrSnapshotVersion) is rejected 400
+// without touching the served database. Under durability the store is
 // re-anchored: the old database is detached from the journal, the new
 // one's sequence numbers are aligned past everything journaled, and a
 // checkpoint makes the uploaded state the newest snapshot generation
