@@ -14,10 +14,9 @@ package logicblox
 // E8       BenchmarkTreap
 // E9       BenchmarkSolver
 // E10      BenchmarkPredict
-// E11      BenchmarkAdaptiveOptimizer
-// ablation BenchmarkVariableOrder, BenchmarkOptimizer,
-//          BenchmarkPartitionedTriangle, BenchmarkWorkspaceExec,
-//          BenchmarkQuery
+// E11      BenchmarkOptimizer
+// ablation BenchmarkVariableOrder, BenchmarkPartitionedTriangle,
+//          BenchmarkWorkspaceExec, BenchmarkQuery
 
 import (
 	"context"
@@ -177,6 +176,9 @@ func BenchmarkVariableOrder(b *testing.B) {
 func BenchmarkOptimizer(b *testing.B) {
 	// q(a,b,c) <- r(a,b), s(b,c), t(c): the static heuristic starts at b
 	// (most occurrences); with a tiny t, starting at c is far cheaper.
+	// Each iteration evaluates in a fresh engine context, as every
+	// transaction does, so an order that reads r and s in a column order
+	// they are not stored in pays for building those permuted indices.
 	prog := mustCompileB(b, `q(a, b, c) <- r(a, b), s(b, c), t(c).`)
 	r := relation.New(2)
 	s := relation.New(2)
@@ -187,82 +189,30 @@ func BenchmarkOptimizer(b *testing.B) {
 	tt := relation.New(1)
 	tt = tt.Insert(tuple.Ints(17))
 	base := map[string]relation.Relation{"r": r, "s": s, "t": tt}
+	rels := func(name string) relation.Relation { return base[name] }
 	rule := prog.Rules[0]
-	b.Run("heuristic-order", func(b *testing.B) {
-		ctx := engine.NewContext(prog, base, engine.Options{})
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.EvalRule(rule, nil); err != nil {
-				b.Fatal(err)
+	sampled, err := optimizer.ChooseOrder(rule, rels, optimizer.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		plan *compiler.RulePlan
+	}{{"heuristic-order", rule}, {"sampled-order", sampled.Plan}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ctx := engine.NewContext(prog, base, engine.Options{})
+				if _, err := ctx.EvalRule(arm.plan, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("sampled-order", func(b *testing.B) {
-		// Steady state: the optimizer's choice is cached after the first
-		// evaluation; the benchmark measures the chosen plan.
-		ctx := engine.NewContext(prog, base, engine.Options{Plans: optimizer.NewPlanStore()})
-		if _, err := ctx.EvalRule(rule, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.EvalRule(rule, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 	b.Run("choose-order-cost", func(b *testing.B) {
-		rels := func(name string) relation.Relation { return base[name] }
 		for i := 0; i < b.N; i++ {
 			if _, err := optimizer.ChooseOrder(rule, rels, optimizer.Options{}); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// E11: the adaptive optimizer loop. Each iteration models a transaction
-// re-entering fixpoint evaluation: a fresh engine context (per-context
-// plan memos are cold, as after a recompile) evaluates the same rule.
-// Without a plan store every re-entry runs the compiler's order; with one,
-// the sampled order is chosen once and reused from the cache.
-func BenchmarkAdaptiveOptimizer(b *testing.B) {
-	prog := mustCompileB(b, `q(a, b, c) <- r(a, b), s(b, c), t(c).`)
-	r := relation.New(2)
-	s := relation.New(2)
-	for i := int64(0); i < 120000; i++ {
-		r = r.Insert(tuple.Ints(i%2000, i%3000))
-		s = s.Insert(tuple.Ints(i%3000, i%4000))
-	}
-	tt := relation.New(1)
-	tt = tt.Insert(tuple.Ints(17))
-	base := map[string]relation.Relation{"r": r, "s": s, "t": tt}
-	rule := prog.Rules[0]
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ctx := engine.NewContext(prog, base, engine.Options{})
-			if _, err := ctx.EvalRule(rule, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plan-cache", func(b *testing.B) {
-		store := optimizer.NewPlanStore()
-		// Warm the store: first decision samples, the rest reuse it.
-		ctx := engine.NewContext(prog, base, engine.Options{Plans: store})
-		if _, err := ctx.EvalRule(rule, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctx := engine.NewContext(prog, base, engine.Options{Plans: store})
-			if _, err := ctx.EvalRule(rule, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := store.Stats()
-		if st.Hits < int64(b.N) {
-			b.Fatalf("expected at least %d plan-cache hits, got %+v", b.N, st)
 		}
 	})
 }

@@ -25,7 +25,7 @@ func runBranch(quick bool) {
 	}
 	fmt.Printf("%-12s %-16s %-14s\n", "facts", "branches/sec", "ns/branch")
 	for _, n := range sizes {
-		ws := newWorkspace()
+		ws := core.NewWorkspace()
 		ws, err := ws.AddBlock("s", `fact(x, y) -> int(x), int(y).`)
 		if err != nil {
 			panic(err)
@@ -173,7 +173,7 @@ func runLive(quick bool) {
 	}
 	fmt.Printf("%-12s %-18s %-18s\n", "views", "addblock (incr)", "rebuild (full)")
 	for _, n := range counts {
-		ws := newWorkspace()
+		ws := core.NewWorkspace()
 		var err error
 		ws, err = ws.AddBlock("schema", `src(x, y) -> int(x), int(y).`)
 		if err != nil {
@@ -208,7 +208,7 @@ func runLive(quick bool) {
 
 		// Full rebuild: reinstall everything from scratch.
 		t0 = time.Now()
-		fresh := newWorkspace()
+		fresh := core.NewWorkspace()
 		fresh, _ = fresh.AddBlock("schema", `src(x, y) -> int(x), int(y).`)
 		fresh, _ = fresh.Load("src", ts)
 		for name, srcB := range blocks {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lb-experiments [-exp all|adaptive|fig3|fig5|wco|branch|ivm|live|treap|repair|solve|predict] [-quick]
-//	               [-adaptive-opt] [-obs-json file]
+//	               [-obs-json file]
 //
 // With -obs-json, a process-wide metrics registry is installed for the
 // run and its snapshot (counters, rule profiles, transaction histograms,
@@ -20,24 +20,9 @@ import (
 	"sort"
 	"strings"
 
-	"logicblox/internal/core"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 )
-
-// useAdaptiveOpt is set by -adaptive-opt: workspace-driven experiments
-// then evaluate with the feedback-driven plan-store optimizer instead of
-// the default heuristic order.
-var useAdaptiveOpt bool
-
-// newWorkspace returns an empty workspace honoring -adaptive-opt.
-func newWorkspace() *core.Workspace {
-	ws := core.NewWorkspace()
-	if useAdaptiveOpt {
-		ws = ws.WithAdaptiveOptimizer(true)
-	}
-	return ws
-}
 
 type experiment struct {
 	name string
@@ -56,7 +41,7 @@ var experiments = []experiment{
 	{"repair", "E3: fine-grained transaction repair vs coarse optimistic retry across α (paper §3.4)", runRepair},
 	{"solve", "E9: LP/MIP grounding, solving, and incremental re-grounding", runSolve},
 	{"predict", "E10: predict rules — learn and eval throughput and accuracy", runPredict},
-	{"adaptive", "E11: feedback-driven join-order optimization — compiler order vs plan cache", runAdaptive},
+	{"adaptive", "E11: sampled join order vs the compiler's, one evaluation in a fresh context (paper §3.2)", runAdaptive},
 }
 
 func main() {
@@ -67,10 +52,8 @@ func main() {
 	sort.Strings(names)
 	exp := flag.String("exp", "all", "experiment to run: all|"+strings.Join(names, "|"))
 	quick := flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	adaptive := flag.Bool("adaptive-opt", false, "run workspace-driven experiments with the adaptive plan-store optimizer")
 	obsJSON := flag.String("obs-json", "", `write the run's observability snapshot as JSON to this file ("-" for stdout)`)
 	flag.Parse()
-	useAdaptiveOpt = *adaptive
 
 	var reg *obs.Registry
 	if *obsJSON != "" {

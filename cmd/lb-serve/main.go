@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lb-serve [-addr :8080] [-workers N] [-queue N] [-timeout 30s]
-//	         [-retries 3] [-default-limit N] [-adaptive-opt]
+//	         [-retries 3] [-default-limit N]
 //	         [-access-log stderr|stdout|file] [-slow-query 500ms]
 //	         [-trace-sample N] [-debug-addr :6060]
 //	         [-data-dir dir [-fsync always|interval] [-fsync-interval 50ms]
@@ -74,7 +74,6 @@ func main() {
 	retries := flag.Int("retries", 3, "max optimistic re-executions after commit conflicts")
 	defaultLimit := flag.Int("default-limit", 0, "default row cap on materialized /query responses (0 = 10000, negative = uncapped; explicit limit in the request always wins)")
 	noRepair := flag.Bool("no-repair", false, "disable fine-grained transaction repair on conflict (every lost race re-executes fully)")
-	adaptive := flag.Bool("adaptive-opt", false, "feedback-driven join-order optimization with a cached plan store")
 	snapshot := flag.String("snapshot", "", "load the database from this file at startup and save it on shutdown (no journaling; see -data-dir)")
 	dataDir := flag.String("data-dir", "", "run durably from this directory: snapshot generations + write-ahead commit journal")
 	fsync := flag.String("fsync", durable.FsyncAlways, "journal fsync policy: always (durable acks) or interval (bounded loss, higher throughput)")
@@ -122,9 +121,9 @@ func main() {
 			CheckpointInterval: *ckptInterval,
 			Generations:        *generations,
 			Obs:                reg,
-		}, *adaptive, *follow == "")
+		}, *follow == "")
 	} else {
-		db, err = openDatabase(*snapshot, *adaptive)
+		db, err = openDatabase(*snapshot)
 	}
 	if err != nil {
 		log.Fatalf("lb-serve: %v", err)
@@ -260,13 +259,13 @@ func serveDebug(addr string) {
 // (primary=false) the replica subsystem journals replayed records itself
 // and installs the hook on promotion. The caller starts the background
 // checkpointer once the server exists.
-func openDurable(dir string, opts durable.Options, adaptive, primary bool) (*durable.Store, *core.Database, error) {
+func openDurable(dir string, opts durable.Options, primary bool) (*durable.Store, *core.Database, error) {
 	store, err := durable.Open(dir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	db, err := store.Recover(func() (*core.Database, error) {
-		return newDatabase(adaptive), nil
+		return logicblox.Open(), nil
 	})
 	if err != nil {
 		store.Close()
@@ -281,18 +280,10 @@ func openDurable(dir string, opts durable.Options, adaptive, primary bool) (*dur
 	return store, db, nil
 }
 
-func newDatabase(adaptive bool) *core.Database {
-	var opts []logicblox.Option
-	if adaptive {
-		opts = append(opts, logicblox.WithAdaptiveOptimizer())
-	}
-	return logicblox.Open(opts...)
-}
-
 // openDatabase loads the snapshot when one is named and present,
 // otherwise opens a fresh database. Framed (checksummed) and legacy raw
 // gob snapshot files are both accepted.
-func openDatabase(path string, adaptive bool) (*core.Database, error) {
+func openDatabase(path string) (*core.Database, error) {
 	if path != "" {
 		payload, err := durable.ReadSnapshotFile(durable.OS, path)
 		if err == nil {
@@ -307,7 +298,7 @@ func openDatabase(path string, adaptive bool) (*core.Database, error) {
 			return nil, fmt.Errorf("load %s: %w", path, err)
 		}
 	}
-	return newDatabase(adaptive), nil
+	return logicblox.Open(), nil
 }
 
 // saveDatabase writes the snapshot atomically (temp file, fsync, rename,

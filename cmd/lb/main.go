@@ -4,18 +4,12 @@
 //
 // Usage:
 //
-//	lb [-stats] [-trace] [-adaptive-opt] [script.lb]
+//	lb [-stats] [-trace] [script.lb]
 //
 // With -stats, every transaction is followed by a per-rule profile table
 // (evaluation time, tuples produced, leapfrog seeks/nexts, sensitivity
 // records); with -trace, by a span tree of the transaction's phases.
 // :stats dumps the full metric snapshot of the last transaction.
-//
-// With -adaptive-opt, rule join orders are chosen by the feedback-driven
-// adaptive optimizer: sampling runs once per rule, the chosen order is
-// cached in a plan store shared across transactions, and re-sampling
-// happens only when observed evaluation costs or input cardinalities
-// drift. :plans dumps the plan store.
 //
 // Commands (everything else is interpreted as LogiQL):
 //
@@ -35,8 +29,6 @@
 //	                            unconsumed heads, singleton variables, …)
 //	                            over the installed logic, optionally
 //	                            merged with a candidate file
-//	:plans                      dump the adaptive optimizer's plan store
-//	                            with per-plan drift history
 //	:save <file>                write a snapshot of all branches
 //	:open <file>                replace the session with a saved snapshot
 //	:help                       show this help
@@ -65,14 +57,9 @@ import (
 func main() {
 	stats := flag.Bool("stats", false, "print a per-rule profile table after every transaction")
 	trace := flag.Bool("trace", false, "print a phase span tree after every transaction")
-	adaptive := flag.Bool("adaptive-opt", false, "feedback-driven join-order optimization with a cached plan store")
 	flag.Parse()
 
-	var opts []logicblox.Option
-	if *adaptive {
-		opts = append(opts, logicblox.WithAdaptiveOptimizer())
-	}
-	r := &repl{db: logicblox.Open(opts...), branch: logicblox.DefaultBranch, out: os.Stdout}
+	r := &repl{db: logicblox.Open(), branch: logicblox.DefaultBranch, out: os.Stdout}
 	r.enableObs(*stats, *trace)
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
@@ -195,7 +182,7 @@ func (r *repl) command(line string, blockName *string) bool {
 		fmt.Fprintln(r.out, "commands: :addblock <name> <<  |  :removeblock <name>  |  :load <name> <file>")
 		fmt.Fprintln(r.out, "          :import <pred> <file.csv>")
 		fmt.Fprintln(r.out, "          :blocks  :rel <pred>  :branch <from> <to>  :checkout <br>  :branches")
-		fmt.Fprintln(r.out, "          :solve  :check [file]  :stats  :plans  :quit")
+		fmt.Fprintln(r.out, "          :solve  :check [file]  :stats  :quit")
 		fmt.Fprintln(r.out, "queries:  ?- _(x) <- p(x).        exec:  +p(\"a\").")
 	case ":stats":
 		if r.reg == nil {
@@ -205,14 +192,6 @@ func (r *repl) command(line string, blockName *string) bool {
 		snap := r.reg.Snapshot()
 		fmt.Fprint(r.out, logicblox.FormatRuleTable(snap))
 		fmt.Fprint(r.out, logicblox.FormatCounters(snap))
-	case ":plans":
-		ws := must(r.db.Workspace(r.branch))
-		ps := ws.PlanStore()
-		if ps == nil {
-			fmt.Fprintln(r.out, "adaptive optimization is off — start lb with -adaptive-opt")
-			break
-		}
-		fmt.Fprint(r.out, logicblox.FormatPlanTable(ps.Stats(), ps.Snapshot()))
 	case ":check":
 		if len(fields) > 2 {
 			fmt.Fprintln(r.out, "usage: :check [file]")

@@ -339,30 +339,6 @@ func TestExecAuditLogReactiveRule(t *testing.T) {
 	}
 }
 
-func TestWorkspaceWithOptimizer(t *testing.T) {
-	build := func(opt bool) *Workspace {
-		ws := NewWorkspace()
-		if opt {
-			ws = ws.WithAdaptiveOptimizer(true)
-		}
-		ws = mustAddBlock(t, ws, "g", `
-			edge(x, y) -> int(x), int(y).
-			tri(x, y, z) <- edge(x, y), edge(y, z), edge(x, z).`)
-		ws = mustExec(t, ws, `+edge(1, 2). +edge(2, 3). +edge(1, 3). +edge(3, 4).`)
-		return ws
-	}
-	plain, optimized := build(false), build(true)
-	if !plain.Relation("tri").Equal(optimized.Relation("tri")) {
-		t.Fatalf("optimizer changed results: %v vs %v",
-			plain.Relation("tri").Slice(), optimized.Relation("tri").Slice())
-	}
-	// The plan store survives transactions.
-	next := mustExec(t, optimized, `+edge(2, 4).`)
-	if !next.Relation("tri").Contains(tuple.Ints(2, 3, 4)) {
-		t.Fatalf("tri after insert = %v", next.Relation("tri").Slice())
-	}
-}
-
 func TestSaveAndLoadDatabase(t *testing.T) {
 	db := NewDatabase()
 	ws, _ := db.Workspace(DefaultBranch)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -228,51 +227,6 @@ func TestCommitIf(t *testing.T) {
 	}
 	if err := db.CommitIf("nope", head2, b2.Workspace); !errors.Is(err, ErrNoSuchBranch) {
 		t.Fatalf("unknown branch = %v", err)
-	}
-}
-
-// TestSavePersistsPlanStore round-trips a database running the adaptive
-// optimizer through Save/LoadDatabase: the restored workspace must still
-// be adaptive and its plan store must be seeded with the saved plans
-// (keyed by structural rule fingerprints, which survive recompilation).
-func TestSavePersistsPlanStore(t *testing.T) {
-	db := NewDatabaseWith(NewWorkspace().WithAdaptiveOptimizer(true))
-	head, _ := db.Workspace(DefaultBranch)
-	head = mustAddBlock(t, head, "tc", `
-		path(x, y) <- edge(x, y).
-		path(x, z) <- path(x, y), edge(y, z).`)
-	res, err := head.Exec(`+edge(1, 2). +edge(2, 3). +edge(3, 4).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Commit(DefaultBranch, res.Workspace); err != nil {
-		t.Fatal(err)
-	}
-	ps := res.Workspace.PlanStore()
-	if ps == nil || len(ps.Snapshot()) == 0 {
-		t.Fatalf("no plans cached before save (store=%v)", ps)
-	}
-	want := len(ps.Snapshot())
-
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadDatabase(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, _ := restored.Workspace(DefaultBranch)
-	rps := ws.PlanStore()
-	if rps == nil {
-		t.Fatal("restored workspace lost its plan store")
-	}
-	if got := len(rps.Snapshot()); got != want {
-		t.Fatalf("restored plans = %d, want %d", got, want)
-	}
-	// The restored database keeps optimizing new transactions.
-	if _, err := ws.Exec(`+edge(4, 5).`); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -104,7 +104,7 @@ func NewDatabase() *Database { return NewDatabaseWith(NewWorkspace()) }
 
 // NewDatabaseWith returns a database whose main branch starts at ws —
 // the hook the functional options of logicblox.Open use to configure
-// the root workspace (optimizer, observer) before the first commit.
+// the root workspace (its observer) before the first commit.
 func NewDatabaseWith(ws *Workspace) *Database {
 	return &Database{
 		branches: map[string]*Workspace{DefaultBranch: ws},

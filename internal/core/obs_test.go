@@ -87,6 +87,46 @@ func TestTransactionSpansAndCounters(t *testing.T) {
 	}
 }
 
+// TestRuleProfilesKeyedBySource: rule profiles are keyed by source text,
+// so rules that happen to share a compile-order position in different
+// programs (an exec's fact, a query, a constraint body) each get their
+// own profile instead of merging into whichever rule registered first.
+func TestRuleProfilesKeyedBySource(t *testing.T) {
+	reg := obs.NewRegistry()
+	ws, err := NewWorkspace().WithObserver(reg).AddBlock("b", `
+		v(x) <- p(x).
+		p(x), q(x) -> x > 0.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ws.Exec(`+p(1). +p(2). +q(3).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{`_(x) <- p(x), x > 1.`, `_(y) <- q(y).`} {
+		if _, err := res.Workspace.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evals := map[string]int64{}
+	for _, r := range reg.Snapshot().Rules {
+		evals[r.Source] = r.Evals + r.DeltaEvals
+	}
+	for _, src := range []string{"+p(1).", "_(x) <- p(x), x > 1.", "_(y) <- q(y).", "p(x), q(x) -> x > 0."} {
+		if evals[src] == 0 {
+			t.Fatalf("no profile for %q: %v", src, evals)
+		}
+	}
+	if evals["+p(1)."] != 1 {
+		t.Fatalf("+p(1). evaluated %d times, want 1: %v", evals["+p(1)."], evals)
+	}
+	for _, q := range []string{"_(x) <- p(x), x > 1.", "_(y) <- q(y)."} {
+		if evals[q] != 1 {
+			t.Fatalf("%q evaluated %d times, want 1: %v", q, evals[q], evals)
+		}
+	}
+}
+
 // TestAbortCounted checks that a constraint violation records an abort,
 // not a commit.
 func TestAbortCounted(t *testing.T) {

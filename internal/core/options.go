@@ -7,12 +7,6 @@ import "logicblox/internal/obs"
 // whole lineage inherits it.
 type Option func(*Workspace) *Workspace
 
-// OptAdaptiveOptimizer enables the adaptive optimizer with a fresh plan
-// store.
-func OptAdaptiveOptimizer() Option {
-	return func(ws *Workspace) *Workspace { return ws.WithAdaptiveOptimizer(true) }
-}
-
 // OptObserver attaches a metrics registry to the lineage.
 func OptObserver(reg *obs.Registry) Option {
 	return func(ws *Workspace) *Workspace { return ws.WithObserver(reg) }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"logicblox/internal/ast"
-	"logicblox/internal/optimizer"
 	"logicblox/internal/parser"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
@@ -53,22 +52,15 @@ type valueDTO struct {
 
 // snapshotWorkspace is one branch of a version-1 payload.
 type snapshotWorkspace struct {
-	Blocks   map[string]string
-	Base     map[string][][]valueDTO
-	Arity    map[string]int
-	Adaptive bool
-	Plans    []optimizer.SavedPlan
+	Blocks map[string]string
+	Base   map[string][][]valueDTO
+	Arity  map[string]int
 }
 
 // snapshotHead is one distinct branch head of a version-2 payload.
-// Adaptive records that it ran with the adaptive optimizer, and Plans
-// carries its plan store's learned orders (keyed by structural rule
-// fingerprints, which survive restarts).
 type snapshotHead struct {
-	Blocks   map[string]string
-	Base     map[string]int // predicate → index into snapshotDB.Rels
-	Adaptive bool
-	Plans    []optimizer.SavedPlan
+	Blocks map[string]string
+	Base   map[string]int // predicate → index into snapshotDB.Rels
 }
 
 // snapshotRel is one distinct base relation: appendRows' encoding.
@@ -293,7 +285,7 @@ func (db *Database) SaveSnapshot(w io.Writer) (seq uint64, err error) {
 		i, ok := heads[ws]
 		if !ok {
 			i, heads[ws] = len(snap.Heads), len(snap.Heads)
-			h := snapshotHead{Blocks: map[string]string{}, Base: map[string]int{}, Adaptive: ws.plans != nil, Plans: ws.plans.Export()}
+			h := snapshotHead{Blocks: map[string]string{}, Base: map[string]int{}}
 			ws.blocks.Range(func(name, src string) bool {
 				h.Blocks[name] = src
 				return true
@@ -359,10 +351,6 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			// states that passed all three.
 			return nil, fmt.Errorf("core: %w: restoring head %d: %v", ErrCorruptSnapshot, i, err)
 		}
-		if h.Adaptive {
-			ws = ws.WithAdaptiveOptimizer(true)
-			ws.plans.Seed(h.Plans)
-		}
 		heads[i] = ws
 	}
 	db := &Database{branches: map[string]*Workspace{DefaultBranch: NewWorkspace()}, seq: snap.Seq}
@@ -384,7 +372,7 @@ func (snap *snapshotDB) fromV1() ([]relation.Relation, error) {
 	var rels []relation.Relation
 	snap.BranchHeads = map[string]int{}
 	for name, sw := range snap.Branches {
-		h := snapshotHead{Blocks: sw.Blocks, Base: map[string]int{}, Adaptive: sw.Adaptive, Plans: sw.Plans}
+		h := snapshotHead{Blocks: sw.Blocks, Base: map[string]int{}}
 		for pred, rows := range sw.Base {
 			a := sw.Arity[pred]
 			if a == 0 && len(rows) > 0 {

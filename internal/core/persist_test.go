@@ -115,7 +115,30 @@ type v1Workspace struct {
 	Base     map[string][][]v1Value
 	Arity    map[string]int
 	Adaptive bool
+	Plans    []savedPlan
 }
+
+// savedPlan is a test-local copy of the plan orders that builds with an
+// adaptive join-order optimizer saved in each head (Adaptive set) of both
+// payload versions. This build has neither field; gob skips them.
+type savedPlan struct {
+	Fingerprint string
+	Head        string
+	Source      string
+	Order       []int
+	SampleCost  int
+	Cards       map[string]int
+	Preds       []string
+	BaselineOps int64
+	History     []int64
+}
+
+// savedPlans is a non-empty saved plan list for the planned payloads.
+var savedPlans = []savedPlan{{
+	Fingerprint: "f00d", Head: "cheap", Source: "cheap(p) <- price[p] = v, v < 2.0.",
+	Order: []int{1, 0}, SampleCost: 12, Cards: map[string]int{"price": 2},
+	Preds: []string{"price"}, BaselineOps: 40, History: []int64{40, 38},
+}}
 
 type v1DB struct {
 	Version  int
@@ -124,8 +147,9 @@ type v1DB struct {
 }
 
 // v1Payload is a version-1 snapshot of two branches over a price table
-// with a derived view: main holds a and b, side also c.
-func v1Payload(t testing.TB) []byte {
+// with a derived view: main holds a and b, side also c. planned writes
+// each branch as an adaptive-optimizer build did, with saved plans.
+func v1Payload(t testing.TB, planned bool) []byte {
 	t.Helper()
 	block := map[string]string{"s": `
 		price[p] = v -> string(p), float(v).
@@ -137,6 +161,12 @@ func v1Payload(t testing.TB) []byte {
 		"side": {Blocks: block, Arity: map[string]int{"price": 2},
 			Base: map[string][][]v1Value{"price": {row("a", 1), row("b", 3), row("c", 0.5)}}},
 	}}
+	if planned {
+		for name, b := range snap.Branches {
+			b.Adaptive, b.Plans = true, savedPlans
+			snap.Branches[name] = b
+		}
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
@@ -146,7 +176,7 @@ func v1Payload(t testing.TB) []byte {
 
 // A payload written by a version-1 build still loads.
 func TestLoadDatabaseVersion1(t *testing.T) {
-	db, err := LoadDatabase(bytes.NewReader(v1Payload(t)))
+	db, err := LoadDatabase(bytes.NewReader(v1Payload(t, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +190,86 @@ func TestLoadDatabaseVersion1(t *testing.T) {
 		}
 		if got := ws.Relation("cheap").Len(); got != want {
 			t.Fatalf("%s: cheap = %v, want %d tuples", branch, ws.Relation("cheap").Slice(), want)
+		}
+	}
+}
+
+// Test-local copies of the version-2 envelope with the fields an
+// adaptive-optimizer build added to each head.
+type v2Head struct {
+	Blocks   map[string]string
+	Base     map[string]int
+	Adaptive bool
+	Plans    []savedPlan
+}
+
+type v2DB struct {
+	Version     int
+	Format      string
+	Seq         uint64
+	Heads       []v2Head
+	Rels        []snapshotRel
+	BranchHeads map[string]int
+}
+
+// plannedV2 rewrites a version-2 payload as an adaptive-optimizer build
+// wrote it: every head flagged Adaptive, with saved plans.
+func plannedV2(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var snap snapshotDB
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	out := v2DB{Version: snap.Version, Format: snap.Format, Seq: snap.Seq, Rels: snap.Rels, BranchHeads: snap.BranchHeads}
+	for _, h := range snap.Heads {
+		out.Heads = append(out.Heads, v2Head{Blocks: h.Blocks, Base: h.Base, Adaptive: true, Plans: savedPlans})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Payloads of both versions written with saved plan orders load equal to
+// the same payloads without them, and the loaded heads keep executing.
+func TestLoadDatabaseIgnoresSavedPlans(t *testing.T) {
+	v2 := buildSnapshot(t)
+	for _, c := range []struct {
+		name           string
+		planned, plain []byte
+		exec, view     string // one more fact, and the view it adds a tuple to
+	}{
+		{"v1", v1Payload(t, true), v1Payload(t, false), `+price["d"] = 1.5.`, "cheap"},
+		{"v2", plannedV2(t, v2), v2, `+p(5).`, "q"},
+	} {
+		got, err := LoadDatabase(bytes.NewReader(c.planned))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := LoadDatabase(bytes.NewReader(c.plain))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.Seq() != want.Seq() || fmt.Sprint(got.Branches()) != fmt.Sprint(want.Branches()) {
+			t.Fatalf("%s: seq %d branches %v, want seq %d branches %v", c.name, got.Seq(), got.Branches(), want.Seq(), want.Branches())
+		}
+		for _, b := range want.Branches() {
+			g, _ := got.Workspace(b)
+			w, _ := want.Workspace(b)
+			requireSameState(t, c.name+" "+b, g, w)
+			gr, err := g.Exec(c.exec)
+			if err != nil {
+				t.Fatalf("%s %s: exec: %v", c.name, b, err)
+			}
+			wr, err := w.Exec(c.exec)
+			if err != nil {
+				t.Fatalf("%s %s: exec: %v", c.name, b, err)
+			}
+			requireSameState(t, c.name+" "+b+" after exec", gr.Workspace, wr.Workspace)
+			if n, was := gr.Workspace.Relation(c.view).Len(), g.Relation(c.view).Len(); n != was+1 {
+				t.Fatalf("%s %s: %s has %d tuples after exec, want %d", c.name, b, c.view, n, was+1)
+			}
 		}
 	}
 }
@@ -435,9 +545,11 @@ func TestSnapshotBesideCommits(t *testing.T) {
 // yields a database or an error that is ErrCorruptSnapshot or
 // ErrSnapshotVersion, and a database it yields saves and loads again.
 // Seeded with version-1 and version-2 payloads and the cuts and flips of
-// TestLoadDatabaseTruncationsAreTyped and TestLoadDatabaseBitFlipsAreTyped.
+// TestLoadDatabaseTruncationsAreTyped and TestLoadDatabaseBitFlipsAreTyped,
+// plus a version-2 payload carrying saved plan orders.
 func FuzzLoadDatabase(f *testing.F) {
-	for _, raw := range [][]byte{v1Payload(f), buildSnapshot(f)} {
+	f.Add(plannedV2(f, buildSnapshot(f)))
+	for _, raw := range [][]byte{v1Payload(f, false), buildSnapshot(f)} {
 		f.Add(raw)
 		for _, n := range []int{0, 1, 7, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
 			f.Add(raw[:n])

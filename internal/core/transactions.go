@@ -85,10 +85,6 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 			out.derived = out.derived.Delete(p)
 		}
 	}
-	// A schema change invalidates every cached plan that reads or derives
-	// a changed head, so the adaptive optimizer re-samples against the new
-	// logic instead of trusting stale orders.
-	out.plans.InvalidatePreds(dirty)
 	return out.settle(rctx, ws, compiled.Preds, dirty, nil, sp, true)
 }
 

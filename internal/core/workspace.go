@@ -17,7 +17,6 @@ import (
 	"logicblox/internal/ivm"
 	"logicblox/internal/ml"
 	"logicblox/internal/obs"
-	"logicblox/internal/optimizer"
 	"logicblox/internal/pmap"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
@@ -33,8 +32,7 @@ type Workspace struct {
 	derived pmap.Map[relation.Relation] // derived predicate contents
 	models  *ml.Registry                // model store (append-only, shared across versions)
 	version uint64
-	plans   *optimizer.PlanStore // sampled join orders (paper §3.2), shared across versions; nil = the compiler's orders
-	obs     *obs.Registry        // transaction profiling target (nil → obs.Default)
+	obs     *obs.Registry // transaction profiling target (nil → obs.Default)
 	// unchecked marks a version settled without the integrity check (Load,
 	// Solve) and not since checked: its state may violate a constraint, so
 	// the next checked transaction checks every constraint in full.
@@ -61,36 +59,13 @@ func NewWorkspace() *Workspace {
 // branch's history).
 func (ws *Workspace) Version() uint64 { return ws.version }
 
-// WithAdaptiveOptimizer returns a workspace whose evaluations use the
-// feedback-driven adaptive optimizer: each rule's variable order is chosen
-// by the sampling optimizer (paper §3.2), and chosen orders persist in a
-// plan store shared by every version and branch derived from this
-// workspace (like the model registry). Subsequent transactions reuse
-// cached orders and re-run sampling only when the engine's observed
-// evaluation costs drift past the store's threshold, when input
-// cardinalities change materially, or when a schema change invalidates
-// the plan. Passing false detaches the store: rules run in the compiler's
-// order.
-func (ws *Workspace) WithAdaptiveOptimizer(on bool) *Workspace {
-	cp := *ws
-	cp.plans = nil
-	if on {
-		cp.plans = optimizer.NewPlanStore()
-	}
-	return &cp
-}
-
 // newContext is the one place a workspace builds an engine evaluation
 // context: prog (the installed program, or it combined with a
 // transaction's or query's own rules) over this version's relations, with
-// the lineage's models, plan store and observer, bounded by rctx.
+// the lineage's models and observer, bounded by rctx.
 func (ws *Workspace) newContext(rctx context.Context, prog *compiler.Program) *engine.Context {
-	return engine.NewContext(prog, ws.relations(), engine.Options{Models: ws.models, Plans: ws.plans, Obs: ws.Observer(), Ctx: rctx})
+	return engine.NewContext(prog, ws.relations(), engine.Options{Models: ws.models, Obs: ws.Observer(), Ctx: rctx})
 }
-
-// PlanStore returns the adaptive optimizer's plan cache, or nil when the
-// workspace is not running with WithAdaptiveOptimizer.
-func (ws *Workspace) PlanStore() *optimizer.PlanStore { return ws.plans }
 
 // Blocks returns the installed block names.
 func (ws *Workspace) Blocks() []string { return ws.blocks.Keys() }

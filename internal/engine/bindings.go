@@ -22,7 +22,7 @@ import (
 // Bindings come out in lexicographic order of the rule's join-variable
 // order. The cursor must be Closed (idempotent): it holds the join's
 // trie iterators open between Next calls, and Close is where the rule's
-// profile and the plan store's cost feedback are recorded.
+// profile is recorded.
 type Bindings struct {
 	c        *Context
 	r        *compiler.RulePlan
@@ -31,7 +31,6 @@ type Bindings struct {
 	it       *lftj.Iter     // nil for a body-free rule: one empty binding
 	m        *lftj.Metrics  // nil when nobody reads the join's counters
 	rs       *obs.RuleStats // nil when observability is off
-	observe  bool           // feed m back into the plan store on a complete Close
 	delta    bool           // evaluated with per-atom overrides
 	t0       time.Time      // for the rule profile's evaluation time
 	n        int64          // bindings yielded so far
@@ -71,12 +70,7 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 	if err != nil {
 		return nil, fmt.Errorf("in rule %q: %w", r.Source, err)
 	}
-	// Full (non-delta) evaluations of multi-variable plans feed their real
-	// iterator-operation counts back into the plan store, which is what
-	// arms its drift detection — so metrics are collected whenever the
-	// store needs them, even with observability off.
-	b.observe = c.planStore != nil && overrides == nil && r.NumJoinVars > 1
-	if b.rs != nil || b.observe {
+	if b.rs != nil {
 		b.m = &lftj.Metrics{}
 		j.SetMetrics(b.m)
 	}
@@ -193,17 +187,12 @@ func (b *Bindings) Err() error { return b.err }
 
 // Close releases the join's trie iterators and records the evaluation:
 // duration, bindings yielded and seek/next counts into the rule's
-// profile, and — for full evaluations of multi-variable plans that ran to
-// exhaustion without error — the iterator-operation count into the plan
-// store. A cursor abandoned early (deadline, error, a consumer that stopped
-// pulling) has counted only part of the plan's cost; as a baseline it would
-// make every later complete evaluation look like drift. Idempotent.
+// profile. Idempotent.
 func (b *Bindings) Close() {
 	if b.closed {
 		return
 	}
 	b.closed = true
-	exhausted := b.done && b.err == nil
 	b.done = true
 	if b.it != nil {
 		b.it.Close()
@@ -215,9 +204,6 @@ func (b *Bindings) Close() {
 	}
 	if b.m != nil {
 		b.rs.AddJoin(b.m.Seeks, b.m.Nexts, b.m.SensRecords)
-		if b.observe && exhausted {
-			b.c.planStore.Observe(b.r, b.m.Seeks+b.m.Nexts)
-		}
 	}
 }
 
@@ -232,8 +218,8 @@ type RuleCursor struct{ b *Bindings }
 // StreamRule opens a pull cursor over r's derivations. The rule must be a
 // plain head projection (no aggregation or predict accumulator — those
 // need the full result before producing any row). The plan is evaluated
-// exactly as given: no optimizer reordering, so the caller controls the
-// enumeration order. The cursor must be Closed (idempotent).
+// exactly as given, so the caller controls the enumeration order. The
+// cursor must be Closed (idempotent).
 func (c *Context) StreamRule(r *compiler.RulePlan) (*RuleCursor, error) {
 	if r.Agg != nil || r.Predict != nil {
 		return nil, fmt.Errorf("engine: rule %q aggregates; cannot stream", r.Source)

@@ -14,7 +14,6 @@ import (
 	"logicblox/internal/lftj"
 	"logicblox/internal/ml"
 	"logicblox/internal/obs"
-	"logicblox/internal/optimizer"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -24,13 +23,6 @@ type Options struct {
 	// Models stores trained models for predict rules. Required if the
 	// program contains predict rules.
 	Models *ml.Registry
-	// Plans is the one join-order switch. Non-nil: each rule's variable
-	// order is chosen by the sampling optimizer (paper §3.2) through this
-	// cross-transaction plan cache — reused by rule fingerprint, re-sampled
-	// only when observed evaluation cost or input cardinalities drift, and
-	// fed the seek/next counts of every complete rule evaluation. Nil:
-	// every rule runs in the compiler's order.
-	Plans *optimizer.PlanStore
 	// Obs, if non-nil, receives per-rule profiles (eval time, tuples
 	// produced, LFTJ seek/next counts), per-stratum spans, and fixpoint
 	// counters. When nil, the process-wide obs.Default() registry is used
@@ -55,13 +47,11 @@ type Context struct {
 	perms     map[string]relation.Relation // secondary-index cache
 	models    *ml.Registry
 	sens      *lftj.SensitivityIndex
-	planStore *optimizer.PlanStore         // nil = the compiler's join orders
 	obs       *obs.Registry                // nil = instrumentation off
 	ctx       context.Context              // nil = unbounded evaluation
 	done      <-chan struct{}              // ctx.Done(), nil when unbounded
 	span      *obs.Span                    // parent for stratum spans (may be nil)
-	plans     map[int]*compiler.RulePlan   // optimizer decisions, by rule ID
-	ruleStats map[int]*obs.RuleStats       // cached per-rule profile handles
+	ruleStats map[string]*obs.RuleStats    // cached per-rule profile handles, by source
 	capture   map[string]relation.Relation // per-head union of rule outputs (nil = off)
 }
 
@@ -77,11 +67,9 @@ func NewContext(prog *compiler.Program, base map[string]relation.Relation, opts 
 		rels:      make(map[string]relation.Relation, len(base)+8),
 		perms:     map[string]relation.Relation{},
 		models:    opts.Models,
-		planStore: opts.Plans,
 		obs:       reg,
 		ctx:       opts.Ctx,
-		plans:     map[int]*compiler.RulePlan{},
-		ruleStats: map[int]*obs.RuleStats{},
+		ruleStats: map[string]*obs.RuleStats{},
 	}
 	if opts.Ctx != nil {
 		c.done = opts.Ctx.Done()
@@ -305,12 +293,6 @@ func (c *Context) evalRuleUnder(parent *obs.Span, r *compiler.RulePlan, override
 // overrides, when non-nil, substitutes the relation scanned by specific
 // atom indices (used for semi-naive deltas and for IVM delta rules).
 func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Relation) (relation.Relation, error) {
-	// The optimizer rewrites the whole plan (join order, atom indices,
-	// and every slot-referencing expression together), so the swap must
-	// happen before the cursor and the accumulators are built.
-	if c.planStore != nil && overrides == nil && r.NumJoinVars > 1 {
-		r = c.optimizedPlan(r)
-	}
 	b, err := c.Bindings(r, overrides)
 	if err != nil {
 		return relation.New(r.HeadArity), err
@@ -445,39 +427,4 @@ func (r ctxResolver) Exists(name string, pattern []tuple.Value, wild []bool) boo
 		recordPattern(r.c.sens, name, pattern, wild)
 	}
 	return r.c.Relation(name).MatchExists(pattern, wild)
-}
-
-// optimizedPlan returns (and caches per context) the plan store's variant
-// of a rule plan: the cross-transaction cached order when it is still
-// trusted, a freshly sampled one on a miss or after drift. Only called with
-// a plan store attached.
-func (c *Context) optimizedPlan(r *compiler.RulePlan) *compiler.RulePlan {
-	if p, ok := c.plans[r.ID]; ok {
-		return p
-	}
-	plan := r
-	if res, hit, err := c.planStore.Choose(r, c.Relation); err == nil && res.Plan != nil {
-		plan = res.Plan
-		if hit {
-			c.obs.Counter("optimizer.plan.hits").Inc()
-		} else {
-			c.obs.Counter("optimizer.plan.misses").Inc()
-			c.obs.Counter("optimizer.choose_order.calls").Inc()
-		}
-		c.ruleStatsFor(r).SetPlan(orderString(res.Order), hit)
-	}
-	c.plans[r.ID] = plan
-	return plan
-}
-
-// orderString renders a variable order as "0,2,1" for rule profiles.
-func orderString(order []int) string {
-	var sb strings.Builder
-	for i, o := range order {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", o)
-	}
-	return sb.String()
 }

@@ -35,10 +35,10 @@ func TestEvalRecordsRuleProfiles(t *testing.T) {
 			t.Fatalf("unexpected rule head %q", r.Head)
 		}
 		if r.Evals == 0 {
-			t.Fatalf("rule %d never evaluated: %+v", r.ID, r)
+			t.Fatalf("rule %q never evaluated: %+v", r.Source, r)
 		}
 		if r.EvalTime <= 0 {
-			t.Fatalf("rule %d has no eval time: %+v", r.ID, r)
+			t.Fatalf("rule %q has no eval time: %+v", r.Source, r)
 		}
 		totalTuples += r.Tuples
 		totalSeeks += r.Seeks

@@ -108,8 +108,7 @@ func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc ma
 // into head.
 func (c *Context) refoldGroups(sp *obs.Span, rules []*compiler.RulePlan, keyVars [][]int, keys []tuple.Tuple, head relation.Relation) (relation.Relation, error) {
 	// An empty, non-nil override map marks each pinned run as a partial
-	// evaluation: a delta evaluation in the rule's profile, no plan-store
-	// order and no cost feedback to it.
+	// evaluation: a delta evaluation in the rule's profile.
 	partial := map[int]relation.Relation{}
 	for i, r := range rules {
 		rsp := sp.Child("rule:" + r.HeadName)

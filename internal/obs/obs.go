@@ -199,10 +199,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	rules    map[int]*RuleStats
-	traces   *TraceRing // replaced by Reset
-	sampleN  int        // keep 1 in sampleN root spans (≤1: keep all)
-	spanSeq  int64      // root spans ended so far (sampling phase)
+	rules    map[string]*RuleStats // by rule source text
+	traces   *TraceRing            // replaced by Reset
+	sampleN  int                   // keep 1 in sampleN root spans (≤1: keep all)
+	spanSeq  int64                 // root spans ended so far (sampling phase)
 }
 
 // SetTraceSampling keeps only 1 in n finished root spans in the trace
@@ -240,7 +240,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		rules:    map[int]*RuleStats{},
+		rules:    map[string]*RuleStats{},
 		traces:   NewTraceRing(traceRingSize),
 	}
 }
@@ -306,7 +306,7 @@ func (r *Registry) Reset() {
 	r.counters = map[string]*Counter{}
 	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
-	r.rules = map[int]*RuleStats{}
+	r.rules = map[string]*RuleStats{}
 	r.traces = NewTraceRing(traceRingSize)
 }
 

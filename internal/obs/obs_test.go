@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -61,9 +62,9 @@ func TestHistogram(t *testing.T) {
 
 func TestRuleStats(t *testing.T) {
 	r := NewRegistry()
-	rs := r.Rule(7, "path", "path(x, z) <- path(x, y), edge(y, z).")
-	if r.Rule(7, "path", "ignored") != rs {
-		t.Fatal("Rule not idempotent per id")
+	rs := r.Rule("path", "path(x, z) <- path(x, y), edge(y, z).")
+	if r.Rule("ignored", "path(x, z) <- path(x, y), edge(y, z).") != rs {
+		t.Fatal("Rule not idempotent per source")
 	}
 	rs.AddEval(2*time.Microsecond, 10)
 	rs.AddDeltaEval(time.Microsecond, 4)
@@ -73,7 +74,7 @@ func TestRuleStats(t *testing.T) {
 		t.Fatalf("rules = %+v", s.Rules)
 	}
 	got := s.Rules[0]
-	if got.ID != 7 || got.Head != "path" || got.Evals != 1 || got.DeltaEvals != 1 ||
+	if got.Head != "path" || got.Evals != 1 || got.DeltaEvals != 1 ||
 		got.Tuples != 14 || got.Seeks != 5 || got.Nexts != 9 || got.SensRecords != 2 ||
 		got.EvalTime != 3*time.Microsecond {
 		t.Fatalf("rule snapshot = %+v", got)
@@ -82,11 +83,37 @@ func TestRuleStats(t *testing.T) {
 
 func TestRuleSnapshotOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Rule(1, "cheap", "").AddEval(time.Microsecond, 1)
-	r.Rule(2, "costly", "").AddEval(time.Millisecond, 1)
+	r.Rule("cheap", "cheap(x) <- a(x).").AddEval(time.Microsecond, 1)
+	r.Rule("costly", "costly(x) <- b(x).").AddEval(time.Millisecond, 1)
 	s := r.Snapshot()
 	if len(s.Rules) != 2 || s.Rules[0].Head != "costly" {
 		t.Fatalf("rules not sorted by eval time: %+v", s.Rules)
+	}
+}
+
+// TestRuleProfilesBounded: every distinct exec or query source is a rule
+// of its own, so the registry keeps at most maxRuleProfiles of them and
+// records every later source into the one otherRule profile.
+func TestRuleProfilesBounded(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < maxRuleProfiles+10; i++ {
+		r.Rule("q", fmt.Sprintf("+q(%d).", i)).AddEval(time.Microsecond, 1)
+	}
+	if r.Rule("q", "+q(0).") == r.Rule("q", "+q(-1).") {
+		t.Fatal("a source registered under the bound shares the overflow profile")
+	}
+	s := r.Snapshot()
+	if len(s.Rules) != maxRuleProfiles+1 {
+		t.Fatalf("profiles = %d, want %d plus %s", len(s.Rules), maxRuleProfiles, otherRule)
+	}
+	var other *RuleSnapshot
+	for i := range s.Rules {
+		if s.Rules[i].Source == otherRule {
+			other = &s.Rules[i]
+		}
+	}
+	if other == nil || other.Head != otherRule || other.Evals != 10 {
+		t.Fatalf("overflow profile = %+v, want %s with the 10 evaluations past the bound", other, otherRule)
 	}
 }
 
@@ -142,9 +169,9 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("a").Inc()
 	r.Gauge("b").Set(2)
 	r.Histogram("c").Observe(time.Second)
-	r.Rule(1, "h", "src").AddEval(time.Second, 1)
-	r.Rule(1, "h", "src").AddDeltaEval(time.Second, 1)
-	r.Rule(1, "h", "src").AddJoin(1, 2, 3)
+	r.Rule("h", "src").AddEval(time.Second, 1)
+	r.Rule("h", "src").AddDeltaEval(time.Second, 1)
+	r.Rule("h", "src").AddJoin(1, 2, 3)
 	r.Reset()
 	sp := r.StartSpan("root")
 	if sp != nil {
@@ -168,7 +195,7 @@ func TestNilSafety(t *testing.T) {
 func TestNoopAllocationFree(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	rs := r.Rule(1, "h", "")
+	rs := r.Rule("h", "")
 	var sp *Span
 	if n := testing.AllocsPerRun(100, func() {
 		c.Add(1)
@@ -189,7 +216,7 @@ func TestConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs := r.Rule(1, "r", "src")
+			rs := r.Rule("r", "src")
 			for i := 0; i < per; i++ {
 				r.Counter("c").Inc()
 				r.Histogram("h").Observe(time.Duration(i+1) * time.Nanosecond)
@@ -241,7 +268,7 @@ func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tx.exec.commit").Add(2)
 	r.Histogram("tx.exec.duration").Observe(time.Millisecond)
-	r.Rule(1, "path", "path(x, y) <- edge(x, y).").AddEval(time.Microsecond, 3)
+	r.Rule("path", "path(x, y) <- edge(x, y).").AddEval(time.Microsecond, 3)
 	r.StartSpan("tx.exec").End()
 	var b strings.Builder
 	if err := r.Snapshot().WriteJSON(&b); err != nil {
@@ -261,8 +288,8 @@ func TestFormatters(t *testing.T) {
 	if got := FormatRuleTable(r.Snapshot()); !strings.Contains(got, "no rule evaluations") {
 		t.Fatalf("empty table = %q", got)
 	}
-	r.Rule(1, "path", "path(x, z) <- path(x, y), edge(y, z).").AddEval(42*time.Microsecond, 6)
-	r.Rule(1, "path", "").AddJoin(10, 18, 0)
+	r.Rule("path", "path(x, z) <- path(x, y), edge(y, z).").AddEval(42*time.Microsecond, 6)
+	r.Rule("path", "path(x, z) <- path(x, y), edge(y, z).").AddJoin(10, 18, 0)
 	r.Counter("tx.exec.commit").Inc()
 	r.Gauge("treap.nodes_allocated").Set(9)
 	r.Histogram("tx.exec.duration").Observe(time.Millisecond)

@@ -7,11 +7,11 @@ import (
 )
 
 // RuleStats is the per-rule profile record the engine accumulates into:
-// one per compiled rule, shared across evaluations (full, semi-naive
-// delta, and maintenance re-runs). All fields are updated atomically; the
-// nil *RuleStats is a valid no-op.
+// one per rule source text, shared across evaluations (full, semi-naive
+// delta, and maintenance re-runs) and across the programs that compile
+// the rule. All fields are updated atomically; the nil *RuleStats is a
+// valid no-op.
 type RuleStats struct {
-	id     int
 	head   string
 	source string
 
@@ -22,28 +22,6 @@ type RuleStats struct {
 	nexts       atomic.Int64 // LFTJ iterator nexts
 	sensRecords atomic.Int64 // sensitivity intervals recorded
 	nanos       atomic.Int64 // total evaluation time
-
-	// Adaptive-optimizer profile: the variable order the optimizer chose
-	// for the rule, and how often it came from the plan cache vs. a fresh
-	// sampling run.
-	planOrder  atomic.Pointer[string]
-	planCached atomic.Int64
-	planChosen atomic.Int64
-}
-
-// SetPlan records the optimizer's chosen variable order for this rule
-// and whether it was reused from the plan cache (cached) or freshly
-// sampled.
-func (s *RuleStats) SetPlan(order string, cached bool) {
-	if s == nil {
-		return
-	}
-	s.planOrder.Store(&order)
-	if cached {
-		s.planCached.Add(1)
-	} else {
-		s.planChosen.Add(1)
-	}
 }
 
 // AddEval records one full evaluation of the rule.
@@ -78,7 +56,6 @@ func (s *RuleStats) AddJoin(seeks, nexts, sensRecords int64) {
 
 // RuleSnapshot is the structured value of one rule's profile.
 type RuleSnapshot struct {
-	ID          int           `json:"id"`
 	Head        string        `json:"head"`
 	Source      string        `json:"source"`
 	Evals       int64         `json:"evals"`
@@ -88,28 +65,39 @@ type RuleSnapshot struct {
 	Nexts       int64         `json:"nexts"`
 	SensRecords int64         `json:"sens_records,omitempty"`
 	EvalTime    time.Duration `json:"eval_time_ns"`
-	// PlanOrder is the variable order the optimizer chose (empty when
-	// the rule never went through the optimizer); PlanCached/PlanChosen
-	// count plan-cache reuses vs. fresh sampling runs.
-	PlanOrder  string `json:"plan_order,omitempty"`
-	PlanCached int64  `json:"plan_cached,omitempty"`
-	PlanChosen int64  `json:"plan_chosen,omitempty"`
 }
 
-// Rule returns (creating if needed) the profile record for rule id, or
-// nil on a nil registry. head and source label the rule in snapshots; the
-// first registration wins.
-func (r *Registry) Rule(id int, head, source string) *RuleStats {
+// maxRuleProfiles bounds the registry's rule profiles. Every distinct
+// exec or query source is a rule of its own, so a long-running server
+// would otherwise add a profile per new request text forever; sources
+// past the bound all record into the one otherRule profile.
+const maxRuleProfiles = 1024
+
+// otherRule is the head and source of the profile that collects the
+// rules registered past maxRuleProfiles.
+const otherRule = "(other)"
+
+// Rule returns (creating if needed) the profile record for the rule with
+// this source text, or nil on a nil registry. head labels the rule in
+// snapshots; the first registration wins.
+func (r *Registry) Rule(head, source string) *RuleStats {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.rules[id]
-	if !ok {
-		s = &RuleStats{id: id, head: head, source: source}
-		r.rules[id] = s
+	s, ok := r.rules[source]
+	if ok {
+		return s
 	}
+	if len(r.rules) >= maxRuleProfiles {
+		head, source = otherRule, otherRule
+		if s, ok = r.rules[source]; ok {
+			return s
+		}
+	}
+	s = &RuleStats{head: head, source: source}
+	r.rules[source] = s
 	return s
 }
 
@@ -120,8 +108,7 @@ func (r *Registry) ruleSnapshotsLocked() []RuleSnapshot {
 	}
 	out := make([]RuleSnapshot, 0, len(r.rules))
 	for _, s := range r.rules {
-		snap := RuleSnapshot{
-			ID:          s.id,
+		out = append(out, RuleSnapshot{
 			Head:        s.head,
 			Source:      s.source,
 			Evals:       s.evals.Load(),
@@ -131,19 +118,13 @@ func (r *Registry) ruleSnapshotsLocked() []RuleSnapshot {
 			Nexts:       s.nexts.Load(),
 			SensRecords: s.sensRecords.Load(),
 			EvalTime:    time.Duration(s.nanos.Load()),
-			PlanCached:  s.planCached.Load(),
-			PlanChosen:  s.planChosen.Load(),
-		}
-		if p := s.planOrder.Load(); p != nil {
-			snap.PlanOrder = *p
-		}
-		out = append(out, snap)
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].EvalTime != out[j].EvalTime {
 			return out[i].EvalTime > out[j].EvalTime
 		}
-		return out[i].ID < out[j].ID
+		return out[i].Source < out[j].Source
 	})
 	return out
 }

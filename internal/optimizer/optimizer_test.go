@@ -29,18 +29,26 @@ func compileRule(t *testing.T, src string) (*compiler.Program, *compiler.RulePla
 }
 
 // evalWith runs the program under an engine context and returns the head
-// relation of the first rule.
+// relation of the first rule. With optimize, that rule is evaluated in
+// ChooseOrder's variable order instead of the compiler's.
 func evalWith(t *testing.T, prog *compiler.Program, base map[string]relation.Relation, optimize bool) relation.Relation {
 	t.Helper()
-	var opts engine.Options
-	if optimize {
-		opts.Plans = optimizer.NewPlanStore()
+	ctx := engine.NewContext(prog, base, engine.Options{})
+	if !optimize {
+		if err := ctx.EvalAll(); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.Relation(prog.Rules[0].HeadName)
 	}
-	ctx := engine.NewContext(prog, base, opts)
-	if err := ctx.EvalAll(); err != nil {
+	res, err := optimizer.ChooseOrder(prog.Rules[0], ctx.Relation, optimizer.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ctx.Relation(prog.Rules[0].HeadName)
+	out, err := ctx.EvalRule(res.Plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestReorderRulePreservesSemantics(t *testing.T) {

@@ -221,9 +221,8 @@ func (s *Server) logAccess(r *http.Request, endpoint string, status int, dur tim
 
 // logSlow emits a slow-query log entry when the request ran longer than
 // the configured threshold: the full span tree (request root down to the
-// engine's per-rule spans) plus the fingerprints of the adaptive
-// optimizer's cached plans in play, so a slow request is explainable
-// without reproducing it.
+// engine's per-rule spans), so a slow request is explainable without
+// reproducing it.
 func (s *Server) logSlow(r *http.Request, endpoint string, status int, dur time.Duration, info *requestInfo, sp *obs.Span) {
 	if s.cfg.AccessLog == nil || s.cfg.SlowQuery <= 0 || dur < s.cfg.SlowQuery {
 		return
@@ -236,20 +235,6 @@ func (s *Server) logSlow(r *http.Request, endpoint string, status int, dur time.
 		slog.String("request_id", info.id),
 		slog.String("branch", info.branch),
 		slog.Any("trace", sp.Snapshot()),
-	}
-	if ws, err := s.Database().Workspace(core.DefaultBranch); err == nil {
-		if ps := ws.PlanStore(); ps != nil {
-			var fps []string
-			for _, p := range ps.Snapshot() {
-				fps = append(fps, p.Fingerprint)
-				if len(fps) == 8 {
-					break
-				}
-			}
-			if len(fps) > 0 {
-				attrs = append(attrs, slog.Any("plan_fingerprints", fps))
-			}
-		}
 	}
 	s.cfg.AccessLog.LogAttrs(context.Background(), slog.LevelWarn, "slow_query", attrs...)
 }

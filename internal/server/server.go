@@ -63,7 +63,6 @@ import (
 	"logicblox/internal/core"
 	"logicblox/internal/durable"
 	"logicblox/internal/obs"
-	"logicblox/internal/optimizer"
 	"logicblox/internal/relation"
 	"logicblox/internal/replica"
 	"logicblox/internal/tuple"
@@ -566,23 +565,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Snapshot().WritePrometheus(w)
 }
 
-// varsDocument is the /debug/vars body: the obs snapshot, plus — when
-// the served database runs the adaptive optimizer — the plan store's
-// traffic stats and per-plan snapshots with their drift history
-// (baseline and observed ops over time).
+// varsDocument is the /debug/vars body: the obs snapshot plus the trace
+// sampling rate.
 type varsDocument struct {
 	obs.Snapshot
-	PlanStats *optimizer.StoreStats    `json:"plan_stats,omitempty"`
-	Plans     []optimizer.PlanSnapshot `json:"plans,omitempty"`
 	// TraceSampleN is the obs registry's current 1-in-N trace sampling
 	// rate (1 = every root span retained).
 	TraceSampleN int `json:"trace_sample_n"`
 }
 
-// handleVars serves the same snapshot as /debug/vars-style JSON,
-// extended with the adaptive optimizer's plan store when one is
-// attached (the store is shared across branches and versions, so the
-// default branch's head sees it).
+// handleVars serves the same snapshot as /debug/vars-style JSON.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErrorCode(w, http.StatusMethodNotAllowed, "bad_request", "GET required", requestID(r))
@@ -590,13 +582,6 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	}
 	s.refreshGauges()
 	doc := varsDocument{Snapshot: s.reg.Snapshot(), TraceSampleN: s.reg.TraceSampling()}
-	if ws, err := s.Database().Workspace(core.DefaultBranch); err == nil {
-		if ps := ws.PlanStore(); ps != nil {
-			stats := ps.Stats()
-			doc.PlanStats = &stats
-			doc.Plans = ps.Snapshot()
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

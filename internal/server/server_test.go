@@ -590,68 +590,3 @@ func TestServerPoolRejection(t *testing.T) {
 	}
 	<-s.sem // restore the externally occupied worker slot
 }
-
-// TestServerVarsIncludesPlanDriftHistory: when the served database runs
-// the adaptive optimizer, /debug/vars embeds the plan store's stats and
-// per-plan snapshots, each carrying its observed-cost drift history.
-func TestServerVarsIncludesPlanDriftHistory(t *testing.T) {
-	db := core.NewDatabaseWith(core.NewWorkspace().WithAdaptiveOptimizer(true))
-	s := New(db, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	mustOK(t, ts, "POST", "/addblock", Request{Name: "q",
-		Src: `q(a, c) <- r(a, b), s(b, c).`}, nil)
-	var facts strings.Builder
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&facts, "+r(%d, %d). +s(%d, %d).\n", i%40, i%60, i%60, i%80)
-	}
-	// Two execs: the first samples (miss), the second hits the cached
-	// plan; both evaluations feed the drift history.
-	mustOK(t, ts, "POST", "/exec", Request{Src: facts.String()}, nil)
-	mustOK(t, ts, "POST", "/exec", Request{Src: "+r(999, 1)."}, nil)
-
-	var vars struct {
-		PlanStats *struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-		} `json:"plan_stats"`
-		Plans []struct {
-			Head        string  `json:"head"`
-			BaselineOps int64   `json:"baseline_ops"`
-			History     []int64 `json:"history"`
-		} `json:"plans"`
-	}
-	mustOK(t, ts, "GET", "/debug/vars", nil, &vars)
-	if vars.PlanStats == nil || vars.PlanStats.Misses == 0 {
-		t.Fatalf("/debug/vars plan_stats = %+v, want sampled misses", vars.PlanStats)
-	}
-	var q *struct {
-		Head        string  `json:"head"`
-		BaselineOps int64   `json:"baseline_ops"`
-		History     []int64 `json:"history"`
-	}
-	for i := range vars.Plans {
-		if vars.Plans[i].Head == "q" {
-			q = &vars.Plans[i]
-		}
-	}
-	if q == nil {
-		t.Fatalf("/debug/vars plans missing head q: %+v", vars.Plans)
-	}
-	if len(q.History) == 0 || q.BaselineOps == 0 {
-		t.Fatalf("plan q has no drift history: %+v", q)
-	}
-
-	// A plain (non-adaptive) database must omit the plan section rather
-	// than serve an empty one.
-	_, plain := newTestServer(t, Config{})
-	var raw map[string]any
-	mustOK(t, plain, "GET", "/debug/vars", nil, &raw)
-	if _, ok := raw["plan_stats"]; ok {
-		t.Fatal("non-adaptive /debug/vars should omit plan_stats")
-	}
-	if _, ok := raw["plans"]; ok {
-		t.Fatal("non-adaptive /debug/vars should omit plans")
-	}
-}

@@ -10,7 +10,7 @@
 // The public API re-exports the workspace/transaction surface. Open
 // takes functional options configuring the root workspace:
 //
-//	db := logicblox.Open(logicblox.WithAdaptiveOptimizer())
+//	db := logicblox.Open(logicblox.WithObs(logicblox.NewObsRegistry()))
 //	ws, _ := db.Workspace(logicblox.DefaultBranch)
 //	ws, _ = ws.AddBlock("schema", `
 //	    profit[sku] = sellingPrice[sku] - buyingPrice[sku] <- Product(sku).`)
@@ -42,7 +42,6 @@ import (
 
 	"logicblox/internal/analysis/logiql"
 	"logicblox/internal/core"
-	"logicblox/internal/optimizer"
 	"logicblox/internal/relation"
 	"logicblox/internal/solver"
 	"logicblox/internal/tuple"
@@ -66,24 +65,6 @@ type VersionEntry = core.VersionEntry
 
 // Solution is the outcome of a prescriptive-analytics solve.
 type Solution = solver.Solution
-
-// PlanStore is the adaptive optimizer's cross-transaction plan cache:
-// chosen variable orders keyed by rule fingerprint, reused until the
-// engine's observed costs or input cardinalities drift. Attach one to a
-// workspace lineage with Workspace.WithAdaptiveOptimizer(true).
-type PlanStore = optimizer.PlanStore
-
-// PlanSnapshot is the structured value of one cached plan.
-type PlanSnapshot = optimizer.PlanSnapshot
-
-// PlanStoreStats summarize a plan cache's hit/miss/redecision traffic.
-type PlanStoreStats = optimizer.StoreStats
-
-// FormatPlanTable renders a plan-store snapshot as an aligned text table
-// (the REPL's :plans command).
-func FormatPlanTable(stats PlanStoreStats, plans []PlanSnapshot) string {
-	return optimizer.FormatPlanTable(stats, plans)
-}
 
 // CheckWarning is one advisory finding from the warning-tier LogiQL
 // program checker (Workspace.CheckProgram, the REPL's :check command,
@@ -138,13 +119,6 @@ var (
 // from it.
 type Option = core.Option
 
-// WithAdaptiveOptimizer enables the sampling-based join-order optimizer
-// (paper §3.2) in its one form, the feedback-driven adaptive one: sampled
-// join orders persist in a plan store shared across versions and
-// branches, and re-sampling happens only when observed costs or input
-// cardinalities drift. Without it rules run in the compiler's order.
-func WithAdaptiveOptimizer() Option { return core.OptAdaptiveOptimizer() }
-
 // WithObs attaches a metrics registry to the workspace lineage: every
 // transaction records per-rule profiles, phase spans and engine counters
 // into reg.
@@ -153,10 +127,9 @@ func WithObs(reg *ObsRegistry) Option { return core.OptObserver(reg) }
 // Open creates a database whose main branch starts from an empty
 // workspace configured by the given options.
 //
-// The pre-option spellings — Open() followed by committing
-// ws.WithAdaptiveOptimizer(true) or ws.WithObserver(reg) onto the
-// branch — keep working; the options are the preferred way to say the
-// same thing at open time.
+// The pre-option spelling — Open() followed by committing
+// ws.WithObserver(reg) onto the branch — keeps working; the option is the
+// preferred way to say the same thing at open time.
 func Open(opts ...Option) *Database {
 	ws := core.NewWorkspace()
 	for _, opt := range opts {

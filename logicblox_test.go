@@ -109,13 +109,10 @@ func TestPublicAPISolve(t *testing.T) {
 // typed error re-exports match with errors.Is.
 func TestOpenWithOptions(t *testing.T) {
 	reg := NewObsRegistry()
-	db := Open(WithAdaptiveOptimizer(), WithObs(reg))
+	db := Open(WithObs(reg))
 	ws, err := db.Workspace(DefaultBranch)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ws.PlanStore() == nil {
-		t.Fatal("WithAdaptiveOptimizer did not attach a plan store")
 	}
 	ws, err = ws.AddBlock("tc", `
 		path(x, y) <- edge(x, y).
@@ -130,12 +127,8 @@ func TestOpenWithOptions(t *testing.T) {
 	if err := db.Commit(DefaultBranch, res.Workspace); err != nil {
 		t.Fatal(err)
 	}
-	// Options are inherited: the committed version still has the store,
-	// and the observer recorded the transaction.
+	// Options are inherited: the observer recorded the transaction.
 	head, _ := db.Workspace(DefaultBranch)
-	if head.PlanStore() == nil {
-		t.Fatal("plan store not inherited across the transaction")
-	}
 	if reg.Snapshot().Counters["tx.exec.commit"] == 0 {
 		t.Fatalf("observer saw no transactions: %v", reg.Snapshot().Counters)
 	}
