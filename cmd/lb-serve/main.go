@@ -73,7 +73,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	retries := flag.Int("retries", 3, "max optimistic re-executions after commit conflicts")
 	defaultLimit := flag.Int("default-limit", 0, "default row cap on materialized /query responses (0 = 10000, negative = uncapped; explicit limit in the request always wins)")
-	noRepair := flag.Bool("no-repair", false, "disable fine-grained transaction repair on conflict (every lost race re-executes fully)")
 	snapshot := flag.String("snapshot", "", "load the database from this file at startup and save it on shutdown (no journaling; see -data-dir)")
 	dataDir := flag.String("data-dir", "", "run durably from this directory: snapshot generations + write-ahead commit journal")
 	fsync := flag.String("fsync", durable.FsyncAlways, "journal fsync policy: always (durable acks) or interval (bounded loss, higher throughput)")
@@ -149,17 +148,16 @@ func main() {
 	}
 
 	s := server.New(db, server.Config{
-		Workers:       *workers,
-		Queue:         *queue,
-		Timeout:       *timeout,
-		MaxRetries:    *retries,
-		DefaultLimit:  *defaultLimit,
-		DisableRepair: *noRepair,
-		Obs:           reg,
-		Durable:       store,
-		AccessLog:     logger,
-		SlowQuery:     *slowQuery,
-		Follower:      follower,
+		Workers:      *workers,
+		Queue:        *queue,
+		Timeout:      *timeout,
+		MaxRetries:   *retries,
+		DefaultLimit: *defaultLimit,
+		Obs:          reg,
+		Durable:      store,
+		AccessLog:    logger,
+		SlowQuery:    *slowQuery,
+		Follower:     follower,
 	})
 	if store != nil {
 		// The background checkpointer must snapshot whatever database the

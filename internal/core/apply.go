@@ -11,18 +11,15 @@ import (
 )
 
 // TxOptions is the caller's policy for the transactions (exec, addblock)
-// that Database.Apply runs. The zero value — no observer, no repair, no
-// retries — is what journal replay uses.
+// that Database.Apply runs. The zero value — no observer, no retries —
+// is what journal replay and follower apply use.
 type TxOptions struct {
 	// Obs, when not nil, is the registry the transaction records into
 	// instead of the branch head's own observer.
 	Obs *obs.Registry
-	// Repair keeps an exec's read intervals and, on a lost commit race,
-	// re-derives only the strata whose reads intersect the winner's
-	// writes (paper §3.4) before falling back to full re-execution.
-	Repair bool
 	// MaxRetries bounds the lost commit races a transaction survives
-	// before ErrConflict surfaces.
+	// before ErrConflict surfaces; when it is positive an exec keeps the
+	// repair record (paper §3.4) a retry uses.
 	MaxRetries int
 }
 
@@ -58,7 +55,7 @@ func (db *Database) Apply(rctx context.Context, rec CommitRecord, opt TxOptions)
 	switch rec.Kind {
 	case "exec":
 		return db.transact(rctx, rec, opt, func(ws *Workspace) (*ExecResult, *ExecRecord, error) {
-			return ws.execCtx(rctx, rec.Src, opt.Repair)
+			return ws.execCtx(rctx, rec.Src, opt.MaxRetries > 0)
 		})
 	case "addblock":
 		return db.transact(rctx, rec, opt, func(ws *Workspace) (*ExecResult, *ExecRecord, error) {
@@ -81,9 +78,9 @@ func (db *Database) Apply(rctx context.Context, rec CommitRecord, opt TxOptions)
 // transact is the optimistic-commit loop (paper §3.4): snapshot the
 // branch head, run the transaction on it, and compare-and-swap the result
 // in, journaling rec write-ahead when a commit hook is installed. On a
-// lost race a transaction that kept a repair record is first repaired
-// against the new head, immediately; otherwise, or when the record does
-// not apply, it backs off and re-runs in full on a fresh snapshot.
+// lost race an exec is repaired against the new head, immediately; an
+// addblock, or an exec whose logic changed under it, backs off and
+// re-runs in full on a fresh snapshot.
 func (db *Database) transact(rctx context.Context, rec CommitRecord, opt TxOptions, run func(*Workspace) (*ExecResult, *ExecRecord, error)) (Applied, error) {
 	var out Applied
 	observed := func(ws *Workspace) *Workspace {
@@ -124,26 +121,30 @@ func (db *Database) transact(rctx context.Context, rec CommitRecord, opt TxOptio
 		if xrec != nil {
 			if newHead, werr := db.Workspace(rec.Branch); werr == nil && newHead != head {
 				onto := observed(newHead)
-				if repaired, _, rerr := xrec.Repair(rctx, onto); rerr == nil {
+				repaired, _, rerr := xrec.Repair(rctx, onto)
+				if rerr == nil {
 					out.Repairs++
 					head, ws, res = newHead, onto, repaired
 					continue
 				}
+				if !errors.Is(rerr, ErrRepairNotApplicable) {
+					return out, rerr
+				}
 			}
 		}
 		out.FullReexecs++
-		backoffConflict(rctx, out.Retries)
+		BackoffConflict(rctx, out.Retries)
 		if err := execute(); err != nil {
 			return out, err
 		}
 	}
 }
 
-// backoffConflict sleeps before optimistic re-execution attempt n
+// BackoffConflict sleeps before optimistic re-execution attempt n
 // (1-based): exponential from 2ms capped at 50ms, with full jitter so
 // colliding writers desynchronize instead of re-colliding. It returns
 // early if the transaction's context ends first.
-func backoffConflict(ctx context.Context, attempt int) {
+func BackoffConflict(ctx context.Context, attempt int) {
 	d := 2 * time.Millisecond << min(attempt-1, 5)
 	if d > 50*time.Millisecond {
 		d = 50 * time.Millisecond

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +228,56 @@ func TestCommitIf(t *testing.T) {
 	}
 	if err := db.CommitIf("nope", head2, b2.Workspace); !errors.Is(err, ErrNoSuchBranch) {
 		t.Fatalf("unknown branch = %v", err)
+	}
+}
+
+// TestApplyRepairsEveryLostRace races decrements of one key under a
+// non-negativity constraint through Database.Apply. No logic changes, so
+// every lost race is repaired rather than re-executed in full, and a
+// decrement that the winners' writes make violate the constraint fails
+// with ErrConstraint, as a serial re-execution would: exactly the stock
+// is sold.
+func TestApplyRepairsEveryLostRace(t *testing.T) {
+	const stock, buyers = 4, 8
+	db := NewDatabase()
+	ctx := context.Background()
+	for _, rec := range []CommitRecord{
+		{Kind: "addblock", Branch: DefaultBranch, Name: "inv", Src: `inv[k] = v -> int(k), int(v). inv[k] = v -> v >= 0.`},
+		{Kind: "exec", Branch: DefaultBranch, Src: `+inv[0] = 4.`},
+	} {
+		if _, err := db.Apply(ctx, rec, TxOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var sold, refused, full int
+	var wg sync.WaitGroup
+	for i := 0; i < buyers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := db.Apply(ctx, CommitRecord{Kind: "exec", Branch: DefaultBranch,
+				Src: `^inv[0] = z <- inv@start[0] = q, z = q - 1.`}, TxOptions{MaxRetries: 100})
+			mu.Lock()
+			defer mu.Unlock()
+			full += out.FullReexecs
+			switch {
+			case err == nil:
+				sold++
+			case errors.Is(err, ErrConstraint):
+				refused++
+			default:
+				t.Errorf("decrement: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if sold != stock || refused != buyers-stock || full != 0 {
+		t.Fatalf("sold %d, refused %d, full re-executions %d; want %d, %d, 0", sold, refused, full, stock, buyers-stock)
+	}
+	ws, _ := db.Workspace(DefaultBranch)
+	if got := ws.Relation("inv"); !got.Contains(tuple.Ints(0, 0)) {
+		t.Fatalf("inv = %v, want [(0, 0)]", got.Slice())
 	}
 }
 

@@ -47,8 +47,8 @@ var (
 	ErrDurability = errors.New("durability failure")
 	// ErrRepairNotApplicable marks a conflicted transaction whose record
 	// cannot be repaired against the new head (paper §3.4): the logic or
-	// a predicate arity changed under it, or the winner's writes
-	// intersect its reads from the first stratum so nothing would be
-	// reused. Callers fall back to full re-execution.
+	// a predicate arity changed under it, so its compiled program no
+	// longer fits. It is the only decline; callers fall back to full
+	// re-execution.
 	ErrRepairNotApplicable = errors.New("repair not applicable")
 )

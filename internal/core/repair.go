@@ -17,9 +17,9 @@ import (
 // and the pure derivations of every rule. When the transaction loses the
 // optimistic-commit CAS, the record is intersected against the winner's
 // write set — the tuple-level diff between the loser's snapshot and the
-// new head. Strata none of whose reads are affected replay from the
-// record (their derivations are portable to the new head); only strata
-// from the first affected one onward re-evaluate. The frame application,
+// new head. Strata before the first affected one replay from the record
+// (their derivations are portable to the new head); the rest, all of
+// them when the first is affected, re-evaluate. The frame application,
 // view re-derivation and constraint check then run against the new head
 // exactly as a fresh execution would, so a repaired commit is
 // indistinguishable from a serial re-execution.
@@ -38,16 +38,9 @@ type recordedStratum struct {
 // re-attempt repair with the same record.
 type ExecRecord struct {
 	snapshot *Workspace
-	src      string
 	combined *compiler.Program
 	strata   []recordedStratum
 }
-
-// Src returns the transaction source the record was built from.
-func (rec *ExecRecord) Src() string { return rec.src }
-
-// Snapshot returns the workspace version the transaction executed on.
-func (rec *ExecRecord) Snapshot() *Workspace { return rec.snapshot }
 
 // RepairStats reports what a repair attempt did.
 type RepairStats struct {
@@ -56,8 +49,8 @@ type RepairStats struct {
 	StrataTotal, StrataReused int
 	// ChangedTuples is the winner write-set size (tuples differing between
 	// the loser's snapshot and the new head) probed against the recorded
-	// read intervals; Intervals is the number of intervals probed into.
-	ChangedTuples, Intervals int
+	// read intervals.
+	ChangedTuples int
 }
 
 // ExecRecordedCtx runs an exec transaction like ExecCtx, additionally
@@ -68,13 +61,13 @@ func (ws *Workspace) ExecRecordedCtx(rctx context.Context, src string) (*ExecRes
 }
 
 // Repair re-commits a conflicted transaction against newHead by
-// re-deriving only what its reads actually touched. It returns
-// ErrRepairNotApplicable (wrapped) when the record cannot be used — the
-// logic or a predicate arity changed between snapshot and new head, or
-// the winner's writes intersect the transaction's reads from the first
-// stratum so nothing would be reused — and the caller falls back to full
-// re-execution. On success the result is exactly what re-executing the
-// transaction source on newHead would produce.
+// re-deriving only what its reads actually touched, with the record's
+// compiled program — no parse, no compile. It returns
+// ErrRepairNotApplicable (wrapped) only when the logic or a predicate
+// arity changed between snapshot and new head; any other error is the
+// transaction's own failure on newHead. On success the result is
+// exactly what re-executing the transaction source on newHead would
+// produce.
 func (rec *ExecRecord) Repair(rctx context.Context, newHead *Workspace) (*ExecResult, RepairStats, error) {
 	stats := RepairStats{StrataTotal: len(rec.strata)}
 	reg := newHead.Observer()
@@ -91,9 +84,6 @@ func (rec *ExecRecord) Repair(rctx context.Context, newHead *Workspace) (*ExecRe
 	for _, ts := range changes {
 		stats.ChangedTuples += len(ts)
 	}
-	for _, st := range rec.strata {
-		stats.Intervals += st.sens.Len()
-	}
 	reg.Counter("core.repair.changes_probed").Add(int64(stats.ChangedTuples))
 
 	// Find the first stratum whose recorded reads intersect the winner's
@@ -107,10 +97,6 @@ func (rec *ExecRecord) Repair(rctx context.Context, newHead *Workspace) (*ExecRe
 		}
 	}
 	stats.StrataReused = k
-	if k == 0 && len(rec.strata) > 0 {
-		reg.Counter("core.repair.fallback.affected").Inc()
-		return nil, stats, fmt.Errorf("%w: winner's writes intersect the transaction's reads from the first stratum", ErrRepairNotApplicable)
-	}
 
 	sp, done := newHead.txSpan(rctx, "repair")
 	sp.SetAttr("strata_reused", int64(k))
@@ -166,7 +152,7 @@ func (rec *ExecRecord) replay(rctx context.Context, target *Workspace, k int, sp
 // bodies read views too) between two workspace versions, returning the
 // changed tuples per name. ok=false when the versions disagree on a
 // predicate's arity, in which case the record cannot be probed soundly
-// and the caller falls back.
+// and repair declines.
 func relationChanges(a, b *Workspace) (map[string][]tuple.Tuple, bool) {
 	ra, rb := a.relations(), b.relations()
 	out := map[string][]tuple.Tuple{}

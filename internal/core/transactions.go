@@ -153,7 +153,7 @@ func (ws *Workspace) execCtx(rctx context.Context, src string, record bool) (*Ex
 	sp, done := ws.txSpan(rctx, "exec")
 	var rec *ExecRecord
 	if record {
-		rec = &ExecRecord{snapshot: ws, src: src}
+		rec = &ExecRecord{snapshot: ws}
 	}
 	var res *ExecResult
 	run, err := ws.execReactive(rctx, src, sp, rec)

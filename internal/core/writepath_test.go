@@ -226,3 +226,18 @@ func TestExecPlainHeadedReactiveRule(t *testing.T) {
 		}
 	}
 }
+
+// TestExecDeletesDifferentKindTwins checks view maintenance on the
+// transaction path: v(1) and v(1.0) print alike but are two tuples, and
+// deleting both of their derivations must empty the view.
+func TestExecDeletesDifferentKindTwins(t *testing.T) {
+	ws := mustAddBlock(t, NewWorkspace(), "v", `v(k) <- a(k, x).`)
+	ws = mustExec(t, ws, `+a(1, 10). +a(1.0, 20).`)
+	if got := ws.Relation("v"); got.Len() != 2 {
+		t.Fatalf("v = %v after inserting the twins, want both", got.Slice())
+	}
+	ws = mustExec(t, ws, `-a(1, 10). -a(1.0, 20).`)
+	if got := ws.Relation("v"); got.Len() != 0 {
+		t.Fatalf("v = %v after deleting both derivations, want empty", got.Slice())
+	}
+}

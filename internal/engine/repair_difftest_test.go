@@ -6,9 +6,11 @@ package engine_test
 // repaired against the winner's head via sensitivity-interval
 // intersection, and the repaired head must be byte-identical to the
 // oracle — serially re-executing the loser's source on the winner's
-// head. Fact-only transactions (empty read set) must always take the
-// repair path; transactions whose reads the winner overwrote must fall
-// back with ErrRepairNotApplicable, never silently diverge.
+// head. The logic never changes between the two, so every conflict must
+// repair: fact-only transactions (empty read set) replay every stratum
+// from the record, and transactions whose reads the winner overwrote
+// re-evaluate from the first affected stratum on. Only a logic change
+// declines with ErrRepairNotApplicable.
 
 import (
 	"context"
@@ -130,13 +132,13 @@ func assertHeadsEqual(t *testing.T, label string, got, want *core.Workspace) {
 }
 
 // TestRepairDifferential races randomized writer pairs over every
-// generated program: whenever repair succeeds, the repaired head must
-// equal the serial re-execution oracle; whenever it declines, the error
-// must be the conservative ErrRepairNotApplicable sentinel (coarse retry
-// territory), never a hard failure or a silently wrong head.
+// generated program: repair must succeed whenever serial re-execution
+// does, fail whenever it fails, and the repaired head must equal the
+// serial re-execution oracle. No pair changes the logic, so repair never
+// declines.
 func TestRepairDifferential(t *testing.T) {
 	ctx := context.Background()
-	var repaired, fellBack int
+	var repaired, reevaluated, failed int
 	for seed := int64(0); seed < diffPrograms; seed++ {
 		p := generate(seed)
 		head, baseNames := buildRepairWorkspace(t, p)
@@ -159,32 +161,33 @@ func TestRepairDifferential(t *testing.T) {
 
 			serial, serr := headB.Exec(srcA)
 			got, stats, rerr := recA.Repair(ctx, headB)
-			if rerr != nil {
-				if !errors.Is(rerr, core.ErrRepairNotApplicable) {
-					t.Fatalf("%s: repair failed hard: %v", label, rerr)
-				}
-				if serr != nil {
-					t.Fatalf("%s: serial re-execution failed: %v", label, serr)
-				}
-				fellBack++
-				head = serial.Workspace
-				continue
+			if errors.Is(rerr, core.ErrRepairNotApplicable) {
+				t.Fatalf("%s: repair declined though the logic did not change: %v", label, rerr)
 			}
-			if serr != nil {
-				t.Fatalf("%s: repair succeeded but serial re-execution failed: %v", label, serr)
+			if (rerr == nil) != (serr == nil) {
+				t.Fatalf("%s: repair error %v, serial re-execution error %v", label, rerr, serr)
+			}
+			if rerr != nil {
+				failed++
+				continue
 			}
 			if stats.StrataReused > stats.StrataTotal {
 				t.Fatalf("%s: stats out of range: %+v", label, stats)
 			}
 			repaired++
+			if stats.StrataReused < stats.StrataTotal {
+				reevaluated++
+			}
 			assertHeadsEqual(t, label, got.Workspace, serial.Workspace)
 			head = got.Workspace
 		}
 	}
-	if repaired == 0 {
-		t.Fatalf("no conflict was repaired across %d programs: the repair path was never exercised", diffPrograms)
+	if repaired == 0 || reevaluated == 0 {
+		t.Fatalf("%d conflicts repaired, %d of them re-evaluating a stratum, across %d programs: the repair path was not exercised",
+			repaired, reevaluated, diffPrograms)
 	}
-	t.Logf("repair differential: %d conflicts repaired, %d fell back to full re-execution", repaired, fellBack)
+	t.Logf("repair differential: %d conflicts repaired (%d re-evaluating from an affected stratum), %d failed as serial re-execution did, 0 declined",
+		repaired, reevaluated, failed)
 }
 
 // TestRepairDisjointFactWriters pins the headline property: a loser that
@@ -230,12 +233,13 @@ func TestRepairDisjointFactWriters(t *testing.T) {
 	}
 }
 
-// TestRepairFallbackOnOverlappingRead pins the conservative side: when
+// TestRepairOverlappingRead pins the path a read conflict takes: when
 // the winner writes into a predicate the loser's rule scanned, the
-// recorded intervals intersect the write set and repair must decline
-// with ErrRepairNotApplicable — correctness then comes from the coarse
-// full re-execution it falls back to.
-func TestRepairFallbackOnOverlappingRead(t *testing.T) {
+// recorded intervals intersect the write set from the first stratum on,
+// so nothing replays from the record — yet repair still succeeds by
+// re-evaluating every stratum on the new head with the recorded program,
+// and its head equals serial re-execution.
+func TestRepairOverlappingRead(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 10; seed++ {
 		p := generate(seed)
@@ -262,14 +266,18 @@ func TestRepairFallbackOnOverlappingRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: winner exec: %v", seed, err)
 		}
-		_, _, rerr := rec.Repair(ctx, resB.Workspace)
-		if !errors.Is(rerr, core.ErrRepairNotApplicable) {
-			t.Fatalf("seed %d: winner overwrote the loser's read set; want ErrRepairNotApplicable, got %v", seed, rerr)
+		got, stats, rerr := rec.Repair(ctx, resB.Workspace)
+		if rerr != nil {
+			t.Fatalf("seed %d: winner overwrote the loser's read set; repair must still succeed, got %v", seed, rerr)
 		}
-		// The coarse path the caller falls back to must still work.
-		if _, err := resB.Workspace.Exec(srcA); err != nil {
-			t.Fatalf("seed %d: coarse re-execution: %v", seed, err)
+		if stats.StrataTotal == 0 || stats.StrataReused != 0 {
+			t.Fatalf("seed %d: want the first stratum affected (nothing reused), got %+v", seed, stats)
 		}
+		serial, err := resB.Workspace.Exec(srcA)
+		if err != nil {
+			t.Fatalf("seed %d: serial oracle: %v", seed, err)
+		}
+		assertHeadsEqual(t, fmt.Sprintf("seed %d", seed), got.Workspace, serial.Workspace)
 	}
 }
 

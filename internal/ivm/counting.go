@@ -32,10 +32,11 @@ func aggregates(stratum []*compiler.RulePlan) bool {
 }
 
 // countInto returns an EnumerateRuleHeads callback that counts each head
-// tuple's derivations in counts.
+// tuple's derivations in counts, keyed by the head's AppendKey encoding
+// (its printed form would merge v(1) with v(1.0)).
 func countInto(counts map[string]*crec) func(tuple.Tuple) bool {
 	return func(head tuple.Tuple) bool {
-		k := head.String()
+		k := string(head.AppendKey(nil))
 		rec, ok := counts[k]
 		if !ok {
 			rec = &crec{t: head.Clone()}
@@ -108,7 +109,7 @@ func (m *Maintainer) deltaCountRule(r *compiler.RulePlan, acc map[string]Delta,
 // adjust changes the derivation count of one head tuple of r by n,
 // remembering in pending whether the tuple had support before the batch.
 func (m *Maintainer) adjust(r *compiler.RulePlan, head tuple.Tuple, n int, pending map[string]presence) {
-	key := head.String()
+	key := string(head.AppendKey(nil))
 	counts := m.ruleCounts[r.ID]
 	if counts == nil {
 		counts = map[string]*crec{}

@@ -48,7 +48,7 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 			}
 		}
 	}
-	overdeleted := map[string]map[string]tuple.Tuple{}
+	overdeleted := map[string]map[string]tuple.Tuple{} // head → AppendKey → tuple
 	for len(delSeeds) > 0 {
 		if err := m.ctx.Err(); err != nil {
 			return err
@@ -80,7 +80,7 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 						od = map[string]tuple.Tuple{}
 						overdeleted[r.HeadName] = od
 					}
-					k := head.String()
+					k := string(head.AppendKey(nil))
 					if _, seen := od[k]; !seen && origin[r.HeadName].Contains(head) {
 						od[k] = head.Clone()
 						next[r.HeadName] = append(next[r.HeadName], head.Clone())

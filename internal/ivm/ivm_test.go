@@ -531,3 +531,39 @@ func TestEmptyDeltaIsNoop(t *testing.T) {
 		t.Fatalf("no-op delta reported changes: %v", changed)
 	}
 }
+
+// TestMaintainDifferentKindTwinsAllModes pins head tuples that print
+// alike but differ in kind: v(1) and v(1.0) are two tuples, so
+// Counting's support counts and DRed's over-deleted set must not key
+// head tuples by their printed form, under which the twins share one
+// entry.
+func TestMaintainDifferentKindTwinsAllModes(t *testing.T) {
+	src := `v(k) <- a(k, x).`
+	twins := []tuple.Tuple{
+		{tuple.Int(1), tuple.Int(10)},
+		{tuple.Float(1), tuple.Int(20)},
+	}
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			prog := mustProgram(t, src)
+			base := map[string]relation.Relation{"a": relation.New(2)}
+			m, err := NewMaintainer(prog, cloneBase(base), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step, d := range []map[string]Delta{
+				{"a": {Ins: twins}},
+				{"a": {Del: twins}},
+			} {
+				if _, err := m.Apply(d); err != nil {
+					t.Fatal(err)
+				}
+				applyToBase(base, d, map[string]int{"a": 2})
+				checkAgainstOracle(t, m, prog, base, []string{"insert twins", "delete twins"}[step])
+			}
+			if got := m.Relation("v"); got.Len() != 0 {
+				t.Fatalf("v = %v after deleting both derivations, want empty", got.Slice())
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package lftj
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,7 +91,9 @@ func (iv Interval) String() string {
 // Probes are served from a lazily built lookup structure: intervals are
 // bucketed by (predicate, prefix), sorted by lower bound with a running
 // maximum of upper bounds, so Affected is a hash lookup plus a binary
-// search instead of a scan.
+// search instead of a scan. Prefixes are keyed by their AppendKey
+// encoding, which is equal exactly when tuple.Compare is: a printed
+// prefix would tell 0.0 from -0.0 and merge 1 with 1.0.
 type SensitivityIndex struct {
 	byPred map[string][]Interval
 	lookup map[string]*predLookup
@@ -101,7 +104,7 @@ type SensitivityIndex struct {
 // intervals bucketed by prefix, plus one bucket group per distinct
 // permuted column signature (secondary-index runs).
 type predLookup struct {
-	identity map[string]*bucket // prefix string → bucket (Cols == nil)
+	identity map[string]*bucket // prefix AppendKey → bucket (Cols == nil)
 	permuted []*permSig
 }
 
@@ -159,32 +162,26 @@ func (x *SensitivityIndex) Affected(pred string, t tuple.Tuple) bool {
 		return false
 	}
 	// An identity interval at depth d covers t when its prefix matches
-	// t[:d] and t[d] ∈ [Lo, Hi]; check every depth.
+	// t[:d] and t[d] ∈ [Lo, Hi]; check every depth, extending the prefix
+	// key by one column per step.
+	var key []byte
 	for d := 0; d < len(t); d++ {
-		if b, ok := pl.identity[tuple.Tuple(t[:d]).String()]; ok && b.stab(t[d]) {
+		if b, ok := pl.identity[string(key)]; ok && b.stab(t[d]) {
 			return true
 		}
+		key = t[d : d+1].AppendKey(key)
 	}
 	// Permuted intervals probe the columns their run actually read.
 	for _, sig := range pl.permuted {
 		d := len(sig.cols) - 1
-		rc := sig.cols[d]
-		if rc >= len(t) {
+		if slices.ContainsFunc(sig.cols, func(c int) bool { return c >= len(t) }) {
 			continue
 		}
-		prefix := make(tuple.Tuple, d)
-		valid := true
-		for i, c := range sig.cols[:d] {
-			if c >= len(t) {
-				valid = false
-				break
-			}
-			prefix[i] = t[c]
+		key = key[:0]
+		for _, c := range sig.cols[:d] {
+			key = t[c : c+1].AppendKey(key)
 		}
-		if !valid {
-			continue
-		}
-		if b, ok := sig.byPrefix[prefix.String()]; ok && b.stab(t[rc]) {
+		if b, ok := sig.byPrefix[string(key)]; ok && b.stab(t[sig.cols[d]]) {
 			return true
 		}
 	}
@@ -213,7 +210,7 @@ func (x *SensitivityIndex) rebuildLookup() {
 		sigCols := map[string][]int{}
 		for _, iv := range ivs {
 			if iv.Cols == nil {
-				key := iv.Prefix.String()
+				key := string(iv.Prefix.AppendKey(nil))
 				byPrefix[key] = append(byPrefix[key], iv)
 				continue
 			}
@@ -228,7 +225,8 @@ func (x *SensitivityIndex) rebuildLookup() {
 			sig := &permSig{cols: sigCols[key], byPrefix: map[string]*bucket{}}
 			grouped := map[string][]Interval{}
 			for _, iv := range group {
-				grouped[iv.Prefix.String()] = append(grouped[iv.Prefix.String()], iv)
+				pk := string(iv.Prefix.AppendKey(nil))
+				grouped[pk] = append(grouped[pk], iv)
 			}
 			for pk, g := range grouped {
 				sig.byPrefix[pk] = newBucket(g)

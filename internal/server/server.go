@@ -6,8 +6,8 @@
 // immutable branch-head snapshots and commit through Apply's single
 // optimistic loop and the database's single commit primitive
 // (compare-and-swap, write-ahead journal, pointer swap under one lock):
-// a transaction that loses the race is repaired against the new head
-// when it kept a repair record (exec; paper §3.4) and otherwise backs
+// an exec that loses the race is repaired against the new head (paper
+// §3.4); an addblock, or an exec whose logic changed under it, backs
 // off and re-runs, up to MaxRetries times before surfacing 409. Every
 // request carries a context deadline honored inside the engine's
 // fixpoint loops, so a runaway recursive rule is stopped rather than
@@ -91,13 +91,6 @@ type Config struct {
 	// disables the cap). Responses cut off by the cap carry a
 	// next_cursor. Streamed (NDJSON) responses are never default-capped.
 	DefaultLimit int
-	// DisableRepair turns off fine-grained transaction repair (paper
-	// §3.4): execs run without recording read intervals, and every lost
-	// commit race falls back to full re-execution. The default (repair
-	// on) records sensitivity intervals per reactive stratum during exec
-	// and, on conflict, re-derives only the strata whose reads intersect
-	// the winner's writes.
-	DisableRepair bool
 	// Obs receives all server and engine metrics (default: a fresh
 	// registry).
 	Obs *obs.Registry
@@ -301,12 +294,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 // transact answers a transaction request (exec, addblock) by handing its
 // record to core.Database.Apply — the same call journal recovery and
 // followers replay it with — under the server's policy: record into the
-// server's registry, repair on conflict unless disabled, survive up to
-// MaxRetries lost commit races. The record is journaled write-ahead
-// whenever the database has a commit hook.
+// server's registry, survive up to MaxRetries lost commit races. The
+// record is journaled write-ahead whenever the database has a commit
+// hook.
 func (s *Server) transact(w http.ResponseWriter, r *http.Request, rec core.CommitRecord) {
 	out, err := s.Database().Apply(r.Context(), rec, core.TxOptions{
-		Obs: s.reg, Repair: !s.cfg.DisableRepair, MaxRetries: s.cfg.MaxRetries,
+		Obs: s.reg, MaxRetries: s.cfg.MaxRetries,
 	})
 	if out.Retries > 0 {
 		s.reg.Counter("server.commit.retries").Add(int64(out.Retries))
