@@ -37,9 +37,6 @@ type Block struct {
 	Panic ast.Stmt
 }
 
-// IsExit reports whether control leaves the function at the end of b.
-func (b *Block) IsExit() bool { return b.Return != nil || b.Panic != nil }
-
 // Edge is one control transfer. When Cond is non-nil the edge is taken
 // exactly when Cond evaluates to !Negated, which lets edge-sensitive
 // transfer functions model idioms like `if err != nil { return }`.

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,9 +14,33 @@ import (
 // Blocks are merged: rules and constraints may reference predicates
 // declared in other blocks (paper §2.2.2).
 func Compile(blocks ...*ast.Program) (*Program, error) {
-	c := &compilation{
-		prog: &Program{Preds: map[string]*PredInfo{}},
+	return Extend(&Program{}, blocks...)
+}
+
+// Extend compiles blocks on top of base, an already compiled program, and
+// returns what Compile returns for base's blocks followed by these: a
+// request compiles only its own clauses against the installed program
+// (paper §3.3's execution graph, kept per logic version). base is not
+// modified, so any number of requests may extend it at once. Every rule
+// is re-stratified.
+func Extend(base *Program, blocks ...*ast.Program) (*Program, error) {
+	prog := &Program{
+		Preds:       make(map[string]*PredInfo, len(base.Preds)),
+		Rules:       slices.Clip(base.Rules),
+		Reactive:    slices.Clip(base.Reactive),
+		Constraints: slices.Clip(base.Constraints),
 	}
+	for name, p := range base.Preds {
+		cp := *p
+		cp.ColumnKinds = slices.Clone(p.ColumnKinds)
+		prog.Preds[name] = &cp
+	}
+	if base.Solve != nil {
+		s := *base.Solve
+		s.Variables, s.Integral = slices.Clip(s.Variables), slices.Clip(s.Integral)
+		prog.Solve = &s
+	}
+	c := &compilation{prog: prog}
 	var rules []*ast.Rule
 	var constraints []*ast.Constraint
 	for _, b := range blocks {
@@ -52,13 +77,7 @@ func Compile(blocks ...*ast.Program) (*Program, error) {
 }
 
 type compilation struct {
-	prog    *Program
-	freshID int
-}
-
-func (c *compilation) fresh(prefix string) string {
-	c.freshID++
-	return fmt.Sprintf("$%s%d", prefix, c.freshID)
+	prog *Program
 }
 
 // --- desugaring -----------------------------------------------------------
@@ -256,7 +275,6 @@ func (c *compilation) applyDirective(d *ast.Directive) error {
 // bodyEnv accumulates the variable slots and plan fragments of one rule
 // body.
 type bodyEnv struct {
-	c          *compilation
 	varSlot    map[string]int
 	varNames   []string
 	isJoinVar  []bool
@@ -273,10 +291,18 @@ type bodyEnv struct {
 	negNames   []string
 	pendingCmp []*ast.Comparison
 	numJoin    int
+	nfresh     int // fresh variables minted in this body
 }
 
-func (c *compilation) newBodyEnv() *bodyEnv {
-	return &bodyEnv{c: c, varSlot: map[string]int{}, assigned: map[int]bool{}}
+func newBodyEnv() *bodyEnv {
+	return &bodyEnv{varSlot: map[string]int{}, assigned: map[int]bool{}}
+}
+
+// fresh names a new variable of this body. The numbering is per body, so
+// a rule compiles to the same plan whatever was compiled before it.
+func (e *bodyEnv) fresh(prefix string) string {
+	e.nfresh++
+	return fmt.Sprintf("$%s%d", prefix, e.nfresh)
 }
 
 func (e *bodyEnv) slotFor(name string, join bool) int {
@@ -330,7 +356,7 @@ func (e *bodyEnv) addPositiveAtom(a *ast.Atom) error {
 				// Repeated variable within one atom: rewrite the second
 				// occurrence to a fresh variable plus an equality filter
 				// (paper §3.2's R(x,x) rewrite).
-				f := e.c.fresh("eq")
+				f := e.fresh("eq")
 				s := e.slotFor(f, true)
 				vars[i] = s
 				e.pendingCmp = append(e.pendingCmp, &ast.Comparison{
@@ -343,12 +369,12 @@ func (e *bodyEnv) addPositiveAtom(a *ast.Atom) error {
 		case ast.Const:
 			// Constants become fresh variables constrained by a virtual
 			// constant predicate (paper §3.2's Const2 rewrite).
-			f := e.c.fresh("k")
+			f := e.fresh("k")
 			s := e.slotFor(f, true)
 			vars[i] = s
 			e.consts = append(e.consts, ConstBind{Var: s, Val: t.Val})
 		case ast.Wildcard:
-			f := e.c.fresh("w")
+			f := e.fresh("w")
 			vars[i] = e.slotFor(f, true)
 		default:
 			return fmt.Errorf("argument %s of %s is not a variable or constant", t, a.Pred)

@@ -8,7 +8,7 @@ import (
 
 // compileConstraint lowers an integrity constraint.
 func (c *compilation) compileConstraint(k *ast.Constraint) error {
-	env := c.newBodyEnv()
+	env := newBodyEnv()
 	if err := env.addLiterals(k.Body); err != nil {
 		return err
 	}

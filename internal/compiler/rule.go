@@ -8,7 +8,7 @@ import (
 
 // compileRule lowers one rule into one RulePlan per head atom.
 func (c *compilation) compileRule(r *ast.Rule) error {
-	env := c.newBodyEnv()
+	env := newBodyEnv()
 	if err := env.addLiterals(r.Body); err != nil {
 		return err
 	}

@@ -78,9 +78,10 @@ func (db *Database) Apply(rctx context.Context, rec CommitRecord, opt TxOptions)
 // transact is the optimistic-commit loop (paper §3.4): snapshot the
 // branch head, run the transaction on it, and compare-and-swap the result
 // in, journaling rec write-ahead when a commit hook is installed. On a
-// lost race an exec is repaired against the new head, immediately; an
-// addblock, or an exec whose logic changed under it, backs off and
-// re-runs in full on a fresh snapshot.
+// lost race an exec is repaired against the new head, at once the first
+// time and after a backoff every later time; an addblock, or an exec
+// whose logic changed under it, backs off and re-runs in full on a fresh
+// snapshot.
 func (db *Database) transact(rctx context.Context, rec CommitRecord, opt TxOptions, run func(*Workspace) (*ExecResult, *ExecRecord, error)) (Applied, error) {
 	var out Applied
 	observed := func(ws *Workspace) *Workspace {
@@ -119,6 +120,11 @@ func (db *Database) transact(rctx context.Context, rec CommitRecord, opt TxOptio
 		}
 		out.Retries++
 		if xrec != nil {
+			if out.Retries > 1 {
+				// A repeat loser backs off before it repairs again, or on
+				// few cores it keeps losing to the same writers.
+				BackoffConflict(rctx, out.Retries)
+			}
 			if newHead, werr := db.Workspace(rec.Branch); werr == nil && newHead != head {
 				onto := observed(newHead)
 				repaired, _, rerr := xrec.Repair(rctx, onto)
@@ -140,10 +146,11 @@ func (db *Database) transact(rctx context.Context, rec CommitRecord, opt TxOptio
 	}
 }
 
-// BackoffConflict sleeps before optimistic re-execution attempt n
-// (1-based): exponential from 2ms capped at 50ms, with full jitter so
-// colliding writers desynchronize instead of re-colliding. It returns
-// early if the transaction's context ends first.
+// BackoffConflict sleeps before retry n (1-based) of a lost race — a
+// re-execution, or any repair after the first: exponential from 2ms
+// capped at 50ms, with full jitter so colliding writers desynchronize
+// instead of re-colliding. It returns early if the transaction's context
+// ends first.
 func BackoffConflict(ctx context.Context, attempt int) {
 	d := 2 * time.Millisecond << min(attempt-1, 5)
 	if d > 50*time.Millisecond {

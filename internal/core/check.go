@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"logicblox/internal/analysis/logiql"
 	"logicblox/internal/ast"
@@ -28,15 +27,13 @@ func (ws *Workspace) CheckProgram(src string) ([]logiql.Warning, error) {
 		}
 		candidate = prog
 	}
-	parsed := ws.parsedBlocks()
-	var names []string
-	for n := range parsed {
-		names = append(names, n)
+	installed, err := parseBlocks(ws.blocks)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
 	merged := &ast.Program{}
-	for _, n := range names {
-		merged.Clauses = append(merged.Clauses, parsed[n].Clauses...)
+	for _, prog := range installed {
+		merged.Clauses = append(merged.Clauses, prog.Clauses...)
 	}
 	if candidate != nil {
 		merged.Clauses = append(merged.Clauses, candidate.Clauses...)

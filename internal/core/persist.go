@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
-	"logicblox/internal/ast"
-	"logicblox/internal/parser"
+	"logicblox/internal/compiler"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -197,38 +195,19 @@ func decodeRows(r snapshotRel) (relation.Relation, error) {
 	return relation.FromTuples(r.Arity, ts), nil
 }
 
-// RestoreWorkspace rebuilds a workspace from block sources and base data:
+// restoreWorkspace rebuilds a workspace from block sources and base data:
 // all blocks are compiled together, base predicates set, derived
 // predicates re-materialized, and integrity constraints verified.
-func RestoreWorkspace(blocks map[string]string, base map[string][]tuple.Tuple, arity map[string]int) (*Workspace, error) {
-	rels := make(map[string]relation.Relation, len(base))
-	for pred, rows := range base {
-		a := arity[pred]
-		if a == 0 && len(rows) > 0 {
-			a = len(rows[0])
-		}
-		rels[pred] = relation.FromTuples(a, rows)
-	}
-	return restoreWorkspace(blocks, rels)
-}
-
-// restoreWorkspace is RestoreWorkspace over built relations.
 func restoreWorkspace(blocks map[string]string, base map[string]relation.Relation) (*Workspace, error) {
 	ws := NewWorkspace()
-	var names []string
-	for n := range blocks {
-		names = append(names, n)
+	for n, src := range blocks {
+		ws.blocks = ws.blocks.Set(n, src)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		prog, err := parseBlock(n, blocks[n])
-		if err != nil {
-			return nil, err
-		}
-		ws.blocks = ws.blocks.Set(n, blocks[n])
-		ws.parsed = ws.parsed.Set(n, prog)
+	progs, err := parseBlocks(ws.blocks)
+	if err != nil {
+		return nil, err
 	}
-	compiled, err := compileBlocks(ws.parsedBlocks())
+	compiled, err := compiler.Compile(progs...)
 	if err != nil {
 		return nil, err
 	}
@@ -398,13 +377,4 @@ func (snap *snapshotDB) fromV1() ([]relation.Relation, error) {
 		snap.Heads = append(snap.Heads, h)
 	}
 	return rels, nil
-}
-
-// parseBlock parses one block's source with context in errors.
-func parseBlock(name, src string) (*ast.Program, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("block %s: %w", name, err)
-	}
-	return prog, nil
 }

@@ -152,7 +152,7 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 		return nil, fmt.Errorf("query %w: %w", ErrParse, err)
 	}
 	csp := sp.Child("compile")
-	combined, err := compileBlocks(ws.parsedBlocks(), qprog)
+	combined, err := compiler.Extend(ws.prog, qprog)
 	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("query %w: %w", ErrTypecheck, err)

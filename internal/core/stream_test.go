@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
 	"logicblox/internal/obs"
 	"logicblox/internal/parser"
@@ -15,14 +16,20 @@ import (
 
 // referenceQuery evaluates a query the pre-streaming way: every fresh
 // stratum fully materialized, answers read off the "_" relation. This is
-// the ground truth the cursor paths must match byte-for-byte.
+// the ground truth the cursor paths must match byte-for-byte. It compiles
+// the installed blocks' sources with the query, not the query alone
+// against ws.prog.
 func referenceQuery(t *testing.T, ws *Workspace, src string) []tuple.Tuple {
 	t.Helper()
+	progs, err := parseBlocks(ws.blocks)
+	if err != nil {
+		t.Fatalf("parse installed blocks: %v", err)
+	}
 	qprog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	combined, err := compileBlocks(ws.parsedBlocks(), qprog)
+	combined, err := compiler.Compile(append(progs, qprog)...)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

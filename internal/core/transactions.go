@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 
-	"logicblox/internal/ast"
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
 	"logicblox/internal/ivm"
 	"logicblox/internal/lftj"
 	"logicblox/internal/obs"
 	"logicblox/internal/parser"
+	"logicblox/internal/pmap"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -29,13 +29,7 @@ func (ws *Workspace) AddBlockCtx(rctx context.Context, name, src string) (*Works
 	if ws.blocks.Contains(name) {
 		return nil, fmt.Errorf("block %s already installed: %w", name, ErrConflict)
 	}
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("block %s: %w: %w", name, ErrParse, err)
-	}
-	newParsed := ws.parsedBlocks()
-	newParsed[name] = prog
-	return ws.reinstall(rctx, "addblock", name, src, prog, newParsed)
+	return ws.reinstall(rctx, "addblock", ws.blocks.Set(name, src))
 }
 
 // RemoveBlock uninstalls a block, restoring the workspace logic to its
@@ -44,39 +38,37 @@ func (ws *Workspace) RemoveBlock(name string) (*Workspace, error) {
 	if !ws.blocks.Contains(name) {
 		return nil, fmt.Errorf("block %s is not installed", name)
 	}
-	newParsed := ws.parsedBlocks()
-	delete(newParsed, name)
-	return ws.reinstall(context.Background(), "removeblock", name, "", nil, newParsed)
+	return ws.reinstall(context.Background(), "removeblock", ws.blocks.Delete(name))
 }
 
-// reinstall recompiles the workspace logic after a block change (kind is
-// the transaction: addblock or removeblock) and settles the result. The
-// change is the heads of the rules it added or removed; the stratum walk
-// re-evaluates those and maintains their readers by the heads' deltas.
-func (ws *Workspace) reinstall(rctx context.Context, kind, name, src string, parsed *ast.Program, newParsed map[string]*ast.Program) (*Workspace, error) {
+// reinstall compiles blocks, the workspace's logic after a block change
+// (kind is the transaction: addblock or removeblock), and settles the
+// result. The change is the heads of the rules it added or removed; the
+// stratum walk re-evaluates those and maintains their readers by the
+// heads' deltas.
+func (ws *Workspace) reinstall(rctx context.Context, kind string, blocks pmap.Map[string]) (*Workspace, error) {
 	sp, done := ws.txSpan(rctx, kind)
-	out, err := ws.reinstallTraced(rctx, name, src, parsed, newParsed, sp)
+	out, err := ws.reinstallTraced(rctx, blocks, sp)
 	done(err)
 	return out, err
 }
 
-func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, parsed *ast.Program, newParsed map[string]*ast.Program, sp *obs.Span) (*Workspace, error) {
+func (ws *Workspace) reinstallTraced(rctx context.Context, blocks pmap.Map[string], sp *obs.Span) (*Workspace, error) {
+	psp := sp.Child("parse")
+	progs, err := parseBlocks(blocks)
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
 	csp := sp.Child("compile")
-	compiled, err := compileBlocks(newParsed)
+	compiled, err := compiler.Compile(progs...)
 	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrTypecheck, err)
 	}
 
 	out := ws.clone()
-	if parsed == nil {
-		out.blocks = out.blocks.Delete(name)
-		out.parsed = out.parsed.Delete(name)
-	} else {
-		out.blocks = out.blocks.Set(name, src)
-		out.parsed = out.parsed.Set(name, parsed)
-	}
-	out.prog = compiled
+	out.blocks, out.prog = blocks, compiled
 
 	// A head that lost its last rule is dropped: its readers see it empty.
 	dirty := changedHeads(ws.prog, compiled)
@@ -205,7 +197,7 @@ func (ws *Workspace) execReactive(rctx context.Context, src string, sp *obs.Span
 		return nil, fmt.Errorf("exec %w: %w", ErrParse, err)
 	}
 	csp := sp.Child("compile")
-	combined, err := compileBlocks(ws.parsedBlocks(), eprog)
+	combined, err := compiler.Extend(ws.prog, eprog)
 	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("exec %w: %w", ErrTypecheck, err)

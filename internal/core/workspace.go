@@ -9,7 +9,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"fmt"
 
 	"logicblox/internal/ast"
 	"logicblox/internal/compiler"
@@ -17,6 +17,7 @@ import (
 	"logicblox/internal/ivm"
 	"logicblox/internal/ml"
 	"logicblox/internal/obs"
+	"logicblox/internal/parser"
 	"logicblox/internal/pmap"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
@@ -26,8 +27,7 @@ import (
 // All mutating methods return a new Workspace.
 type Workspace struct {
 	blocks  pmap.Map[string]            // block name → LogiQL source
-	parsed  pmap.Map[*ast.Program]      // block name → parsed program
-	prog    *compiler.Program           // compiled program (shared, immutable)
+	prog    *compiler.Program           // compiled blocks in name order (shared, immutable)
 	base    pmap.Map[relation.Relation] // base predicate contents
 	derived pmap.Map[relation.Relation] // derived predicate contents
 	models  *ml.Registry                // model store (append-only, shared across versions)
@@ -47,7 +47,6 @@ func NewWorkspace() *Workspace {
 	}
 	return &Workspace{
 		blocks:  pmap.NewMap[string](),
-		parsed:  pmap.NewMap[*ast.Program](),
 		prog:    empty,
 		base:    pmap.NewMap[relation.Relation](),
 		derived: pmap.NewMap[relation.Relation](),
@@ -127,25 +126,21 @@ func (ws *Workspace) clone() *Workspace {
 	return &cp
 }
 
-// parsedBlocks returns the parsed programs keyed by block name.
-func (ws *Workspace) parsedBlocks() map[string]*ast.Program {
-	out := map[string]*ast.Program{}
-	ws.parsed.Range(func(k string, v *ast.Program) bool { out[k] = v; return true })
-	return out
-}
-
-func compileBlocks(parsed map[string]*ast.Program, extra ...*ast.Program) (*compiler.Program, error) {
-	var names []string
-	for n := range parsed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var progs []*ast.Program
-	for _, n := range names {
-		progs = append(progs, parsed[n])
-	}
-	progs = append(progs, extra...)
-	return compiler.Compile(progs...)
+// parseBlocks parses every block in name order, the order the installed
+// program is compiled in. A block that fails to parse is an ErrParse.
+func parseBlocks(blocks pmap.Map[string]) ([]*ast.Program, error) {
+	progs := make([]*ast.Program, 0, blocks.Len())
+	var err error
+	blocks.Range(func(name, src string) bool {
+		var prog *ast.Program
+		if prog, err = parser.Parse(src); err != nil {
+			err = fmt.Errorf("block %s: %w: %w", name, ErrParse, err)
+			return false
+		}
+		progs = append(progs, prog)
+		return true
+	})
+	return progs, err
 }
 
 // rederive re-materializes derived predicates after base-data or logic

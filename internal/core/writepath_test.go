@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
 
@@ -164,8 +165,8 @@ func TestFunctionalDependencyFirstWrite(t *testing.T) {
 	if !errors.Is(err, ErrConstraint) || !strings.Contains(err.Error(), "g: key (1) has values 2 and 3") {
 		t.Fatalf("first write of two values for g[1]: err = %v, want ErrConstraint naming g and key (1)", err)
 	}
-	_, err = RestoreWorkspace(map[string]string{"s": `g[k] = v -> int(k), int(v).`},
-		map[string][]tuple.Tuple{"g": {tuple.Ints(1, 2), tuple.Ints(1, 3)}}, map[string]int{"g": 2})
+	_, err = restoreWorkspace(map[string]string{"s": `g[k] = v -> int(k), int(v).`},
+		map[string]relation.Relation{"g": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(1, 3)})})
 	if !errors.Is(err, ErrConstraint) {
 		t.Fatalf("restore of two values for g[1]: err = %v, want ErrConstraint", err)
 	}

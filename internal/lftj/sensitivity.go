@@ -252,14 +252,6 @@ func newBucket(group []Interval) *bucket {
 	return b
 }
 
-// Merge folds the intervals of o into x.
-func (x *SensitivityIndex) Merge(o *SensitivityIndex) {
-	for pred, ivs := range o.byPred {
-		x.byPred[pred] = append(x.byPred[pred], ivs...)
-	}
-	x.dirty = true
-}
-
 // Len returns the total number of recorded intervals.
 func (x *SensitivityIndex) Len() int {
 	n := 0

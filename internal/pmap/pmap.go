@@ -1,7 +1,8 @@
 // Package pmap provides persistent string-keyed maps and sets built on the
-// treap substrate. The workspace keeps its meta-data (block sources and
-// parsed blocks) and its predicate contents in these structures so that branching a workspace is an O(1) pointer copy and
-// diffing two versions is proportional to their divergence (paper §3.1).
+// treap substrate. The workspace keeps its meta-data (block sources) and
+// its predicate contents in these structures so that branching a
+// workspace is an O(1) pointer copy and diffing two versions is
+// proportional to their divergence (paper §3.1).
 package pmap
 
 import (
