@@ -174,6 +174,17 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := ws.AddBlock("b", `e(x) <- s(x).`); !errors.Is(err, ErrConflict) {
 		t.Errorf("duplicate block: %v", err)
 	}
+	// Data that arrived before any logic fixed its predicate's arity.
+	first := mustExec(t, ws, `+B(0).`)
+	if _, err := first.Exec(`+B(1, 2).`); !errors.Is(err, ErrTypecheck) {
+		t.Errorf("exec against the data's arity: %v", err)
+	}
+	if _, err := first.Query(`_(x) <- B(x, 0).`); !errors.Is(err, ErrTypecheck) {
+		t.Errorf("query against the data's arity: %v", err)
+	}
+	if _, err := first.AddBlock("c", `v(x) <- B(x, 0).`); !errors.Is(err, ErrTypecheck) {
+		t.Errorf("addblock against the data's arity: %v", err)
+	}
 	if _, err := db.Workspace("nope"); !errors.Is(err, ErrNoSuchBranch) {
 		t.Errorf("unknown branch: %v", err)
 	}

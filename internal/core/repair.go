@@ -114,37 +114,14 @@ func (rec *ExecRecord) Repair(rctx context.Context, newHead *Workspace) (*ExecRe
 }
 
 // replay runs the transaction against target: strata before k are
-// replayed by installing their recorded derivations (seed ∪ derivations
-// is exactly what evaluation would produce, since none of their reads
-// are affected); strata from k on are re-evaluated. The shared apply
+// replayed from their recorded derivations (none of their reads are
+// affected), strata from k on are re-evaluated, and the shared apply
 // phase then finishes the transaction as usual.
 func (rec *ExecRecord) replay(rctx context.Context, target *Workspace, k int, sp *obs.Span) (*ExecResult, error) {
-	ctx := target.seedExecCtx(rctx, rec.combined)
-	run := &reactiveRun{combined: rec.combined, ctx: ctx, derived: map[string]relation.Relation{}}
-	esp := sp.Child("eval.reactive")
-	ctx.SetSpan(esp)
-	for si := 0; si < k; si++ {
-		for h, d := range rec.strata[si].derived {
-			if ctx.Has(h) {
-				ctx.Set(h, ctx.Relation(h).Union(d))
-			} else {
-				ctx.Set(h, d)
-			}
-		}
-		mergeDerived(run.derived, rec.strata[si].derived)
+	run, err := target.runReactive(rctx, rec.combined, rec.strata[:k], nil, sp)
+	if err != nil {
+		return nil, fmt.Errorf("exec repair: %w", err)
 	}
-	for si := k; si < len(rec.combined.ReactiveStrata); si++ {
-		ctx.StartDerivedCapture()
-		err := ctx.EvalStratum(rec.combined.ReactiveStrata[si])
-		capt := ctx.TakeDerivedCapture()
-		if err != nil {
-			esp.End()
-			return nil, fmt.Errorf("exec repair: %w", err)
-		}
-		mergeDerived(run.derived, capt)
-	}
-	ctx.SetSpan(nil)
-	esp.End()
 	return target.applyReactive(rctx, run, sp)
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
+	"logicblox/internal/ivm"
 	"logicblox/internal/obs"
 	"logicblox/internal/parser"
 	"logicblox/internal/relation"
@@ -23,7 +25,7 @@ import (
 type Cursor struct {
 	rctx     context.Context
 	sp       *obs.Span   // transaction span; ended by done
-	esp      *obs.Span   // eval span held open while streaming (nil on fallback)
+	esp      *obs.Span   // eval span held open while streaming (nil when materialized)
 	done     func(error) // records tx.<kind>.commit/.abort; set by the opener
 	rc       *engine.RuleCursor
 	mat      *relation.Cursor
@@ -77,9 +79,10 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Rows() int64 { return c.rows }
 
 // Streamed reports whether answers are pipelined straight out of the
-// join iterators (true) or served from an internally materialized
-// relation (false: recursive/aggregating programs, or answers already
-// derived in the workspace).
+// join iterators (true) or served from the "_" relation the stratum walk
+// materialized (false: an answer rule that aggregates, predicts,
+// computes a head column or is read by a rule, or several "_" rules —
+// an installed one among them).
 func (c *Cursor) Streamed() bool { return c.streamed }
 
 // Close releases the cursor: join iterators unwound, spans ended, the
@@ -114,9 +117,9 @@ func (c *Cursor) Close() {
 
 // QueryStream runs a read-only query transaction as a pull cursor: src
 // is a program with a designated answer predicate "_" (plus auxiliary
-// rules), exactly as for Query. Auxiliary strata are materialized up
-// front; the answer rule itself is pipelined when the program shape
-// allows (see Cursor.Streamed). The transaction's span kind is
+// rules), exactly as for Query. Its rules settle up front as a transient
+// addblock's would; the answer rule itself is pipelined when the program
+// shape allows (see Cursor.Streamed). The transaction's span kind is
 // tx.query.stream, and its commit/abort is recorded when the cursor is
 // Closed — not when this call returns.
 func (ws *Workspace) QueryStream(rctx context.Context, src string) (*Cursor, error) {
@@ -141,9 +144,9 @@ func (ws *Workspace) queryCursor(rctx context.Context, src, kind string) (*Curso
 	return cur, nil
 }
 
-// openCursor parses, compiles, and evaluates a query program, returning
-// a cursor over the answers. The caller owns the transaction span; the
-// cursor ends only its internal eval span.
+// openCursor parses and compiles a query program and settles it as a
+// transient addblock, returning a cursor over the answers. The caller
+// owns the transaction span; the cursor ends only its internal eval span.
 func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) (*Cursor, error) {
 	psp := sp.Child("parse")
 	qprog, err := parser.Parse(src)
@@ -154,57 +157,54 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	csp := sp.Child("compile")
 	combined, err := compiler.Extend(ws.prog, qprog)
 	csp.End()
+	if err == nil {
+		err = ws.checkArities(combined)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("query %w: %w", ErrTypecheck, err)
 	}
-	ctx := ws.newContext(rctx, combined)
+	// The heads of the query's rules (Extend appends them) changed, as an
+	// addblock's would: the stratum walk re-evaluates them and maintains
+	// their readers, installed ones included, but leaves a streamable
+	// answer rule's stratum to the cursor.
+	changed := map[string]bool{}
+	for _, r := range combined.Rules[len(ws.prog.Rules):] {
+		changed[r.HeadName] = true
+	}
+	walked := *combined
+	answer := streamableAnswer(combined)
+	if answer != nil {
+		walked.Strata = slices.DeleteFunc(slices.Clone(combined.Strata), func(s []*compiler.RulePlan) bool {
+			return s[0].HeadName == "_"
+		})
+	}
+	ctx := ws.newContext(rctx, &walked)
 	esp := sp.Child("eval")
 	ctx.SetSpan(esp)
-	answer := ws.streamableAnswer(combined)
-	// Evaluate only the strata that are not already materialized in the
-	// workspace (i.e. the query's own derivations; installed rules compile
-	// first, so an installed stratum leads with one), leaving a streamable
-	// answer rule — alone in its stratum — to the cursor.
-	for _, stratum := range combined.Strata {
-		if stratum[0] == answer || ws.derived.Contains(stratum[0].HeadName) {
-			continue
-		}
-		if err := ctx.EvalStratum(stratum); err != nil {
-			esp.End()
-			return nil, err
-		}
-	}
-	if answer != nil {
-		if plan, ok := headFirstPlan(answer); ok {
-			rc, err := ctx.StreamRule(plan)
-			if err == nil {
-				return &Cursor{rctx: rctx, esp: esp, rc: rc, streamed: true}, nil
-			}
-		}
-		// Reordering or cursor setup failed: materialize the answer rule
-		// after all (correctness over pipelining).
-		if err := ctx.EvalStratum([]*compiler.RulePlan{answer}); err != nil {
-			esp.End()
-			return nil, err
+	if _, _, err = ivm.Rederive(ctx, changed, nil, nil); err == nil && answer != nil {
+		var rc *engine.RuleCursor
+		if rc, err = ctx.StreamRule(answer); err == nil {
+			return &Cursor{rctx: rctx, esp: esp, rc: rc, streamed: true}, nil
 		}
 	}
 	esp.End()
+	if err != nil {
+		return nil, err
+	}
 	rel := ctx.Relation("_")
 	return &Cursor{rctx: rctx, mat: rel.Cursor(), hint: rel.Len()}, nil
 }
 
-// streamableAnswer returns the single answer rule when the program shape
-// admits pipelined evaluation with output identical to the materialized
-// path: exactly one rule derives "_", nothing consumes "_", the rule
-// neither aggregates nor predicts, "_" is not already materialized in
-// the workspace, and every head column is a join variable or a constant
-// (so a head-variable-first join order makes the projected heads arrive
-// sorted). Returns nil when any condition fails — callers then fall back
-// to materialization.
-func (ws *Workspace) streamableAnswer(prog *compiler.Program) *compiler.RulePlan {
-	if _, have := ws.derived.Get("_"); have {
-		return nil
-	}
+// streamableAnswer returns the single answer rule, reordered head
+// variables first (headFirstPlan), when the program shape admits
+// pipelined evaluation with output identical to the materialized path:
+// exactly one rule derives "_" (so an installed "_" rule rules it out),
+// nothing consumes "_", the rule neither aggregates nor predicts, and
+// every head column is a join variable or a constant (so a
+// head-variable-first join order makes the projected heads arrive
+// sorted). Returns nil when any condition fails — the walk then
+// materializes the answer.
+func streamableAnswer(prog *compiler.Program) *compiler.RulePlan {
 	var rule *compiler.RulePlan
 	n := 0
 	for _, stratum := range prog.Strata {
@@ -213,15 +213,8 @@ func (ws *Workspace) streamableAnswer(prog *compiler.Program) *compiler.RulePlan
 				rule = r
 				n++
 			}
-			for _, b := range r.BodyNames {
-				if b == "_" {
-					return nil
-				}
-			}
-			for _, b := range r.NegNames {
-				if b == "_" {
-					return nil
-				}
+			if r.ReadsAny(func(name string) bool { return name == "_" }) {
+				return nil
 			}
 		}
 	}
@@ -239,7 +232,7 @@ func (ws *Workspace) streamableAnswer(prog *compiler.Program) *compiler.RulePlan
 			return nil
 		}
 	}
-	return rule
+	return headFirstPlan(rule)
 }
 
 // headFirstPlan reorders the answer rule's join variables so the head's
@@ -247,8 +240,8 @@ func (ws *Workspace) streamableAnswer(prog *compiler.Program) *compiler.RulePlan
 // bindings lexicographically in the variable order, and projecting a
 // monotone prefix keeps that order, so the streamed heads come out
 // sorted with duplicates adjacent — exactly the materialized relation's
-// iteration order after adjacent dedup.
-func headFirstPlan(r *compiler.RulePlan) (*compiler.RulePlan, bool) {
+// iteration order after adjacent dedup. Nil if the reordering fails.
+func headFirstPlan(r *compiler.RulePlan) *compiler.RulePlan {
 	order := make([]int, 0, r.NumJoinVars)
 	seen := make([]bool, r.NumJoinVars)
 	for _, e := range r.HeadExprs {
@@ -269,11 +262,11 @@ func headFirstPlan(r *compiler.RulePlan) (*compiler.RulePlan, bool) {
 		}
 	}
 	if identity {
-		return r, true
+		return r
 	}
 	plan, err := compiler.ReorderRule(r, order)
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	return plan, true
+	return plan
 }

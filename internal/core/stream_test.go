@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
@@ -279,4 +280,127 @@ func TestQueryStreamParseAndTypeErrors(t *testing.T) {
 	if _, err := ws.QueryStream(context.Background(), `_(x <-`); !errors.Is(err, ErrParse) {
 		t.Errorf("parse error = %v, want ErrParse", err)
 	}
+}
+
+// addBlockAnswer is the answer a query must give: the "_" relation after
+// installing the query's text as a block.
+func addBlockAnswer(t *testing.T, ws *Workspace, src string) []tuple.Tuple {
+	t.Helper()
+	out, err := ws.AddBlock("q", src)
+	if err != nil {
+		t.Fatalf("AddBlock(%q): %v", src, err)
+	}
+	return out.Relation("_").Slice()
+}
+
+// TestQueryRulesSettleLikeAddBlock: a query is a transient addblock. A
+// query rule for an installed derived predicate, or one into a base
+// predicate, reaches that predicate's installed readers exactly as
+// installing the query's block would — through Query and QueryStream,
+// streamed or not (an installed "_" rule shares the answer's stratum, so
+// the walk materializes it) — and the workspace is left as it was.
+func TestQueryRulesSettleLikeAddBlock(t *testing.T) {
+	for _, tc := range []struct {
+		installed, src, want string
+		streamed             bool
+	}{
+		{`v(x) <- a(x).`, `v(x) <- b(x). _(x) <- v(x).`, "[(1) (2)]", true},
+		{`v(x) <- a(x).`, `a(x) <- b(x). _(x) <- v(x).`, "[(2)]", true},
+		{`v(x) <- a(x).`, `a(x) <- b(x). _(x) <- a(x).`, "[(2)]", true},
+		{`v(x) <- a(x).`, `v(x) <- b(x). _(x) <- v(x). _(x) <- a(x).`, "[(1) (2)]", false},
+		{`v(x) <- a(x).`, `v(x) <- b(x). c[x] = n <- agg<<n = count()>> v(x). _(x, n) <- c[x] = n.`, "[(1, 1) (2, 1)]", true},
+		{`_(x) <- a(x).`, `_(x) <- b(x).`, "[(1) (2)]", false},
+	} {
+		ws := mustExec(t, mustAddBlock(t, NewWorkspace(), "i", tc.installed), `+a(1). +b(2).`)
+		contents := func() string {
+			return fmt.Sprint(ws.Relation("a").Slice(), ws.Relation("v").Slice(), ws.Relation("_").Slice())
+		}
+		before := contents()
+		want := addBlockAnswer(t, ws, tc.src)
+		if got := fmt.Sprint(want); got != tc.want {
+			t.Fatalf("%s: AddBlock answers %s, want %s", tc.src, got, tc.want)
+		}
+		got, err := ws.Query(tc.src)
+		if err != nil {
+			t.Fatalf("Query(%q): %v", tc.src, err)
+		}
+		if !sameTuples(got, want) {
+			t.Errorf("%s: Query = %v, AddBlock answers %v", tc.src, got, want)
+		}
+		cur, err := ws.QueryStream(context.Background(), tc.src)
+		if err != nil {
+			t.Fatalf("QueryStream(%q): %v", tc.src, err)
+		}
+		streamed := cur.Streamed()
+		if got := drainCursor(t, cur); !sameTuples(got, want) {
+			t.Errorf("%s: QueryStream = %v, AddBlock answers %v", tc.src, got, want)
+		}
+		if streamed != tc.streamed {
+			t.Errorf("%s: Streamed() = %v, want %v", tc.src, streamed, tc.streamed)
+		}
+		if after := contents(); after != before {
+			t.Errorf("%s: the queries moved the workspace from %s to %s", tc.src, before, after)
+		}
+	}
+}
+
+// FuzzQueryMatchesAddBlock is the query path's oracle: over an installed
+// block and facts, a query answers what the "_" relation holds after
+// installing the query's text as a block, or both fail. Only the setup
+// failing, the addblock hitting a constraint (queries check none) and a
+// program that does not settle within a second are skipped.
+func FuzzQueryMatchesAddBlock(f *testing.F) {
+	const retail = `sales[p, s, wk] = n -> int(p), int(s), int(wk), int(n).
+price[p] = v -> int(p), int(v).
+edge(a, b) -> int(a), int(b).
+salesByProduct[p] = u <- agg<<u = sum(n)>> sales[p, s, wk] = n.
+salesByStore[s] = u <- agg<<u = sum(n)>> sales[p, s, wk] = n.
+revenue[p] = r <- salesByProduct[p] = u, price[p] = v, r = u * v.
+hot(p) <- salesByProduct[p] = u, u > 5500.
+sales[p, s, wk] = n -> n >= 0.
+salesByProduct[p] = u -> price[p] = _.`
+	const facts = `+price[1] = 3. +price[2] = 5. +sales[1, 1, 1] = 4000. +sales[1, 2, 1] = 2000.
++sales[2, 1, 2] = 7. +edge(1, 2). +edge(2, 3). +edge(1, 3).`
+	for _, seed := range [][3]string{
+		{`v(x) <- a(x).`, `+a(1). +b(2).`, `v(x) <- b(x). _(x) <- v(x).`},
+		{`v(x) <- a(x).`, `+a(1). +b(2).`, `a(x) <- b(x). _(x) <- v(x).`},
+		{`v(x) <- a(x).`, `+a(1). +b(2).`, `a(x) <- b(x). _(x) <- a(x).`},
+		{retail, facts, `_(u) <- salesByProduct[1] = u.`},
+		{retail, facts, `_(s, wk, n) <- sales[1, s, wk] = n.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n.`},
+		{retail, facts, `_(a, b, c) <- edge(a, b), edge(b, c), edge(a, c).`},
+		{retail, facts, "byStore[s] = u <- agg<<u = sum(n)>> sales[p, s, wk] = n.\n_(s, u) <- byStore[s] = u."},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, n > 5, p < 2.`},
+		{retail, facts, `hot(p) <- price[p] = v, v > 4. _(p) <- hot(p).`},
+		{retail, facts, `_(p, r) <- revenue[p] = r.`},
+		{`path(x, y) <- edge(x, y).`, `+edge(1, 2). +edge(2, 3).`, `path(x, z) <- path(x, y), edge(y, z). _(x, y) <- path(x, y).`},
+		{`_(x) <- a(x).`, `+a(1). +b(2).`, `_(x) <- b(x).`},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, installed, facts, query string) {
+		ws, err := NewWorkspace().AddBlock("i", installed)
+		if err != nil {
+			t.Skip(err)
+		}
+		res, err := ws.Exec(facts)
+		if err != nil {
+			t.Skip(err)
+		}
+		ws = res.Workspace
+		rctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		out, aerr := ws.AddBlockCtx(rctx, "q", query)
+		got, qerr := ws.QueryCtx(rctx, query)
+		switch {
+		case errors.Is(aerr, ErrConstraint), rctx.Err() != nil:
+			t.Skip(aerr, qerr)
+		case (aerr == nil) != (qerr == nil):
+			t.Fatalf("AddBlock err = %v, Query err = %v", aerr, qerr)
+		case aerr == nil:
+			if want := out.Relation("_").Slice(); !sameTuples(got, want) {
+				t.Fatalf("Query = %v, AddBlock answers %v", got, want)
+			}
+		}
+	})
 }

@@ -63,6 +63,9 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, blocks pmap.Map[strin
 	csp := sp.Child("compile")
 	compiled, err := compiler.Compile(progs...)
 	csp.End()
+	if err == nil {
+		err = ws.checkArities(compiled)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrTypecheck, err)
 	}
@@ -170,25 +173,12 @@ type reactiveRun struct {
 	derived  map[string]relation.Relation
 }
 
-// seedExecCtx builds the engine context for an exec transaction's
-// reactive phase over ws: current contents plus @start versions.
-func (ws *Workspace) seedExecCtx(rctx context.Context, combined *compiler.Program) *engine.Context {
-	ctx := ws.newContext(rctx, combined)
-	for p, info := range combined.Preds {
-		// relationOr, not Relation: a predicate first introduced by this
-		// transaction is unknown to ws.prog, and defaulting its @start
-		// arity would corrupt the delta application below.
-		ctx.Set(p+compiler.DecorAtStart, ws.relationOr(p, info.Arity))
-	}
-	return ctx
-}
-
-// execReactive parses, compiles and evaluates the reactive strata of an
-// exec transaction against ws. When rec is non-nil it additionally
-// records, per reactive stratum, the sensitivity intervals of every read
-// and the pure derivations of every rule — the read/derivation record
-// that ExecRecord.Repair replays against a different head on commit
-// conflict (paper §3.4).
+// execReactive parses and compiles an exec transaction against ws and
+// evaluates its reactive strata. An exec holds delta facts, reactive
+// rules and declarations: a static rule is an ErrTypecheck, since no
+// reactive stratum would evaluate it. When rec is non-nil it keeps the
+// compiled program and the per-stratum record that ExecRecord.Repair
+// replays against a different head on commit conflict (paper §3.4).
 func (ws *Workspace) execReactive(rctx context.Context, src string, sp *obs.Span, rec *ExecRecord) (*reactiveRun, error) {
 	psp := sp.Child("parse")
 	eprog, err := parser.Parse(src)
@@ -199,40 +189,67 @@ func (ws *Workspace) execReactive(rctx context.Context, src string, sp *obs.Span
 	csp := sp.Child("compile")
 	combined, err := compiler.Extend(ws.prog, eprog)
 	csp.End()
+	if err == nil && len(combined.Rules) > len(ws.prog.Rules) {
+		err = fmt.Errorf("static rule %q in an exec: install it with addblock", combined.Rules[len(ws.prog.Rules)].Source)
+	}
+	if err == nil {
+		err = ws.checkArities(combined)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("exec %w: %w", ErrTypecheck, err)
 	}
-	ctx := ws.seedExecCtx(rctx, combined)
-	run := &reactiveRun{combined: combined, ctx: ctx, derived: map[string]relation.Relation{}}
+	if rec != nil {
+		rec.combined = combined
+	}
+	run, err := ws.runReactive(rctx, combined, nil, rec, sp)
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
+	return run, nil
+}
 
-	// Evaluate reactive strata.
+// runReactive is the one reactive-strata loop, over an engine context
+// seeded from ws: current contents plus @start versions. The first
+// len(replayed) strata (repair's unaffected prefix) install their
+// recorded derivations — seed ∪ derivations is exactly what evaluating
+// them would produce — and the rest are evaluated, their pure derivations
+// captured. With rec non-nil each evaluated stratum's read intervals and
+// derivations are recorded.
+func (ws *Workspace) runReactive(rctx context.Context, combined *compiler.Program, replayed []recordedStratum, rec *ExecRecord, sp *obs.Span) (*reactiveRun, error) {
+	ctx := ws.newContext(rctx, combined)
+	for p, info := range combined.Preds {
+		// relationOr, not Relation: a predicate first introduced by this
+		// transaction is unknown to ws.prog, and defaulting its @start
+		// arity would corrupt the delta application below.
+		ctx.Set(p+compiler.DecorAtStart, ws.relationOr(p, info.Arity))
+	}
+	run := &reactiveRun{combined: combined, ctx: ctx, derived: map[string]relation.Relation{}}
+	for _, st := range replayed {
+		for h, d := range st.derived {
+			ctx.Set(h, ctx.Relation(h).Union(d))
+		}
+		mergeDerived(run.derived, st.derived)
+	}
 	esp := sp.Child("eval.reactive")
+	defer esp.End()
 	ctx.SetSpan(esp)
-	for _, stratum := range combined.ReactiveStrata {
+	defer ctx.SetSpan(nil)
+	for _, stratum := range combined.ReactiveStrata[len(replayed):] {
 		var idx *lftj.SensitivityIndex
 		if rec != nil {
 			idx = lftj.NewSensitivityIndex()
-			ctx.SetSensitivityIndex(idx)
 		}
+		ctx.SetSensitivityIndex(idx)
 		ctx.StartDerivedCapture()
 		err := ctx.EvalStratum(stratum)
 		capt := ctx.TakeDerivedCapture()
-		if rec != nil {
-			ctx.SetSensitivityIndex(nil)
-		}
 		if err != nil {
-			esp.End()
-			return nil, fmt.Errorf("exec: %w", err)
+			return nil, err
 		}
 		if rec != nil {
 			rec.strata = append(rec.strata, recordedStratum{sens: idx, derived: capt})
 		}
 		mergeDerived(run.derived, capt)
-	}
-	ctx.SetSpan(nil)
-	esp.End()
-	if rec != nil {
-		rec.combined = combined
 	}
 	return run, nil
 }
@@ -260,8 +277,8 @@ type baseDelta struct {
 // collects the transaction's +R / -R / ^R relations, folds plain-headed
 // reactive derivations into their heads' +R, and hands the lot to
 // applyBase. run's context must have been seeded from the receiver (its
-// @start relations are the receiver's contents) — either by execReactive
-// on this workspace, or by ExecRecord replay onto a new head.
+// @start relations are the receiver's contents) — by runReactive, for an
+// exec on this workspace or an ExecRecord replay onto a new head.
 func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *obs.Span) (*ExecResult, error) {
 	combined, ctx := run.combined, run.ctx
 	delta := func(p string) baseDelta {

@@ -126,6 +126,18 @@ func (ws *Workspace) clone() *Workspace {
 	return &cp
 }
 
+// checkArities fails when prog gives a predicate ws holds data for another
+// arity: data may arrive before any logic mentions its predicate
+// (data-first live programming), so only the data fixed its arity.
+func (ws *Workspace) checkArities(prog *compiler.Program) error {
+	for name, info := range prog.Preds {
+		if r, ok := ws.base.Get(name); ok && r.Arity() != info.Arity {
+			return fmt.Errorf("%s has arity %d, but its stored tuples have %d values", name, info.Arity, r.Arity())
+		}
+	}
+	return nil
+}
+
 // parseBlocks parses every block in name order, the order the installed
 // program is compiled in. A block that fails to parse is an ErrParse.
 func parseBlocks(blocks pmap.Map[string]) ([]*ast.Program, error) {
@@ -195,8 +207,9 @@ func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[st
 
 // Query runs a query transaction: src is a program with a designated
 // answer predicate "_" (plus any auxiliary rules). It returns the answer
-// tuples. The workspace is unchanged (queries are read-only and run on
-// the branch's snapshot, paper §3.1).
+// tuples: what "_" would hold after installing src as a block, whose
+// rules may derive installed predicates too. The workspace is unchanged
+// (queries are read-only and run on the branch's snapshot, paper §3.1).
 func (ws *Workspace) Query(src string) ([]tuple.Tuple, error) {
 	return ws.QueryCtx(context.Background(), src)
 }

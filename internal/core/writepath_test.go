@@ -242,3 +242,47 @@ func TestExecDeletesDifferentKindTwins(t *testing.T) {
 		t.Fatalf("v = %v after deleting both derivations, want empty", got.Slice())
 	}
 }
+
+// TestExecStaticRuleRejected: an exec holds delta facts, reactive rules
+// and declarations. A static rule in it would never be evaluated, so the
+// exec fails with ErrTypecheck instead of committing nothing, through
+// Exec, ExecRecordedCtx and Database.Apply alike, and nothing is
+// journaled.
+func TestExecStaticRuleRejected(t *testing.T) {
+	const schema = `a(x) -> int(x). b(x) -> int(x).`
+	const src = `tmp(x) <- b(x). +a(x) <- tmp(x).`
+	db := NewDatabase()
+	ctx := context.Background()
+	for _, rec := range []CommitRecord{
+		{Kind: "addblock", Branch: DefaultBranch, Name: "s", Src: schema},
+		{Kind: "exec", Branch: DefaultBranch, Src: `+b(2).`},
+	} {
+		if _, err := db.Apply(ctx, rec, TxOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var journaled int
+	db.SetCommitHook(func(CommitRecord) error { journaled++; return nil })
+	ws, _ := db.Workspace(DefaultBranch)
+	if _, err := ws.Exec(src); !errors.Is(err, ErrTypecheck) {
+		t.Errorf("Exec: err = %v, want ErrTypecheck", err)
+	}
+	if _, _, err := ws.ExecRecordedCtx(ctx, src); !errors.Is(err, ErrTypecheck) {
+		t.Errorf("ExecRecordedCtx: err = %v, want ErrTypecheck", err)
+	}
+	out, err := db.Apply(ctx, CommitRecord{Kind: "exec", Branch: DefaultBranch, Src: src}, TxOptions{MaxRetries: 3})
+	if !errors.Is(err, ErrTypecheck) || out.Committed {
+		t.Errorf("Apply: err = %v, committed %v; want ErrTypecheck, not committed", err, out.Committed)
+	}
+	head, _ := db.Workspace(DefaultBranch)
+	if head != ws || journaled != 0 {
+		t.Errorf("head moved: %v, %d records journaled; want neither", head != ws, journaled)
+	}
+	if got := head.Relation("a"); !got.IsEmpty() {
+		t.Errorf("a = %v, want []", got.Slice())
+	}
+	// A declaration stays allowed: it types the predicate it introduces.
+	if _, err := ws.Exec(`c(x) -> int(x). +c(1).`); err != nil {
+		t.Errorf("exec with a declaration: %v", err)
+	}
+}

@@ -618,3 +618,74 @@ func TestStreamConstantMemory(t *testing.T) {
 		t.Errorf("streaming used as much heap as materializing: %d >= %d", streamPeak, matPeak)
 	}
 }
+
+// TestQueryRuleForInstalledView: a query rule for an installed derived
+// predicate reaches it on the wire too. /v1/query answers what "_" holds
+// after an AddBlock of the query's text, in the envelope, in NDJSON, and
+// over a two-page limit walk of a materialized answer (pullPage over the
+// cursor's materialized arm).
+func TestQueryRuleForInstalledView(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	mustOK(t, ts, "POST", "/v1/addblock", Request{Name: "v", Src: `v(x) <- a(x).`}, nil)
+	mustOK(t, ts, "POST", "/v1/exec", Request{Src: `+a(1). +a(3). +b(2). +b(4). +b(5).`}, nil)
+	addBlockRows := func(src string) string {
+		ws, err := s.db.Load().Workspace(core.DefaultBranch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ws.AddBlock("q", src)
+		if err != nil {
+			t.Fatalf("AddBlock(%q): %v", src, err)
+		}
+		var rows [][]any
+		for _, tu := range out.Relation("_").Slice() {
+			var row []any
+			if err := json.Unmarshal(appendRowJSON(nil, tu), &row); err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row)
+		}
+		return fmt.Sprint(rows)
+	}
+	const streamable = `v(x) <- b(x). _(x) <- v(x).`
+	want := addBlockRows(streamable)
+	if want != "[[1] [2] [3] [4] [5]]" {
+		t.Fatalf("AddBlock answers %s", want)
+	}
+	var q QueryResponse
+	mustOK(t, ts, "POST", "/v1/query", Request{Src: streamable}, &q)
+	if got := fmt.Sprint(q.Rows); got != want {
+		t.Errorf("envelope rows = %s, want %s", got, want)
+	}
+	_, lines := streamLines(t, ts, "/v1/query", Request{Src: streamable, Stream: true}, nil)
+	raw, sum := splitStream(t, lines)
+	var streamed [][]any
+	for _, r := range raw {
+		var row []any
+		if err := json.Unmarshal(r, &row); err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, row)
+	}
+	if got := fmt.Sprint(streamed); !sum.OK || got != want {
+		t.Errorf("NDJSON rows = %s (summary %+v), want %s", got, sum, want)
+	}
+
+	const materialized = `v(x) <- b(x). _(x) <- v(x). _(x) <- a(x).`
+	want = addBlockRows(materialized)
+	limit, cursor, pages := 3, "", 0
+	var paged [][]any
+	for {
+		var q QueryResponse
+		mustOK(t, ts, "POST", "/v1/query", Request{Src: materialized, Limit: &limit, Cursor: cursor}, &q)
+		paged = append(paged, q.Rows...)
+		pages++
+		if q.NextCursor == "" {
+			break
+		}
+		cursor = q.NextCursor
+	}
+	if got := fmt.Sprint(paged); pages != 2 || got != want {
+		t.Errorf("%d pages of rows %s, want 2 pages of %s", pages, got, want)
+	}
+}

@@ -20,9 +20,9 @@ import (
 type Request struct {
 	// Branch the transaction runs against (default "main").
 	Branch string `json:"branch,omitempty"`
-	// Src is the LogiQL source: delta facts and reactive rules for
-	// /exec, a program deriving the answer predicate "_" for /query,
-	// block logic for /addblock.
+	// Src is the LogiQL source: delta facts, reactive rules and
+	// declarations for /exec, a program deriving the answer predicate
+	// "_" for /query, block logic for /addblock.
 	Src string `json:"src"`
 	// Name is the block name (/addblock only).
 	Name string `json:"name,omitempty"`
