@@ -179,6 +179,9 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := first.Exec(`+B(1, 2).`); !errors.Is(err, ErrTypecheck) {
 		t.Errorf("exec against the data's arity: %v", err)
 	}
+	if _, err := first.Insert("B", tuple.Ints(1, 2)); !errors.Is(err, ErrTypecheck) {
+		t.Errorf("direct insert against the data's arity: %v", err)
+	}
 	if _, err := first.Query(`_(x) <- B(x, 0).`); !errors.Is(err, ErrTypecheck) {
 		t.Errorf("query against the data's arity: %v", err)
 	}

@@ -439,6 +439,8 @@ func (ws *Workspace) applyDirect(pred string, ins, del []tuple.Tuple, check bool
 	arity := 0
 	if info, ok := ws.prog.Preds[pred]; ok {
 		arity = info.Arity
+	} else if stored, ok := ws.base.Get(pred); ok {
+		arity = stored.Arity()
 	} else if len(ins) > 0 {
 		arity = len(ins[0])
 	} else if len(del) > 0 {

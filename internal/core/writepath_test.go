@@ -24,7 +24,7 @@ const writePathSchema = `
 func writePathSeed(t *testing.T) *Workspace {
 	t.Helper()
 	ws := mustAddBlock(t, NewWorkspace(), "schema", writePathSchema)
-	return mustExec(t, ws, `+p(1). +p(2). +q(5). +r(5). +f[1] = 10. +pair(1, 2).`)
+	return mustExec(t, ws, `+p(1). +p(2). +q(5). +r(5). +f[1] = 10. +pair(1, 2). +B(0).`)
 }
 
 // relationsDiffer names the first predicate whose contents differ
@@ -70,6 +70,7 @@ func TestWritePathEquivalence(t *testing.T) {
 		{name: "functional double insert", pred: "f", ins: []tuple.Tuple{tuple.Ints(2, 1), tuple.Ints(2, 2)}, src: `+f[2] = 1. +f[2] = 2.`, wantErr: ErrConstraint, wantMsg: "f: key (2)"},
 		{name: "derived functional second derivation", pred: "pair", ins: []tuple.Tuple{tuple.Ints(1, 3)}, src: `+pair(1, 3).`, wantErr: ErrConstraint, wantMsg: "fd: key (1) has values 2 and 3"},
 		{name: "derived target", pred: "big", ins: []tuple.Tuple{tuple.Ints(7)}, src: `+big(7).`, wantErr: ErrTypecheck},
+		{name: "data arity", pred: "B", ins: []tuple.Tuple{tuple.Ints(1, 2)}, src: `+B(1, 2).`, wantErr: ErrTypecheck},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

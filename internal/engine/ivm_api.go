@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"logicblox/internal/compiler"
 	"logicblox/internal/lftj"
 	"logicblox/internal/relation"
@@ -116,29 +118,56 @@ func (c *Context) EnumerateBindings(r *compiler.RulePlan, overrides map[int]rela
 	return b.Err()
 }
 
-// PinnedDerivable reports whether head tuple t of rule r has at least one
-// derivation in the current state. Join variables that map directly to
-// head columns are pinned with virtual constant predicates so the search
-// explores only the relevant region (used by delete-and-rederive).
-func (c *Context) PinnedDerivable(r *compiler.RulePlan, t tuple.Tuple) (bool, error) {
-	pinned := *r
-	pinned.Consts = append([]compiler.ConstBind(nil), r.Consts...)
+// Rederivable returns the tuples of keys, head tuples of r, that r derives
+// in the current state: one evaluation of r restricted to keys on its head
+// columns that are join variables, intersected with keys, which checks the
+// other columns (delete-and-rederive's re-derive step).
+func (c *Context) Rederivable(r *compiler.RulePlan, keys relation.Relation) (relation.Relation, error) {
+	out, err := c.evalRule(restrict(r, joinVars(r), keys))
+	return out.Intersect(keys), err
+}
+
+// joinVars returns, per column of r's head (for an aggregation or predict
+// rule, per key column), the join variable it is, or -1.
+func joinVars(r *compiler.RulePlan) []int {
+	vars := make([]int, len(r.HeadExprs))
 	for i, e := range r.HeadExprs {
+		vars[i] = -1
 		if ve, ok := e.(compiler.VarExpr); ok && ve.Idx < r.NumJoinVars {
-			pinned.Consts = append(pinned.Consts, compiler.ConstBind{Var: ve.Idx, Val: t[i]})
+			vars[i] = ve.Idx
 		}
 	}
-	b, err := c.Bindings(&pinned, nil)
-	if err != nil {
-		return false, err
-	}
-	defer b.Close()
-	for head, ok := b.NextHead(); ok; head, ok = b.NextHead() {
-		if head.Equal(t) {
-			return true, nil
+	return vars
+}
+
+// restrict returns a copy of r joined with one more atom that holds keys,
+// and the overrides that supply keys to it. Column i of a key binds join
+// variable vars[i]; a column whose variable is -1, or repeats an earlier
+// column's, restricts nothing. In the compiler's variable order the atom
+// is one more iterator at those variables' levels: a key is a seek, and
+// the bindings that pass come in the order a full evaluation yields them.
+// With no column to restrict, r comes back as it is.
+func restrict(r *compiler.RulePlan, vars []int, keys relation.Relation) (*compiler.RulePlan, map[int]relation.Relation) {
+	var cols []int // the key column of each restricted variable, in variable order
+	for i, v := range vars {
+		if v >= 0 && !slices.ContainsFunc(cols, func(c int) bool { return vars[c] == v }) {
+			cols = append(cols, i)
 		}
 	}
-	return false, b.Err()
+	if len(cols) == 0 {
+		return r, nil
+	}
+	slices.SortFunc(cols, func(a, b int) int { return vars[a] - vars[b] })
+	if len(cols) < keys.Arity() || !slices.IsSorted(cols) {
+		keys = keys.Permuted(cols)
+	}
+	atom := compiler.AtomPlan{Name: "$keys"}
+	for _, col := range cols {
+		atom.Vars = append(atom.Vars, vars[col])
+	}
+	p := *r
+	p.Atoms = append(slices.Clip(r.Atoms), atom)
+	return &p, map[int]relation.Relation{len(r.Atoms): keys}
 }
 
 // SetSensitivityIndex redirects sensitivity recording of subsequent

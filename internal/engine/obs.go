@@ -24,8 +24,8 @@ func (c *Context) SetSpan(sp *obs.Span) { c.span = sp }
 
 // ruleStatsFor returns (caching) the registry's profile record for r, or
 // nil when no observer is attached. Both key profiles by source text, not
-// by plan: a rule's delta variants and the pinned copies DRed and refolds
-// evaluate per key share its source, and so its profile.
+// by plan: a rule's delta variants and the restricted copies DRed and
+// refolds evaluate share its source, and so its profile.
 func (c *Context) ruleStatsFor(r *compiler.RulePlan) *obs.RuleStats {
 	if c.obs == nil {
 		return nil

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"logicblox/internal/compiler"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
@@ -21,17 +23,17 @@ import (
 //     touched group by its signed delta — stored value plus Σ sign × value
 //     (or sign) — without re-running it; a count that reaches 0 drops the
 //     group, and a sum group that lost a binding and now sums to 0 asks
-//     one pinned binding whether any is left (a group with no binding sums
-//     to 0, and a binding in neither state shows up as both gained and
-//     lost, so nothing less tells). The int sums wrap exactly as a full
-//     fold's do, two's-complement addition being associative, so the
-//     result is the full fold's even on overflow;
+//     its body restricted to its key whether a binding is left (an empty
+//     group sums to 0, and a binding in neither state shows up as both
+//     gained and lost, so nothing less tells). The int sums wrap exactly
+//     as a full fold's do, two's-complement addition being associative,
+//     so the result is the full fold's even on overflow;
 //  3. re-folds every other touched group — a float sum, an avg, a min or
 //     max, a stored value that is not an int, any group of a stratum with
-//     more rules: every rule re-run with the key columns pinned as
-//     constants, in the compiler's variable order — a pinned key is a
-//     seek at its level, and the group's bindings come in the order a
-//     full evaluation folds them, so even a float sum is bit-identical;
+//     more rules: every rule runs once, restricted to the keys to re-fold
+//     (restrict) — a key is a seek at its variable's level, and each
+//     group's bindings come in the order a full evaluation folds them, so
+//     even a float sum is bit-identical;
 //  4. patches the head: on its previous version each touched key's tuple
 //     is replaced by the new one (none when the group emptied).
 //
@@ -40,14 +42,16 @@ import (
 // (groups) and, when any was, how many were re-folded (refolded). It
 // re-evaluates the stratum whole instead (whole=true, and a
 // refold_fallback attribute on sp) when a key column is not a plain join
-// variable or a rule predicts, which pinning cannot restrict, when the
-// head is empty (every group is new: nothing is gained by looking for
-// them), or when the groups to re-fold reach half the head's tuples — a
-// threshold that errs towards the full pass: on a 20k-fact sum(sales) view
-// keyed by product (200 groups) or by store (10), on a 2-vCPU Xeon,
-// re-folding half the groups cost about 0.6× a full pass, three quarters
-// 0.8–0.9×, and every group 1.1–1.75×. A group updated by its signed delta
-// costs O(|Δ|) and does not count towards it.
+// variable or a rule predicts, which a key cannot restrict, when the head
+// is empty (every group is new: nothing is gained by looking for them), or
+// when the groups to re-fold reach half the head's tuples — about the
+// crossover: on a 20k-fact max(sales) view keyed by product (200 groups)
+// or by store (10), on a 2-vCPU Xeon, re-folding half the groups cost
+// 0.9–1.5× a full pass, three quarters 1.7–1.8×, and every group 2.1–2.3×.
+// The full pass of a one-atom body is a scan; a restricted run walks the
+// trie, and that walk is the cost (20k facts joined alone: scan 2.4 ms,
+// trie walk 11–13 ms with or without the key atom). A group updated by
+// its signed delta costs O(|Δ|) and does not count towards it.
 func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) (signed, refolded int, whole bool, err error) {
 	head := rules[0].HeadName
 	prev := c.Relation(head)
@@ -103,29 +107,20 @@ func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc ma
 	return signed, refolded, false, nil
 }
 
-// refoldGroups re-runs every rule once per key with the key's join
-// variables pinned, under a rule span of sp, and inserts what they derive
-// into head.
+// refoldGroups runs every rule once, restricted to the keys to re-fold on
+// its key variables, under a rule span of sp, and adds what they derive to
+// head.
 func (c *Context) refoldGroups(sp *obs.Span, rules []*compiler.RulePlan, keyVars [][]int, keys []tuple.Tuple, head relation.Relation) (relation.Relation, error) {
-	// An empty, non-nil override map marks each pinned run as a partial
-	// evaluation: a delta evaluation in the rule's profile.
-	partial := map[int]relation.Relation{}
+	set := relation.FromTuples(rules[0].HeadArity-1, keys)
 	for i, r := range rules {
 		rsp := sp.Child("rule:" + r.HeadName)
-		n := 0
-		for _, k := range keys {
-			out, err := c.evalRule(pinned(r, keyVars[i], k), partial)
-			if err != nil {
-				rsp.End()
-				return head, err
-			}
-			out.ForEach(func(t tuple.Tuple) bool {
-				head = head.Insert(t)
-				n++
-				return true
-			})
+		out, err := c.evalRule(restrict(r, keyVars[i], set))
+		if err != nil {
+			rsp.End()
+			return head, err
 		}
-		rsp.SetAttr("tuples", int64(n))
+		head = head.Union(out)
+		rsp.SetAttr("tuples", int64(out.Len()))
 		rsp.End()
 	}
 	return head, nil
@@ -137,15 +132,8 @@ func (c *Context) refoldGroups(sp *obs.Span, rules []*compiler.RulePlan, keyVars
 func groupKeyVars(rules []*compiler.RulePlan) (vars [][]int, ok bool) {
 	vars = make([][]int, len(rules))
 	for i, r := range rules {
-		if r.Predict != nil {
+		if vars[i] = joinVars(r)[:r.HeadArity-1]; r.Predict != nil || slices.Contains(vars[i], -1) {
 			return nil, false
-		}
-		for _, e := range r.HeadExprs[:r.HeadArity-1] {
-			ve, isVar := e.(compiler.VarExpr)
-			if !isVar || ve.Idx >= r.NumJoinVars {
-				return nil, false
-			}
-			vars[i] = append(vars[i], ve.Idx)
 		}
 	}
 	return vars, true
@@ -255,7 +243,7 @@ func (c *Context) signedGroup(r *compiler.RulePlan, keyVars []int, stored []tupl
 	case count && d == 0:
 		return nil, true, nil
 	case !count && g.lost && d == 0:
-		left, err := c.anyBinding(pinned(r, keyVars, g.key))
+		left, err := c.anyBinding(restrict(r, keyVars, relation.FromTuples(len(g.key), []tuple.Tuple{g.key})))
 		if err != nil || !left {
 			return nil, err == nil, err
 		}
@@ -263,24 +251,14 @@ func (c *Context) signedGroup(r *compiler.RulePlan, keyVars []int, stored []tupl
 	return append(g.key.Clone(), tuple.Int(d)), true, nil
 }
 
-// anyBinding reports whether r's body has a binding in the current state.
-func (c *Context) anyBinding(r *compiler.RulePlan) (bool, error) {
-	b, err := c.Bindings(r, map[int]relation.Relation{})
+// anyBinding reports whether r's body, under overrides, has a binding in
+// the current state.
+func (c *Context) anyBinding(r *compiler.RulePlan, overrides map[int]relation.Relation) (bool, error) {
+	b, err := c.Bindings(r, overrides)
 	if err != nil {
 		return false, err
 	}
 	defer b.Close()
 	_, ok := b.Next()
 	return ok, b.Err()
-}
-
-// pinned returns a copy of r whose key variables are bound to key by
-// virtual constant predicates, the way PinnedDerivable pins a head.
-func pinned(r *compiler.RulePlan, vars []int, key tuple.Tuple) *compiler.RulePlan {
-	p := *r
-	p.Consts = append([]compiler.ConstBind(nil), r.Consts...)
-	for i, v := range vars {
-		p.Consts = append(p.Consts, compiler.ConstBind{Var: v, Val: key[i]})
-	}
-	return &p
 }

@@ -195,15 +195,16 @@ func monotone(stratum []*compiler.RulePlan, acc map[string]Delta) bool {
 }
 
 // propagateInserts derives what follows from the pending insertions into
-// predicates the rules read from outside their own heads. The caller has
-// established that the change is monotone for these rules (see negTouched)
-// and has already dealt with deletions.
-func (m *Maintainer) propagateInserts(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta) error {
+// predicates the rules read from outside their own heads, and from seeds:
+// tuples already added to the rules' own heads (DRed's re-derived ones),
+// by head, to which it adds the insertions. The caller has established
+// that the change is monotone for these rules (see negTouched) and has
+// already dealt with deletions.
+func (m *Maintainer) propagateInserts(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, seeds map[string]relation.Relation) error {
 	own := map[string]bool{}
 	for _, r := range rules {
 		own[r.HeadName] = true
 	}
-	seeds := map[string]relation.Relation{}
 	for _, r := range rules {
 		for _, a := range r.Atoms {
 			if !own[a.Name] && len(acc[a.Name].Ins) > 0 {

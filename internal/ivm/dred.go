@@ -10,22 +10,24 @@ import (
 // Delete-and-rederive (DRed; Gupta, Mumick & Subrahmanian, SIGMOD'93),
 // the classical algorithm the paper improves upon. Per stratum:
 //
-//  1. Over-delete: compute everything whose derivation may have used a
-//     deleted tuple (to a fixpoint within the stratum) and remove it.
-//  2. Re-derive: over-deleted tuples that still have an alternative
-//     derivation in the reduced state are reinserted (using pinned
-//     derivability probes).
-//  3. Insert: propagate insertions semi-naively.
+//  1. Over-delete: compute, as one set per head, everything whose
+//     derivation may have used a deleted tuple (to a fixpoint within the
+//     stratum), and remove it.
+//  2. Re-derive: evaluate every rule once, restricted to its head's
+//     over-deleted set (engine.Context.Rederivable); what it derives of
+//     that set in the reduced state comes back.
+//  3. Insert: one semi-naive propagation (PropagateStratum) seeded with
+//     the re-derived tuples and the external insertions derives what
+//     follows from both — among it every over-deleted tuple whose
+//     remaining derivation runs through a re-derived one.
 //
 // A non-recursive aggregate stratum is re-folded group by group instead;
 // a recursive one, one that predicts, or one a predicate of which it
 // negates moved, is re-evaluated whole.
 
 func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) error {
-	rulesByHead := map[string][]*compiler.RulePlan{}
 	origin := map[string]relation.Relation{}
 	for _, r := range rules {
-		rulesByHead[r.HeadName] = append(rulesByHead[r.HeadName], r)
 		origin[r.HeadName] = m.ctx.Relation(r.HeadName)
 	}
 	oldRelOf := func(name string) (relation.Relation, bool) {
@@ -40,20 +42,23 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 
 	// 1. Over-delete to a fixpoint. delSeeds maps predicate name to the
 	// deletions not yet propagated.
-	delSeeds := map[string][]tuple.Tuple{}
+	delSeeds := map[string]relation.Relation{}
 	for _, r := range rules {
 		for _, a := range r.Atoms {
 			if _, own := origin[a.Name]; !own && len(acc[a.Name].Del) > 0 {
-				delSeeds[a.Name] = acc[a.Name].Del
+				delSeeds[a.Name] = relation.FromTuples(m.ctx.Relation(a.Name).Arity(), acc[a.Name].Del)
 			}
 		}
 	}
-	overdeleted := map[string]map[string]tuple.Tuple{} // head → AppendKey → tuple
+	overdeleted := map[string]relation.Relation{}
+	for h, rel := range origin {
+		overdeleted[h] = relation.New(rel.Arity())
+	}
 	for len(delSeeds) > 0 {
 		if err := m.ctx.Err(); err != nil {
 			return err
 		}
-		next := map[string][]tuple.Tuple{}
+		fresh := map[string]relation.Relation{}
 		for _, r := range rules {
 			for ai, a := range r.Atoms {
 				seeds, ok := delSeeds[a.Name]
@@ -61,9 +66,7 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 					continue
 				}
 				m.Stats.RulesEvaluated++
-				overrides := map[int]relation.Relation{
-					ai: relation.FromTuples(m.ctx.Relation(a.Name).Arity(), seeds),
-				}
+				overrides := map[int]relation.Relation{ai: seeds}
 				// Other atoms read the ORIGINAL (pre-batch) state so every
 				// derivation that possibly used a deleted tuple is found.
 				for j, b := range r.Atoms {
@@ -74,16 +77,15 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 						overrides[j] = o
 					}
 				}
+				h := r.HeadName
 				err := m.ctx.EnumerateRuleHeads(r, overrides, func(head tuple.Tuple) bool {
-					od := overdeleted[r.HeadName]
-					if od == nil {
-						od = map[string]tuple.Tuple{}
-						overdeleted[r.HeadName] = od
-					}
-					k := string(head.AppendKey(nil))
-					if _, seen := od[k]; !seen && origin[r.HeadName].Contains(head) {
-						od[k] = head.Clone()
-						next[r.HeadName] = append(next[r.HeadName], head.Clone())
+					if origin[h].Contains(head) && !overdeleted[h].Contains(head) {
+						overdeleted[h] = overdeleted[h].Insert(head)
+						f, ok := fresh[h]
+						if !ok {
+							f = relation.New(len(head))
+						}
+						fresh[h] = f.Insert(head)
 					}
 					return true
 				})
@@ -92,50 +94,32 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 				}
 			}
 		}
-		delSeeds = next
+		delSeeds = fresh
 	}
 
-	// 2. Apply over-deletions.
+	// 2. Remove the over-deleted tuples, then re-derive those of them that
+	// keep a derivation in the reduced (but insertion-updated) state.
 	for h, od := range overdeleted {
-		rel := m.ctx.Relation(h)
-		for _, t := range od {
-			rel = rel.Delete(t)
-		}
-		m.ctx.Set(h, rel)
+		m.ctx.Set(h, m.ctx.Relation(h).Difference(od))
 	}
-
-	// 3. Re-derive: over-deleted tuples with an alternative derivation in
-	// the reduced (but insertion-updated) state come back; rederived
-	// tuples can support further rederivations, so iterate.
-	changedSomething := true
-	for changedSomething {
-		if err := m.ctx.Err(); err != nil {
+	rederived := map[string]relation.Relation{}
+	for _, r := range rules {
+		h := r.HeadName
+		if overdeleted[h].IsEmpty() {
+			continue
+		}
+		m.Stats.RederiveChecks++
+		back, err := m.ctx.Rederivable(r, overdeleted[h])
+		if err != nil {
 			return err
 		}
-		changedSomething = false
-		for h, od := range overdeleted {
-			for k, t := range od {
-				still := false
-				for _, r := range rulesByHead[h] {
-					m.Stats.RederiveChecks++
-					ok, err := m.ctx.PinnedDerivable(r, t)
-					if err != nil {
-						return err
-					}
-					if ok {
-						still = true
-						break
-					}
-				}
-				if still {
-					m.ctx.Set(h, m.ctx.Relation(h).Insert(t))
-					delete(od, k)
-					changedSomething = true
-				}
-			}
+		if !back.IsEmpty() {
+			m.ctx.Set(h, m.ctx.Relation(h).Union(back))
+			rederived[h] = back.Union(rederived[h])
 		}
 	}
 
-	// 4. Insert: semi-naive propagation of external insertions.
-	return m.propagateInserts(sp, rules, acc)
+	// 3. Insert: one semi-naive propagation of the re-derived tuples and
+	// the external insertions.
+	return m.propagateInserts(sp, rules, acc, rederived)
 }

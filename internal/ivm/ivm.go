@@ -17,7 +17,7 @@
 //     approach" the paper argues against).
 //   - Counting: classical delta rules with support counting (Gupta,
 //     Mumick & Subrahmanian, SIGMOD'93) for non-recursive strata.
-//   - DRed: delete-and-rederive with pinned rederivability checks. The
+//   - DRed: delete-and-rederive with a restricted re-derive. The
 //     transaction path (core's rederive) runs this mode through Rederive:
 //     it keeps no state between passes.
 //
@@ -85,7 +85,7 @@ type Maintainer struct {
 type Stats struct {
 	RulesEvaluated    int // full or delta rule evaluations; a re-folded rule counts once
 	RulesSkipped      int // rules of untouched strata, untouched rules of a counted one
-	RederiveChecks    int // DRed rederivability probes
+	RederiveChecks    int // DRed's restricted re-derive evaluations
 	StrataReevaluated int // strata re-evaluated whole, re-fold fallbacks included
 	GroupsSigned      int // aggregate groups updated by their signed delta
 	GroupsRefolded    int // aggregate groups re-folded

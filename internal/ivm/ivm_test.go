@@ -472,46 +472,151 @@ func TestCountingSkipsUntouchedRules(t *testing.T) {
 	}
 }
 
+// TestRandomizedMaintenanceAgainstOracle maintains programs under random
+// edge edits in every mode and checks each step against a full
+// evaluation. Besides the triangle/path mix it covers the shapes DRed's
+// restricted re-derive must handle: a single-source reachability view over
+// a graph with a giant component, edited one edge at a time; heads whose
+// columns are not plain join variables (nullary, repeated, constant,
+// assigned); and a two-head recursive clique.
 func TestRandomizedMaintenanceAgainstOracle(t *testing.T) {
-	src := `
-		tri(x, y, z) <- e(x, y), e(y, z), e(x, z).
-		deg2(x) <- e(x, y), e(y, z).
-		path(x, y) <- e(x, y).
-		path(x, z) <- path(x, y), e(y, z).`
+	reach := `
+		reach(y) <- src(x), e(x, y).
+		reach(y) <- reach(x), e(x, y).`
+	shapes := `
+		any() <- e(x, y).
+		self(x, x) <- e(x, y), e(y, x).
+		tagged(x, 1) <- e(x, y).
+		next(x, z) <- e(x, y), z = y + 1.`
+	parity := `
+		odd(x, y) <- e(x, y).
+		odd(x, z) <- even(x, y), e(y, z).
+		even(x, z) <- odd(x, y), e(y, z).`
+	cases := []struct {
+		name, src string
+		init      func(rng *rand.Rand) relation.Relation
+		edit      func(rng *rand.Rand, e relation.Relation) Delta
+		undo      bool // every other step reverts the step before it
+		steps     int
+	}{
+		{"mixed", `
+			tri(x, y, z) <- e(x, y), e(y, z), e(x, z).
+			deg2(x) <- e(x, y), e(y, z).
+			path(x, y) <- e(x, y).
+			path(x, z) <- path(x, y), e(y, z).`, randomEdges, randomEdits, false, 15},
+		{"reach", reach, func(*rand.Rand) relation.Relation { return randomDigraph(300, 900, 7) }, oneEdgeDelete, true, 20},
+		{"heads", shapes, randomEdges, randomEdits, false, 15},
+		{"parity", parity, randomEdges, randomEdits, false, 15},
+	}
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(99))
-			prog := mustProgram(t, src)
-			e := relation.New(2)
-			for i := 0; i < 30; i++ {
-				e = e.Insert(tuple.Ints(rng.Int63n(8), rng.Int63n(8)))
-			}
-			base := map[string]relation.Relation{"e": e}
-			m, err := NewMaintainer(prog, cloneBase(base), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for step := 0; step < 15; step++ {
-				var d Delta
-				for i := 0; i < rng.Intn(3)+1; i++ {
-					t1 := tuple.Ints(rng.Int63n(8), rng.Int63n(8))
-					if rng.Intn(2) == 0 && base["e"].Contains(t1) {
-						d.Del = append(d.Del, t1)
-					} else if !base["e"].Contains(t1) {
-						d.Ins = append(d.Ins, t1)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(99))
+					prog := mustProgram(t, tc.src)
+					base := map[string]relation.Relation{"e": tc.init(rng), "src": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(0)})}
+					m, err := NewMaintainer(prog, cloneBase(base), mode)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if d.Empty() {
-					continue
-				}
-				batch := map[string]Delta{"e": d}
-				if _, err := m.Apply(batch); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				applyToBase(base, batch, map[string]int{"e": 2})
-				checkAgainstOracle(t, m, prog, base, fmt.Sprintf("step %d", step))
+					var d Delta
+					for step := 0; step < tc.steps; step++ {
+						if tc.undo && step%2 == 1 {
+							d = Delta{Ins: d.Del, Del: d.Ins}
+						} else {
+							d = tc.edit(rng, base["e"])
+						}
+						if d.Empty() {
+							continue
+						}
+						batch := map[string]Delta{"e": d}
+						if _, err := m.Apply(batch); err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						applyToBase(base, batch, map[string]int{"e": 2})
+						checkAgainstOracle(t, m, prog, base, fmt.Sprintf("step %d", step))
+					}
+				})
 			}
 		})
+	}
+}
+
+// randomEdges returns 30 random draws of an edge over 8 nodes.
+func randomEdges(rng *rand.Rand) relation.Relation {
+	e := relation.New(2)
+	for i := 0; i < 30; i++ {
+		e = e.Insert(tuple.Ints(rng.Int63n(8), rng.Int63n(8)))
+	}
+	return e
+}
+
+// randomEdits deletes or inserts one to three random edges over 8 nodes.
+func randomEdits(rng *rand.Rand, e relation.Relation) Delta {
+	var d Delta
+	for i := 0; i < rng.Intn(3)+1; i++ {
+		t1 := tuple.Ints(rng.Int63n(8), rng.Int63n(8))
+		if rng.Intn(2) == 0 && e.Contains(t1) {
+			d.Del = append(d.Del, t1)
+		} else if !e.Contains(t1) {
+			d.Ins = append(d.Ins, t1)
+		}
+	}
+	return d
+}
+
+// oneEdgeDelete deletes one random edge.
+func oneEdgeDelete(rng *rand.Rand, e relation.Relation) Delta {
+	all := e.Slice()
+	return Delta{Del: []tuple.Tuple{all[rng.Intn(len(all))]}}
+}
+
+// randomDigraph returns a seeded random directed graph of edges distinct
+// edges between nodes vertices, without self-loops.
+func randomDigraph(nodes, edges int, seed int64) relation.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	e := relation.New(2)
+	for e.Len() < edges {
+		u, v := rng.Int63n(int64(nodes)), rng.Int63n(int64(nodes))
+		if u != v {
+			e = e.Insert(tuple.Ints(u, v))
+		}
+	}
+	return e
+}
+
+// TestDRedRederiveOncePerRule pins the work of DRed's re-derive step: a
+// one-edge delete in a reachability view runs one restricted evaluation per
+// rule of the stratum, however many tuples it over-deleted. Deleting the
+// chain's first edge over-deletes every node on it; the shortcut brings
+// back the chain's tail.
+func TestDRedRederiveOncePerRule(t *testing.T) {
+	prog := mustProgram(t, `
+		reach(y) <- src(x), e(x, y).
+		reach(y) <- reach(x), e(x, y).`)
+	for _, n := range []int64{10, 200} {
+		e := relation.New(2)
+		for i := int64(0); i < n; i++ {
+			e = e.Insert(tuple.Ints(i, i+1))
+		}
+		e = e.Insert(tuple.Ints(0, n/2))
+		base := map[string]relation.Relation{"e": e, "src": relation.FromTuples(1, []tuple.Tuple{tuple.Ints(0)})}
+		m, err := NewMaintainer(prog, cloneBase(base), DRed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := map[string]Delta{"e": {Del: []tuple.Tuple{tuple.Ints(0, 1)}}}
+		if _, err := m.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		applyToBase(base, batch, nil)
+		checkAgainstOracle(t, m, prog, base, fmt.Sprintf("chain of %d", n))
+		if got := m.Relation("reach").Len(); got != int(n-n/2+1) {
+			t.Fatalf("chain of %d: reach has %d tuples, want %d", n, got, n-n/2+1)
+		}
+		if m.Stats.RederiveChecks != 2 {
+			t.Fatalf("chain of %d: %d restricted re-derive evaluations, want 2 (one per rule)", n, m.Stats.RederiveChecks)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func (m *Maintainer) maintain(sp *obs.Span, stratum []*compiler.RulePlan, known 
 	case incremental && m.mode == Counting && !recursive:
 		return byCount, m.countStratum(stratum, known, acc, old)
 	case incremental && m.mode == Counting && known && monotone(stratum, acc):
-		return byPropagate, m.propagateInserts(sp, stratum, acc)
+		return byPropagate, m.propagateInserts(sp, stratum, acc, map[string]relation.Relation{})
 	case incremental && m.mode == DRed && known && !negTouched(acc, stratum...):
 		return byDRed, m.dredStratum(sp, stratum, acc, old)
 	}
