@@ -68,7 +68,7 @@ func (a *aggAccum) add(key tuple.Tuple, binding tuple.Tuple) {
 }
 
 func (a *aggAccum) finish(headArity int) (relation.Relation, error) {
-	out := relation.New(headArity)
+	heads := make([]tuple.Tuple, 0, len(a.groups))
 	for _, st := range a.groups {
 		var v tuple.Value
 		switch a.plan.Func {
@@ -87,14 +87,13 @@ func (a *aggAccum) finish(headArity int) (relation.Relation, error) {
 		case "max":
 			v = st.max
 		default:
-			return out, fmt.Errorf("unknown aggregation %s", a.plan.Func)
+			return relation.New(headArity), fmt.Errorf("unknown aggregation %s", a.plan.Func)
 		}
 		head := make(tuple.Tuple, 0, headArity)
 		head = append(head, st.key...)
-		head = append(head, v)
-		out = out.Insert(head)
+		heads = append(heads, append(head, v))
 	}
-	return out, nil
+	return relation.FromTuples(headArity, heads), nil
 }
 
 // predictAccum accumulates grouped training examples or evaluation
@@ -167,6 +166,7 @@ func (p *predictAccum) finish(headArity int, models *ml.Registry) (relation.Rela
 	if models == nil {
 		return out, fmt.Errorf("predict rule requires a model registry")
 	}
+	heads := make([]tuple.Tuple, 0, len(p.groups))
 	for _, g := range p.groups {
 		var v tuple.Value
 		switch p.plan.Func {
@@ -204,8 +204,7 @@ func (p *predictAccum) finish(headArity int, models *ml.Registry) (relation.Rela
 		}
 		head := make(tuple.Tuple, 0, headArity)
 		head = append(head, g.key...)
-		head = append(head, v)
-		out = out.Insert(head)
+		heads = append(heads, append(head, v))
 	}
-	return out, nil
+	return relation.FromTuples(headArity, heads), nil
 }

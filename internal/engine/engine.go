@@ -320,8 +320,18 @@ func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 			out, err = pred.finish(r.HeadArity, c.models)
 		}
 	default:
-		for head, ok := b.NextHead(); ok; head, ok = b.NextHead() {
-			out = out.Insert(head)
+		// A head equal to the previous one overwrites it as it arrives, so
+		// a plan that binds the head variables first buffers no duplicates.
+		var heads []tuple.Tuple
+		for b.nextHeadInto(key) {
+			if n := len(heads); n > 0 && heads[n-1].Equal(key) {
+				copy(heads[n-1], key)
+			} else {
+				heads = append(heads, key.Clone())
+			}
+		}
+		if b.Err() == nil {
+			out = relation.FromTuples(r.HeadArity, heads)
 		}
 	}
 	if b.Err() != nil {

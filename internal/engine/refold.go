@@ -44,14 +44,14 @@ import (
 // refold_fallback attribute on sp) when a key column is not a plain join
 // variable or a rule predicts, which a key cannot restrict, when the head
 // is empty (every group is new: nothing is gained by looking for them), or
-// when the groups to re-fold reach half the head's tuples — about the
-// crossover: on a 20k-fact max(sales) view keyed by product (200 groups)
-// or by store (10), on a 2-vCPU Xeon, re-folding half the groups cost
-// 0.9–1.5× a full pass, three quarters 1.7–1.8×, and every group 2.1–2.3×.
-// The full pass of a one-atom body is a scan; a restricted run walks the
-// trie, and that walk is the cost (20k facts joined alone: scan 2.4 ms,
-// trie walk 11–13 ms with or without the key atom). A group updated by
-// its signed delta costs O(|Δ|) and does not count towards it.
+// when the groups to re-fold exceed a third of the head's tuples — about
+// the crossover: on a 20k-fact max(sales) view keyed by product (200
+// groups) or by store (10), on a 2-vCPU Xeon, re-folding a quarter of the
+// groups cost 0.7–0.8× a full pass, three eighths 1.1–1.2×, half 1.3–1.9×
+// and every group 2.3–3.9× (BenchmarkRefoldCrossover). The full pass of a
+// one-atom body is a scan and its head one sorted build; a restricted run
+// walks the trie, and that walk is the cost. A group updated by its signed
+// delta costs O(|Δ|) and does not count towards it.
 func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation) (signed, refolded int, whole bool, err error) {
 	head := rules[0].HeadName
 	prev := c.Relation(head)
@@ -89,7 +89,7 @@ func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc ma
 		}
 		keys = append(keys, g.key)
 	}
-	if !ok || 2*len(keys) >= prev.Len() {
+	if !ok || 3*len(keys) > prev.Len() {
 		sp.SetAttr("refold_fallback", 1)
 		return 0, 0, true, c.ReevalStratum(sp, rules)
 	}

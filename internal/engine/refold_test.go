@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -347,4 +348,64 @@ func FuzzSignedRefold(f *testing.F) {
 			t.Fatalf("%s\nsales %v, delta %+v, active %v, delta %+v:\nhead = %v, re-evaluation gives %v", prog.Rules[0].Source, sales.Slice(), d, active.Slice(), da, got.Slice(), want.Slice())
 		}
 	})
+}
+
+// BenchmarkRefoldCrossover places RefoldStratum's fallback: on 20k retail
+// facts it times a max view re-folding an eighth, a quarter, three
+// eighths, half, three quarters and all of its groups — each touched
+// key's stored tuple deleted, then every rule run once restricted to the
+// keys (refoldGroups) — against the full pass that replaces it
+// (ReevalStratum), with the view keyed by product (200 groups) and by
+// store (10 groups).
+func BenchmarkRefoldCrossover(b *testing.B) {
+	sales := retailFacts(200, 10, 10)
+	for _, view := range []struct{ name, src string }{
+		{"byProduct", `top[p] = u <- agg<<u = max(n)>> sales[p, s, wk] = n.`},
+		{"byStore", `top[s] = u <- agg<<u = max(n)>> sales[p, s, wk] = n.`},
+	} {
+		prog := mustCompile(b, `sales[p, s, wk] = n -> int(p), int(s), int(wk), int(n).`+"\n"+view.src)
+		rules := prog.Strata[len(prog.Strata)-1]
+		ctx := NewContext(prog, map[string]relation.Relation{"sales": sales}, Options{})
+		if err := ctx.EvalStratum(rules); err != nil {
+			b.Fatal(err)
+		}
+		full := ctx.Relation("top")
+		keyVars, ok := groupKeyVars(rules)
+		if !ok {
+			b.Fatal("the view's key is not a join variable")
+		}
+		b.Run(view.name+"/full", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ctx.ReevalStratum(nil, rules); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, eighths := range []int{1, 2, 3, 4, 6, 8} {
+			var keys []tuple.Tuple
+			full.ForEach(func(t tuple.Tuple) bool {
+				if len(keys) < full.Len()*eighths/8 {
+					keys = append(keys, t[:1].Clone())
+				}
+				return true
+			})
+			b.Run(fmt.Sprintf("%s/refold-%d-of-8", view.name, eighths), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					next := full
+					for _, k := range keys {
+						for _, s := range full.Lookup(k) {
+							next = next.Delete(s)
+						}
+					}
+					next, err := ctx.refoldGroups(nil, rules, keyVars, keys, next)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !next.Equal(full) {
+						b.Fatal("the re-folded view differs from the full pass")
+					}
+				}
+			})
+		}
+	}
 }

@@ -111,22 +111,21 @@ func Canonical(edges []Edge) []Edge {
 
 // ToRelation materializes edges as a binary relation.
 func ToRelation(edges []Edge) relation.Relation {
-	r := relation.New(2)
-	for _, e := range edges {
-		r = r.Insert(tuple.Ints(e.U, e.V))
+	ts := make([]tuple.Tuple, len(edges))
+	for i, e := range edges {
+		ts[i] = tuple.Ints(e.U, e.V)
 	}
-	return r
+	return relation.FromTuples(2, ts)
 }
 
 // Symmetrized materializes edges with both orientations, for queries over
 // undirected adjacency.
 func Symmetrized(edges []Edge) relation.Relation {
-	r := relation.New(2)
+	ts := make([]tuple.Tuple, 0, 2*len(edges))
 	for _, e := range edges {
-		r = r.Insert(tuple.Ints(e.U, e.V))
-		r = r.Insert(tuple.Ints(e.V, e.U))
+		ts = append(ts, tuple.Ints(e.U, e.V), tuple.Ints(e.V, e.U))
 	}
-	return r
+	return relation.FromTuples(2, ts)
 }
 
 // DegreeStats summarizes a degree distribution: max degree and the share

@@ -176,13 +176,8 @@ func (m *Maintainer) record(head string, was relation.Relation, stored, rebuilt 
 		m.ctx.Set(head, was)
 		return
 	case rebuilt && len(d.Del)+len(d.Ins) < now.Len():
-		now = was
-		for _, t := range d.Del {
-			now = now.Delete(t)
-		}
-		for _, t := range d.Ins {
-			now = now.Insert(t)
-		}
+		del, ins := relation.FromTuples(now.Arity(), d.Del), relation.FromTuples(now.Arity(), d.Ins)
+		now = was.Difference(del).Union(ins)
 	}
 	m.ctx.Set(head, now)
 	if !d.Empty() {

@@ -10,6 +10,8 @@
 package relation
 
 import (
+	"slices"
+
 	"logicblox/internal/treap"
 	"logicblox/internal/tuple"
 )
@@ -33,14 +35,38 @@ func New(arity int) Relation {
 	return Relation{arity: arity, t: treap.New[tuple.Tuple, struct{}](tupleOps())}
 }
 
-// FromTuples builds a relation of the given arity from tuples (in any
-// order; duplicates collapse under set semantics).
+// FromTuples builds a relation of the given arity from tuples in any
+// order; duplicates collapse under set semantics (of tuples that compare
+// equal, the last kept, as an insert loop would). It is the one bulk
+// constructor: the tuples are sorted — only when they are not already
+// strictly ascending, as snapshot rows and scans in stored order are — and
+// handed to treap.BuildSorted, so n distinct tuples cost n treap nodes.
+// ts is neither reordered nor retained; its tuples are stored uncopied,
+// so callers must not mutate them afterward.
 func FromTuples(arity int, ts []tuple.Tuple) Relation {
-	r := New(arity)
-	for _, t := range ts {
-		r = r.Insert(t)
+	sorted := true
+	for i, t := range ts {
+		if len(t) != arity {
+			panic("relation: arity mismatch on insert")
+		}
+		if sorted && i > 0 && ts[i-1].Compare(t) >= 0 {
+			sorted = false
+		}
 	}
-	return r
+	if !sorted {
+		ts = slices.Clone(ts)
+		tuple.SortTuples(ts) // stable: the last of equal tuples stays last
+		out := ts[:0]
+		for _, t := range ts {
+			if n := len(out); n > 0 && out[n-1].Equal(t) {
+				out[n-1] = t
+				continue
+			}
+			out = append(out, t)
+		}
+		ts = out
+	}
+	return Relation{arity: arity, t: treap.BuildSorted(tupleOps(), ts, make([]struct{}, len(ts)))}
 }
 
 // Arity returns the number of columns.
@@ -142,25 +168,36 @@ func (r Relation) Diff(o Relation, onDel, onIns func(tuple.Tuple)) {
 // Permuted returns the relation with columns reordered so that column i of
 // the result is column perm[i] of r. It materializes a secondary index for
 // a variable ordering that is inconsistent with the base column order
-// (paper §3.2).
+// (paper §3.2). The permuted tuples share one backing array.
 func (r Relation) Permuted(perm []int) Relation {
-	out := New(len(perm))
+	k := len(perm)
+	vals := make([]tuple.Value, r.Len()*k)
+	ts := make([]tuple.Tuple, 0, r.Len())
 	r.ForEach(func(t tuple.Tuple) bool {
-		out = out.Insert(t.Permute(perm))
+		p := tuple.Tuple(vals[len(ts)*k : (len(ts)+1)*k : (len(ts)+1)*k])
+		for i, c := range perm {
+			p[i] = t[c]
+		}
+		ts = append(ts, p)
 		return true
 	})
-	return out
+	return FromTuples(k, ts)
 }
 
 // Project returns the relation of distinct prefixes of length k (the
-// projection onto the first k columns).
+// projection onto the first k columns). The prefixes arrive sorted, with
+// equal ones adjacent.
 func (r Relation) Project(k int) Relation {
-	out := New(k)
+	var ts []tuple.Tuple
 	r.ForEach(func(t tuple.Tuple) bool {
-		out = out.Insert(t[:k].Clone())
+		if n := len(ts); n > 0 && ts[n-1].Equal(t[:k]) {
+			copy(ts[n-1], t[:k]) // the last of equal prefixes kept, as in FromTuples
+		} else {
+			ts = append(ts, t[:k].Clone())
+		}
 		return true
 	})
-	return out
+	return FromTuples(k, ts)
 }
 
 // Lookup returns the tuples whose first len(prefix) columns equal prefix,
@@ -263,14 +300,14 @@ func (r Relation) Sample(k int) Relation {
 		return r
 	}
 	stride := (n + k - 1) / k
-	out := New(r.arity)
+	ts := make([]tuple.Tuple, 0, k)
 	i := 0
 	r.ForEach(func(t tuple.Tuple) bool {
 		if i%stride == 0 {
-			out = out.Insert(t)
+			ts = append(ts, t)
 		}
 		i++
 		return true
 	})
-	return out
+	return FromTuples(r.arity, ts)
 }

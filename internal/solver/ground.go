@@ -136,28 +136,22 @@ func (g *Grounding) Vars() []VarInfo { return g.vars }
 func (g *Grounding) freeCtx() *engine.Context {
 	ctx := engine.NewContext(g.prog, g.rels, engine.Options{})
 	for pred, keys := range g.domains {
-		arity := g.prog.Preds[pred].Arity
-		rel := relation.New(arity)
-		for _, k := range keys {
-			t := make(tuple.Tuple, 0, arity)
-			t = append(t, k...)
-			t = append(t, sentinel)
-			rel = rel.Insert(t)
-		}
-		ctx.Set(pred, rel)
+		ctx.Set(pred, withSentinel(g.prog.Preds[pred].Arity, keys))
 	}
 	for pred, keys := range g.derivedKeys {
-		arity := g.prog.Preds[pred].Arity
-		rel := relation.New(arity)
-		for _, k := range keys {
-			t := make(tuple.Tuple, 0, arity)
-			t = append(t, k...)
-			t = append(t, sentinel)
-			rel = rel.Insert(t)
-		}
-		ctx.Set(pred, rel)
+		ctx.Set(pred, withSentinel(g.prog.Preds[pred].Arity, keys))
 	}
 	return ctx
+}
+
+// withSentinel returns the relation of each key extended by the sentinel
+// value.
+func withSentinel(arity int, keys []tuple.Tuple) relation.Relation {
+	ts := make([]tuple.Tuple, len(keys))
+	for i, k := range keys {
+		ts[i] = append(append(make(tuple.Tuple, 0, arity), k...), sentinel)
+	}
+	return relation.FromTuples(arity, ts)
 }
 
 func (g *Grounding) varFor(pred string, key tuple.Tuple) int {
@@ -813,10 +807,7 @@ func (g *Grounding) Solve() (map[string]relation.Relation, *Solution, error) {
 	if sol.Status != Optimal {
 		return nil, sol, fmt.Errorf("solver: %s", sol.Status)
 	}
-	out := map[string]relation.Relation{}
-	for pred := range g.domains {
-		out[pred] = relation.New(g.prog.Preds[pred].Arity)
-	}
+	facts := map[string][]tuple.Tuple{}
 	for i, v := range g.vars {
 		var val tuple.Value
 		if g.integer[v.Pred] {
@@ -826,8 +817,11 @@ func (g *Grounding) Solve() (map[string]relation.Relation, *Solution, error) {
 		}
 		t := make(tuple.Tuple, 0, len(v.Key)+1)
 		t = append(t, v.Key...)
-		t = append(t, val)
-		out[v.Pred] = out[v.Pred].Insert(t)
+		facts[v.Pred] = append(facts[v.Pred], append(t, val))
+	}
+	out := map[string]relation.Relation{}
+	for pred := range g.domains {
+		out[pred] = relation.FromTuples(g.prog.Preds[pred].Arity, facts[pred])
 	}
 	// Undo the minimization sign on the reported objective.
 	sol.Objective = g.objSign * sol.Objective

@@ -14,7 +14,10 @@
 //   - set operations (union, intersection, difference) run in
 //     O(m log(n/m)) expected time (Blelloch & Reid-Miller, SPAA'98);
 //   - all mutating operations copy only the path from the root to the
-//     change, so snapshots are O(1) and versions share structure.
+//     change, so snapshots are O(1) and versions share structure;
+//   - a tree built in one pass from sorted keys (BuildSorted) is the same
+//     tree an insert loop builds, at one node per key rather than one
+//     path copy per key.
 //
 // The treap is generic over key and value types; callers supply an Ops
 // with a total order and a hash for keys.
@@ -82,6 +85,46 @@ func (t Tree[K, V]) mk(key K, val V, prio uint64, left, right *node[K, V]) *node
 		hash: h,
 		left: left, right: right,
 	}
+}
+
+// BuildSorted returns the treap holding keys[i] bound to vals[i]. keys
+// must be strictly ascending under ops.Compare and vals as long as keys;
+// neither is retained. By unique representation the result is the tree an
+// insert loop over the same entries builds, node for node, but it costs
+// one node per key instead of a path copy per key: one pass keeps the
+// right spine of the Cartesian tree built so far on a stack, and a key
+// pops every spine node of lower priority, which are then final — the
+// last popped becomes its left child, each popped node the right child of
+// the one popped after it. On equal priority the smaller key stays the
+// ancestor, as in insert.
+func BuildSorted[K, V any](ops Ops[K], keys []K, vals []V) Tree[K, V] {
+	t := New[K, V](ops)
+	type frame struct {
+		i    int
+		prio uint64
+		left *node[K, V]
+	}
+	spine := make([]frame, 0, 64) // the height of the tree, O(log n) expected
+	// closeSpine makes the nodes of the spine frames above depth, whose
+	// subtrees are complete, and returns the topmost made.
+	closeSpine := func(depth int) *node[K, V] {
+		var right *node[K, V]
+		for len(spine) > depth {
+			f := spine[len(spine)-1]
+			spine = spine[:len(spine)-1]
+			right = t.mk(keys[f.i], vals[f.i], f.prio, f.left, right)
+		}
+		return right
+	}
+	for i, k := range keys {
+		prio := ops.Hash(k)
+		depth := len(spine)
+		for depth > 0 && spine[depth-1].prio < prio {
+			depth--
+		}
+		spine = append(spine, frame{i: i, prio: prio, left: closeSpine(depth)})
+	}
+	return Tree[K, V]{ops: ops, root: closeSpine(0)}
 }
 
 // Get returns the value stored under key.

@@ -386,3 +386,53 @@ func TestBSTAndHeapInvariants(t *testing.T) {
 	}
 	checkNode(tr.root, -1, 1<<31)
 }
+
+// sameShape reports whether two subtrees hold the same keys, values and
+// priorities in the same shape, with the same cached size and hash.
+func sameShape(a, b *node[int, int]) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.key == b.key && a.val == b.val && a.prio == b.prio && a.size == b.size && a.hash == b.hash &&
+		sameShape(a.left, b.left) && sameShape(a.right, b.right)
+}
+
+// TestBuildSortedMatchesInsert builds from sorted keys and checks the tree
+// is the insert loop's node for node, with the real hash and with one that
+// gives most keys the priority of another, where the tie rule decides the
+// shape.
+func TestBuildSortedMatchesInsert(t *testing.T) {
+	ties := intOps()
+	ties.Hash = func(k int) uint64 { return uint64(k % 5) }
+	rng := rand.New(rand.NewSource(7))
+	for _, ops := range []Ops[int]{intOps(), ties} {
+		for trial := 0; trial < 100; trial++ {
+			n := rng.Intn(300)
+			seen := map[int]bool{}
+			loop := New[int, int](ops)
+			for i := 0; i < n; i++ {
+				k := rng.Intn(1000)
+				seen[k] = true
+				loop = loop.Insert(k, k*10)
+			}
+			var keys, vals []int
+			for k := range seen {
+				keys = append(keys, k)
+			}
+			sort.Ints(keys)
+			for _, k := range keys {
+				vals = append(vals, k*10)
+			}
+			built := BuildSorted(ops, keys, vals)
+			if !sameShape(built.root, loop.root) {
+				t.Fatalf("trial %d: BuildSorted of %v differs from the insert loop's tree", trial, keys)
+			}
+			if !built.Equal(loop) || built.StructuralHash() != loop.StructuralHash() {
+				t.Fatalf("trial %d: Equal or StructuralHash disagree", trial)
+			}
+		}
+	}
+	if e := BuildSorted[int, int](intOps(), nil, nil); !e.IsEmpty() {
+		t.Fatal("BuildSorted of no keys is not empty")
+	}
+}
