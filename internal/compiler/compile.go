@@ -279,8 +279,7 @@ type bodyEnv struct {
 	varNames   []string
 	isJoinVar  []bool
 	atoms      []AtomPlan
-	rawAtoms   []*ast.Atom // parallel to atoms, pre-permutation term info
-	atomVars   [][]int     // join var per original column
+	atomVars   [][]int // join var per original column
 	consts     []ConstBind
 	negAtoms   []GroundAtom
 	filters    []FilterPlan
@@ -380,7 +379,6 @@ func (e *bodyEnv) addPositiveAtom(a *ast.Atom) error {
 			return fmt.Errorf("argument %s of %s is not a variable or constant", t, a.Pred)
 		}
 	}
-	e.rawAtoms = append(e.rawAtoms, a)
 	e.atomVars = append(e.atomVars, vars)
 	e.atoms = append(e.atoms, AtomPlan{Name: name})
 	return nil
@@ -429,8 +427,8 @@ func (e *bodyEnv) finish() error {
 	return nil
 }
 
-// remap renumbers all recorded slots through order and finalizes atom
-// permutations.
+// remap renumbers all recorded slots through order and plans the atoms'
+// columns.
 func (e *bodyEnv) remap(order []int, numJoin int) {
 	names := make([]string, len(e.varNames))
 	for s, n := range e.varNames {
@@ -443,30 +441,8 @@ func (e *bodyEnv) remap(order []int, numJoin int) {
 	for i := range e.consts {
 		e.consts[i].Var = order[e.consts[i].Var]
 	}
-	for ai := range e.atoms {
-		vars := e.atomVars[ai]
-		mapped := make([]int, len(vars))
-		for i, v := range vars {
-			mapped[i] = order[v]
-		}
-		// Sort columns by join variable position to get the permutation.
-		perm := make([]int, len(mapped))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(a, b int) bool { return mapped[perm[a]] < mapped[perm[b]] })
-		identity := true
-		sortedVars := make([]int, len(perm))
-		for i, p := range perm {
-			sortedVars[i] = mapped[p]
-			if p != i {
-				identity = false
-			}
-		}
-		e.atoms[ai].Vars = sortedVars
-		if !identity {
-			e.atoms[ai].Perm = perm
-		}
+	for ai, a := range e.atoms {
+		e.atoms[ai] = planAtom(a.Name, remapSlots(e.atomVars[ai], order))
 	}
 	e.numJoin = numJoin
 }

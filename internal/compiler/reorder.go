@@ -2,12 +2,91 @@ package compiler
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
+
+// The variable layout of a rule is one planning decision (paper §3.2): the
+// order of its join variables, and for each body atom the column
+// permutation that lets leapfrog triejoin read the atom in that order. The
+// functions below make that decision; outside the engine's join builder
+// and the optimizer's sampler, code reads it back only through them.
+
+// Order returns r with the join variables of first leading, in that
+// order, and every other join variable following in r's order. A
+// negative entry, or one that repeats an earlier entry, is skipped. When
+// no variable moves it returns r itself.
+func Order(r *RulePlan, first []int) *RulePlan {
+	order := make([]int, 0, r.NumJoinVars)
+	seen := make([]bool, r.NumJoinVars)
+	for _, v := range first {
+		if v >= 0 && !seen[v] {
+			seen[v] = true
+			order = append(order, v)
+		}
+	}
+	for v, s := range seen {
+		if !s {
+			order = append(order, v)
+		}
+	}
+	for i, v := range order {
+		if i != v {
+			return reorder(r, order)
+		}
+	}
+	return r
+}
+
+// HeadVars returns, per head column (for an aggregation or predict rule,
+// per key column), the join variable the column binds, or -1 when it is a
+// constant or a computed value.
+func (r *RulePlan) HeadVars() []int {
+	vars := make([]int, len(r.HeadExprs))
+	for i, e := range r.HeadExprs {
+		vars[i] = -1
+		if ve, ok := e.(VarExpr); ok && ve.Idx < r.NumJoinVars {
+			vars[i] = ve.Idx
+		}
+	}
+	return vars
+}
+
+// planAtom plans a body atom of relation name whose stored column c binds
+// join variable storedVars[c]: its plan columns are the stored columns
+// sorted by variable, and Perm is nil when that is the stored order.
+func planAtom(name string, storedVars []int) AtomPlan {
+	perm := make([]int, len(storedVars))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(x, y int) int { return storedVars[x] - storedVars[y] })
+	a := AtomPlan{Name: name, Vars: make([]int, len(perm))}
+	for i, c := range perm {
+		a.Vars[i] = storedVars[c]
+		if c != i {
+			a.Perm = perm
+		}
+	}
+	return a
+}
+
+// StoredVars returns the join variable each stored column of a binds: the
+// inverse of the atom's planning.
+func StoredVars(a AtomPlan) []int {
+	vars := make([]int, len(a.Vars))
+	for i, v := range a.Vars {
+		c := i
+		if a.Perm != nil {
+			c = a.Perm[i]
+		}
+		vars[c] = v
+	}
+	return vars
+}
 
 // ReorderRule returns a copy of the plan with its join variables permuted
 // into a new order: order[i] is the old slot of the variable that becomes
-// slot i. Atom column permutations (secondary indices) are re-derived and
+// slot i. Atom column permutations (secondary indices) are re-planned and
 // every compiled expression is rewritten to the new slot numbering. The
 // sampling-based optimizer (paper §3.2) uses this to evaluate candidate
 // variable orders.
@@ -16,18 +95,26 @@ func ReorderRule(r *RulePlan, order []int) (*RulePlan, error) {
 	if len(order) != n {
 		return nil, fmt.Errorf("compiler: order has %d entries for %d join variables", len(order), n)
 	}
-	// newSlot[old] = position of old slot in the new order.
-	newSlot := make([]int, r.Slots)
 	seen := make([]bool, n)
-	for i, old := range order {
+	for _, old := range order {
 		if old < 0 || old >= n || seen[old] {
 			return nil, fmt.Errorf("compiler: order %v is not a permutation of join slots", order)
 		}
 		seen[old] = true
-		newSlot[old] = i
 	}
-	for s := n; s < r.Slots; s++ {
-		newSlot[s] = s // assigned slots keep their positions
+	return reorder(r, order), nil
+}
+
+// reorder is ReorderRule for an order known to permute r's join slots.
+func reorder(r *RulePlan, order []int) *RulePlan {
+	// newSlot[old] = position of old slot in the new order; assigned
+	// slots keep their positions.
+	newSlot := make([]int, r.Slots)
+	for s := range newSlot {
+		newSlot[s] = s
+	}
+	for i, old := range order {
+		newSlot[old] = i
 	}
 
 	out := *r
@@ -35,37 +122,9 @@ func ReorderRule(r *RulePlan, order []int) (*RulePlan, error) {
 	for old, name := range r.VarNames {
 		out.VarNames[newSlot[old]] = name
 	}
-
-	// Rebuild each atom: recover the variable per stored column, remap,
-	// and re-sort columns by the new order.
 	out.Atoms = make([]AtomPlan, len(r.Atoms))
 	for ai, a := range r.Atoms {
-		cols := len(a.Vars)
-		varOfStored := make([]int, cols)
-		for i, v := range a.Vars {
-			stored := i
-			if a.Perm != nil {
-				stored = a.Perm[i]
-			}
-			varOfStored[stored] = newSlot[v]
-		}
-		perm := make([]int, cols)
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(x, y int) bool { return varOfStored[perm[x]] < varOfStored[perm[y]] })
-		identity := true
-		vars := make([]int, cols)
-		for i, p := range perm {
-			vars[i] = varOfStored[p]
-			if p != i {
-				identity = false
-			}
-		}
-		out.Atoms[ai] = AtomPlan{Name: a.Name, Vars: vars}
-		if !identity {
-			out.Atoms[ai].Perm = perm
-		}
+		out.Atoms[ai] = planAtom(a.Name, remapSlots(StoredVars(a), newSlot))
 	}
 
 	out.Consts = make([]ConstBind, len(r.Consts))
@@ -100,7 +159,7 @@ func ReorderRule(r *RulePlan, order []int) (*RulePlan, error) {
 		p.FeatNameSlots = remapSlots(p.FeatNameSlots, newSlot)
 		out.Predict = &p
 	}
-	return &out, nil
+	return &out
 }
 
 func remapSlots(slots []int, newSlot []int) []int {

@@ -195,14 +195,16 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	return &Cursor{rctx: rctx, mat: rel.Cursor(), hint: rel.Len()}, nil
 }
 
-// streamableAnswer returns the single answer rule, reordered head
-// variables first (headFirstPlan), when the program shape admits
+// streamableAnswer returns the single answer rule, its head's distinct
+// variables moved first (compiler.Order), when the program shape admits
 // pipelined evaluation with output identical to the materialized path:
 // exactly one rule derives "_" (so an installed "_" rule rules it out),
 // nothing consumes "_", the rule neither aggregates nor predicts, and
-// every head column is a join variable or a constant (so a
-// head-variable-first join order makes the projected heads arrive
-// sorted). Returns nil when any condition fails — the walk then
+// every head column is a join variable or a constant. LFTJ enumerates
+// bindings lexicographically in the variable order, and projecting a
+// monotone prefix keeps that order, so the heads then arrive sorted with
+// duplicates adjacent — the materialized relation's iteration order after
+// adjacent dedup. Returns nil when any condition fails — the walk then
 // materializes the answer.
 func streamableAnswer(prog *compiler.Program) *compiler.RulePlan {
 	var rule *compiler.RulePlan
@@ -232,41 +234,5 @@ func streamableAnswer(prog *compiler.Program) *compiler.RulePlan {
 			return nil
 		}
 	}
-	return headFirstPlan(rule)
-}
-
-// headFirstPlan reorders the answer rule's join variables so the head's
-// distinct variables (in first-occurrence order) lead. LFTJ enumerates
-// bindings lexicographically in the variable order, and projecting a
-// monotone prefix keeps that order, so the streamed heads come out
-// sorted with duplicates adjacent — exactly the materialized relation's
-// iteration order after adjacent dedup. Nil if the reordering fails.
-func headFirstPlan(r *compiler.RulePlan) *compiler.RulePlan {
-	order := make([]int, 0, r.NumJoinVars)
-	seen := make([]bool, r.NumJoinVars)
-	for _, e := range r.HeadExprs {
-		if v, ok := e.(compiler.VarExpr); ok && !seen[v.Idx] {
-			seen[v.Idx] = true
-			order = append(order, v.Idx)
-		}
-	}
-	identity := true
-	for i, o := range order {
-		if i != o {
-			identity = false
-		}
-	}
-	for i := 0; i < r.NumJoinVars; i++ {
-		if !seen[i] {
-			order = append(order, i)
-		}
-	}
-	if identity {
-		return r
-	}
-	plan, err := compiler.ReorderRule(r, order)
-	if err != nil {
-		return nil
-	}
-	return plan
+	return compiler.Order(rule, rule.HeadVars())
 }

@@ -15,6 +15,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -655,35 +656,16 @@ func drainBindings(ctx *engine.Context, plan *compiler.RulePlan) (relation.Relat
 }
 
 // streamHeadFirst evaluates rule the way a streamed query answers: the
-// join variables reordered head-variables-first, heads pulled one at a
-// time out of StreamRule. When every head column is a join variable the
-// heads must arrive sorted (sorted reports whether they did), which is
-// what lets the transaction layer dedup adjacent rows instead of
-// materializing.
+// plan compiler.Order makes with the head's variables first, heads pulled
+// one at a time out of StreamRule. When every head column is a join
+// variable the heads must arrive sorted (sorted reports whether they
+// did), which is what lets the transaction layer dedup adjacent rows
+// instead of materializing.
 func streamHeadFirst(ctx *engine.Context, rule *compiler.RulePlan) (out relation.Relation, sorted bool, err error) {
 	out = relation.New(rule.HeadArity)
-	order := make([]int, 0, rule.NumJoinVars)
-	seen := make([]bool, rule.NumJoinVars)
-	mustSort := true // every head column is a join variable
-	for _, e := range rule.HeadExprs {
-		if v, ok := e.(compiler.VarExpr); ok && v.Idx < rule.NumJoinVars {
-			if !seen[v.Idx] {
-				seen[v.Idx] = true
-				order = append(order, v.Idx)
-			}
-		} else {
-			mustSort = false
-		}
-	}
-	for v := range seen {
-		if !seen[v] {
-			order = append(order, v)
-		}
-	}
-	plan, err := compiler.ReorderRule(rule, order)
-	if err != nil {
-		return out, false, err
-	}
+	vars := rule.HeadVars()
+	mustSort := !slices.Contains(vars, -1)
+	plan := compiler.Order(rule, vars)
 	cur, err := ctx.StreamRule(plan)
 	if err != nil {
 		return out, false, err

@@ -123,21 +123,8 @@ func (c *Context) EnumerateBindings(r *compiler.RulePlan, overrides map[int]rela
 // columns that are join variables, intersected with keys, which checks the
 // other columns (delete-and-rederive's re-derive step).
 func (c *Context) Rederivable(r *compiler.RulePlan, keys relation.Relation) (relation.Relation, error) {
-	out, err := c.evalRule(restrict(r, joinVars(r), keys))
+	out, err := c.evalRule(restrict(r, r.HeadVars(), keys))
 	return out.Intersect(keys), err
-}
-
-// joinVars returns, per column of r's head (for an aggregation or predict
-// rule, per key column), the join variable it is, or -1.
-func joinVars(r *compiler.RulePlan) []int {
-	vars := make([]int, len(r.HeadExprs))
-	for i, e := range r.HeadExprs {
-		vars[i] = -1
-		if ve, ok := e.(compiler.VarExpr); ok && ve.Idx < r.NumJoinVars {
-			vars[i] = ve.Idx
-		}
-	}
-	return vars
 }
 
 // restrict returns a copy of r joined with one more atom that holds keys,

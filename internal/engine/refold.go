@@ -132,7 +132,7 @@ func (c *Context) refoldGroups(sp *obs.Span, rules []*compiler.RulePlan, keyVars
 func groupKeyVars(rules []*compiler.RulePlan) (vars [][]int, ok bool) {
 	vars = make([][]int, len(rules))
 	for i, r := range rules {
-		if vars[i] = joinVars(r)[:r.HeadArity-1]; r.Predict != nil || slices.Contains(vars[i], -1) {
+		if vars[i] = r.HeadVars()[:r.HeadArity-1]; r.Predict != nil || slices.Contains(vars[i], -1) {
 			return nil, false
 		}
 	}

@@ -118,16 +118,6 @@ func ToRelation(edges []Edge) relation.Relation {
 	return relation.FromTuples(2, ts)
 }
 
-// Symmetrized materializes edges with both orientations, for queries over
-// undirected adjacency.
-func Symmetrized(edges []Edge) relation.Relation {
-	ts := make([]tuple.Tuple, 0, 2*len(edges))
-	for _, e := range edges {
-		ts = append(ts, tuple.Ints(e.U, e.V), tuple.Ints(e.V, e.U))
-	}
-	return relation.FromTuples(2, ts)
-}
-
 // DegreeStats summarizes a degree distribution: max degree and the share
 // of edge endpoints landing on the top 1% of vertices (a skew measure).
 func DegreeStats(edges []Edge) (maxDeg int, top1Share float64) {

@@ -60,15 +60,11 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-func TestToRelationAndSymmetrized(t *testing.T) {
+func TestToRelation(t *testing.T) {
 	edges := []Edge{{1, 2}, {3, 4}}
 	r := ToRelation(edges)
 	if r.Len() != 2 || r.Arity() != 2 {
 		t.Fatalf("ToRelation wrong: %d tuples", r.Len())
-	}
-	s := Symmetrized(edges)
-	if s.Len() != 4 {
-		t.Fatalf("Symmetrized len = %d", s.Len())
 	}
 }
 

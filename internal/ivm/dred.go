@@ -68,7 +68,8 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 				m.Stats.RulesEvaluated++
 				overrides := map[int]relation.Relation{ai: seeds}
 				// Other atoms read the ORIGINAL (pre-batch) state so every
-				// derivation that possibly used a deleted tuple is found.
+				// derivation that possibly used a deleted tuple is found,
+				// and every head found is in origin already.
 				for j, b := range r.Atoms {
 					if j == ai {
 						continue
@@ -77,20 +78,19 @@ func (m *Maintainer) dredStratum(sp *obs.Span, rules []*compiler.RulePlan, acc m
 						overrides[j] = o
 					}
 				}
-				h := r.HeadName
+				var heads []tuple.Tuple
 				err := m.ctx.EnumerateRuleHeads(r, overrides, func(head tuple.Tuple) bool {
-					if origin[h].Contains(head) && !overdeleted[h].Contains(head) {
-						overdeleted[h] = overdeleted[h].Insert(head)
-						f, ok := fresh[h]
-						if !ok {
-							f = relation.New(len(head))
-						}
-						fresh[h] = f.Insert(head)
-					}
+					heads = append(heads, head)
 					return true
 				})
 				if err != nil {
 					return err
+				}
+				h := r.HeadName
+				out := relation.FromTuples(r.HeadArity, heads)
+				if out = out.Difference(overdeleted[h]); !out.IsEmpty() {
+					overdeleted[h] = overdeleted[h].Union(out)
+					fresh[h] = out.Union(fresh[h])
 				}
 			}
 		}

@@ -99,22 +99,6 @@ func MergeJoin(l, r relation.Relation) []tuple.Tuple {
 	return out
 }
 
-// TriangleListHash lists all triangles of the edge relation E (which must
-// hold canonical edges x<y) using the binary-join plan
-// (E(a,b) ⋈ E(b,c)) ⋉ E(a,c) — the plan shape of a conventional RDBMS.
-// It returns (a,b,c) triples.
-func TriangleListHash(e relation.Relation) []tuple.Tuple {
-	// Join E(a,b) with E(b,c) on b: E's column 1 with E's column 0.
-	paths := HashJoin(e, e, []int{1}, []int{0}) // (a, b, b, c)
-	// Filter with E(a,c).
-	closed := SemiJoin(paths, e, []int{0, 3})
-	out := make([]tuple.Tuple, len(closed))
-	for i, t := range closed {
-		out[i] = tuple.Of(t[0], t[1], t[3])
-	}
-	return out
-}
-
 // TriangleCountHash counts triangles using the binary hash-join plan.
 func TriangleCountHash(e relation.Relation) int {
 	// Avoid materializing the projected triples; count the semi-joined paths.

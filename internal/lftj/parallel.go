@@ -1,7 +1,6 @@
 package lftj
 
 import (
-	"sort"
 	"sync"
 
 	"logicblox/internal/relation"
@@ -95,17 +94,13 @@ func Quantiles(sample relation.Relation, parts int) []tuple.Value {
 	if parts <= 1 {
 		return nil
 	}
-	var firsts []tuple.Value
-	seen := map[string]bool{}
+	var firsts []tuple.Value // distinct and ascending: the sample is sorted
 	sample.ForEach(func(t tuple.Tuple) bool {
-		k := t[0].String()
-		if !seen[k] {
-			seen[k] = true
+		if n := len(firsts); n == 0 || !tuple.Equal(firsts[n-1], t[0]) {
 			firsts = append(firsts, t[0])
 		}
 		return true
 	})
-	sort.Slice(firsts, func(i, j int) bool { return tuple.Less(firsts[i], firsts[j]) })
 	if len(firsts) < parts {
 		return nil
 	}

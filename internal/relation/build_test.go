@@ -36,7 +36,7 @@ func sameAsLoop(t *testing.T, what string, got, want Relation) {
 // FuzzBuildMatchesInsert checks every bulk constructor against its
 // insert-loop definition on tuples of mixed kinds, in any order and with
 // duplicates: FromTuples (unsorted input and its own sorted output),
-// Permuted (any column selection), Project and Sample. FromTuples must
+// Permuted (any column selection) and Sample. FromTuples must
 // leave the caller's slice as it was.
 func FuzzBuildMatchesInsert(f *testing.F) {
 	f.Add(uint8(1), uint8(0), []byte{0, 1, 1, 2, 0, 1, 1, 2})             // 1, 1.0, 1, 1.0
@@ -90,11 +90,6 @@ func FuzzBuildMatchesInsert(f *testing.F) {
 		permLoop := New(len(perm))
 		want.ForEach(func(tp tuple.Tuple) bool { permLoop = permLoop.Insert(tp.Permute(perm)); return true })
 		sameAsLoop(t, fmt.Sprintf("Permuted(%v)", perm), got.Permuted(perm), permLoop)
-
-		k := int(sel) % (n + 1)
-		projLoop := New(k)
-		want.ForEach(func(tp tuple.Tuple) bool { projLoop = projLoop.Insert(tp[:k].Clone()); return true })
-		sameAsLoop(t, fmt.Sprintf("Project(%d)", k), got.Project(k), projLoop)
 
 		m := int(sel)%5 + 1
 		var sampled []tuple.Tuple

@@ -184,22 +184,6 @@ func (r Relation) Permuted(perm []int) Relation {
 	return FromTuples(k, ts)
 }
 
-// Project returns the relation of distinct prefixes of length k (the
-// projection onto the first k columns). The prefixes arrive sorted, with
-// equal ones adjacent.
-func (r Relation) Project(k int) Relation {
-	var ts []tuple.Tuple
-	r.ForEach(func(t tuple.Tuple) bool {
-		if n := len(ts); n > 0 && ts[n-1].Equal(t[:k]) {
-			copy(ts[n-1], t[:k]) // the last of equal prefixes kept, as in FromTuples
-		} else {
-			ts = append(ts, t[:k].Clone())
-		}
-		return true
-	})
-	return FromTuples(k, ts)
-}
-
 // Lookup returns the tuples whose first len(prefix) columns equal prefix,
 // in lexicographic order.
 func (r Relation) Lookup(prefix tuple.Tuple) []tuple.Tuple {

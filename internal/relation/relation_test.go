@@ -71,19 +71,11 @@ func TestDiffEnumeratesChanges(t *testing.T) {
 	}
 }
 
-func TestPermutedAndProject(t *testing.T) {
+func TestPermuted(t *testing.T) {
 	r := FromTuples(3, []tuple.Tuple{tuple.Ints(1, 2, 3), tuple.Ints(4, 5, 6)})
 	p := r.Permuted([]int{2, 1, 0})
 	if !p.Contains(tuple.Ints(3, 2, 1)) || !p.Contains(tuple.Ints(6, 5, 4)) {
 		t.Fatalf("permute wrong: %v", p.Slice())
-	}
-	pr := r.Project(2)
-	if pr.Arity() != 2 || !pr.Contains(tuple.Ints(1, 2)) || pr.Len() != 2 {
-		t.Fatalf("project wrong: %v", pr.Slice())
-	}
-	dup := FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(1, 3)})
-	if got := dup.Project(1).Len(); got != 1 {
-		t.Fatalf("project should dedup, got %d", got)
 	}
 }
 

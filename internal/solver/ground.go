@@ -28,12 +28,13 @@ type Grounding struct {
 	integer map[string]bool
 
 	vars    []VarInfo
-	varIdx  map[string]int
+	varIdx  map[string]int           // pred, NUL, key's AppendKey → variable
 	domains map[string][]tuple.Tuple // free pred → key tuples
 
 	// derivedLinear holds, for each derived sum-aggregation predicate
 	// whose body reads free predicates (e.g. totalShelf), the linear form
-	// of its value per group key. Constraints and objectives referencing
+	// of its value per group key (its AppendKey encoding: Int(1) and
+	// Float(1) are different keys). Constraints and objectives referencing
 	// such predicates are linearized through these forms.
 	derivedLinear map[string]map[string]linForm
 	derivedKeys   map[string][]tuple.Tuple
@@ -155,7 +156,7 @@ func withSentinel(arity int, keys []tuple.Tuple) relation.Relation {
 }
 
 func (g *Grounding) varFor(pred string, key tuple.Tuple) int {
-	id := pred + "\x00" + key.String()
+	id := string(key.AppendKey([]byte(pred + "\x00")))
 	if i, ok := g.varIdx[id]; ok {
 		return i
 	}
@@ -266,7 +267,7 @@ func (g *Grounding) bodyMentionsFree(body *compiler.RulePlan) bool {
 }
 
 // symbolicSlots maps each binding slot bound by a free predicate's value
-// column to the atom's key slots.
+// column to the atom's key slots, in stored column order.
 type symRef struct {
 	pred     string // free predicate, or "" when derived is set
 	derived  string // derived-linear predicate
@@ -281,44 +282,16 @@ func (g *Grounding) symbolicSlots(body *compiler.RulePlan) map[int]symRef {
 		if !g.free[base] && !isDerived {
 			continue
 		}
-		arity := g.prog.Preds[base].Arity
-		// The value column is stored column arity-1; under a permutation,
-		// find the plan column reading it.
-		valCol := arity - 1
-		planCol := valCol
-		if a.Perm != nil {
-			for i, p := range a.Perm {
-				if p == valCol {
-					planCol = i
-					break
-				}
-			}
-		}
-		keySlots := make([]int, 0, arity-1)
-		for i, v := range a.Vars {
-			if i == planCol {
-				continue
-			}
-			keySlots = append(keySlots, v)
-		}
-		// Reorder keySlots to stored column order.
-		if a.Perm != nil {
-			ordered := make([]int, arity-1)
-			for i, p := range a.Perm {
-				if p == valCol {
-					continue
-				}
-				ordered[p] = a.Vars[i]
-			}
-			keySlots = ordered
-		}
-		ref := symRef{keySlots: keySlots}
+		// The value is the last stored column, the key the ones before it.
+		stored := compiler.StoredVars(a)
+		val := len(stored) - 1
+		ref := symRef{keySlots: stored[:val]}
 		if isDerived {
 			ref.derived = base
 		} else {
 			ref.pred = base
 		}
-		out[a.Vars[planCol]] = ref
+		out[stored[val]] = ref
 	}
 	return out
 }
@@ -382,7 +355,7 @@ func (g *Grounding) linEval(e compiler.Expr, binding tuple.Tuple, syms map[int]s
 				key[i] = binding[s]
 			}
 			if ref.derived != "" {
-				form, ok := g.derivedLinear[ref.derived][key.String()]
+				form, ok := g.derivedLinear[ref.derived][string(key.AppendKey(nil))]
 				if !ok {
 					return linForm{}, fmt.Errorf("no linear form for %s%s", ref.derived, key)
 				}
@@ -414,7 +387,7 @@ func (g *Grounding) linEval(e compiler.Expr, binding tuple.Tuple, syms map[int]s
 			key[i] = v
 		}
 		if forms, ok := g.derivedLinear[e.Name]; ok {
-			form, ok := forms[key.String()]
+			form, ok := forms[string(key.AppendKey(nil))]
 			if !ok {
 				return linForm{}, fmt.Errorf("no linear form for %s%s", e.Name, key)
 			}
@@ -586,13 +559,6 @@ func (g *Grounding) constraintInputNames(k *compiler.ConstraintPlan) []string {
 		}
 		set[a.Name] = true
 	}
-	names := map[string]bool{}
-	for n := range g.free {
-		names[n] = true
-	}
-	for n := range g.derivedLinear {
-		names[n] = true
-	}
 	var refs []predRef
 	for _, hc := range k.HeadChecks {
 		collectAllFuncGets(hc.L, &refs)
@@ -702,7 +668,7 @@ func (g *Grounding) groundObjective() error {
 	}
 	if forms, ok := g.derivedLinear[g.objPred]; ok {
 		// Nullary objective: its linear form was already computed.
-		if form, ok := forms[(tuple.Tuple{}).String()]; ok {
+		if form, ok := forms[""]; ok {
 			for v, c := range form.coeffs {
 				g.objective[v] += g.objSign * c
 			}
@@ -941,7 +907,7 @@ func (g *Grounding) computeDerivedLinear() error {
 				groundErr = fmt.Errorf("in rule %q: %w", r.Source, err)
 				return false
 			}
-			ks := key.String()
+			ks := string(key.AppendKey(nil))
 			prev, had := forms[ks]
 			if !had {
 				prev = linForm{coeffs: map[int]float64{}}

@@ -238,3 +238,45 @@ func TestGroundRejectsNonlinear(t *testing.T) {
 		t.Fatal("expected nonlinearity error")
 	}
 }
+
+// TestGroundKeysIntAndFloatApart: Int(1) and Float(1) are different keys
+// (they compare unequal), so each gets its own decision variable, row and
+// objective term, though both render as "1".
+func TestGroundKeysIntAndFloatApart(t *testing.T) {
+	src := `
+		maxStock[p] = v -> Product(p), float(v).
+		Stock[p] = v -> Product(p), float(v).
+		totalStock[] = u <- agg<<u = sum(x)>> Stock[p] = x.
+		Product(p) -> Stock[p] >= 0.0.
+		Product(p) -> Stock[p] <= maxStock[p].
+		lang:solve:variable(` + "`Stock" + `).
+		lang:solve:max(` + "`totalStock" + `).`
+	prog := compileSrc(t, src)
+	i, f := tuple.Int(1), tuple.Float(1)
+	data := map[string]relation.Relation{
+		"Product": relation.FromTuples(1, []tuple.Tuple{{i}, {f}}),
+		"maxStock": relation.FromTuples(2, []tuple.Tuple{
+			tuple.Of(i, tuple.Float(3)),
+			tuple.Of(f, tuple.Float(5)),
+		}),
+	}
+	g, err := Ground(prog, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVars() != 2 {
+		t.Fatalf("vars = %d (%v), want 2", g.NumVars(), g.Vars())
+	}
+	rels, sol, err := g.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(sol.Objective-8) > 1e-6 {
+		t.Fatalf("objective = %v, want 8", sol.Objective)
+	}
+	for _, want := range []tuple.Tuple{tuple.Of(i, tuple.Float(3)), tuple.Of(f, tuple.Float(5))} {
+		if v, ok := rels["Stock"].FuncGet(want[:1]); !ok || math.Abs(v.AsFloat()-want[1].AsFloat()) > 1e-6 {
+			t.Fatalf("Stock[%v] = %v, %v; want %v", want[0], v, ok, want[1])
+		}
+	}
+}

@@ -343,17 +343,12 @@ func (t Tree[K, V]) difference(a, b *node[K, V]) *node[K, V] {
 // shared subtrees. With unique representation, equal contents imply equal
 // shape, so this is O(size of unshared region); it is O(1) for trees that
 // share their root (e.g. a branch and its parent before divergence).
-// Values are not compared; use EqualFunc for that.
+// Values are not compared.
 func (t Tree[K, V]) Equal(u Tree[K, V]) bool {
-	return t.equalNodes(t.root, u.root, nil)
+	return t.equalNodes(t.root, u.root)
 }
 
-// EqualFunc is Equal but additionally requires values to match under eq.
-func (t Tree[K, V]) EqualFunc(u Tree[K, V], eq func(a, b V) bool) bool {
-	return t.equalNodes(t.root, u.root, eq)
-}
-
-func (t Tree[K, V]) equalNodes(a, b *node[K, V], eq func(x, y V) bool) bool {
+func (t Tree[K, V]) equalNodes(a, b *node[K, V]) bool {
 	if a == b {
 		if a != nil {
 			countShared()
@@ -369,10 +364,7 @@ func (t Tree[K, V]) equalNodes(a, b *node[K, V], eq func(x, y V) bool) bool {
 	if t.ops.Compare(a.key, b.key) != 0 {
 		return false
 	}
-	if eq != nil && !eq(a.val, b.val) {
-		return false
-	}
-	return t.equalNodes(a.left, b.left, eq) && t.equalNodes(a.right, b.right, eq)
+	return t.equalNodes(a.left, b.left) && t.equalNodes(a.right, b.right)
 }
 
 // StructuralHash returns the memoized hash of the whole tree. Trees with

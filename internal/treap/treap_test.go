@@ -255,17 +255,6 @@ func TestEqualSharingShortCircuit(t *testing.T) {
 	}
 }
 
-func TestEqualFunc(t *testing.T) {
-	a := New[int, int](intOps()).Insert(1, 10)
-	b := New[int, int](intOps()).Insert(1, 20)
-	if !a.Equal(b) {
-		t.Fatalf("key-only equality should hold")
-	}
-	if a.EqualFunc(b, func(x, y int) bool { return x == y }) {
-		t.Fatalf("value equality should fail")
-	}
-}
-
 func TestDiffWith(t *testing.T) {
 	old := fromKeys([]int{1, 2, 3, 4, 5})
 	upd := old.Delete(2).Insert(6, 60).Insert(3, 999)
