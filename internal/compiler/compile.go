@@ -84,7 +84,9 @@ type compilation struct {
 
 // desugarRule rewrites functional applications (Pred[args] used as terms,
 // the paper's abbreviated syntax) into auxiliary body atoms with fresh
-// variables, and expands wildcards in head positions into errors later.
+// variables, and turns the plain head of a reactive rule into its +head:
+// an audit log fed by +item inserts into its head as a +audit fact would,
+// so every reactive head is a delta predicate (paper §2.2.2).
 func desugarRule(r *ast.Rule) *ast.Rule {
 	n := 0
 	fresh := func() string {
@@ -136,6 +138,13 @@ func desugarRule(r *ast.Rule) *ast.Rule {
 		}
 	}
 	out.Body = append(out.Body, extra...)
+	if astRuleReactive(out) {
+		for _, h := range out.Heads {
+			if h.Delta == ast.DeltaNone && !h.AtStart {
+				h.Delta = ast.DeltaPlus
+			}
+		}
+	}
 	return out
 }
 
@@ -178,17 +187,13 @@ func (c *compilation) buildCatalog(rules []*ast.Rule, constraints []*ast.Constra
 		return nil
 	}
 	for _, r := range rules {
-		reactive := astRuleReactive(r)
 		for _, h := range r.Heads {
 			if err := scanAtom(h); err != nil {
 				return err
 			}
-			// A predicate derived by a plain (non-delta, non-reactive)
-			// rule is an IDB predicate; the inference mirrors the paper's
-			// lang_edb meta-rule (§3.3). Plain heads of reactive rules
-			// (e.g. audit logs fed by +R) stay extensional: the exec
-			// pipeline inserts into them.
-			if h.Delta == ast.DeltaNone && !h.AtStart && !reactive {
+			// A predicate derived by a plain head is an IDB predicate;
+			// the inference mirrors the paper's lang_edb meta-rule (§3.3).
+			if h.Delta == ast.DeltaNone && !h.AtStart {
 				if p := c.prog.Preds[h.Pred]; p != nil {
 					p.EDB = false
 				}

@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -81,10 +83,49 @@ func FuzzExtendMatchesCompile(f *testing.F) {
 		if werr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("Extend(Compile(a), b) differs from Compile(a, b)\na: %q\nb: %q", a, b)
 		}
+		if gerr == nil {
+			for _, strata := range [][][]*RulePlan{got.Strata, got.ReactiveStrata} {
+				if err := strataOrderErr(strata); err != nil {
+					t.Fatalf("%v\na: %q\nb: %q", err, a, b)
+				}
+			}
+		}
 		if again, _ := Compile(pa); !reflect.DeepEqual(base, again) {
 			t.Fatalf("Extend modified its base program\na: %q\nb: %q", a, b)
 		}
 	})
+}
+
+// strataOrderErr reports why strata are not an evaluation order: a
+// predicate a stratum reads, positively or negated, must be derived only
+// in earlier strata or, for a recursive clique, in that same stratum, and
+// a negated or aggregated read never in that same stratum.
+func strataOrderErr(strata [][]*RulePlan) error {
+	last := map[string]int{} // head → the last stratum deriving it
+	for i, stratum := range strata {
+		for _, r := range stratum {
+			last[r.HeadName] = i
+		}
+	}
+	for i, stratum := range strata {
+		for _, r := range stratum {
+			blocked := r.NegNames
+			if r.Agg != nil || r.Predict != nil {
+				blocked = append(slices.Clip(r.BodyNames), r.NegNames...)
+			}
+			for _, b := range append(slices.Clip(r.BodyNames), r.NegNames...) {
+				if j, ok := last[b]; ok && j > i {
+					return fmt.Errorf("stratum %d (%s) reads %s, derived in the later stratum %d", i, r.Source, b, j)
+				}
+			}
+			for _, b := range blocked {
+				if j, ok := last[b]; ok && j == i {
+					return fmt.Errorf("stratum %d (%s) negates or aggregates %s, derived in that same stratum", i, r.Source, b)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestExtendConcurrent: requests extend one installed program from many

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,25 +64,18 @@ func (p *RulePlan) ReadsAny(changed func(name string) bool) bool {
 // computeStrata stratifies one rule set and returns the strata together
 // with the derived predicate names in stratum order.
 func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan, []string, error) {
-	type edge struct {
-		to      string
-		blocked bool // negation or aggregation: must cross strata
-	}
-	succ := map[string][]edge{}
+	succ := map[string][]string{} // body predicate → heads it feeds
 	nodes := map[string]bool{}
 	for name := range preds {
 		nodes[name] = true
 	}
 	for _, r := range rules {
 		nodes[r.HeadName] = true
-		blockedAll := r.Agg != nil || r.Predict != nil
-		for _, b := range r.BodyNames {
-			nodes[b] = true
-			succ[b] = append(succ[b], edge{to: r.HeadName, blocked: blockedAll})
-		}
-		for _, b := range r.NegNames {
-			nodes[b] = true
-			succ[b] = append(succ[b], edge{to: r.HeadName, blocked: true})
+		for _, bs := range [][]string{r.BodyNames, r.NegNames} {
+			for _, b := range bs {
+				nodes[b] = true
+				succ[b] = append(succ[b], r.HeadName)
+			}
 		}
 	}
 
@@ -118,7 +112,7 @@ func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan
 			f := &frames[len(frames)-1]
 			edges := succ[f.node]
 			if f.ei < len(edges) {
-				next := edges[f.ei].to
+				next := edges[f.ei]
 				f.ei++
 				if _, seen := index[next]; !seen {
 					index[next] = counter
@@ -155,71 +149,40 @@ func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan
 		}
 	}
 
-	// Reject blocked edges within a component and compute stratum levels:
-	// level(head SCC) ≥ level(body SCC), strictly greater across blocked
-	// edges.
-	level := make([]int, nComp)
-	// Tarjan emits components in reverse topological order of the
-	// condensation (successors first), so iterating components from
-	// nComp-1 down to 0 visits dependencies before dependents... in our
-	// edge direction (body → head), a head's component is emitted before
-	// the body's. Process in increasing component id: dependencies
-	// (bodies) have HIGHER ids, so instead relax iteratively.
-	for changed := true; changed; {
-		changed = false
-		for from, es := range succ {
-			for _, e := range es {
-				cf, ct := comp[from], comp[e.to]
-				if cf == ct {
-					if e.blocked {
-						return nil, nil, fmt.Errorf("program is not stratified: %s depends on itself through negation or aggregation", BaseName(e.to))
-					}
-					continue
-				}
-				need := level[cf]
-				if e.blocked {
-					need++
-				}
-				if level[ct] < need {
-					level[ct] = need
-					changed = true
-				}
+	// Negation and aggregation must cross strata: a negated body
+	// predicate, or any body predicate of an aggregate or predict rule,
+	// may not share its head's component.
+	for _, r := range rules {
+		blocked := r.NegNames
+		if r.Agg != nil || r.Predict != nil {
+			blocked = append(slices.Clip(r.BodyNames), r.NegNames...)
+		}
+		for _, b := range blocked {
+			if comp[b] == comp[r.HeadName] {
+				return nil, nil, fmt.Errorf("program is not stratified: %s depends on itself through negation or aggregation", BaseName(r.HeadName))
 			}
 		}
 	}
 
-	// Group rules by (level, component) of their head, ordered by level
-	// then component id for determinism.
-	type key struct{ level, comp int }
-	groups := map[key][]*RulePlan{}
+	// Tarjan numbers each component after every component it reaches, and
+	// edges run body → head, so every body predicate of a rule sits in a
+	// component numbered above its head's: decreasing component id is a
+	// stratum order. Rules arrive in ID order and keep it in their stratum.
+	byComp := make([][]*RulePlan, nComp)
 	for _, r := range rules {
-		k := key{level[comp[r.HeadName]], comp[r.HeadName]}
-		groups[k] = append(groups[k], r)
+		byComp[comp[r.HeadName]] = append(byComp[comp[r.HeadName]], r)
 	}
-	var keys []key
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		// Within a level, order by dependency: a component whose rules
-		// read another component's head must come later. Since both are
-		// at the same level only non-blocked cross edges exist; approximate
-		// with reverse component id (Tarjan emits heads before bodies).
-		return keys[i].comp > keys[j].comp
-	})
 	var strata [][]*RulePlan
 	var idb []string
-	seenPred := map[string]bool{}
-	for _, k := range keys {
-		grp := groups[k]
-		sort.Slice(grp, func(i, j int) bool { return grp[i].ID < grp[j].ID })
-		strata = append(strata, grp)
-		for _, r := range grp {
-			if !seenPred[r.HeadName] {
-				seenPred[r.HeadName] = true
+	seen := map[string]bool{}
+	for c := nComp - 1; c >= 0; c-- {
+		if len(byComp[c]) == 0 {
+			continue
+		}
+		strata = append(strata, byComp[c])
+		for _, r := range byComp[c] {
+			if !seen[r.HeadName] {
+				seen[r.HeadName] = true
 				idb = append(idb, r.HeadName)
 			}
 		}

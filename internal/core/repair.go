@@ -14,25 +14,28 @@ import (
 // Transaction repair (paper §3.4): an exec transaction run in recording
 // mode keeps, per reactive stratum, the sensitivity intervals of every
 // read (LFTJ iterator movements, membership probes, functional lookups)
-// and the pure derivations of every rule. When the transaction loses the
-// optimistic-commit CAS, the record is intersected against the winner's
-// write set — the tuple-level diff between the loser's snapshot and the
-// new head. Strata before the first affected one replay from the record
-// (their derivations are portable to the new head); the rest, all of
-// them when the first is affected, re-evaluate. The frame application,
-// view re-derivation and constraint check then run against the new head
-// exactly as a fresh execution would, so a repaired commit is
-// indistinguishable from a serial re-execution.
+// and the content of its heads — delta predicates, so exactly what it
+// derived. When the transaction loses the optimistic-commit CAS, the
+// record is intersected against the winner's write set — the tuple-level
+// diff between the loser's snapshot and the new head. Strata before the
+// first affected one replay from the record (their heads are portable to
+// the new head); the rest, all of them when the first is affected,
+// re-evaluate. The frame application, view re-derivation and constraint
+// check then run against the new head exactly as a fresh execution
+// would, so a repaired commit is indistinguishable from a serial
+// re-execution.
 
-// recordedStratum is the read/derivation record of one reactive stratum.
+// recordedStratum is the record of one reactive stratum: its reads and
+// the content of its heads, which are delta predicates and so hold
+// exactly what the stratum derived.
 type recordedStratum struct {
-	sens    *lftj.SensitivityIndex
-	derived map[string]relation.Relation
+	sens  *lftj.SensitivityIndex
+	heads map[string]relation.Relation
 }
 
 // ExecRecord is the replayable record of an exec transaction produced by
 // ExecRecordedCtx: the snapshot it ran against, its compiled program, and
-// the per-stratum read intervals and derivations. A record stays valid
+// the per-stratum read intervals and heads. A record stays valid
 // against any later head of the same logic — the write-set diff is always
 // taken against the original snapshot — so repeated conflicts can
 // re-attempt repair with the same record.
@@ -113,10 +116,10 @@ func (rec *ExecRecord) Repair(rctx context.Context, newHead *Workspace) (*ExecRe
 	return res, stats, nil
 }
 
-// replay runs the transaction against target: strata before k are
-// replayed from their recorded derivations (none of their reads are
-// affected), strata from k on are re-evaluated, and the shared apply
-// phase then finishes the transaction as usual.
+// replay runs the transaction against target: strata before k install
+// their recorded heads (none of their reads are affected), strata from k
+// on are re-evaluated, and the shared apply phase then finishes the
+// transaction as usual.
 func (rec *ExecRecord) replay(rctx context.Context, target *Workspace, k int, sp *obs.Span) (*ExecResult, error) {
 	run, err := target.runReactive(rctx, rec.combined, rec.strata[:k], nil, sp)
 	if err != nil {

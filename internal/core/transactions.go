@@ -163,14 +163,11 @@ func (ws *Workspace) execCtx(rctx context.Context, src string, record bool) (*Ex
 }
 
 // reactiveRun is the outcome of an exec transaction's reactive phase
-// against one workspace snapshot: the combined program, the evaluation
-// context holding the post-reactive delta relations, and the pure
-// derivations per head predicate (the union of every rule-evaluation
-// output, independent of what the heads were seeded with).
+// against one workspace snapshot: the combined program and the evaluation
+// context holding the post-reactive delta relations.
 type reactiveRun struct {
 	combined *compiler.Program
 	ctx      *engine.Context
-	derived  map[string]relation.Relation
 }
 
 // execReactive parses and compiles an exec transaction against ws and
@@ -209,12 +206,12 @@ func (ws *Workspace) execReactive(rctx context.Context, src string, sp *obs.Span
 }
 
 // runReactive is the one reactive-strata loop, over an engine context
-// seeded from ws: current contents plus @start versions. The first
-// len(replayed) strata (repair's unaffected prefix) install their
-// recorded derivations — seed ∪ derivations is exactly what evaluating
-// them would produce — and the rest are evaluated, their pure derivations
-// captured. With rec non-nil each evaluated stratum's read intervals and
-// derivations are recorded.
+// seeded from ws: current contents plus @start versions. Every reactive
+// head is a delta predicate, so it starts empty and after its stratum
+// holds exactly what the stratum derived. The first len(replayed) strata
+// (repair's unaffected prefix) install their recorded heads, and the rest
+// are evaluated. With rec non-nil each evaluated stratum's read intervals
+// and heads are recorded.
 func (ws *Workspace) runReactive(rctx context.Context, combined *compiler.Program, replayed []recordedStratum, rec *ExecRecord, sp *obs.Span) (*reactiveRun, error) {
 	ctx := ws.newContext(rctx, combined)
 	for p, info := range combined.Preds {
@@ -223,12 +220,10 @@ func (ws *Workspace) runReactive(rctx context.Context, combined *compiler.Progra
 		// arity would corrupt the delta application below.
 		ctx.Set(p+compiler.DecorAtStart, ws.relationOr(p, info.Arity))
 	}
-	run := &reactiveRun{combined: combined, ctx: ctx, derived: map[string]relation.Relation{}}
 	for _, st := range replayed {
-		for h, d := range st.derived {
-			ctx.Set(h, ctx.Relation(h).Union(d))
+		for h, r := range st.heads {
+			ctx.Set(h, r)
 		}
-		mergeDerived(run.derived, st.derived)
 	}
 	esp := sp.Child("eval.reactive")
 	defer esp.End()
@@ -240,29 +235,18 @@ func (ws *Workspace) runReactive(rctx context.Context, combined *compiler.Progra
 			idx = lftj.NewSensitivityIndex()
 		}
 		ctx.SetSensitivityIndex(idx)
-		ctx.StartDerivedCapture()
-		err := ctx.EvalStratum(stratum)
-		capt := ctx.TakeDerivedCapture()
-		if err != nil {
+		if err := ctx.EvalStratum(stratum); err != nil {
 			return nil, err
 		}
 		if rec != nil {
-			rec.strata = append(rec.strata, recordedStratum{sens: idx, derived: capt})
-		}
-		mergeDerived(run.derived, capt)
-	}
-	return run, nil
-}
-
-// mergeDerived unions src's per-head derivations into dst.
-func mergeDerived(dst, src map[string]relation.Relation) {
-	for h, r := range src {
-		if cur, ok := dst[h]; ok {
-			dst[h] = cur.Union(r)
-		} else {
-			dst[h] = r
+			heads := map[string]relation.Relation{}
+			for _, r := range stratum {
+				heads[r.HeadName] = ctx.Relation(r.HeadName)
+			}
+			rec.strata = append(rec.strata, recordedStratum{sens: idx, heads: heads})
 		}
 	}
+	return &reactiveRun{combined: combined, ctx: ctx}, nil
 }
 
 // baseDelta is one predicate's requested change in the form the system
@@ -274,41 +258,24 @@ type baseDelta struct {
 }
 
 // applyReactive finishes an exec transaction against the receiver: it
-// collects the transaction's +R / -R / ^R relations, folds plain-headed
-// reactive derivations into their heads' +R, and hands the lot to
+// collects the transaction's +R / -R / ^R relations and hands them to
 // applyBase. run's context must have been seeded from the receiver (its
 // @start relations are the receiver's contents) — by runReactive, for an
 // exec on this workspace or an ExecRecord replay onto a new head.
 func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *obs.Span) (*ExecResult, error) {
-	combined, ctx := run.combined, run.ctx
-	delta := func(p string) baseDelta {
-		return baseDelta{
+	ctx := run.ctx
+	changes := map[string]baseDelta{}
+	for p := range run.combined.Preds {
+		d := baseDelta{
 			plus:  ctx.Relation(compiler.DecorPlus + p),
 			minus: ctx.Relation(compiler.DecorMinus + p),
 			hat:   ctx.Relation(compiler.DecorHat + p),
 		}
-	}
-	changes := map[string]baseDelta{}
-	for p := range combined.Preds {
-		if d := delta(p); !d.plus.IsEmpty() || !d.minus.IsEmpty() || !d.hat.IsEmpty() {
+		if !d.plus.IsEmpty() || !d.minus.IsEmpty() || !d.hat.IsEmpty() {
 			changes[p] = d
 		}
 	}
-	// Plain-headed reactive rules (e.g. audit logs fed by +R) insert their
-	// pure derivations into their extensional head predicates. Using the
-	// captured derivations (rather than the context's head content, which
-	// also holds the head's seed) keeps the merge independent of what the
-	// receiver already stored — a frame deletion of a head tuple survives
-	// unless the transaction actually re-derived it.
-	for head, derived := range run.derived {
-		if compiler.BaseName(head) != head || derived.IsEmpty() {
-			continue
-		}
-		d := delta(head)
-		d.plus = d.plus.Union(derived)
-		changes[head] = d
-	}
-	return ws.applyBase(rctx, combined.Preds, changes, sp, true)
+	return ws.applyBase(rctx, run.combined.Preds, changes, sp, true)
 }
 
 // applyBase is the one base-delta step every write goes through: expand

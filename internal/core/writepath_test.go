@@ -229,6 +229,32 @@ func TestExecPlainHeadedReactiveRule(t *testing.T) {
 	}
 }
 
+// TestExecReactiveBodyReadsStartState pins what a reactive body reads of
+// a plain predicate: its state at the start of the exec, even when a
+// plain-headed reactive rule of the same exec inserts into it. That rule
+// derives log's +log, which the frame rule applies after the reactive
+// strata, so neither seen nor seen2 sees p(1) or log(1). The rules behave
+// alike installed and carried by the exec itself.
+func TestExecReactiveBodyReadsStartState(t *testing.T) {
+	const rules = `log(x) <- +p(x). seen(x) <- +q(x), log(x). seen2(x) <- +q(x), p(x).`
+	installed := mustAddBlock(t, NewWorkspace(), "r", rules)
+	for _, tc := range []struct {
+		name string
+		ws   *Workspace
+		src  string
+	}{
+		{"installed", installed, `+p(1). +q(1).`},
+		{"in the exec", NewWorkspace(), rules + ` +p(1). +q(1).`},
+	} {
+		ws := mustExec(t, tc.ws, tc.src)
+		for pred, want := range map[string]string{"log": "[(1)]", "seen": "[]", "seen2": "[]"} {
+			if got := fmt.Sprint(ws.Relation(pred).Slice()); got != want {
+				t.Errorf("%s: %s = %s, want %s", tc.name, pred, got, want)
+			}
+		}
+	}
+}
+
 // TestExecDeletesDifferentKindTwins checks view maintenance on the
 // transaction path: v(1) and v(1.0) print alike but are two tuples, and
 // deleting both of their derivations must empty the view.

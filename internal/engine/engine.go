@@ -47,12 +47,11 @@ type Context struct {
 	perms     map[string]relation.Relation // secondary-index cache
 	models    *ml.Registry
 	sens      *lftj.SensitivityIndex
-	obs       *obs.Registry                // nil = instrumentation off
-	ctx       context.Context              // nil = unbounded evaluation
-	done      <-chan struct{}              // ctx.Done(), nil when unbounded
-	span      *obs.Span                    // parent for stratum spans (may be nil)
-	ruleStats map[string]*obs.RuleStats    // cached per-rule profile handles, by source
-	capture   map[string]relation.Relation // per-head union of rule outputs (nil = off)
+	obs       *obs.Registry             // nil = instrumentation off
+	ctx       context.Context           // nil = unbounded evaluation
+	done      <-chan struct{}           // ctx.Done(), nil when unbounded
+	span      *obs.Span                 // parent for stratum spans (may be nil)
+	ruleStats map[string]*obs.RuleStats // cached per-rule profile handles, by source
 }
 
 // NewContext builds a context over base relation contents (keyed by
@@ -261,7 +260,6 @@ func (c *Context) propagate(sp, first *obs.Span, rules []*compiler.RulePlan, del
 // absorb unions one rule evaluation's output into its head predicate and
 // adds the tuples that were new to the head to deltas.
 func (c *Context) absorb(head string, derived relation.Relation, deltas map[string]relation.Relation) {
-	c.captureDerived(head, derived)
 	cur := c.Relation(head)
 	fresh := derived.Difference(cur)
 	if fresh.IsEmpty() {

@@ -162,34 +162,3 @@ func restrict(r *compiler.RulePlan, vars []int, keys relation.Relation) (*compil
 // layer uses this to record one index per rule or stratum; transaction
 // repair records one index per reactive stratum.
 func (c *Context) SetSensitivityIndex(idx *lftj.SensitivityIndex) { c.sens = idx }
-
-// StartDerivedCapture begins accumulating, per head predicate, the union
-// of every rule-evaluation output produced by subsequent EvalStratum
-// calls (full passes and semi-naive fixpoint rounds alike). Transaction
-// repair (paper §3.4) uses the captured pure derivations to replay an
-// unaffected stratum against a different database head without
-// re-evaluating it: for any head h, the post-stratum content of h is
-// exactly seed(h) ∪ captured(h), and captured(h) is portable to a new
-// seed as long as no recorded read of the stratum was affected.
-func (c *Context) StartDerivedCapture() { c.capture = map[string]relation.Relation{} }
-
-// TakeDerivedCapture stops capturing and returns the accumulated per-head
-// derivations since StartDerivedCapture (nil if capture was off).
-func (c *Context) TakeDerivedCapture() map[string]relation.Relation {
-	m := c.capture
-	c.capture = nil
-	return m
-}
-
-// captureDerived folds one rule-evaluation output into the running
-// capture.
-func (c *Context) captureDerived(head string, r relation.Relation) {
-	if c.capture == nil || r.IsEmpty() {
-		return
-	}
-	if cur, ok := c.capture[head]; ok {
-		c.capture[head] = cur.Union(r)
-	} else {
-		c.capture[head] = r
-	}
-}

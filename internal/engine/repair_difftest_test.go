@@ -23,6 +23,7 @@ import (
 
 	"logicblox/internal/core"
 	"logicblox/internal/relation"
+	"logicblox/internal/tuple"
 )
 
 // buildRepairWorkspace installs the generated program as a block and
@@ -330,5 +331,55 @@ func TestRepairChainedConflictsAndSchemaChange(t *testing.T) {
 	}
 	if _, _, rerr := rec.Repair(ctx, h3); !errors.Is(rerr, core.ErrRepairNotApplicable) {
 		t.Fatalf("schema changed under the record; want ErrRepairNotApplicable, got %v", rerr)
+	}
+}
+
+// TestRepairPlainHeadedReactiveRule repairs a loser against an installed
+// plain-headed reactive rule, an audit log fed by +item: the rule derives
+// +audit, so its stratum replays from the record like any other delta
+// head. In "prefix" the winner writes only what the loser's last stratum
+// reads, so the item facts and the audit stratum replay and the note
+// stratum re-evaluates; in "all" it writes what the first stratum reads,
+// and every stratum re-evaluates. Either way the repaired head equals
+// serial re-execution.
+func TestRepairPlainHeadedReactiveRule(t *testing.T) {
+	ctx := context.Background()
+	head, err := core.NewWorkspace().AddBlock("s", `item(x) -> int(x). src(x) -> int(x). audit(x) <- +item(x).`)
+	if err == nil {
+		head, err = head.Insert("src", tuple.Ints(2))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, loser, winner string
+		reused              int
+	}{
+		{"prefix", `+item(1). +item(2). +note(x) <- +audit(x), src(x).`, `+item(3). +src(1).`, 2},
+		{"all", `+item(x) <- src(x). +item(4).`, `+item(3). +src(5).`, 0},
+	} {
+		_, rec, err := head.ExecRecordedCtx(ctx, tc.loser)
+		if err != nil {
+			t.Fatalf("%s: recorded exec: %v", tc.name, err)
+		}
+		won, err := head.Exec(tc.winner)
+		if err != nil {
+			t.Fatalf("%s: winner exec: %v", tc.name, err)
+		}
+		got, stats, err := rec.Repair(ctx, won.Workspace)
+		if err != nil {
+			t.Fatalf("%s: repair: %v", tc.name, err)
+		}
+		if stats.StrataReused != tc.reused {
+			t.Errorf("%s: %d of %d strata reused, want %d", tc.name, stats.StrataReused, stats.StrataTotal, tc.reused)
+		}
+		serial, err := won.Workspace.Exec(tc.loser)
+		if err != nil {
+			t.Fatalf("%s: serial oracle: %v", tc.name, err)
+		}
+		assertHeadsEqual(t, tc.name, got.Workspace, serial.Workspace)
+		if got.Workspace.Relation("audit").Len() == 0 {
+			t.Fatalf("%s: audit is empty after repair", tc.name)
+		}
 	}
 }

@@ -44,22 +44,6 @@ func HashJoin(l, r relation.Relation, lCols, rCols []int) []tuple.Tuple {
 	return out
 }
 
-// SemiJoin filters interm, keeping tuples whose projection onto cols is
-// present in r.
-func SemiJoin(interm []tuple.Tuple, r relation.Relation, cols []int) []tuple.Tuple {
-	var out []tuple.Tuple
-	probe := make(tuple.Tuple, len(cols))
-	for _, t := range interm {
-		for i, c := range cols {
-			probe[i] = t[c]
-		}
-		if r.Contains(probe) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // MergeJoin computes the equi-join of l and r on their FIRST columns using
 // the classical sort-merge algorithm (both relations are already stored in
 // sorted order). Output tuples concatenate l and r columns.

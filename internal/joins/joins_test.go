@@ -51,15 +51,6 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	}
 }
 
-func TestSemiJoin(t *testing.T) {
-	interm := []tuple.Tuple{tuple.Ints(1, 2, 9), tuple.Ints(3, 4, 9)}
-	r := rel2([2]int64{1, 2})
-	out := SemiJoin(interm, r, []int{0, 1})
-	if len(out) != 1 || out[0][0].AsInt() != 1 {
-		t.Fatalf("semi join = %v", out)
-	}
-}
-
 // lftjTriangleCount counts triangles over canonical edges with LFTJ.
 func lftjTriangleCount(e relation.Relation) int {
 	j, err := lftj.NewJoin(3, []lftj.Atom{
