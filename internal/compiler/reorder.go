@@ -37,6 +37,79 @@ func Order(r *RulePlan, first []int) *RulePlan {
 	return r
 }
 
+// streamOrderCap bounds the interleavings StreamOrder compares; past it
+// the constant-bound variables simply lead.
+const streamOrderCap = 64
+
+// StreamOrder returns the plan a streamed answer runs: r's distinct head
+// variables in head-column order, each constant-bound variable (r.Consts)
+// placed among them, and every other join variable after them in r's
+// order. A constant-bound variable takes one value, so wherever it sits
+// the heads still arrive sorted; of the interleavings it picks the one in
+// which the fewest atoms need a permuted index, the constants earliest on
+// a tie, so a query constant is a seek on the stored columns.
+func StreamOrder(r *RulePlan) *RulePlan {
+	var heads []int
+	for _, v := range r.HeadVars() {
+		if v >= 0 && !slices.Contains(heads, v) {
+			heads = append(heads, v)
+		}
+	}
+	consts := make([]int, len(r.Consts)) // each constant has its own variable
+	for i, c := range r.Consts {
+		consts[i] = c.Var
+	}
+	n := 1 // interleavings of heads (in order) with consts (in any order)
+	for i := 1; i <= len(consts) && n <= streamOrderCap; i++ {
+		n *= len(heads) + i
+	}
+	if len(consts) == 0 || n > streamOrderCap {
+		return Order(r, append(consts, heads...))
+	}
+	var best *RulePlan
+	bestPerms := 0
+	first := make([]int, 0, len(heads)+len(consts))
+	used := make([]bool, len(consts))
+	// walk extends first by every unused constant, then by the next head
+	// variable, so the first of equally good orders has its constants
+	// earliest, and no later order beats one that permutes no atom.
+	var walk func(h int)
+	walk = func(h int) {
+		if best != nil && bestPerms == 0 {
+			return
+		}
+		if len(first) == cap(first) {
+			p := Order(r, first)
+			perms := 0
+			for _, a := range p.Atoms {
+				if a.Perm != nil {
+					perms++
+				}
+			}
+			if best == nil || perms < bestPerms {
+				best, bestPerms = p, perms
+			}
+			return
+		}
+		for i, c := range consts {
+			if !used[i] {
+				used[i] = true
+				first = append(first, c)
+				walk(h)
+				first = first[:len(first)-1]
+				used[i] = false
+			}
+		}
+		if h < len(heads) {
+			first = append(first, heads[h])
+			walk(h + 1)
+			first = first[:len(first)-1]
+		}
+	}
+	walk(0)
+	return best
+}
+
 // HeadVars returns, per head column (for an aggregation or predict rule,
 // per key column), the join variable the column binds, or -1 when it is a
 // constant or a computed value.

@@ -49,6 +49,40 @@ func TestOrderIdentityReturnsRule(t *testing.T) {
 	}
 }
 
+// TestStreamOrderSeeksConstants: a streamed plan keeps the head
+// variables in head-column order and places each constant-bound variable
+// among them where the fewest atoms need a permuted index, earliest on a
+// tie; past the cap the constants lead.
+func TestStreamOrderSeeksConstants(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		order []string // the streamed plan's join variables
+		perms int      // atoms needing a permuted index
+	}{
+		{`_(u) <- f(7, u).`, []string{"$k1", "u"}, 0},
+		{`_(s, n) <- sales(7, s, n).`, []string{"$k1", "s", "n"}, 0},
+		{`_(p, n) <- sales(p, 3, n).`, []string{"p", "$k1", "n"}, 0},
+		{`_(p, s) <- sales(p, s, 4).`, []string{"p", "s", "$k1"}, 0},
+		{`_(s) <- sales(7, s, 2).`, []string{"$k1", "s", "$k2"}, 0},
+		{`_(x) <- r(x), s(7).`, []string{"$k1", "x"}, 0},
+		{`_(n, s) <- sales(7, s, n).`, []string{"$k1", "n", "s"}, 1},
+		{`_(a, b, c) <- r(a, 1, b, 2, c, 3).`, []string{"$k1", "$k2", "$k3", "a", "b", "c"}, 1},
+		{`_(a, b) <- r(a, b).`, []string{"a", "b"}, 0},
+	} {
+		r := compile(t, tc.src).Rules[0]
+		p := StreamOrder(r)
+		perms := 0
+		for _, a := range p.Atoms {
+			if a.Perm != nil {
+				perms++
+			}
+		}
+		if got := p.VarNames[:p.NumJoinVars]; !slices.Equal(got, tc.order) || perms != tc.perms {
+			t.Errorf("StreamOrder(%s) = %v with %d permuted atoms, want %v with %d", tc.src, got, perms, tc.order, tc.perms)
+		}
+	}
+}
+
 func TestHeadVarsMarksComputedColumns(t *testing.T) {
 	r := compile(t, `out(x, 1, y) <- r(x, z), y = z + 1.`).Rules[0]
 	if got := r.HeadVars(); got[0] != 0 || got[1] != -1 || got[2] != -1 {

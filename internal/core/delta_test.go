@@ -29,9 +29,19 @@ const retailSchema = `
 // sales[p, s, wk] = (p + s + wk) mod 10, through checked transactions.
 func retailSeed(t *testing.T) *Workspace {
 	t.Helper()
-	ws := mustAddBlock(t, NewWorkspace(), "retail", retailSchema)
+	return retailWorkspace(t, 40)
+}
+
+// retailWorkspace is retailSeed over the given number of products, 20
+// sales facts each.
+func retailWorkspace(tb testing.TB, products int64) *Workspace {
+	tb.Helper()
+	ws, err := NewWorkspace().AddBlock("retail", retailSchema)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var prices, sales []tuple.Tuple
-	for p := int64(0); p < 40; p++ {
+	for p := int64(0); p < products; p++ {
 		prices = append(prices, tuple.Ints(p, 10+p))
 		for s := int64(0); s < 4; s++ {
 			for wk := int64(0); wk < 5; wk++ {
@@ -39,12 +49,12 @@ func retailSeed(t *testing.T) *Workspace {
 			}
 		}
 	}
-	ws, err := ws.Insert("price", prices...)
+	ws, err = ws.Insert("price", prices...)
 	if err == nil {
 		ws, err = ws.Insert("sales", sales...)
 	}
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ws
 }

@@ -59,8 +59,9 @@ func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
 			c.err = c.rc.Err()
 			return nil, false
 		}
-		// The streaming plan enumerates head-variable-first, so the
-		// projected heads arrive sorted and duplicates are adjacent.
+		// The streaming plan enumerates the head variables first (its
+		// single-valued constants among them), so the projected heads
+		// arrive sorted and duplicates are adjacent.
 		if c.prev != nil && c.prev.Equal(t) {
 			continue
 		}
@@ -195,8 +196,9 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	return &Cursor{rctx: rctx, mat: rel.Cursor(), hint: rel.Len()}, nil
 }
 
-// streamableAnswer returns the single answer rule, its head's distinct
-// variables moved first (compiler.Order), when the program shape admits
+// streamableAnswer returns the single answer rule in the order it streams
+// in (compiler.StreamOrder: its head's distinct variables first, with its
+// constant-bound variables among them), when the program shape admits
 // pipelined evaluation with output identical to the materialized path:
 // exactly one rule derives "_" (so an installed "_" rule rules it out),
 // nothing consumes "_", the rule neither aggregates nor predicts, and
@@ -204,8 +206,11 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 // bindings lexicographically in the variable order, and projecting a
 // monotone prefix keeps that order, so the heads then arrive sorted with
 // duplicates adjacent — the materialized relation's iteration order after
-// adjacent dedup. Returns nil when any condition fails — the walk then
-// materializes the answer.
+// adjacent dedup. A constant-bound variable in that prefix takes exactly
+// one value, so interleaving it with the head variables leaves the
+// projected order as it was, while the join seeks the constant at its
+// level instead of enumerating every binding before reaching it. Returns
+// nil when any condition fails — the walk then materializes the answer.
 func streamableAnswer(prog *compiler.Program) *compiler.RulePlan {
 	var rule *compiler.RulePlan
 	n := 0
@@ -234,5 +239,5 @@ func streamableAnswer(prog *compiler.Program) *compiler.RulePlan {
 			return nil
 		}
 	}
-	return compiler.Order(rule, rule.HeadVars())
+	return compiler.StreamOrder(rule)
 }

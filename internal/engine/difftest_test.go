@@ -655,18 +655,15 @@ func drainBindings(ctx *engine.Context, plan *compiler.RulePlan) (relation.Relat
 	return out, b.Err()
 }
 
-// streamHeadFirst evaluates rule the way a streamed query answers: the
-// plan compiler.Order makes with the head's variables first, heads pulled
-// one at a time out of StreamRule. When every head column is a join
-// variable the heads must arrive sorted (sorted reports whether they
-// did), which is what lets the transaction layer dedup adjacent rows
-// instead of materializing.
-func streamHeadFirst(ctx *engine.Context, rule *compiler.RulePlan) (out relation.Relation, sorted bool, err error) {
+// streamAnswer evaluates rule the way a streamed query answers: the
+// plan compiler.StreamOrder makes, heads pulled one at a time out of
+// StreamRule. When every head column is a join variable the heads must
+// arrive sorted (sorted reports whether they did), which is what lets
+// the transaction layer dedup adjacent rows instead of materializing.
+func streamAnswer(ctx *engine.Context, rule *compiler.RulePlan) (out relation.Relation, sorted bool, err error) {
 	out = relation.New(rule.HeadArity)
-	vars := rule.HeadVars()
-	mustSort := !slices.Contains(vars, -1)
-	plan := compiler.Order(rule, vars)
-	cur, err := ctx.StreamRule(plan)
+	mustSort := !slices.Contains(rule.HeadVars(), -1)
+	cur, err := ctx.StreamRule(compiler.StreamOrder(rule))
 	if err != nil {
 		return out, false, err
 	}
@@ -687,8 +684,8 @@ func streamHeadFirst(ctx *engine.Context, rule *compiler.RulePlan) (out relation
 // every candidate variable order: one rule application over the fixpoint
 // relations must produce identical results regardless of order — and
 // regardless of who drives the rule-body cursor: the materializing
-// EvalRule, a plain drain of Bindings, or StreamRule on the
-// head-variables-first plan (aggregation rules: EvalRule only).
+// EvalRule, a plain drain of Bindings, or StreamRule on the streamed
+// plan (aggregation rules: EvalRule only).
 func TestDifferentialAllOrders(t *testing.T) {
 	for seed := int64(0); seed < suitePrograms; seed++ {
 		p := suiteProgram(seed)
@@ -713,12 +710,12 @@ func TestDifferentialAllOrders(t *testing.T) {
 				t.Fatalf("seed %d: identity eval: %v\n%s", seed, err, p.source())
 			}
 			if rule.Agg == nil {
-				streamed, sorted, err := streamHeadFirst(seeded(), rule)
+				streamed, sorted, err := streamAnswer(seeded(), rule)
 				if err != nil {
 					t.Fatalf("seed %d: stream %s: %v\n%s", seed, rule.HeadName, err, p.source())
 				}
 				if !streamed.Equal(ref) || !sorted {
-					t.Fatalf("seed %d: rule %s streamed head-first: %d tuples vs %d, sorted=%v\n%s",
+					t.Fatalf("seed %d: rule %s streamed: %d tuples vs %d, sorted=%v\n%s",
 						seed, rule.HeadName, streamed.Len(), ref.Len(), sorted, p.source())
 				}
 			}

@@ -44,8 +44,8 @@ var goldenQueries = []string{
 // TestPlanGolden pins the compiler's plans: the variable layout, every
 // atom's columns, constants, assignments and aggregate/predict slots of
 // each rule and constraint body of the differential suite, the retail
-// schema and the benchmark's queries, and each rule's head-variables-first
-// order. A change to any of them is a planning change, which must show
+// schema and the benchmark's queries, and the order each rule would be
+// streamed in (compiler.StreamOrder). A change to any of them is a planning change, which must show
 // here (go test -run TestPlanGolden -update rewrites the file).
 func TestPlanGolden(t *testing.T) {
 	var b strings.Builder
@@ -101,8 +101,8 @@ func dumpProgram(b *strings.Builder, prog *compiler.Program, rules, constraints 
 	for _, r := range prog.Rules[rules:] {
 		fmt.Fprintf(b, "rule %s\n", r.Source)
 		dumpLayout(b, "  ", r)
-		b.WriteString("  head-first:\n")
-		dumpLayout(b, "    ", compiler.Order(r, r.HeadVars()))
+		b.WriteString("  streamed:\n")
+		dumpLayout(b, "    ", compiler.StreamOrder(r))
 	}
 	for _, k := range prog.Constraints[constraints:] {
 		fmt.Fprintf(b, "constraint %s\n", k.Source)
