@@ -188,6 +188,13 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := first.AddBlock("c", `v(x) <- B(x, 0).`); !errors.Is(err, ErrTypecheck) {
 		t.Errorf("addblock against the data's arity: %v", err)
 	}
+	// A query runs no reactive stratum, so a rule reading a delta or an
+	// @start version would answer nothing while B holds (0).
+	for _, q := range []string{`_(x) <- B@start(x).`, `_(x) <- +B(x).`} {
+		if _, err := first.Query(q); !errors.Is(err, ErrTypecheck) {
+			t.Errorf("reactive query %s: %v", q, err)
+		}
+	}
 	if _, err := db.Workspace("nope"); !errors.Is(err, ErrNoSuchBranch) {
 		t.Errorf("unknown branch: %v", err)
 	}

@@ -146,7 +146,9 @@ func (ws *Workspace) queryCursor(rctx context.Context, src, kind string) (*Curso
 }
 
 // openCursor parses and compiles a query program and settles it as a
-// transient addblock, returning a cursor over the answers. The caller
+// transient addblock, returning a cursor over the answers. A query holds
+// no reactive rule (one reading a delta or @start predicate): no reactive
+// stratum runs in a query, so such a rule is an ErrTypecheck. The caller
 // owns the transaction span; the cursor ends only its internal eval span.
 func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) (*Cursor, error) {
 	psp := sp.Child("parse")
@@ -158,6 +160,9 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	csp := sp.Child("compile")
 	combined, err := compiler.Extend(ws.prog, qprog)
 	csp.End()
+	if err == nil && len(combined.Reactive) > len(ws.prog.Reactive) {
+		err = fmt.Errorf("reactive rule %q in a query: a query reads installed predicates, not deltas or @start versions", combined.Reactive[len(ws.prog.Reactive)].Source)
+	}
 	if err == nil {
 		err = ws.checkArities(combined)
 	}

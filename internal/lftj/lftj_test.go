@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"logicblox/internal/graphgen"
 	"logicblox/internal/relation"
 	"logicblox/internal/trie"
 	"logicblox/internal/tuple"
@@ -523,5 +524,31 @@ func TestSuccessorOrdering(t *testing.T) {
 		if tuple.Compare(s, v) <= 0 {
 			t.Errorf("Successor(%v) = %v is not greater", v, s)
 		}
+	}
+}
+
+// TestTriangleJoinAllocsFlat checks that a join's allocations do not grow
+// with the data: relation trie iterators reuse one treap iterator through
+// every Open, Up, Next and Seek, so a triangle Count over 10× the edges
+// allocates what it does at 1k edges (the join's own setup).
+func TestTriangleJoinAllocsFlat(t *testing.T) {
+	allocs := func(edges int) float64 {
+		all := graphgen.Canonical(graphgen.PreferentialAttachment(edges/3, 3, 2015))
+		e := graphgen.ToRelation(all[:min(edges, len(all))])
+		return testing.AllocsPerRun(3, func() {
+			j, err := NewJoin(3, []Atom{
+				{Pred: "E1", Iter: e.Iterator(), Vars: []int{0, 1}},
+				{Pred: "E2", Iter: e.Iterator(), Vars: []int{1, 2}},
+				{Pred: "E3", Iter: e.Iterator(), Vars: []int{0, 2}},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Count()
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if large != small {
+		t.Fatalf("triangle Count allocates %.0f at 10k edges, %.0f at 1k", large, small)
 	}
 }

@@ -8,11 +8,14 @@ import (
 
 // TrieIter presents a Relation as a trie (implements trie.Iterator).
 //
-// It is backed by a single forward-moving iterator over the relation's
-// tuple treap. Depth-first trie navigation (the access pattern of leapfrog
-// triejoin) visits tuples in lexicographic order, so every Open/Next/Seek
-// translates to a forward Seek on the underlying treap iterator; each
-// operation is O(log N) as required by the iterator contract.
+// It is backed by one iterator over the relation's tuple treap, made on
+// the first Open and reused for the TrieIter's life. Depth-first trie
+// navigation (the access pattern of leapfrog triejoin) visits tuples in
+// lexicographic order, so every Next/Seek is a forward finger Seek on the
+// treap iterator. An Open after Up re-seeks it from the root to the
+// group's first tuple, since an Up may leave it past the group. Each
+// operation is O(log N) as required by the iterator contract, and none
+// allocates once the treap iterator's stack has grown to the tree height.
 // A one-atom join is a scan: trie.Scanner walks the treap in order.
 type TrieIter struct {
 	r      Relation
@@ -63,8 +66,13 @@ func (ti *TrieIter) Open() {
 		panic("relation: Open at end of level")
 	}
 	if ti.depth < 0 {
-		// (Re-)open at the root: start a fresh scan.
-		ti.it = ti.r.t.Iterator()
+		// (Re-)open at the root: rewind to the first tuple.
+		if ti.it == nil {
+			ti.it = ti.r.t.Iterator()
+		} else {
+			ti.it.First()
+		}
+		ti.stale = false
 		ti.depth = 0
 		ti.prefix = ti.prefix[:0]
 		if ti.it.AtEnd() {
@@ -77,10 +85,9 @@ func (ti *TrieIter) Open() {
 	}
 	if ti.stale {
 		// An earlier Up left the underlying iterator beyond this group
-		// (it cannot move backward), so restart it at the group's first
-		// tuple: the least tuple ≥ the current prefix.
-		ti.it = ti.r.t.Iterator()
-		ti.it.Seek(ti.prefix)
+		// (Seek cannot move backward), so re-seek it from the root to the
+		// group's first tuple: the least tuple ≥ the current prefix.
+		ti.it.SeekFromRoot(ti.prefix)
 		ti.stale = false
 	}
 	// The underlying iterator is positioned at the first tuple of the

@@ -188,3 +188,82 @@ func TestTrieIterMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTrieIterMatchesSlice applies one navigation script to the
+// treap-backed iterator and to the slice reference over the same tuples,
+// which must agree on Depth, AtEnd and Key after every step. Each script
+// byte is one step: its low two bits pick Open, Up, Next or Seek (a step
+// illegal at the current position is skipped), the rest a Seek's distance
+// past the current key. Unlike TestTrieIterMatchesReference, Up may climb
+// to the root and Open re-descend from there.
+func FuzzTrieIterMatchesSlice(f *testing.F) {
+	const (
+		open = 0
+		up   = 1
+		next = 2
+		seek = 3
+	)
+	fig4 := []byte{1, 3, 4, 1, 3, 5, 1, 4, 6, 1, 4, 8, 1, 4, 9, 1, 5, 2, 3, 5, 2}
+	// The triangle's third atom edge(a, c): each b under one a re-opens
+	// the c level, Up→Open→Up→Open without moving at the a level.
+	f.Add(uint8(3), fig4, []byte{open, open, open, next, up, open, seek | 1<<2, up, open, up, up, next, open, open, up, open})
+	f.Add(uint8(2), []byte{0, 1, 0, 2, 0, 3, 1, 2, 2, 0, 2, 3}, []byte{open, open, up, open, next, up, open, up, up, open, open, seek | 2<<2, up, open})
+	f.Add(uint8(3), fig4, []byte{open, open, open, up, up, up, open, open, up, next, open, seek | 3<<2, next, next, up, open})
+	f.Add(uint8(1), []byte{0, 2, 6, 7, 8, 9}, []byte{open, seek | 3<<2, seek, seek | 4<<2, seek | 1<<2, up, open, next})
+	f.Fuzz(func(t *testing.T, arity uint8, data, script []byte) {
+		n := int(arity%3) + 1
+		data = data[:min(len(data), n*64)]
+		var ts []tuple.Tuple
+		for ; len(data) >= n; data = data[n:] {
+			tp := make(tuple.Tuple, n)
+			for i := range tp {
+				tp[i] = tuple.Int(int64(data[i] % 6))
+			}
+			ts = append(ts, tp)
+		}
+		tuple.SortTuples(ts)
+		ts = tuple.DedupSorted(ts)
+		a := FromTuples(n, ts).Iterator()
+		b := trie.Iterator(trie.NewSliceIterator(ts, n))
+		for step, c := range script[:min(len(script), 512)] {
+			onKey := a.Depth() >= 0 && !a.AtEnd()
+			switch c & 3 {
+			case open:
+				if a.Depth()+1 >= n || (a.Depth() >= 0 && a.AtEnd()) {
+					continue
+				}
+				a.Open()
+				b.Open()
+			case up:
+				if a.Depth() < 0 {
+					continue
+				}
+				a.Up()
+				b.Up()
+			case next:
+				if a.Depth() < 0 {
+					continue
+				}
+				a.Next()
+				b.Next()
+			case seek:
+				if a.Depth() < 0 {
+					continue
+				}
+				probe := tuple.Int(int64(c >> 2))
+				if onKey {
+					probe = tuple.Int(a.Key().AsInt() + int64(c>>2))
+				}
+				a.Seek(probe)
+				b.Seek(probe)
+			}
+			if a.Depth() != b.Depth() || a.AtEnd() != b.AtEnd() {
+				t.Fatalf("step %d (%d): depth %d, at end %v; reference depth %d, at end %v",
+					step, c&3, a.Depth(), a.AtEnd(), b.Depth(), b.AtEnd())
+			}
+			if a.Depth() >= 0 && !a.AtEnd() && !tuple.Equal(a.Key(), b.Key()) {
+				t.Fatalf("step %d (%d): key %v, reference %v", step, c&3, a.Key(), b.Key())
+			}
+		}
+	})
+}

@@ -1,10 +1,15 @@
 package treap
 
+import "math/bits"
+
 // Iterator walks a treap in ascending key order and supports the
 // least-upper-bound Seek operation required by the leapfrog join
 // (paper §3.2): Seek positions at the smallest key ≥ the probe and runs in
-// O(log N); m ascending visits cost amortized O(1 + log(N/m)) because the
-// descent stack is reused.
+// O(log N). Seek is a finger search from the current position: it climbs
+// the descent stack past every pending entry below the probe before it
+// descends, so it descends only into the one region that holds the
+// answer, and m ascending seeks over N keys cost amortized
+// O(1 + log(N/m)) compares.
 //
 // The zero Iterator is invalid; obtain one from Tree.Iterator.
 type Iterator[K, V any] struct {
@@ -23,8 +28,13 @@ func (t Tree[K, V]) Iterator() *Iterator[K, V] {
 	return it
 }
 
-// First repositions at the smallest entry.
+// First repositions at the smallest entry. The first call sizes the
+// descent stack for the tree's height (a random treap of N keys is about
+// 3·log₂ N deep), so it is usually allocated once.
 func (it *Iterator[K, V]) First() {
+	if it.stack == nil && it.root != nil {
+		it.stack = make([]*node[K, V], 0, 3*bits.Len(uint(it.root.size)))
+	}
 	it.stack = it.stack[:0]
 	it.cur = nil
 	it.done = it.root == nil
@@ -74,43 +84,51 @@ func (it *Iterator[K, V]) Next() {
 // works from any position (including a fresh iterator) as a general
 // lower-bound search.
 func (it *Iterator[K, V]) Seek(probe K) {
-	var n *node[K, V]
 	switch {
-	case it.done || it.cur == nil:
-		if len(it.stack) == 0 {
-			// Fresh or exhausted iterator: general lower-bound from the root.
-			n = it.root
-		}
+	case it.done:
+		// Exhausted iterator: general lower bound from the root.
+		it.SeekFromRoot(probe)
+		return
 	case it.ops.Compare(it.cur.key, probe) >= 0:
 		return // already at or past probe
-	default:
-		n = it.cur.right
 	}
-	// Search candidate regions in ascending order: first the subtree n,
-	// then each pending stack entry. A stack entry below the probe is
-	// discarded, but its right subtree (which holds keys between it and
-	// the next pending entry) becomes the next region to search.
-	for {
-		for n != nil {
-			if it.ops.Compare(n.key, probe) >= 0 {
-				it.stack = append(it.stack, n)
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		if len(it.stack) == 0 {
-			it.cur = nil
-			it.done = true
-			return
-		}
+	n := it.cur.right
+	// The keys after the current one lie, in ascending order, in the
+	// subtree n, then each pending stack entry followed by its right
+	// subtree. While the next pending entry is below the probe, so is
+	// everything before it: drop the region n unsearched, pop the entry and
+	// continue from its right subtree. Only the region just before the
+	// first pending entry ≥ probe (or the last region) is descended into.
+	for len(it.stack) > 0 {
 		top := it.stack[len(it.stack)-1]
-		it.stack = it.stack[:len(it.stack)-1]
 		if it.ops.Compare(top.key, probe) >= 0 {
-			it.cur = top
-			it.done = false
-			return
+			break
 		}
+		it.stack = it.stack[:len(it.stack)-1]
 		n = top.right
 	}
+	it.descend(n, probe)
+}
+
+// SeekFromRoot positions the iterator at the least entry with key ≥ probe,
+// searching from the root whatever the current position, so it may move
+// backward. It reuses the descent stack and allocates nothing once the
+// stack has grown to the tree's height.
+func (it *Iterator[K, V]) SeekFromRoot(probe K) {
+	it.stack = it.stack[:0]
+	it.descend(it.root, probe)
+}
+
+// descend searches the subtree n for the least key ≥ probe, pushing each
+// node ≥ probe on the way down, then moves to the least pending entry.
+func (it *Iterator[K, V]) descend(n *node[K, V], probe K) {
+	for n != nil {
+		if it.ops.Compare(n.key, probe) >= 0 {
+			it.stack = append(it.stack, n)
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	it.pop()
 }

@@ -1,6 +1,7 @@
 package treap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -133,5 +134,90 @@ func TestIteratorFirstResets(t *testing.T) {
 	it.First()
 	if it.AtEnd() || it.Key() != 2 {
 		t.Fatalf("First did not reset")
+	}
+}
+
+// TestIteratorSeekRandomMatchesSearch drives iterators through random
+// mixes of First, Next, forward Seek and SeekFromRoot and checks every
+// landing against sort.Search over the sorted keys.
+func TestIteratorSeekRandomMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for round := 0; round < 200; round++ {
+		n := rng.Intn(300)
+		span := 1 + rng.Intn(4*n+1)
+		keySet := map[int]bool{}
+		for i := 0; i < n; i++ {
+			keySet[rng.Intn(span)] = true
+		}
+		keys := make([]int, 0, len(keySet))
+		for k := range keySet {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		it := fromKeys(keys).Iterator()
+		pos := 0 // index in keys of the iterator's position; len(keys) at end
+		for step := 0; step < 100; step++ {
+			switch op := rng.Intn(10); {
+			case op == 0:
+				it.First()
+				pos = 0
+			case op < 4:
+				it.Next()
+				if pos < len(keys) {
+					pos++
+				}
+			case op == 4:
+				probe := rng.Intn(span+2) - 1
+				it.SeekFromRoot(probe)
+				pos = sort.SearchInts(keys, probe)
+			default:
+				if pos == len(keys) {
+					continue // Seek at the end restarts from the root
+				}
+				probe := keys[pos] + rng.Intn(span/4+2) - 1
+				it.Seek(probe)
+				if probe > keys[pos] {
+					pos = sort.SearchInts(keys, probe)
+				}
+			}
+			if it.AtEnd() != (pos == len(keys)) {
+				t.Fatalf("round %d step %d: AtEnd = %v, want index %d of %d", round, step, it.AtEnd(), pos, len(keys))
+			}
+			if pos < len(keys) && it.Key() != keys[pos] {
+				t.Fatalf("round %d step %d: key %d, want %d", round, step, it.Key(), keys[pos])
+			}
+		}
+	}
+}
+
+// TestIteratorSeekCompares bounds the cost of ascending seeks in key
+// compares: m evenly spread seeks over N keys are a finger search each,
+// so together they cost O(m·(1 + log₂(N/m))), not O(m·log N) and not the
+// O(m·log² N) of a search that descends every region it passes.
+func TestIteratorSeekCompares(t *testing.T) {
+	const n = 1 << 16
+	compares := 0
+	ops := intOps()
+	cmp := ops.Compare
+	ops.Compare = func(a, b int) int { compares++; return cmp(a, b) }
+	keys := make([]int, n)
+	vals := make([]int, n)
+	for i := range keys {
+		keys[i] = 2 * i
+	}
+	tr := BuildSorted(ops, keys, vals)
+	for _, m := range []int{4, 64, 1024, n / 4} {
+		it := tr.Iterator()
+		compares = 0
+		stride := n / m
+		for i := 1; i <= m; i++ {
+			// An odd probe matches no key: each seek lands on the next one.
+			it.Seek(2*(i*stride-1) - 1)
+		}
+		bound := 3 * float64(m) * (1 + math.Log2(float64(n)/float64(m)))
+		t.Logf("m=%d: %d compares, bound %.0f", m, compares, bound)
+		if float64(compares) > bound {
+			t.Errorf("m=%d ascending seeks over %d keys: %d compares, want ≤ %.0f", m, n, compares, bound)
+		}
 	}
 }
