@@ -286,6 +286,7 @@ type bodyEnv struct {
 	atoms      []AtomPlan
 	atomVars   [][]int // join var per original column
 	consts     []ConstBind
+	ranges     []RangeBind
 	negAtoms   []GroundAtom
 	filters    []FilterPlan
 	assigns    []AssignPlan

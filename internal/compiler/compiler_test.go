@@ -115,6 +115,20 @@ func TestUnsafeRuleRejected(t *testing.T) {
 	}
 }
 
+// TestTypeCheckArity: a type check in a constraint head takes one
+// argument; int() would probe a unary type with an empty pattern.
+func TestTypeCheckArity(t *testing.T) {
+	for _, src := range []string{`e(x, y) -> int().`, `e(x, y) -> int(x, y).`} {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(prog); err == nil || !strings.Contains(err.Error(), "takes one argument") {
+			t.Errorf("Compile(%q) = %v, want a type-check arity error", src, err)
+		}
+	}
+}
+
 func TestStratificationRejectsNegativeCycle(t *testing.T) {
 	src := `a(x) <- c(x), !b(x). b(x) <- a(x).`
 	prog, _ := parser.Parse(src)

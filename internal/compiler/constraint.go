@@ -28,6 +28,7 @@ func (c *compilation) compileConstraint(k *ast.Constraint) error {
 		VarNames:    env.varNames,
 		Atoms:       env.atoms,
 		Consts:      env.consts,
+		Ranges:      env.ranges,
 		NegAtoms:    env.negAtoms,
 		Filters:     env.filters,
 		Assigns:     env.assigns,
@@ -68,6 +69,9 @@ func (c *compilation) compileConstraint(k *ast.Constraint) error {
 			})
 		default:
 			a := l.Atom
+			if _, isType := ast.TypeAtoms[a.Pred]; isType && len(a.AllTerms()) != 1 {
+				return fmt.Errorf("type check %s takes one argument", a)
+			}
 			if kind, isType := ast.TypeAtoms[a.Pred]; isType && len(a.Args) == 1 {
 				if v, ok := a.Args[0].(ast.Var); ok {
 					s, exists := env.varSlot[v.Name]

@@ -79,6 +79,20 @@ type ConstBind struct {
 	Val tuple.Value
 }
 
+// RangeBind is a virtual range predicate joined on one variable: the
+// rewrite of a filter Var Op Val, where Op is <, <=, > or >= and Val a
+// constant (written on either side in the source), as ConstBind rewrites
+// a constant in an atom. The filter itself stays in Filters. Filters
+// compare numbers across kinds, while trie order puts every int before
+// every float, so the engine joins a range only where it is exact: where
+// some atom reads Var in its first plan column and that column holds
+// values of Val's kind alone.
+type RangeBind struct {
+	Var int
+	Op  string
+	Val tuple.Value
+}
+
 // GroundAtom is an atom whose arguments are all computable at check time:
 // negated body atoms and constraint-head atoms. A nil Expr is a wildcard
 // (match anything at that column).
@@ -136,6 +150,7 @@ type RulePlan struct {
 	VarNames    []string
 	Atoms       []AtomPlan
 	Consts      []ConstBind
+	Ranges      []RangeBind
 	NegAtoms    []GroundAtom
 	Filters     []FilterPlan
 	Assigns     []AssignPlan // in dependency order

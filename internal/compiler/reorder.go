@@ -204,6 +204,10 @@ func reorder(r *RulePlan, order []int) *RulePlan {
 	for i, c := range r.Consts {
 		out.Consts[i] = ConstBind{Var: newSlot[c.Var], Val: c.Val}
 	}
+	out.Ranges = make([]RangeBind, len(r.Ranges))
+	for i, rb := range r.Ranges {
+		out.Ranges[i] = RangeBind{Var: newSlot[rb.Var], Op: rb.Op, Val: rb.Val}
+	}
 	out.NegAtoms = make([]GroundAtom, len(r.NegAtoms))
 	for i, na := range r.NegAtoms {
 		out.NegAtoms[i] = GroundAtom{Name: na.Name, Args: remapExprs(na.Args, newSlot)}

@@ -78,6 +78,7 @@ func (e *bodyEnv) resolveComparisons() error {
 					return err
 				}
 				e.filters = append(e.filters, FilterPlan{Op: string(cmp.Op), L: l, R: r})
+				e.addRange(string(cmp.Op), l, r)
 				progress = true
 				continue
 			}
@@ -91,6 +92,25 @@ func (e *bodyEnv) resolveComparisons() error {
 			return fmt.Errorf("unsafe comparison %s: variables cannot be bound", rest[0])
 		}
 		pending = rest
+	}
+}
+
+// flipped maps an order comparison to the one with its sides swapped.
+var flipped = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// addRange records the filter l op r as a range bind when it compares a
+// join variable with a constant by order.
+func (e *bodyEnv) addRange(op string, l, r Expr) {
+	if _, ok := flipped[op]; !ok {
+		return
+	}
+	if _, ok := l.(ConstExpr); ok {
+		l, r, op = r, l, flipped[op]
+	}
+	v, vok := l.(VarExpr)
+	c, cok := r.(ConstExpr)
+	if vok && cok && v.Idx < e.numJoin {
+		e.ranges = append(e.ranges, RangeBind{Var: v.Idx, Op: op, Val: c.Val})
 	}
 }
 

@@ -63,6 +63,7 @@ func (c *compilation) assembleRule(r *ast.Rule, h *ast.Atom, env *bodyEnv) (*Rul
 		VarNames:    env.varNames,
 		Atoms:       env.atoms,
 		Consts:      env.consts,
+		Ranges:      env.ranges,
 		NegAtoms:    env.negAtoms,
 		Filters:     env.filters,
 		Assigns:     env.assigns,

@@ -30,6 +30,7 @@ type Cursor struct {
 	rc       *engine.RuleCursor
 	mat      *relation.Cursor
 	prev     tuple.Tuple // last emitted tuple, for adjacent dedup (fast path)
+	cur      tuple.Tuple // the head being projected; swaps with prev
 	hint     int         // result-size hint (fallback path: exact)
 	rows     int64
 	err      error
@@ -40,7 +41,10 @@ type Cursor struct {
 // Next returns the next answer tuple; ok=false means exhaustion or error
 // (check Err after the loop). Tuples are yielded in ascending
 // lexicographic order with no duplicates — byte-identical to the sequence
-// Query would return.
+// Query would return. Like bufio.Scanner.Bytes, the tuple stays valid
+// only until the next call to Next or Close, and is read-only: a
+// streamed cursor projects every row into a buffer it owns, so a caller
+// that keeps a row must Clone it.
 func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
 	if c.closed || c.err != nil {
 		return nil, false
@@ -53,22 +57,19 @@ func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
 		c.rows++
 		return t, true
 	}
-	for {
-		t, ok := c.rc.Next()
-		if !ok {
-			c.err = c.rc.Err()
-			return nil, false
-		}
+	for c.rc.NextInto(c.cur) {
 		// The streaming plan enumerates the head variables first (its
 		// single-valued constants among them), so the projected heads
 		// arrive sorted and duplicates are adjacent.
-		if c.prev != nil && c.prev.Equal(t) {
+		if c.rows > 0 && c.prev.Equal(c.cur) {
 			continue
 		}
-		c.prev = t
+		c.prev, c.cur = c.cur, c.prev
 		c.rows++
-		return t, true
+		return c.prev, true
 	}
+	c.err = c.rc.Err()
+	return nil, false
 }
 
 // Err returns the first error the cursor hit (nil after clean
@@ -190,7 +191,11 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	if _, _, err = ivm.Rederive(ctx, changed, nil, nil); err == nil && answer != nil {
 		var rc *engine.RuleCursor
 		if rc, err = ctx.StreamRule(answer); err == nil {
-			return &Cursor{rctx: rctx, esp: esp, rc: rc, streamed: true}, nil
+			w := len(answer.HeadExprs)
+			return &Cursor{
+				rctx: rctx, esp: esp, rc: rc, streamed: true,
+				prev: make(tuple.Tuple, w), cur: make(tuple.Tuple, w),
+			}, nil
 		}
 	}
 	esp.End()

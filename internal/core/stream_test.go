@@ -51,7 +51,7 @@ func drainCursor(t *testing.T, cur *Cursor) []tuple.Tuple {
 	defer cur.Close()
 	out := make([]tuple.Tuple, 0, 8)
 	for tu, ok := cur.Next(); ok; tu, ok = cur.Next() {
-		out = append(out, tu)
+		out = append(out, tu.Clone()) // a row is valid until the next Next
 	}
 	if err := cur.Err(); err != nil {
 		t.Fatalf("cursor: %v", err)
@@ -484,6 +484,21 @@ salesByProduct[p] = u -> price[p] = _.`
 		{`_(x) <- a(x).`, `+a(1). +b(2).`, `_(x) <- b(x).`},
 		{`v(x) <- a(x).`, `+a(1). +b(2).`, `_(x) <- a@start(x).`},
 		{`v(x) <- a(x).`, `+a(1). +b(2).`, `_(x) <- +a(x).`},
+		// Bounds by a constant, seeks where exact and filters elsewhere.
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p >= 2.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p > 1.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p <= 1.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, 2 > p.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p >= 1, p < 2.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p > 5, p < 3.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, wk > 1.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p < 2.5.`},
+		{retail, facts, `_(p, s, wk, n) <- sales[p, s, wk] = n, p < "x".`},
+		{retail, facts, `_(p, v, n) <- price[p] = v, sales[p, s, wk] = n, p >= 2.`},
+		{retail, facts, `_(a, b, c) <- edge(a, b), edge(b, c), b > 1, c <= 3.`},
+		{`v(x) <- a(x).`, `+a(1). +a(1.5). +a(2). +a(2.5).`, `_(x) <- a(x), x < 2.`},
+		{`v(x) <- a(x).`, `+a(1). +a(1.5). +a(2). +b(1.5).`, `_(x) <- a(x), b(x), x > 1.`},
+		{`v(x) <- a(x).`, `+a(-1.5). +a(0.0). +a(2.5).`, `_(x) <- a(x), x >= 0, x < 2.5.`},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}

@@ -227,6 +227,9 @@ func (ws *Workspace) QueryCtx(rctx context.Context, src string) ([]tuple.Tuple, 
 	defer cur.Close()
 	out := make([]tuple.Tuple, 0, cur.hint)
 	for t, ok := cur.Next(); ok; t, ok = cur.Next() {
+		if cur.streamed {
+			t = t.Clone() // a streamed row lives in the cursor's buffer
+		}
 		out = append(out, t)
 	}
 	if err := cur.Err(); err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 
 	"logicblox/internal/compiler"
@@ -17,7 +18,9 @@ import (
 type aggAccum struct {
 	plan   *compiler.AggPlan
 	groups map[string]*aggState
-	buf    []byte
+	buf    []byte    // this binding's key encoding
+	prev   []byte    // the previous binding's key encoding
+	last   *aggState // the previous binding's group
 }
 
 type aggState struct {
@@ -34,13 +37,21 @@ func newAggAccum(plan *compiler.AggPlan) *aggAccum {
 	return &aggAccum{plan: plan, groups: map[string]*aggState{}}
 }
 
-// add folds binding into key's group. key may be a reused buffer.
+// add folds binding into key's group. key may be a reused buffer. A
+// binding whose key encodes like the previous one's (the map's own
+// equality) joins the previous group without a map lookup, so a plan that
+// yields a group's bindings in a run reads the map once per run.
 func (a *aggAccum) add(key tuple.Tuple, binding tuple.Tuple) {
 	a.buf = key.AppendKey(a.buf[:0])
-	st, ok := a.groups[string(a.buf)]
-	if !ok {
-		st = &aggState{key: key.Clone(), allInt: true}
-		a.groups[string(a.buf)] = st
+	st := a.last
+	if st == nil || !bytes.Equal(a.buf, a.prev) {
+		var ok bool
+		if st, ok = a.groups[string(a.buf)]; !ok {
+			st = &aggState{key: key.Clone(), allInt: true}
+			a.groups[string(a.buf)] = st
+		}
+		a.last = st
+		a.buf, a.prev = a.prev, a.buf
 	}
 	st.count++
 	if a.plan.ArgSlot < 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"logicblox/internal/compiler"
@@ -27,7 +28,8 @@ type Bindings struct {
 	c        *Context
 	r        *compiler.RulePlan
 	resolver ctxResolver
-	full     tuple.Tuple    // the current binding, r.Slots wide, reused by Next
+	full     tuple.Tuple    // the current binding, r.Slots wide
+	buf      tuple.Tuple    // full's own storage, when r assigns a slot
 	it       *lftj.Iter     // nil for a body-free rule: one empty binding
 	m        *lftj.Metrics  // nil when nobody reads the join's counters
 	rs       *obs.RuleStats // nil when observability is off
@@ -44,13 +46,20 @@ type Bindings struct {
 // deltas, IVM delta rules). The plan is evaluated exactly as given.
 func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Relation) (*Bindings, error) {
 	b := &Bindings{
-		c: c, r: r, resolver: ctxResolver{c}, full: make(tuple.Tuple, r.Slots),
+		c: c, r: r, resolver: ctxResolver{c},
 		rs: c.ruleStatsFor(r), delta: overrides != nil, t0: time.Now(),
+	}
+	if len(r.Assigns) > 0 {
+		b.buf = make(tuple.Tuple, r.Slots)
 	}
 	if len(r.Atoms) == 0 && len(r.Consts) == 0 {
 		return b, nil // fact or fully computed rule
 	}
-	atoms := make([]lftj.Atom, 0, len(r.Atoms)+len(r.Consts))
+	atoms := make([]lftj.Atom, 0, len(r.Atoms)+len(r.Consts)+len(r.Ranges))
+	var rels []relation.Relation // each atom's relation, for the range binds
+	if len(r.Ranges) > 0 {
+		rels = make([]relation.Relation, len(r.Atoms))
+	}
 	for ai, ap := range r.Atoms {
 		rel, ok := overrides[ai]
 		if !ok {
@@ -59,12 +68,18 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 		if ap.Perm != nil {
 			rel = c.permuted(ap.Name, rel, ap.Perm)
 		}
+		if rels != nil {
+			rels[ai] = rel
+		}
 		atoms = append(atoms, lftj.Atom{Pred: ap.Name, Iter: rel.Iterator(), Vars: ap.Vars, Cols: ap.Perm})
 	}
 	for _, cb := range r.Consts {
 		atoms = append(atoms, lftj.Atom{
 			Pred: "$const", Iter: trie.NewConstIterator(cb.Val), Vars: []int{cb.Var},
 		})
+	}
+	if rels != nil {
+		atoms = c.appendRanges(atoms, r, rels)
 	}
 	j, err := lftj.NewJoin(r.NumJoinVars, atoms, c.sens)
 	if err != nil {
@@ -78,10 +93,81 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 	return b, nil
 }
 
+// appendRanges appends to atoms, per join variable that r bounds, one
+// range iterator holding the bounds (compiler.RangeBind) that are exact
+// here: some atom reads the variable in its first plan column, and that
+// column of its relation (rels[i]) holds values of the bounds' kind alone.
+// Kind is the leading sort key, so the relation's first and last tuples
+// pin the whole column; within one kind trie order is the filters' order,
+// so the range skips only bindings the filters reject. Bounds of another
+// kind are left to the filters alone. Under a sensitivity index the check
+// records the column's two ends, where a value of another kind would
+// land; the range iterator's own intervals go under "$range", which no
+// change touches, as a constant's go under "$const".
+func (c *Context) appendRanges(atoms []lftj.Atom, r *compiler.RulePlan, rels []relation.Relation) []lftj.Atom {
+	for i, rb := range r.Ranges {
+		if slices.ContainsFunc(r.Ranges[:i], func(p compiler.RangeBind) bool { return p.Var == rb.Var }) {
+			continue // the variable's range was built at its first bound
+		}
+		for ai, ap := range r.Atoms {
+			if len(ap.Vars) == 0 || ap.Vars[0] != rb.Var {
+				continue
+			}
+			first, last, ok := rels[ai].Ends()
+			if !ok || first[0].Kind() != last[0].Kind() {
+				continue
+			}
+			lo, hi, ok := rangeOf(r.Ranges[i:], rb.Var, first[0].Kind())
+			if !ok {
+				continue
+			}
+			if c.sens != nil {
+				col := 0
+				if ap.Perm != nil {
+					col = ap.Perm[0]
+				}
+				c.sens.AddColumn(ap.Name, col, tuple.MinValue(), first[0])
+				c.sens.AddColumn(ap.Name, col, last[0], tuple.MaxValue())
+			}
+			atoms = append(atoms, lftj.Atom{
+				Pred: "$range", Iter: trie.NewRangeIterator(lo, hi), Vars: []int{rb.Var},
+			})
+			break
+		}
+	}
+	return atoms
+}
+
+// rangeOf intersects the bounds on variable v of kind k into the
+// half-open range [lo, hi); ok is false when none has kind k.
+func rangeOf(binds []compiler.RangeBind, v int, k tuple.Kind) (lo, hi tuple.Value, ok bool) {
+	lo, hi = tuple.MinValue(), tuple.MaxValue()
+	for _, rb := range binds {
+		if rb.Var != v || rb.Val.Kind() != k {
+			continue
+		}
+		ok = true
+		bound := rb.Val
+		if rb.Op == ">" || rb.Op == "<=" {
+			bound = tuple.Successor(bound)
+		}
+		switch {
+		case (rb.Op == ">" || rb.Op == ">=") && tuple.Less(lo, bound):
+			lo = bound
+		case (rb.Op == "<" || rb.Op == "<=") && tuple.Less(bound, hi):
+			hi = bound
+		}
+	}
+	return lo, hi, ok
+}
+
 // Next returns the next satisfying assignment: r.Slots values, join
-// variables first, then assigned variables. The tuple is reused between
-// calls (clone it to retain it). ok=false means exhaustion OR error —
-// check Err after the loop.
+// variables first, then assigned variables. The tuple is valid until the
+// next call and is read-only: it may be the stored tuple itself (a
+// one-atom rule's scan yields stored tuples, and a rule that assigns no
+// variable passes the join's binding through), so clone it to retain it
+// and never write into it. ok=false means exhaustion OR error — check
+// Err after the loop.
 func (b *Bindings) Next() (tuple.Tuple, bool) {
 	for !b.done {
 		if err := b.c.Err(); err != nil {
@@ -140,10 +226,16 @@ func (b *Bindings) nextHeadInto(head tuple.Tuple) bool {
 }
 
 // complete runs assignments, filters and negated atoms over one raw join
-// binding, leaving the result in b.full. pass=false means the binding
-// was filtered out (not an error).
+// binding, leaving the result in b.full: the joined tuple itself when the
+// rule assigns nothing, else a copy in b's own buffer with the assigned
+// slots written. pass=false means the binding was filtered out (not an
+// error).
 func (b *Bindings) complete(joined tuple.Tuple) (pass bool, err error) {
-	copy(b.full, joined)
+	b.full = joined
+	if b.buf != nil {
+		copy(b.buf, joined)
+		b.full = b.buf
+	}
 	for _, a := range b.r.Assigns {
 		v, err := a.E.Eval(b.full, b.resolver)
 		if err != nil {
@@ -234,6 +326,11 @@ func (c *Context) StreamRule(r *compiler.RulePlan) (*RuleCursor, error) {
 // Next returns the next head tuple, freshly allocated. ok=false means
 // exhaustion OR error — check Err after the loop.
 func (cur *RuleCursor) Next() (tuple.Tuple, bool) { return cur.b.NextHead() }
+
+// NextInto is Next projecting the head into head, which must be as wide
+// as the rule's head: a drain that reuses one buffer allocates nothing
+// per tuple. false means exhaustion OR error.
+func (cur *RuleCursor) NextInto(head tuple.Tuple) bool { return cur.b.nextHeadInto(head) }
 
 // Err returns the first error the cursor hit, if any.
 func (cur *RuleCursor) Err() error { return cur.b.Err() }

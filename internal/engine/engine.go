@@ -319,13 +319,24 @@ func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 		}
 	default:
 		// A head equal to the previous one overwrites it as it arrives, so
-		// a plan that binds the head variables first buffers no duplicates.
-		var heads []tuple.Tuple
+		// a plan that binds the head variables first buffers no duplicates;
+		// other duplicates are dropped whenever the buffer has doubled.
+		var heads, free []tuple.Tuple
+		kept := 0 // len(heads) after the last compaction
 		for b.nextHeadInto(key) {
 			if n := len(heads); n > 0 && heads[n-1].Equal(key) {
 				copy(heads[n-1], key)
+				continue
+			}
+			if n := len(free); n > 0 {
+				heads, free = append(heads, free[n-1]), free[:n-1]
+				copy(heads[len(heads)-1], key)
 			} else {
 				heads = append(heads, key.Clone())
+			}
+			if len(heads) >= max(compactHeadsMin, 2*kept) {
+				heads, free = compactHeads(heads, free)
+				kept = len(heads)
 			}
 		}
 		if b.Err() == nil {
@@ -339,6 +350,27 @@ func (c *Context) evalRule(r *compiler.RulePlan, overrides map[int]relation.Rela
 		return out, fmt.Errorf("in rule %q: %w", r.Source, err)
 	}
 	return out, nil
+}
+
+// compactHeadsMin is the fewest buffered heads evalRule compacts.
+const compactHeadsMin = 1024
+
+// compactHeads sorts heads stably and drops duplicates, keeping the last
+// of each run of equal heads as FromTuples does; the dropped tuples are
+// appended to free for reuse.
+func compactHeads(heads, free []tuple.Tuple) (kept, freed []tuple.Tuple) {
+	tuple.SortTuples(heads)
+	kept = heads[:0]
+	for _, h := range heads {
+		if n := len(kept); n > 0 && kept[n-1].Equal(h) {
+			free = append(free, kept[n-1])
+			kept[n-1] = h
+			continue
+		}
+		kept = append(kept, h)
+	}
+	clear(heads[len(kept):])
+	return kept, free
 }
 
 // checkGroundAtom evaluates a ground (negated) atom's pattern and probes

@@ -42,7 +42,7 @@ var goldenQueries = []string{
 }
 
 // TestPlanGolden pins the compiler's plans: the variable layout, every
-// atom's columns, constants, assignments and aggregate/predict slots of
+// atom's columns, constants, range binds, assignments and aggregate/predict slots of
 // each rule and constraint body of the differential suite, the retail
 // schema and the benchmark's queries, and the order each rule would be
 // streamed in (compiler.StreamOrder). A change to any of them is a planning change, which must show
@@ -117,6 +117,9 @@ func dumpLayout(b *strings.Builder, indent string, r *compiler.RulePlan) {
 	}
 	for _, c := range r.Consts {
 		fmt.Fprintf(b, "%sconst %d = %s %s\n", indent, c.Var, c.Val.Kind(), c.Val)
+	}
+	for _, rb := range r.Ranges {
+		fmt.Fprintf(b, "%srange %d %s %s %s\n", indent, rb.Var, rb.Op, rb.Val.Kind(), rb.Val)
 	}
 	for _, a := range r.NegAtoms {
 		fmt.Fprintf(b, "%snot %s %v\n", indent, a.Name, a.Args)

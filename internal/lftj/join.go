@@ -34,7 +34,7 @@ type Join struct {
 	levels  [][]int           // levels[v] = indices of atoms participating at variable v
 	iters   [][]trie.Iterator // reusable iterator slices per variable
 	binding tuple.Tuple       // current prefix of variable bindings
-	scan    trie.Scanner      // the lone atom's scan, when the join is one
+	scan    scanPlan          // the scan, when the join is one (scan.sc != nil)
 	rec     *recording
 	m       *Metrics // optional work counters (may be nil)
 }
@@ -75,10 +75,7 @@ func NewJoin(numVars int, atoms []Atom, idx *SensitivityIndex) (*Join, error) {
 		}
 		j.iters[v] = make([]trie.Iterator, len(j.levels[v]))
 	}
-	// The validation above makes a lone atom of full arity's Vars the identity.
-	if len(atoms) == 1 && atoms[0].Iter.Arity() == numVars {
-		j.scan, _ = atoms[0].Iter.(trie.Scanner)
-	}
+	j.scan = planScan(atoms, numVars)
 	if idx != nil {
 		j.rec = newRecording(j, idx)
 	}
@@ -97,6 +94,45 @@ func (j *Join) Run(emit func(binding tuple.Tuple) bool) {
 			return
 		}
 	}
+}
+
+// scanPlan is a join of one atom binding every variable, whose iterator
+// is a trie.Scanner, and of ranges on its first variable: it reads the
+// atom's tuples whose first column lies in [lo, hi) in one ordered pass.
+type scanPlan struct {
+	atom    int // index of the scanned atom
+	sc      trie.Scanner
+	lo, hi  tuple.Value
+	bounded bool // some range restricts the first variable
+}
+
+// planScan returns the scan plan of atoms, the zero scanPlan when the
+// join is not one. The validation in NewJoin makes a lone atom of full
+// arity's Vars the identity, so a range on variable 0 bounds its first
+// column.
+func planScan(atoms []Atom, numVars int) scanPlan {
+	scan, lo, hi, bounded := -1, tuple.MinValue(), tuple.MaxValue(), false
+	for i, a := range atoms {
+		if r, ok := a.Iter.(*trie.RangeIterator); ok && a.Vars[0] == 0 {
+			rlo, rhi := r.Bounds()
+			if tuple.Less(lo, rlo) {
+				lo = rlo
+			}
+			if tuple.Less(rhi, hi) {
+				hi = rhi
+			}
+			bounded = true
+			continue
+		}
+		if _, ok := a.Iter.(trie.Scanner); !ok || scan >= 0 || a.Iter.Arity() != numVars {
+			return scanPlan{}
+		}
+		scan = i
+	}
+	if scan < 0 {
+		return scanPlan{}
+	}
+	return scanPlan{atom: scan, sc: atoms[scan].Iter.(trie.Scanner), lo: lo, hi: hi, bounded: bounded}
 }
 
 // Iter is a pull-based cursor over the join's satisfying assignments: the
@@ -164,7 +200,7 @@ func (it *Iter) Next() (binding tuple.Tuple, ok bool) {
 	if it.depth == -2 {
 		return nil, false
 	}
-	if j.scan != nil {
+	if j.scan.sc != nil {
 		return it.scanNext()
 	}
 	if j.numVars == 0 {
@@ -201,26 +237,31 @@ func (it *Iter) Next() (binding tuple.Tuple, ok bool) {
 	}
 }
 
-// scanNext is Next for a join of one atom binding every variable, whose
-// iterator is a trie.Scanner: it pulls whole tuples from the scan (one
-// Metrics.Nexts each, no seek) and records one sensitivity interval over
-// the atom's whole key line, which is the union of what the trie walk
-// records, so Affected answers the same.
+// scanNext is Next for a scan (see scanPlan): it pulls whole tuples from
+// the atom's scan, which starts at the lower bound (one Metrics.Seeks when
+// there is one) and stops at the first tuple at or past the upper bound
+// (one Metrics.Nexts per tuple pulled). The binding it returns is the
+// stored tuple itself. It records one sensitivity interval over the
+// atom's whole key line, which is the union of what the trie walk
+// records, so Affected answers the same or more.
 func (it *Iter) scanNext() (tuple.Tuple, bool) {
-	j := it.j
+	j, p := it.j, &it.j.scan
 	if !it.started {
-		it.started, it.pull = true, j.scan.Scan()
-		j.rec.recordAll(&j.atoms[0])
+		it.started, it.pull = true, p.sc.Scan(p.lo)
+		j.rec.recordAll(&j.atoms[p.atom])
+		if j.m != nil && p.bounded {
+			j.m.Seeks++
+		}
 	}
 	t, ok := it.pull()
-	if !ok {
+	if ok && j.m != nil {
+		j.m.Nexts++
+	}
+	if !ok || (p.bounded && tuple.Compare(t[0], p.hi) >= 0) {
 		it.depth = -2
 		return nil, false
 	}
-	if j.m != nil {
-		j.m.Nexts++
-	}
-	return append(j.binding[:0], t...), true
+	return t, true
 }
 
 // Close unwinds any still-open trie levels (restoring every atom iterator

@@ -398,38 +398,11 @@ func TestQuickBinaryJoinMatchesModel(t *testing.T) {
 	}
 }
 
-func TestRangeIterator(t *testing.T) {
-	r := NewRangeIterator(tuple.Int(5), tuple.Int(10))
-	r.Open()
-	if r.AtEnd() || r.Key().AsInt() != 5 {
-		t.Fatalf("open = %v", r.Key())
-	}
-	r.Seek(tuple.Int(7))
-	if r.Key().AsInt() != 7 {
-		t.Fatalf("seek = %v", r.Key())
-	}
-	r.Next()
-	if r.Key().AsInt() != 8 {
-		t.Fatalf("next = %v", r.Key())
-	}
-	r.Seek(tuple.Int(10))
-	if !r.AtEnd() {
-		t.Fatalf("seek to hi should end (half-open)")
-	}
-	r.Up()
-	// Empty range.
-	e := NewRangeIterator(tuple.Int(5), tuple.Int(5))
-	e.Open()
-	if !e.AtEnd() {
-		t.Fatalf("empty range should open at end")
-	}
-}
-
 func TestRangeRestrictsJoin(t *testing.T) {
 	a := unary(1, 3, 5, 7, 9)
 	j, err := NewJoin(1, []Atom{
 		{Pred: "A", Iter: a.Iterator(), Vars: []int{0}},
-		{Pred: "$range", Iter: NewRangeIterator(tuple.Int(3), tuple.Int(8)), Vars: []int{0}},
+		{Pred: "$range", Iter: trie.NewRangeIterator(tuple.Int(3), tuple.Int(8)), Vars: []int{0}},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -14,79 +14,6 @@ import (
 // iterators, in parallel. Because the ranges partition the first
 // variable, the union of the partial results is exactly the join.
 
-// RangeIterator is a virtual unary predicate covering the half-open
-// interval [lo, hi) densely: joined on a variable, it restricts that
-// variable to the range without enumerating it (Seek answers any probe in
-// range with the probe itself).
-type RangeIterator struct {
-	lo, hi tuple.Value // hi = MaxValue means unbounded above
-	cur    tuple.Value
-	depth  int
-	atEnd  bool
-}
-
-// NewRangeIterator returns a unary iterator over [lo, hi).
-func NewRangeIterator(lo, hi tuple.Value) *RangeIterator {
-	return &RangeIterator{lo: lo, hi: hi, depth: -1}
-}
-
-// Arity implements trie.Iterator.
-func (r *RangeIterator) Arity() int { return 1 }
-
-// Depth implements trie.Iterator.
-func (r *RangeIterator) Depth() int { return r.depth }
-
-// AtEnd implements trie.Iterator.
-func (r *RangeIterator) AtEnd() bool { return r.atEnd }
-
-// Key implements trie.Iterator.
-func (r *RangeIterator) Key() tuple.Value {
-	if r.depth != 0 || r.atEnd {
-		panic("lftj: RangeIterator.Key at root or end")
-	}
-	return r.cur
-}
-
-// Open implements trie.Iterator.
-func (r *RangeIterator) Open() {
-	if r.depth != -1 {
-		panic("lftj: RangeIterator.Open below leaf")
-	}
-	r.depth = 0
-	r.cur = r.lo
-	r.atEnd = !r.inRange(r.lo)
-}
-
-// Up implements trie.Iterator.
-func (r *RangeIterator) Up() {
-	r.depth = -1
-	r.atEnd = false
-}
-
-func (r *RangeIterator) inRange(v tuple.Value) bool {
-	return tuple.Compare(v, r.hi) < 0
-}
-
-// Next implements trie.Iterator: a dense range advances to the successor
-// of the current key in the value order (the leapfrog search then seeks
-// the real iterators past it).
-func (r *RangeIterator) Next() {
-	if r.atEnd {
-		return
-	}
-	r.cur = tuple.Successor(r.cur)
-	r.atEnd = !r.inRange(r.cur)
-}
-
-// Seek implements trie.Iterator.
-func (r *RangeIterator) Seek(v tuple.Value) {
-	if tuple.Compare(v, r.lo) < 0 {
-		v = r.lo
-	}
-	r.cur = v
-	r.atEnd = !r.inRange(v)
-}
-
 // Quantiles picks up to parts−1 cut points from the first column of a
 // sample relation, splitting the domain into parts ranges of roughly
 // equal sample mass.
@@ -134,7 +61,7 @@ func PartitionedRun(numVars int, mkAtoms func() []Atom, cuts []tuple.Value,
 			defer func() { <-sem }()
 			atoms := mkAtoms()
 			atoms = append(atoms, Atom{
-				Pred: "$range", Iter: NewRangeIterator(lo, hi), Vars: []int{0},
+				Pred: "$range", Iter: trie.NewRangeIterator(lo, hi), Vars: []int{0},
 			})
 			j, err := NewJoin(numVars, atoms, nil)
 			if err != nil {
@@ -176,5 +103,3 @@ func PartitionedCount(numVars int, mkAtoms func() []Atom, cuts []tuple.Value, wo
 	})
 	return n, err
 }
-
-var _ trie.Iterator = (*RangeIterator)(nil)

@@ -1,6 +1,7 @@
 package lftj
 
 import (
+	"math/rand"
 	"testing"
 
 	"logicblox/internal/relation"
@@ -91,4 +92,65 @@ func FuzzScanMatchesTrie(f *testing.F) {
 			check(p)
 		}
 	})
+}
+
+// TestBoundedScanMatchesTrie checks the bounded scan — a one-atom join
+// with ranges on its first variable — against the leapfrog over the same
+// atom and ranges, which trie.Counting forces: over random relations of
+// small ints and strings and random ranges (one or two, empty ones
+// included), both emit the same bindings in the same order, and the scan
+// makes one seek and at most one next past the rows it yields.
+func TestBoundedScanMatchesTrie(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	value := func() tuple.Value {
+		if rng.Intn(4) == 0 {
+			return tuple.String(string(rune('a' + rng.Intn(4))))
+		}
+		return tuple.Int(int64(rng.Intn(12)) - 3)
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(3) + 1
+		stored := relation.New(n)
+		for i := rng.Intn(40); i > 0; i-- {
+			tp := make(tuple.Tuple, n)
+			for c := range tp {
+				tp[c] = value()
+			}
+			stored = stored.Insert(tp)
+		}
+		vars := make([]int, n)
+		for i := range vars {
+			vars[i] = i
+		}
+		bounds := make([][2]tuple.Value, rng.Intn(2)+1)
+		for i := range bounds {
+			bounds[i] = [2]tuple.Value{value(), value()}
+		}
+		run := func(it trie.Iterator) ([]tuple.Tuple, Metrics) {
+			atoms := []Atom{{Pred: "R", Iter: it, Vars: vars}}
+			for _, b := range bounds {
+				atoms = append(atoms, Atom{Pred: "$range", Iter: trie.NewRangeIterator(b[0], b[1]), Vars: []int{0}})
+			}
+			j, err := NewJoin(n, atoms, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m Metrics
+			j.SetMetrics(&m)
+			return drainIter(j), m
+		}
+		scanned, m := run(stored.Iterator())
+		walked, _ := run(trie.Counting(stored.Iterator(), &trie.OpCounter{}))
+		if len(scanned) != len(walked) {
+			t.Fatalf("trial %d, ranges %v over %v: scan %v, trie walk %v", trial, bounds, stored.Slice(), scanned, walked)
+		}
+		for i := range scanned {
+			if !scanned[i].Equal(walked[i]) {
+				t.Fatalf("trial %d, ranges %v: binding %d: scan %v, trie walk %v", trial, bounds, i, scanned[i], walked[i])
+			}
+		}
+		if m.Seeks != 1 || m.Nexts > int64(len(scanned))+1 {
+			t.Fatalf("trial %d: bounded scan of %d rows made %+v, want 1 seek and at most %d nexts", trial, len(scanned), m, len(scanned)+1)
+		}
+	}
 }

@@ -140,6 +140,17 @@ func (x *SensitivityIndex) Add(pred string, prefix tuple.Tuple, lo, hi tuple.Val
 	x.dirty = true
 }
 
+// AddColumn records, for pred, the region of tuples whose stored column
+// col lies in [lo, hi], whatever their other columns hold.
+func (x *SensitivityIndex) AddColumn(pred string, col int, lo, hi tuple.Value) {
+	iv := Interval{Lo: lo, Hi: hi}
+	if col != 0 {
+		iv.Cols = []int{col}
+	}
+	x.byPred[pred] = append(x.byPred[pred], iv)
+	x.dirty = true
+}
+
 // AddPoint records a single-tuple sensitivity (used for membership probes
 // of negated atoms and for written keys).
 func (x *SensitivityIndex) AddPoint(pred string, t tuple.Tuple) {

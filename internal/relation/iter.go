@@ -38,7 +38,10 @@ func (r Relation) Iterator() trie.Iterator {
 }
 
 // Scan implements trie.Scanner.
-func (ti *TrieIter) Scan() func() (tuple.Tuple, bool) { return ti.r.Cursor().Next }
+func (ti *TrieIter) Scan(from tuple.Value) func() (tuple.Tuple, bool) {
+	ti.probe = append(ti.probe[:0], from)
+	return ti.r.CursorAt(ti.probe).Next
+}
 
 // Arity implements trie.Iterator.
 func (ti *TrieIter) Arity() int { return ti.r.arity }

@@ -78,6 +78,14 @@ func (r Relation) Len() int { return r.t.Len() }
 // IsEmpty reports whether the relation has no tuples.
 func (r Relation) IsEmpty() bool { return r.t.IsEmpty() }
 
+// Ends returns the relation's first and last tuples in lexicographic
+// order; ok is false when it is empty.
+func (r Relation) Ends() (first, last tuple.Tuple, ok bool) {
+	first, _, ok = r.t.Min()
+	last, _, _ = r.t.Max()
+	return first, last, ok
+}
+
 // Contains reports whether t is in the relation.
 func (r Relation) Contains(t tuple.Tuple) bool { return r.t.Contains(t) }
 
@@ -142,6 +150,11 @@ type Cursor struct {
 // Cursor returns a pull iterator positioned before the first tuple.
 func (r Relation) Cursor() *Cursor { return &Cursor{it: r.t.Iterator()} }
 
+// CursorAt returns a pull iterator positioned before the least tuple ≥
+// probe, found in one descent: a probe of one value starts at the first
+// tuple whose first column is ≥ it.
+func (r Relation) CursorAt(probe tuple.Tuple) *Cursor { return &Cursor{it: r.t.Seek(probe)} }
+
 // Next returns the next tuple in lexicographic order; ok is false once
 // the relation is exhausted. The tuple is the stored (immutable) value —
 // callers must not mutate it.
@@ -188,11 +201,7 @@ func (r Relation) Permuted(perm []int) Relation {
 // in lexicographic order.
 func (r Relation) Lookup(prefix tuple.Tuple) []tuple.Tuple {
 	var out []tuple.Tuple
-	it := r.t.Iterator()
-	probe := make(tuple.Tuple, len(prefix))
-	copy(probe, prefix)
-	it.Seek(probe)
-	for !it.AtEnd() {
+	for it := r.t.Seek(prefix); !it.AtEnd(); {
 		t := it.Key()
 		if len(t) < len(prefix) || !t[:len(prefix)].Equal(prefix) {
 			break
@@ -251,9 +260,7 @@ func (r Relation) MatchExists(pattern []tuple.Value, wild []bool) bool {
 	}
 	prefix := tuple.Tuple(pattern[:ground])
 	found := false
-	it := r.t.Iterator()
-	it.Seek(prefix)
-	for !it.AtEnd() {
+	for it := r.t.Seek(prefix); !it.AtEnd(); {
 		t := it.Key()
 		if ground > 0 && !t[:ground].Equal(prefix) {
 			break

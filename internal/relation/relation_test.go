@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,6 +56,28 @@ func TestSetOpsAndEquality(t *testing.T) {
 	}
 	if a.StructuralHash() == b.StructuralHash() {
 		t.Fatalf("different relations with same hash (unexpected collision)")
+	}
+}
+
+// TestEqualIgnoresZeroSign: -0.0 and 0.0 compare equal, so relations that
+// differ only in a zero's sign are equal, hash alike and diff to nothing,
+// whether alone or among other tuples.
+func TestEqualIgnoresZeroSign(t *testing.T) {
+	neg, pos := tuple.Float(math.Copysign(0, -1)), tuple.Float(0)
+	for _, rest := range [][]tuple.Tuple{nil, {tuple.Of(tuple.Float(-1)), tuple.Of(tuple.Float(2))}} {
+		a := FromTuples(1, append([]tuple.Tuple{tuple.Of(neg)}, rest...))
+		b := FromTuples(1, append([]tuple.Tuple{tuple.Of(pos)}, rest...))
+		if !a.Equal(b) || !b.Equal(a) {
+			t.Errorf("%v and %v: Equal = false", a.Slice(), b.Slice())
+		}
+		if a.StructuralHash() != b.StructuralHash() {
+			t.Errorf("%v and %v: structural hashes %x and %x", a.Slice(), b.Slice(), a.StructuralHash(), b.StructuralHash())
+		}
+		changes := 0
+		a.Diff(b, func(tuple.Tuple) { changes++ }, func(tuple.Tuple) { changes++ })
+		if changes != 0 {
+			t.Errorf("%v and %v: Diff enumerates %d changes", a.Slice(), b.Slice(), changes)
+		}
 	}
 }
 

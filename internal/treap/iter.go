@@ -28,14 +28,19 @@ func (t Tree[K, V]) Iterator() *Iterator[K, V] {
 	return it
 }
 
-// First repositions at the smallest entry. The first call sizes the
-// descent stack for the tree's height (a random treap of N keys is about
-// 3·log₂ N deep), so it is usually allocated once.
+// Seek returns an iterator positioned at the least entry with key ≥ probe
+// (at the end when there is none), found in one root-to-leaf descent: a
+// lower-bound read that does not first walk down the left spine as
+// Iterator does.
+func (t Tree[K, V]) Seek(probe K) *Iterator[K, V] {
+	it := &Iterator[K, V]{ops: t.ops, root: t.root}
+	it.SeekFromRoot(probe)
+	return it
+}
+
+// First repositions at the smallest entry.
 func (it *Iterator[K, V]) First() {
-	if it.stack == nil && it.root != nil {
-		it.stack = make([]*node[K, V], 0, 3*bits.Len(uint(it.root.size)))
-	}
-	it.stack = it.stack[:0]
+	it.resetStack()
 	it.cur = nil
 	it.done = it.root == nil
 	n := it.root
@@ -115,8 +120,18 @@ func (it *Iterator[K, V]) Seek(probe K) {
 // backward. It reuses the descent stack and allocates nothing once the
 // stack has grown to the tree's height.
 func (it *Iterator[K, V]) SeekFromRoot(probe K) {
-	it.stack = it.stack[:0]
+	it.resetStack()
 	it.descend(it.root, probe)
+}
+
+// resetStack empties the descent stack. The first call sizes it for the
+// tree's height (a random treap of N keys is about 3·log₂ N deep), so it
+// is usually allocated once.
+func (it *Iterator[K, V]) resetStack() {
+	if it.stack == nil && it.root != nil {
+		it.stack = make([]*node[K, V], 0, 3*bits.Len(uint(it.root.size)))
+	}
+	it.stack = it.stack[:0]
 }
 
 // descend searches the subtree n for the least key ≥ probe, pushing each

@@ -221,3 +221,45 @@ func TestIteratorSeekCompares(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeSeekOneDescent: Tree.Seek costs one root-to-leaf path of
+// compares, no more, wherever the probe lands; Iterator followed by Seek
+// first walks down the left spine and then climbs back up it.
+func TestTreeSeekOneDescent(t *testing.T) {
+	const n = 1 << 16
+	compares := 0
+	ops := intOps()
+	cmp := ops.Compare
+	ops.Compare = func(a, b int) int { compares++; return cmp(a, b) }
+	keys := make([]int, n)
+	vals := make([]int, n)
+	for i := range keys {
+		keys[i] = 2 * i
+	}
+	tr := BuildSorted(ops, keys, vals)
+	height := func(probe int) int { // nodes on the search path of probe
+		d := 0
+		for nd := tr.root; nd != nil; d++ {
+			if cmp(nd.key, probe) >= 0 {
+				nd = nd.left
+			} else {
+				nd = nd.right
+			}
+		}
+		return d
+	}
+	for _, probe := range []int{-1, 0, 1, 777, n - 1, n, 2*n - 2, 2*n - 1, 2 * n} {
+		compares = 0
+		it := tr.Seek(probe)
+		want := sort.SearchInts(keys, probe)
+		switch {
+		case want == n && !it.AtEnd():
+			t.Fatalf("Seek(%d) = %d, want the end", probe, it.Key())
+		case want < n && (it.AtEnd() || it.Key() != keys[want]):
+			t.Fatalf("Seek(%d): atEnd=%v, want %d", probe, it.AtEnd(), keys[want])
+		}
+		if h := height(probe); compares > h {
+			t.Errorf("Seek(%d): %d compares, the search path holds %d nodes", probe, compares, h)
+		}
+	}
+}

@@ -51,11 +51,13 @@ type Iterator interface {
 }
 
 // Scanner is an optional capability of an Iterator: Scan returns a pull
-// function yielding every tuple, in order and at amortized O(1) each, for
-// the join driver to read a one-atom join's relation whole. The tuples are
-// stored values, not to be mutated. Counting does not forward Scan.
+// function yielding, in order and at amortized O(1) each, every tuple
+// whose first column is ≥ from (tuple.MinValue() for all of them), for
+// a one-atom join to read its relation whole or from a lower bound on
+// its first column. The tuples are stored values, not to be mutated.
+// Counting does not forward Scan.
 type Scanner interface {
-	Scan() func() (tuple.Tuple, bool)
+	Scan(from tuple.Value) func() (tuple.Tuple, bool)
 }
 
 // SliceIterator is a reference Iterator over a sorted, deduplicated slice
@@ -226,6 +228,83 @@ func (c *ConstIterator) Seek(v tuple.Value) {
 	if tuple.Compare(v, c.val) > 0 {
 		c.atEnd = true
 	}
+}
+
+// RangeIterator is a virtual unary predicate covering the half-open
+// interval [lo, hi) densely: joined on a variable, it restricts that
+// variable to the range without enumerating it (Seek answers any probe in
+// range with the probe itself). A query's bound on a variable (x < c) and
+// a partition of a parallel join's first variable are both ranges.
+type RangeIterator struct {
+	lo, hi tuple.Value // hi = MaxValue means unbounded above
+	cur    tuple.Value
+	depth  int
+	atEnd  bool
+}
+
+// NewRangeIterator returns a unary iterator over [lo, hi).
+func NewRangeIterator(lo, hi tuple.Value) *RangeIterator {
+	return &RangeIterator{lo: lo, hi: hi, depth: -1}
+}
+
+// Bounds returns the range [lo, hi).
+func (r *RangeIterator) Bounds() (lo, hi tuple.Value) { return r.lo, r.hi }
+
+// Arity implements Iterator.
+func (r *RangeIterator) Arity() int { return 1 }
+
+// Depth implements Iterator.
+func (r *RangeIterator) Depth() int { return r.depth }
+
+// AtEnd implements Iterator.
+func (r *RangeIterator) AtEnd() bool { return r.atEnd }
+
+// Key implements Iterator.
+func (r *RangeIterator) Key() tuple.Value {
+	if r.depth != 0 || r.atEnd {
+		panic("trie: Key called at root or at end")
+	}
+	return r.cur
+}
+
+// Open implements Iterator.
+func (r *RangeIterator) Open() {
+	if r.depth != -1 {
+		panic("trie: Open below leaf level")
+	}
+	r.depth = 0
+	r.cur = r.lo
+	r.atEnd = !r.inRange(r.lo)
+}
+
+// Up implements Iterator.
+func (r *RangeIterator) Up() {
+	r.depth = -1
+	r.atEnd = false
+}
+
+func (r *RangeIterator) inRange(v tuple.Value) bool {
+	return tuple.Compare(v, r.hi) < 0
+}
+
+// Next implements Iterator: a dense range advances to the successor
+// of the current key in the value order (the leapfrog search then seeks
+// the real iterators past it).
+func (r *RangeIterator) Next() {
+	if r.atEnd {
+		return
+	}
+	r.cur = tuple.Successor(r.cur)
+	r.atEnd = !r.inRange(r.cur)
+}
+
+// Seek implements Iterator.
+func (r *RangeIterator) Seek(v tuple.Value) {
+	if tuple.Compare(v, r.lo) < 0 {
+		v = r.lo
+	}
+	r.cur = v
+	r.atEnd = !r.inRange(v)
 }
 
 // Collect drains an iterator depth-first from its current (root) position

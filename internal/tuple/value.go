@@ -204,7 +204,8 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
 // Hash returns a 64-bit hash of the value, used to derive treap priorities
 // (the unique-representation property requires the priority to be a pure
-// function of the key).
+// function of the key). Values that Compare equal hash alike: a float zero
+// hashes as +0, as AppendKey encodes it.
 func (v Value) Hash() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	h = fnv1aByte(h, byte(v.kind))
@@ -215,6 +216,9 @@ func (v Value) Hash() uint64 {
 		}
 	default:
 		n := v.num
+		if v.kind == KindFloat && math.Float64frombits(n) == 0 {
+			n = 0 // -0.0 compares equal to 0.0
+		}
 		for i := 0; i < 8; i++ {
 			h = fnv1aByte(h, byte(n))
 			n >>= 8

@@ -24,7 +24,8 @@
 // within one binding. QueryStream runs a
 // read-only query as a pull cursor (Next/Err/Close) that pipelines
 // rows straight from the join iterators without materializing the
-// result; Query/QueryCtx drain the same cursor into a slice. Failures
+// result (a row stays valid until the next Next, so clone one to keep
+// it); Query/QueryCtx drain the same cursor into a slice. Failures
 // carry typed
 // sentinel errors (ErrParse, ErrTypecheck, ErrConflict, ErrNoSuchBranch,
 // ErrConstraint) matchable with errors.Is. cmd/lb-serve exposes the same
