@@ -158,18 +158,13 @@ func (e existsExpr) Eval(b tuple.Tuple, r Resolver) (tuple.Value, error) {
 }
 
 // CompareValues applies a comparison operator, widening numerics so that
-// 2 = 2.0 holds.
+// 2 = 2.0 holds. Numbers compare in the total order the trie seeks over
+// (tuple.CompareFloats: a NaN is above every number and equal to a NaN),
+// so a filter and the range seek that stands in for it answer alike.
 func CompareValues(op string, l, r tuple.Value) (bool, error) {
-	var c int
 	if lf, lok := l.Numeric(); lok {
 		if rf, rok := r.Numeric(); rok {
-			switch {
-			case lf < rf:
-				c = -1
-			case lf > rf:
-				c = 1
-			}
-			return cmpHolds(op, c), nil
+			return cmpHolds(op, tuple.CompareFloats(lf, rf)), nil
 		}
 	}
 	if l.Kind() != r.Kind() {
@@ -181,8 +176,7 @@ func CompareValues(op string, l, r tuple.Value) (bool, error) {
 		}
 		return false, fmt.Errorf("cannot compare %s with %s", l, r)
 	}
-	c = tuple.Compare(l, r)
-	return cmpHolds(op, c), nil
+	return cmpHolds(op, tuple.Compare(l, r)), nil
 }
 
 func cmpHolds(op string, c int) bool {

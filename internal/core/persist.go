@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"logicblox/internal/compiler"
+	"logicblox/internal/ivm"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -197,9 +198,13 @@ func decodeRows(r snapshotRel) (relation.Relation, error) {
 
 // restoreWorkspace rebuilds a workspace from block sources and base data:
 // all blocks are compiled together, base predicates set, derived
-// predicates re-materialized, and integrity constraints verified.
-func restoreWorkspace(blocks map[string]string, base map[string]relation.Relation) (*Workspace, error) {
+// predicates re-materialized, and integrity constraints verified. The
+// workspace's lineage shares memo (nil: a memo of its own, empty).
+func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]relation.Relation) (*Workspace, error) {
 	ws := NewWorkspace()
+	if memo != nil {
+		ws.memo = memo
+	}
 	for n, src := range blocks {
 		ws.blocks = ws.blocks.Set(n, src)
 	}
@@ -315,6 +320,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		return nil, fmt.Errorf("core: %w: %v", ErrCorruptSnapshot, err)
 	}
 	heads := make([]*Workspace, len(snap.Heads))
+	memo := ivm.NewMemo() // every branch of the database shares one
 	for i, h := range snap.Heads {
 		base := make(map[string]relation.Relation, len(h.Base))
 		for pred, ri := range h.Base {
@@ -323,7 +329,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			}
 			base[pred] = rels[ri]
 		}
-		ws, err := restoreWorkspace(h.Blocks, base)
+		ws, err := restoreWorkspace(memo, h.Blocks, base)
 		if err != nil {
 			// A snapshot whose recorded logic no longer parses, compiles
 			// or satisfies its constraints is corrupt: Save only writes

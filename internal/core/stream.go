@@ -188,7 +188,9 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	ctx := ws.newContext(rctx, &walked)
 	esp := sp.Child("eval")
 	ctx.SetSpan(esp)
-	if _, _, err = ivm.Rederive(ctx, changed, nil, nil); err == nil && answer != nil {
+	_, st, err := ivm.Rederive(ctx, ws.memo, changed, nil, nil)
+	countMemo(ws.Observer(), st)
+	if err == nil && answer != nil {
 		var rc *engine.RuleCursor
 		if rc, err = ctx.StreamRule(answer); err == nil {
 			w := len(answer.HeadExprs)

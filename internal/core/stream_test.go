@@ -499,6 +499,10 @@ salesByProduct[p] = u -> price[p] = _.`
 		{`v(x) <- a(x).`, `+a(1). +a(1.5). +a(2). +a(2.5).`, `_(x) <- a(x), x < 2.`},
 		{`v(x) <- a(x).`, `+a(1). +a(1.5). +a(2). +b(1.5).`, `_(x) <- a(x), b(x), x > 1.`},
 		{`v(x) <- a(x).`, `+a(-1.5). +a(0.0). +a(2.5).`, `_(x) <- a(x), x >= 0, x < 2.5.`},
+		// A NaN (inf − inf) orders above every float, in the trie and in
+		// the filter alike.
+		{`v(x) <- a(x).`, "+a(x) <- x = 1e308 * 10.0 - 1e308 * 10.0.\n+a(1.0). +a(2.0).", `_(x) <- a(x), x > 1.5.`},
+		{`v(x) <- a(x).`, "+a(x) <- x = 1e308 * 10.0 - 1e308 * 10.0.\n+a(1.0). +a(2.0).", `_(x) <- a(x), x <= 1.5.`},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}

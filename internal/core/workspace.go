@@ -31,6 +31,7 @@ type Workspace struct {
 	base    pmap.Map[relation.Relation] // base predicate contents
 	derived pmap.Map[relation.Relation] // derived predicate contents
 	models  *ml.Registry                // model store (append-only, shared across versions)
+	memo    *ivm.Memo                   // strata evaluated whole before (shared across versions)
 	version uint64
 	obs     *obs.Registry // transaction profiling target (nil → obs.Default)
 	// unchecked marks a version settled without the integrity check (Load,
@@ -51,6 +52,7 @@ func NewWorkspace() *Workspace {
 		base:    pmap.NewMap[relation.Relation](),
 		derived: pmap.NewMap[relation.Relation](),
 		models:  ml.NewRegistry(),
+		memo:    ivm.NewMemo(),
 	}
 }
 
@@ -181,19 +183,20 @@ func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[st
 			changed[name] = true
 		}
 	}
-	moved, st, err := ivm.Rederive(ctx, changed, base, before)
+	moved, st, err := ivm.Rederive(ctx, ws.memo, changed, base, before)
 	evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped)
 	sp.SetAttr("rules_evaluated", evals)
 	sp.SetAttr("rules_reused", reused)
 	sp.End()
+	reg := ws.Observer()
 	if evals+reused > 0 {
-		reg := ws.Observer()
 		reg.Counter("core.rederive.rules_evaluated").Add(evals)
 		reg.Counter("core.rederive.rules_reused").Add(reused)
 		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
 		reg.Counter("core.rederive.groups_signed").Add(int64(st.GroupsSigned))
 		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
 	}
+	countMemo(reg, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -203,6 +206,17 @@ func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[st
 		dirty[h] = true
 	}
 	return out, moved, nil
+}
+
+// countMemo publishes what one walk's memo lookups came to (ivm.Memo).
+func countMemo(reg *obs.Registry, st ivm.Stats) {
+	if st.MemoHits+st.MemoMisses+st.MemoFallbacks+st.MemoEvictions == 0 {
+		return
+	}
+	reg.Counter("core.memo.hits").Add(int64(st.MemoHits))
+	reg.Counter("core.memo.misses").Add(int64(st.MemoMisses))
+	reg.Counter("core.memo.fallbacks").Add(int64(st.MemoFallbacks))
+	reg.Counter("core.memo.evictions").Add(int64(st.MemoEvictions))
 }
 
 // Query runs a query transaction: src is a program with a designated

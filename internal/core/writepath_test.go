@@ -166,7 +166,7 @@ func TestFunctionalDependencyFirstWrite(t *testing.T) {
 	if !errors.Is(err, ErrConstraint) || !strings.Contains(err.Error(), "g: key (1) has values 2 and 3") {
 		t.Fatalf("first write of two values for g[1]: err = %v, want ErrConstraint naming g and key (1)", err)
 	}
-	_, err = restoreWorkspace(map[string]string{"s": `g[k] = v -> int(k), int(v).`},
+	_, err = restoreWorkspace(nil, map[string]string{"s": `g[k] = v -> int(k), int(v).`},
 		map[string]relation.Relation{"g": relation.FromTuples(2, []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(1, 3)})})
 	if !errors.Is(err, ErrConstraint) {
 		t.Fatalf("restore of two values for g[1]: err = %v, want ErrConstraint", err)

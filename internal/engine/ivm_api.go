@@ -162,3 +162,6 @@ func restrict(r *compiler.RulePlan, vars []int, keys relation.Relation) (*compil
 // layer uses this to record one index per rule or stratum; transaction
 // repair records one index per reactive stratum.
 func (c *Context) SetSensitivityIndex(idx *lftj.SensitivityIndex) { c.sens = idx }
+
+// Recording reports whether evaluations record into a sensitivity index.
+func (c *Context) Recording() bool { return c.sens != nil }

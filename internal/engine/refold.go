@@ -89,7 +89,7 @@ func (c *Context) RefoldStratum(sp *obs.Span, rules []*compiler.RulePlan, acc ma
 		}
 		keys = append(keys, g.key)
 	}
-	if !ok || tooManyGroups(len(keys), prev.Len()) {
+	if !ok || PastCrossover(len(keys), prev.Len()) {
 		sp.SetAttr("refold_fallback", 1)
 		return 0, 0, true, c.ReevalStratum(sp, rules)
 	}
@@ -179,16 +179,19 @@ func (g *groupDelta) add(agg *compiler.AggPlan, binding tuple.Tuple, sign int) {
 	}
 }
 
-// tooManyGroups reports whether re-folding n groups of a head of size
-// tuples costs more than re-evaluating the stratum whole: past a third of
-// the head (the crossover RefoldStratum documents).
-func tooManyGroups(n, size int) bool { return 3*n > size }
+// PastCrossover reports whether maintaining n changes to something of
+// size tuples costs more than re-evaluating the stratum whole: past a
+// third of its size. It is the one crossover of the maintenance path —
+// RefoldStratum's re-folded groups against its head (the measurement it
+// documents), and the memo's input diffs against the inputs (ivm.Memo) —
+// a fixed rule, not an option.
+func PastCrossover(n, size int) bool { return 3*n > size }
 
 // deltaGroups enumerates the exact binding delta of every rule of the
 // stratum, each under a rule span of sp counting the bindings it yielded,
 // and gathers it by group key, in the order the keys first appear. With
 // limit > 0 it stops with ok=false as soon as the keys are too many to
-// re-fold in a head of limit tuples (tooManyGroups).
+// re-fold in a head of limit tuples (PastCrossover).
 func (c *Context) deltaGroups(sp *obs.Span, rules []*compiler.RulePlan, acc map[string]Delta, old map[string]relation.Relation, limit int) (groups []*groupDelta, ok bool, err error) {
 	byKey := map[string]*groupDelta{}
 	var buf []byte
@@ -208,14 +211,14 @@ func (c *Context) deltaGroups(sp *obs.Span, rules []*compiler.RulePlan, acc map[
 			if r.Agg != nil {
 				g.add(r.Agg, binding, sign)
 			}
-			return limit == 0 || !tooManyGroups(len(groups), limit)
+			return limit == 0 || !PastCrossover(len(groups), limit)
 		})
 		rsp.SetAttr("bindings", n)
 		rsp.End()
 		if err != nil {
 			return nil, false, err
 		}
-		if limit > 0 && tooManyGroups(len(groups), limit) {
+		if limit > 0 && PastCrossover(len(groups), limit) {
 			return nil, false, nil
 		}
 	}

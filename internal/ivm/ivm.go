@@ -19,7 +19,9 @@
 //     Mumick & Subrahmanian, SIGMOD'93) for non-recursive strata.
 //   - DRed: delete-and-rederive with a restricted re-derive. The
 //     transaction path (core's rederive) runs this mode through Rederive:
-//     it keeps no state between passes.
+//     it keeps no state between passes but its caller's Memo, which
+//     remembers the strata it had to evaluate whole, so that the same
+//     rules met again are maintained by the diff of their inputs.
 //
 // Counting and DRed maintain a stratum through the delta forms of its
 // rules, which engine.Context.EnumerateDelta enumerates exactly: every
@@ -71,6 +73,7 @@ type Delta = engine.Delta
 type Maintainer struct {
 	mode Mode
 	ctx  *engine.Context
+	memo *Memo // strata evaluated whole before (Rederive's; nil: none)
 
 	// counting state: per-rule derivation counts and per-predicate
 	// support totals.
@@ -89,6 +92,10 @@ type Stats struct {
 	StrataReevaluated int // strata re-evaluated whole, re-fold fallbacks included
 	GroupsSigned      int // aggregate groups updated by their signed delta
 	GroupsRefolded    int // aggregate groups re-folded
+	MemoHits          int // strata answered from the memo (Memo)
+	MemoMisses        int // strata the memo held nothing for
+	MemoFallbacks     int // strata the memo held but re-evaluated whole
+	MemoEvictions     int // memo entries evicted
 }
 
 type crec struct {

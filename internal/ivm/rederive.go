@@ -13,17 +13,21 @@ import (
 // names that moved with one (a transaction's base predicates), before
 // their contents beforehand, and changed names what moved without a known
 // delta (the heads of an addblock's or removeblock's changed rules, a
-// restore's or a solve's predicates). A stratum that derives or reads a
-// name in changed is re-evaluated whole, and from then on the delta of
-// every head it derives is known. A stratum reading only known deltas is
-// maintained by them — DRed, or for an aggregate its touched groups
-// updated by their signed delta or re-folded. The walk consumes changed.
-// DRed and RefoldStratum keep no state between passes, so this is the
-// transaction path's maintenance (core's rederive). It returns the delta
-// of every head the walk moved — content changed, or stored for the first
-// time (even when empty) — and the work counters.
-func Rederive(ctx *engine.Context, changed map[string]bool, pending map[string]Delta, before map[string]relation.Relation) (map[string]Delta, Stats, error) {
-	m := &Maintainer{mode: DRed, ctx: ctx}
+// query's rules, a restore's or a solve's predicates). A stratum that
+// derives or reads a name in changed would be re-evaluated whole: with a
+// memo (nil: none) it is first looked up there, and on a hit the
+// remembered heads are maintained by the diff of their inputs instead
+// (Memo). From then on the delta of every head it derives is known. A
+// stratum reading only known deltas is maintained by them — DRed, or for
+// an aggregate its touched groups updated by their signed delta or
+// re-folded. The walk consumes changed. DRed and RefoldStratum keep no
+// state between passes, and the memo is the only structure the walk keeps
+// across them; this is the transaction path's maintenance (core's
+// rederive). It returns the delta of every head the walk moved — content
+// changed, or stored for the first time (even when empty) — and the work
+// counters.
+func Rederive(ctx *engine.Context, memo *Memo, changed map[string]bool, pending map[string]Delta, before map[string]relation.Relation) (map[string]Delta, Stats, error) {
+	m := &Maintainer{mode: DRed, ctx: ctx, memo: memo}
 	acc := make(map[string]Delta, len(pending))
 	old := make(map[string]relation.Relation, len(pending))
 	for name, d := range pending {
@@ -46,7 +50,9 @@ func Rederive(ctx *engine.Context, changed map[string]bool, pending map[string]D
 // stratum is skipped. Once its stratum is maintained, a head's delta is
 // known, so the walk deletes it from changed: a reader of a changed head
 // is maintained by that delta like any other, and a changed head that did
-// not move reaches no reader.
+// not move reaches no reader. A stratum that derives or reads a name in
+// changed is looked up in the memo first when the maintainer has one
+// (fromMemo), and remembered after.
 func (m *Maintainer) walk(changed map[string]bool, acc map[string]Delta, old map[string]relation.Relation) error {
 	unknown := func(name string) bool { return changed[name] }
 	pending := func(name string) bool {
@@ -66,15 +72,25 @@ func (m *Maintainer) walk(changed map[string]bool, acc map[string]Delta, old map
 			stored[r.HeadName] = m.ctx.Has(r.HeadName)
 		}
 		sp := m.ctx.StratumSpan(stratum)
-		by, err := m.maintain(sp, stratum, known, acc, old)
+		memoized := !known && m.memoizes(stratum)
+		var by string
+		var err error
+		if memoized {
+			by, err = m.fromMemo(sp, stratum)
+		} else {
+			by, err = m.maintain(sp, stratum, known, acc, old)
+		}
 		sp.SetLabel("maintained_by", by)
 		if err != nil {
 			sp.End()
 			return err
 		}
 		for head, was := range before {
-			m.record(head, was, stored[head], by == byReeval, sp, acc, old)
+			m.record(head, was, stored[head], by == byReeval || by == byMemo, sp, acc, old)
 			delete(changed, head)
+		}
+		if memoized {
+			m.remember(stratum)
 		}
 		sp.End()
 	}
@@ -101,35 +117,52 @@ const (
 	byCount     = "count"
 	byPropagate = "propagate"
 	byReeval    = "reeval"
+	byMemo      = "memo"
 )
 
-// maintain brings one touched stratum up to date by the operator the mode
-// picks for it, under its stratum span sp, and names that operator; known
-// says every change the stratum sees comes with its delta. Counting and
-// DRed maintain the touched groups of a non-recursive aggregate stratum
-// with known deltas no negated predicate of which moved by their signed
-// delta or a re-fold (RefoldStratum, which may itself fall back to a
-// whole re-evaluation); any other
-// aggregate stratum — a recursive clique holding an aggregate among them
-// — is re-evaluated whole. Otherwise Counting counts a countable
-// non-recursive stratum (recounting it when its deltas are not known) and
-// propagates a monotone change into a countable recursive one; DRed runs
-// over-deletion and rederivation on a countable stratum no negated
-// predicate of which moved. Everything else is re-evaluated whole.
-func (m *Maintainer) maintain(sp *obs.Span, stratum []*compiler.RulePlan, known bool, acc map[string]Delta, old map[string]relation.Relation) (by string, err error) {
+// operator names the operator maintain runs on one touched stratum; known
+// says every change the stratum sees comes with its delta in acc. Counting
+// and DRed maintain the touched groups of a non-recursive aggregate
+// stratum with known deltas no negated predicate of which moved by their
+// signed delta or a re-fold (RefoldStratum, which may itself fall back to
+// a whole re-evaluation); any other aggregate stratum — a recursive
+// clique holding an aggregate among them — is re-evaluated whole.
+// Otherwise Counting counts a countable non-recursive stratum (recounting
+// it when its deltas are not known) and propagates a monotone change into
+// a countable recursive one; DRed runs over-deletion and rederivation on a
+// countable stratum no negated predicate of which moved. Everything else
+// is re-evaluated whole.
+func (m *Maintainer) operator(stratum []*compiler.RulePlan, known bool, acc map[string]Delta) string {
 	incremental := (m.mode == Counting || m.mode == DRed) && countable(stratum)
 	recursive := compiler.StratumRecursive(stratum)
 	switch {
 	case incremental && aggregates(stratum):
 		if known && !recursive && !negTouched(acc, stratum...) {
-			return m.refold(sp, stratum, acc, old)
+			return byRefold
 		}
 	case incremental && m.mode == Counting && !recursive:
-		return byCount, m.countStratum(stratum, known, acc, old)
+		return byCount
 	case incremental && m.mode == Counting && known && monotone(stratum, acc):
-		return byPropagate, m.propagateInserts(sp, stratum, acc, map[string]relation.Relation{})
+		return byPropagate
 	case incremental && m.mode == DRed && known && !negTouched(acc, stratum...):
-		return byDRed, m.dredStratum(sp, stratum, acc, old)
+		return byDRed
+	}
+	return byReeval
+}
+
+// maintain brings one touched stratum up to date, under its stratum span
+// sp, by the operator the mode picks for it (operator), and names the
+// operator that did.
+func (m *Maintainer) maintain(sp *obs.Span, stratum []*compiler.RulePlan, known bool, acc map[string]Delta, old map[string]relation.Relation) (by string, err error) {
+	switch by = m.operator(stratum, known, acc); by {
+	case byRefold:
+		return m.refold(sp, stratum, acc, old)
+	case byCount:
+		return by, m.countStratum(stratum, known, acc, old)
+	case byPropagate:
+		return by, m.propagateInserts(sp, stratum, acc, map[string]relation.Relation{})
+	case byDRed:
+		return by, m.dredStratum(sp, stratum, acc, old)
 	}
 	m.Stats.RulesEvaluated += len(stratum)
 	m.Stats.StrataReevaluated++

@@ -44,18 +44,22 @@ func FuzzBuildMatchesInsert(f *testing.F) {
 	f.Add(uint8(2), uint8(7), []byte{2, 3, 0, 5, 2, 3, 0, 4, 1, 9, 3, 1}) // strings, bools
 	f.Add(uint8(3), uint8(2), []byte{0, 9, 0, 8, 0, 7, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1})
 	f.Add(uint8(0), uint8(0), []byte{})
-	f.Add(uint8(0), uint8(0), []byte{1, 8, 1, 3, 1, 17, 1, 3}) // -0.0, 0.0, -0.0, 0.0
+	f.Add(uint8(0), uint8(0), []byte{1, 8, 1, 3, 1, 17, 1, 3})              // -0.0, 0.0, -0.0, 0.0
+	f.Add(uint8(0), uint8(0), []byte{1, 2, 1, 10, 1, 7, 1, 4, 1, 16, 1, 6}) // -0.5 twice, NaN, 0.5, NaN of another payload, 1.5
 	// value maps two bytes to an int, a float, a string or a bool from
-	// small domains, so tuples repeat, 1 meets 1.0 and -0.0 meets 0.0
-	// (they compare equal and hash alike). NaN stays out: it compares
-	// equal to every float, so no order holds it.
+	// small domains, so tuples repeat, 1 meets 1.0, -0.0 meets 0.0 and one
+	// NaN payload meets another (they compare equal and hash alike; a NaN
+	// orders above every other float).
 	value := func(kind, b byte) tuple.Value {
 		switch kind % 4 {
 		case 0:
 			return tuple.Int(int64(b%8) - 3)
 		case 1:
-			if b%9 == 8 {
+			switch b % 9 {
+			case 8:
 				return tuple.Float(math.Copysign(0, -1))
+			case 7:
+				return tuple.Float(math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(b)))
 			}
 			return tuple.Float(float64(int(b%8)-3) / 2)
 		case 2:

@@ -81,6 +81,50 @@ func TestEqualIgnoresZeroSign(t *testing.T) {
 	}
 }
 
+// TestNaNTotalOrder: a NaN orders above every float and equal to every
+// NaN, whatever its payload, so a relation holds it as one tuple of its
+// own — built in bulk or by inserts — and Equal, StructuralHash and Diff
+// agree about it.
+func TestNaNTotalOrder(t *testing.T) {
+	nan, other := tuple.Float(math.NaN()), tuple.Float(math.Float64frombits(0x7ff8_0000_0000_0abc))
+	if !math.IsNaN(other.AsFloat()) {
+		t.Fatal("the second payload is not a NaN")
+	}
+	ts := []tuple.Tuple{tuple.Of(tuple.Float(1)), tuple.Of(nan), tuple.Of(tuple.Float(2))}
+	bulk := FromTuples(1, ts)
+	loop := New(1)
+	for _, tp := range ts {
+		loop = loop.Insert(tp)
+	}
+	for _, r := range []Relation{bulk, loop} {
+		if got := r.Slice(); len(got) != 3 || !got[2].Equal(tuple.Of(nan)) {
+			t.Fatalf("relation of (1.0), (NaN), (2.0) = %v, want [(1) (2) (NaN)]", got)
+		}
+	}
+	if !bulk.Equal(loop) || bulk.StructuralHash() != loop.StructuralHash() {
+		t.Errorf("bulk %v and insert loop %v disagree", bulk.Slice(), loop.Slice())
+	}
+	// Two payloads are one tuple: inserting the other NaN adds nothing, and
+	// a relation built with it is equal, hashes alike and diffs empty.
+	if got := bulk.Insert(tuple.Of(other)); got.Len() != 3 {
+		t.Errorf("inserting a NaN of another payload: %v", got.Slice())
+	}
+	alt := FromTuples(1, []tuple.Tuple{tuple.Of(tuple.Float(2)), tuple.Of(other), tuple.Of(tuple.Float(1))})
+	if !alt.Equal(bulk) || alt.StructuralHash() != bulk.StructuralHash() {
+		t.Errorf("%v and %v: Equal = %v, hashes %x and %x", alt.Slice(), bulk.Slice(), alt.Equal(bulk), alt.StructuralHash(), bulk.StructuralHash())
+	}
+	changes := 0
+	alt.Diff(bulk, func(tuple.Tuple) { changes++ }, func(tuple.Tuple) { changes++ })
+	if changes != 0 {
+		t.Errorf("Diff across NaN payloads enumerates %d changes", changes)
+	}
+	var dels, inss []tuple.Tuple
+	bulk.Diff(bulk.Delete(tuple.Of(other)), func(x tuple.Tuple) { dels = append(dels, x) }, func(x tuple.Tuple) { inss = append(inss, x) })
+	if len(dels) != 1 || len(inss) != 0 || !math.IsNaN(dels[0][0].AsFloat()) {
+		t.Errorf("deleting the NaN: Diff dels %v, ins %v", dels, inss)
+	}
+}
+
 func TestDiffEnumeratesChanges(t *testing.T) {
 	old := FromTuples(2, []tuple.Tuple{tuple.Ints(1, 1), tuple.Ints(2, 2), tuple.Ints(3, 3)})
 	upd := old.Delete(tuple.Ints(2, 2)).Insert(tuple.Ints(4, 4))

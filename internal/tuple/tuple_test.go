@@ -117,12 +117,13 @@ func TestTupleString(t *testing.T) {
 }
 
 // TestTupleAppendKey: two tuples encode alike exactly when Compare finds
-// them equal, across kinds, signed zeros and strings whose bytes could
-// run into the next value.
+// them equal, and then hash alike, across kinds, signed zeros, NaN
+// payloads and strings whose bytes could run into the next value.
 func TestTupleAppendKey(t *testing.T) {
 	vals := []Value{
 		Null, Bool(false), Bool(true), Int(0), Int(1), Int(-1), Float(0), Float(math.Copysign(0, -1)),
-		Float(1), Float(-1), String(""), String("1"), String("a"), String("a\x00"),
+		Float(1), Float(-1), Float(math.NaN()), Float(math.Float64frombits(0xfff8_0000_0000_0abc)),
+		String(""), String("1"), String("a"), String("a\x00"),
 		Entity(1, 0), Entity(0, 1), MaxValue(),
 	}
 	var ts []Tuple
@@ -138,6 +139,9 @@ func TestTupleAppendKey(t *testing.T) {
 			same := string(x.AppendKey(nil)) == string(y.AppendKey(nil))
 			if want := x.Compare(y) == 0; same != want {
 				t.Fatalf("AppendKey(%v) == AppendKey(%v) is %v; Compare says equal=%v", x, y, same, want)
+			}
+			if same && x.Hash() != y.Hash() {
+				t.Fatalf("%v and %v encode alike but hash apart", x, y)
 			}
 		}
 	}

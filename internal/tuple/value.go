@@ -147,8 +147,10 @@ func (v Value) mustBe(k Kind) {
 }
 
 // Compare totally orders values. Values of different kinds order by kind;
-// within a kind the natural order applies. This total order is what the
-// trie iterators and leapfrog joins seek over.
+// within a kind the natural order applies, and among floats every NaN
+// orders above every other float and equal to every NaN (CompareFloats).
+// This total order is what the trie iterators and leapfrog joins seek
+// over.
 func Compare(a, b Value) int {
 	if a.kind != b.kind {
 		if a.kind < b.kind {
@@ -169,14 +171,7 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case KindFloat:
-		af, bf := math.Float64frombits(a.num), math.Float64frombits(b.num)
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return CompareFloats(math.Float64frombits(a.num), math.Float64frombits(b.num))
 	case KindString:
 		switch {
 		case a.str < b.str:
@@ -196,6 +191,20 @@ func Compare(a, b Value) int {
 	}
 }
 
+// CompareFloats totally orders float64s: numerically, with -0 equal to
+// 0, and every NaN above every other float and equal to every NaN,
+// whatever its payload (as AppendKey encodes NaNs alike).
+func CompareFloats(a, b float64) int {
+	aNaN, bNaN := a != a, b != b
+	switch {
+	case a < b || bNaN && !aNaN:
+		return -1
+	case a > b || aNaN && !bNaN:
+		return 1
+	}
+	return 0
+}
+
 // Equal reports whether a and b are the same value.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
@@ -205,7 +214,7 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 // Hash returns a 64-bit hash of the value, used to derive treap priorities
 // (the unique-representation property requires the priority to be a pure
 // function of the key). Values that Compare equal hash alike: a float zero
-// hashes as +0, as AppendKey encodes it.
+// hashes as +0 and every NaN as one NaN, as AppendKey encodes them.
 func (v Value) Hash() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	h = fnv1aByte(h, byte(v.kind))
@@ -216,8 +225,12 @@ func (v Value) Hash() uint64 {
 		}
 	default:
 		n := v.num
-		if v.kind == KindFloat && math.Float64frombits(n) == 0 {
+		switch f := math.Float64frombits(n); {
+		case v.kind != KindFloat:
+		case f == 0:
 			n = 0 // -0.0 compares equal to 0.0
+		case f != f:
+			n = math.Float64bits(math.NaN()) // so do NaNs of any payload
 		}
 		for i := 0; i < 8; i++ {
 			h = fnv1aByte(h, byte(n))
