@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSignedRefold$$' -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz='^FuzzBuildMatchesInsert$$' -fuzztime=5s ./internal/relation
 	$(GO) test -run='^$$' -fuzz='^FuzzTrieIterMatchesSlice$$' -fuzztime=5s ./internal/relation
+	$(GO) test -run='^$$' -fuzz='^FuzzRelationMatchesModel$$' -fuzztime=5s ./internal/relation
 	$(GO) test -run='^$$' -fuzz='^FuzzScanMatchesTrie$$' -fuzztime=5s ./internal/lftj
 	$(GO) test -run='^$$' -fuzz='^FuzzAffectedMatchesCovers$$' -fuzztime=5s ./internal/lftj
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDatabase$$' -fuzztime=5s ./internal/core

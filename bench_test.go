@@ -480,8 +480,8 @@ func BenchmarkLiveProgramming(b *testing.B) {
 
 // --- E8: treap substrate ------------------------------------------------------
 
-func intOpsB() treap.Ops[int] {
-	return treap.Ops[int]{
+func intOpsB() *treap.Ops[int, int] {
+	return &treap.Ops[int, int]{
 		Compare: func(a, b int) int { return a - b },
 		Hash: func(k int) uint64 {
 			h := uint64(k) * 0x9e3779b97f4a7c15

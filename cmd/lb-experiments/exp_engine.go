@@ -231,7 +231,7 @@ func runTreap(quick bool) {
 	if !quick {
 		sizes = append(sizes, 1_000_000)
 	}
-	ops := treap.Ops[int]{
+	ops := &treap.Ops[int, int]{
 		Compare: func(a, b int) int { return a - b },
 		Hash: func(k int) uint64 {
 			h := uint64(k) * 0x9e3779b97f4a7c15

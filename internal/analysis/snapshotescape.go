@@ -11,9 +11,12 @@ package analysis
 // i.e. a slice/map-typed field of a type declared in the package, either
 // directly, through a local alias, or through a call to another exposing
 // function? Exported functions with an exposing summary are reported at
-// the offending return. Summaries (exported and not) go into
-// Pass.Shared; packages load in dependency order, so callers always see
-// the callee's finished summary.
+// the offending return, unless all they expose is a stored element: a
+// field of a type named in storedElements, which a substrate hands out
+// uncopied by contract (a relation's scans yield its stored tuples).
+// Summaries (exported and not, elements included) go into Pass.Shared;
+// packages load in dependency order, so callers always see the callee's
+// finished summary.
 //
 // Phase B (every package): values obtained from an exposing function are
 // tainted (and taint follows simple aliases); a write through a tainted
@@ -67,6 +70,19 @@ func runSnapshotEscape(pass *Pass) error {
 	return nil
 }
 
+// storedElements names the container types a substrate stores as
+// elements and hands out uncopied by contract: returning one is not a
+// finding, but a caller's write through it still is (phase B).
+var storedElements = map[string]bool{
+	"logicblox/internal/tuple.Tuple": true,
+}
+
+// storedElement reports whether t is named in storedElements.
+func storedElement(t types.Type) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Pkg() != nil && storedElements[n.Obj().Pkg().Path()+"."+n.Obj().Name()]
+}
+
 // containerType reports whether t is a slice or map after unwrapping
 // names and aliases.
 func containerType(t types.Type) bool {
@@ -102,6 +118,9 @@ func collectEscapeSummaries(pass *Pass, summaries map[string]bool) {
 		key     string
 		decl    *ast.FuncDecl
 		exposes bool
+		// internal: some exposure is not a stored element (a finding when
+		// exported).
+		internal bool
 		// aliased: local objects assigned from an internal field.
 		aliased map[types.Object]bool
 		// retCalls: return-position calls pending a callee summary, with
@@ -110,6 +129,16 @@ func collectEscapeSummaries(pass *Pass, summaries map[string]bool) {
 		// retAliases: return-position idents pending alias resolution.
 		firstExpose *ast.ReturnStmt
 	}
+	// expose records that ret hands back a container, internal or a
+	// stored element.
+	expose := func(fi *fnInfo, ret *ast.ReturnStmt, internal bool) {
+		fi.exposes = true
+		if internal && !fi.internal {
+			fi.internal = true
+			fi.firstExpose = ret
+		}
+	}
+	internals := map[string]bool{} // the internal half of the summaries, this package only
 	var fns []*fnInfo
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -164,18 +193,13 @@ func collectEscapeSummaries(pass *Pass, summaries map[string]bool) {
 				}
 				for _, res := range ret.Results {
 					res = ast.Unparen(res)
+					element := storedElement(pass.Info.Types[res].Type)
 					switch {
 					case internalField(pass, res):
-						fi.exposes = true
-						if fi.firstExpose == nil {
-							fi.firstExpose = ret
-						}
+						expose(fi, ret, !element)
 					default:
 						if id, ok := res.(*ast.Ident); ok && fi.aliased[pass.Info.Uses[id]] {
-							fi.exposes = true
-							if fi.firstExpose == nil {
-								fi.firstExpose = ret
-							}
+							expose(fi, ret, !element)
 						} else if call, ok := res.(*ast.CallExpr); ok {
 							if callee := staticCallee(pass, call); callee != nil {
 								fi.retCalls[callee] = ret
@@ -190,29 +214,30 @@ func collectEscapeSummaries(pass *Pass, summaries map[string]bool) {
 	}
 	for _, fi := range fns {
 		summaries[fi.key] = fi.exposes
+		internals[fi.key] = fi.internal
 	}
 	// Transitive closure through return-position calls (same-package
-	// recursion; cross-package callees are already summarized).
+	// recursion; cross-package callees are already summarized, and what
+	// they expose counts as internal).
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range fns {
-			if summaries[fi.key] {
-				continue
-			}
 			for callee, ret := range fi.retCalls {
-				if summaries[funcKey(callee)] {
-					summaries[fi.key] = true
-					fi.exposes = true
-					if fi.firstExpose == nil {
-						fi.firstExpose = ret
-					}
+				key := funcKey(callee)
+				internal := internals[key]
+				if _, local := internals[key]; !local {
+					internal = summaries[key]
+				}
+				if summaries[key] && (!fi.exposes || internal && !fi.internal) {
+					expose(fi, ret, internal)
+					summaries[fi.key], internals[fi.key] = true, fi.internal
 					changed = true
 				}
 			}
 		}
 	}
 	for _, fi := range fns {
-		if fi.exposes && fi.decl.Name.IsExported() && fi.firstExpose != nil {
+		if fi.internal && fi.decl.Name.IsExported() {
 			pass.Reportf(fi.firstExpose.Pos(),
 				"exported %s returns an internal slice/map of a persistent %s value: callers can mutate shared snapshot state; return a copy",
 				fi.decl.Name.Name, pass.Pkg.Name())

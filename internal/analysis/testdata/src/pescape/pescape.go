@@ -1,14 +1,34 @@
 // Package pmap is a snapshotescape-analyzer fixture (declared as one of
 // the protected persistent packages): exported functions returning
 // internal containers — directly, through a local alias, or through a
-// call chain — are flagged; fresh copies are not. Unexported helpers
-// feed summaries without being findings themselves.
+// call chain — are flagged; fresh copies are not, nor are stored
+// elements (tuple.Tuple), handed out uncopied by contract. Unexported
+// helpers feed summaries without being findings themselves.
 package pmap
 
+import "logicblox/internal/tuple"
+
 // Map is a stand-in persistent map: items is shared by every snapshot
-// that references this node.
+// that references this node; last is a stored element.
 type Map struct {
 	items map[string]int
+	last  tuple.Tuple
+}
+
+// Last hands out the stored element: not a finding here, but a caller's
+// write through it is.
+func (m *Map) Last() tuple.Tuple {
+	return m.last
+}
+
+// lastVia and Via return the stored element through a call chain.
+func (m *Map) lastVia() tuple.Tuple {
+	t := m.last
+	return t
+}
+
+func (m *Map) Via() tuple.Tuple {
+	return m.lastVia()
 }
 
 // New builds an empty map.

@@ -39,3 +39,12 @@ func writeCopy(m *pmap.Map) {
 	cp := m.Copy()
 	cp["k"] = 4
 }
+
+func writeElement(m *pmap.Map) {
+	t := m.Via()
+	t[0] = t[1] // want: write through a container returned by Via
+}
+
+func readElement(m *pmap.Map) int {
+	return len(m.Last())
+}

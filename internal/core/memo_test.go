@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -266,18 +265,9 @@ func freshLineage(t *testing.T, ws *Workspace, extra map[string]string) *Workspa
 	ws.base.Range(func(name string, r relation.Relation) bool { base[name] = r; return true })
 	fresh, err := restoreWorkspace(nil, blocks, base)
 	if err != nil {
-		t.Fatalf("restore %v: %v", sortedKeys(blocks), err)
+		t.Fatalf("restore %v: %v", sortedNames(blocks), err)
 	}
 	return fresh
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // newEdges is an exec inserting n edges e does not hold.
@@ -329,7 +319,7 @@ func memoHistory(t *testing.T, reg *obs.Registry, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	heads := [2]*Workspace{memoSeed(t, rng, reg)}
 	heads[1] = heads[0]
-	names := sortedKeys(memoBlocks)
+	names := sortedNames(memoBlocks)
 	cur := 0
 	for step := 0; step < steps; step++ {
 		ws := heads[cur]
@@ -577,5 +567,28 @@ func TestMemoConcurrentBranches(t *testing.T) {
 		}
 		sameAsFresh(t, ws, fmt.Sprintf("branch %d", i))
 		queryAsFresh(t, ws, memoQueries[0], fmt.Sprintf("branch %d", i))
+	}
+}
+
+// TestQueryPublishesRederive: a query's stratum walk publishes its work
+// as a transaction's rederive does. The analytic agg query evaluates its
+// auxiliary byStore on its first run; a repeat is a memo hit and
+// evaluates no rule.
+func TestQueryPublishesRederive(t *testing.T) {
+	reg := obs.NewRegistry()
+	ws := analyticWorkspace(t).WithObserver(reg)
+	run := func() memoCounts {
+		t.Helper()
+		before := readMemoCounts(reg)
+		if _, err := ws.Query(aggText); err != nil {
+			t.Fatal(err)
+		}
+		return readMemoCounts(reg).minus(before)
+	}
+	if first := run(); first.evaluated == 0 || first.misses != 1 {
+		t.Fatalf("first agg query: %+v, want rules evaluated and one memo miss", first)
+	}
+	if again := run(); again.evaluated != 0 || again.hits != 1 {
+		t.Fatalf("repeated agg query: %+v, want no rule evaluated and one memo hit", again)
 	}
 }

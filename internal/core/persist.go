@@ -205,8 +205,10 @@ func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]
 	if memo != nil {
 		ws.memo = memo
 	}
-	for n, src := range blocks {
-		ws.blocks = ws.blocks.Set(n, src)
+	// In name order, so that a restore builds its maps the same way each
+	// time.
+	for _, n := range sortedNames(blocks) {
+		ws.blocks = ws.blocks.Set(n, blocks[n])
 	}
 	progs, err := parseBlocks(ws.blocks)
 	if err != nil {
@@ -218,7 +220,8 @@ func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]
 	}
 	ws.prog = compiled
 	dirty := map[string]bool{}
-	for pred, rel := range base {
+	for _, pred := range sortedNames(base) {
+		rel := base[pred]
 		if p, ok := compiled.Preds[pred]; ok && p.Arity != rel.Arity() {
 			return nil, fmt.Errorf("predicate %s has arity %d, its data %d", pred, p.Arity, rel.Arity())
 		}

@@ -189,7 +189,7 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	esp := sp.Child("eval")
 	ctx.SetSpan(esp)
 	_, st, err := ivm.Rederive(ctx, ws.memo, changed, nil, nil)
-	countMemo(ws.Observer(), st)
+	countWalk(ws.Observer(), st)
 	if err == nil && answer != nil {
 		var rc *engine.RuleCursor
 		if rc, err = ctx.StreamRule(answer); err == nil {

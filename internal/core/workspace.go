@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"logicblox/internal/ast"
 	"logicblox/internal/compiler"
@@ -184,32 +185,42 @@ func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[st
 		}
 	}
 	moved, st, err := ivm.Rederive(ctx, ws.memo, changed, base, before)
-	evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped)
-	sp.SetAttr("rules_evaluated", evals)
-	sp.SetAttr("rules_reused", reused)
+	sp.SetAttr("rules_evaluated", int64(st.RulesEvaluated))
+	sp.SetAttr("rules_reused", int64(st.RulesSkipped))
 	sp.End()
-	reg := ws.Observer()
-	if evals+reused > 0 {
-		reg.Counter("core.rederive.rules_evaluated").Add(evals)
-		reg.Counter("core.rederive.rules_reused").Add(reused)
-		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
-		reg.Counter("core.rederive.groups_signed").Add(int64(st.GroupsSigned))
-		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
-	}
-	countMemo(reg, st)
+	countWalk(ws.Observer(), st)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := ws.clone()
-	for h := range moved {
+	for _, h := range sortedNames(moved) { // in name order: the map is built the same way each time
 		out.derived = out.derived.Set(h, ctx.Relation(h))
 		dirty[h] = true
 	}
 	return out, moved, nil
 }
 
-// countMemo publishes what one walk's memo lookups came to (ivm.Memo).
-func countMemo(reg *obs.Registry, st ivm.Stats) {
+// sortedNames returns the keys of m in ascending order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// countWalk publishes what one stratum walk (ivm.Rederive) came to: the
+// rules it evaluated and reused, how it maintained them, and its memo
+// lookups (ivm.Memo).
+func countWalk(reg *obs.Registry, st ivm.Stats) {
+	if evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped); evals+reused > 0 {
+		reg.Counter("core.rederive.rules_evaluated").Add(evals)
+		reg.Counter("core.rederive.rules_reused").Add(reused)
+		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
+		reg.Counter("core.rederive.groups_signed").Add(int64(st.GroupsSigned))
+		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
+	}
 	if st.MemoHits+st.MemoMisses+st.MemoFallbacks+st.MemoEvictions == 0 {
 		return
 	}

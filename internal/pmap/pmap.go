@@ -6,22 +6,13 @@
 package pmap
 
 import (
+	"strings"
+
 	"logicblox/internal/treap"
 )
 
-func stringOps() treap.Ops[string] {
-	return treap.Ops[string]{
-		Compare: func(a, b string) int {
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			}
-			return 0
-		},
-		Hash: hashString,
-	}
+func stringOps[V any]() *treap.Ops[string, V] {
+	return &treap.Ops[string, V]{Compare: strings.Compare, Hash: hashString}
 }
 
 func hashString(s string) uint64 {
@@ -46,7 +37,7 @@ type Map[V any] struct {
 
 // NewMap returns an empty persistent map.
 func NewMap[V any]() Map[V] {
-	return Map[V]{t: treap.New[string, V](stringOps())}
+	return Map[V]{t: treap.New(stringOps[V]())}
 }
 
 // Get returns the value bound to key.

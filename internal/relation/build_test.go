@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"logicblox/internal/tuple"
@@ -117,19 +118,42 @@ func FuzzBuildMatchesInsert(f *testing.F) {
 	})
 }
 
-// TestFromTuplesOneNodePerTuple bounds the work of a bulk build: n
-// distinct sorted tuples cost exactly n treap nodes (an insert loop copies
-// a root-to-leaf path per tuple). The storage counters are process-wide,
-// so this test must not run in parallel.
+// TestFromTuplesOneNodePerTuple bounds the work of a bulk build: it makes
+// one treap node per distinct prefix, at every level, that is not stored
+// as a single tuple — exactly trieNodes of its tuples, each level built in
+// one pass (an insert loop copies a root-to-leaf path per tuple and
+// level). Here that is 50 products, 500 product–store pairs and 5 000
+// product–store–week keys over 5 000 tuples, whose last column is never
+// a level of its own. The storage counters are process-wide, so this test
+// must not run in parallel.
 func TestFromTuplesOneNodePerTuple(t *testing.T) {
 	ts := fourColumnTuples(5000)
 	EnableStorageStats(true)
 	defer EnableStorageStats(false)
 	ResetStorageStats()
 	r := FromTuples(4, ts)
-	if got := ReadStorageStats().NodesAllocated; got != int64(len(ts)) || r.Len() != len(ts) {
-		t.Fatalf("FromTuples of %d sorted tuples: %d tuples, %d nodes; want %d of each", len(ts), r.Len(), got, len(ts))
+	want := trieNodes(ts)
+	if got := ReadStorageStats().NodesAllocated; got != int64(want) || r.Len() != len(ts) || want != 5550 {
+		t.Fatalf("FromTuples of %d sorted tuples: %d tuples, %d nodes; want %d tuples and %d (= 5550) nodes", len(ts), r.Len(), got, len(ts), want)
 	}
+}
+
+// trieNodes counts the treap nodes of a relation of the strictly
+// ascending tuples ts: a distinct prefix of d+1 columns is a key of level
+// d unless the group of its first d columns holds one tuple, which is
+// stored as that tuple. Tuples sharing a prefix are adjacent.
+func trieNodes(ts []tuple.Tuple) int {
+	n := 0
+	for i, tp := range ts {
+		for d := range tp {
+			shared := func(j int) bool { return j >= 0 && j < len(ts) && ts[j][:d].Equal(tp[:d]) }
+			if i > 0 && ts[i-1][:d+1].Equal(tp[:d+1]) || !shared(i-1) && !shared(i+1) {
+				continue // not the first of its prefix, or its group holds only tp
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // fourColumnTuples returns n distinct sorted tuples shaped like the retail
@@ -169,4 +193,39 @@ func BenchmarkBuild(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkScan drains a Cursor over 50k four-column tuples shaped like
+// the retail sales facts, the read a one-atom query streams.
+func BenchmarkScan(b *testing.B) {
+	r := FromTuples(4, fourColumnTuples(50_000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		c := r.Cursor()
+		for _, ok := c.Next(); ok; _, ok = c.Next() {
+			n++
+		}
+		if n != r.Len() {
+			b.Fatalf("scanned %d tuples of %d", n, r.Len())
+		}
+	}
+}
+
+// BenchmarkRetained reports the heap a relation of 50k four-column tuples
+// holds, per tuple, counting its tuples' values and its treap nodes.
+func BenchmarkRetained(b *testing.B) {
+	var ms runtime.MemStats
+	var r Relation
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		r = FromTuples(4, fourColumnTuples(50_000))
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.HeapAlloc-before)/float64(r.Len()), "B/tuple")
+	}
+	runtime.KeepAlive(r)
 }

@@ -6,41 +6,141 @@ import (
 	"logicblox/internal/tuple"
 )
 
+// level is a walk's position in one trie level: an iterator over the
+// level's treap, or, where the group below the prefix is one tuple, that
+// tuple, whose value in the level's column is the level's only key.
+type level struct {
+	it  treap.Iterator[tuple.Value, group]
+	one tuple.Tuple
+}
+
+// Cursor is a pull iterator over a relation's tuples in lexicographic
+// order — the same sequence Slice returns, without building the slice.
+// It keeps one treap iterator per level it has descended into; a row
+// costs no allocation. The relation is immutable, so the cursor stays
+// valid indefinitely.
+type Cursor struct {
+	stack []level // the levels being walked, outermost first
+	depth int     // the depth of stack[0]
+}
+
+// cursorOf returns a cursor positioned before the first tuple of g, a
+// group d columns below the root.
+func cursorOf(g group, d int) *Cursor {
+	c := &Cursor{depth: d}
+	c.push(g)
+	return c
+}
+
+// push starts walking g one level below the walk's current one, reusing
+// the iterator last used there.
+func (c *Cursor) push(g group) *level {
+	if len(c.stack) == cap(c.stack) {
+		c.stack = append(c.stack, level{})
+	} else {
+		c.stack = c.stack[:len(c.stack)+1]
+	}
+	l := &c.stack[len(c.stack)-1]
+	if l.one = g.one; g.one == nil {
+		l.it.Reset(g.at(c.depth + len(c.stack) - 1))
+	}
+	return l
+}
+
+// Cursor returns a pull iterator positioned before the first tuple.
+func (r Relation) Cursor() *Cursor {
+	c := &Cursor{stack: make([]level, 0, r.arity+1)}
+	c.push(r.root)
+	return c
+}
+
+// CursorAt returns a pull iterator positioned before the least tuple ≥
+// probe, found in one descent of each level the probe's prefix names: a
+// probe of one value starts at the first tuple whose first column is ≥ it.
+func (r Relation) CursorAt(probe tuple.Tuple) *Cursor {
+	c := &Cursor{stack: make([]level, 0, r.arity+1)}
+	g := r.root
+	for d := 0; ; d++ {
+		switch {
+		case g.one != nil:
+			if g.one.Compare(probe) >= 0 {
+				c.push(g)
+			}
+			return c
+		case d >= len(probe):
+			c.push(g) // the whole group extends the probe
+			return c
+		}
+		l := c.push(group{})
+		l.it.ResetAt(g.at(d), probe[d])
+		if l.it.AtEnd() || !tuple.Equal(l.it.Key(), probe[d]) {
+			return c // every tuple from here on is greater than the probe
+		}
+		// Descend into the probe's own key; the level resumes past it.
+		g = l.it.Value()
+		l.it.Next()
+	}
+}
+
+// Next returns the next tuple in lexicographic order; ok is false once
+// the relation is exhausted. The tuple is the stored (immutable) value —
+// callers must not mutate it.
+func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
+	for n := len(c.stack); n > 0; n = len(c.stack) {
+		l := &c.stack[n-1]
+		switch {
+		case l.one != nil:
+			t, l.one = l.one, nil
+			c.stack = c.stack[:n-1]
+			return t, true
+		case l.it.AtEnd():
+			c.stack = c.stack[:n-1]
+			continue
+		}
+		g := l.it.Value()
+		l.it.Next()
+		if g.one != nil {
+			return g.one, true
+		}
+		c.push(g)
+	}
+	return nil, false
+}
+
 // TrieIter presents a Relation as a trie (implements trie.Iterator).
 //
-// It is backed by one iterator over the relation's tuple treap, made on
-// the first Open and reused for the TrieIter's life. Depth-first trie
-// navigation (the access pattern of leapfrog triejoin) visits tuples in
-// lexicographic order, so every Next/Seek is a forward finger Seek on the
-// treap iterator. An Open after Up re-seeks it from the root to the
-// group's first tuple, since an Up may leave it past the group. Each
-// operation is O(log N) as required by the iterator contract, and none
-// allocates once the treap iterator's stack has grown to the tree height.
-// A one-atom join is a scan: trie.Scanner walks the treap in order.
+// It keeps one treap iterator per depth, each over the level of the key
+// selected above it. Open resets the next depth's iterator on the current
+// key's level, Up returns to the iterator left where it was, and Next and
+// Seek move one depth's iterator forward — a Seek is a finger search among
+// that one level's keys, comparing one value per step. Where the group
+// below a key is a single tuple, the depths below walk that tuple's
+// values, one key each. Each operation is O(log N), and m ascending
+// visits at one level cost amortized O(1 + log(N/m)); none allocates,
+// since every depth's iterator is sized for the relation when the
+// TrieIter is made. A one-atom join is a scan: trie.Scanner walks the
+// relation in order.
 type TrieIter struct {
-	r      Relation
-	it     *treap.Iterator[tuple.Tuple, struct{}]
-	prefix tuple.Tuple // keys selected at levels 0..depth
-	depth  int
-	atEnd  bool
-	stale  bool        // set by Up: underlying iterator may sit past this group
-	probe  tuple.Tuple // scratch buffer for seek bounds
+	r     Relation
+	lv    []level // lv[d]: the position at depth d
+	depth int
+	atEnd bool
+	probe [1]tuple.Value // Scan's bound
 }
 
 // Iterator returns a trie iterator positioned at the synthetic root.
 func (r Relation) Iterator() trie.Iterator {
-	return &TrieIter{
-		r:      r,
-		depth:  -1,
-		prefix: make(tuple.Tuple, 0, r.arity),
-		probe:  make(tuple.Tuple, 0, r.arity+1),
+	ti := &TrieIter{r: r, depth: -1, lv: make([]level, r.arity)}
+	for i := range ti.lv {
+		ti.lv[i].it.Reserve(r.Len())
 	}
+	return ti
 }
 
 // Scan implements trie.Scanner.
 func (ti *TrieIter) Scan(from tuple.Value) func() (tuple.Tuple, bool) {
-	ti.probe = append(ti.probe[:0], from)
-	return ti.r.CursorAt(ti.probe).Next
+	ti.probe[0] = from
+	return ti.r.CursorAt(ti.probe[:]).Next
 }
 
 // Arity implements trie.Iterator.
@@ -57,48 +157,38 @@ func (ti *TrieIter) Key() tuple.Value {
 	if ti.depth < 0 || ti.atEnd {
 		panic("relation: Key called at root or at end")
 	}
-	return ti.prefix[ti.depth]
+	l := &ti.lv[ti.depth]
+	if l.one != nil {
+		return l.one[ti.depth]
+	}
+	return l.it.Key()
 }
 
 // Open implements trie.Iterator.
 func (ti *TrieIter) Open() {
-	if ti.depth+1 >= ti.r.arity {
+	d := ti.depth + 1
+	if d >= ti.r.arity {
 		panic("relation: Open below leaf level")
 	}
-	if ti.depth >= 0 && ti.atEnd {
-		panic("relation: Open at end of level")
-	}
-	if ti.depth < 0 {
-		// (Re-)open at the root: rewind to the first tuple.
-		if ti.it == nil {
-			ti.it = ti.r.t.Iterator()
+	g := ti.r.root
+	if d > 0 {
+		if ti.atEnd {
+			panic("relation: Open at end of level")
+		}
+		if p := &ti.lv[d-1]; p.one != nil {
+			g = group{one: p.one}
 		} else {
-			ti.it.First()
+			g = p.it.Value()
 		}
-		ti.stale = false
-		ti.depth = 0
-		ti.prefix = ti.prefix[:0]
-		if ti.it.AtEnd() {
-			ti.atEnd = true
-			return
-		}
-		ti.prefix = append(ti.prefix, ti.it.Key()[0])
+	}
+	ti.depth = d
+	l := &ti.lv[d]
+	if l.one = g.one; g.one != nil {
 		ti.atEnd = false
 		return
 	}
-	if ti.stale {
-		// An earlier Up left the underlying iterator beyond this group
-		// (Seek cannot move backward), so re-seek it from the root to the
-		// group's first tuple: the least tuple ≥ the current prefix.
-		ti.it.SeekFromRoot(ti.prefix)
-		ti.stale = false
-	}
-	// The underlying iterator is positioned at the first tuple of the
-	// current key's group (an invariant of Next/Seek/Open landings), so
-	// the first child key can be read off directly.
-	ti.depth++
-	ti.prefix = append(ti.prefix, ti.it.Key()[ti.depth])
-	ti.atEnd = false
+	l.it.Reset(g.at(d))
+	ti.atEnd = l.it.AtEnd()
 }
 
 // Up implements trie.Iterator.
@@ -107,9 +197,7 @@ func (ti *TrieIter) Up() {
 		panic("relation: Up at root")
 	}
 	ti.depth--
-	ti.prefix = ti.prefix[:ti.depth+1]
 	ti.atEnd = false
-	ti.stale = true
 }
 
 // Next implements trie.Iterator.
@@ -117,12 +205,13 @@ func (ti *TrieIter) Next() {
 	if ti.atEnd {
 		return
 	}
-	// Seek just past (prefix[0..depth], +inf, ...): the least tuple whose
-	// value at this depth exceeds the current key under the same parent.
-	ti.probe = ti.probe[:0]
-	ti.probe = append(ti.probe, ti.prefix...)
-	ti.probe = append(ti.probe, tuple.MaxValue())
-	ti.land()
+	l := &ti.lv[ti.depth]
+	if l.one != nil {
+		ti.atEnd = true // a single tuple's level has one key
+		return
+	}
+	l.it.Next()
+	ti.atEnd = l.it.AtEnd()
 }
 
 // Seek implements trie.Iterator.
@@ -130,33 +219,11 @@ func (ti *TrieIter) Seek(v tuple.Value) {
 	if ti.atEnd {
 		return
 	}
-	if tuple.Compare(v, ti.prefix[ti.depth]) <= 0 {
-		return // already at or past the probe
-	}
-	ti.probe = ti.probe[:0]
-	ti.probe = append(ti.probe, ti.prefix[:ti.depth]...)
-	ti.probe = append(ti.probe, v)
-	ti.land()
-}
-
-// land seeks the underlying iterator to ti.probe and re-derives the
-// position at the current depth: either on a new sibling key (same
-// parent prefix) or at the end of the level.
-func (ti *TrieIter) land() {
-	ti.it.Seek(ti.probe)
-	ti.stale = false
-	if ti.it.AtEnd() {
-		ti.atEnd = true
+	l := &ti.lv[ti.depth]
+	if l.one != nil {
+		ti.atEnd = tuple.Compare(l.one[ti.depth], v) < 0
 		return
 	}
-	t := ti.it.Key()
-	// Still under the same parent prefix?
-	for i := 0; i < ti.depth; i++ {
-		if !tuple.Equal(t[i], ti.prefix[i]) {
-			ti.atEnd = true
-			return
-		}
-	}
-	ti.prefix[ti.depth] = t[ti.depth]
-	ti.atEnd = false
+	l.it.Seek(v)
+	ti.atEnd = l.it.AtEnd()
 }

@@ -221,3 +221,70 @@ func TestRelationModelProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEqualSeesChildren: relations whose top levels hold the same keys but
+// differ below are unequal, hash apart, and diff to exactly the tuples
+// that differ — Equal and Diff look into every key's group. After one
+// insert into a large relation, Diff touches O(levels · log n) nodes: it
+// prunes the subtrees the versions share at every level.
+func TestEqualSeesChildren(t *testing.T) {
+	base := []tuple.Tuple{tuple.Ints(1, 1, 1), tuple.Ints(1, 2, 1), tuple.Ints(2, 1, 1), tuple.Ints(2, 2, 2)}
+	for _, c := range []struct {
+		name     string
+		del, ins tuple.Tuple
+	}{
+		{"last column", tuple.Ints(2, 2, 2), tuple.Ints(2, 2, 3)},
+		{"middle column", tuple.Ints(1, 2, 1), tuple.Ints(1, 3, 1)},
+		{"single tuple below", tuple.Ints(2, 1, 1), tuple.Ints(2, 1, 5)},
+	} {
+		a := FromTuples(3, base)
+		b := a.Delete(c.del).Insert(c.ins)
+		if a.Equal(b) || b.Equal(a) || a.StructuralHash() == b.StructuralHash() {
+			t.Errorf("%s: %v and %v: Equal %v, hashes %x and %x", c.name, a.Slice(), b.Slice(), a.Equal(b), a.StructuralHash(), b.StructuralHash())
+		}
+		var dels, inss []tuple.Tuple
+		a.Diff(b, func(x tuple.Tuple) { dels = append(dels, x) }, func(x tuple.Tuple) { inss = append(inss, x) })
+		if len(dels) != 1 || !dels[0].Equal(c.del) || len(inss) != 1 || !inss[0].Equal(c.ins) {
+			t.Errorf("%s: Diff deletes %v and inserts %v, want %v and %v", c.name, dels, inss, c.del, c.ins)
+		}
+	}
+
+	var ts []tuple.Tuple
+	for i := int64(0); i < 1<<15; i++ {
+		ts = append(ts, tuple.Ints(i%256, i/256%16, i/4096))
+	}
+	big := FromTuples(3, ts)
+	grown := big.Insert(tuple.Ints(77, 3, 100))
+	EnableStorageStats(true)
+	defer EnableStorageStats(false)
+	ResetStorageStats()
+	changes := 0
+	big.Diff(grown, func(tuple.Tuple) { changes++ }, func(tuple.Tuple) { changes++ })
+	st := ReadStorageStats()
+	visited := st.NodesAllocated + st.SharedSubtrees
+	bound := int64(4 * 3 * 15) // 4 · levels · log₂ n
+	t.Logf("Diff after one insert into %d tuples: %d nodes copied, %d shared subtrees pruned", len(ts), st.NodesAllocated, st.SharedSubtrees)
+	if changes != 1 || st.SharedSubtrees == 0 || visited > bound {
+		t.Fatalf("Diff after one insert: %d changes, %d nodes copied, %d subtrees pruned; want 1 change and at most %d nodes", changes, st.NodesAllocated, st.SharedSubtrees, bound)
+	}
+}
+
+// TestNullaryRelation: a relation of no columns holds the empty tuple or
+// nothing, however the tuple is written.
+func TestNullaryRelation(t *testing.T) {
+	empty := New(0)
+	if empty.Contains(nil) || !empty.Delete(nil).IsEmpty() || empty.MatchExists(nil, nil) {
+		t.Fatal("the empty nullary relation holds the empty tuple")
+	}
+	for _, r := range []Relation{empty.Insert(nil), empty.Insert(tuple.Tuple{}), FromTuples(0, []tuple.Tuple{nil, {}})} {
+		if r.Len() != 1 || !r.Contains(tuple.Tuple{}) || !r.MatchExists(nil, nil) || !r.Equal(empty.Insert(nil)) {
+			t.Fatalf("a nullary relation of the empty tuple: Len %d, Contains %v", r.Len(), r.Contains(nil))
+		}
+		if got := r.Slice(); len(got) != 1 || len(got[0]) != 0 {
+			t.Fatalf("Slice = %v", got)
+		}
+		if !r.Delete(nil).IsEmpty() {
+			t.Fatal("deleting the empty tuple leaves it")
+		}
+	}
+}

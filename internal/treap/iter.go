@@ -11,12 +11,13 @@ import "math/bits"
 // answer, and m ascending seeks over N keys cost amortized
 // O(1 + log(N/m)) compares.
 //
-// The zero Iterator is invalid; obtain one from Tree.Iterator.
+// Obtain one from Tree.Iterator or Tree.Seek, or reposition any
+// Iterator, the zero one included, on a tree with Reset or ResetAt.
 type Iterator[K, V any] struct {
-	ops   Ops[K]
-	root  *node[K, V]
-	stack []*node[K, V] // path of nodes whose key is still >= current position
-	cur   *node[K, V]
+	ops   *Ops[K, V]
+	root  *Node[K, V]
+	stack []*Node[K, V] // path of nodes whose key is still >= current position
+	cur   *Node[K, V]
 	done  bool
 }
 
@@ -36,6 +37,28 @@ func (t Tree[K, V]) Seek(probe K) *Iterator[K, V] {
 	it := &Iterator[K, V]{ops: t.ops, root: t.root}
 	it.SeekFromRoot(probe)
 	return it
+}
+
+// Reset repositions the iterator at the smallest entry of t, reusing its
+// descent stack.
+func (it *Iterator[K, V]) Reset(t Tree[K, V]) {
+	it.ops, it.root = t.ops, t.root
+	it.First()
+}
+
+// ResetAt repositions the iterator at the least entry of t with key ≥
+// probe, in one descent that reuses its descent stack.
+func (it *Iterator[K, V]) ResetAt(t Tree[K, V], probe K) {
+	it.ops, it.root = t.ops, t.root
+	it.SeekFromRoot(probe)
+}
+
+// Reserve sizes the descent stack for trees of up to n entries, so that
+// repositioning on any of them allocates nothing.
+func (it *Iterator[K, V]) Reserve(n int) {
+	if h := 3 * bits.Len(uint(n)); cap(it.stack) < h {
+		it.stack = make([]*Node[K, V], 0, h)
+	}
 }
 
 // First repositions at the smallest entry.
@@ -129,14 +152,14 @@ func (it *Iterator[K, V]) SeekFromRoot(probe K) {
 // is usually allocated once.
 func (it *Iterator[K, V]) resetStack() {
 	if it.stack == nil && it.root != nil {
-		it.stack = make([]*node[K, V], 0, 3*bits.Len(uint(it.root.size)))
+		it.Reserve(int(it.root.size))
 	}
 	it.stack = it.stack[:0]
 }
 
 // descend searches the subtree n for the least key ≥ probe, pushing each
 // node ≥ probe on the way down, then moves to the least pending entry.
-func (it *Iterator[K, V]) descend(n *node[K, V], probe K) {
+func (it *Iterator[K, V]) descend(n *Node[K, V], probe K) {
 	for n != nil {
 		if it.ops.Compare(n.key, probe) >= 0 {
 			it.stack = append(it.stack, n)

@@ -7,8 +7,11 @@ import (
 	"testing/quick"
 )
 
-func intOps() Ops[int] {
-	return Ops[int]{
+func intOps() *Ops[int, int] { return intKeyOps[int]() }
+
+// intKeyOps orders and hashes int keys for a tree of V values.
+func intKeyOps[V any]() *Ops[int, V] {
+	return &Ops[int, V]{
 		Compare: func(a, b int) int { return a - b },
 		Hash: func(k int) uint64 {
 			h := uint64(k) * 0x9e3779b97f4a7c15
@@ -31,7 +34,7 @@ func fromKeys(keys []int) Tree[int, int] {
 func keysOf(t Tree[int, int]) []int { return t.Keys() }
 
 func TestInsertGetDelete(t *testing.T) {
-	tr := New[int, string](Ops[int](intOps()))
+	tr := New(intKeyOps[string]())
 	tr = tr.Insert(3, "three").Insert(1, "one").Insert(2, "two")
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
@@ -289,7 +292,7 @@ func TestDiffWithIdenticalTreesIsEmpty(t *testing.T) {
 
 func TestTreapPropertyInsertContains(t *testing.T) {
 	f := func(keys []int16, probe int16) bool {
-		tr := New[int, bool](intOps())
+		tr := New(intKeyOps[bool]())
 		want := map[int]bool{}
 		for _, k := range keys {
 			tr = tr.Insert(int(k), true)
@@ -353,8 +356,8 @@ func TestBSTAndHeapInvariants(t *testing.T) {
 			tr = tr.Delete(rng.Intn(5000))
 		}
 	}
-	var checkNode func(n *node[int, int], lo, hi int) int
-	checkNode = func(n *node[int, int], lo, hi int) int {
+	var checkNode func(n *Node[int, int], lo, hi int) int
+	checkNode = func(n *Node[int, int], lo, hi int) int {
 		if n == nil {
 			return 0
 		}
@@ -368,7 +371,7 @@ func TestBSTAndHeapInvariants(t *testing.T) {
 			t.Fatalf("heap violation (right) at key %d", n.key)
 		}
 		size := 1 + checkNode(n.left, lo, n.key) + checkNode(n.right, n.key, hi)
-		if n.size != size {
+		if n.Len() != size {
 			t.Fatalf("size cache wrong at key %d: %d vs %d", n.key, n.size, size)
 		}
 		return size
@@ -378,7 +381,7 @@ func TestBSTAndHeapInvariants(t *testing.T) {
 
 // sameShape reports whether two subtrees hold the same keys, values and
 // priorities in the same shape, with the same cached size and hash.
-func sameShape(a, b *node[int, int]) bool {
+func sameShape(a, b *Node[int, int]) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
@@ -394,7 +397,7 @@ func TestBuildSortedMatchesInsert(t *testing.T) {
 	ties := intOps()
 	ties.Hash = func(k int) uint64 { return uint64(k % 5) }
 	rng := rand.New(rand.NewSource(7))
-	for _, ops := range []Ops[int]{intOps(), ties} {
+	for _, ops := range []*Ops[int, int]{intOps(), ties} {
 		for trial := 0; trial < 100; trial++ {
 			n := rng.Intn(300)
 			seen := map[int]bool{}
