@@ -39,7 +39,7 @@ var experiments = []experiment{
 	{"live", "E7: live programming — addblock incremental vs full re-evaluation", runLive},
 	{"treap", "E8: treap set operations and sharing-aware equality", runTreap},
 	{"repair", "E3: fine-grained transaction repair vs coarse optimistic retry across α (paper §3.4)", runRepair},
-	{"solve", "E9: LP/MIP grounding, solving, and incremental re-grounding", runSolve},
+	{"solve", "E9: LP/MIP grounding and solving", runSolve},
 	{"predict", "E10: predict rules — learn and eval throughput and accuracy", runPredict},
 	{"adaptive", "E11: sampled join order vs the compiler's, one evaluation in a fresh context (paper §3.2)", runAdaptive},
 }

@@ -8,31 +8,29 @@
 //	lb-serve [-addr :8080] [-workers N] [-queue N] [-timeout 30s]
 //	         [-retries 3] [-default-limit N]
 //	         [-access-log stderr|stdout|file] [-slow-query 500ms]
-//	         [-trace-sample N] [-debug-addr :6060]
+//	         [-debug-addr :6060]
 //	         [-data-dir dir [-fsync always|interval] [-fsync-interval 50ms]
 //	          [-checkpoint-every 256] [-checkpoint-interval 30s]
 //	          [-generations 3]]
-//	         [-snapshot file]
 //	         [-follow http://primary:8080 [-staleness-bound 10s]
 //	          [-promote-on-failure] [-probe-interval 2s]]
 //
 // Observability: -access-log writes one JSON line per request (slog);
 // -slow-query additionally logs any slower request with its full span
-// tree and cached-plan fingerprints; -trace-sample keeps 1 in N root
-// spans in the registry's trace ring; -debug-addr serves net/http/pprof
+// tree and cached-plan fingerprints; -debug-addr serves net/http/pprof
 // on a separate, private mux so profiling endpoints never share the
 // public listener (see docs/server.md and docs/observability.md).
 //
 // With -data-dir, the server runs durably: at startup it recovers the
 // database from the newest valid snapshot generation plus a replay of
 // the commit journal, and every committed transaction is journaled
-// write-ahead before the client sees its ack (see docs/durability.md).
-// With -snapshot (mutually exclusive), the database is loaded from the
-// file at startup (if it exists) and written back there — atomically
-// and fsynced — on shutdown; nothing is durable in between. On
-// SIGINT/SIGTERM the server drains: new requests get 503 + Retry-After
-// while in-flight transactions finish, and open /journal/tail streams
-// end with a clean end-of-stream frame.
+// write-ahead before the client sees its ack; shutdown writes a final
+// checkpoint (see docs/durability.md). Without -data-dir the database
+// lives in memory only. Either way POST /save and POST /load export and
+// import a single snapshot file. On SIGINT/SIGTERM the server drains:
+// new requests get 503 + Retry-After while in-flight transactions
+// finish, and open /journal/tail streams end with a clean end-of-stream
+// frame.
 //
 // With -follow, the server runs as a read replica: it bootstraps from
 // the primary's snapshot, tails its commit journal over
@@ -73,7 +71,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	retries := flag.Int("retries", 3, "max optimistic re-executions after commit conflicts")
 	defaultLimit := flag.Int("default-limit", 0, "default row cap on materialized /query responses (0 = 10000, negative = uncapped; explicit limit in the request always wins)")
-	snapshot := flag.String("snapshot", "", "load the database from this file at startup and save it on shutdown (no journaling; see -data-dir)")
 	dataDir := flag.String("data-dir", "", "run durably from this directory: snapshot generations + write-ahead commit journal")
 	fsync := flag.String("fsync", durable.FsyncAlways, "journal fsync policy: always (durable acks) or interval (bounded loss, higher throughput)")
 	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "journal flush period under -fsync interval")
@@ -83,7 +80,6 @@ func main() {
 	grace := flag.Duration("grace", 15*time.Second, "max time to drain in-flight requests on shutdown")
 	accessLog := flag.String("access-log", "", "JSON access-log destination: stderr, stdout, or a file path (empty disables)")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "log requests slower than this with their span tree (needs -access-log; <=0 disables)")
-	traceSample := flag.Int("trace-sample", 1, "keep 1 in N finished root spans in the trace ring (1 = every request)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 	follow := flag.String("follow", "", "run as a read replica tailing this primary base URL (requires -data-dir; see docs/replication.md)")
 	stalenessBound := flag.Duration("staleness-bound", 10*time.Second, "follower: flip /healthz and /query to 503 when not caught up for this long")
@@ -91,15 +87,11 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "follower: primary health-probe period for -promote-on-failure")
 	flag.Parse()
 
-	if *dataDir != "" && *snapshot != "" {
-		log.Fatalf("lb-serve: -data-dir and -snapshot are mutually exclusive (the data directory manages its own snapshots)")
-	}
 	if *follow != "" && *dataDir == "" {
 		log.Fatalf("lb-serve: -follow requires -data-dir (the follower journals replayed commits locally)")
 	}
 
 	reg := logicblox.NewObsRegistry()
-	reg.SetTraceSampling(*traceSample)
 	logicblox.EnableStorageStats(true)
 
 	logger, logClose, err := openAccessLog(*accessLog)
@@ -121,11 +113,11 @@ func main() {
 			Generations:        *generations,
 			Obs:                reg,
 		}, *follow == "")
+		if err != nil {
+			log.Fatalf("lb-serve: %v", err)
+		}
 	} else {
-		db, err = openDatabase(*snapshot)
-	}
-	if err != nil {
-		log.Fatalf("lb-serve: %v", err)
+		db = logicblox.Open()
 	}
 
 	var follower *replica.Follower
@@ -205,12 +197,6 @@ func main() {
 			log.Printf("lb-serve: closing store: %v", err)
 		}
 	}
-	if *snapshot != "" {
-		if err := saveDatabase(*snapshot, s.Database()); err != nil {
-			log.Fatalf("lb-serve: save snapshot: %v", err)
-		}
-		log.Printf("lb-serve: snapshot written to %s", *snapshot)
-	}
 }
 
 // openAccessLog builds the JSON slog logger for -access-log. The
@@ -276,33 +262,4 @@ func openDurable(dir string, opts durable.Options, primary bool) (*durable.Store
 		db.SetCommitHook(store.LogCommit)
 	}
 	return store, db, nil
-}
-
-// openDatabase loads the snapshot when one is named and present,
-// otherwise opens a fresh database. Framed (checksummed) and legacy raw
-// gob snapshot files are both accepted.
-func openDatabase(path string) (*core.Database, error) {
-	if path != "" {
-		payload, err := durable.ReadSnapshotFile(durable.OS, path)
-		if err == nil {
-			db, err := durable.LoadSnapshotPayload(payload)
-			if err != nil {
-				return nil, fmt.Errorf("load %s: %w", path, err)
-			}
-			log.Printf("lb-serve: loaded snapshot %s (%d versions)", path, db.Versions())
-			return db, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("load %s: %w", path, err)
-		}
-	}
-	return logicblox.Open(), nil
-}
-
-// saveDatabase writes the snapshot atomically (temp file, fsync, rename,
-// directory fsync) with the framed checksummed header, so a crash
-// mid-save cannot corrupt the previous one and a later load detects any
-// on-disk corruption.
-func saveDatabase(path string, db *core.Database) error {
-	return durable.WriteDatabaseSnapshot(durable.OS, path, db)
 }

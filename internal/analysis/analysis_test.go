@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"bufio"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -138,20 +140,139 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 }
 
+var (
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
+)
+
+// loadModule loads every package of the module once for the tests that
+// read the real tree.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	moduleOnce.Do(func() { modulePkgs, moduleErr = Load("../..", "./...") })
+	if moduleErr != nil {
+		t.Fatalf("Load: %v", moduleErr)
+	}
+	return modulePkgs
+}
+
 // TestSuiteSelfClean runs the full suite — the CFG dataflow analyzers
 // included — over every package in the module: the invariants must hold
 // in the real tree with zero findings and no suppressions (make lint
 // enforces the same repo-wide; this test pins it under plain go test).
 func TestSuiteSelfClean(t *testing.T) {
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	diags, err := RunAnalyzers(pkgs, Analyzers())
+	diags, err := RunAnalyzers(loadModule(t), Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("finding in real tree: %s", d)
 	}
+}
+
+// TestTablesNameRealCode: every package, type and constructor an
+// analyzer's table names exists in the real module. The fixtures declare
+// their own copies of these names, so a rename in the real tree would
+// leave every fixture test green while the check it gates went dark.
+func TestTablesNameRealCode(t *testing.T) {
+	byName := map[string]*types.Package{}
+	byPath := map[string]*types.Package{}
+	var addPath func(p *types.Package)
+	addPath = func(p *types.Package) {
+		if byPath[p.Path()] != nil {
+			return
+		}
+		byPath[p.Path()] = p
+		for _, imp := range p.Imports() {
+			addPath(imp)
+		}
+	}
+	for _, p := range loadModule(t) {
+		byName[p.Name] = p.Types
+		addPath(p.Types)
+	}
+	pkgNamed := func(table, name string) *types.Package {
+		p := byName[name]
+		if p == nil {
+			t.Errorf("%s names package %q, which the module does not have", table, name)
+		}
+		return p
+	}
+	hasType := func(table string, p *types.Package, name string) {
+		if _, ok := p.Scope().Lookup(name).(*types.TypeName); !ok {
+			t.Errorf("%s names type %s.%s, which does not exist", table, p.Name(), name)
+		}
+	}
+	hasFunc := func(table string, p *types.Package, name string) {
+		if !declaresFunc(p, name) {
+			t.Errorf("%s names function %s.%s, which does not exist", table, p.Path(), name)
+		}
+	}
+
+	for _, table := range []struct {
+		name string
+		pkgs map[string]bool
+	}{
+		{"leakGoroutinePackages", leakGoroutinePackages},
+		{"ctxloopPackages", ctxloopPackages},
+		{"snapshotPackages", snapshotPackages},
+	} {
+		for name := range table.pkgs {
+			pkgNamed(table.name, name)
+		}
+	}
+	for pkg, protected := range immutableTypes {
+		p := pkgNamed("immutableTypes", pkg)
+		if p == nil {
+			continue
+		}
+		for typ, ctors := range protected {
+			hasType("immutableTypes", p, typ)
+			for _, ctor := range ctors {
+				hasFunc("immutableTypes", p, ctor)
+			}
+		}
+	}
+	if p := pkgNamed("obsHandleTypes", "obs"); p != nil {
+		for typ := range obsHandleTypes {
+			hasType("obsHandleTypes", p, typ)
+		}
+	}
+	for full := range storedElements {
+		i := strings.LastIndex(full, ".")
+		if p := byPath[full[:i]]; p == nil {
+			t.Errorf("storedElements names package %q, which the module does not import", full[:i])
+		} else {
+			hasType("storedElements", p, full[i+1:])
+		}
+	}
+	for _, spec := range resourceTable {
+		if p := byPath[spec.pkgPath]; p == nil {
+			t.Errorf("resourceTable names package %q, which the module does not import", spec.pkgPath)
+		} else {
+			hasFunc("resourceTable", p, spec.ctor)
+		}
+	}
+}
+
+// declaresFunc reports whether p declares a function or a method named
+// name.
+func declaresFunc(p *types.Package, name string) bool {
+	scope := p.Scope()
+	if _, ok := scope.Lookup(name).(*types.Func); ok {
+		return true
+	}
+	for _, n := range scope.Names() {
+		named, ok := scope.Lookup(n).Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			if named.Method(i).Name() == name {
+				return true
+			}
+		}
+	}
+	return false
 }

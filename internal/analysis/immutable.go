@@ -15,15 +15,15 @@ import (
 // enforced even inside the owning package.
 var immutableTypes = map[string]map[string][]string{
 	"treap": {
-		"node": {"mk"},
+		"Node": {"mk", "mkHashed"},
 		"Tree": nil,
 	},
 	"pmap": {
 		"Map": nil,
-		"Set": nil,
 	},
 	"relation": {
 		"Relation": nil,
+		"group":    nil,
 	},
 }
 

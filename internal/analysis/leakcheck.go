@@ -56,13 +56,12 @@ var resourceTable = []resourceSpec{
 }
 
 // leakGoroutinePackages gates the goroutine-lifecycle rule to the
-// packages the issue names (matched by package name so fixtures under
+// concurrency-dense packages (matched by package name so fixtures under
 // testdata can opt in by declaring the same name).
 var leakGoroutinePackages = map[string]bool{
 	"server":  true,
 	"durable": true,
 	"replica": true,
-	"bench":   true,
 }
 
 // LeakcheckAnalyzer is the CFG-based resource- and goroutine-leak check.

@@ -1,24 +1,24 @@
 // Package treap is an immutable-analyzer fixture: its name matches the
-// protected package, so mutations of node/Tree fields outside the mk
-// constructor must be flagged.
+// protected package, so mutations of Node/Tree fields outside the mk and
+// mkHashed constructors must be flagged.
 package treap
 
-type node struct {
+type Node struct {
 	key, val    string
 	prio        uint64
 	size        int
-	left, right *node
+	left, right *Node
 }
 
 // Tree is the persistent handle.
 type Tree struct {
 	ops  int
-	root *node
+	root *Node
 }
 
 // mk is the allow-listed constructor: field writes here are legal.
-func mk(left, right *node, key, val string) *node {
-	n := &node{key: key, val: val, left: left, right: right}
+func mk(left, right *Node, key, val string) *Node {
+	n := &Node{key: key, val: val, left: left, right: right}
 	n.size = 1
 	if left != nil {
 		n.size += left.size
@@ -29,7 +29,14 @@ func mk(left, right *node, key, val string) *node {
 	return n
 }
 
-func rotate(n *node) *node {
+// mkHashed is the second allow-listed constructor.
+func mkHashed(key string, prio uint64) *Node {
+	n := mk(nil, nil, key, "")
+	n.prio = prio
+	return n
+}
+
+func rotate(n *Node) *Node {
 	n.left = n.right // want: outside its constructors
 	n.size++         // want: outside its constructors
 	return n

@@ -31,9 +31,7 @@ func (d *txDelta) of(name string) ivm.Delta {
 	m, ok := d.known[name]
 	if !ok {
 		now := d.next.relationOr(name, 0)
-		d.prev.relationOr(name, now.Arity()).Diff(now,
-			func(t tuple.Tuple) { m.Del = append(m.Del, t) },
-			func(t tuple.Tuple) { m.Ins = append(m.Ins, t) })
+		m = engine.DeltaOf(d.prev.relationOr(name, now.Arity()), now)
 		d.known[name] = m
 	}
 	return m

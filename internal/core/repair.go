@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"logicblox/internal/compiler"
+	"logicblox/internal/engine"
 	"logicblox/internal/lftj"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
@@ -144,11 +145,8 @@ func relationChanges(a, b *Workspace) (map[string][]tuple.Tuple, bool) {
 		if x.Arity() != y.Arity() {
 			return nil, false
 		}
-		var ts []tuple.Tuple
-		x.Diff(y,
-			func(t tuple.Tuple) { ts = append(ts, t) },
-			func(t tuple.Tuple) { ts = append(ts, t) })
-		if len(ts) > 0 {
+		d := engine.DeltaOf(x, y)
+		if ts := append(d.Del, d.Ins...); len(ts) > 0 {
 			out[name] = ts
 		}
 	}

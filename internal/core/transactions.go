@@ -317,10 +317,7 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 		if next.Equal(start) {
 			continue
 		}
-		var d ExecDelta
-		start.Diff(next,
-			func(t tuple.Tuple) { d.Del = append(d.Del, t) },
-			func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
+		d := engine.DeltaOf(start, next)
 		deltas[p] = d
 		ins += int64(len(d.Ins))
 		del += int64(len(d.Del))

@@ -77,8 +77,7 @@ func unframeSnapshot(raw []byte) (payload []byte, isFramed bool, err error) {
 // WriteSnapshotFile writes the payload produced by save to path as a
 // framed, checksummed snapshot with full crash safety (temp file, file
 // fsync, rename, directory fsync). It is the helper behind the REPL's
-// :save, lb-serve's single-file snapshot mode, and the Store's
-// checkpoint generations.
+// :save and the Store's checkpoint generations.
 func WriteSnapshotFile(fsys FS, path string, save func(io.Writer) error) error {
 	if fsys == nil {
 		fsys = OS
@@ -122,8 +121,8 @@ func ReadSnapshotFile(fsys FS, path string) ([]byte, error) {
 }
 
 // WriteDatabaseSnapshot writes db's full snapshot to one framed,
-// checksummed file with full crash safety — the single-file flavor the
-// REPL's :save and lb-serve's -snapshot mode use.
+// checksummed file with full crash safety — the single-file export the
+// REPL's :save writes.
 func WriteDatabaseSnapshot(fsys FS, path string, db *core.Database) error {
 	return WriteSnapshotFile(fsys, path, func(w io.Writer) error {
 		_, err := db.SaveSnapshot(w)

@@ -20,6 +20,17 @@ type Delta struct {
 // Empty reports whether the delta changes nothing.
 func (d Delta) Empty() bool { return len(d.Ins) == 0 && len(d.Del) == 0 }
 
+// DeltaOf returns the delta that turns was into now, each side in tuple
+// order. It costs what the relations' diff costs: proportional to what
+// they do not share.
+func DeltaOf(was, now relation.Relation) Delta {
+	var d Delta
+	was.Diff(now,
+		func(t tuple.Tuple) { d.Del = append(d.Del, t) },
+		func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
+	return d
+}
+
 // EvalRule evaluates one rule against the current context (with optional
 // per-atom relation overrides) and returns the derived head tuples. It is
 // the entry point used by the incremental-maintenance layer for delta

@@ -10,7 +10,6 @@ import (
 	"logicblox/internal/engine"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
-	"logicblox/internal/tuple"
 )
 
 // memoCapacity is how many strata a Memo remembers; the least recently
@@ -191,10 +190,7 @@ func (m *Maintainer) diffInputs(e *memoEntry) (acc map[string]Delta, n int, ok b
 		if engine.PastCrossover(n+abs(now.Len()-was.Len()), size) {
 			return nil, n, false
 		}
-		var d Delta
-		was.Diff(now,
-			func(t tuple.Tuple) { d.Del = append(d.Del, t) },
-			func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
+		d := engine.DeltaOf(was, now)
 		if n += len(d.Del) + len(d.Ins); engine.PastCrossover(n, size) {
 			return nil, n, false
 		}

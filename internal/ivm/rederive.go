@@ -5,7 +5,6 @@ import (
 	"logicblox/internal/engine"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
-	"logicblox/internal/tuple"
 )
 
 // Rederive is one walk in DRed mode over ctx, whose derived predicates
@@ -200,10 +199,7 @@ func (m *Maintainer) refold(sp *obs.Span, stratum []*compiler.RulePlan, acc map[
 // ins/del counts.
 func (m *Maintainer) record(head string, was relation.Relation, stored, rebuilt bool, sp *obs.Span, acc map[string]Delta, old map[string]relation.Relation) {
 	now := m.ctx.Relation(head)
-	var d Delta
-	was.Diff(now,
-		func(t tuple.Tuple) { d.Del = append(d.Del, t) },
-		func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
+	d := engine.DeltaOf(was, now)
 	switch {
 	case stored && d.Empty():
 		m.ctx.Set(head, was)

@@ -1,9 +1,9 @@
 package lftj
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"logicblox/internal/trie"
@@ -89,28 +89,22 @@ func (iv Interval) String() string {
 // affected that computation?"
 //
 // Probes are served from a lazily built lookup structure: intervals are
-// bucketed by (predicate, prefix), sorted by lower bound with a running
-// maximum of upper bounds, so Affected is a hash lookup plus a binary
-// search instead of a scan. Prefixes are keyed by their AppendKey
-// encoding, which is equal exactly when tuple.Compare is: a printed
-// prefix would tell 0.0 from -0.0 and merge 1 with 1.0.
+// bucketed by (predicate, column signature, prefix), sorted by lower
+// bound with a running maximum of upper bounds, so Affected is one hash
+// lookup plus a binary search per signature instead of a scan. Prefixes
+// are keyed by their AppendKey encoding, which is equal exactly when
+// tuple.Compare is: a printed prefix would tell 0.0 from -0.0 and merge 1
+// with 1.0.
 type SensitivityIndex struct {
 	byPred map[string][]Interval
-	lookup map[string]*predLookup
+	lookup map[string][]*colSig
 	dirty  bool
 }
 
-// predLookup is one predicate's probe structure: identity-order
-// intervals bucketed by prefix, plus one bucket group per distinct
-// permuted column signature (secondary-index runs).
-type predLookup struct {
-	identity map[string]*bucket // prefix AppendKey → bucket (Cols == nil)
-	permuted []*permSig
-}
-
-// permSig groups the intervals recorded under one permuted column
-// sequence (prefix columns + interval-level column).
-type permSig struct {
+// colSig groups one predicate's intervals recorded under one column
+// sequence: the prefix columns, then the interval-level column. An
+// identity interval (nil Cols) at depth d files under 0..d.
+type colSig struct {
 	cols     []int
 	byPrefix map[string]*bucket
 }
@@ -168,22 +162,8 @@ func (x *SensitivityIndex) AddPoint(pred string, t tuple.Tuple) {
 // any recorded interval.
 func (x *SensitivityIndex) Affected(pred string, t tuple.Tuple) bool {
 	x.rebuildLookup()
-	pl, ok := x.lookup[pred]
-	if !ok {
-		return false
-	}
-	// An identity interval at depth d covers t when its prefix matches
-	// t[:d] and t[d] ∈ [Lo, Hi]; check every depth, extending the prefix
-	// key by one column per step.
 	var key []byte
-	for d := 0; d < len(t); d++ {
-		if b, ok := pl.identity[string(key)]; ok && b.stab(t[d]) {
-			return true
-		}
-		key = t[d : d+1].AppendKey(key)
-	}
-	// Permuted intervals probe the columns their run actually read.
-	for _, sig := range pl.permuted {
+	for _, sig := range x.lookup[pred] {
 		d := len(sig.cols) - 1
 		if slices.ContainsFunc(sig.cols, func(c int) bool { return c >= len(t) }) {
 			continue
@@ -199,52 +179,50 @@ func (x *SensitivityIndex) Affected(pred string, t tuple.Tuple) bool {
 	return false
 }
 
-// colsKey renders a column sequence as a grouping key.
-func colsKey(cols []int) string {
-	var sb strings.Builder
-	for _, c := range cols {
-		fmt.Fprintf(&sb, "%d,", c)
-	}
-	return sb.String()
-}
-
 // rebuildLookup (re)derives the probe structure after mutations.
 func (x *SensitivityIndex) rebuildLookup() {
 	if !x.dirty && x.lookup != nil {
 		return
 	}
-	x.lookup = make(map[string]*predLookup, len(x.byPred))
+	x.lookup = make(map[string][]*colSig, len(x.byPred))
+	var ident []int // 0, 1, 2, …: the identity signature's columns
+	var sigKey []byte
+	type sigGroup struct {
+		cols     []int
+		byPrefix map[string][]Interval
+	}
 	for pred, ivs := range x.byPred {
-		pl := &predLookup{identity: map[string]*bucket{}}
-		byPrefix := map[string][]Interval{}
-		bySig := map[string][]Interval{}
-		sigCols := map[string][]int{}
+		groups := map[string]*sigGroup{}
 		for _, iv := range ivs {
-			if iv.Cols == nil {
-				key := string(iv.Prefix.AppendKey(nil))
-				byPrefix[key] = append(byPrefix[key], iv)
-				continue
+			cols := iv.Cols
+			if cols == nil {
+				n := len(iv.Prefix) + 1
+				for len(ident) < n {
+					ident = append(ident, len(ident))
+				}
+				cols = ident[:n:n]
 			}
-			key := colsKey(iv.Cols)
-			bySig[key] = append(bySig[key], iv)
-			sigCols[key] = iv.Cols
-		}
-		for key, group := range byPrefix {
-			pl.identity[key] = newBucket(group)
-		}
-		for key, group := range bySig {
-			sig := &permSig{cols: sigCols[key], byPrefix: map[string]*bucket{}}
-			grouped := map[string][]Interval{}
-			for _, iv := range group {
-				pk := string(iv.Prefix.AppendKey(nil))
-				grouped[pk] = append(grouped[pk], iv)
+			sigKey = sigKey[:0]
+			for _, c := range cols {
+				sigKey = append(strconv.AppendInt(sigKey, int64(c), 10), ',')
 			}
-			for pk, g := range grouped {
-				sig.byPrefix[pk] = newBucket(g)
+			g, ok := groups[string(sigKey)]
+			if !ok {
+				g = &sigGroup{cols: cols, byPrefix: map[string][]Interval{}}
+				groups[string(sigKey)] = g
 			}
-			pl.permuted = append(pl.permuted, sig)
+			pk := string(iv.Prefix.AppendKey(nil))
+			g.byPrefix[pk] = append(g.byPrefix[pk], iv)
 		}
-		x.lookup[pred] = pl
+		sigs := make([]*colSig, 0, len(groups))
+		for _, g := range groups {
+			sig := &colSig{cols: g.cols, byPrefix: make(map[string]*bucket, len(g.byPrefix))}
+			for pk, ivs := range g.byPrefix {
+				sig.byPrefix[pk] = newBucket(ivs)
+			}
+			sigs = append(sigs, sig)
+		}
+		x.lookup[pred] = sigs
 	}
 	x.dirty = false
 }

@@ -201,37 +201,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 	rules    map[string]*RuleStats // by rule source text
 	traces   *TraceRing            // replaced by Reset
-	sampleN  int                   // keep 1 in sampleN root spans (≤1: keep all)
-	spanSeq  int64                 // root spans ended so far (sampling phase)
-}
-
-// SetTraceSampling keeps only 1 in n finished root spans in the trace
-// ring (the first of every n, deterministically), shedding tracing cost
-// on high-throughput transaction streams. n ≤ 1 restores the default of
-// retaining every root span. Child spans are unaffected: a sampled-in
-// trace is always complete.
-func (r *Registry) SetTraceSampling(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sampleN = n
-	r.spanSeq = 0
-}
-
-// TraceSampling returns the current 1-in-N trace sampling rate (1 when
-// every root span is retained, including on a nil registry).
-func (r *Registry) TraceSampling() int {
-	if r == nil {
-		return 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sampleN <= 1 {
-		return 1
-	}
-	return r.sampleN
 }
 
 // NewRegistry returns an empty registry.

@@ -122,15 +122,9 @@ func (s *Span) End() {
 	s.mu.Unlock()
 	if s.reg != nil {
 		s.reg.mu.Lock()
-		// 1-in-N sampling: of every sampleN finished roots, the first is
-		// retained. N ≤ 1 keeps all (the default).
-		keep := s.reg.sampleN <= 1 || s.reg.spanSeq%int64(s.reg.sampleN) == 0
-		s.reg.spanSeq++
 		ring := s.reg.traces
 		s.reg.mu.Unlock()
-		if keep {
-			ring.Put("", s)
-		}
+		ring.Put("", s)
 	}
 }
 
@@ -196,8 +190,8 @@ const traceRingSize = 32
 // traces in arrival order, the oldest evicted first. A trace may be put
 // under a lookup key (a request ID); putting under a key already held
 // overwrites that trace in place, keeping its position. Every registry
-// owns one (unkeyed, fed by Span.End subject to trace sampling); the HTTP
-// server owns another, keyed by request ID, that retains every request.
+// owns one (unkeyed, fed by Span.End); the HTTP server owns another,
+// keyed by request ID.
 // Safe for concurrent use.
 type TraceRing struct {
 	mu    sync.Mutex

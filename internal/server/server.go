@@ -62,10 +62,10 @@ import (
 
 	"logicblox/internal/core"
 	"logicblox/internal/durable"
+	"logicblox/internal/engine"
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
 	"logicblox/internal/replica"
-	"logicblox/internal/tuple"
 )
 
 // maxBodyBytes bounds request bodies so a hostile client cannot exhaust
@@ -141,10 +141,8 @@ type Server struct {
 	drainO   sync.Once
 	tails    atomic.Int64 // open /journal/tail streams
 	// traces holds the last Config.TraceRing finished request span trees
-	// keyed by request ID. Unlike the obs registry's sampled ring, every
-	// request is retained here (bounded by the capacity), so
-	// /debug/trace/{id} answers for any recent request regardless of the
-	// sampling rate; a reused client ID overwrites in place (latest wins).
+	// keyed by request ID, so /debug/trace/{id} answers for any recent
+	// request; a reused client ID overwrites in place (latest wins).
 	traces *obs.TraceRing
 }
 
@@ -471,12 +469,8 @@ func (s *Server) diffBranches(from, to string) (map[string]Delta, error) {
 			}
 			continue
 		}
-		var d Delta
-		ra.Diff(rb,
-			func(tuple.Tuple) { d.Del++ },
-			func(tuple.Tuple) { d.Ins++ })
-		if d.Ins+d.Del > 0 {
-			out[name] = d
+		if d := engine.DeltaOf(ra, rb); !d.Empty() {
+			out[name] = Delta{Ins: len(d.Ins), Del: len(d.Del)}
 		}
 	}
 	return out, nil
@@ -558,15 +552,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Snapshot().WritePrometheus(w)
 }
 
-// varsDocument is the /debug/vars body: the obs snapshot plus the trace
-// sampling rate.
-type varsDocument struct {
-	obs.Snapshot
-	// TraceSampleN is the obs registry's current 1-in-N trace sampling
-	// rate (1 = every root span retained).
-	TraceSampleN int `json:"trace_sample_n"`
-}
-
 // handleVars serves the same snapshot as /debug/vars-style JSON.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -574,11 +559,10 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.refreshGauges()
-	doc := varsDocument{Snapshot: s.reg.Snapshot(), TraceSampleN: s.reg.TraceSampling()}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(doc)
+	enc.Encode(s.reg.Snapshot())
 }
 
 func (s *Server) refreshGauges() {

@@ -298,24 +298,6 @@ func TestHealthzLatencyPercentiles(t *testing.T) {
 	}
 }
 
-// TestVarsReportsTraceSampling: /debug/vars reports the obs registry's
-// current 1-in-N trace sampling rate.
-func TestVarsReportsTraceSampling(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	var doc struct {
-		TraceSampleN int `json:"trace_sample_n"`
-	}
-	mustOK(t, ts, "GET", "/debug/vars", nil, &doc)
-	if doc.TraceSampleN != 1 {
-		t.Fatalf("trace_sample_n = %d, want 1", doc.TraceSampleN)
-	}
-	s.Obs().SetTraceSampling(10)
-	mustOK(t, ts, "GET", "/debug/vars", nil, &doc)
-	if doc.TraceSampleN != 10 {
-		t.Fatalf("trace_sample_n = %d, want 10", doc.TraceSampleN)
-	}
-}
-
 // TestMetricsQuantiles: /metrics exposes summary-style p50/p95/p99
 // gauges alongside each histogram.
 func TestMetricsQuantiles(t *testing.T) {

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
@@ -38,17 +37,13 @@ type Grounding struct {
 	// such predicates are linearized through these forms.
 	derivedLinear map[string]map[string]linForm
 	derivedKeys   map[string][]tuple.Tuple
-	derivedHashes map[string]uint64
 
 	objective []float64
 	objConst  float64
 	objSign   float64
 	objPred   string
 
-	// rows grouped by source constraint (for incremental re-grounding).
-	rowsByConstraint map[int][]LinConstraint
-	inputHashes      map[int]uint64 // per constraint: hash of its input relations
-	objHash          uint64
+	rows []LinConstraint // every constraint's rows, in constraint order
 }
 
 // VarInfo names one decision variable: an entry of a free predicate.
@@ -68,19 +63,16 @@ func Ground(prog *compiler.Program, rels map[string]relation.Relation) (*Groundi
 		return nil, fmt.Errorf("solver: program has no lang:solve:variable declarations")
 	}
 	g := &Grounding{
-		prog:             prog,
-		spec:             spec,
-		rels:             rels,
-		free:             map[string]bool{},
-		integer:          map[string]bool{},
-		varIdx:           map[string]int{},
-		domains:          map[string][]tuple.Tuple{},
-		derivedLinear:    map[string]map[string]linForm{},
-		derivedKeys:      map[string][]tuple.Tuple{},
-		derivedHashes:    map[string]uint64{},
-		rowsByConstraint: map[int][]LinConstraint{},
-		inputHashes:      map[int]uint64{},
-		objSign:          1,
+		prog:          prog,
+		spec:          spec,
+		rels:          rels,
+		free:          map[string]bool{},
+		integer:       map[string]bool{},
+		varIdx:        map[string]int{},
+		domains:       map[string][]tuple.Tuple{},
+		derivedLinear: map[string]map[string]linForm{},
+		derivedKeys:   map[string][]tuple.Tuple{},
+		objSign:       1,
 	}
 	for _, v := range spec.Variables {
 		info, ok := prog.Preds[v]
@@ -112,8 +104,8 @@ func Ground(prog *compiler.Program, rels map[string]relation.Relation) (*Groundi
 	if err := g.computeDerivedLinear(); err != nil {
 		return nil, err
 	}
-	for ci := range prog.Constraints {
-		if err := g.groundConstraint(ci); err != nil {
+	for _, k := range prog.Constraints {
+		if err := g.groundConstraint(k); err != nil {
 			return nil, err
 		}
 	}
@@ -475,8 +467,7 @@ func exprTouchesSym(e compiler.Expr, syms map[int]symRef, assigns map[int]compil
 }
 
 // groundConstraint translates one integrity constraint into linear rows.
-func (g *Grounding) groundConstraint(ci int) error {
-	k := g.prog.Constraints[ci]
+func (g *Grounding) groundConstraint(k *compiler.ConstraintPlan) error {
 	mentions := g.bodyMentionsFree(k.Body) || g.headMentionsFree(k)
 	if !mentions {
 		return nil // ordinary constraint: checked by the engine, not the solver
@@ -493,7 +484,6 @@ func (g *Grounding) groundConstraint(ci int) error {
 		}
 	}
 	ctx := g.freeCtx()
-	var rows []LinConstraint
 	var groundErr error
 	err := ctx.EnumerateBindings(k.Body, nil, func(binding tuple.Tuple) bool {
 		for _, hc := range k.HeadChecks {
@@ -526,107 +516,14 @@ func (g *Grounding) groundConstraint(ci int) error {
 				groundErr = fmt.Errorf("in constraint %q: cannot ground %s over free predicates", k.Source, hc.Op)
 				return false
 			}
-			rows = append(rows, LinConstraint{Coeffs: diff.coeffs, Op: op, RHS: -diff.c})
+			g.rows = append(g.rows, LinConstraint{Coeffs: diff.coeffs, Op: op, RHS: -diff.c})
 		}
 		return true
 	})
 	if err == nil {
 		err = groundErr
 	}
-	if err != nil {
-		return err
-	}
-	g.rowsByConstraint[ci] = rows
-	g.inputHashes[ci] = g.hashNames(g.constraintInputNames(k))
-	return nil
-}
-
-// constraintInputNames lists the data predicates a constraint's grounding
-// depends on: non-free body atoms, head functional lookups, and — through
-// derived-linear predicates — the inputs of their defining rules.
-func (g *Grounding) constraintInputNames(k *compiler.ConstraintPlan) []string {
-	set := map[string]bool{}
-	for _, a := range k.Body.Atoms {
-		base := compiler.BaseName(a.Name)
-		if g.free[base] {
-			continue
-		}
-		if _, ok := g.derivedLinear[base]; ok {
-			for _, n := range g.derivedInputNames(base) {
-				set[n] = true
-			}
-			continue
-		}
-		set[a.Name] = true
-	}
-	var refs []predRef
-	for _, hc := range k.HeadChecks {
-		collectAllFuncGets(hc.L, &refs)
-		collectAllFuncGets(hc.R, &refs)
-	}
-	for _, r := range refs {
-		if g.free[r.pred] {
-			continue
-		}
-		if _, ok := g.derivedLinear[r.pred]; ok {
-			for _, n := range g.derivedInputNames(r.pred) {
-				set[n] = true
-			}
-			continue
-		}
-		set[r.pred] = true
-	}
-	var out []string
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// derivedInputNames lists the non-free body inputs of a derived-linear
-// predicate's rule.
-func (g *Grounding) derivedInputNames(pred string) []string {
-	var out []string
-	for _, r := range g.prog.Rules {
-		if r.HeadName != pred {
-			continue
-		}
-		for _, a := range r.Atoms {
-			if !g.free[compiler.BaseName(a.Name)] {
-				out = append(out, a.Name)
-			}
-		}
-	}
-	return out
-}
-
-// collectAllFuncGets gathers every functional application in an expression.
-func collectAllFuncGets(e compiler.Expr, out *[]predRef) {
-	switch e := e.(type) {
-	case compiler.FuncGetExpr:
-		*out = append(*out, predRef{e.Name, e.Args})
-		for _, a := range e.Args {
-			collectAllFuncGets(a, out)
-		}
-	case compiler.ArithExpr:
-		collectAllFuncGets(e.L, out)
-		collectAllFuncGets(e.R, out)
-	}
-}
-
-// hashNames combines the structural hashes of the named relations.
-func (g *Grounding) hashNames(names []string) uint64 {
-	h := uint64(1469598103934665603)
-	for _, n := range names {
-		if rel, ok := g.rels[n]; ok {
-			h ^= rel.StructuralHash()
-		}
-		for i := 0; i < len(n); i++ {
-			h = h*1099511628211 ^ uint64(n[i])
-		}
-	}
-	return h
+	return err
 }
 
 func (g *Grounding) headMentionsFree(k *compiler.ConstraintPlan) bool {
@@ -673,7 +570,6 @@ func (g *Grounding) groundObjective() error {
 				g.objective[v] += g.objSign * c
 			}
 			g.objConst += g.objSign * form.c
-			g.objHash = g.hashNames(g.objInputNames(rule))
 			return nil
 		}
 	}
@@ -700,32 +596,17 @@ func (g *Grounding) groundObjective() error {
 	if err == nil {
 		err = groundErr
 	}
-	if err != nil {
-		return err
-	}
-	g.objHash = g.hashNames(g.objInputNames(rule))
-	return nil
-}
-
-// objInputNames lists the objective rule's non-free input relations.
-func (g *Grounding) objInputNames(rule *compiler.RulePlan) []string {
-	var names []string
-	for _, a := range rule.Atoms {
-		if !g.free[compiler.BaseName(a.Name)] {
-			names = append(names, a.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
+	return err
 }
 
 // Problem assembles the LP/MIP.
 func (g *Grounding) Problem() *Problem {
 	p := &Problem{
-		NumVars:   len(g.vars),
-		Objective: append([]float64(nil), g.objective...),
-		Free:      make([]bool, len(g.vars)),
-		Integer:   make([]bool, len(g.vars)),
+		NumVars:     len(g.vars),
+		Objective:   append([]float64(nil), g.objective...),
+		Constraints: append([]LinConstraint(nil), g.rows...),
+		Free:        make([]bool, len(g.vars)),
+		Integer:     make([]bool, len(g.vars)),
 	}
 	for i := range p.Free {
 		p.Free[i] = true
@@ -734,14 +615,6 @@ func (g *Grounding) Problem() *Problem {
 		if g.integer[v.Pred] {
 			p.Integer[i] = true
 		}
-	}
-	var cis []int
-	for ci := range g.rowsByConstraint {
-		cis = append(cis, ci)
-	}
-	sort.Ints(cis)
-	for _, ci := range cis {
-		p.Constraints = append(p.Constraints, g.rowsByConstraint[ci]...)
 	}
 	return p
 }
@@ -799,63 +672,6 @@ func roundTo(x float64) float64 {
 		return float64(int64(x + 0.5))
 	}
 	return float64(int64(x - 0.5))
-}
-
-// Reground recomputes the grounding for new relation contents,
-// incrementally: constraints (and the objective) whose input relations
-// are structurally unchanged keep their rows — the paper's "the grounding
-// logic incrementally maintains the input to the solver" (§2.3.1).
-// It returns the number of constraints re-ground.
-func (g *Grounding) Reground(rels map[string]relation.Relation) (int, error) {
-	g.rels = rels
-	reground := 0
-	// Refresh derived-linear forms whose rule inputs changed.
-	derivedChanged := false
-	for pred := range g.derivedLinear {
-		if g.hashNames(g.derivedInputNames(pred)) != g.derivedHashes[pred] {
-			derivedChanged = true
-		}
-	}
-	if derivedChanged {
-		g.derivedLinear = map[string]map[string]linForm{}
-		g.derivedKeys = map[string][]tuple.Tuple{}
-		if err := g.computeDerivedLinear(); err != nil {
-			return 0, err
-		}
-	}
-	for ci, k := range g.prog.Constraints {
-		if _, had := g.rowsByConstraint[ci]; !had && !g.bodyMentionsFree(k.Body) && !g.headMentionsFree(k) {
-			continue
-		}
-		if g.inputHashes[ci] == g.hashNames(g.constraintInputNames(k)) {
-			continue
-		}
-		delete(g.rowsByConstraint, ci)
-		if err := g.groundConstraint(ci); err != nil {
-			return reground, err
-		}
-		reground++
-	}
-	if g.objPred != "" {
-		var rule *compiler.RulePlan
-		for _, r := range g.prog.Rules {
-			if r.HeadName == g.objPred {
-				rule = r
-				break
-			}
-		}
-		if rule != nil && g.objHash != g.hashNames(g.objInputNames(rule)) {
-			for i := range g.objective {
-				g.objective[i] = 0
-			}
-			g.objConst = 0
-			if err := g.groundObjective(); err != nil {
-				return reground, err
-			}
-			reground++
-		}
-	}
-	return reground, nil
 }
 
 // computeDerivedLinear finds derived sum-aggregation predicates whose
@@ -924,7 +740,6 @@ func (g *Grounding) computeDerivedLinear() error {
 		}
 		g.derivedLinear[r.HeadName] = forms
 		g.derivedKeys[r.HeadName] = keys
-		g.derivedHashes[r.HeadName] = g.hashNames(g.derivedInputNames(r.HeadName))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"logicblox/internal/compiler"
@@ -174,44 +175,42 @@ func TestGroundMinimization(t *testing.T) {
 	}
 }
 
-func TestIncrementalRegrounding(t *testing.T) {
-	prog := compileSrc(t, fig2Program)
-	data := fig2Data()
+// TestProblemRowsInConstraintOrder: Problem lists each solver-facing
+// constraint's rows in the order the constraints are declared, not in the
+// order of the names they read.
+func TestProblemRowsInConstraintOrder(t *testing.T) {
+	src := `
+		zMax[p] = v -> Product(p), float(v).
+		aMin[p] = v -> Product(p), float(v).
+		mMax[p] = v -> Product(p), float(v).
+		X[p] = v -> Product(p), float(v).
+		total[] = u <- agg<<u = sum(x)>> X[p] = x.
+		Product(p) -> X[p] <= zMax[p].
+		Product(p) -> X[p] >= aMin[p].
+		Product(p) -> X[p] <= mMax[p].
+		lang:solve:variable(` + "`X" + `).
+		lang:solve:max(` + "`total" + `).`
+	prog := compileSrc(t, src)
+	f := func(v float64) relation.Relation {
+		return relation.FromTuples(2, []tuple.Tuple{tuple.Of(tuple.String("p"), tuple.Float(v))})
+	}
+	data := map[string]relation.Relation{
+		"Product": relation.FromTuples(1, []tuple.Tuple{tuple.Strings("p")}),
+		"zMax":    f(9),
+		"aMin":    f(1),
+		"mMax":    f(5),
+	}
 	g, err := Ground(prog, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No change: nothing re-grounds.
-	n, err := g.Reground(data)
-	if err != nil {
-		t.Fatal(err)
+	want := []LinConstraint{
+		{Coeffs: map[int]float64{0: 1}, Op: LE, RHS: 9},
+		{Coeffs: map[int]float64{0: 1}, Op: GE, RHS: 1},
+		{Coeffs: map[int]float64{0: 1}, Op: LE, RHS: 5},
 	}
-	if n != 0 {
-		t.Fatalf("unchanged input re-ground %d constraints", n)
-	}
-	// Change maxStock only: only the maxStock constraint re-grounds.
-	data2 := map[string]relation.Relation{}
-	for k, v := range data {
-		data2[k] = v
-	}
-	data2["maxStock"] = relation.FromTuples(2, []tuple.Tuple{
-		tuple.Of(tuple.String("a"), tuple.Float(3)),
-		tuple.Of(tuple.String("b"), tuple.Float(8)),
-	})
-	n, err = g.Reground(data2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatalf("changed input did not re-ground")
-	}
-	_, sol, err := g.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Now a ≤ 3: best a=3 (shelf 6), b=4 (shelf 10) → 15+8=23.
-	if math.Abs(sol.Objective-23) > 1e-6 {
-		t.Fatalf("objective after reground = %v, want 23", sol.Objective)
+	if got := g.Problem().Constraints; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
 	}
 }
 
