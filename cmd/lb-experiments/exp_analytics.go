@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"logicblox/internal/engine"
@@ -13,11 +14,15 @@ import (
 )
 
 // runSolve measures prescriptive analytics (paper §2.3.1): grounding the
-// Figure 2 assortment LP at growing product counts and solving it.
+// Figure 2 assortment LP at growing product counts and solving it. Single
+// runs spread by a third, so each size runs 5 times (once under -quick)
+// and prints the median and the min–max of each phase.
 func runSolve(quick bool) {
 	sizes := []int{10, 100, 1000}
+	runs := 5
 	if quick {
 		sizes = []int{10, 100}
+		runs = 1
 	}
 	src := `
 		spacePerProd[p] = v -> Product(p), float(v).
@@ -34,27 +39,39 @@ func runSolve(quick bool) {
 		lang:solve:variable(` + "`Stock" + `).
 		lang:solve:max(` + "`totalProfit" + `).`
 	prog := mustCompile(src)
-	fmt.Printf("%-10s %-8s %-12s %s\n", "products", "vars", "ground", "solve")
+	fmt.Printf("%d runs per size, each phase as median (min–max)\n", runs)
+	fmt.Printf("%-10s %-8s %-30s %s\n", "products", "vars", "ground", "solve")
 	for _, n := range sizes {
 		retail := workload.Generate(workload.Config{Products: n, Stores: 1, Weeks: 1, Seed: 5})
 		rels := retail.Relations()
 		rels["maxShelf"] = relation.FromTuples(1, []tuple.Tuple{{tuple.Float(float64(n) * 10)}})
-		t0 := time.Now()
-		g, err := solver.Ground(prog, rels)
-		if err != nil {
-			panic(err)
+		var grounds, solves []time.Duration
+		var g *solver.Grounding
+		var sol *solver.Solution
+		for range runs {
+			t0 := time.Now()
+			var err error
+			if g, err = solver.Ground(prog, rels); err != nil {
+				panic(err)
+			}
+			grounds = append(grounds, time.Since(t0))
+			t0 = time.Now()
+			if _, sol, err = g.Solve(); err != nil {
+				panic(err)
+			}
+			solves = append(solves, time.Since(t0))
 		}
-		dGround := time.Since(t0)
-		t0 = time.Now()
-		_, sol, err := g.Solve()
-		if err != nil {
-			panic(err)
-		}
-		dSolve := time.Since(t0)
-
-		fmt.Printf("%-10d %-8d %-12v %-12v  (obj %.0f)\n",
-			n, g.NumVars(), dGround.Round(time.Microsecond), dSolve.Round(time.Microsecond), sol.Objective)
+		fmt.Printf("%-10d %-8d %-30s %-30s (obj %.0f)\n",
+			n, g.NumVars(), medianRange(grounds), medianRange(solves), sol.Objective)
 	}
+}
+
+// medianRange formats timings as their median and min–max.
+func medianRange(ds []time.Duration) string {
+	ds = slices.Clone(ds)
+	slices.Sort(ds)
+	r := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	return fmt.Sprintf("%v (%v–%v)", r(ds[len(ds)/2]), r(ds[0]), r(ds[len(ds)-1]))
 }
 
 // runPredict measures predictive analytics (paper §2.3.2): learning one

@@ -9,7 +9,7 @@
 //	         [-retries 3] [-default-limit N]
 //	         [-access-log stderr|stdout|file] [-slow-query 500ms]
 //	         [-debug-addr :6060]
-//	         [-data-dir dir [-fsync always|interval] [-fsync-interval 50ms]
+//	         [-data-dir dir [-fsync always]
 //	          [-checkpoint-every 256] [-checkpoint-interval 30s]
 //	          [-generations 3]]
 //	         [-follow http://primary:8080 [-staleness-bound 10s]
@@ -72,8 +72,7 @@ func main() {
 	retries := flag.Int("retries", 3, "max optimistic re-executions after commit conflicts")
 	defaultLimit := flag.Int("default-limit", 0, "default row cap on materialized /query responses (0 = 10000, negative = uncapped; explicit limit in the request always wins)")
 	dataDir := flag.String("data-dir", "", "run durably from this directory: snapshot generations + write-ahead commit journal")
-	fsync := flag.String("fsync", durable.FsyncAlways, "journal fsync policy: always (durable acks) or interval (bounded loss, higher throughput)")
-	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "journal flush period under -fsync interval")
+	fsync := flag.String("fsync", "always", "journal fsync policy; the only one is always: every ack is fsynced")
 	ckptEvery := flag.Int("checkpoint-every", 256, "checkpoint after this many journaled commits (<0 disables)")
 	ckptInterval := flag.Duration("checkpoint-interval", 30*time.Second, "checkpoint at least this often while commits are pending (<0 disables)")
 	generations := flag.Int("generations", 3, "rotated snapshot generations to keep in -data-dir")
@@ -87,6 +86,9 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "follower: primary health-probe period for -promote-on-failure")
 	flag.Parse()
 
+	if *fsync != "always" {
+		log.Fatalf("lb-serve: -fsync %q: the only policy is always (each commit is fsynced before its ack)", *fsync)
+	}
 	if *follow != "" && *dataDir == "" {
 		log.Fatalf("lb-serve: -follow requires -data-dir (the follower journals replayed commits locally)")
 	}
@@ -106,8 +108,6 @@ func main() {
 	var store *durable.Store
 	if *dataDir != "" {
 		store, db, err = openDurable(*dataDir, durable.Options{
-			Fsync:              *fsync,
-			FsyncInterval:      *fsyncInterval,
 			CheckpointEvery:    *ckptEvery,
 			CheckpointInterval: *ckptInterval,
 			Generations:        *generations,

@@ -164,42 +164,6 @@ func checkDeadRules(p *ast.Program) []Warning {
 	return warns
 }
 
-// consumers returns every predicate referenced anywhere a derived tuple
-// could be read: rule bodies and functional terms, constraint sides, and
-// directive arguments.
-func consumers(p *ast.Program) map[string]bool {
-	used := map[string]bool{}
-	for _, c := range p.Clauses {
-		switch cl := c.(type) {
-		case *ast.Rule:
-			for dep := range positiveBodyPreds(cl) {
-				used[dep] = true
-			}
-			for _, l := range cl.Body {
-				if l.Negated && l.Atom != nil {
-					used[l.Atom.Pred] = true
-				}
-			}
-		case *ast.Constraint:
-			for _, side := range [][]*ast.Literal{cl.Body, cl.Head} {
-				for _, l := range side {
-					if l.Atom != nil {
-						atomPreds(l.Atom, used)
-					} else if l.Cmp != nil {
-						termPreds(l.Cmp.L, used)
-						termPreds(l.Cmp.R, used)
-					}
-				}
-			}
-		case *ast.Directive:
-			for _, a := range cl.Args {
-				used[a] = true
-			}
-		}
-	}
-	return used
-}
-
 // checkUnconsumed flags derived predicates nobody reads: the head
 // predicate of a rule that no other clause's body, constraint, or
 // directive mentions. References from a rule's own body (recursion)

@@ -54,11 +54,10 @@ func encodeRecord(rec core.CommitRecord) ([]byte, error) {
 // readJournal parses a journal file's bytes. It returns the valid
 // records and whether the file ended in a torn/corrupt frame (the tail
 // after the last valid record is then garbage and must be truncated
-// before further appends). A missing or empty file is zero records.
+// before further appends). An empty file is torn too: its directory
+// entry reached the disk but its header did not, and appends after a
+// missing header would be unreadable.
 func readJournal(raw []byte) (recs []core.CommitRecord, torn bool) {
-	if len(raw) == 0 {
-		return nil, false
-	}
 	if len(raw) < len(journalMagic) || !bytes.Equal(raw[:len(journalMagic)], journalMagic[:]) {
 		return nil, true
 	}
@@ -92,9 +91,6 @@ type journal struct {
 	fsys FS
 	dir  string
 	f    File
-	// dirty is set by appends under the "interval" fsync policy and
-	// cleared by Sync; the Store's flusher goroutine polls it.
-	dirty bool
 }
 
 func (j *journal) path() string { return filepath.Join(j.dir, journalName) }
@@ -132,10 +128,9 @@ func (j *journal) open() error {
 	return nil
 }
 
-// append writes one record frame; with sync, it is fsynced before
-// returning (the "always" policy — the commit is durable when append
-// returns).
-func (j *journal) append(rec core.CommitRecord, sync bool) error {
+// append writes one record frame and fsyncs it: the commit is durable
+// when append returns.
+func (j *journal) append(rec core.CommitRecord) error {
 	if j.f == nil {
 		return errors.New("journal is closed")
 	}
@@ -146,19 +141,6 @@ func (j *journal) append(rec core.CommitRecord, sync bool) error {
 	if _, err := j.f.Write(frame); err != nil {
 		return err
 	}
-	if sync {
-		return j.f.Sync()
-	}
-	j.dirty = true
-	return nil
-}
-
-// sync flushes pending appends (the "interval" policy's periodic flush).
-func (j *journal) sync() error {
-	if j.f == nil || !j.dirty {
-		return nil
-	}
-	j.dirty = false
 	return j.f.Sync()
 }
 
@@ -181,21 +163,18 @@ func (j *journal) load() (recs []core.CommitRecord, torn bool, err error) {
 }
 
 // rewrite atomically replaces the journal with exactly recs (checkpoint
-// truncation, or tail cleanup after a torn write): write a fresh
+// truncation, or cleanup after a torn or failed write): write a fresh
 // journal to a temp file, fsync, rename over the old one, fsync the
 // directory, and reopen for appending. A crash at any point leaves
-// either the old journal or the new one, both valid.
+// either the old journal or the new one, both valid. The old handle is
+// closed without an fsync: every acked record in it was fsynced by its
+// append, and anything else in it is what the rewrite drops.
 func (j *journal) rewrite(recs []core.CommitRecord) error {
 	if j.f != nil {
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-		if err := j.f.Close(); err != nil {
-			return err
-		}
+		j.f.Close()
 		j.f = nil
 	}
-	werr := writeFileAtomic(j.fsys, j.path(), func(w io.Writer) error {
+	if err := writeFileAtomic(j.fsys, j.path(), func(w io.Writer) error {
 		if _, err := w.Write(journalMagic[:]); err != nil {
 			return err
 		}
@@ -209,30 +188,24 @@ func (j *journal) rewrite(recs []core.CommitRecord) error {
 			}
 		}
 		return nil
-	})
-	// Reopen for appending even if the rewrite failed: the atomic write
-	// left either the old journal or the new one in place, and a failed
-	// truncation must not wedge the store (commits keep appending to
-	// whichever file survived).
+	}); err != nil {
+		// No handle is left open: nothing may be appended until a
+		// rewrite succeeds.
+		return fmt.Errorf("journal rewrite: %w", err)
+	}
 	f, err := j.fsys.OpenAppend(j.path())
-	if err == nil {
-		j.f = f
-		j.dirty = false
+	if err != nil {
+		return err
 	}
-	if werr != nil {
-		return fmt.Errorf("journal rewrite: %w", werr)
-	}
-	return err
+	j.f = f
+	return nil
 }
 
 func (j *journal) close() error {
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
+	err := j.f.Close()
 	j.f = nil
 	return err
 }

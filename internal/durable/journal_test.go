@@ -27,7 +27,7 @@ func TestJournalAppendLoad(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := j.append(testRecord(seq), true); err != nil {
+		if err := j.append(testRecord(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := j.append(testRecord(seq), true); err != nil {
+		if err := j.append(testRecord(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,14 +104,14 @@ func TestJournalRewriteThenAppend(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
 	for seq := uint64(1); seq <= 4; seq++ {
-		if err := j.append(testRecord(seq), true); err != nil {
+		if err := j.append(testRecord(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := j.rewrite([]core.CommitRecord{testRecord(3), testRecord(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(testRecord(5), true); err != nil {
+	if err := j.append(testRecord(5)); err != nil {
 		t.Fatal(err)
 	}
 	recs, torn, err := j.load()
@@ -123,12 +123,65 @@ func TestJournalRewriteThenAppend(t *testing.T) {
 	}
 }
 
-// An empty or missing journal is zero records, not an error.
+// A missing journal is zero records, not an error. An empty one — its
+// directory entry survived a crash, its header did not — is zero records
+// and torn, so Recover rewrites it with its header and the commits
+// journaled after it survive a reopen.
 func TestJournalMissing(t *testing.T) {
-	j := &journal{fsys: OS, dir: t.TempDir()}
+	dir := t.TempDir()
+	j := &journal{fsys: OS, dir: dir}
 	recs, torn, err := j.load()
 	if err != nil || torn || len(recs) != 0 {
 		t.Fatalf("load on missing journal: recs=%d torn=%v err=%v", len(recs), torn, err)
+	}
+
+	if err := os.WriteFile(j.path(), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, torn, err = j.load()
+	if err != nil || !torn || len(recs) != 0 {
+		t.Fatalf("load on empty journal: recs=%d torn=%v err=%v", len(recs), torn, err)
+	}
+	fresh := func() (*core.Database, error) { return core.NewDatabase(), nil }
+	s, err := Open(dir, Options{CheckpointEvery: -1, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := s.Recover(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetCommitHook(s.LogCommit)
+	for v := 0; v < 3; v++ {
+		src := fmt.Sprintf("+p(%d).", v)
+		ws, err := db.Workspace(core.DefaultBranch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ws.Exec(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CommitIfRecorded(core.DefaultBranch, ws, res.Workspace, core.CommitRecord{Kind: "exec", Src: src}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if db, err = s.Recover(fresh); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := db.Workspace(core.DefaultBranch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ws.Relation("p").Len(); n != 3 {
+		t.Fatalf("reopened store recovered %d of 3 commits journaled after an empty journal", n)
 	}
 }
 

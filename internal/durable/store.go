@@ -18,17 +18,6 @@ import (
 // ErrClosed reports an operation on a store that has been Closed.
 var ErrClosed = errors.New("durable: store is closed")
 
-// Fsync policies for the commit journal.
-const (
-	// FsyncAlways fsyncs the journal inside every commit: an
-	// acknowledged commit is durable before the client sees the ack.
-	FsyncAlways = "always"
-	// FsyncInterval batches fsyncs on a timer: commits acknowledged in
-	// the last FsyncInterval window may be lost by a crash (bounded-loss
-	// group commit; much higher throughput).
-	FsyncInterval = "interval"
-)
-
 // Options tunes a Store. The zero value takes the documented defaults.
 type Options struct {
 	// FS is the filesystem (default: the real one). The fault-injection
@@ -39,12 +28,6 @@ type Options struct {
 	// generation is corrupt, so the journal is only truncated up to the
 	// oldest retained generation's sequence number.
 	Generations int
-	// Fsync is the journal policy: FsyncAlways (default) or
-	// FsyncInterval.
-	Fsync string
-	// FsyncInterval is the flush period under FsyncInterval (default
-	// 50ms).
-	FsyncInterval time.Duration
 	// CheckpointEvery triggers a checkpoint after this many journaled
 	// commits (default 256; <0 disables count-based checkpoints).
 	CheckpointEvery int
@@ -62,12 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Generations <= 0 {
 		o.Generations = 3
-	}
-	if o.Fsync == "" {
-		o.Fsync = FsyncAlways
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 50 * time.Millisecond
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 256
@@ -91,7 +68,6 @@ type Stats struct {
 	Generations        int    `json:"generations"`
 	LastCheckpointSeq  uint64 `json:"last_checkpoint_seq"`
 	LastCheckpointUnix int64  `json:"last_checkpoint_unix"`
-	FsyncPolicy        string `json:"fsync_policy"`
 }
 
 // SaveFunc writes a database snapshot payload and returns the operation
@@ -103,6 +79,12 @@ type SaveFunc func(io.Writer) (uint64, error)
 // LogCommit is installed as the database's commit hook; Checkpoint (or
 // the background checkpointer started by Start) folds the journal into
 // a fresh snapshot generation. All methods are safe for concurrent use.
+//
+// Once Recover has run, the journal's valid records are exactly tail:
+// the acknowledged records above the retained floor, each fsynced before
+// its ack. A failed journal write breaks that (the file may end in a
+// torn frame, or hold a rejected record whose fsync failed), so the
+// store rewrites the journal from tail before it appends anything else.
 type Store struct {
 	dir  string
 	opts Options
@@ -123,9 +105,12 @@ type Store struct {
 	// journal file. Populated by Recover, appended by LogCommit, trimmed
 	// by Checkpoint's truncation.
 	tail []core.CommitRecord
-	// ready is set once Recover has seeded tail; Checkpoint refuses to
-	// run before.
+	// ready is set once Recover has seeded tail; LogCommit and
+	// Checkpoint refuse to run before.
 	ready bool
+	// broken is set when a journal write failed and cleared once the
+	// journal has been rewritten from tail (repairLocked).
+	broken bool
 	// notify is closed and replaced under mu whenever the tail grows (or
 	// the store closes): the broadcast WaitSeq long-polls on.
 	notify chan struct{}
@@ -142,9 +127,6 @@ type Store struct {
 // Open opens (creating if needed) the data directory and its journal.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if opts.Fsync != FsyncAlways && opts.Fsync != FsyncInterval {
-		return nil, fmt.Errorf("durable: unknown fsync policy %q (want %q or %q)", opts.Fsync, FsyncAlways, FsyncInterval)
-	}
 	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -295,26 +277,40 @@ func (s *Store) Recover(fresh func() (*core.Database, error)) (*core.Database, e
 	return db, nil
 }
 
+// errNotRecovered is LogCommit's and Checkpoint's answer before Recover
+// has seeded the tail the journal is kept equal to.
+var errNotRecovered = errors.New("durable: store used before Recover")
+
 // LogCommit appends one commit record to the journal; it is the
-// core.CommitHook a durable database runs with. Under FsyncAlways the
-// record is on stable storage when LogCommit returns — and only then
-// does the in-memory commit proceed and the client see an ack. It runs
-// under the database's commit lock, so records are journaled in exactly
-// commit order.
+// core.CommitHook a durable database runs with. The record is on stable
+// storage when LogCommit returns — and only then does the in-memory
+// commit proceed and the client see an ack. It runs under the database's
+// commit lock, so records are journaled in exactly commit order. A
+// failed append or fsync rejects the commit and the journal is rewritten
+// from the tail; while that rewrite fails, every commit is rejected
+// without touching the journal.
 func (s *Store) LogCommit(rec core.CommitRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.j.append(rec, s.opts.Fsync == FsyncAlways); err != nil {
+	if !s.ready {
+		return errNotRecovered
+	}
+	if err := s.repairLocked(); err != nil {
+		return err
+	}
+	if err := s.j.append(rec); err != nil {
+		s.broken = true
+		_ = s.repairLocked() // retried before the next append
 		return err
 	}
 	s.lastSeq = rec.Seq
 	s.pending++
-	// Only a fully journaled (and, under FsyncAlways, fsynced) record
-	// enters the tail cursor: followers can never be streamed a commit
-	// the primary did not acknowledge.
+	// Only a fully journaled and fsynced record enters the tail cursor:
+	// followers can never be streamed a commit the primary did not
+	// acknowledge.
 	s.tail = append(s.tail, rec)
 	s.bumpLocked()
 	s.reg.Counter("durable.journal_appends").Inc()
@@ -324,6 +320,19 @@ func (s *Store) LogCommit(rec core.CommitRecord) error {
 		default:
 		}
 	}
+	return nil
+}
+
+// repairLocked rewrites a broken journal to exactly the tail, dropping
+// whatever a failed write left after it. Callers hold s.mu.
+func (s *Store) repairLocked() error {
+	if !s.broken {
+		return nil
+	}
+	if err := s.j.rewrite(s.tail); err != nil {
+		return fmt.Errorf("durable: journal repair: %w", err)
+	}
+	s.broken = false
 	return nil
 }
 
@@ -349,16 +358,22 @@ func (s *Store) Checkpoint(save SaveFunc) error {
 	if !ready {
 		// Before Recover the tail is empty: truncating from it would drop
 		// every journaled record.
-		return errors.New("durable: checkpoint before Recover")
+		return errNotRecovered
 	}
 	if already {
 		return nil // nothing committed since the newest generation
 	}
 	framed := frameSnapshot(buf.Bytes())
-	if err := writeFileAtomic(s.fsys, filepath.Join(s.dir, snapName(seq)), func(w io.Writer) error {
+	gen := filepath.Join(s.dir, snapName(seq))
+	if err := writeFileAtomic(s.fsys, gen, func(w io.Writer) error {
 		_, werr := w.Write(framed)
 		return werr
 	}); err != nil {
+		// A failed directory fsync leaves the generation renamed into
+		// place but not durable. Left there, the next directory fsync
+		// would persist a generation older than the journal keeps, and
+		// the recovered floor would promise records it no longer has.
+		s.fsys.Remove(gen)
 		return fmt.Errorf("durable: checkpoint snapshot: %w", err)
 	}
 
@@ -386,12 +401,17 @@ func (s *Store) Checkpoint(save SaveFunc) error {
 			pending++
 		}
 	}
-	if err := s.j.rewrite(kept); err != nil {
-		return err
-	}
 	s.tail = kept
 	s.bumpLocked()
 	s.pending = pending
+	// A failed rewrite leaves the old journal, the new one, or the new
+	// one under a name the next crash detaches: repair before the next
+	// append. A successful one also mends an earlier failed write.
+	err = s.j.rewrite(kept)
+	s.broken = err != nil
+	if err != nil {
+		return err
+	}
 	s.lastCkpt = time.Now()
 	s.reg.Counter("durable.checkpoints").Inc()
 	s.reg.Gauge("durable.checkpoint_seq").Set(int64(seq))
@@ -399,24 +419,18 @@ func (s *Store) Checkpoint(save SaveFunc) error {
 	return nil
 }
 
-// Start launches the background loops: the checkpointer (fired by
-// commit volume per CheckpointEvery, or by time per CheckpointInterval
-// when commits are pending) and, under FsyncInterval, the journal
-// flusher. Close stops them.
+// Start launches the background checkpointer, fired by commit volume
+// per CheckpointEvery, or by time per CheckpointInterval when commits are
+// pending. Close stops it.
 func (s *Store) Start(save SaveFunc) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		var ckptC, flushC <-chan time.Time
+		var ckptC <-chan time.Time
 		if s.opts.CheckpointInterval > 0 {
 			t := time.NewTicker(s.opts.CheckpointInterval)
 			defer t.Stop()
 			ckptC = t.C
-		}
-		if s.opts.Fsync == FsyncInterval {
-			t := time.NewTicker(s.opts.FsyncInterval)
-			defer t.Stop()
-			flushC = t.C
 		}
 		for {
 			select {
@@ -430,13 +444,6 @@ func (s *Store) Start(save SaveFunc) {
 				s.mu.Unlock()
 				if pending > 0 {
 					s.checkpointLogged(save)
-				}
-			case <-flushC:
-				s.mu.Lock()
-				err := s.j.sync()
-				s.mu.Unlock()
-				if err != nil {
-					s.reg.Counter("durable.flush_errors").Inc()
 				}
 			}
 		}
@@ -531,12 +538,10 @@ func (s *Store) Stats() Stats {
 	if !s.lastCkpt.IsZero() {
 		st.LastCheckpointUnix = s.lastCkpt.Unix()
 	}
-	st.FsyncPolicy = s.opts.Fsync
 	return st
 }
 
-// Close stops the background loops and closes the journal, flushing any
-// pending appends.
+// Close stops the background checkpointer and closes the journal.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -303,46 +303,6 @@ func TestStoreBackgroundCheckpointer(t *testing.T) {
 	t.Fatalf("no checkpoint after CheckpointEvery commits: %+v", store.Stats())
 }
 
-// Under the interval fsync policy appends are batched; Close flushes.
-func TestStoreIntervalFsync(t *testing.T) {
-	dir := t.TempDir()
-	store, err := durable.Open(dir, durable.Options{
-		Fsync:              durable.FsyncInterval,
-		FsyncInterval:      5 * time.Millisecond,
-		CheckpointEvery:    -1,
-		CheckpointInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.Recover(freshDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetCommitHook(store.LogCommit)
-	store.Start(db.SaveSnapshot)
-	for v := 0; v < 6; v++ {
-		if err := commitValue(db, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store2, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	db2, err := store2.Recover(freshDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := relationInts(t, db2); !equalInts(got, []int{0, 1, 2, 3, 4, 5}) {
-		t.Fatalf("recovered p = %v", got)
-	}
-}
-
 func snapshotFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, "snap-*.lbsnap"))
