@@ -115,16 +115,17 @@ func (c *Context) EnumerateDelta(r *compiler.RulePlan, acc map[string]Delta, old
 
 // EnumerateBindings runs the rule body (with optional per-atom overrides)
 // and calls emit once per satisfying assignment with the full binding
-// (join variables then assigned variables). The binding slice is reused
-// across calls. The solver's grounding machinery uses this to linearize
-// constraint and objective bodies.
-func (c *Context) EnumerateBindings(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple) bool) error {
+// (join variables then assigned variables) and the resolver its filters
+// read lookups through. The binding slice is reused across calls. The
+// solver's grounding machinery uses this to linearize constraint and
+// aggregation bodies.
+func (c *Context) EnumerateBindings(r *compiler.RulePlan, overrides map[int]relation.Relation, emit func(tuple.Tuple, compiler.Resolver) bool) error {
 	b, err := c.Bindings(r, overrides)
 	if err != nil {
 		return err
 	}
 	defer b.Close()
-	for binding, ok := b.Next(); ok && emit(binding); binding, ok = b.Next() {
+	for binding, ok := b.Next(); ok && emit(binding, b.resolver); binding, ok = b.Next() {
 	}
 	return b.Err()
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
@@ -10,15 +11,19 @@ import (
 )
 
 // Grounding translates a LogiQL program with free second-order predicate
-// variables (lang:solve:variable) into a linear program: decision
-// variables are the entries of the free predicates over their key
-// domains, integrity constraints become linear rows, and the
-// lang:solve:max/min objective predicate's aggregation rule becomes the
-// objective function (paper §2.3.1). Grounding reuses the engine's query
-// evaluation machinery: constraint bodies are enumerated by leapfrog
-// joins over the data, exactly as the paper describes ("this improves
-// the scalability of the grounding by taking advantage of all the query
-// evaluation machinery").
+// variables (lang:solve:variable) into a linear program (paper §2.3.1).
+// Its decision variables are the entries of the free predicates over
+// their key domains. Linearization knows one thing about a predicate: the
+// linear form of its value at a key (form). For a free predicate that is
+// one decision variable; for a linear head — a sum aggregation whose body
+// reads a free predicate, such as totalShelf — it is the sum of its
+// bindings' forms, computed once by linearize. Integrity constraints that
+// read either become linear rows, and the objective (lang:solve:max/min)
+// is the sum of its head's forms. Every body is enumerated by the
+// engine's leapfrog joins over the data, exactly as the paper describes
+// ("this improves the scalability of the grounding by taking advantage of
+// all the query evaluation machinery"), one binding at a time through
+// eachBinding.
 type Grounding struct {
 	prog    *compiler.Program
 	spec    *compiler.SolveSpec
@@ -29,14 +34,7 @@ type Grounding struct {
 	vars    []VarInfo
 	varIdx  map[string]int           // pred, NUL, key's AppendKey → variable
 	domains map[string][]tuple.Tuple // free pred → key tuples
-
-	// derivedLinear holds, for each derived sum-aggregation predicate
-	// whose body reads free predicates (e.g. totalShelf), the linear form
-	// of its value per group key (its AppendKey encoding: Int(1) and
-	// Float(1) are different keys). Constraints and objectives referencing
-	// such predicates are linearized through these forms.
-	derivedLinear map[string]map[string]linForm
-	derivedKeys   map[string][]tuple.Tuple
+	linear  map[string]linearHead    // linear head → its forms
 
 	objective []float64
 	objConst  float64
@@ -44,6 +42,14 @@ type Grounding struct {
 	objPred   string
 
 	rows []LinConstraint // every constraint's rows, in constraint order
+}
+
+// linearHead is the linear form of a derived predicate's value per group
+// key (the key's AppendKey encoding: Int(1) and Float(1) are different
+// keys), with the keys in the order its body first derived them.
+type linearHead struct {
+	forms map[string]linForm
+	keys  []tuple.Tuple
 }
 
 // VarInfo names one decision variable: an entry of a free predicate.
@@ -63,16 +69,15 @@ func Ground(prog *compiler.Program, rels map[string]relation.Relation) (*Groundi
 		return nil, fmt.Errorf("solver: program has no lang:solve:variable declarations")
 	}
 	g := &Grounding{
-		prog:          prog,
-		spec:          spec,
-		rels:          rels,
-		free:          map[string]bool{},
-		integer:       map[string]bool{},
-		varIdx:        map[string]int{},
-		domains:       map[string][]tuple.Tuple{},
-		derivedLinear: map[string]map[string]linForm{},
-		derivedKeys:   map[string][]tuple.Tuple{},
-		objSign:       1,
+		prog:    prog,
+		spec:    spec,
+		rels:    rels,
+		free:    map[string]bool{},
+		integer: map[string]bool{},
+		varIdx:  map[string]int{},
+		domains: map[string][]tuple.Tuple{},
+		linear:  map[string]linearHead{},
+		objSign: 1,
 	}
 	for _, v := range spec.Variables {
 		info, ok := prog.Preds[v]
@@ -101,8 +106,16 @@ func Ground(prog *compiler.Program, rels map[string]relation.Relation) (*Groundi
 	if err := g.buildDomains(); err != nil {
 		return nil, err
 	}
-	if err := g.computeDerivedLinear(); err != nil {
-		return nil, err
+	// A linear head is a sum aggregation that joins on a free predicate.
+	for _, r := range g.prog.Rules {
+		if !isSum(r) || !slices.ContainsFunc(r.Atoms, func(a compiler.AtomPlan) bool { return g.free[compiler.BaseName(a.Name)] }) {
+			continue
+		}
+		h, err := g.linearize(r)
+		if err != nil {
+			return nil, err
+		}
+		g.linear[r.HeadName] = h
 	}
 	for _, k := range prog.Constraints {
 		if err := g.groundConstraint(k); err != nil {
@@ -123,18 +136,8 @@ func (g *Grounding) NumVars() int { return len(g.vars) }
 // Vars returns the decision-variable descriptors.
 func (g *Grounding) Vars() []VarInfo { return g.vars }
 
-// freeCtx returns an engine context in which each free predicate holds
-// its key domain paired with a sentinel value, so constraint bodies that
-// join on free predicates enumerate per domain key.
-func (g *Grounding) freeCtx() *engine.Context {
-	ctx := engine.NewContext(g.prog, g.rels, engine.Options{})
-	for pred, keys := range g.domains {
-		ctx.Set(pred, withSentinel(g.prog.Preds[pred].Arity, keys))
-	}
-	for pred, keys := range g.derivedKeys {
-		ctx.Set(pred, withSentinel(g.prog.Preds[pred].Arity, keys))
-	}
-	return ctx
+func isSum(r *compiler.RulePlan) bool {
+	return r.Agg != nil && (r.Agg.Func == "sum" || r.Agg.Func == "total")
 }
 
 // withSentinel returns the relation of each key extended by the sentinel
@@ -160,67 +163,33 @@ func (g *Grounding) varFor(pred string, key tuple.Tuple) int {
 	return i
 }
 
-// buildDomains determines each free predicate's key domain: for every
-// constraint whose head references the free predicate and whose body does
-// not, the body bindings projected onto the key terms define variables
-// (e.g. Product(p) -> Stock[p] >= minStock[p] creates one variable per
-// product).
-func (g *Grounding) buildDomains() error {
-	ctx := engine.NewContext(g.prog, g.rels, engine.Options{})
-	for _, k := range g.prog.Constraints {
-		if g.bodyMentionsFree(k.Body) {
-			continue
-		}
-		// Collect the free-pred references in the head.
-		var refs []predRef
-		for _, ha := range k.HeadAtoms {
-			if g.free[ha.Name] {
-				refs = append(refs, predRef{ha.Name, ha.Args})
-			}
-		}
-		for _, hc := range k.HeadChecks {
-			collectFuncGets(hc.L, g.free, &refs)
-			collectFuncGets(hc.R, g.free, &refs)
-		}
-		if len(refs) == 0 {
-			continue
-		}
-		err := ctx.EnumerateBindings(k.Body, nil, func(binding tuple.Tuple) bool {
-			for _, r := range refs {
-				arity := g.prog.Preds[r.pred].Arity
-				keyLen := arity - 1
-				key := make(tuple.Tuple, 0, keyLen)
-				ok := true
-				for i := 0; i < keyLen && i < len(r.args); i++ {
-					if r.args[i] == nil {
-						ok = false
-						break
-					}
-					v, err := r.args[i].Eval(binding, nil)
-					if err != nil {
-						ok = false
-						break
-					}
-					key = append(key, v)
-				}
-				if ok && len(key) == keyLen {
-					g.varFor(r.pred, key)
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
+// form returns the linear form of pred's value at key: one decision
+// variable for a free predicate, the stored form for a linear head. ok is
+// false for any other predicate, whose value is data.
+func (g *Grounding) form(pred string, key tuple.Tuple) (f linForm, ok bool, err error) {
+	if g.free[pred] {
+		return linForm{coeffs: map[int]float64{g.varFor(pred, key): 1}}, true, nil
 	}
-	total := 0
-	for _, keys := range g.domains {
-		total += len(keys)
+	h, ok := g.linear[pred]
+	if !ok {
+		return linForm{}, false, nil
 	}
-	if total == 0 {
-		return fmt.Errorf("solver: no domain constraints found for free predicates %v (add constraints of the form Domain(k) -> F[k] ...)", g.spec.Variables)
+	if f, ok = h.forms[string(key.AppendKey(nil))]; !ok {
+		return linForm{}, true, fmt.Errorf("no linear form for %s%s", pred, key)
 	}
-	return nil
+	return f, true, nil
+}
+
+// decides reports whether pred's value is a decision: pred is free or a
+// linear head.
+func (g *Grounding) decides(pred string) bool {
+	_, ok := g.linear[pred]
+	return ok || g.free[pred]
+}
+
+// bodyDecides reports whether a body joins on a decision.
+func (g *Grounding) bodyDecides(body *compiler.RulePlan) bool {
+	return slices.ContainsFunc(body.Atoms, func(a compiler.AtomPlan) bool { return g.decides(compiler.BaseName(a.Name)) })
 }
 
 // predRef records a reference to a predicate with its argument exprs.
@@ -229,85 +198,159 @@ type predRef struct {
 	args []compiler.Expr
 }
 
-func collectFuncGets(e compiler.Expr, free map[string]bool, out *[]predRef) {
+// headRefs returns the references a constraint's head makes to the
+// predicates in holds for: its head atoms, then the functional lookups of
+// its head checks.
+func headRefs(k *compiler.ConstraintPlan, in func(string) bool) []predRef {
+	var refs []predRef
+	for _, ha := range k.HeadAtoms {
+		if in(ha.Name) {
+			refs = append(refs, predRef{ha.Name, ha.Args})
+		}
+	}
+	for _, hc := range k.HeadChecks {
+		collectFuncGets(hc.L, in, &refs)
+		collectFuncGets(hc.R, in, &refs)
+	}
+	return refs
+}
+
+func collectFuncGets(e compiler.Expr, in func(string) bool, out *[]predRef) {
 	switch e := e.(type) {
 	case compiler.FuncGetExpr:
-		if free[e.Name] {
+		if in(e.Name) {
 			*out = append(*out, predRef{e.Name, e.Args})
 		}
 		for _, a := range e.Args {
-			collectFuncGets(a, free, out)
+			collectFuncGets(a, in, out)
 		}
 	case compiler.ArithExpr:
-		collectFuncGets(e.L, free, out)
-		collectFuncGets(e.R, free, out)
+		collectFuncGets(e.L, in, out)
+		collectFuncGets(e.R, in, out)
 	}
 }
 
-// bodyMentionsFree reports whether a body plan joins on a free predicate.
-func (g *Grounding) bodyMentionsFree(body *compiler.RulePlan) bool {
-	for _, a := range body.Atoms {
-		base := compiler.BaseName(a.Name)
-		if g.free[base] {
-			return true
+// buildDomains determines each free predicate's key domain: for every
+// constraint whose head references the free predicate and whose body does
+// not, the body bindings projected onto the key terms define variables
+// (e.g. Product(p) -> Stock[p] >= minStock[p] creates one variable per
+// product).
+func (g *Grounding) buildDomains() error {
+	isFree := func(p string) bool { return g.free[p] }
+	for _, k := range g.prog.Constraints {
+		refs := headRefs(k, isFree)
+		if len(refs) == 0 || g.bodyDecides(k.Body) {
+			continue
 		}
-		if _, ok := g.derivedLinear[base]; ok {
-			return true
+		err := g.eachBinding(k.Body, fmt.Sprintf("constraint %q", k.Source), func(b *linBinding) error {
+			for _, r := range refs {
+				if key, ok := b.key(r); ok {
+					g.varFor(r.pred, key)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-	return false
+	if len(g.vars) == 0 {
+		return fmt.Errorf("solver: no domain constraints found for free predicates %v (add constraints of the form Domain(k) -> F[k] ...)", g.spec.Variables)
+	}
+	return nil
 }
 
-// symbolicSlots maps each binding slot bound by a free predicate's value
-// column to the atom's key slots, in stored column order.
+// symRef names the decision a binding slot holds: the value column of an
+// atom over pred, keyed by the atom's key slots in stored column order.
 type symRef struct {
-	pred     string // free predicate, or "" when derived is set
-	derived  string // derived-linear predicate
+	pred     string
 	keySlots []int
 }
 
+// symbolicSlots maps each binding slot bound by a decision's value column
+// to its symRef.
 func (g *Grounding) symbolicSlots(body *compiler.RulePlan) map[int]symRef {
 	out := map[int]symRef{}
 	for _, a := range body.Atoms {
 		base := compiler.BaseName(a.Name)
-		_, isDerived := g.derivedLinear[base]
-		if !g.free[base] && !isDerived {
+		if !g.decides(base) {
 			continue
 		}
 		// The value is the last stored column, the key the ones before it.
 		stored := compiler.StoredVars(a)
 		val := len(stored) - 1
-		ref := symRef{keySlots: stored[:val]}
-		if isDerived {
-			ref.derived = base
-		} else {
-			ref.pred = base
-		}
-		out[stored[val]] = ref
+		out[stored[val]] = symRef{pred: base, keySlots: stored[:val]}
 	}
 	return out
 }
 
-// relResolver resolves functional lookups and existence checks against
-// the grounding's relation contents.
-type relResolver map[string]relation.Relation
-
-// FuncValue implements compiler.Resolver.
-func (r relResolver) FuncValue(name string, key tuple.Tuple) (tuple.Value, bool) {
-	rel, ok := r[name]
-	if !ok || rel.Arity() != len(key)+1 {
-		return tuple.Value{}, false
-	}
-	return rel.FuncGet(key)
+// linBinding is one binding of a body under linearization: its values,
+// the slots that hold decisions (a sentinel in vals), the body's
+// assignments, and the binding's resolver.
+type linBinding struct {
+	g       *Grounding
+	vals    tuple.Tuple
+	syms    map[int]symRef
+	assigns map[int]compiler.Expr
+	res     compiler.Resolver
 }
 
-// Exists implements compiler.Resolver.
-func (r relResolver) Exists(name string, pattern []tuple.Value, wild []bool) bool {
-	rel, ok := r[name]
-	if !ok {
-		return false
+// eachBinding calls fn once per binding of body, enumerated over the data
+// with each free predicate holding its key domain and each linear head
+// its keys, each paired with the sentinel value: a body that joins on a
+// decision enumerates one binding per key. A body whose filters read a
+// decision is rejected, since the sentinel is not its value; that error
+// and fn's are reported in what (the rule or constraint).
+func (g *Grounding) eachBinding(body *compiler.RulePlan, what string, fn func(*linBinding) error) error {
+	b := &linBinding{g: g, syms: g.symbolicSlots(body), assigns: map[int]compiler.Expr{}}
+	for _, a := range body.Assigns {
+		b.assigns[a.Slot] = a.E
 	}
-	return rel.MatchExists(pattern, wild)
+	for _, f := range body.Filters {
+		if b.touchesSym(f.L) || b.touchesSym(f.R) {
+			return fmt.Errorf("solver: %s filters on a free predicate value", what)
+		}
+	}
+	ctx := engine.NewContext(g.prog, g.rels, engine.Options{})
+	for pred, keys := range g.domains {
+		ctx.Set(pred, withSentinel(g.prog.Preds[pred].Arity, keys))
+	}
+	for pred, h := range g.linear {
+		ctx.Set(pred, withSentinel(g.prog.Preds[pred].Arity, h.keys))
+	}
+	var err error
+	enumErr := ctx.EnumerateBindings(body, nil, func(vals tuple.Tuple, res compiler.Resolver) bool {
+		b.vals, b.res = vals, res
+		if err = fn(b); err != nil {
+			err = fmt.Errorf("in %s: %w", what, err)
+		}
+		return err == nil
+	})
+	if enumErr != nil {
+		return enumErr
+	}
+	return err
+}
+
+// key evaluates a reference's key arguments under the binding; ok is
+// false when one is a wildcard or does not evaluate.
+func (b *linBinding) key(r predRef) (tuple.Tuple, bool) {
+	n := b.g.prog.Preds[r.pred].Arity - 1
+	if len(r.args) < n {
+		return nil, false
+	}
+	key := make(tuple.Tuple, n)
+	for i, a := range r.args[:n] {
+		if a == nil {
+			return nil, false
+		}
+		v, err := a.Eval(b.vals, b.res)
+		if err != nil {
+			return nil, false
+		}
+		key[i] = v
+	}
+	return key, true
 }
 
 // linForm is a linear expression over decision variables.
@@ -329,10 +372,9 @@ func (l linForm) add(o linForm, scale float64) linForm {
 
 func (l linForm) isConst() bool { return len(l.coeffs) == 0 }
 
-// linEval evaluates an expression to a linear form over decision
-// variables, under a concrete binding with symbolic slots.
-func (g *Grounding) linEval(e compiler.Expr, binding tuple.Tuple, syms map[int]symRef,
-	assigns map[int]compiler.Expr, res compiler.Resolver) (linForm, error) {
+// lin evaluates an expression to a linear form over decision variables
+// under the binding.
+func (b *linBinding) lin(e compiler.Expr) (linForm, error) {
 	switch e := e.(type) {
 	case compiler.ConstExpr:
 		f, ok := e.Val.Numeric()
@@ -341,27 +383,20 @@ func (g *Grounding) linEval(e compiler.Expr, binding tuple.Tuple, syms map[int]s
 		}
 		return linForm{coeffs: map[int]float64{}, c: f}, nil
 	case compiler.VarExpr:
-		if ref, ok := syms[e.Idx]; ok {
+		if ref, ok := b.syms[e.Idx]; ok {
 			key := make(tuple.Tuple, len(ref.keySlots))
 			for i, s := range ref.keySlots {
-				key[i] = binding[s]
+				key[i] = b.vals[s]
 			}
-			if ref.derived != "" {
-				form, ok := g.derivedLinear[ref.derived][string(key.AppendKey(nil))]
-				if !ok {
-					return linForm{}, fmt.Errorf("no linear form for %s%s", ref.derived, key)
-				}
-				return form, nil
-			}
-			v := g.varFor(ref.pred, key)
-			return linForm{coeffs: map[int]float64{v: 1}}, nil
+			f, _, err := b.g.form(ref.pred, key)
+			return f, err
 		}
-		if ae, ok := assigns[e.Idx]; ok {
-			return g.linEval(ae, binding, syms, assigns, res)
+		if ae, ok := b.assigns[e.Idx]; ok {
+			return b.lin(ae)
 		}
-		f, ok := binding[e.Idx].Numeric()
+		f, ok := b.vals[e.Idx].Numeric()
 		if !ok {
-			return linForm{}, fmt.Errorf("non-numeric value %s in linear context", binding[e.Idx])
+			return linForm{}, fmt.Errorf("non-numeric value %s in linear context", b.vals[e.Idx])
 		}
 		return linForm{coeffs: map[int]float64{}, c: f}, nil
 	case compiler.FuncGetExpr:
@@ -369,27 +404,19 @@ func (g *Grounding) linEval(e compiler.Expr, binding tuple.Tuple, syms map[int]s
 		// evaluated as plain values, not linearized.
 		key := make(tuple.Tuple, len(e.Args))
 		for i, a := range e.Args {
-			if exprTouchesSym(a, syms, assigns) {
+			if b.touchesSym(a) {
 				return linForm{}, fmt.Errorf("free variable in functional key of %s", e.Name)
 			}
-			v, err := a.Eval(binding, res)
+			v, err := a.Eval(b.vals, b.res)
 			if err != nil {
 				return linForm{}, err
 			}
 			key[i] = v
 		}
-		if forms, ok := g.derivedLinear[e.Name]; ok {
-			form, ok := forms[string(key.AppendKey(nil))]
-			if !ok {
-				return linForm{}, fmt.Errorf("no linear form for %s%s", e.Name, key)
-			}
-			return form, nil
+		if f, ok, err := b.g.form(e.Name, key); ok {
+			return f, err
 		}
-		if g.free[e.Name] {
-			v := g.varFor(e.Name, key)
-			return linForm{coeffs: map[int]float64{v: 1}}, nil
-		}
-		v, err := e.Eval(binding, res)
+		v, err := e.Eval(b.vals, b.res)
 		if err != nil {
 			return linForm{}, err
 		}
@@ -399,11 +426,11 @@ func (g *Grounding) linEval(e compiler.Expr, binding tuple.Tuple, syms map[int]s
 		}
 		return linForm{coeffs: map[int]float64{}, c: f}, nil
 	case compiler.ArithExpr:
-		l, err := g.linEval(e.L, binding, syms, assigns, res)
+		l, err := b.lin(e.L)
 		if err != nil {
 			return linForm{}, err
 		}
-		r, err := g.linEval(e.R, binding, syms, assigns, res)
+		r, err := b.lin(e.R)
 		if err != nil {
 			return linForm{}, err
 		}
@@ -441,162 +468,118 @@ func scaled(m map[int]float64, f float64) map[int]float64 {
 	return out
 }
 
-// exprTouchesSym reports whether an expression reads a symbolic slot.
-func exprTouchesSym(e compiler.Expr, syms map[int]symRef, assigns map[int]compiler.Expr) bool {
+// touchesSym reports whether an expression reads a slot that holds a
+// decision.
+func (b *linBinding) touchesSym(e compiler.Expr) bool {
 	switch e := e.(type) {
 	case compiler.VarExpr:
-		if _, ok := syms[e.Idx]; ok {
+		if _, ok := b.syms[e.Idx]; ok {
 			return true
 		}
-		if ae, ok := assigns[e.Idx]; ok {
-			return exprTouchesSym(ae, syms, assigns)
-		}
-		return false
+		ae, ok := b.assigns[e.Idx]
+		return ok && b.touchesSym(ae)
 	case compiler.ArithExpr:
-		return exprTouchesSym(e.L, syms, assigns) || exprTouchesSym(e.R, syms, assigns)
+		return b.touchesSym(e.L) || b.touchesSym(e.R)
 	case compiler.FuncGetExpr:
-		for _, a := range e.Args {
-			if exprTouchesSym(a, syms, assigns) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(e.Args, b.touchesSym)
 	default:
 		return false
 	}
 }
 
-// groundConstraint translates one integrity constraint into linear rows.
+// rowOps maps a head comparison to the row it grounds to.
+var rowOps = map[string]ConstraintOp{"<=": LE, "<": LE, ">=": GE, ">": GE, "=": EQ}
+
+// groundConstraint translates one integrity constraint that reads a
+// decision into linear rows, one per binding and head comparison.
 func (g *Grounding) groundConstraint(k *compiler.ConstraintPlan) error {
-	mentions := g.bodyMentionsFree(k.Body) || g.headMentionsFree(k)
-	if !mentions {
+	if !g.bodyDecides(k.Body) && len(headRefs(k, g.decides)) == 0 {
 		return nil // ordinary constraint: checked by the engine, not the solver
 	}
-	syms := g.symbolicSlots(k.Body)
-	assigns := map[int]compiler.Expr{}
-	for _, a := range k.Body.Assigns {
-		assigns[a.Slot] = a.E
-	}
-	// Safety: filters and negations must not read symbolic slots.
-	for _, f := range k.Body.Filters {
-		if exprTouchesSym(f.L, syms, assigns) || exprTouchesSym(f.R, syms, assigns) {
-			return fmt.Errorf("solver: constraint %q filters on a free predicate value", k.Source)
-		}
-	}
-	ctx := g.freeCtx()
-	var groundErr error
-	err := ctx.EnumerateBindings(k.Body, nil, func(binding tuple.Tuple) bool {
+	return g.eachBinding(k.Body, fmt.Sprintf("constraint %q", k.Source), func(b *linBinding) error {
 		for _, hc := range k.HeadChecks {
 			if hc.Op == "!exists" {
 				continue
 			}
-			l, err := g.linEval(hc.L, binding, syms, assigns, relResolver(g.rels))
+			l, err := b.lin(hc.L)
 			if err != nil {
-				groundErr = fmt.Errorf("in constraint %q: %w", k.Source, err)
-				return false
+				return err
 			}
-			r, err := g.linEval(hc.R, binding, syms, assigns, relResolver(g.rels))
+			r, err := b.lin(hc.R)
 			if err != nil {
-				groundErr = fmt.Errorf("in constraint %q: %w", k.Source, err)
-				return false
+				return err
 			}
 			diff := l.add(r, -1) // l - r  op  0
 			if diff.isConst() {
 				continue // no decision variables involved: engine's job
 			}
-			var op ConstraintOp
-			switch hc.Op {
-			case "<=", "<":
-				op = LE
-			case ">=", ">":
-				op = GE
-			case "=":
-				op = EQ
-			default:
-				groundErr = fmt.Errorf("in constraint %q: cannot ground %s over free predicates", k.Source, hc.Op)
-				return false
+			op, ok := rowOps[hc.Op]
+			if !ok {
+				return fmt.Errorf("cannot ground %s over free predicates", hc.Op)
 			}
 			g.rows = append(g.rows, LinConstraint{Coeffs: diff.coeffs, Op: op, RHS: -diff.c})
 		}
-		return true
+		return nil
 	})
-	if err == nil {
-		err = groundErr
-	}
-	return err
 }
 
-func (g *Grounding) headMentionsFree(k *compiler.ConstraintPlan) bool {
-	names := map[string]bool{}
-	for n := range g.free {
-		names[n] = true
-	}
-	for n := range g.derivedLinear {
-		names[n] = true
-	}
-	var refs []predRef
-	for _, hc := range k.HeadChecks {
-		collectFuncGets(hc.L, names, &refs)
-		collectFuncGets(hc.R, names, &refs)
-	}
-	for _, ha := range k.HeadAtoms {
-		if g.free[ha.Name] {
-			return true
+// linearize computes the linear head of sum-aggregation rule r: per group
+// key, the sum of the forms of the aggregated value over the bindings
+// that derive it.
+func (g *Grounding) linearize(r *compiler.RulePlan) (linearHead, error) {
+	h := linearHead{forms: map[string]linForm{}}
+	arg := compiler.VarExpr{Idx: r.Agg.ArgSlot}
+	err := g.eachBinding(r, fmt.Sprintf("rule %q", r.Source), func(b *linBinding) error {
+		key := make(tuple.Tuple, len(r.HeadExprs))
+		for i, e := range r.HeadExprs {
+			v, err := e.Eval(b.vals, b.res)
+			if err != nil {
+				return err
+			}
+			key[i] = v
 		}
-	}
-	return len(refs) > 0
+		lf, err := b.lin(arg)
+		if err != nil {
+			return err
+		}
+		ks := string(key.AppendKey(nil))
+		prev, had := h.forms[ks]
+		if !had {
+			prev = linForm{coeffs: map[int]float64{}}
+			h.keys = append(h.keys, key)
+		}
+		h.forms[ks] = prev.add(lf, 1)
+		return nil
+	})
+	return h, err
 }
 
-// groundObjective linearizes the objective predicate's sum-aggregation
-// rule.
+// groundObjective sets the objective to the sum of the objective head's
+// linear forms, linearizing its rule when the head is not a linear head
+// already.
 func (g *Grounding) groundObjective() error {
-	var rule *compiler.RulePlan
-	for _, r := range g.prog.Rules {
-		if r.HeadName == g.objPred {
-			rule = r
-			break
-		}
-	}
-	if rule == nil {
+	i := slices.IndexFunc(g.prog.Rules, func(r *compiler.RulePlan) bool { return r.HeadName == g.objPred })
+	if i < 0 {
 		return fmt.Errorf("solver: objective predicate %s has no rule", g.objPred)
 	}
-	if rule.Agg == nil || (rule.Agg.Func != "sum" && rule.Agg.Func != "total") {
+	if !isSum(g.prog.Rules[i]) {
 		return fmt.Errorf("solver: objective %s must be a sum aggregation", g.objPred)
 	}
-	if forms, ok := g.derivedLinear[g.objPred]; ok {
-		// Nullary objective: its linear form was already computed.
-		if form, ok := forms[""]; ok {
-			for v, c := range form.coeffs {
-				g.objective[v] += g.objSign * c
-			}
-			g.objConst += g.objSign * form.c
-			return nil
+	h, ok := g.linear[g.objPred]
+	if !ok {
+		var err error
+		if h, err = g.linearize(g.prog.Rules[i]); err != nil {
+			return err
 		}
 	}
-	syms := g.symbolicSlots(rule)
-	assigns := map[int]compiler.Expr{}
-	for _, a := range rule.Assigns {
-		assigns[a.Slot] = a.E
-	}
-	ctx := g.freeCtx()
-	var groundErr error
-	argExpr := compiler.Expr(compiler.VarExpr{Idx: rule.Agg.ArgSlot})
-	err := ctx.EnumerateBindings(rule, nil, func(binding tuple.Tuple) bool {
-		lf, err := g.linEval(argExpr, binding, syms, assigns, relResolver(g.rels))
-		if err != nil {
-			groundErr = fmt.Errorf("in objective %s: %w", g.objPred, err)
-			return false
-		}
-		for v, c := range lf.coeffs {
+	for _, key := range h.keys {
+		f := h.forms[string(key.AppendKey(nil))]
+		for v, c := range f.coeffs {
 			g.objective[v] += g.objSign * c
 		}
-		g.objConst += g.objSign * lf.c
-		return true
-	})
-	if err == nil {
-		err = groundErr
+		g.objConst += g.objSign * f.c
 	}
-	return err
+	return nil
 }
 
 // Problem assembles the LP/MIP.
@@ -672,74 +655,4 @@ func roundTo(x float64) float64 {
 		return float64(int64(x + 0.5))
 	}
 	return float64(int64(x - 0.5))
-}
-
-// computeDerivedLinear finds derived sum-aggregation predicates whose
-// bodies read free predicates (e.g. totalShelf over Stock) and computes
-// the linear form of their value per group key, so constraints and
-// objectives over those predicates linearize through substitution.
-func (g *Grounding) computeDerivedLinear() error {
-	for _, r := range g.prog.Rules {
-		if r.Agg == nil || (r.Agg.Func != "sum" && r.Agg.Func != "total") {
-			continue
-		}
-		directFree := false
-		for _, a := range r.Atoms {
-			if g.free[compiler.BaseName(a.Name)] {
-				directFree = true
-				break
-			}
-		}
-		if !directFree {
-			continue
-		}
-		syms := g.symbolicSlots(r)
-		assigns := map[int]compiler.Expr{}
-		for _, a := range r.Assigns {
-			assigns[a.Slot] = a.E
-		}
-		for _, f := range r.Filters {
-			if exprTouchesSym(f.L, syms, assigns) || exprTouchesSym(f.R, syms, assigns) {
-				return fmt.Errorf("solver: rule %q filters on a free predicate value", r.Source)
-			}
-		}
-		forms := map[string]linForm{}
-		var keys []tuple.Tuple
-		ctx := g.freeCtx()
-		argExpr := compiler.Expr(compiler.VarExpr{Idx: r.Agg.ArgSlot})
-		var groundErr error
-		err := ctx.EnumerateBindings(r, nil, func(binding tuple.Tuple) bool {
-			key := make(tuple.Tuple, len(r.HeadExprs))
-			for i, e := range r.HeadExprs {
-				v, err := e.Eval(binding, nil)
-				if err != nil {
-					groundErr = err
-					return false
-				}
-				key[i] = v
-			}
-			lf, err := g.linEval(argExpr, binding, syms, assigns, relResolver(g.rels))
-			if err != nil {
-				groundErr = fmt.Errorf("in rule %q: %w", r.Source, err)
-				return false
-			}
-			ks := string(key.AppendKey(nil))
-			prev, had := forms[ks]
-			if !had {
-				prev = linForm{coeffs: map[int]float64{}}
-				keys = append(keys, key.Clone())
-			}
-			forms[ks] = prev.add(lf, 1)
-			return true
-		})
-		if err == nil {
-			err = groundErr
-		}
-		if err != nil {
-			return err
-		}
-		g.derivedLinear[r.HeadName] = forms
-		g.derivedKeys[r.HeadName] = keys
-	}
-	return nil
 }

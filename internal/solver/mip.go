@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 
 	"logicblox/internal/obs"
 )
@@ -20,7 +21,7 @@ func SolveMIP(p *Problem) (*Solution, error) {
 	}
 	best := &Solution{Status: Infeasible, Objective: math.Inf(-1)}
 	var nodes int64
-	err = branch(p, nil, relaxed, best, 0, &nodes)
+	err = branch(p, relaxed, best, 0, &nodes)
 	obs.Default().Counter("solver.bnb.nodes").Add(nodes)
 	if err != nil {
 		return nil, err
@@ -31,17 +32,11 @@ func SolveMIP(p *Problem) (*Solution, error) {
 	return best, nil
 }
 
-// bound is an extra x_i ≤ v or x_i ≥ v branching constraint.
-type bound struct {
-	v     int
-	coeff float64 // +1 for ≤, -1 encodes ≥ via flipped constraint
-	ge    bool
-	idx   int
-}
-
 const intTol = 1e-6
 
-func branch(p *Problem, bounds []bound, relaxed *Solution, best *Solution, depth int, nodes *int64) error {
+// branch explores the subtree under relaxed, the LP optimum of p, keeping
+// in best the best integral solution found.
+func branch(p *Problem, relaxed *Solution, best *Solution, depth int, nodes *int64) error {
 	*nodes++
 	if depth > 200 {
 		return nil
@@ -82,27 +77,19 @@ func branch(p *Problem, bounds []bound, relaxed *Solution, best *Solution, depth
 	}
 
 	floorV := math.Floor(relaxed.X[frac])
-	for _, b := range []bound{
-		{idx: frac, v: int(floorV), ge: false},    // x ≤ ⌊v⌋
-		{idx: frac, v: int(floorV) + 1, ge: true}, // x ≥ ⌊v⌋+1
+	for _, bound := range []LinConstraint{
+		{Coeffs: map[int]float64{frac: 1}, Op: LE, RHS: floorV},     // x ≤ ⌊v⌋
+		{Coeffs: map[int]float64{frac: 1}, Op: GE, RHS: floorV + 1}, // x ≥ ⌊v⌋+1
 	} {
 		sub := *p
-		sub.Constraints = append(append([]LinConstraint(nil), p.Constraints...), boundConstraint(b))
+		sub.Constraints = append(slices.Clip(p.Constraints), bound)
 		rel, err := SolveLP(&sub)
 		if err != nil {
 			return err
 		}
-		if err := branch(&sub, append(bounds, b), rel, best, depth+1, nodes); err != nil {
+		if err := branch(&sub, rel, best, depth+1, nodes); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func boundConstraint(b bound) LinConstraint {
-	op := LE
-	if b.ge {
-		op = GE
-	}
-	return LinConstraint{Coeffs: map[int]float64{b.idx: 1}, Op: op, RHS: float64(b.v)}
 }

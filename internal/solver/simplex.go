@@ -100,7 +100,6 @@ func SolveLP(p *Problem) (*Solution, error) {
 		a   []float64
 		rhs float64
 	}
-	var rows []row
 	addRow := func(coeffs map[int]float64, rhs float64, flip bool) row {
 		r := row{a: make([]float64, cols), rhs: rhs}
 		for i, c := range coeffs {
@@ -139,7 +138,6 @@ func SolveLP(p *Problem) (*Solution, error) {
 			return nil, fmt.Errorf("solver: unknown constraint op %q", c.Op)
 		}
 	}
-	_ = rows
 
 	m := len(norm)
 	// Tableau layout: structural vars (cols) + slack per inequality +
