@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: ci build vet test race fmt-check bench bench-ab lint bench-build fuzz-smoke experiments-smoke loc
+.PHONY: ci build vet test race fmt-check bench bench-ab lint bench-build fuzz-smoke experiments-smoke examples loc
 
 # Each test runs once: one uncached race run over the whole module, the
 # static-analysis gate, a few seconds of each native fuzz target, one
-# quick pass of the experiment harness, and a build + short test of the
-# benchmark module (its own go.mod, so ./... does not reach it).
-ci: fmt-check lint build race fuzz-smoke experiments-smoke bench-build
+# quick pass of the experiment harness, one run of every example, and a
+# build + short test of the benchmark module (its own go.mod, so ./... does
+# not reach it).
+ci: fmt-check lint build race fuzz-smoke experiments-smoke examples bench-build
 
 # The static-analysis gate: go vet plus the repository's own analyzer
 # suite (immutable, errwrap, ctxloop, obssafe, and the CFG dataflow trio
@@ -66,6 +67,15 @@ fuzz-smoke:
 # mode must run to completion; no test imports the harness.
 experiments-smoke:
 	$(GO) run ./cmd/lb-experiments -exp all -quick >/dev/null
+
+# Every program under examples/ must run to completion: each exits
+# non-zero on an error or a wrong result, and no test imports them (the
+# assortment's LP and MIP solve runs only here).
+examples:
+	@for ex in $$(ls examples); do \
+		echo "examples: $$ex"; \
+		$(GO) run ./examples/$$ex >/dev/null || exit 1; \
+	done
 
 # benchmark/ compiles against internal packages; a refactor that breaks
 # its imports must fail here rather than in the benchmark run.

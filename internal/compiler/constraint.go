@@ -2,12 +2,20 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"logicblox/internal/ast"
 )
 
-// compileConstraint lowers an integrity constraint.
+// compileConstraint lowers an integrity constraint. A constraint names
+// stored predicates only: it is checked over a transaction's result,
+// which holds no delta or @start version.
 func (c *compilation) compileConstraint(k *ast.Constraint) error {
+	for _, l := range slices.Concat(k.Body, k.Head) {
+		if a := l.Atom; a != nil && (a.Delta != ast.DeltaNone || a.AtStart) {
+			return fmt.Errorf("%s is a delta or @start atom: a constraint names stored predicates only", a)
+		}
+	}
 	env := newBodyEnv()
 	if err := env.addLiterals(k.Body); err != nil {
 		return err
@@ -110,6 +118,9 @@ func (c *compilation) compileConstraint(k *ast.Constraint) error {
 func (e *bodyEnv) compileHeadCheckTerm(t ast.Term) (Expr, error) {
 	switch t := t.(type) {
 	case ast.FuncApp:
+		if t.AtStart {
+			return nil, fmt.Errorf("%s is an @start lookup: a constraint names stored predicates only", t)
+		}
 		args := make([]Expr, len(t.Args))
 		for i, a := range t.Args {
 			expr, err := e.compileHeadCheckTerm(a)

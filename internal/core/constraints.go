@@ -71,20 +71,26 @@ func (ws *Workspace) checkFunctional(preds map[string]*compiler.PredInfo, delta 
 	return nil
 }
 
-// checkConstraints validates the workspace state (whose relations ctx
-// holds), returning an error listing all violations if the state is
-// illegal. A constraint the transaction's receiver is known to satisfy is
-// checked against what the transaction moved (constraintScope):
-// skipped, or checked over the bindings it gained only; the others — new
-// to the program (addblock, restore), or left unchecked by Load or Solve —
-// are checked in full. Constraints that reference free solver predicates
-// (lang:solve:variable) define the optimization problem rather than the
-// set of legal states before a solve, so they are enforced only once the
-// free predicate has been populated. sp (the constraints span) and the
-// core.constraints.* counters get how many constraints went each way, a
-// check cut short by an error or the deadline included.
-func (ws *Workspace) checkConstraints(ctx *engine.Context, delta *txDelta, sp *obs.Span) error {
-	unsolved, held := ws.unsolved(), delta.prev.held()
+// checkConstraints validates the constraints ks over the workspace state
+// (whose relations ctx holds), returning an error listing all violations
+// if the state is illegal. A constraint the transaction's receiver is
+// known to satisfy is checked against what the transaction moved (delta,
+// constraintScope): skipped, or checked over the bindings it gained only;
+// the others — new to the program (addblock, restore, an exec's or a
+// query's own), or left unchecked by Load or Solve — are checked in full,
+// and so is every constraint when delta is nil. Constraints that
+// reference free solver predicates (lang:solve:variable) define the
+// optimization problem rather than the set of legal states before a
+// solve, so they are enforced only once the free predicate has been
+// populated. sp (the constraints span) and the core.constraints.*
+// counters get how many constraints went each way, a check cut short by
+// an error or the deadline included.
+func (ws *Workspace) checkConstraints(ctx *engine.Context, ks []*compiler.ConstraintPlan, delta *txDelta, sp *obs.Span) error {
+	unsolved := ws.unsolved(ctx.Prog)
+	var held map[string]bool
+	if delta != nil {
+		held = delta.prev.held()
+	}
 	var vs []engine.Violation
 	var skipped, deltaChecked, fullChecked int64
 	defer func() {
@@ -99,7 +105,7 @@ func (ws *Workspace) checkConstraints(ctx *engine.Context, delta *txDelta, sp *o
 			}
 		}
 	}()
-	for _, k := range ws.prog.Constraints {
+	for _, k := range ks {
 		if refersTo(k, unsolved) {
 			skipped++
 			continue
@@ -143,37 +149,34 @@ func (ws *Workspace) checkConstraints(ctx *engine.Context, delta *txDelta, sp *o
 // body gained — a tuple inserted into a positive body atom — or an old
 // binding whose head stopped holding. So k is checked in full (full) when
 // a head atom lost tuples, a negated body atom lost tuples, a negated head
-// atom gained tuples, a predicate read by a head lookup moved, or an atom
-// names a decorated predicate (+R, R@start), whose contents the delta does
-// not describe; otherwise it is checked over the bindings its gaining
-// atoms take part in (deltas: per positive body atom that gained tuples,
-// those tuples), and skipped when there are none.
+// atom gained tuples, or a predicate read by a head lookup moved;
+// otherwise it is checked over the bindings its gaining atoms take part in
+// (deltas: per positive body atom that gained tuples, those tuples), and
+// skipped when there are none. A constraint names stored predicates only
+// (the compiler rejects a delta or @start atom in one), so the delta
+// describes every relation k reads.
 func constraintScope(k *compiler.ConstraintPlan, delta *txDelta, ctx *engine.Context) (full bool, deltas map[int]relation.Relation) {
-	decorated := func(name string) bool { return compiler.BaseName(name) != name }
 	for _, a := range k.HeadAtoms {
-		if decorated(a.Name) || len(delta.of(a.Name).Del) > 0 {
+		if len(delta.of(a.Name).Del) > 0 {
 			return true, nil
 		}
 	}
 	for _, a := range k.HeadNegAtoms {
-		if decorated(a.Name) || len(delta.of(a.Name).Ins) > 0 {
+		if len(delta.of(a.Name).Ins) > 0 {
 			return true, nil
 		}
 	}
 	for _, a := range k.Body.NegAtoms {
-		if decorated(a.Name) || len(delta.of(a.Name).Del) > 0 {
+		if len(delta.of(a.Name).Del) > 0 {
 			return true, nil
 		}
 	}
 	for _, name := range k.HeadLookups() {
-		if decorated(name) || !delta.of(name).Empty() {
+		if !delta.of(name).Empty() {
 			return true, nil
 		}
 	}
 	for ai, a := range k.Body.Atoms {
-		if decorated(a.Name) {
-			return true, nil
-		}
 		if ins := delta.of(a.Name).Ins; len(ins) > 0 {
 			if deltas == nil {
 				deltas = map[int]relation.Relation{}
@@ -184,14 +187,14 @@ func constraintScope(k *compiler.ConstraintPlan, delta *txDelta, ctx *engine.Con
 	return false, deltas
 }
 
-// unsolved returns the free solver predicates ws holds nothing of: the
-// constraints over them wait for a solve.
-func (ws *Workspace) unsolved() map[string]bool {
-	if ws.prog.Solve == nil {
+// unsolved returns the free solver predicates of prog that ws holds
+// nothing of: the constraints over them wait for a solve.
+func (ws *Workspace) unsolved(prog *compiler.Program) map[string]bool {
+	if prog.Solve == nil {
 		return nil
 	}
 	out := map[string]bool{}
-	for _, v := range ws.prog.Solve.Variables {
+	for _, v := range prog.Solve.Variables {
 		if ws.Relation(v).IsEmpty() {
 			out[v] = true
 		}
@@ -206,7 +209,7 @@ func (ws *Workspace) held() map[string]bool {
 	if ws.unchecked {
 		return nil
 	}
-	unsolved := ws.unsolved()
+	unsolved := ws.unsolved(ws.prog)
 	out := map[string]bool{}
 	for _, k := range ws.prog.Constraints {
 		if !refersTo(k, unsolved) {

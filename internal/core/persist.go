@@ -231,7 +231,7 @@ func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]
 	for _, name := range compiled.IDBPreds {
 		dirty[name] = true
 	}
-	return ws.settle(context.Background(), NewWorkspace(), compiled.Preds, dirty, nil, nil, true)
+	return ws.settle(context.Background(), NewWorkspace(), compiled, dirty, nil, nil, true)
 }
 
 // Save writes a snapshot of every branch head.

@@ -149,8 +149,11 @@ func (ws *Workspace) queryCursor(rctx context.Context, src, kind string) (*Curso
 // openCursor parses and compiles a query program and settles it as a
 // transient addblock, returning a cursor over the answers. A query holds
 // no reactive rule (one reading a delta or @start predicate): no reactive
-// stratum runs in a query, so such a rule is an ErrTypecheck. The caller
-// owns the transaction span; the cursor ends only its internal eval span.
+// stratum runs in a query, so such a rule is an ErrTypecheck. The query's
+// own constraints are checked in full over the state it walked, as the
+// addblock's check would check them; one that reads "_" needs the answer
+// materialized. The caller owns the transaction span; the cursor ends
+// only its internal eval span.
 func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) (*Cursor, error) {
 	psp := sp.Child("parse")
 	qprog, err := parser.Parse(src)
@@ -179,7 +182,11 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 		changed[r.HeadName] = true
 	}
 	walked := *combined
+	own := combined.Constraints[len(ws.prog.Constraints):]
 	answer := streamableAnswer(combined)
+	if slices.ContainsFunc(own, func(k *compiler.ConstraintPlan) bool { return slices.Contains(k.References(), "_") }) {
+		answer = nil
+	}
 	if answer != nil {
 		walked.Strata = slices.DeleteFunc(slices.Clone(combined.Strata), func(s []*compiler.RulePlan) bool {
 			return s[0].HeadName == "_"
@@ -190,6 +197,11 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	ctx.SetSpan(esp)
 	_, st, err := ivm.Rederive(ctx, ws.memo, changed, nil, nil)
 	countWalk(ws.Observer(), st)
+	if err == nil && len(own) > 0 {
+		ksp := sp.Child("constraints")
+		err = ws.checkConstraints(ctx, own, nil, ksp)
+		ksp.End()
+	}
 	if err == nil && answer != nil {
 		var rc *engine.RuleCursor
 		if rc, err = ctx.StreamRule(answer); err == nil {

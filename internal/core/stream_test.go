@@ -450,8 +450,8 @@ func BenchmarkQueryTriangle(b *testing.B) {
 // reactive rule (one that mentions a delta or @start predicate) must fail
 // with ErrTypecheck whatever the addblock does, since a query runs no
 // reactive stratum. Only the setup failing, the addblock hitting a
-// constraint (queries check none) and a program that does not settle
-// within a second are skipped.
+// constraint (a query checks its own constraints, not the installed
+// ones) and a program that does not settle within a second are skipped.
 func FuzzQueryMatchesAddBlock(f *testing.F) {
 	const retail = `sales[p, s, wk] = n -> int(p), int(s), int(wk), int(n).
 price[p] = v -> int(p), int(v).
@@ -503,6 +503,9 @@ salesByProduct[p] = u -> price[p] = _.`
 		// the filter alike.
 		{`v(x) <- a(x).`, "+a(x) <- x = 1e308 * 10.0 - 1e308 * 10.0.\n+a(1.0). +a(2.0).", `_(x) <- a(x), x > 1.5.`},
 		{`v(x) <- a(x).`, "+a(x) <- x = 1e308 * 10.0 - 1e308 * 10.0.\n+a(1.0). +a(2.0).", `_(x) <- a(x), x <= 1.5.`},
+		// The query's own constraint, violated and satisfied.
+		{`v(x) <- a(x).`, `+a(1). +b(2).`, `_(x) <- v(x). v(x) -> b(x).`},
+		{`v(x) <- a(x).`, `+a(1). +b(1).`, `_(x) <- v(x). v(x) -> b(x).`},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}

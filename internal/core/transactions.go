@@ -80,7 +80,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, blocks pmap.Map[strin
 			out.derived = out.derived.Delete(p)
 		}
 	}
-	return out.settle(rctx, ws, compiled.Preds, dirty, nil, sp, true)
+	return out.settle(rctx, ws, compiled, dirty, nil, sp, true)
 }
 
 // changedHeads returns the head of every rule whose printed source occurs
@@ -172,8 +172,10 @@ type reactiveRun struct {
 
 // execReactive parses and compiles an exec transaction against ws and
 // evaluates its reactive strata. An exec holds delta facts, reactive
-// rules and declarations: a static rule is an ErrTypecheck, since no
-// reactive stratum would evaluate it. When rec is non-nil it keeps the
+// rules, declarations and constraints, which its check enforces over its
+// result: a static rule is an ErrTypecheck, since no reactive stratum
+// would evaluate it, and so is a lang:solve directive, since an exec
+// installs no logic for it to direct. When rec is non-nil it keeps the
 // compiled program and the per-stratum record that ExecRecord.Repair
 // replays against a different head on commit conflict (paper §3.4).
 func (ws *Workspace) execReactive(rctx context.Context, src string, sp *obs.Span, rec *ExecRecord) (*reactiveRun, error) {
@@ -188,6 +190,9 @@ func (ws *Workspace) execReactive(rctx context.Context, src string, sp *obs.Span
 	csp.End()
 	if err == nil && len(combined.Rules) > len(ws.prog.Rules) {
 		err = fmt.Errorf("static rule %q in an exec: install it with addblock", combined.Rules[len(ws.prog.Rules)].Source)
+	}
+	if ds := eprog.Directives(); err == nil && len(ds) > 0 {
+		err = fmt.Errorf("directive %s in an exec: install it with addblock", ds[0])
 	}
 	if err == nil {
 		err = ws.checkArities(combined)
@@ -275,23 +280,25 @@ func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *o
 			changes[p] = d
 		}
 	}
-	return ws.applyBase(rctx, run.combined.Preds, changes, sp, true)
+	return ws.applyBase(rctx, run.combined, changes, sp, true)
 }
 
 // applyBase is the one base-delta step every write goes through: expand
 // ^R upserts, apply the frame rules R := (R@start − (-R)) ∪ (+R) to the
 // receiver's base predicates, compute the exact per-predicate deltas, and
-// settle the result. preds is the symbol table the change was compiled
-// against (it may know predicates the receiver does not yet). A change
-// that leaves every predicate as it was returns the receiver itself.
-func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.PredInfo, changes map[string]baseDelta, sp *obs.Span, check bool) (*ExecResult, error) {
+// settle the result. prog is the program the change was compiled to (an
+// exec's: the installed program extended by the exec's declarations and
+// constraints, so it may know predicates the receiver does not yet). A
+// change that leaves every predicate as it was returns the receiver
+// itself.
+func (ws *Workspace) applyBase(rctx context.Context, prog *compiler.Program, changes map[string]baseDelta, sp *obs.Span, check bool) (*ExecResult, error) {
 	fsp := sp.Child("frame")
 	out := ws.clone()
 	deltas := map[string]ExecDelta{}
 	dirty := map[string]bool{}
 	var ins, del int64
 	for p, c := range changes {
-		info := preds[p]
+		info := prog.Preds[p]
 		arity := c.plus.Arity()
 		if info != nil {
 			if !info.EDB {
@@ -330,7 +337,7 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 	if len(dirty) == 0 {
 		return &ExecResult{Workspace: ws, BaseDeltas: deltas}, nil
 	}
-	res, err := out.settle(rctx, ws, preds, dirty, deltas, sp, check)
+	res, err := out.settle(rctx, ws, prog, dirty, deltas, sp, check)
 	if err != nil {
 		return nil, err
 	}
@@ -341,16 +348,17 @@ func (ws *Workspace) applyBase(rctx context.Context, preds map[string]*compiler.
 // relations or the logic of prev, the cloned workspace ends here — in one
 // evaluation context bounded by rctx, affected views are re-derived from
 // the dirty set and, unless check is off, functional dependencies (of
-// the predicates that changed, as declared in preds — the symbol table
-// the change was compiled against) and integrity constraints are
-// verified over the result, both against the delta from prev: base holds
-// the exact deltas of the base predicates the caller already knows
-// (applyBase's), and only the dirty names nobody reported are diffed. Only Load
-// (bulk seeding across predicates with referential constraints) and Solve
-// (feasible by construction) run unchecked; the version they leave is
-// marked so that the next checked transaction checks in full.
-func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[string]*compiler.PredInfo, dirty map[string]bool, base map[string]ExecDelta, sp *obs.Span, check bool) (*Workspace, error) {
-	ctx := ws.newContext(rctx, ws.prog)
+// the predicates that changed) and integrity constraints are verified
+// over the result, both as declared in prog — the program the change was
+// compiled to, whose constraints an exec may extend — and against the
+// delta from prev: base holds the exact deltas of the base predicates the
+// caller already knows (applyBase's), and only the dirty names nobody
+// reported are diffed. Only Load (bulk seeding across predicates with
+// referential constraints) and Solve (feasible by construction) run
+// unchecked; the version they leave is marked so that the next checked
+// transaction checks in full.
+func (ws *Workspace) settle(rctx context.Context, prev *Workspace, prog *compiler.Program, dirty map[string]bool, base map[string]ExecDelta, sp *obs.Span, check bool) (*Workspace, error) {
+	ctx := ws.newContext(rctx, prog)
 	out, moved, err := ws.rederive(ctx, prev, dirty, base, sp)
 	if err != nil {
 		return nil, err
@@ -364,9 +372,9 @@ func (ws *Workspace) settle(rctx context.Context, prev *Workspace, preds map[str
 	}
 	ksp := sp.Child("constraints")
 	delta := &txDelta{prev: prev, next: out, dirty: dirty, known: moved}
-	err = out.checkFunctional(preds, delta)
+	err = out.checkFunctional(prog.Preds, delta)
 	if err == nil {
-		err = out.checkConstraints(ctx, delta, ksp)
+		err = out.checkConstraints(ctx, prog.Constraints, delta, ksp)
 	}
 	ksp.End()
 	if err != nil {
@@ -420,7 +428,7 @@ func (ws *Workspace) applyDirect(pred string, ins, del []tuple.Tuple, check bool
 		}
 	}
 	change := baseDelta{plus: relation.FromTuples(arity, ins), minus: relation.FromTuples(arity, del), hat: relation.New(arity)}
-	res, err := ws.applyBase(context.Background(), ws.prog.Preds, map[string]baseDelta{pred: change}, sp, check)
+	res, err := ws.applyBase(context.Background(), ws.prog, map[string]baseDelta{pred: change}, sp, check)
 	done(err)
 	return res, err
 }
