@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDatabase$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryMatchesAddBlock$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzMemoMatchesFreshEvaluation$$' -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckedStateRestores$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzExtendMatchesCompile$$' -fuzztime=5s ./internal/compiler
 
 # Every experiment of cmd/lb-experiments (EXPERIMENTS.md) in its -quick

@@ -107,6 +107,7 @@ func (c *compilation) compileConstraint(k *ast.Constraint) error {
 			})
 		}
 	}
+	plan.refs = plan.references()
 	c.prog.Constraints = append(c.prog.Constraints, plan)
 	return nil
 }

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"slices"
+
 	"logicblox/internal/ast"
 	"logicblox/internal/tuple"
 )
@@ -176,6 +178,7 @@ type ConstraintPlan struct {
 	HeadNegAtoms []GroundAtom
 	HeadChecks   []FilterPlan
 	HeadTypes    []TypeCheck
+	refs         []string // References, listed once the plan is compiled
 }
 
 // SolveSpec captures the lang:solve directives of a block (paper §2.3.1).
@@ -209,8 +212,11 @@ type Program struct {
 // negated atoms, head atoms, and functional lookups in head checks). The
 // workspace uses it to defer constraints over free solver predicates to
 // the prescriptive-analytics machinery instead of enforcing them at
-// transaction time.
-func (k *ConstraintPlan) References() []string {
+// transaction time. Every transaction's check asks, so the list is
+// computed once, when the constraint is compiled.
+func (k *ConstraintPlan) References() []string { return k.refs }
+
+func (k *ConstraintPlan) references() []string {
 	set := map[string]bool{}
 	for _, a := range k.Body.Atoms {
 		set[BaseName(a.Name)] = true
@@ -231,6 +237,7 @@ func (k *ConstraintPlan) References() []string {
 	for n := range set {
 		out = append(out, n)
 	}
+	slices.Sort(out) // the same list for the same constraint
 	return out
 }
 

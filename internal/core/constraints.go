@@ -37,21 +37,29 @@ func (d *txDelta) of(name string) ivm.Delta {
 	return m
 }
 
-// checkFunctional enforces the functional dependency of every predicate
-// the transaction dirtied that preds declares functional — at most one
-// value per key — at a cost proportional to the change: only the tuples
-// the delta reports inserted are probed. A predicate the receiver held
-// nothing of (restore, the first write) is swept in one ordered pass
-// instead of one probe per tuple.
+// checkFunctional enforces the functional dependency — at most one value
+// per key — of every predicate preds declares functional, under the rule
+// constraints follow (held): the receiver holds a predicate's dependency
+// when its own program declares the predicate functional and it is not
+// unchecked. A held predicate the transaction dirtied is probed at the
+// tuples the delta reports inserted, and one the receiver held empty or
+// did not hold (new to the program, or left by Load, Solve or a restore's
+// empty start) is swept whole in one ordered pass; the rest keep the
+// dependency the receiver held.
 func (ws *Workspace) checkFunctional(preds map[string]*compiler.PredInfo, delta *txDelta) error {
-	for name := range delta.dirty {
-		info := preds[name]
-		if info == nil || !info.Functional || info.Arity < 2 {
+	prev := delta.prev
+	for name, info := range preds {
+		if !info.Functional || info.Arity < 2 {
+			continue
+		}
+		old := prev.prog.Preds[name]
+		held := old != nil && old.Functional && !prev.unchecked && !prev.relationOr(name, info.Arity).IsEmpty()
+		if held && !delta.dirty[name] {
 			continue
 		}
 		rel, nkey := ws.relationOr(name, info.Arity), info.Arity-1
 		var clash []tuple.Tuple // two tuples of rel sharing a key
-		if delta.prev.relationOr(name, info.Arity).IsEmpty() {
+		if !held {
 			if a, b, ok := rel.KeyConflict(); ok {
 				clash = []tuple.Tuple{a, b}
 			}
@@ -77,20 +85,15 @@ func (ws *Workspace) checkFunctional(preds map[string]*compiler.PredInfo, delta 
 // known to satisfy is checked against what the transaction moved (delta,
 // constraintScope): skipped, or checked over the bindings it gained only;
 // the others — new to the program (addblock, restore, an exec's or a
-// query's own), or left unchecked by Load or Solve — are checked in full,
-// and so is every constraint when delta is nil. Constraints that
-// reference free solver predicates (lang:solve:variable) define the
-// optimization problem rather than the set of legal states before a
-// solve, so they are enforced only once the free predicate has been
-// populated. sp (the constraints span) and the core.constraints.*
+// query's own), or left unchecked by Load or Solve — are checked in full.
+// Constraints that reference free solver predicates (lang:solve:variable)
+// define the optimization problem rather than the set of legal states
+// before a solve, so they are enforced only once the free predicate has
+// been populated. sp (the constraints span) and the core.constraints.*
 // counters get how many constraints went each way, a check cut short by
 // an error or the deadline included.
 func (ws *Workspace) checkConstraints(ctx *engine.Context, ks []*compiler.ConstraintPlan, delta *txDelta, sp *obs.Span) error {
-	unsolved := ws.unsolved(ctx.Prog)
-	var held map[string]bool
-	if delta != nil {
-		held = delta.prev.held()
-	}
+	unsolved, held := ws.unsolved(ctx.Prog), delta.prev.held()
 	var vs []engine.Violation
 	var skipped, deltaChecked, fullChecked int64
 	defer func() {

@@ -9,8 +9,8 @@ import (
 	"math"
 	"strconv"
 
-	"logicblox/internal/compiler"
 	"logicblox/internal/ivm"
+	"logicblox/internal/pmap"
 	"logicblox/internal/relation"
 	"logicblox/internal/tuple"
 )
@@ -197,9 +197,12 @@ func decodeRows(r snapshotRel) (relation.Relation, error) {
 }
 
 // restoreWorkspace rebuilds a workspace from block sources and base data:
-// all blocks are compiled together, base predicates set, derived
-// predicates re-materialized, and integrity constraints verified. The
-// workspace's lineage shares memo (nil: a memo of its own, empty).
+// the base relations are set on a fresh workspace, and the blocks are
+// installed over them as one reinstall, which re-materializes every
+// derived predicate and checks every constraint and functional
+// dependency, none of which the empty start holds. The workspace's
+// lineage shares memo (nil: a memo of its own, empty, so every stratum
+// is evaluated from scratch).
 func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]relation.Relation) (*Workspace, error) {
 	ws := NewWorkspace()
 	if memo != nil {
@@ -207,31 +210,14 @@ func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]
 	}
 	// In name order, so that a restore builds its maps the same way each
 	// time.
-	for _, n := range sortedNames(blocks) {
-		ws.blocks = ws.blocks.Set(n, blocks[n])
-	}
-	progs, err := parseBlocks(ws.blocks)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := compiler.Compile(progs...)
-	if err != nil {
-		return nil, err
-	}
-	ws.prog = compiled
-	dirty := map[string]bool{}
 	for _, pred := range sortedNames(base) {
-		rel := base[pred]
-		if p, ok := compiled.Preds[pred]; ok && p.Arity != rel.Arity() {
-			return nil, fmt.Errorf("predicate %s has arity %d, its data %d", pred, p.Arity, rel.Arity())
-		}
-		ws.base = ws.base.Set(pred, rel)
-		dirty[pred] = true
+		ws.base = ws.base.Set(pred, base[pred])
 	}
-	for _, name := range compiled.IDBPreds {
-		dirty[name] = true
+	installed := pmap.NewMap[string]()
+	for _, n := range sortedNames(blocks) {
+		installed = installed.Set(n, blocks[n])
 	}
-	return ws.settle(context.Background(), NewWorkspace(), compiled, dirty, nil, nil, true)
+	return ws.reinstallTraced(context.Background(), installed, nil)
 }
 
 // Save writes a snapshot of every branch head.

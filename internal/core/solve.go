@@ -36,6 +36,6 @@ func (ws *Workspace) Solve() (*Workspace, *solver.Solution, error) {
 		out.base = out.base.Set(pred, rel)
 		dirty[pred] = true
 	}
-	res, err := out.settle(context.Background(), ws, ws.prog, dirty, nil, nil, false)
+	res, _, err := out.settle(context.Background(), ws, ws.prog, dirty, nil, nil, false)
 	return res, sol, err
 }

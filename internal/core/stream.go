@@ -7,7 +7,6 @@ import (
 
 	"logicblox/internal/compiler"
 	"logicblox/internal/engine"
-	"logicblox/internal/ivm"
 	"logicblox/internal/obs"
 	"logicblox/internal/parser"
 	"logicblox/internal/relation"
@@ -83,8 +82,8 @@ func (c *Cursor) Rows() int64 { return c.rows }
 // Streamed reports whether answers are pipelined straight out of the
 // join iterators (true) or served from the "_" relation the stratum walk
 // materialized (false: an answer rule that aggregates, predicts,
-// computes a head column or is read by a rule, or several "_" rules —
-// an installed one among them).
+// computes a head column or is read by a rule or a constraint, or
+// several "_" rules — an installed one among them).
 func (c *Cursor) Streamed() bool { return c.streamed }
 
 // Close releases the cursor: join iterators unwound, spans ended, the
@@ -150,10 +149,12 @@ func (ws *Workspace) queryCursor(rctx context.Context, src, kind string) (*Curso
 // transient addblock, returning a cursor over the answers. A query holds
 // no reactive rule (one reading a delta or @start predicate): no reactive
 // stratum runs in a query, so such a rule is an ErrTypecheck. The query's
-// own constraints are checked in full over the state it walked, as the
-// addblock's check would check them; one that reads "_" needs the answer
-// materialized. The caller owns the transaction span; the cursor ends
-// only its internal eval span.
+// rules go through the transaction tail as an addblock's would, checks
+// included, but on a clone of the receiver treated as checked: a
+// read-only transaction reports what its own rules break, not what an
+// unchecked Load left behind. A constraint that reads "_", installed or
+// the query's own, needs the answer materialized. The caller owns the
+// transaction span; the cursor ends only its internal eval span.
 func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) (*Cursor, error) {
 	psp := sp.Child("parse")
 	qprog, err := parser.Parse(src)
@@ -182,9 +183,8 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 		changed[r.HeadName] = true
 	}
 	walked := *combined
-	own := combined.Constraints[len(ws.prog.Constraints):]
 	answer := streamableAnswer(combined)
-	if slices.ContainsFunc(own, func(k *compiler.ConstraintPlan) bool { return slices.Contains(k.References(), "_") }) {
+	if slices.ContainsFunc(combined.Constraints, func(k *compiler.ConstraintPlan) bool { return slices.Contains(k.References(), "_") }) {
 		answer = nil
 	}
 	if answer != nil {
@@ -192,32 +192,28 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 			return s[0].HeadName == "_"
 		})
 	}
-	ctx := ws.newContext(rctx, &walked)
-	esp := sp.Child("eval")
-	ctx.SetSpan(esp)
-	_, st, err := ivm.Rederive(ctx, ws.memo, changed, nil, nil)
-	countWalk(ws.Observer(), st)
-	if err == nil && len(own) > 0 {
-		ksp := sp.Child("constraints")
-		err = ws.checkConstraints(ctx, own, nil, ksp)
-		ksp.End()
-	}
-	if err == nil && answer != nil {
-		var rc *engine.RuleCursor
-		if rc, err = ctx.StreamRule(answer); err == nil {
-			w := len(answer.HeadExprs)
-			return &Cursor{
-				rctx: rctx, esp: esp, rc: rc, streamed: true,
-				prev: make(tuple.Tuple, w), cur: make(tuple.Tuple, w),
-			}, nil
-		}
-	}
-	esp.End()
+	q := ws.clone()
+	q.unchecked = false
+	_, ctx, err := q.settle(rctx, q, &walked, changed, nil, sp, true)
 	if err != nil {
 		return nil, err
 	}
-	rel := ctx.Relation("_")
-	return &Cursor{rctx: rctx, mat: rel.Cursor(), hint: rel.Len()}, nil
+	if answer == nil {
+		rel := ctx.Relation("_")
+		return &Cursor{rctx: rctx, mat: rel.Cursor(), hint: rel.Len()}, nil
+	}
+	esp := sp.Child("eval")
+	ctx.SetSpan(esp)
+	rc, err := ctx.StreamRule(answer)
+	if err != nil {
+		esp.End()
+		return nil, err
+	}
+	w := len(answer.HeadExprs)
+	return &Cursor{
+		rctx: rctx, esp: esp, rc: rc, streamed: true,
+		prev: make(tuple.Tuple, w), cur: make(tuple.Tuple, w),
+	}, nil
 }
 
 // streamableAnswer returns the single answer rule in the order it streams

@@ -449,9 +449,11 @@ func BenchmarkQueryTriangle(b *testing.B) {
 // installing the query's text as a block, or both fail. A query holding a
 // reactive rule (one that mentions a delta or @start predicate) must fail
 // with ErrTypecheck whatever the addblock does, since a query runs no
-// reactive stratum. Only the setup failing, the addblock hitting a
-// constraint (a query checks its own constraints, not the installed
-// ones) and a program that does not settle within a second are skipped.
+// reactive stratum. A query settles as the addblock does, so it fails
+// with ErrConstraint exactly when the addblock does: a constraint or
+// functional dependency, installed or its own, that its rules break. Only
+// the setup failing and a program that does not settle within a second
+// are skipped.
 func FuzzQueryMatchesAddBlock(f *testing.F) {
 	const retail = `sales[p, s, wk] = n -> int(p), int(s), int(wk), int(n).
 price[p] = v -> int(p), int(v).
@@ -506,6 +508,11 @@ salesByProduct[p] = u -> price[p] = _.`
 		// The query's own constraint, violated and satisfied.
 		{`v(x) <- a(x).`, `+a(1). +b(2).`, `_(x) <- v(x). v(x) -> b(x).`},
 		{`v(x) <- a(x).`, `+a(1). +b(1).`, `_(x) <- v(x). v(x) -> b(x).`},
+		// Rules that break an installed constraint or functional
+		// dependency, or a functional head of the query's own.
+		{`v(x) <- a(x). v(x) -> x < 2.`, `+a(1). +b(5).`, `v(x) <- b(x). _(x) <- v(x).`},
+		{`a(x, y) -> int(x), int(y).`, `+a(1, 2). +a(1, 3).`, `h[x] = y <- a(x, y). _(x, y) <- h[x] = y.`},
+		{retail, facts, `revenue[p] = 0 <- price[p] = v. _(p, r) <- revenue[p] = r.`},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}
@@ -530,8 +537,10 @@ salesByProduct[p] = u -> price[p] = _.`
 		}
 		out, aerr := ws.AddBlockCtx(rctx, "q", query)
 		switch {
-		case errors.Is(aerr, ErrConstraint), rctx.Err() != nil:
+		case rctx.Err() != nil:
 			t.Skip(aerr, qerr)
+		case errors.Is(aerr, ErrConstraint) != errors.Is(qerr, ErrConstraint):
+			t.Fatalf("AddBlock err = %v, Query err = %v: one hit a constraint", aerr, qerr)
 		case (aerr == nil) != (qerr == nil):
 			t.Fatalf("AddBlock err = %v, Query err = %v", aerr, qerr)
 		case aerr == nil:

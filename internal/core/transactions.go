@@ -80,7 +80,8 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, blocks pmap.Map[strin
 			out.derived = out.derived.Delete(p)
 		}
 	}
-	return out.settle(rctx, ws, compiled, dirty, nil, sp, true)
+	out, _, err = out.settle(rctx, ws, compiled, dirty, nil, sp, true)
+	return out, err
 }
 
 // changedHeads returns the head of every rule whose printed source occurs
@@ -290,7 +291,9 @@ func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *o
 // exec's: the installed program extended by the exec's declarations and
 // constraints, so it may know predicates the receiver does not yet). A
 // change that leaves every predicate as it was returns the receiver
-// itself.
+// itself — unless the change is checked and the receiver is not: the
+// next checked write reports what Load or Solve left, even one that
+// writes nothing new.
 func (ws *Workspace) applyBase(rctx context.Context, prog *compiler.Program, changes map[string]baseDelta, sp *obs.Span, check bool) (*ExecResult, error) {
 	fsp := sp.Child("frame")
 	out := ws.clone()
@@ -334,10 +337,10 @@ func (ws *Workspace) applyBase(rctx context.Context, prog *compiler.Program, cha
 	fsp.End()
 	sp.SetAttr("base_ins", ins)
 	sp.SetAttr("base_del", del)
-	if len(dirty) == 0 {
+	if len(dirty) == 0 && (!check || !ws.unchecked) {
 		return &ExecResult{Workspace: ws, BaseDeltas: deltas}, nil
 	}
-	res, err := out.settle(rctx, ws, prog, dirty, deltas, sp, check)
+	res, _, err := out.settle(rctx, ws, prog, dirty, deltas, sp, check)
 	if err != nil {
 		return nil, err
 	}
@@ -346,26 +349,27 @@ func (ws *Workspace) applyBase(rctx context.Context, prog *compiler.Program, cha
 
 // settle is the single transaction tail: whatever moved the base
 // relations or the logic of prev, the cloned workspace ends here — in one
-// evaluation context bounded by rctx, affected views are re-derived from
-// the dirty set and, unless check is off, functional dependencies (of
-// the predicates that changed) and integrity constraints are verified
-// over the result, both as declared in prog — the program the change was
-// compiled to, whose constraints an exec may extend — and against the
+// evaluation context bounded by rctx, which it returns, affected views
+// are re-derived from the dirty set and, unless check is off, functional
+// dependencies and integrity constraints are verified over the result,
+// both as declared in prog — the program the change was compiled to,
+// whose constraints an exec or a query may extend — and against the
 // delta from prev: base holds the exact deltas of the base predicates the
 // caller already knows (applyBase's), and only the dirty names nobody
-// reported are diffed. Only Load (bulk seeding across predicates with
-// referential constraints) and Solve (feasible by construction) run
-// unchecked; the version they leave is marked so that the next checked
-// transaction checks in full.
-func (ws *Workspace) settle(rctx context.Context, prev *Workspace, prog *compiler.Program, dirty map[string]bool, base map[string]ExecDelta, sp *obs.Span, check bool) (*Workspace, error) {
+// reported are diffed. What prev is known to satisfy (held, and
+// checkFunctional's held rule) is checked against the delta only. Only
+// Load (bulk seeding across predicates with referential constraints) and
+// Solve (feasible by construction) run unchecked; the version they leave
+// holds nothing, so the next checked transaction checks in full.
+func (ws *Workspace) settle(rctx context.Context, prev *Workspace, prog *compiler.Program, dirty map[string]bool, base map[string]ExecDelta, sp *obs.Span, check bool) (*Workspace, *engine.Context, error) {
 	ctx := ws.newContext(rctx, prog)
 	out, moved, err := ws.rederive(ctx, prev, dirty, base, sp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out.unchecked = !check
 	if !check {
-		return out, nil
+		return out, ctx, nil
 	}
 	for p, d := range base {
 		moved[p] = d
@@ -378,9 +382,9 @@ func (ws *Workspace) settle(rctx context.Context, prev *Workspace, prog *compile
 	}
 	ksp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, ctx, nil
 }
 
 // Insert is a convenience exec: it inserts tuples into a base predicate

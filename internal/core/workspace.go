@@ -171,7 +171,9 @@ func parseBlocks(blocks pmap.Map[string]) ([]*ast.Program, error) {
 // re-evaluated whole, and one that reads only known deltas — those of
 // base, and those of the heads maintained before it — is maintained by
 // them (an aggregate's touched groups by their signed delta or a
-// re-fold). It also returns the delta of every derived predicate it moved.
+// re-fold). It also returns the delta of every derived predicate it moved,
+// and publishes what the walk came to: the rules it evaluated and reused,
+// how it maintained them, and its memo lookups (ivm.Memo).
 func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[string]bool, base map[string]ivm.Delta, parent *obs.Span) (*Workspace, map[string]ivm.Delta, error) {
 	sp := parent.Child("rederive")
 	sp.SetAttr("dirty", int64(len(dirty)))
@@ -188,7 +190,20 @@ func (ws *Workspace) rederive(ctx *engine.Context, prev *Workspace, dirty map[st
 	sp.SetAttr("rules_evaluated", int64(st.RulesEvaluated))
 	sp.SetAttr("rules_reused", int64(st.RulesSkipped))
 	sp.End()
-	countWalk(ws.Observer(), st)
+	reg := ws.Observer()
+	if evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped); evals+reused > 0 {
+		reg.Counter("core.rederive.rules_evaluated").Add(evals)
+		reg.Counter("core.rederive.rules_reused").Add(reused)
+		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
+		reg.Counter("core.rederive.groups_signed").Add(int64(st.GroupsSigned))
+		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
+	}
+	if st.MemoHits+st.MemoMisses+st.MemoFallbacks+st.MemoEvictions > 0 {
+		reg.Counter("core.memo.hits").Add(int64(st.MemoHits))
+		reg.Counter("core.memo.misses").Add(int64(st.MemoMisses))
+		reg.Counter("core.memo.fallbacks").Add(int64(st.MemoFallbacks))
+		reg.Counter("core.memo.evictions").Add(int64(st.MemoEvictions))
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,31 +225,14 @@ func sortedNames[V any](m map[string]V) []string {
 	return names
 }
 
-// countWalk publishes what one stratum walk (ivm.Rederive) came to: the
-// rules it evaluated and reused, how it maintained them, and its memo
-// lookups (ivm.Memo).
-func countWalk(reg *obs.Registry, st ivm.Stats) {
-	if evals, reused := int64(st.RulesEvaluated), int64(st.RulesSkipped); evals+reused > 0 {
-		reg.Counter("core.rederive.rules_evaluated").Add(evals)
-		reg.Counter("core.rederive.rules_reused").Add(reused)
-		reg.Counter("core.rederive.strata_reevaluated").Add(int64(st.StrataReevaluated))
-		reg.Counter("core.rederive.groups_signed").Add(int64(st.GroupsSigned))
-		reg.Counter("core.rederive.groups_refolded").Add(int64(st.GroupsRefolded))
-	}
-	if st.MemoHits+st.MemoMisses+st.MemoFallbacks+st.MemoEvictions == 0 {
-		return
-	}
-	reg.Counter("core.memo.hits").Add(int64(st.MemoHits))
-	reg.Counter("core.memo.misses").Add(int64(st.MemoMisses))
-	reg.Counter("core.memo.fallbacks").Add(int64(st.MemoFallbacks))
-	reg.Counter("core.memo.evictions").Add(int64(st.MemoEvictions))
-}
-
 // Query runs a query transaction: src is a program with a designated
 // answer predicate "_" (plus any auxiliary rules). It returns the answer
 // tuples: what "_" would hold after installing src as a block, whose
-// rules may derive installed predicates too. The workspace is unchanged
-// (queries are read-only and run on the branch's snapshot, paper §3.1).
+// rules may derive installed predicates too. Like that addblock, it fails
+// with ErrConstraint when its rules break a constraint or functional
+// dependency, installed or its own; a violation an unchecked Load left
+// behind is not its to report. The workspace is unchanged (queries are
+// read-only and run on the branch's snapshot, paper §3.1).
 func (ws *Workspace) Query(src string) ([]tuple.Tuple, error) {
 	return ws.QueryCtx(context.Background(), src)
 }
@@ -264,10 +262,12 @@ func (ws *Workspace) QueryCtx(rctx context.Context, src string) ([]tuple.Tuple, 
 }
 
 // Load seeds a base predicate in bulk: an exec of +name facts that skips
-// the integrity-constraint check, so predicates tied together by
-// referential constraints can be loaded one after the other in any order.
-// A violation left behind by Load is reported by the next checked
-// transaction (Exec, Insert, AddBlock, …) on the workspace.
+// the integrity check — constraints and functional dependencies alike —,
+// so predicates tied together by referential constraints can be loaded
+// one after the other in any order. A violation left behind by Load is
+// reported by the next checked write (Exec, Insert, AddBlock, …) on the
+// workspace, which checks every constraint and dependency in full. A
+// query is read-only: it reports only what its own rules break.
 func (ws *Workspace) Load(name string, tuples []tuple.Tuple) (*Workspace, error) {
 	res, err := ws.applyDirect(name, tuples, nil, false)
 	if err != nil {

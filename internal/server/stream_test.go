@@ -689,3 +689,28 @@ func TestQueryRuleForInstalledView(t *testing.T) {
 		t.Errorf("%d pages of rows %s, want 2 pages of %s", pages, got, want)
 	}
 }
+
+// TestQueryBreakingInstalledConstraint: a query whose rule moves an
+// installed view past the view's constraint aborts as its addblock would,
+// before any row: the envelope and the NDJSON encoding both answer 409
+// constraint.
+func TestQueryBreakingInstalledConstraint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mustOK(t, ts, "POST", "/v1/addblock", Request{Name: "v", Src: `v(x) <- a(x). v(x) -> x < 2.`}, nil)
+	mustOK(t, ts, "POST", "/v1/exec", Request{Src: `+a(1). +b(5).`}, nil)
+	const src = `v(x) <- b(x). _(x) <- v(x).`
+	var er ErrorResponse
+	if status := do(t, ts, "POST", "/v1/query", Request{Src: src}, &er); status != http.StatusConflict || er.Code != "constraint" {
+		t.Errorf("envelope: status %d, body %+v; want 409 constraint", status, er)
+	}
+	resp, lines := streamLines(t, ts, "/v1/query", Request{Src: src, Stream: true}, nil)
+	er = ErrorResponse{}
+	if len(lines) == 1 {
+		if err := json.Unmarshal([]byte(lines[0]), &er); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp.StatusCode != http.StatusConflict || len(lines) != 1 || er.Code != "constraint" {
+		t.Errorf("NDJSON: status %d, lines %q; want 409 constraint and no row", resp.StatusCode, lines)
+	}
+}
