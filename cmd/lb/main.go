@@ -22,7 +22,7 @@
 //	:branch <from> <to>         create a branch (O(1))
 //	:checkout <branch>          switch the current branch
 //	:branches                   list branches
-//	:history                    list committed versions
+//	:history                    list the retained committed versions
 //	:branchat <i> <name>        branch from a historical version (time travel)
 //	:solve                      run the LP/MIP solver on the current logic
 //	:check [file]               warning-tier program checks (dead rules,
@@ -330,8 +330,12 @@ func (r *repl) command(line string, blockName *string) bool {
 		r.branch = logicblox.DefaultBranch
 		fmt.Fprintln(r.out, "opened", fields[1])
 	case ":history":
-		for i := 0; i < r.db.Versions(); i++ {
-			v, _ := r.db.VersionAt(i)
+		lo, hi := r.db.RetainedVersions()
+		for i := lo; i < hi; i++ {
+			v, err := r.db.VersionAt(i)
+			if err != nil {
+				continue
+			}
 			fmt.Fprintf(r.out, "  %3d  branch=%-12s version=%d blocks=%d\n",
 				i, v.Branch, v.Workspace.Version(), len(v.Workspace.Blocks()))
 		}

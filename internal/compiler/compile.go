@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -21,26 +22,25 @@ func Compile(blocks ...*ast.Program) (*Program, error) {
 // returns what Compile returns for base's blocks followed by these: a
 // request compiles only its own clauses against the installed program
 // (paper §3.3's execution graph, kept per logic version). base is not
-// modified, so any number of requests may extend it at once. Every rule
-// is re-stratified.
+// modified, so any number of requests may extend it at once: its catalog
+// entries are shared until the request changes one, and its strata are
+// kept whenever the request's rules stack above them (stratify).
 func Extend(base *Program, blocks ...*ast.Program) (*Program, error) {
 	prog := &Program{
-		Preds:       make(map[string]*PredInfo, len(base.Preds)),
+		Preds:       maps.Clone(base.Preds),
 		Rules:       slices.Clip(base.Rules),
 		Reactive:    slices.Clip(base.Reactive),
 		Constraints: slices.Clip(base.Constraints),
 	}
-	for name, p := range base.Preds {
-		cp := *p
-		cp.ColumnKinds = slices.Clone(p.ColumnKinds)
-		prog.Preds[name] = &cp
+	if prog.Preds == nil {
+		prog.Preds = map[string]*PredInfo{}
 	}
 	if base.Solve != nil {
 		s := *base.Solve
 		s.Variables, s.Integral = slices.Clip(s.Variables), slices.Clip(s.Integral)
 		prog.Solve = &s
 	}
-	c := &compilation{prog: prog}
+	c := &compilation{prog: prog, base: base}
 	var rules []*ast.Rule
 	var constraints []*ast.Constraint
 	for _, b := range blocks {
@@ -70,7 +70,7 @@ func Extend(base *Program, blocks ...*ast.Program) (*Program, error) {
 			return nil, fmt.Errorf("in constraint %q: %w", k.String(), err)
 		}
 	}
-	if err := stratify(c.prog); err != nil {
+	if err := stratify(c.prog, base); err != nil {
 		return nil, err
 	}
 	return c.prog, nil
@@ -78,6 +78,20 @@ func Extend(base *Program, blocks ...*ast.Program) (*Program, error) {
 
 type compilation struct {
 	prog *Program
+	base *Program // the program prog extends, whose catalog it shares
+}
+
+// own returns name's catalog entry for writing: an entry still shared with
+// the base program is copied first.
+func (c *compilation) own(name string) *PredInfo {
+	p := c.prog.Preds[name]
+	if p != nil && c.base.Preds[name] == p {
+		cp := *p
+		cp.ColumnKinds = slices.Clone(p.ColumnKinds)
+		p = &cp
+		c.prog.Preds[name] = p
+	}
+	return p
 }
 
 // --- desugaring -----------------------------------------------------------
@@ -165,7 +179,8 @@ func (c *compilation) pred(name string, arity int, functional bool) (*PredInfo, 
 	if p.Arity != arity {
 		return nil, fmt.Errorf("predicate %s used with arity %d and %d", name, p.Arity, arity)
 	}
-	if functional {
+	if functional && !p.Functional {
+		p = c.own(name)
 		p.Functional = true
 	}
 	return p, nil
@@ -194,8 +209,8 @@ func (c *compilation) buildCatalog(rules []*ast.Rule, constraints []*ast.Constra
 			// A predicate derived by a plain head is an IDB predicate;
 			// the inference mirrors the paper's lang_edb meta-rule (§3.3).
 			if h.Delta == ast.DeltaNone && !h.AtStart {
-				if p := c.prog.Preds[h.Pred]; p != nil {
-					p.EDB = false
+				if p := c.prog.Preds[h.Pred]; p != nil && p.EDB {
+					c.own(h.Pred).EDB = false
 				}
 			}
 		}
@@ -242,7 +257,8 @@ func (c *compilation) harvestTypes(k *ast.Constraint) {
 			continue
 		}
 		if v, ok := l.Atom.Args[0].(ast.Var); ok {
-			if col, ok := varCol[v.Name]; ok {
+			if col, ok := varCol[v.Name]; ok && p.ColumnKinds[col] != kind {
+				p = c.own(body.Pred)
 				p.ColumnKinds[col] = kind
 			}
 		}

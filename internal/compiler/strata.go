@@ -3,28 +3,85 @@ package compiler
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // stratify orders the static rules into evaluation strata. Rules whose
 // head predicates are mutually recursive share a stratum (evaluated to a
 // fixpoint together); negation and aggregation through a recursive cycle
 // is rejected (the classical stratified-Datalog condition, which keeps
-// the two-valued semantics of T2 well defined).
-func stratify(p *Program) error {
-	strata, idb, err := computeStrata(p.Rules, p.Preds)
+// the two-valued semantics of T2 well defined). p extends base: when the
+// rules p adds neither derive a predicate base's rules derive nor feed
+// one base's rules read, their strata are stacked above base's, which are
+// kept as they are, rather than every rule being stratified again.
+func stratify(p, base *Program) error {
+	strata, kept, err := stackStrata(p.Rules, len(base.Rules), base.Strata)
 	if err != nil {
 		return err
 	}
-	p.Strata, p.IDBPreds = strata, idb
+	p.Strata = strata
+	if kept {
+		p.IDBPreds = appendHeads(slices.Clip(base.IDBPreds), strata[len(base.Strata):])
+	} else {
+		p.IDBPreds = appendHeads(nil, strata)
+	}
 	// Reactive rules get their own stratification over decorated names,
 	// used by the exec-transaction pipeline.
-	rstrata, _, err := computeStrata(p.Reactive, p.Preds)
+	rstrata, _, err := stackStrata(p.Reactive, len(base.Reactive), base.ReactiveStrata)
 	if err != nil {
 		return fmt.Errorf("in reactive rules: %w", err)
 	}
 	p.ReactiveStrata = rstrata
 	return nil
+}
+
+// stackStrata stratifies rules, of which rules[:from] are stratified as
+// below already: when the rules from on can stack above them, only those
+// are stratified, and their strata follow below's (kept reports it). The
+// strata order makes that exact: a rule's stratum follows every stratum
+// it reads, and otherwise strata come in the order of their first rules,
+// so the rules before from, which read nothing the later ones derive,
+// fill the first strata just as they do alone.
+func stackStrata(rules []*RulePlan, from int, below [][]*RulePlan) (strata [][]*RulePlan, kept bool, err error) {
+	if from == len(rules) {
+		return below, true, nil
+	}
+	if from > 0 && stacked(rules, from) {
+		strata, err := computeStrata(rules[from:])
+		if err != nil {
+			return nil, false, err
+		}
+		return append(slices.Clip(below), strata...), true, nil
+	}
+	strata, err = computeStrata(rules)
+	return strata, false, err
+}
+
+// stacked reports whether rules[from:] can stack above rules[:from]: no
+// earlier rule derives or reads a predicate a later one derives.
+func stacked(rules []*RulePlan, from int) bool {
+	for _, n := range rules[from:] {
+		for _, b := range rules[:from] {
+			if b.HeadName == n.HeadName || slices.Contains(b.BodyNames, n.HeadName) || slices.Contains(b.NegNames, n.HeadName) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// appendHeads appends the head predicates of strata to idb, in stratum
+// order, each once.
+// A predicate's rules all share its stratum.
+func appendHeads(idb []string, strata [][]*RulePlan) []string {
+	for _, stratum := range strata {
+		start := len(idb)
+		for _, r := range stratum {
+			if !slices.Contains(idb[start:], r.HeadName) {
+				idb = append(idb, r.HeadName)
+			}
+		}
+	}
+	return idb
 }
 
 // StratumRecursive reports whether a stratum's rules feed each other:
@@ -61,63 +118,72 @@ func (p *RulePlan) ReadsAny(changed func(name string) bool) bool {
 	return false
 }
 
-// computeStrata stratifies one rule set and returns the strata together
-// with the derived predicate names in stratum order.
-func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan, []string, error) {
-	succ := map[string][]string{} // body predicate → heads it feeds
-	nodes := map[string]bool{}
-	for name := range preds {
-		nodes[name] = true
+// computeStrata stratifies one rule set. Its components are the strongly
+// connected ones of the graph whose nodes are the rules' head predicates
+// and whose edges run from a head a rule reads to the head it derives
+// (Tarjan, iterative); a predicate no rule derives is a source, outside
+// every stratum. Each component is one stratum, its rules in rule order;
+// a stratum follows every stratum it reads, and otherwise strata come in
+// the order of their first rules.
+func computeStrata(rules []*RulePlan) ([][]*RulePlan, error) {
+	if len(rules) == 1 { // a request's one rule: no graph to search
+		r := rules[0]
+		blocked := r.NegNames
+		if r.Agg != nil || r.Predict != nil {
+			blocked = append(slices.Clip(r.BodyNames), r.NegNames...)
+		}
+		if slices.Contains(blocked, r.HeadName) {
+			return nil, fmt.Errorf("program is not stratified: %s depends on itself through negation or aggregation", BaseName(r.HeadName))
+		}
+		return [][]*RulePlan{slices.Clip(rules)}, nil
 	}
+	node := map[string]int{} // head predicate → node
 	for _, r := range rules {
-		nodes[r.HeadName] = true
-		for _, bs := range [][]string{r.BodyNames, r.NegNames} {
+		if _, ok := node[r.HeadName]; !ok {
+			node[r.HeadName] = len(node)
+		}
+	}
+	n := len(node)
+	succ := make([][]int, n) // node → the nodes of the heads it feeds
+	reads := func(r *RulePlan, f func(b int)) {
+		for _, bs := range [2][]string{r.BodyNames, r.NegNames} {
 			for _, b := range bs {
-				nodes[b] = true
-				succ[b] = append(succ[b], r.HeadName)
+				if v, ok := node[b]; ok {
+					f(v)
+				}
 			}
 		}
 	}
+	for _, r := range rules {
+		h := node[r.HeadName]
+		reads(r, func(b int) { succ[b] = append(succ[b], h) })
+	}
 
 	// Tarjan's strongly connected components, iterative.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	comp := map[string]int{}
-	var stack []string
-	counter := 0
-	nComp := 0
-
-	var names []string
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	type frame struct {
-		node string
-		ei   int
-	}
-	for _, start := range names {
-		if _, seen := index[start]; seen {
+	index := make([]int, n) // 0: unvisited, else the visit number + 1
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	comp := make([]int, n)
+	var stack []int
+	counter, nComp := 0, 0
+	type frame struct{ node, ei int }
+	for start := 0; start < n; start++ {
+		if index[start] != 0 {
 			continue
 		}
-		frames := []frame{{node: start}}
-		index[start] = counter
-		low[start] = counter
 		counter++
+		index[start], low[start] = counter, counter
 		stack = append(stack, start)
 		onStack[start] = true
+		frames := []frame{{node: start}}
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			edges := succ[f.node]
-			if f.ei < len(edges) {
+			if edges := succ[f.node]; f.ei < len(edges) {
 				next := edges[f.ei]
 				f.ei++
-				if _, seen := index[next]; !seen {
-					index[next] = counter
-					low[next] = counter
+				if index[next] == 0 {
 					counter++
+					index[next], low[next] = counter, counter
 					stack = append(stack, next)
 					onStack[next] = true
 					frames = append(frames, frame{node: next})
@@ -139,11 +205,11 @@ func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan
 				}
 				nComp++
 			}
+			done := f.node
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				parent := frames[len(frames)-1].node
-				if low[f.node] < low[parent] {
-					low[parent] = low[f.node]
+				if parent := frames[len(frames)-1].node; low[done] < low[parent] {
+					low[parent] = low[done]
 				}
 			}
 		}
@@ -152,40 +218,41 @@ func computeStrata(rules []*RulePlan, preds map[string]*PredInfo) ([][]*RulePlan
 	// Negation and aggregation must cross strata: a negated body
 	// predicate, or any body predicate of an aggregate or predict rule,
 	// may not share its head's component.
+	byComp := make([][]*RulePlan, nComp)
 	for _, r := range rules {
 		blocked := r.NegNames
 		if r.Agg != nil || r.Predict != nil {
 			blocked = append(slices.Clip(r.BodyNames), r.NegNames...)
 		}
+		c := comp[node[r.HeadName]]
 		for _, b := range blocked {
-			if comp[b] == comp[r.HeadName] {
-				return nil, nil, fmt.Errorf("program is not stratified: %s depends on itself through negation or aggregation", BaseName(r.HeadName))
+			if v, ok := node[b]; ok && comp[v] == c {
+				return nil, fmt.Errorf("program is not stratified: %s depends on itself through negation or aggregation", BaseName(r.HeadName))
 			}
 		}
+		byComp[c] = append(byComp[c], r)
 	}
 
-	// Tarjan numbers each component after every component it reaches, and
-	// edges run body → head, so every body predicate of a rule sits in a
-	// component numbered above its head's: decreasing component id is a
-	// stratum order. Rules arrive in ID order and keep it in their stratum.
-	byComp := make([][]*RulePlan, nComp)
-	for _, r := range rules {
-		byComp[comp[r.HeadName]] = append(byComp[comp[r.HeadName]], r)
-	}
-	var strata [][]*RulePlan
-	var idb []string
-	seen := map[string]bool{}
-	for c := nComp - 1; c >= 0; c-- {
-		if len(byComp[c]) == 0 {
-			continue
+	// Each component is emitted after the components its rules read,
+	// components taken in the order of their first rules.
+	strata := make([][]*RulePlan, 0, nComp)
+	emitted := make([]bool, nComp)
+	var emit func(c int)
+	emit = func(c int) {
+		emitted[c] = true
+		for _, r := range byComp[c] {
+			reads(r, func(b int) {
+				if !emitted[comp[b]] {
+					emit(comp[b])
+				}
+			})
 		}
 		strata = append(strata, byComp[c])
-		for _, r := range byComp[c] {
-			if !seen[r.HeadName] {
-				seen[r.HeadName] = true
-				idb = append(idb, r.HeadName)
-			}
+	}
+	for _, r := range rules {
+		if c := comp[node[r.HeadName]]; !emitted[c] {
+			emit(c)
 		}
 	}
-	return strata, idb, nil
+	return strata, nil
 }

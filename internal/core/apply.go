@@ -21,6 +21,8 @@ type TxOptions struct {
 	// before ErrConflict surfaces; when it is positive an exec keeps the
 	// repair record (paper §3.4) a retry uses.
 	MaxRetries int
+	// replay marks a journaled record re-applied by ApplyRecord.
+	replay bool
 }
 
 // Applied reports what Database.Apply did. The counts are valid on error
@@ -65,7 +67,7 @@ func (db *Database) Apply(rctx context.Context, rec CommitRecord, opt TxOptions)
 	case "branch":
 		return Applied{}, db.Branch(rec.From, rec.To)
 	case "branchat":
-		return Applied{}, db.BranchAt(rec.Version, rec.To)
+		return Applied{}, db.branchAt(rec.Version, rec.To, opt.replay)
 	case "delete":
 		return Applied{}, db.DeleteBranch(rec.To)
 	case "promote":
@@ -173,7 +175,7 @@ func BackoffConflict(ctx context.Context, attempt int) {
 // is pinned to rec.Seq so post-recovery commits continue the journal's
 // numbering.
 func (db *Database) ApplyRecord(rec CommitRecord) error {
-	if _, err := db.Apply(context.Background(), rec, TxOptions{}); err != nil {
+	if _, err := db.Apply(context.Background(), rec, TxOptions{replay: true}); err != nil {
 		return fmt.Errorf("replay seq %d (%s): %w", rec.Seq, rec.Kind, err)
 	}
 	db.mu.Lock()

@@ -93,7 +93,7 @@ func (ws *Workspace) checkFunctional(preds map[string]*compiler.PredInfo, delta 
 // counters get how many constraints went each way, a check cut short by
 // an error or the deadline included.
 func (ws *Workspace) checkConstraints(ctx *engine.Context, ks []*compiler.ConstraintPlan, delta *txDelta, sp *obs.Span) error {
-	unsolved, held := ws.unsolved(ctx.Prog), delta.prev.held()
+	unsolved, prevUnsolved := ws.unsolved(ctx.Prog), delta.prev.unsolved(delta.prev.prog)
 	var vs []engine.Violation
 	var skipped, deltaChecked, fullChecked int64
 	defer func() {
@@ -114,7 +114,7 @@ func (ws *Workspace) checkConstraints(ctx *engine.Context, ks []*compiler.Constr
 			continue
 		}
 		var deltas map[int]relation.Relation
-		if held[k.Source] {
+		if delta.prev.holds(k, prevUnsolved) {
 			var full bool
 			if full, deltas = constraintScope(k, delta, ctx); !full && deltas == nil {
 				skipped++
@@ -205,19 +205,19 @@ func (ws *Workspace) unsolved(prog *compiler.Program) map[string]bool {
 	return out
 }
 
-// held returns the sources of the constraints ws's state is known to
-// satisfy: every constraint of its program that its last check enforced —
-// none when it was settled unchecked since.
-func (ws *Workspace) held() map[string]bool {
-	if ws.unchecked {
-		return nil
-	}
-	unsolved := ws.unsolved(ws.prog)
-	out := map[string]bool{}
-	for _, k := range ws.prog.Constraints {
-		if !refersTo(k, unsolved) {
-			out[k.Source] = true
-		}
+// holds reports whether ws's state is known to satisfy k: k is a
+// constraint of ws's program that its last check enforced — none is when
+// ws was settled unchecked since, and none over a free solver predicate
+// ws holds nothing of (unsolved, ws's own).
+func (ws *Workspace) holds(k *compiler.ConstraintPlan, unsolved map[string]bool) bool {
+	return !ws.unchecked && ws.constraintSrcs[k.Source] && !refersTo(k, unsolved)
+}
+
+// constraintSources returns the source texts of prog's constraints.
+func constraintSources(prog *compiler.Program) map[string]bool {
+	out := make(map[string]bool, len(prog.Constraints))
+	for _, k := range prog.Constraints {
+		out[k.Source] = true
 	}
 	return out
 }

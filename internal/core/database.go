@@ -9,12 +9,30 @@ import (
 // Database manages named branches of workspaces and the version history
 // (paper §2.2.2 Branch/Delete-branch, §3.1). Because workspaces are
 // immutable values over persistent structures, Branch is an O(1) pointer
-// copy, commit is a pointer swap, and any historical version can itself
-// be branched (time travel); the version graph is an arbitrary DAG.
+// copy, commit is a pointer swap, and any retained historical version can
+// itself be branched (time travel); the version graph is an arbitrary DAG.
+//
+// Versions are numbered by commit, from 0, and the numbers survive a
+// snapshot restore. Only the last keepVersions of them stay in memory: a
+// version older than that lives on only while a branch head or a reader
+// still holds it, so the database's memory follows its data, not its
+// commit count (paper §3.1: versions are garbage-collected).
 type Database struct {
 	mu       sync.RWMutex
 	branches map[string]*Workspace
-	history  []VersionEntry
+	// history holds the retained versions: version i, for i in
+	// [lowest(), versions), is history[i%keepVersions].
+	history [keepVersions]VersionEntry
+	// versions counts the committed versions, the ones before a restore
+	// included.
+	versions int
+	// restored is the version count the snapshot this database was
+	// restored from was taken at: no version below it is in memory.
+	restored int
+	// snapFloor is the version count at the newest SaveSnapshot. A
+	// recovery or a follower starts from such a snapshot and cannot
+	// rebuild a version below it, so BranchAt refuses one.
+	snapFloor int
 	// seq numbers every state-changing operation; snapshots record it so
 	// journal replay (internal/durable) knows where a snapshot ends.
 	seq uint64
@@ -90,6 +108,31 @@ func (db *Database) logLocked(rec *CommitRecord) error {
 	return nil
 }
 
+// keepVersions is how many of the latest committed versions the history
+// retains.
+const keepVersions = 64
+
+// lowest is the oldest retained version. Callers hold db.mu.
+func (db *Database) lowest() int { return max(db.restored, db.versions-keepVersions) }
+
+// appendVersion records the next committed version, dropping the oldest
+// retained one once keepVersions are held. Callers hold db.mu.
+func (db *Database) appendVersion(e VersionEntry) {
+	db.history[db.versions%keepVersions] = e
+	db.versions++
+}
+
+// versionLocked returns version i. Callers hold db.mu.
+func (db *Database) versionLocked(i int) (VersionEntry, error) {
+	switch {
+	case i < 0 || i >= db.versions:
+		return VersionEntry{}, fmt.Errorf("version %d out of range [0, %d): %w", i, db.versions, ErrNoSuchBranch)
+	case i < db.lowest():
+		return VersionEntry{}, fmt.Errorf("version %d, retained from %d: %w", i, db.lowest(), ErrVersionEvicted)
+	}
+	return db.history[i%keepVersions], nil
+}
+
 // VersionEntry records one committed workspace version.
 type VersionEntry struct {
 	Branch    string
@@ -106,10 +149,9 @@ func NewDatabase() *Database { return NewDatabaseWith(NewWorkspace()) }
 // the hook the functional options of logicblox.Open use to configure
 // the root workspace (its observer) before the first commit.
 func NewDatabaseWith(ws *Workspace) *Database {
-	return &Database{
-		branches: map[string]*Workspace{DefaultBranch: ws},
-		history:  []VersionEntry{{Branch: DefaultBranch, Workspace: ws}},
-	}
+	db := &Database{branches: map[string]*Workspace{DefaultBranch: ws}}
+	db.appendVersion(VersionEntry{Branch: DefaultBranch, Workspace: ws})
+	return db
 }
 
 // Workspace returns the current workspace of a branch.
@@ -143,11 +185,25 @@ func (db *Database) Branch(from, to string) error {
 }
 
 // BranchAt creates a branch from a historical version index (time travel).
+// A version below the retained window, or below the newest snapshot
+// SaveSnapshot took, is ErrVersionEvicted: a recovery or a follower
+// starts from that snapshot and could not rebuild the version.
 func (db *Database) BranchAt(version int, to string) error {
+	return db.branchAt(version, to, false)
+}
+
+// branchAt is BranchAt; a replayed record skips the snapshot check, since
+// the record was accepted against the snapshots of the process that
+// journaled it.
+func (db *Database) branchAt(version int, to string, replay bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if version < 0 || version >= len(db.history) {
-		return fmt.Errorf("version %d out of range: %w", version, ErrNoSuchBranch)
+	v, err := db.versionLocked(version)
+	if err != nil {
+		return err
+	}
+	if !replay && version < db.snapFloor {
+		return fmt.Errorf("version %d is older than the newest snapshot (version count %d), which a recovery restarts from: %w", version, db.snapFloor, ErrVersionEvicted)
 	}
 	if _, exists := db.branches[to]; exists {
 		return fmt.Errorf("branch %s: %w", to, ErrBranchExists)
@@ -155,7 +211,7 @@ func (db *Database) BranchAt(version int, to string) error {
 	if err := db.logLocked(&CommitRecord{Kind: "branchat", Version: version, To: to}); err != nil {
 		return err
 	}
-	db.branches[to] = db.history[version].Workspace
+	db.branches[to] = v.Workspace
 	return nil
 }
 
@@ -206,7 +262,7 @@ func (db *Database) moveHead(branch string, compare bool, parent, ws *Workspace,
 		return err
 	}
 	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
+	db.appendVersion(VersionEntry{Branch: branch, Workspace: ws})
 	return nil
 }
 
@@ -264,19 +320,27 @@ func (db *Database) Branches() []string {
 	return out
 }
 
-// Versions returns the number of committed versions.
+// Versions returns the number of committed versions, the ones no longer
+// retained included.
 func (db *Database) Versions() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.history)
+	return db.versions
 }
 
-// VersionAt returns the i-th committed version.
+// RetainedVersions returns the retained window [lo, hi) of version
+// indices: the ones VersionAt answers.
+func (db *Database) RetainedVersions() (lo, hi int) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.lowest(), db.versions
+}
+
+// VersionAt returns the i-th committed version. An index below the
+// retained window is ErrVersionEvicted, one never committed
+// ErrNoSuchBranch.
 func (db *Database) VersionAt(i int) (VersionEntry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if i < 0 || i >= len(db.history) {
-		return VersionEntry{}, fmt.Errorf("version %d out of range", i)
-	}
-	return db.history[i], nil
+	return db.versionLocked(i)
 }

@@ -11,10 +11,16 @@ import "errors"
 //	ErrNoSuchBranch → 404    ErrConflict, ErrBranchExists → 409
 //	ErrParse        → 400    ErrTypecheck                 → 422
 //	ErrConstraint   → 409    context.DeadlineExceeded     → 504
+//	ErrVersionEvicted → 410
 var (
 	// ErrNoSuchBranch marks operations on a branch name that does not
 	// exist (or a version index out of range).
 	ErrNoSuchBranch = errors.New("no such branch")
+	// ErrVersionEvicted marks a version index the database no longer
+	// holds: older than the retained window of the latest commits, or,
+	// for BranchAt, older than the newest snapshot, which recovery and
+	// followers restart from.
+	ErrVersionEvicted = errors.New("version evicted")
 	// ErrBranchExists marks branch creation over an existing name.
 	ErrBranchExists = errors.New("branch already exists")
 	// ErrConflict marks an optimistic commit that lost the race: the

@@ -70,11 +70,15 @@ type snapshotRel struct {
 
 // snapshotDB is the gob envelope of both payload versions (gob matches
 // fields by name). Seq is the operation sequence number the snapshot
-// covers; journal replay (internal/durable) resumes after it.
+// covers; journal replay (internal/durable) resumes after it. Versions is
+// the database's commit count at capture, so that version numbers — which
+// a branchat record names — survive a restore; a payload written before
+// the field existed decodes it as 0.
 type snapshotDB struct {
 	Version     int
 	Format      string
 	Seq         uint64
+	Versions    int
 	Branches    map[string]snapshotWorkspace // version 1
 	Heads       []snapshotHead               // version 2
 	Rels        []snapshotRel                // version 2
@@ -220,28 +224,38 @@ func restoreWorkspace(memo *ivm.Memo, blocks map[string]string, base map[string]
 	return ws.reinstallTraced(context.Background(), installed, nil)
 }
 
-// Save writes a snapshot of every branch head.
-func (db *Database) Save(w io.Writer) error {
-	_, err := db.SaveSnapshot(w)
-	return err
-}
-
 // SaveSnapshot is Save returning the operation sequence number the
 // snapshot covers: it contains exactly the commits numbered ≤ seq. The
 // durability layer names snapshot generations by this seq and replays
-// only journal records after it. Only the seq and the head pointers are
-// read under the database lock; heads are immutable, so they are encoded
-// after releasing it, without blocking commits.
-func (db *Database) SaveSnapshot(w io.Writer) (seq uint64, err error) {
-	db.mu.RLock()
-	seq = db.seq
+// only journal records after it, and a follower starts from one, so from
+// here on BranchAt refuses a version older than the snapshot: neither
+// could rebuild it.
+func (db *Database) SaveSnapshot(w io.Writer) (seq uint64, err error) { return db.save(w, true) }
+
+// Save writes a snapshot of every branch head: an export, which moves no
+// BranchAt floor.
+func (db *Database) Save(w io.Writer) error {
+	_, err := db.save(w, false)
+	return err
+}
+
+// save writes a snapshot and returns the seq it covers; floor raises the
+// BranchAt floor to it. Only the seq, the version count and the head
+// pointers are read under the database lock; heads are immutable, so they
+// are encoded after releasing it, without blocking commits.
+func (db *Database) save(w io.Writer, floor bool) (uint64, error) {
+	db.mu.Lock()
+	seq, versions := db.seq, db.versions
+	if floor {
+		db.snapFloor = versions
+	}
 	branches := make(map[string]*Workspace, len(db.branches))
 	for name, ws := range db.branches {
 		branches[name] = ws
 	}
-	db.mu.RUnlock()
+	db.mu.Unlock()
 
-	snap := snapshotDB{Version: snapshotVersion, Format: snapshotFormat(snapshotVersion), Seq: seq, BranchHeads: map[string]int{}}
+	snap := snapshotDB{Version: snapshotVersion, Format: snapshotFormat(snapshotVersion), Seq: seq, Versions: versions, BranchHeads: map[string]int{}}
 	heads := map[*Workspace]int{}
 	var written []relation.Relation
 	relIndex := func(rel relation.Relation) int {
@@ -276,9 +290,11 @@ func (db *Database) SaveSnapshot(w io.Writer) (seq uint64, err error) {
 
 // LoadDatabase restores a database from a snapshot written by Save.
 // Derived predicates are re-materialized once per distinct head, and
-// branches that shared a head share its restored workspace; the version
-// history restarts at the restored heads. Truncated or bit-flipped input
-// — a gob stream or rows that fail to decode, an index out of range, or
+// branches that shared a head share its restored workspace. Version
+// numbers continue from the snapshot's commit count, with no version
+// below it retained (a payload without the count restarts the history at
+// the restored heads, one version each, in name order). Truncated or
+// bit-flipped input — a gob stream or rows that fail to decode, an index out of range, or
 // state that cannot be re-derived — is reported as ErrCorruptSnapshot, so
 // callers can fall back to an older generation or surface a clean error
 // instead of a raw decoder message. A payload of a version this build
@@ -291,6 +307,8 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	var rels []relation.Relation
 	var err error
 	switch {
+	case snap.Versions < 0 || snap.Versions > math.MaxInt/2: // no commit count comes near it
+		err = fmt.Errorf("version count %d", snap.Versions)
 	case snap.Version < 1 || snap.Format != snapshotFormat(snap.Version):
 		err = fmt.Errorf("version %d with format tag %q", snap.Version, snap.Format)
 	case snap.Version == 1:
@@ -327,15 +345,18 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		}
 		heads[i] = ws
 	}
-	db := &Database{branches: map[string]*Workspace{DefaultBranch: NewWorkspace()}, seq: snap.Seq}
+	db := &Database{branches: map[string]*Workspace{DefaultBranch: NewWorkspace()}, seq: snap.Seq,
+		versions: snap.Versions, restored: snap.Versions}
 	for name, i := range snap.BranchHeads {
 		if i < 0 || i >= len(heads) {
 			return nil, fmt.Errorf("core: %w: branch %s names head %d of %d", ErrCorruptSnapshot, name, i, len(heads))
 		}
 		db.branches[name] = heads[i]
 	}
-	for _, name := range db.Branches() {
-		db.history = append(db.history, VersionEntry{Branch: name, Workspace: db.branches[name]})
+	if snap.Versions == 0 {
+		for _, name := range db.Branches() {
+			db.appendVersion(VersionEntry{Branch: name, Workspace: db.branches[name]})
+		}
 	}
 	return db, nil
 }

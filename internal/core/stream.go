@@ -187,7 +187,9 @@ func (ws *Workspace) openCursor(rctx context.Context, src string, sp *obs.Span) 
 	if slices.ContainsFunc(combined.Constraints, func(k *compiler.ConstraintPlan) bool { return slices.Contains(k.References(), "_") }) {
 		answer = nil
 	}
-	if answer != nil {
+	if n := len(combined.Strata); answer != nil && combined.Strata[n-1][0].HeadName == "_" {
+		walked.Strata = combined.Strata[: n-1 : n-1] // the answer's stratum is the last
+	} else if answer != nil {
 		walked.Strata = slices.DeleteFunc(slices.Clone(combined.Strata), func(s []*compiler.RulePlan) bool {
 			return s[0].HeadName == "_"
 		})

@@ -71,7 +71,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, blocks pmap.Map[strin
 	}
 
 	out := ws.clone()
-	out.blocks, out.prog = blocks, compiled
+	out.blocks, out.prog, out.constraintSrcs = blocks, compiled, constraintSources(compiled)
 
 	// A head that lost its last rule is dropped: its readers see it empty.
 	dirty := changedHeads(ws.prog, compiled)

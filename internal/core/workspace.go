@@ -27,14 +27,17 @@ import (
 // Workspace is one immutable version of the database: logic + data.
 // All mutating methods return a new Workspace.
 type Workspace struct {
-	blocks  pmap.Map[string]            // block name → LogiQL source
-	prog    *compiler.Program           // compiled blocks in name order (shared, immutable)
-	base    pmap.Map[relation.Relation] // base predicate contents
-	derived pmap.Map[relation.Relation] // derived predicate contents
-	models  *ml.Registry                // model store (append-only, shared across versions)
-	memo    *ivm.Memo                   // strata evaluated whole before (shared across versions)
-	version uint64
-	obs     *obs.Registry // transaction profiling target (nil → obs.Default)
+	blocks pmap.Map[string]  // block name → LogiQL source
+	prog   *compiler.Program // compiled blocks in name order (shared, immutable)
+	// constraintSrcs holds the source texts of prog's constraints (shared,
+	// immutable).
+	constraintSrcs map[string]bool
+	base           pmap.Map[relation.Relation] // base predicate contents
+	derived        pmap.Map[relation.Relation] // derived predicate contents
+	models         *ml.Registry                // model store (append-only, shared across versions)
+	memo           *ivm.Memo                   // strata evaluated whole before (shared across versions)
+	version        uint64
+	obs            *obs.Registry // transaction profiling target (nil → obs.Default)
 	// unchecked marks a version settled without the integrity check (Load,
 	// Solve) and not since checked: its state may violate a constraint, so
 	// the next checked transaction checks every constraint in full.
@@ -48,12 +51,13 @@ func NewWorkspace() *Workspace {
 		panic(err)
 	}
 	return &Workspace{
-		blocks:  pmap.NewMap[string](),
-		prog:    empty,
-		base:    pmap.NewMap[relation.Relation](),
-		derived: pmap.NewMap[relation.Relation](),
-		models:  ml.NewRegistry(),
-		memo:    ivm.NewMemo(),
+		blocks:         pmap.NewMap[string](),
+		prog:           empty,
+		constraintSrcs: constraintSources(empty),
+		base:           pmap.NewMap[relation.Relation](),
+		derived:        pmap.NewMap[relation.Relation](),
+		models:         ml.NewRegistry(),
+		memo:           ivm.NewMemo(),
 	}
 }
 
@@ -66,7 +70,26 @@ func (ws *Workspace) Version() uint64 { return ws.version }
 // transaction's or query's own rules) over this version's relations, with
 // the lineage's models and observer, bounded by rctx.
 func (ws *Workspace) newContext(rctx context.Context, prog *compiler.Program) *engine.Context {
-	return engine.NewContext(prog, ws.relations(), engine.Options{Models: ws.models, Obs: ws.Observer(), Ctx: rctx})
+	return engine.NewContextOver(prog, wsRelations{ws}, engine.Options{Models: ws.models, Obs: ws.Observer(), Ctx: rctx})
+}
+
+// wsRelations is the engine.Source of a workspace's contents: its derived
+// relations over its base ones, read in place.
+type wsRelations struct{ ws *Workspace }
+
+func (s wsRelations) Get(name string) (relation.Relation, bool) {
+	if r, ok := s.ws.derived.Get(name); ok {
+		return r, true
+	}
+	return s.ws.base.Get(name)
+}
+
+func (s wsRelations) Range(f func(string, relation.Relation) bool) {
+	for name, r := range s.ws.relations() {
+		if !f(name, r) {
+			return
+		}
+	}
 }
 
 // Blocks returns the installed block names.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"logicblox/internal/compiler"
@@ -31,7 +32,9 @@ type Bindings struct {
 	full     tuple.Tuple    // the current binding, r.Slots wide
 	buf      tuple.Tuple    // full's own storage, when r assigns a slot
 	it       *lftj.Iter     // nil for a body-free rule: one empty binding
+	js       *joinState     // its join state, pooled again on Close
 	m        *lftj.Metrics  // nil when nobody reads the join's counters
+	metrics  lftj.Metrics   // m's storage
 	rs       *obs.RuleStats // nil when observability is off
 	delta    bool           // evaluated with per-atom overrides
 	t0       time.Time      // for the rule profile's evaluation time
@@ -55,7 +58,8 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 	if len(r.Atoms) == 0 && len(r.Consts) == 0 {
 		return b, nil // fact or fully computed rule
 	}
-	atoms := make([]lftj.Atom, 0, len(r.Atoms)+len(r.Consts)+len(r.Ranges))
+	js := joinStates.Get().(*joinState)
+	atoms := js.atoms[:0]
 	var rels []relation.Relation // each atom's relation, for the range binds
 	if len(r.Ranges) > 0 {
 		rels = make([]relation.Relation, len(r.Atoms))
@@ -71,7 +75,11 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 		if rels != nil {
 			rels[ai] = rel
 		}
-		atoms = append(atoms, lftj.Atom{Pred: ap.Name, Iter: rel.Iterator(), Vars: ap.Vars, Cols: ap.Perm})
+		if ai == len(js.tries) {
+			js.tries = append(js.tries, new(relation.TrieIter))
+		}
+		js.tries[ai].Reset(rel)
+		atoms = append(atoms, lftj.Atom{Pred: ap.Name, Iter: js.tries[ai], Vars: ap.Vars, Cols: ap.Perm})
 	}
 	for _, cb := range r.Consts {
 		atoms = append(atoms, lftj.Atom{
@@ -81,17 +89,31 @@ func (c *Context) Bindings(r *compiler.RulePlan, overrides map[int]relation.Rela
 	if rels != nil {
 		atoms = c.appendRanges(atoms, r, rels)
 	}
-	j, err := lftj.NewJoin(r.NumJoinVars, atoms, c.sens)
-	if err != nil {
+	js.atoms = atoms
+	if err := js.join.Reset(r.NumJoinVars, atoms, c.sens); err != nil {
 		return nil, fmt.Errorf("in rule %q: %w", r.Source, err)
 	}
 	if b.rs != nil {
-		b.m = &lftj.Metrics{}
-		j.SetMetrics(b.m)
+		b.m = &b.metrics
+		js.join.SetMetrics(b.m)
 	}
-	b.it = j.Iter()
+	b.js, b.it = js, js.join.Iter()
 	return b, nil
 }
+
+// joinState is the join a Bindings cursor runs: the LFTJ join, its atoms
+// and the trie iterators over their relations. A closed cursor puts it
+// back in joinStates, and the next cursor opened resets one from there
+// rather than allocating its own, so rule after rule, and request after
+// request, reuse the same few.
+type joinState struct {
+	join  lftj.Join
+	atoms []lftj.Atom
+	tries []*relation.TrieIter // tries[i] scans atoms[i], a relation atom
+}
+
+// joinStates holds the join states of closed cursors.
+var joinStates = sync.Pool{New: func() any { return new(joinState) }}
 
 // appendRanges appends to atoms, per join variable that r bounds, one
 // range iterator holding the bounds (compiler.RangeBind) that are exact
@@ -288,6 +310,8 @@ func (b *Bindings) Close() {
 	b.done = true
 	if b.it != nil {
 		b.it.Close()
+		joinStates.Put(b.js)
+		b.it, b.js = nil, nil
 	}
 	if b.delta {
 		b.rs.AddDeltaEval(time.Since(b.t0), b.n)

@@ -8,6 +8,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 
 	"logicblox/internal/compiler"
@@ -39,67 +40,109 @@ type Options struct {
 	Ctx context.Context
 }
 
+// Source is a read-only name → relation lookup: the contents a context
+// starts from.
+type Source interface {
+	Get(name string) (relation.Relation, bool)
+	Range(f func(name string, r relation.Relation) bool)
+}
+
+// mapSource is a Source over a map.
+type mapSource map[string]relation.Relation
+
+func (m mapSource) Get(name string) (relation.Relation, bool) {
+	r, ok := m[name]
+	return r, ok
+}
+
+func (m mapSource) Range(f func(string, relation.Relation) bool) {
+	for k, v := range m {
+		if !f(k, v) {
+			return
+		}
+	}
+}
+
 // Context is an evaluation context: a compiled program plus the current
 // contents of every named relation (base, derived, delta, @start).
 type Context struct {
-	Prog      *compiler.Program
-	rels      map[string]relation.Relation
-	perms     map[string]relation.Relation // secondary-index cache
-	models    *ml.Registry
-	sens      *lftj.SensitivityIndex
-	obs       *obs.Registry             // nil = instrumentation off
-	ctx       context.Context           // nil = unbounded evaluation
-	done      <-chan struct{}           // ctx.Done(), nil when unbounded
-	span      *obs.Span                 // parent for stratum spans (may be nil)
-	ruleStats map[string]*obs.RuleStats // cached per-rule profile handles, by source
+	Prog   *compiler.Program
+	src    Source                       // the contents the context started from
+	rels   map[string]relation.Relation // contents Set since, over src
+	perms  map[string]relation.Relation // secondary-index cache
+	models *ml.Registry
+	sens   *lftj.SensitivityIndex
+	obs    *obs.Registry   // nil = instrumentation off
+	ctx    context.Context // nil = unbounded evaluation
+	done   <-chan struct{} // ctx.Done(), nil when unbounded
+	span   *obs.Span       // parent for stratum spans (may be nil)
 }
 
-// NewContext builds a context over base relation contents (keyed by
-// decorated name; usually plain base-predicate names).
+// NewContext builds a context over a copy of base's relation contents
+// (keyed by decorated name; usually plain base-predicate names).
 func NewContext(prog *compiler.Program, base map[string]relation.Relation, opts Options) *Context {
+	return NewContextOver(prog, mapSource(maps.Clone(base)), opts)
+}
+
+// NewContextOver builds a context that starts from the contents src
+// holds: a relation the context is not Set is looked up in src, which
+// must not change while the context is in use.
+func NewContextOver(prog *compiler.Program, src Source, opts Options) *Context {
 	reg := opts.Obs
 	if reg == nil {
 		reg = obs.Default()
 	}
 	c := &Context{
-		Prog:      prog,
-		rels:      make(map[string]relation.Relation, len(base)+8),
-		perms:     map[string]relation.Relation{},
-		models:    opts.Models,
-		obs:       reg,
-		ctx:       opts.Ctx,
-		ruleStats: map[string]*obs.RuleStats{},
+		Prog:   prog,
+		src:    src,
+		models: opts.Models,
+		obs:    reg,
+		ctx:    opts.Ctx,
 	}
 	if opts.Ctx != nil {
 		c.done = opts.Ctx.Done()
 	}
-	for name, r := range base {
-		c.rels[name] = r
-	}
 	return c
+}
+
+// lookup returns the current content of name, if it has any.
+func (c *Context) lookup(name string) (relation.Relation, bool) {
+	if r, ok := c.rels[name]; ok {
+		return r, true
+	}
+	return c.src.Get(name)
 }
 
 // Relation returns the current content of name, or an empty relation of
 // the predicate's arity.
 func (c *Context) Relation(name string) relation.Relation {
-	if r, ok := c.rels[name]; ok {
+	if r, ok := c.lookup(name); ok {
 		return r
 	}
 	return relation.New(c.arityOf(name))
 }
 
 // Set replaces the content of name.
-func (c *Context) Set(name string, r relation.Relation) { c.rels[name] = r }
+func (c *Context) Set(name string, r relation.Relation) {
+	if c.rels == nil {
+		c.rels = map[string]relation.Relation{}
+	}
+	c.rels[name] = r
+}
 
 // Has reports whether name has explicit content.
 func (c *Context) Has(name string) bool {
-	_, ok := c.rels[name]
+	_, ok := c.lookup(name)
 	return ok
 }
 
 // Relations returns a copy of the name → relation map.
 func (c *Context) Relations() map[string]relation.Relation {
-	out := make(map[string]relation.Relation, len(c.rels))
+	out := map[string]relation.Relation{}
+	c.src.Range(func(k string, v relation.Relation) bool {
+		out[k] = v
+		return true
+	})
 	for k, v := range c.rels {
 		out[k] = v
 	}
@@ -424,6 +467,9 @@ func (c *Context) permuted(name string, rel relation.Relation, perm []int) relat
 	}
 	c.obs.Counter("engine.index.permutes").Inc()
 	r := rel.Permuted(perm)
+	if c.perms == nil {
+		c.perms = map[string]relation.Relation{}
+	}
 	c.perms[key] = r
 	return r
 }

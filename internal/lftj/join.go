@@ -37,49 +37,91 @@ type Join struct {
 	scan    scanPlan          // the scan, when the join is one (scan.sc != nil)
 	rec     *recording
 	m       *Metrics // optional work counters (may be nil)
+	it      Iter     // the join's one cursor, reset by Iter
+	// ids and its back levels and iters (and per-variable counts, after
+	// the levels in ids); Reset reuses all of them.
+	ids []int
+	its []trie.Iterator
 }
 
 // NewJoin validates the atoms and builds a join over numVars variables
 // (numbered 0..numVars-1 in the chosen variable order). idx, if non-nil,
 // receives the sensitivity intervals of every subsequent Run.
 func NewJoin(numVars int, atoms []Atom, idx *SensitivityIndex) (*Join, error) {
-	j := &Join{
-		numVars: numVars,
-		atoms:   atoms,
-		levels:  make([][]int, numVars),
-		iters:   make([][]trie.Iterator, numVars),
-		binding: make(tuple.Tuple, numVars),
+	j := &Join{}
+	if err := j.Reset(numVars, atoms, idx); err != nil {
+		return nil, err
 	}
-	covered := make([]bool, numVars)
-	for ai, a := range atoms {
+	return j, nil
+}
+
+// Reset makes j the join NewJoin(numVars, atoms, idx) builds, reusing
+// the storage of its previous join: a caller that evaluates join after
+// join through one Join allocates only when a join outgrows the largest
+// before it. Any cursor of the previous join is invalidated.
+func (j *Join) Reset(numVars int, atoms []Atom, idx *SensitivityIndex) error {
+	total := 0
+	for _, a := range atoms {
+		total += len(a.Vars)
+	}
+	// ids holds every level's atom indices, then one count per variable.
+	ids := grow(j.ids, total+numVars)
+	counts := ids[total:]
+	clear(counts)
+	for _, a := range atoms {
 		if len(a.Vars) != a.Iter.Arity() {
-			return nil, fmt.Errorf("lftj: atom %s has %d vars for arity %d", a.Pred, len(a.Vars), a.Iter.Arity())
+			return fmt.Errorf("lftj: atom %s has %d vars for arity %d", a.Pred, len(a.Vars), a.Iter.Arity())
 		}
 		if a.Cols != nil && len(a.Cols) != len(a.Vars) {
-			return nil, fmt.Errorf("lftj: atom %s has %d cols for %d vars", a.Pred, len(a.Cols), len(a.Vars))
+			return fmt.Errorf("lftj: atom %s has %d cols for %d vars", a.Pred, len(a.Cols), len(a.Vars))
 		}
 		for d, v := range a.Vars {
 			if v < 0 || v >= numVars {
-				return nil, fmt.Errorf("lftj: atom %s references variable %d out of range", a.Pred, v)
+				return fmt.Errorf("lftj: atom %s references variable %d out of range", a.Pred, v)
 			}
 			if d > 0 && a.Vars[d-1] >= v {
-				return nil, fmt.Errorf("lftj: atom %s variable order %v inconsistent with join order (secondary index required)", a.Pred, a.Vars)
+				return fmt.Errorf("lftj: atom %s variable order %v inconsistent with join order (secondary index required)", a.Pred, a.Vars)
 			}
-			j.levels[v] = append(j.levels[v], ai)
-			covered[v] = true
+			counts[v]++
 		}
 	}
-	for v := 0; v < numVars; v++ {
-		if !covered[v] {
-			return nil, fmt.Errorf("lftj: variable %d is bound by no atom", v)
+	*j = Join{
+		numVars: numVars,
+		atoms:   atoms,
+		levels:  grow(j.levels, numVars),
+		iters:   grow(j.iters, numVars),
+		binding: grow(j.binding, numVars),
+		it:      Iter{lfs: grow(j.it.lfs, numVars)},
+		ids:     ids,
+		its:     grow(j.its, total),
+	}
+	for v, off := 0, 0; v < numVars; v++ {
+		if counts[v] == 0 {
+			return fmt.Errorf("lftj: variable %d is bound by no atom", v)
 		}
-		j.iters[v] = make([]trie.Iterator, len(j.levels[v]))
+		j.levels[v] = ids[off : off : off+counts[v]]
+		j.iters[v] = j.its[off : off+counts[v] : off+counts[v]]
+		off += counts[v]
+	}
+	for ai, a := range atoms {
+		for _, v := range a.Vars {
+			j.levels[v] = append(j.levels[v], ai)
+		}
 	}
 	j.scan = planScan(atoms, numVars)
 	if idx != nil {
 		j.rec = newRecording(j, idx)
 	}
-	return j, nil
+	return nil
+}
+
+// grow returns s resliced to n elements, reallocated when its capacity is
+// short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Run enumerates all satisfying assignments in lexicographic order of the
@@ -153,12 +195,14 @@ type Iter struct {
 	pull    func() (tuple.Tuple, bool) // the scan, once started
 }
 
-// Iter returns a fresh cursor over the join. The join's atom iterators
-// are stateful, so at most one Iter (or Run) may be active per Join at a
-// time; Close unwinds any levels still open (it is called implicitly when
-// the cursor runs to exhaustion).
+// Iter returns the join's cursor, reset to before the first binding. The
+// join's atom iterators are stateful, so at most one Iter (or Run) may be
+// active per Join at a time — each call restarts the one cursor; Close
+// unwinds any levels still open (it is called implicitly when the cursor
+// runs to exhaustion).
 func (j *Join) Iter() *Iter {
-	return &Iter{j: j, lfs: make([]Leapfrog, j.numVars), depth: -1}
+	j.it = Iter{j: j, lfs: j.it.lfs, depth: -1}
+	return &j.it
 }
 
 // open descends into variable level v: every participating atom's trie

@@ -53,10 +53,17 @@ func (s *Span) Child(name string) *Span {
 	}
 	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
+	if s.children == nil {
+		s.children = make([]*Span, 0, spanPrealloc)
+	}
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
 }
+
+// spanPrealloc is the capacity a span's attributes and children start
+// with: one allocation for the few most spans hold.
+const spanPrealloc = 4
 
 // SetAttr records (or overwrites) an integer attribute.
 func (s *Span) SetAttr(key string, val int64) {
@@ -70,6 +77,9 @@ func (s *Span) SetAttr(key string, val int64) {
 			s.attrs[i].Val = val
 			return
 		}
+	}
+	if s.attrs == nil {
+		s.attrs = make([]SpanAttr, 0, spanPrealloc)
 	}
 	s.attrs = append(s.attrs, SpanAttr{Key: key, Val: val})
 }
@@ -102,6 +112,9 @@ func (s *Span) AddAttr(key string, val int64) {
 			s.attrs[i].Val += val
 			return
 		}
+	}
+	if s.attrs == nil {
+		s.attrs = make([]SpanAttr, 0, spanPrealloc)
 	}
 	s.attrs = append(s.attrs, SpanAttr{Key: key, Val: val})
 }

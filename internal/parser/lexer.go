@@ -25,8 +25,8 @@ const (
 type token struct {
 	kind tokenKind
 	text string
-	line int
-	col  int
+	line int32
+	col  int32
 }
 
 func (t token) String() string {
@@ -42,7 +42,7 @@ func (t token) String() string {
 
 // lexError reports a lexical error with position.
 type lexError struct {
-	line, col int
+	line, col int32
 	msg       string
 }
 
@@ -53,8 +53,9 @@ func (e *lexError) Error() string {
 // lex tokenizes src. Multi-character operators recognized: <-, ->, <<, >>,
 // <=, >=, !=.
 func lex(src string) ([]token, error) {
-	var toks []token
-	line, col := 1, 1
+	// About one token per two bytes of source: one allocation for most.
+	toks := make([]token, 0, len(src)/2+1)
+	line, col := int32(1), int32(1)
 	i := 0
 	n := len(src)
 	adv := func(k int) {

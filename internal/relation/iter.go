@@ -59,6 +59,12 @@ func (r Relation) Cursor() *Cursor {
 // probe of one value starts at the first tuple whose first column is ≥ it.
 func (r Relation) CursorAt(probe tuple.Tuple) *Cursor {
 	c := &Cursor{stack: make([]level, 0, r.arity+1)}
+	r.seek(c, probe)
+	return c
+}
+
+// seek positions c, whose stack is empty, as CursorAt does.
+func (r Relation) seek(c *Cursor, probe tuple.Tuple) {
 	g := r.root
 	for d := 0; ; d++ {
 		switch {
@@ -66,15 +72,15 @@ func (r Relation) CursorAt(probe tuple.Tuple) *Cursor {
 			if g.one.Compare(probe) >= 0 {
 				c.push(g)
 			}
-			return c
+			return
 		case d >= len(probe):
 			c.push(g) // the whole group extends the probe
-			return c
+			return
 		}
 		l := c.push(group{})
 		l.it.ResetAt(g.at(d), probe[d])
 		if l.it.AtEnd() || !tuple.Equal(l.it.Key(), probe[d]) {
-			return c // every tuple from here on is greater than the probe
+			return // every tuple from here on is greater than the probe
 		}
 		// Descend into the probe's own key; the level resumes past it.
 		g = l.it.Value()
@@ -116,31 +122,43 @@ func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
 // that one level's keys, comparing one value per step. Where the group
 // below a key is a single tuple, the depths below walk that tuple's
 // values, one key each. Each operation is O(log N), and m ascending
-// visits at one level cost amortized O(1 + log(N/m)); none allocates,
-// since every depth's iterator is sized for the relation when the
-// TrieIter is made. A one-atom join is a scan: trie.Scanner walks the
-// relation in order.
+// visits at one level cost amortized O(1 + log(N/m)); a depth's iterator
+// sizes its stack for the first level it walks (treap.Iterator), so only
+// a taller level met later allocates. A one-atom join is a scan:
+// trie.Scanner walks the relation in order.
 type TrieIter struct {
 	r     Relation
-	lv    []level // lv[d]: the position at depth d
+	lv    []level // lv[d]: the position at depth d; one spare for a scan
 	depth int
 	atEnd bool
 	probe [1]tuple.Value // Scan's bound
+	scan  Cursor         // Scan's cursor, over lv's storage
 }
 
 // Iterator returns a trie iterator positioned at the synthetic root.
 func (r Relation) Iterator() trie.Iterator {
-	ti := &TrieIter{r: r, depth: -1, lv: make([]level, r.arity)}
-	for i := range ti.lv {
-		ti.lv[i].it.Reserve(r.Len())
-	}
+	ti := &TrieIter{}
+	ti.Reset(r)
 	return ti
 }
 
-// Scan implements trie.Scanner.
+// Reset repositions ti at the synthetic root of r, reusing its levels and
+// their iterators' stacks.
+func (ti *TrieIter) Reset(r Relation) {
+	lv := ti.lv
+	if cap(lv) < r.arity+1 {
+		lv = make([]level, r.arity, r.arity+1)
+	}
+	*ti = TrieIter{r: r, depth: -1, lv: lv[:r.arity]}
+}
+
+// Scan implements trie.Scanner. The scan walks the levels the trie
+// operations use, so a TrieIter is scanned or walked, not both at once.
 func (ti *TrieIter) Scan(from tuple.Value) func() (tuple.Tuple, bool) {
 	ti.probe[0] = from
-	return ti.r.CursorAt(ti.probe[:]).Next
+	ti.scan = Cursor{stack: ti.lv[:0]}
+	ti.r.seek(&ti.scan, ti.probe[:])
+	return ti.scan.Next
 }
 
 // Arity implements trie.Iterator.

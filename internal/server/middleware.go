@@ -25,6 +25,8 @@ func statusFor(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout, "timeout"
+	case errors.Is(err, core.ErrVersionEvicted):
+		return http.StatusGone, "version_evicted"
 	case errors.Is(err, core.ErrNoSuchBranch):
 		return http.StatusNotFound, "no_such_branch"
 	case errors.Is(err, core.ErrConflict):
@@ -150,7 +152,6 @@ func (s *Server) endpoint(name, method string, pooled bool, h http.HandlerFunc) 
 			return
 		}
 		info := &requestInfo{id: requestID(r)}
-		r = withRequestInfo(r, info)
 		w.Header().Set(requestIDHeader, info.id)
 		t0 := time.Now()
 		if s.draining.Load() {
@@ -186,17 +187,19 @@ func (s *Server) endpoint(name, method string, pooled bool, h http.HandlerFunc) 
 			s.logSlow(r, name, rec.status, dur, info, sp)
 		}()
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+		// One request copy carries the request info, the deadline and the
+		// span.
+		ctx, cancel := context.WithTimeout(context.WithValue(r.Context(), requestInfoKey{}, info), s.cfg.Timeout)
 		defer cancel()
-		ctx = obs.ContextWithSpan(ctx, sp)
+		r = r.WithContext(obs.ContextWithSpan(ctx, sp))
 		if pooled {
-			if err := s.acquire(ctx); err != nil {
+			if err := s.acquire(r.Context()); err != nil {
 				s.writeError(rec, r, err)
 				return
 			}
 			defer s.release()
 		}
-		h(rec, r.WithContext(ctx))
+		h(rec, r)
 	})
 }
 

@@ -27,7 +27,7 @@
 //	                 installed logic merged with an optional candidate
 //	GET  /branches   list branches
 //	POST /branches   create/branchat/delete/commit/diff branches
-//	GET  /versions   committed-version history
+//	GET  /versions   the retained window of the version history
 //	POST /save       download a binary snapshot of all branches
 //	POST /load       replace the served database from a snapshot
 //	GET  /metrics    obs registry, Prometheus text exposition
@@ -144,6 +144,8 @@ type Server struct {
 	// keyed by request ID, so /debug/trace/{id} answers for any recent
 	// request; a reused client ID overwrites in place (latest wins).
 	traces *obs.TraceRing
+	// cursors pins the snapshots of the latest page cursors handed out.
+	cursors snapshotLRU
 }
 
 // New returns a server over db. Zero Config fields take defaults.
@@ -476,14 +478,16 @@ func (s *Server) diffBranches(from, to string) (map[string]Delta, error) {
 	return out, nil
 }
 
+// handleVersions lists the retained window of the version history: the
+// latest commits, numbered by their absolute version index.
 func (s *Server) handleVersions(w http.ResponseWriter, _ *http.Request) {
 	db := s.Database()
-	n := db.Versions()
-	out := make([]VersionInfo, 0, n)
-	for i := 0; i < n; i++ {
+	lo, hi := db.RetainedVersions()
+	out := make([]VersionInfo, 0, hi-lo)
+	for i := lo; i < hi; i++ {
 		v, err := db.VersionAt(i)
 		if err != nil {
-			continue // history only grows; a vanished index means a /load raced us
+			continue // evicted by a commit since RetainedVersions
 		}
 		out = append(out, VersionInfo{
 			Index: i, Branch: v.Branch,

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 
 	"logicblox/internal/core"
 	"logicblox/internal/tuple"
@@ -39,10 +40,64 @@ const streamFlushBytes = 32 << 10
 var (
 	// errBadCursor rejects a cursor token that does not decode.
 	errBadCursor = errors.New("malformed cursor")
-	// errStaleCursor rejects a cursor whose pinned snapshot version is no
-	// longer reachable (branch deleted, history rewritten by /load).
+	// errStaleCursor rejects a cursor whose pinned snapshot is no longer
+	// reachable: not its branch's head and evicted from the cursor
+	// snapshots, or the database swapped by /load.
 	errStaleCursor = errors.New("cursor version no longer available")
 )
+
+// cursorSnapshots is how many page cursors' snapshots the server keeps
+// reachable besides the branch heads: a cursor whose snapshot is neither
+// answers 410 stale_cursor.
+const cursorSnapshots = 64
+
+// cursorSnap is one pinned snapshot: the workspace a page cursor of
+// branch at version reads, in the database it was served from.
+type cursorSnap struct {
+	db      *core.Database
+	branch  string
+	version uint64
+	ws      *core.Workspace
+}
+
+// snapshotLRU holds the snapshots of the latest cursorSnapshots page
+// cursors handed out, least recently used first.
+type snapshotLRU struct {
+	mu      sync.Mutex
+	entries []cursorSnap
+}
+
+// get returns the snapshot of branch at version in db and marks it used.
+func (l *snapshotLRU) get(db *core.Database, branch string, version uint64) (*core.Workspace, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.touchLocked(db, branch, version)
+}
+
+// put pins e, evicting the least recently used snapshot when full.
+func (l *snapshotLRU) put(e cursorSnap) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, ok := l.touchLocked(e.db, e.branch, e.version); ok {
+		return
+	}
+	if len(l.entries) == cursorSnapshots {
+		l.entries = append(l.entries[:0], l.entries[1:]...)
+	}
+	l.entries = append(l.entries, e)
+}
+
+// touchLocked finds a snapshot and moves it to the most recently used
+// end. Callers hold l.mu.
+func (l *snapshotLRU) touchLocked(db *core.Database, branch string, version uint64) (*core.Workspace, bool) {
+	for i := len(l.entries) - 1; i >= 0; i-- {
+		if e := l.entries[i]; e.db == db && e.version == version && e.branch == branch {
+			l.entries = append(append(l.entries[:i], l.entries[i+1:]...), e)
+			return e.ws, true
+		}
+	}
+	return nil, false
+}
 
 // pageToken is the decoded form of a /query pagination cursor: the
 // branch, the pinned workspace version, and the row offset already
@@ -76,8 +131,8 @@ func decodePageToken(s string) (pageToken, error) {
 // resolveQuery picks the workspace snapshot a /query runs against. A
 // fresh query reads the branch head; a cursor-bearing one re-resolves
 // the exact version the first page saw — from the head if it has not
-// moved, otherwise from the committed-version history — so pagination is
-// exactly-once over one immutable snapshot.
+// moved, otherwise from the snapshots of recent cursors — so pagination
+// is exactly-once over one immutable snapshot.
 func (s *Server) resolveQuery(req *Request) (*core.Workspace, pageToken, error) {
 	db := s.Database()
 	if req.Cursor == "" {
@@ -91,14 +146,8 @@ func (s *Server) resolveQuery(req *Request) (*core.Workspace, pageToken, error) 
 	if head, err := db.Workspace(tok.Branch); err == nil && head.Version() == tok.Version {
 		return head, tok, nil
 	}
-	for i := db.Versions() - 1; i >= 0; i-- {
-		v, err := db.VersionAt(i)
-		if err != nil {
-			continue
-		}
-		if v.Branch == tok.Branch && v.Workspace.Version() == tok.Version {
-			return v.Workspace, tok, nil
-		}
+	if ws, ok := s.cursors.get(db, tok.Branch, tok.Version); ok {
+		return ws, tok, nil
 	}
 	return nil, tok, fmt.Errorf("%w (branch %q version %d)", errStaleCursor, tok.Branch, tok.Version)
 }
@@ -165,8 +214,10 @@ func pullPage(ctx context.Context, cur *core.Cursor, offset int64, limit int, ma
 	}
 }
 
-// nextCursor is the token resuming a truncated page after rows more rows.
-func nextCursor(ws *core.Workspace, tok pageToken, rows int64) string {
+// nextCursor is the token resuming a truncated page after rows more rows;
+// it pins ws among the cursor snapshots.
+func (s *Server) nextCursor(ws *core.Workspace, tok pageToken, rows int64) string {
+	s.cursors.put(cursorSnap{db: s.Database(), branch: tok.Branch, version: ws.Version(), ws: ws})
 	return encodePageToken(pageToken{Branch: tok.Branch, Version: ws.Version(), Offset: tok.Offset + rows})
 }
 
@@ -203,7 +254,7 @@ func (s *Server) envelopeQuery(w http.ResponseWriter, r *http.Request, req *Requ
 	}
 	if more {
 		resp.Truncated = true
-		resp.NextCursor = nextCursor(ws, tok, rows)
+		resp.NextCursor = s.nextCursor(ws, tok, rows)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -256,7 +307,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, req *Reques
 	} else {
 		if more {
 			sum.Truncated = true
-			sum.NextCursor = nextCursor(ws, tok, sum.Rows)
+			sum.NextCursor = s.nextCursor(ws, tok, sum.Rows)
 		}
 		s.reg.Counter("server.stream.rows").Add(sum.Rows)
 		s.reg.Counter("server.stream.bytes").Add(sum.Bytes)

@@ -714,3 +714,59 @@ func TestQueryBreakingInstalledConstraint(t *testing.T) {
 		t.Errorf("NDJSON: status %d, lines %q; want 409 constraint and no row", resp.StatusCode, lines)
 	}
 }
+
+// TestPaginationUnderCommits: 200 commits land between every two pages,
+// far more than the version history retains, and every row of the first
+// page's snapshot still arrives exactly once (the cursor's snapshot is
+// pinned among the cursor snapshots). A cursor whose snapshot has left
+// both the history and the cursor snapshots answers 410 stale_cursor.
+func TestPaginationUnderCommits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	seedEdges(t, ts, 30, 30)
+	limit := 6
+	commits := 0
+	commit := func(n int) {
+		for i := 0; i < n; i++ {
+			commits++
+			mustOK(t, ts, "POST", "/exec", Request{Src: fmt.Sprintf("+other(%d).", commits)}, nil)
+		}
+	}
+	page := func(cursor string) ([][]any, string) {
+		var q QueryResponse
+		mustOK(t, ts, "POST", "/query", Request{Src: `_(x, y) <- e(x, y).`, Limit: &limit, Cursor: cursor}, &q)
+		return q.Rows, q.NextCursor
+	}
+	rows, cursor := page("")
+	first := cursor
+	seen := map[string]bool{}
+	for {
+		for _, row := range rows {
+			k := fmt.Sprint(row)
+			if seen[k] {
+				t.Fatalf("row %v delivered twice", row)
+			}
+			seen[k] = true
+		}
+		if cursor == "" {
+			break
+		}
+		commit(200)
+		rows, cursor = page(cursor)
+	}
+	if len(seen) != 30 {
+		t.Fatalf("%d distinct rows, want 30", len(seen))
+	}
+
+	// Push the first cursor's snapshot out of the cursor snapshots: each
+	// first page of a new version pins one more.
+	for i := 0; i < cursorSnapshots; i++ {
+		commit(1)
+		if _, next := page(""); next == "" {
+			t.Fatal("first page not truncated")
+		}
+	}
+	var e ErrorResponse
+	if status := do(t, ts, "POST", "/query", Request{Src: `_(x, y) <- e(x, y).`, Limit: &limit, Cursor: first}, &e); status != http.StatusGone || e.Code != "stale_cursor" {
+		t.Fatalf("evicted cursor: status %d code %q, want 410 stale_cursor", status, e.Code)
+	}
+}

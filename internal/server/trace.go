@@ -62,10 +62,6 @@ type requestInfo struct {
 
 type requestInfoKey struct{}
 
-func withRequestInfo(r *http.Request, info *requestInfo) *http.Request {
-	return r.WithContext(context.WithValue(r.Context(), requestInfoKey{}, info))
-}
-
 func requestInfoFrom(ctx context.Context) *requestInfo {
 	info, _ := ctx.Value(requestInfoKey{}).(*requestInfo)
 	return info

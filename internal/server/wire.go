@@ -37,8 +37,8 @@ type Request struct {
 	Limit *int `json:"limit,omitempty"`
 	// Cursor resumes a paged /query from where a previous response's
 	// next_cursor left off. The token pins the snapshot version, so
-	// pages are consistent; a version evicted from history fails 410
-	// stale_cursor.
+	// pages are consistent; a snapshot that is neither the branch head
+	// nor among the latest cursors' fails 410 stale_cursor.
 	Cursor string `json:"cursor,omitempty"`
 	// MaxResultBytes, when > 0, truncates a /query response once its
 	// encoded rows exceed this many bytes (a next_cursor continues).
@@ -75,7 +75,8 @@ type BranchRequest struct {
 	From string `json:"from,omitempty"`
 	// To is the branch acted on.
 	To string `json:"to,omitempty"`
-	// Version is the history index for "branchat" (time travel).
+	// Version is the absolute version number for "branchat" (time
+	// travel); below the retained window it fails 410 version_evicted.
 	Version int `json:"version,omitempty"`
 }
 
@@ -180,7 +181,8 @@ type VersionInfo struct {
 	Blocks  int    `json:"blocks"`
 }
 
-// VersionsResponse is the committed-version history.
+// VersionsResponse is the retained window of the version history, oldest
+// first.
 type VersionsResponse struct {
 	OK       bool          `json:"ok"`
 	Versions []VersionInfo `json:"versions"`
